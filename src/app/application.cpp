@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/shard_context.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -110,9 +109,6 @@ Application::Application(Cluster& cluster, Network& network,
 void Application::start_metric_publication() {
   for (ServiceRuntime& sr : services_) {
     ServiceRuntime* srp = &sr;
-    // Each service's publication chain lives on the shard owning its node,
-    // where both the metrics it flushes and the bus it publishes to live.
-    ShardScope scope(cluster_.sim().shard_of_node(sr.container->node()));
     cluster_.sim().schedule_periodic(
         options_.metrics_interval, options_.metrics_interval, [this, srp]() {
           const MetricsSnapshot snap =
@@ -352,13 +348,13 @@ void Application::on_call_timeout(std::uint64_t call_id) {
   // same logical call, re-sent on the same connection.
   ns.pending_calls.erase(it);
   if (pc.attempt < options_.retry.max_retries) {
-    ++ns.rpc_retries;
+    ++rpc_retries_;
     send_child_rpc(pc.visit_key, pc.child_idx, pc.attempt + 1);
     return;
   }
   // Retries exhausted: abandon the call but complete the visit degraded, so
   // the request conserves (it drains as completed, never strands).
-  ++ns.rpc_failures;
+  ++rpc_failures_;
   on_child_reply(pc.visit_key, pc.child_idx);
 }
 
@@ -369,7 +365,7 @@ void Application::on_response(const RpcPacket& pkt) {
     // Duplicate response, or an original that lost the race against its own
     // retransmission. At-least-once delivery makes these benign under
     // faults; count them so fault-free tests can assert zero.
-    ++ns.stray_responses;
+    ++stray_responses_;
     return;
   }
   const PendingCall pc = it->second;

@@ -130,29 +130,15 @@ class Application {
   std::uint64_t requests_completed() const { return requests_completed_; }
 
   /// --- fault observability ---
-  /// Counters are kept per node (each node's state is owned by one shard)
-  /// and summed on read; reads are only meaningful between runs.
 
   /// Child RPCs retransmitted after a timeout.
-  std::uint64_t rpc_retries() const {
-    std::uint64_t total = 0;
-    for (const NodeState& ns : nodes_) total += ns.rpc_retries;
-    return total;
-  }
+  std::uint64_t rpc_retries() const { return rpc_retries_; }
   /// Child RPCs abandoned after exhausting retries (visit completed
   /// degraded so the request still drains).
-  std::uint64_t rpc_failures() const {
-    std::uint64_t total = 0;
-    for (const NodeState& ns : nodes_) total += ns.rpc_failures;
-    return total;
-  }
+  std::uint64_t rpc_failures() const { return rpc_failures_; }
   /// Responses with no pending call: duplicates, or originals that raced a
   /// retransmission. Benign under faults; a bug if nonzero without them.
-  std::uint64_t stray_responses() const {
-    std::uint64_t total = 0;
-    for (const NodeState& ns : nodes_) total += ns.stray_responses;
-    return total;
-  }
+  std::uint64_t stray_responses() const { return stray_responses_; }
   /// Entry requests absorbed by the frontend's idempotency dedup (a copy of
   /// a request whose original visit was still in flight).
   std::uint64_t duplicate_requests() const { return duplicate_requests_; }
@@ -208,23 +194,17 @@ class Application {
 
   /// Per-node partition of the request-processing state. Every visit and
   /// pending call is keyed with its owning node in the key's high bits, so
-  /// any handler can find the right partition from the key alone — and under
-  /// sharded execution each partition is only ever touched by the shard that
-  /// owns the node (requests and responses are delivered on the destination
-  /// node's shard).
+  /// any handler can find the right partition from the key alone.
   struct NodeState {
     std::unordered_map<std::uint64_t, Visit> visits;
     std::unordered_map<std::uint64_t, PendingCall> pending_calls;
     std::uint64_t next_visit_seq = 1;
     std::uint64_t next_call_seq = 1;
-    std::uint64_t rpc_retries = 0;
-    std::uint64_t rpc_failures = 0;
-    std::uint64_t stray_responses = 0;
   };
 
   /// Node-tagged key: node id + 1 in the top 16 bits, per-node sequence
   /// below. Sequences are node-local, so key assignment is independent of
-  /// the interleaving of other nodes' traffic (and hence of shard count).
+  /// the interleaving of other nodes' traffic.
   static std::uint64_t make_node_key(int node, std::uint64_t seq) {
     return (static_cast<std::uint64_t>(node + 1) << 48) | seq;
   }
@@ -254,8 +234,9 @@ class Application {
   Options options_;
   Rng rng_;
   // Per-service work-draw streams, forked from rng_ in service order. Each
-  // service's draw sequence depends only on its own request order (which is
-  // node-local), making the draws identical at any shard count.
+  // service's draw sequence depends only on its own request order. The
+  // streams are pinned by the committed fingerprints: drawing from one
+  // shared stream instead would change results.
   std::vector<Rng> service_rngs_;
 
   std::vector<ServiceRuntime> services_;
@@ -264,12 +245,14 @@ class Application {
   // One partition per node (indexed by node id); see NodeState.
   std::vector<NodeState> nodes_;
   // In-flight entry visits by client request id (frontend idempotency key).
-  // Entry-node state: only the entry node's shard touches it.
   std::unordered_map<RequestId, std::uint64_t> entry_visit_by_request_;
 
   int in_flight_ = 0;
   std::uint64_t requests_completed_ = 0;
   std::uint64_t duplicate_requests_ = 0;
+  std::uint64_t rpc_retries_ = 0;
+  std::uint64_t rpc_failures_ = 0;
+  std::uint64_t stray_responses_ = 0;
 };
 
 }  // namespace sg

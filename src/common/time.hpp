@@ -5,7 +5,7 @@
 // counts. A signed representation lets slack computations (expected minus
 // observed progress, paper eq. 4) go negative without tripping wraparound.
 //
-// Quantity layer (DESIGN.md §9). The paper's slack math (eq. 4) is signed
+// Quantity layer (DESIGN.md §8). The paper's slack math (eq. 4) is signed
 // mixed-unit arithmetic — exactly the kind that breeds silent ns-vs-ms and
 // timestamp-vs-duration bugs when everything is a bare int64_t. Four strong
 // types carry the dimension in the type system:

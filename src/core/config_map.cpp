@@ -12,7 +12,7 @@ namespace {
 /// the header's "Recognized keys" comment; core_config_map_test exercises
 /// the misspelling path.
 const char* const kKnownKeys[] = {
-    "workload", "controller", "nodes", "sim.shards", "warmup_s", "duration_s",
+    "workload", "controller", "nodes", "warmup_s", "duration_s",
     "qos_mult", "target_mult", "seed", "rate_rps",
     "surge.mult", "surge.len_ms", "surge.period_s",
     "netdelay.extra_us", "netdelay.len_ms", "netdelay.period_s",
@@ -91,23 +91,6 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
 
   out.nodes = static_cast<int>(cfg.get_int("nodes", 1));
   if (out.nodes < 1) return fail("nodes must be >= 1");
-
-  out.shards = static_cast<int>(cfg.get_int("sim.shards", 1));
-  if (out.shards < 1) {
-    return fail("sim.shards must be >= 1 (got " + std::to_string(out.shards) +
-                "); use 1 for serial execution");
-  }
-  if (out.shards > out.nodes) {
-    return fail("sim.shards (" + std::to_string(out.shards) +
-                ") cannot exceed nodes (" + std::to_string(out.nodes) +
-                "): each shard needs at least one node");
-  }
-  if (out.shards > 1 && (out.controller == ControllerKind::kCentralizedML ||
-                         out.controller == ControllerKind::kMLPlusSurgeGuard)) {
-    return fail("controller '" + controller +
-                "' is centralized (one instance reads every node) and "
-                "requires sim.shards = 1");
-  }
 
   out.warmup = from_seconds(cfg.get_double("warmup_s", 5.0));
   out.duration = from_seconds(cfg.get_double("duration_s", 30.0));

@@ -15,7 +15,6 @@
 //                         surgeguard | ideal | centralized-ml |
 //                         ml+surgeguard
 //   nodes               = 1
-//   sim.shards          = 1  (event-loop shards; bit-identical for any N)
 //   warmup_s, duration_s, qos_mult, target_mult, seed
 //   surge.mult, surge.len_ms, surge.period_s
 //   netdelay.extra_us, netdelay.len_ms, netdelay.period_s

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/shard_context.hpp"
 #include "controllers/caladan.hpp"
 #include "controllers/centralized.hpp"
 #include "controllers/controller.hpp"
@@ -49,17 +48,11 @@ struct Testbed {
   MetricsPlane metrics;
   std::unique_ptr<Application> app;
   std::vector<std::unique_ptr<Controller>> controllers;
-  /// Node hosting controllers[i] — start() must run on that node's shard.
-  std::vector<int> controller_nodes;
   std::vector<FirstResponder*> first_responders;
   std::unique_ptr<FaultInjector> faults;
 
-  /// Starts every controller on its owning node's shard.
   void start_controllers() {
-    for (std::size_t i = 0; i < controllers.size(); ++i) {
-      ShardScope scope(sim.shard_of_node(controller_nodes[i]));
-      controllers[i]->start();
-    }
+    for (auto& c : controllers) c->start();
   }
 
   Testbed(std::uint64_t seed, int nodes)
@@ -72,22 +65,8 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
   auto tb = std::make_unique<Testbed>(config.seed, config.nodes);
   const WorkloadInfo& w = config.workload;
 
-  SG_ASSERT_MSG(config.shards >= 1, "sim.shards must be >= 1");
-  SG_ASSERT_MSG(config.shards <= config.nodes,
-                "sim.shards cannot exceed the node count");
-  if (config.shards > 1) {
-    SG_ASSERT_MSG(config.controller != ControllerKind::kCentralizedML &&
-                      config.controller != ControllerKind::kMLPlusSurgeGuard,
-                  "centralized controllers require sim.shards == 1");
-    std::vector<int> shard_of_node(static_cast<std::size_t>(config.nodes));
-    for (int n = 0; n < config.nodes; ++n) {
-      shard_of_node[static_cast<std::size_t>(n)] = n % config.shards;
-    }
-    tb->sim.configure_shards(config.shards, std::move(shard_of_node),
-                             tb->network.model().min_cross_node_ns());
-  }
-  // Per-sender wire streams: applied at every shard count so the drawn
-  // jitter — and therefore every result — is invariant to sim.shards.
+  // Per-sender wire streams: the drawn jitter, and so every result, is
+  // pinned by the committed fingerprints.
   tb->network.configure_node_streams(config.nodes);
 
   if (config.trace_enabled) {
@@ -159,15 +138,12 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
     switch (config.controller) {
       case ControllerKind::kStatic:
         tb->controllers.push_back(std::make_unique<StaticController>(std::move(env)));
-        tb->controller_nodes.push_back(n);
         break;
       case ControllerKind::kParties:
         tb->controllers.push_back(std::make_unique<PartiesController>(std::move(env)));
-        tb->controller_nodes.push_back(n);
         break;
       case ControllerKind::kCaladan:
         tb->controllers.push_back(std::make_unique<CaladanAlgo>(std::move(env)));
-        tb->controller_nodes.push_back(n);
         break;
       case ControllerKind::kCentralizedML:
         // Centralized by definition: ONE instance sees every node. Created
@@ -175,7 +151,6 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
         if (n == 0) {
           tb->controllers.push_back(std::make_unique<CentralizedMLController>(
               tb->sim, tb->cluster, tb->metrics, targets));
-          tb->controller_nodes.push_back(0);
         }
         break;
       case ControllerKind::kMLPlusSurgeGuard: {
@@ -184,7 +159,6 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
         if (n == 0) {
           tb->controllers.push_back(std::make_unique<CentralizedMLController>(
               tb->sim, tb->cluster, tb->metrics, targets));
-          tb->controller_nodes.push_back(0);
         }
         auto sg_ctrl =
             std::make_unique<SurgeGuard>(std::move(env), tb->network,
@@ -193,7 +167,6 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
           tb->first_responders.push_back(sg_ctrl->first_responder());
         }
         tb->controllers.push_back(std::move(sg_ctrl));
-        tb->controller_nodes.push_back(n);
         break;
       }
       case ControllerKind::kEscalator:
@@ -219,7 +192,6 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
           tb->first_responders.push_back(sg_ctrl->first_responder());
         }
         tb->controllers.push_back(std::move(sg_ctrl));
-        tb->controller_nodes.push_back(n);
         break;
       }
       case ControllerKind::kIdealOracle: {
@@ -230,7 +202,6 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
         opts.horizon = config.warmup + config.duration + 10 * kSecond;
         tb->controllers.push_back(
             std::make_unique<IdealOracleController>(std::move(env), opts));
-        tb->controller_nodes.push_back(n);
         break;
       }
     }
@@ -308,22 +279,16 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
 
   tb->start_controllers();
-  {
-    // The client endpoint lives on the home shard (the one owning node 0).
-    ShardScope scope(tb->sim.shard_of_node(kClientNode));
-    gen.start();
-  }
+  gen.start();
 
   // Network-latency surge injection (the paper's second disruption class):
   // periodic windows during which every packet pays an extra delay. One
-  // toggle event per sender (client + each node), scheduled into the
-  // sender's owning shard: the per-sender delay slot write stays shard-local
-  // and the event count is invariant to the shard count.
+  // toggle event per sender (client + each node); the per-sender events
+  // count towards the pinned event total, so they are not merged.
   if (config.net_delay_len > 0 && config.net_delay_extra > 0) {
     for (SimTime start = config.warmup + config.first_surge_offset;
          start < gen.measure_end(); start += config.net_delay_period) {
       for (int src = kClientNode; src < config.nodes; ++src) {
-        ShardScope scope(tb->sim.shard_of_node(src));
         tb->sim.schedule_at(start, [&tb, &config, src]() {
           tb->network.set_extra_delay_for(src, config.net_delay_extra);
         });
@@ -336,13 +301,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   // Energy over the measurement window only (paper subtracts idle and
   // reports application energy during the run). One capture event per node,
-  // on the node's shard, each syncing only its own containers; summing the
-  // snapshot in container order reproduces total_energy_joules()'s exact FP
-  // arithmetic regardless of shard count.
+  // each syncing only its own containers (the per-node events count towards
+  // the pinned event total); summing the snapshot in container order
+  // reproduces total_energy_joules()'s exact FP arithmetic.
   auto energy_snapshot = std::make_shared<std::vector<double>>(
       tb->cluster.container_count(), 0.0);
   for (int n = 0; n < config.nodes; ++n) {
-    ShardScope scope(tb->sim.shard_of_node(n));
     tb->sim.schedule_at(gen.measure_start(), [&tb, n, energy_snapshot]() {
       for (std::size_t i = 0; i < tb->cluster.container_count(); ++i) {
         Container& c = tb->cluster.container(static_cast<ContainerId>(i));

@@ -58,13 +58,6 @@ struct ExperimentConfig {
 
   int nodes = 1;
 
-  /// Event-loop shards (DESIGN.md §8). 1 = the classic serial path; N > 1
-  /// partitions nodes over N shard threads (node i -> shard i % N) under
-  /// conservative time-window sync. Results are bit-identical for every
-  /// value. Must be in [1, nodes]; centralized controllers (CentralizedML,
-  /// ML+SurgeGuard) require shards == 1 — one instance reads every node.
-  int shards = 1;
-
   /// Surge shape: spike_rate = surge_mult * base rate, for surge_len, every
   /// surge_period, first one at warmup + first_surge_offset.
   double surge_mult = 1.75;

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/assert.hpp"
-#include "common/shard_context.hpp"
 
 namespace sg {
 
@@ -33,14 +32,13 @@ void FaultInjector::arm(Network* net, Cluster* cluster) {
   if (cluster != nullptr) {
     // Fork per-source streams in a fixed order (client first, then nodes)
     // so each sender's coin-flip sequence is a pure function of its own
-    // packet order — shard-count invariant.
+    // packet order. The streams are pinned by the committed fingerprints.
     per_node_ = true;
     client_stream_ = rng_.fork();
     node_streams_.reserve(cluster->node_count());
     for (std::size_t n = 0; n < cluster->node_count(); ++n) {
       node_streams_.push_back(rng_.fork());
     }
-    node_stats_.assign(cluster->node_count() + 1, FaultStats{});
   }
   if (net != nullptr) net->set_fault_hook(this);
   if (cluster != nullptr) schedule_node_windows(*cluster);
@@ -74,17 +72,15 @@ void FaultInjector::schedule_node_windows(Cluster& cluster) {
         targets.push_back(static_cast<NodeId>(n));
       }
     }
-    // One start/end event per target node, scheduled into the node's owning
-    // shard: the node effect (containers resolve at fire time) and the stats
-    // increment both stay on that shard, and the event count per window is a
-    // function of the node count alone — identical at any shard count.
+    // One start/end event per target node (containers resolve at fire
+    // time). The per-node events count towards events_processed, which the
+    // committed fingerprints pin, so they are not merged into one.
     for (NodeId n : targets) {
-      ShardScope scope(sim_.shard_of_node(static_cast<int>(n)));
       if (w.kind == FaultKind::kNodeSlowdown) {
         const double factor = w.factor;
         sim_.schedule_at(w.start, [this, &cluster, n, factor]() {
           cluster.node(n).set_slowdown(factor);
-          ++stats_slot(static_cast<int>(n)).node_slowdowns;
+          ++stats_.node_slowdowns;
         });
         sim_.schedule_at(w.end, [&cluster, n]() {
           cluster.node(n).set_slowdown(1.0);
@@ -92,11 +88,11 @@ void FaultInjector::schedule_node_windows(Cluster& cluster) {
       } else {
         sim_.schedule_at(w.start, [this, &cluster, n]() {
           cluster.node(n).freeze();
-          ++stats_slot(static_cast<int>(n)).node_freezes;
+          ++stats_.node_freezes;
         });
         sim_.schedule_at(w.end, [this, &cluster, n]() {
           cluster.node(n).restart();
-          ++stats_slot(static_cast<int>(n)).node_restarts;
+          ++stats_.node_restarts;
         });
       }
     }
@@ -111,30 +107,9 @@ Rng& FaultInjector::stream_for(int src_node) {
   return node_streams_[static_cast<std::size_t>(src_node)];
 }
 
-FaultStats& FaultInjector::stats_slot(int node) {
-  if (!per_node_) return stats_;
-  const std::size_t slot = static_cast<std::size_t>(node + 1);
-  SG_ASSERT_MSG(slot < node_stats_.size(), "fault stats for unknown node");
-  return node_stats_[slot];
-}
-
-FaultStats FaultInjector::stats() const {
-  FaultStats total = stats_;
-  for (const FaultStats& s : node_stats_) {
-    total.packets_dropped += s.packets_dropped;
-    total.packets_duplicated += s.packets_duplicated;
-    total.packets_delayed += s.packets_delayed;
-    total.node_slowdowns += s.node_slowdowns;
-    total.node_freezes += s.node_freezes;
-    total.node_restarts += s.node_restarts;
-  }
-  return total;
-}
-
 PacketFate FaultInjector::on_send(const RpcPacket& pkt) {
   const SimTime now = sim_.now();
   Rng& rng = stream_for(pkt.src_node);
-  FaultStats& st = stats_slot(pkt.src_node);
   PacketFate fate;
   // Draw order is fixed (drop, then dup) and unconditional within an active
   // window, so the RNG stream consumed per packet depends only on the
@@ -142,16 +117,16 @@ PacketFate FaultInjector::on_send(const RpcPacket& pkt) {
   const double drop_p = plan_.drop_rate_at(now);
   if (drop_p > 0.0 && rng.bernoulli(drop_p)) {
     fate.drop = true;
-    ++st.packets_dropped;
+    ++stats_.packets_dropped;
     return fate;
   }
   const double dup_p = plan_.dup_rate_at(now);
   if (dup_p > 0.0 && rng.bernoulli(dup_p)) {
     fate.duplicate = true;
-    ++st.packets_duplicated;
+    ++stats_.packets_duplicated;
   }
   fate.extra_delay_ns = plan_.extra_delay_at(now);
-  if (fate.extra_delay_ns > 0) ++st.packets_delayed;
+  if (fate.extra_delay_ns > 0) ++stats_.packets_delayed;
   return fate;
 }
 

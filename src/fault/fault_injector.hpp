@@ -49,16 +49,16 @@ class FaultInjector final : public PacketFaultHook {
   /// need the simulator. Call once, before the simulation runs.
   ///
   /// With a cluster attached, the per-packet coin flips switch to
-  /// per-source-node RNG streams (plus one for the client) and per-node
-  /// stats slots, so each node's fault outcomes depend only on its own send
-  /// sequence — identical at any shard count (DESIGN.md §8). Without a
-  /// cluster the historical single-stream behavior is kept.
+  /// per-source-node RNG streams (plus one for the client), so each node's
+  /// fault outcomes depend only on its own send sequence. The streams are
+  /// pinned by the committed fingerprints. Without a cluster the historical
+  /// single-stream behavior is kept.
   void arm(Network* net, Cluster* cluster);
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// Observable fault footprint so far (per-node slots summed).
-  FaultStats stats() const;
+  /// Observable fault footprint so far.
+  FaultStats stats() const { return stats_; }
 
   /// PacketFaultHook: decides the fate of one packet at send time.
   PacketFate on_send(const RpcPacket& pkt) override;
@@ -66,7 +66,6 @@ class FaultInjector final : public PacketFaultHook {
  private:
   void schedule_node_windows(Cluster& cluster);
   Rng& stream_for(int src_node);
-  FaultStats& stats_slot(int node);
 
   Simulator& sim_;
   FaultPlan plan_;
@@ -76,9 +75,6 @@ class FaultInjector final : public PacketFaultHook {
   bool per_node_ = false;
   Rng client_stream_{0};  // reseeded in arm()
   std::vector<Rng> node_streams_;
-  // Slot 0 = client, slot n+1 = node n. Each slot is only ever touched by
-  // the shard owning that node.
-  std::vector<FaultStats> node_stats_;
 };
 
 }  // namespace sg

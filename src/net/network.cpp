@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include "common/assert.hpp"
-#include "common/shard_context.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -11,27 +10,19 @@ Network::Network(Simulator& sim, NetworkLatencyModel model)
       model_(model),
       rng_(sim.rng().fork()),
       delivery_seq_(1, 0),
-      extra_delay_(1, model.extra_delay_ns),
-      packets_delivered_(1, 0),
-      packets_dropped_(1, 0),
-      packets_duplicated_(1, 0) {}
+      extra_delay_(1, model.extra_delay_ns) {}
 
 void Network::configure_node_streams(int node_count) {
   SG_ASSERT_MSG(node_count >= 1, "network needs at least one node");
   SG_ASSERT_MSG(!per_node_streams_, "node streams already configured");
   per_node_streams_ = true;
-  // Derived from the network's own stream in a fixed order at setup time, so
-  // the per-node sequences are the same regardless of shard count.
+  // Derived from the network's own stream in a fixed order at setup time.
   client_stream_ = rng_.fork();
   node_streams_.reserve(static_cast<std::size_t>(node_count));
   for (int n = 0; n < node_count; ++n) node_streams_.push_back(rng_.fork());
   delivery_seq_.assign(static_cast<std::size_t>(node_count) + 1, 0);
   extra_delay_.assign(static_cast<std::size_t>(node_count) + 1,
                       model_.extra_delay_ns);
-  const auto shards = static_cast<std::size_t>(sim_.shard_count());
-  packets_delivered_.assign(shards, 0);
-  packets_dropped_.assign(shards, 0);
-  packets_duplicated_.assign(shards, 0);
 }
 
 void Network::register_receiver(int container, Receiver receiver) {
@@ -56,12 +47,6 @@ std::size_t Network::delay_slot(int src_node) const {
   return slot;
 }
 
-std::size_t Network::counter_slot() const {
-  return packets_delivered_.size() == 1
-             ? 0
-             : static_cast<std::size_t>(current_shard());
-}
-
 void Network::set_extra_delay(SimTime d) {
   for (SimTime& slot : extra_delay_) slot = d;
 }
@@ -84,9 +69,8 @@ std::uint64_t Network::next_delivery_rank(int src_node) {
                 "unknown source node");
   if (slot >= delivery_seq_.size()) delivery_seq_.resize(slot + 1, 0);
   // Canonical rank: (source node, per-source sequence). Each source's
-  // sequence follows its own local send order, which is the same at any
-  // shard count — so same-nanosecond deliveries tie-break identically
-  // whether they were enqueued locally or through the mailbox.
+  // sequence follows its own local send order; same-nanosecond deliveries
+  // tie-break on it instead of on insertion order.
   return (static_cast<std::uint64_t>(src_node + 2) << 40) |
          delivery_seq_[slot]++;
 }
@@ -103,15 +87,8 @@ SimTime Network::sample_latency(int src_node, int dst_node) {
 
 void Network::schedule_delivery(int src_node, const RpcPacket& pkt,
                                 SimTime latency) {
-  const std::uint64_t rank = next_delivery_rank(src_node);
-  const int dst_shard = sim_.shard_of_node(pkt.dst_node);
-  if (sim_.shard_count() > 1 && dst_shard != current_shard()) {
-    sim_.schedule_cross_shard(dst_shard, sim_.now() + latency, rank,
-                              [this, pkt]() { deliver(pkt); });
-  } else {
-    sim_.schedule_at_ranked(sim_.now() + latency, rank,
-                            [this, pkt]() { deliver(pkt); });
-  }
+  sim_.schedule_at_ranked(sim_.now() + latency, next_delivery_rank(src_node),
+                          [this, pkt]() { deliver(pkt); });
 }
 
 void Network::send(int src_node, const RpcPacket& pkt_in) {
@@ -124,14 +101,14 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
     const PacketFate fate = fault_hook_->on_send(pkt);
     if (fate.drop) {
       // Lost on the wire: neither rx hooks nor the receiver ever see it.
-      ++packets_dropped_[counter_slot()];
+      ++packets_dropped_;
       return;
     }
     const SimTime latency =
         sample_latency(src_node, pkt.dst_node) + fate.extra_delay_ns;
     schedule_delivery(src_node, pkt, latency);
     if (fate.duplicate) {
-      ++packets_duplicated_[counter_slot()];
+      ++packets_duplicated_;
       // The duplicate travels independently: its own latency draw (plus the
       // same fault delay), its own delivery, its own trip through the rx
       // hook chain.
@@ -146,7 +123,7 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
 }
 
 void Network::deliver(const RpcPacket& pkt) {
-  ++packets_delivered_[counter_slot()];
+  ++packets_delivered_;
   if (pkt.traced) {
     // Span recorded BEFORE the receiver runs, so a response's final hop is
     // buffered before the client completes (and flushes) the request.

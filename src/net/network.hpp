@@ -7,11 +7,10 @@
 // destination container. `Network` therefore runs a per-node hook chain at
 // delivery time, before invoking the destination's receiver callback.
 //
-// Under sharded execution (DESIGN.md §8) the network is also the shard
-// boundary: sends whose destination lives on another shard are routed
-// through the simulator's deterministic mailbox, and every delivery carries
-// a canonical rank — (source node, per-source sequence) — so that
-// same-nanosecond delivery order is identical at any shard count.
+// Every delivery carries a canonical rank — (source node, per-source
+// sequence) — that orders same-nanosecond deliveries. The rank is part of
+// the pinned simulated output (simbench fingerprints, serial goldens):
+// replacing it with FIFO order would reorder ties and change results.
 #pragma once
 
 #include <functional>
@@ -64,16 +63,6 @@ struct NetworkLatencyModel {
   /// Additional delay injected on every packet (used by experiments that
   /// model transient network slowdowns).
   SimTime extra_delay_ns = 0;
-
-  /// Smallest latency any cross-node packet can experience — the
-  /// conservative-sync lookahead for sharded execution. Extra delays
-  /// (surges, fault injection) only ever add on top.
-  SimTime min_cross_node_ns() const {
-    const auto floor_ns =
-        static_cast<SimTime>(static_cast<double>(cross_node_ns) *
-                             (1.0 - jitter));
-    return floor_ns > 1 ? floor_ns : 1;
-  }
 };
 
 class Network {
@@ -87,11 +76,12 @@ class Network {
 
   /// Switches to per-source-node jitter streams, delivery sequences, and
   /// extra-delay slots for `node_count` nodes (plus the client endpoint).
-  /// This makes every latency draw a function of the *sending node's* local
-  /// history instead of a global draw order, which is what keeps results
-  /// identical at any shard count — so experiments call this even with one
-  /// shard. Must run before any traffic; directly-constructed networks that
-  /// never call it keep the historical single-stream behavior.
+  /// Every latency draw is then a function of the *sending node's* local
+  /// history instead of a global draw order. Experiments always call this;
+  /// the streams are pinned by the committed fingerprints, so collapsing
+  /// them into one stream would change results. Must run before any
+  /// traffic; directly-constructed networks that never call it keep the
+  /// historical single-stream behavior.
   void configure_node_streams(int node_count);
 
   /// Registers the receiver for packets addressed to `container`. The
@@ -110,13 +100,12 @@ class Network {
   /// the modeled latency: hooks first, then the destination receiver.
   void send(int src_node, const RpcPacket& pkt);
 
-  /// Changes the extra per-packet delay for every sender at once. Only safe
-  /// while no shard is running (setup, or single-shard execution).
+  /// Changes the extra per-packet delay for every sender at once.
   void set_extra_delay(SimTime d);
 
   /// Changes the extra per-packet delay for one sender (kClientNode for the
-  /// client). Safe from the shard owning that sender; experiments schedule
-  /// one toggle event per node so each write happens on its own shard.
+  /// client). Experiments schedule one toggle event per node; those events
+  /// count towards the pinned event total.
   void set_extra_delay_for(int src_node, SimTime d);
 
   /// Installs the wire-level fault hook (nullptr clears it). Non-owning;
@@ -126,19 +115,12 @@ class Network {
 
   const NetworkLatencyModel& model() const { return model_; }
 
-  std::uint64_t packets_delivered() const { return sum(packets_delivered_); }
-  std::uint64_t packets_dropped() const { return sum(packets_dropped_); }
-  std::uint64_t packets_duplicated() const { return sum(packets_duplicated_); }
+  std::uint64_t packets_delivered() const { return packets_delivered_; }
+  std::uint64_t packets_dropped() const { return packets_dropped_; }
+  std::uint64_t packets_duplicated() const { return packets_duplicated_; }
 
  private:
-  static std::uint64_t sum(const std::vector<std::uint64_t>& v) {
-    std::uint64_t total = 0;
-    for (std::uint64_t x : v) total += x;
-    return total;
-  }
-
   std::size_t delay_slot(int src_node) const;
-  std::size_t counter_slot() const;
   Rng& stream_for(int src_node);
   std::uint64_t next_delivery_rank(int src_node);
   SimTime sample_latency(int src_node, int dst_node);
@@ -155,20 +137,17 @@ class Network {
   // with the source node id they form the canonical delivery rank.
   std::vector<std::uint64_t> delivery_seq_;
   // Extra per-packet delay by source (slot 0 = client; a single shared slot
-  // until configure_node_streams). Each slot is written only by the shard
-  // owning that sender.
+  // until configure_node_streams).
   std::vector<SimTime> extra_delay_;
-  // Ordered maps (determinism rule D1): today these are lookup-only, but
-  // the event-loop sharding walks per-node endpoint tables at shard
-  // boundaries — that traversal must not depend on hash order.
+  // Ordered maps (determinism rule D1): lookup-only today, but any future
+  // traversal must not depend on hash order.
   std::map<int, Receiver> receivers_;
   Receiver client_receiver_;
   std::map<int, std::vector<RxHook*>> hooks_;
   PacketFaultHook* fault_hook_ = nullptr;
-  // Per-shard counter slots (each shard increments only its own).
-  std::vector<std::uint64_t> packets_delivered_;
-  std::vector<std::uint64_t> packets_dropped_;
-  std::vector<std::uint64_t> packets_duplicated_;
+  std::uint64_t packets_delivered_ = 0;
+  std::uint64_t packets_dropped_ = 0;
+  std::uint64_t packets_duplicated_ = 0;
 };
 
 }  // namespace sg

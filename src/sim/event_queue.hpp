@@ -5,11 +5,10 @@
 // experiments. The rank is a caller-supplied canonical key: events pushed
 // without one (kDefaultRank) fall back to FIFO order among themselves, while
 // ranked events (network deliveries, which carry a per-source-node sequence)
-// order by rank *regardless of insertion order*. That makes same-nanosecond
-// delivery order a function of packet identity rather than of which shard's
-// queue the event happened to be inserted into — the property the sharded
-// executor (DESIGN.md §8) relies on for bit-identical results at any shard
-// count. Cancellation is lazy (tombstones), which keeps schedule and pop at
+// order by rank *regardless of insertion order*, so same-nanosecond
+// delivery order is a function of packet identity. That order is part of the
+// pinned simulated output (simbench fingerprints, serial goldens).
+// Cancellation is lazy (tombstones), which keeps schedule and pop at
 // O(log n) without a handle-indexed heap.
 #pragma once
 
@@ -28,7 +27,7 @@ inline constexpr EventId kInvalidEvent = 0;
 
 /// Rank of events that do not carry a canonical tie-break key. Ranked events
 /// always use a non-zero rank, so at equal timestamps unranked events (ticks,
-/// timers) run before deliveries, in both sharded and unsharded execution.
+/// timers) run before deliveries.
 inline constexpr std::uint64_t kDefaultRank = 0;
 
 class EventQueue {

@@ -4,143 +4,58 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "sim/shard_coordinator.hpp"
-#include "sim/shard_guard.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-// Out of line: TraceSink/ShardCoordinator are only forward-declared in the
-// header.
+// Out of line: TraceSink is only forward-declared in the header.
 Simulator::~Simulator() = default;
 
 TraceSink& Simulator::enable_tracing(const TraceOptions& options) {
   trace_sink_ = std::make_unique<TraceSink>(options);
-  if (shard_count() > 1) {
-    trace_sink_->configure_shards(shard_count(), shard_of_node(-1));
-  }
   return *trace_sink_;
 }
 
 void Simulator::disable_tracing() { trace_sink_.reset(); }
 
-void Simulator::configure_shards(int shard_count,
-                                 std::vector<int> shard_of_node,
-                                 SimTime lookahead) {
-  SG_ASSERT_MSG(shard_count >= 1, "shard count must be >= 1");
-  SG_ASSERT_MSG(shards_.size() == 1 && shards_[0].queue.empty() &&
-                    shards_[0].now == 0 && shards_[0].events_processed == 0,
-                "configure_shards must run before anything is scheduled");
-  for (int s : shard_of_node) {
-    SG_ASSERT_MSG(s >= 0 && s < shard_count,
-                  "node mapped to out-of-range shard");
-  }
-  shard_of_node_ = std::move(shard_of_node);
-  if (shard_count == 1) return;
-  SG_ASSERT_MSG(!shard_of_node_.empty(),
-                "sharded execution needs a node-to-shard map");
-  SG_ASSERT_MSG(lookahead > 0, "conservative sync needs positive lookahead");
-  shards_.resize(static_cast<std::size_t>(shard_count));
-  coordinator_ = std::make_unique<ShardCoordinator>(*this, lookahead);
-  // Trace spans recorded off the home shard are merged at every window
-  // barrier, keeping the sink's decisions identical to a serial run.
-  coordinator_->add_barrier_task([this] {
-    if (trace_sink_) trace_sink_->compact_shard_logs();
-  });
-  if (trace_sink_) {
-    trace_sink_->configure_shards(shard_count, this->shard_of_node(-1));
-  }
-}
-
-int Simulator::shard_of_node(int node) const {
-  if (shard_of_node_.empty()) return 0;
-  // The client endpoint (negative node id) is co-located with node 0: that
-  // shard owns the load generator, its timers, and trace bookkeeping.
-  if (node < 0) return shard_of_node_[0];
-  SG_ASSERT_MSG(static_cast<std::size_t>(node) < shard_of_node_.size(),
-                "shard_of_node: unknown node");
-  return shard_of_node_[static_cast<std::size_t>(node)];
-}
-
-void Simulator::schedule_cross_shard(int dst_shard, SimTime t,
-                                     std::uint64_t rank,
-                                     EventQueue::Callback cb) {
-  SG_ASSERT_MSG(coordinator_ != nullptr,
-                "cross-shard scheduling requires configured shards");
-  coordinator_->post(current_shard(), dst_shard, t, rank, std::move(cb));
-}
-
 EventId Simulator::schedule_at(SimTime t, EventQueue::Callback cb) {
-  SG_SHARD_GUARD_CHECK(shard_index());
-  auto& sh = shards_[shard_index()];
-  if (t < sh.now) t = sh.now;
-  return sh.queue.push(t, std::move(cb));
+  if (t < now_) t = now_;
+  return queue_.push(t, std::move(cb));
 }
 
 EventId Simulator::schedule_at_ranked(SimTime t, std::uint64_t rank,
                                       EventQueue::Callback cb) {
-  SG_SHARD_GUARD_CHECK(shard_index());
-  auto& sh = shards_[shard_index()];
-  if (t < sh.now) t = sh.now;
-  return sh.queue.push(t, rank, std::move(cb));
+  if (t < now_) t = now_;
+  return queue_.push(t, rank, std::move(cb));
 }
 
 EventId Simulator::schedule_after(SimTime delay, EventQueue::Callback cb) {
-  SG_SHARD_GUARD_CHECK(shard_index());
-  auto& sh = shards_[shard_index()];
   if (delay < 0) delay = 0;
-  return sh.queue.push(sh.now + delay, std::move(cb));
+  return queue_.push(now_ + delay, std::move(cb));
 }
 
 bool Simulator::step() {
-  SG_SHARD_GUARD_CHECK(shard_index());
-  auto& sh = shards_[shard_index()];
-  if (sh.queue.empty()) return false;
-  auto fired = sh.queue.pop();
-  SG_ASSERT_MSG(fired.time >= sh.now, "event queue returned time in the past");
-  sh.now = fired.time;
-  ++sh.events_processed;
+  if (queue_.empty()) return false;
+  auto fired = queue_.pop();
+  SG_ASSERT_MSG(fired.time >= now_, "event queue returned time in the past");
+  now_ = fired.time;
+  ++events_processed_;
   fired.cb();
   return true;
 }
 
 void Simulator::run_until(SimTime end) {
-  if (shards_.size() > 1) {
-    coordinator_->run_until(end);
-    return;
-  }
-  auto& sh = shards_[0];
-  while (!sh.queue.empty() && sh.queue.next_time() <= end) {
+  while (!queue_.empty() && queue_.next_time() <= end) {
     step();
   }
-  if (sh.now < end) sh.now = end;
+  if (now_ < end) now_ = end;
 }
 
 void Simulator::run_to_completion() {
-  SG_ASSERT_MSG(shards_.size() == 1,
-                "run_to_completion is single-shard only; use run_until");
   while (step()) {
   }
-}
-
-std::uint64_t Simulator::events_processed() const {
-  std::uint64_t total = 0;
-  for (const Shard& sh : shards_) total += sh.events_processed;
-  return total;
-}
-
-std::size_t Simulator::events_pending() const {
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) total += sh.queue.size();
-  return total;
-}
-
-std::uint64_t Simulator::ticks_stalled() const {
-  std::uint64_t total = 0;
-  for (const Shard& sh : shards_) total += sh.ticks_stalled;
-  return total;
 }
 
 void Simulator::schedule_periodic(SimTime start, SimTime period,
@@ -155,7 +70,7 @@ void Simulator::schedule_periodic(SimTime start, SimTime period,
   *fire = [this, period, fn = std::move(fn), weak_fire, tick_class]() {
     if (tick_gate_ && !tick_gate_(tick_class)) {
       // Stalled: the tick is missed, but the chain survives the window.
-      ++shards_[shard_index()].ticks_stalled;
+      ++ticks_stalled_;
       if (auto strong = weak_fire.lock()) {
         schedule_after(period, [strong]() { (*strong)(); });
       }

@@ -1,40 +1,22 @@
 // Discrete-event simulator core.
 //
 // Deterministic by construction: one Simulator per experiment replication,
-// with its own clock(s), event queue(s), and RNG. Two execution modes share
-// this interface:
-//
-//  - Single shard (default): one event queue, one clock, one thread —
-//    exactly the classic loop.
-//  - Sharded (configure_shards with N > 1): per-node-group shards, each with
-//    its own queue and clock, executed in parallel under conservative
-//    time-window synchronization by ShardCoordinator (DESIGN.md §8).
-//    Cross-shard events go through schedule_cross_shard() into a
-//    deterministic mailbox; the merged event order is a function of packet
-//    identity, not thread timing, so results are bit-identical to the
-//    single-shard run.
-//
-// All scheduling calls are routed through the calling thread's current shard
-// (common/shard_context.hpp); with one shard that routing collapses to the
-// historical behavior.
+// with its own clock, event queue and RNG, run on one thread. Parallelism
+// lives a level up, across independent replications (core/sweep.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "common/shard_context.hpp"
 #include "common/time.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard_guard.hpp"
 
 namespace sg {
 
 class TraceSink;
 struct TraceOptions;
-class ShardCoordinator;
 
 class Simulator {
  public:
@@ -44,8 +26,8 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  SimTime now() const { return shards_[shard_index()].now; }
-  /// The clock as a strong timestamp (quantity layer, DESIGN.md §9).
+  SimTime now() const { return now_; }
+  /// The clock as a strong timestamp (quantity layer, DESIGN.md §8).
   TimePoint now_point() const { return TimePoint::at(now()); }
   Rng& rng() { return rng_; }
 
@@ -70,49 +52,21 @@ class Simulator {
     return schedule_after(delay.ns(), std::move(cb));
   }
 
-  /// Cancels a pending event (no-op for fired/unknown handles). The event
-  /// must live on the calling shard — which it does for every handle the
-  /// caller could legally hold, since handles never cross shards.
-  bool cancel(EventId id) {
-    SG_SHARD_GUARD_CHECK(shard_index());
-    return shards_[shard_index()].queue.cancel(id);
-  }
+  /// Cancels a pending event (no-op for fired/unknown handles).
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// Processes one event on the current shard; returns false when empty.
+  /// Processes one event; returns false when the queue is empty.
   bool step();
 
   /// Runs events with time <= end; the clock finishes exactly at `end` even
   /// if the queue drains early (so time-integrated statistics are exact).
-  /// With multiple shards this delegates to the ShardCoordinator.
   void run_until(SimTime end);
 
-  /// Runs until the event queue is empty (single-shard only).
+  /// Runs until the event queue is empty.
   void run_to_completion();
 
-  std::uint64_t events_processed() const;
-  std::size_t events_pending() const;
-
-  /// --- sharded execution (DESIGN.md §8) ---
-
-  /// Splits the simulator into `shard_count` independently clocked event
-  /// loops. `shard_of_node[n]` maps node n to its owning shard; `lookahead`
-  /// is the minimum cross-shard wire latency (conservative-sync window).
-  /// Must be called before anything is scheduled. With shard_count == 1 only
-  /// the node map is recorded and execution stays on the classic path.
-  void configure_shards(int shard_count, std::vector<int> shard_of_node,
-                        SimTime lookahead);
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /// Shard owning `node`. Negative node ids (the client endpoint) live with
-  /// node 0, whose shard also hosts the load generator and trace bookkeeping.
-  int shard_of_node(int node) const;
-
-  /// Posts an event into another shard's queue via the deterministic
-  /// mailbox. `t` must respect the lookahead guarantee (asserted): it is at
-  /// least the sending shard's clock plus the configured lookahead.
-  void schedule_cross_shard(int dst_shard, SimTime t, std::uint64_t rank,
-                            EventQueue::Callback cb);
+  std::uint64_t events_processed() const { return events_processed_; }
+  std::size_t events_pending() const { return queue_.size(); }
 
   /// Class of a periodic tick, used by fault injection to stall specific
   /// consumers (controller decision loops) without touching others (metric
@@ -120,8 +74,7 @@ class Simulator {
   enum class TickClass { kDefault, kController };
 
   /// Registers a periodic tick: fn runs every `period` starting at `start`,
-  /// until it returns false. Used for controller decision loops. The chain
-  /// stays on the shard that was current when this was called.
+  /// until it returns false. Used for controller decision loops.
   ///
   /// When a tick gate is installed and vetoes a firing, fn is skipped for
   /// that period (the tick is "missed") but the chain keeps rescheduling —
@@ -142,15 +95,13 @@ class Simulator {
 
   /// Installs the periodic-tick gate (nullptr clears it). The gate returns
   /// false to veto a firing of the given class. Installed by the fault
-  /// injector; at most one gate exists per simulator. The gate must be a
-  /// pure function of immutable state and the calling shard's clock — it is
-  /// evaluated concurrently from all shards.
+  /// injector; at most one gate exists per simulator.
   void set_tick_gate(std::function<bool(TickClass)> gate) {
     tick_gate_ = std::move(gate);
   }
 
-  /// Periodic firings vetoed by the tick gate so far (summed over shards).
-  std::uint64_t ticks_stalled() const;
+  /// Periodic firings vetoed by the tick gate so far.
+  std::uint64_t ticks_stalled() const { return ticks_stalled_; }
 
   /// --- tracing (sg::trace) ---
   ///
@@ -171,24 +122,10 @@ class Simulator {
   TraceSink* trace_sink() const { return trace_sink_.get(); }
 
  private:
-  friend class ShardCoordinator;
-
-  struct Shard {
-    EventQueue queue;
-    SimTime now = 0;
-    std::uint64_t events_processed = 0;
-    std::uint64_t ticks_stalled = 0;
-  };
-
-  // With one shard the thread-local index is ignored entirely, so stray
-  // thread state can never misroute a single-shard simulation.
-  std::size_t shard_index() const {
-    return shards_.size() == 1 ? 0 : static_cast<std::size_t>(current_shard());
-  }
-
-  std::vector<Shard> shards_ = std::vector<Shard>(1);
-  std::vector<int> shard_of_node_;
-  std::unique_ptr<ShardCoordinator> coordinator_;
+  EventQueue queue_;
+  SimTime now_ = 0;
+  std::uint64_t events_processed_ = 0;
+  std::uint64_t ticks_stalled_ = 0;
   Rng rng_;
   std::function<bool(TickClass)> tick_gate_;
   std::unique_ptr<TraceSink> trace_sink_;

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "common/assert.hpp"
-#include "common/shard_context.hpp"
 
 namespace sg {
 
@@ -60,30 +59,7 @@ bool TraceSink::head_sampled(RequestId id) const {
   return u < options_.head_sample_rate;
 }
 
-void TraceSink::configure_shards(int shard_count, int home_shard) {
-  SG_ASSERT_MSG(shard_count >= 1, "shard count must be >= 1");
-  sharded_ = shard_count > 1;
-  home_shard_ = home_shard;
-  shard_logs_.assign(static_cast<std::size_t>(shard_count), {});
-}
-
-void TraceSink::compact_shard_logs() {
-  for (ShardLog& log : shard_logs_) {
-    for (const TraceSpan& span : log.spans) {
-      const auto it = pending_.find(span.request_id);
-      if (it == pending_.end()) continue;  // sampled out / overflow
-      it->second.spans.push_back(span);
-      ++stats_.spans_recorded;
-    }
-    log.spans.clear();
-    for (const DecisionEvent& e : log.decisions) record_decision(e);
-    log.decisions.clear();
-  }
-}
-
 bool TraceSink::begin_request(RequestId id, TimePoint now) {
-  SG_ASSERT_MSG(!sharded_ || current_shard() == home_shard_,
-                "request lifecycle must run on the home shard");
   if (pending_.size() >= options_.max_pending) {
     ++stats_.pending_overflow;
     return false;
@@ -97,13 +73,6 @@ bool TraceSink::begin_request(RequestId id, TimePoint now) {
 }
 
 void TraceSink::add_span(const TraceSpan& span) {
-  if (sharded_ && current_shard() != home_shard_) {
-    // Off-home shards may not read pending_ (the home shard owns it).
-    // Buffer unconditionally; compact_shard_logs() filters at the barrier.
-    shard_logs_[static_cast<std::size_t>(current_shard())].spans.push_back(
-        span);
-    return;
-  }
   const auto it = pending_.find(span.request_id);
   if (it == pending_.end()) return;  // not recorded (sampled out / overflow)
   it->second.spans.push_back(span);
@@ -111,8 +80,6 @@ void TraceSink::add_span(const TraceSpan& span) {
 }
 
 void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
-  SG_ASSERT_MSG(!sharded_ || current_shard() == home_shard_,
-                "request lifecycle must run on the home shard");
   const auto it = pending_.find(id);
   if (it == pending_.end()) return;
   RequestTrace t = std::move(it->second);
@@ -136,12 +103,10 @@ void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
 }
 
 void TraceSink::abandon_request(RequestId id) {
-  SG_ASSERT_MSG(!sharded_ || current_shard() == home_shard_,
-                "request lifecycle must run on the home shard");
   if (pending_.erase(id) > 0) ++stats_.requests_abandoned;
 }
 
-void TraceSink::record_decision(const DecisionEvent& e) {
+void TraceSink::add_decision(const DecisionEvent& e) {
   if (decisions_.size() >= options_.max_decisions) {
     ++stats_.decisions_dropped;
     return;
@@ -150,22 +115,10 @@ void TraceSink::record_decision(const DecisionEvent& e) {
   ++stats_.decisions_recorded;
 }
 
-void TraceSink::add_decision(const DecisionEvent& e) {
-  if (sharded_) {
-    // All decisions route through the shard logs (home shard included) so
-    // the max_decisions cap is applied in one deterministic merge order.
-    shard_logs_[static_cast<std::size_t>(current_shard())].decisions.push_back(
-        e);
-    return;
-  }
-  record_decision(e);
-}
-
 namespace {
 
 /// Full-content span key: spans with equal timestamps still sort
-/// identically at any shard count because every payload field is part of
-/// the key (and payloads are bit-identical across modes by construction).
+/// deterministically because every payload field is part of the key.
 bool span_content_less(const TraceSpan& a, const TraceSpan& b) {
   return std::tie(a.begin, a.end, a.kind, a.container, a.src_container,
                   a.is_response, a.cpu_served_ns, a.boost_active_ns) <
@@ -178,17 +131,16 @@ bool span_content_less(const TraceSpan& a, const TraceSpan& b) {
 TraceReport TraceSink::report() const {
   TraceReport r;
   r.traces.assign(kept_.begin(), kept_.end());
-  // Canonicalize: recording order differs between serial execution (global
-  // event order) and sharded execution (window + barrier-merge order), so
-  // exports sort by content instead. Applied in every mode so shard counts
-  // 1 and N produce byte-identical artifacts.
+  // Canonicalize: exports list spans in content order, not recording order.
+  // The committed fingerprints and trace goldens pin this order, so the
+  // sort stays even though recording order is itself deterministic.
   for (RequestTrace& t : r.traces) {
     std::stable_sort(t.spans.begin(), t.spans.end(), span_content_less);
   }
   r.decisions = decisions_;
   // Same-timestamp decisions on one node keep their event order (stable
-  // sort; one node = one shard = one deterministic sequence); across nodes
-  // the node id breaks the tie.
+  // sort); across nodes the node id breaks the tie. Pinned like the span
+  // order above.
   std::stable_sort(r.decisions.begin(), r.decisions.end(),
                    [](const DecisionEvent& a, const DecisionEvent& b) {
                      return std::tie(a.at, a.node) < std::tie(b.at, b.node);

@@ -200,37 +200,12 @@ class TraceSink {
   std::size_t kept_count() const { return kept_.size(); }
   std::size_t pending_count() const { return pending_.size(); }
 
-  /// --- sharded execution (DESIGN.md §8) ---
-  ///
-  /// The request lifecycle (begin/end/abandon) runs on the *home* shard —
-  /// the one owning the client endpoint — which also mutates the pending
-  /// map and kept ring directly in add_span. Other shards append spans and
-  /// decisions to private per-shard logs; compact_shard_logs() merges them
-  /// in shard order at every window barrier, before any same-window
-  /// end_request could run (a response crosses the mailbox, so it always
-  /// completes in a *later* window than the spans it follows).
-
-  /// Enables per-shard logging. Called by Simulator::configure_shards /
-  /// enable_tracing; `home_shard` is the shard owning the client endpoint.
-  void configure_shards(int shard_count, int home_shard);
-
-  /// Barrier hook: replays per-shard logs through the serial record paths.
-  void compact_shard_logs();
-
   /// Snapshot for export; in-flight buffers are not included. Span order
   /// within a trace and decision order are canonicalized (content-keyed
-  /// sorts), so the report is identical for any shard count.
+  /// sorts); exported artifacts pin that order.
   TraceReport report() const;
 
  private:
-  struct ShardLog {
-    std::vector<TraceSpan> spans;
-    std::vector<DecisionEvent> decisions;
-  };
-
-  /// Serial decision-record path (cap + stats), shared by add_decision and
-  /// the barrier compaction.
-  void record_decision(const DecisionEvent& e);
 
   TraceOptions options_;
   Duration slo_;
@@ -239,9 +214,6 @@ class TraceSink {
   std::vector<DecisionEvent> decisions_;
   std::vector<TraceContainerInfo> containers_;
   TraceStats stats_;
-  bool sharded_ = false;
-  int home_shard_ = 0;
-  std::vector<ShardLog> shard_logs_;
 };
 
 }  // namespace sg

@@ -56,7 +56,7 @@ TEST(TimeTest, InfinityIsMax) {
   EXPECT_GT(kTimeInfinity, 1000000 * kSecond);
 }
 
-// --- quantity layer (DESIGN.md §9) ---
+// --- quantity layer (DESIGN.md §8) ---
 
 TEST(QuantityTest, DurationFactoriesAndAccessors) {
   EXPECT_EQ(Duration::ns(7).ns(), 7);

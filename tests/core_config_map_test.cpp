@@ -134,16 +134,20 @@ TEST(ConfigMapTest, PartialTargetOverride) {
 }
 
 TEST(ConfigMapTest, MisspelledKeyIsFlaggedAsUnknown) {
-  // The classic typo: retry.timout_s instead of retry.timeout_ms.
+  // The classic typo: retry.timout_s instead of retry.timeout_ms. And a
+  // stale key: sim.shards no longer exists (the event loop is serial).
   const Config cfg = parse(R"(
 workload = chain
 [retry]
 timout_s = 5
+[sim]
+shards = 2
 )");
   const auto unknown = unknown_config_keys(cfg);
-  ASSERT_EQ(unknown.size(), 1u);
+  ASSERT_EQ(unknown.size(), 2u);
   EXPECT_EQ(unknown[0], "retry.timout_s");
-  EXPECT_EQ(warn_unknown_config_keys(cfg), 1);
+  EXPECT_EQ(unknown[1], "sim.shards");
+  EXPECT_EQ(warn_unknown_config_keys(cfg), 2);
   // The experiment still parses — unknown keys warn, they do not fail.
   EXPECT_TRUE(experiment_from_config(cfg, nullptr).has_value());
 }

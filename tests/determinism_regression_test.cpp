@@ -13,7 +13,6 @@
 
 #include <string>
 
-#include "common/assert.hpp"
 #include "core/experiment.hpp"
 #include "trace/export.hpp"
 
@@ -81,117 +80,6 @@ TEST(DeterminismRegressionTest, ProfilingIsRunToRunStable) {
   const ProfileResult b = profile_workload(cfg.workload, cfg.nodes);
   EXPECT_EQ(a.low_load_mean_latency, b.low_load_mean_latency);
   EXPECT_EQ(a.low_load_p98, b.low_load_p98);
-}
-
-// --- cross-shard equivalence (DESIGN.md §8) ---
-//
-// The sharded event loop must be an implementation detail: for a pinned
-// 4-node surge config, shards = 1 (the classic serial path), 2, and 4 must
-// agree EXACTLY — same VV, same percentiles, same event count, exact FP
-// equality on energy, byte-identical trace export. One misrouted mailbox
-// entry, one same-timestamp rank collision, or one cross-shard RNG draw
-// breaks at least one of these.
-
-ExperimentConfig sharded_config(int shards) {
-  ExperimentConfig cfg;
-  cfg.workload = make_chain();
-  cfg.controller = ControllerKind::kSurgeGuard;
-  cfg.nodes = 4;
-  cfg.shards = shards;
-  cfg.warmup = 1 * kSecond;
-  cfg.duration = 4 * kSecond;
-  cfg.seed = 20250807;
-  cfg.surge_mult = 2.0;
-  cfg.surge_len = 500 * kMillisecond;
-  cfg.surge_period = 2 * kSecond;
-  cfg.trace_enabled = true;
-  cfg.trace_sample = 0.5;
-  cfg.trace_capacity = 1u << 15;
-  return cfg;
-}
-
-void expect_identical(const ExperimentResult& r, const ExperimentResult& ref,
-                      const std::string& ref_json) {
-  // Load-side results: exact.
-  EXPECT_EQ(r.load.violation_volume_ms_s, ref.load.violation_volume_ms_s);
-  EXPECT_EQ(r.load.violation_duration_frac, ref.load.violation_duration_frac);
-  EXPECT_EQ(r.load.issued, ref.load.issued);
-  EXPECT_EQ(r.load.completed, ref.load.completed);
-  EXPECT_EQ(r.load.p50, ref.load.p50);
-  EXPECT_EQ(r.load.p98, ref.load.p98);
-  EXPECT_EQ(r.load.p99, ref.load.p99);
-  EXPECT_EQ(r.load.max_latency, ref.load.max_latency);
-  EXPECT_EQ(r.load.mean_latency_ns, ref.load.mean_latency_ns);
-
-  // Event count: every shard split must schedule the same events.
-  EXPECT_EQ(r.events_processed, ref.events_processed);
-  EXPECT_EQ(r.fr_packets, ref.fr_packets);
-  EXPECT_EQ(r.fr_violations, ref.fr_violations);
-  EXPECT_EQ(r.fr_boosts, ref.fr_boosts);
-
-  // Accumulated FP metrics: exact equality, so summation order matters.
-  EXPECT_EQ(r.avg_cores, ref.avg_cores);
-  EXPECT_EQ(r.energy_joules, ref.energy_joules);
-
-  // Byte-identical trace export (spans, decisions, ordering).
-  ASSERT_TRUE(r.trace.has_value());
-  EXPECT_EQ(chrome_trace_json(*r.trace), ref_json);
-}
-
-TEST(CrossShardEquivalenceTest, Shards124BitIdentical) {
-  const ExperimentResult serial = run_experiment(sharded_config(1));
-  ASSERT_TRUE(serial.trace.has_value());
-  const std::string serial_json = chrome_trace_json(*serial.trace);
-  ASSERT_GT(serial_json.size(), 1000u);
-  ASSERT_GT(serial.load.completed, 0u);
-
-  for (const int shards : {2, 4}) {
-    SCOPED_TRACE("shards = " + std::to_string(shards));
-    const ExperimentResult r = run_experiment(sharded_config(shards));
-    expect_identical(r, serial, serial_json);
-  }
-}
-
-// Same gate under chaos: faults, retries, and a controller stall exercise
-// the per-node fault streams, the retry timers, and the tick gate across
-// shard boundaries.
-TEST(CrossShardEquivalenceTest, ChaosRunBitIdentical) {
-  const auto chaos = [](int shards) {
-    ExperimentConfig cfg = sharded_config(shards);
-    cfg.trace_enabled = false;
-    std::string err;
-    const auto plan = FaultPlan::parse(
-        "drop:start_ms=1500,len_ms=800,rate=0.05;"
-        "dup:start_ms=2000,len_ms=600,rate=0.05;"
-        "slow:node=1,start_ms=2500,len_ms=400,factor=0.3;"
-        "freeze:node=2,start_ms=3200,len_ms=200;"
-        "stall:start_ms=1800,len_ms=500",
-        &err);
-    SG_ASSERT_MSG(plan.has_value(), err.c_str());
-    cfg.fault_plan = *plan;
-    cfg.rpc_retry.enabled = true;
-    cfg.drain = 2 * kSecond;
-    return cfg;
-  };
-  const ExperimentResult serial = run_experiment(chaos(1));
-  ASSERT_GT(serial.load.completed, 0u);
-  const std::string serial_faults = serial.faults.digest();
-  for (const int shards : {2, 4}) {
-    SCOPED_TRACE("shards = " + std::to_string(shards));
-    const ExperimentResult r = run_experiment(chaos(shards));
-    EXPECT_EQ(r.load.violation_volume_ms_s, serial.load.violation_volume_ms_s);
-    EXPECT_EQ(r.load.issued, serial.load.issued);
-    EXPECT_EQ(r.load.completed, serial.load.completed);
-    EXPECT_EQ(r.load.p50, serial.load.p50);
-    EXPECT_EQ(r.load.p99, serial.load.p99);
-    EXPECT_EQ(r.events_processed, serial.events_processed);
-    EXPECT_EQ(r.faults.digest(), serial_faults);
-    EXPECT_EQ(r.app_rpc_retries, serial.app_rpc_retries);
-    EXPECT_EQ(r.app_rpc_failures, serial.app_rpc_failures);
-    EXPECT_EQ(r.controller_ticks_stalled, serial.controller_ticks_stalled);
-    EXPECT_EQ(r.avg_cores, serial.avg_cores);
-    EXPECT_EQ(r.energy_joules, serial.energy_joules);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// sg-lint fixture: D5 — threading primitives outside src/sim/shard* and
-// src/common/. The sharded event loop owns all cross-thread
-// synchronization; ad-hoc threads/locks/atomics anywhere else bypass the
-// conservative-sync protocol.
+// sg-lint fixture: D5 — threading primitives outside src/common/.
+// Simulations are single-threaded; a thread, lock or atomic inside one
+// makes event order depend on scheduling. Only replication-level
+// parallelism is legitimate, and it needs an explicit allow(D5).
 #include <atomic>
 #include <condition_variable>
 #include <mutex>

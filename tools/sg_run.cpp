@@ -47,9 +47,6 @@ void print_usage(const char* argv0, std::FILE* out) {
                "flags:\n"
                "  --histogram        print the wrk2-style latency "
                "percentile table\n"
-               "  --shards N         run the event loop on N shard threads "
-               "(overrides sim.shards; N in [1, nodes]; results are "
-               "bit-identical for any N)\n"
                "  --quiet            suppress setup/progress output "
                "(results still print)\n"
                "  --fault-plan SPEC  override fault.plan with a chaos "
@@ -94,7 +91,6 @@ int main(int argc, char** argv) {
   const char* fault_spec = nullptr;
   const char* trace_sample = nullptr;
   const char* trace_out = nullptr;
-  const char* shards_arg = nullptr;
   for (int i = 2; i < argc; ++i) {
     const auto needs_value = [&](const char* flag) {
       if (i + 1 >= argc) {
@@ -107,8 +103,6 @@ int main(int argc, char** argv) {
       histogram = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards_arg = needs_value("--shards");
     } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
       fault_spec = needs_value("--fault-plan");
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -134,32 +128,6 @@ int main(int argc, char** argv) {
   if (!cfg) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
-  }
-  if (shards_arg != nullptr) {
-    const int shards = std::atoi(shards_arg);
-    if (shards < 1) {
-      std::fprintf(stderr,
-                   "error: --shards must be >= 1 (got '%s'); use 1 for "
-                   "serial execution\n",
-                   shards_arg);
-      return 2;
-    }
-    if (shards > cfg->nodes) {
-      std::fprintf(stderr,
-                   "error: --shards %d exceeds nodes (%d): each shard needs "
-                   "at least one node\n",
-                   shards, cfg->nodes);
-      return 2;
-    }
-    if (shards > 1 && (cfg->controller == ControllerKind::kCentralizedML ||
-                       cfg->controller == ControllerKind::kMLPlusSurgeGuard)) {
-      std::fprintf(stderr,
-                   "error: controller '%s' is centralized and requires "
-                   "--shards 1\n",
-                   to_string(cfg->controller));
-      return 2;
-    }
-    cfg->shards = shards;
   }
   if (fault_spec != nullptr) {
     const auto plan = FaultPlan::parse(fault_spec, &error);
@@ -202,11 +170,6 @@ int main(int argc, char** argv) {
                 to_string(cfg->controller), cfg->nodes, cfg->surge_mult,
                 format_time(cfg->surge_len).c_str(),
                 format_time(cfg->surge_period).c_str());
-    if (cfg->shards > 1) {
-      std::printf("shards:     %d (parallel event loop, bit-identical to "
-                  "--shards 1)\n",
-                  cfg->shards);
-    }
     if (!cfg->fault_plan.empty()) {
       std::printf("faults:     %s (retry %s)\n",
                   cfg->fault_plan.to_string().c_str(),

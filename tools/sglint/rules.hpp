@@ -19,12 +19,12 @@
 //       repeatedly been the source of leak-driven address reuse, which
 //       perturbs pointer-keyed containers between runs.
 //   D5  no threading primitives (std::thread/jthread, std::mutex family,
-//       std::atomic, std::condition_variable) outside src/sim/shard* and
-//       src/common/ — the sharded event loop owns ALL cross-thread
-//       synchronization (DESIGN.md §8). Ad-hoc threading anywhere else
-//       bypasses the conservative-sync protocol and its determinism proof.
-//       Replication-level parallelism (driving many independent
-//       simulations) is legitimate and suppressed explicitly.
+//       std::atomic, std::condition_variable) outside src/common/ — a
+//       simulation runs on one thread, and a thread or lock inside it makes
+//       event order depend on scheduling. src/common/ holds the one
+//       sanctioned lock (the logging mutex). Replication-level parallelism
+//       (many independent simulations) is legitimate and suppressed
+//       explicitly with allow(D5), as in src/core/sweep.cpp.
 //   H1  include hygiene: a .cpp includes its own header first (catches
 //       headers that are not self-contained), and headers never contain
 //       `using namespace`.
@@ -370,12 +370,11 @@ class RuleEngine {
     }
   }
 
-  /// D5: threading primitives outside src/sim/shard* and src/common/.
+  /// D5: threading primitives outside src/common/.
   /// Only the std::-qualified name is flagged (bare `mutex`/`atomic` are
   /// common as locals and fields), mirroring D2's std::time handling.
   void rule_d5_threading_primitives(const std::vector<Token>& toks) {
     if (file_.rfind("src/common/", 0) == 0) return;
-    if (file_.rfind("src/sim/shard", 0) == 0) return;
     static const std::set<std::string> kPrimitives = {
         "thread",        "jthread",
         "mutex",         "recursive_mutex",
@@ -391,8 +390,8 @@ class RuleEngine {
       if (toks[i - 1].text != "::" || toks[i - 2].text != "std") continue;
       add(toks[i].line, "D5",
           "'std::" + t +
-              "' outside src/sim/shard*: cross-thread synchronization "
-              "belongs to the sharded event loop (DESIGN.md §8)");
+              "' outside src/common/: simulations are single-threaded; "
+              "replication-level parallelism needs an allow(D5)");
     }
   }
 
