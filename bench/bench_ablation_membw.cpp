@@ -22,22 +22,22 @@ int main(int argc, char** argv) {
   }
 
   const WorkloadInfo w = make_chain();
-  const ProfileResult uncontended_profile = profile_workload(w, 1);
+  // One profile serves every level: profile_workload never sees cfg.membw,
+  // so profiling "under contention" would return the identical profile.
+  const ProfileResult profile = profile_workload(w, 1);
 
   struct Level {
     const char* label;
     double bw_gbs;  // <= 0: contention model off
   };
-  for (const Level& level : {Level{"no contention model", 0.0},
-                             Level{"ample bandwidth (200 GB/s)", 200.0},
-                             Level{"constrained bandwidth (48 GB/s)", 48.0}}) {
-    print_banner("membw ablation - CHAIN 1.75x surges, " +
-                 std::string(level.label));
-    TablePrinter table({"controller", "VV (ms*s)", "avg cores",
-                        "VV vs Parties"});
-    double parties_vv = 0.0;
-    for (ControllerKind kind :
-         {ControllerKind::kParties, ControllerKind::kSurgeGuard}) {
+  const Level levels[3] = {Level{"no contention model", 0.0},
+                           Level{"ample bandwidth (200 GB/s)", 200.0},
+                           Level{"constrained bandwidth (48 GB/s)", 48.0}};
+  const ControllerKind kinds[2] = {ControllerKind::kParties,
+                                   ControllerKind::kSurgeGuard};
+  std::vector<GridCell> cells;
+  for (const Level& level : levels) {
+    for (ControllerKind kind : kinds) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
@@ -50,11 +50,20 @@ int main(int argc, char** argv) {
         bw.demand_per_busy_core_gbs = 6.0;
         cfg.membw = bw;
       }
-      // Profile under the same contention regime the experiment runs in.
-      const ProfileResult profile =
-          level.bw_gbs > 0.0 ? profile_workload(cfg.workload, 1)
-                             : uncontended_profile;
-      const RepStats stats = run_replicated(cfg, profile, args.sweep());
+      cells.push_back({cfg, &profile});
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.sweep());
+
+  std::size_t next = 0;
+  for (const Level& level : levels) {
+    print_banner("membw ablation - CHAIN 1.75x surges, " +
+                 std::string(level.label));
+    TablePrinter table({"controller", "VV (ms*s)", "avg cores",
+                        "VV vs Parties"});
+    double parties_vv = 0.0;
+    for (ControllerKind kind : kinds) {
+      const RepStats& stats = grid[next++];
       if (kind == ControllerKind::kParties) parties_vv = stats.vv;
       table.add_row({to_string(kind), fmt_double(stats.vv, 2),
                      fmt_double(stats.cores, 2),

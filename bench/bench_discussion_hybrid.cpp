@@ -26,36 +26,52 @@ int main(int argc, char** argv) {
     csv->end_row();
   }
 
-  for (const WorkloadInfo& w : {make_chain(), make_social_read_user_timeline()}) {
-    print_banner("SVII hybrid deployment - " + w.spec.name +
-                 " (1.75x 2s surges; steady-state cores from a surge-free run)");
-    const ProfileResult profile = profile_workload(w, 1);
-    TablePrinter table({"controller", "VV (ms*s)", "avg cores (surges)",
-                        "energy (J)", "steady-state cores"});
-    for (ControllerKind kind :
-         {ControllerKind::kParties, ControllerKind::kCentralizedML,
-          ControllerKind::kSurgeGuard, ControllerKind::kMLPlusSurgeGuard}) {
+  const WorkloadInfo workloads[2] = {make_chain(),
+                                     make_social_read_user_timeline()};
+  const ControllerKind kinds[4] = {
+      ControllerKind::kParties, ControllerKind::kCentralizedML,
+      ControllerKind::kSurgeGuard, ControllerKind::kMLPlusSurgeGuard};
+  const ProfileResult profiles[2] = {profile_workload(workloads[0], 1),
+                                     profile_workload(workloads[1], 1)};
+  std::vector<GridCell> surged_cells, steady_cells;
+  for (std::size_t wi = 0; wi < 2; ++wi) {
+    for (ControllerKind kind : kinds) {
       ExperimentConfig cfg;
-      cfg.workload = w;
+      cfg.workload = workloads[wi];
       cfg.controller = kind;
       cfg.surge_mult = 1.75;
       cfg.surge_len = 2 * kSecond;
       args.apply_timing(cfg);
-      const RepStats surged = run_replicated(cfg, profile, args.sweep());
-
+      surged_cells.push_back({cfg, &profiles[wi]});
       // Steady-state rightsizing: same controller, no surges.
-      ExperimentConfig steady = cfg;
-      steady.surge_len = 0;
-      steady.seed = args.seed;
-      const ExperimentResult steady_r = run_experiment(steady, profile);
+      cfg.surge_len = 0;
+      steady_cells.push_back({cfg, &profiles[wi]});
+    }
+  }
+  const std::vector<RepStats> surged_grid =
+      run_grid(surged_cells, args.sweep());
+  // The steady state is one run at the base seed.
+  SweepOptions one_run = args.sweep();
+  one_run.replications = 1;
+  one_run.trim = 0;
+  const std::vector<RepStats> steady_grid = run_grid(steady_cells, one_run);
 
-      table.add_row({to_string(kind), fmt_double(surged.vv, 2),
+  for (std::size_t wi = 0; wi < 2; ++wi) {
+    const WorkloadInfo& w = workloads[wi];
+    print_banner("SVII hybrid deployment - " + w.spec.name +
+                 " (1.75x 2s surges; steady-state cores from a surge-free run)");
+    TablePrinter table({"controller", "VV (ms*s)", "avg cores (surges)",
+                        "energy (J)", "steady-state cores"});
+    for (std::size_t k = 0; k < 4; ++k) {
+      const RepStats& surged = surged_grid[4 * wi + k];
+      const double steady_cores = steady_grid[4 * wi + k].first.avg_cores;
+      table.add_row({to_string(kinds[k]), fmt_double(surged.vv, 2),
                      fmt_double(surged.cores, 2),
                      fmt_double(surged.energy, 1),
-                     fmt_double(steady_r.avg_cores, 2)});
+                     fmt_double(steady_cores, 2)});
       if (csv) {
-        csv->cell(short_name(w)).cell(to_string(kind)).cell(surged.vv)
-            .cell(surged.cores).cell(surged.energy).cell(steady_r.avg_cores);
+        csv->cell(short_name(w)).cell(to_string(kinds[k])).cell(surged.vv)
+            .cell(surged.cores).cell(surged.energy).cell(steady_cores);
         csv->end_row();
       }
     }

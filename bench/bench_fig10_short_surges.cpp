@@ -25,13 +25,12 @@ int main(int argc, char** argv) {
     csv->end_row();
   }
 
-  TablePrinter table({"surge len", "controller", "VV (ms*s)", "p98 (ms)",
-                      "max latency (ms)", "FR boosts", "VV reduction"});
-  for (SimTime surge_len : {100 * kMicrosecond, 2 * kMillisecond}) {
-    double vv[2] = {0, 0};
-    int idx = 0;
-    for (ControllerKind kind :
-         {ControllerKind::kEscalator, ControllerKind::kSurgeGuard}) {
+  const SimTime surge_lens[2] = {100 * kMicrosecond, 2 * kMillisecond};
+  const ControllerKind kinds[2] = {ControllerKind::kEscalator,
+                                   ControllerKind::kSurgeGuard};
+  std::vector<GridCell> cells;
+  for (SimTime surge_len : surge_lens) {
+    for (ControllerKind kind : kinds) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
@@ -41,26 +40,30 @@ int main(int argc, char** argv) {
       cfg.warmup = 2 * kSecond;
       cfg.duration = args.quick ? 6 * kSecond : 15 * kSecond;
       cfg.vv_window = 1 * kMillisecond;  // micro-surge resolution
-      cfg.seed = args.seed;
+      cells.push_back({cfg, &profile});
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.sweep());
 
-      RepStats stats;
-      ExperimentResult one;  // for FR counters / latency series
-      {
-        ExperimentConfig c2 = cfg;
-        one = run_experiment(c2, profile);
-        stats = run_replicated(cfg, profile, args.sweep());
-      }
-      vv[idx++] = stats.vv;
-      table.add_row({format_time(surge_len), to_string(kind),
+  TablePrinter table({"surge len", "controller", "VV (ms*s)", "p98 (ms)",
+                      "max latency (ms)", "FR boosts", "VV reduction"});
+  for (std::size_t s = 0; s < 2; ++s) {
+    double vv[2] = {0, 0};
+    for (std::size_t k = 0; k < 2; ++k) {
+      // FR counters and max latency come from the seed0 replication.
+      const RepStats& stats = grid[2 * s + k];
+      const ExperimentResult& one = stats.first;
+      vv[k] = stats.vv;
+      table.add_row({format_time(surge_lens[s]), to_string(kinds[k]),
                      fmt_double(stats.vv, 3), fmt_double(stats.p98, 2),
                      fmt_double(to_millis(one.load.max_latency), 2),
                      std::to_string(one.fr_boosts),
-                     idx == 2 && vv[0] > 0
+                     k == 1 && vv[0] > 0
                          ? fmt_double(100.0 * (1.0 - vv[1] / vv[0]), 1) + "%"
                          : "-"});
       if (csv) {
-        csv->cell(static_cast<long long>(surge_len / kMicrosecond))
-            .cell(to_string(kind)).cell(stats.vv).cell(stats.p98)
+        csv->cell(static_cast<long long>(surge_lens[s] / kMicrosecond))
+            .cell(to_string(kinds[k])).cell(stats.vv).cell(stats.p98)
             .cell(to_millis(one.load.max_latency))
             .cell(static_cast<long long>(one.fr_boosts));
         csv->end_row();

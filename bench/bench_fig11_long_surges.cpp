@@ -27,7 +27,30 @@ int main(int argc, char** argv) {
       ControllerKind::kParties, ControllerKind::kCaladan,
       ControllerKind::kSurgeGuard};
 
-  for (double mult : {1.25, 1.5, 1.75}) {
+  const std::vector<WorkloadInfo> workloads = workload_catalog();
+  std::vector<ProfileResult> profiles;
+  for (const WorkloadInfo& w : workloads) {
+    profiles.push_back(profile_workload(w, 1));
+  }
+  const double mults[3] = {1.25, 1.5, 1.75};
+  std::vector<GridCell> cells;
+  for (double mult : mults) {
+    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
+      ExperimentConfig cfg;
+      cfg.workload = workloads[wi];
+      cfg.surge_mult = mult;
+      cfg.surge_len = 2 * kSecond;
+      args.apply_timing(cfg);
+      for (ControllerKind kind : controllers) {
+        cfg.controller = kind;
+        cells.push_back({cfg, &profiles[wi]});
+      }
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.sweep());
+
+  std::size_t next = 0;
+  for (double mult : mults) {
     print_banner("Fig. 11 - surge " + fmt_double(mult, 2) +
                  "x base rate, 2s every 10s (normalized to Parties)");
     TablePrinter table({"workload", "VV parties", "VV caladan", "VV surgegd",
@@ -35,18 +58,10 @@ int main(int argc, char** argv) {
                         "energy c.", "energy s."});
     std::vector<double> sg_vv_norm, sg_core_norm, sg_energy_norm;
 
-    for (const WorkloadInfo& w : workload_catalog()) {
-      const ProfileResult profile = profile_workload(w, 1);
-      ExperimentConfig cfg;
-      cfg.workload = w;
-      cfg.surge_mult = mult;
-      cfg.surge_len = 2 * kSecond;
-      args.apply_timing(cfg);
-
-      RepStats stats[3];
+    for (const WorkloadInfo& w : workloads) {
+      const RepStats* stats = &grid[next];
+      next += controllers.size();
       for (std::size_t k = 0; k < controllers.size(); ++k) {
-        cfg.controller = controllers[k];
-        stats[k] = run_replicated(cfg, profile, args.sweep());
         if (csv) {
           csv->cell(mult).cell(short_name(w)).cell(to_string(controllers[k]))
               .cell(stats[k].vv).cell(stats[k].cores).cell(stats[k].energy)

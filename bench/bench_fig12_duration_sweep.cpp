@@ -26,31 +26,43 @@ int main(int argc, char** argv) {
                  : std::vector<SimTime>{100 * kMillisecond, 500 * kMillisecond,
                                         1 * kSecond, 2 * kSecond, 5 * kSecond};
 
-  for (const WorkloadInfo& w :
-       {make_hotel_recommend(), make_social_read_user_timeline()}) {
-    print_banner("Fig. 12 - surge duration sweep, " + w.spec.name +
-                 " @1.75x (normalized to each baseline)");
-    const ProfileResult profile = profile_workload(w, 1);
-    TablePrinter table({"surge len", "VV vs Parties", "VV vs Caladan",
-                        "energy vs Parties", "energy vs Caladan",
-                        "VV SG (ms*s)"});
+  const WorkloadInfo workloads[2] = {make_hotel_recommend(),
+                                     make_social_read_user_timeline()};
+  const ControllerKind kinds[3] = {ControllerKind::kParties,
+                                   ControllerKind::kCaladan,
+                                   ControllerKind::kSurgeGuard};
+  const ProfileResult profiles[2] = {profile_workload(workloads[0], 1),
+                                     profile_workload(workloads[1], 1)};
+  std::vector<GridCell> cells;
+  for (std::size_t wi = 0; wi < 2; ++wi) {
     for (SimTime len : durations) {
       ExperimentConfig cfg;
-      cfg.workload = w;
+      cfg.workload = workloads[wi];
       cfg.surge_mult = 1.75;
       cfg.surge_len = len;
       cfg.surge_period = 10 * kSecond;
       args.apply_timing(cfg);
       // Long surges need a longer window to hold >=1 full surge.
       if (len >= cfg.duration / 2) cfg.duration = len * 4;
+      for (ControllerKind kind : kinds) {
+        cfg.controller = kind;
+        cells.push_back({cfg, &profiles[wi]});
+      }
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.sweep());
 
-      RepStats stats[3];
-      const ControllerKind kinds[3] = {ControllerKind::kParties,
-                                       ControllerKind::kCaladan,
-                                       ControllerKind::kSurgeGuard};
+  std::size_t next = 0;
+  for (const WorkloadInfo& w : workloads) {
+    print_banner("Fig. 12 - surge duration sweep, " + w.spec.name +
+                 " @1.75x (normalized to each baseline)");
+    TablePrinter table({"surge len", "VV vs Parties", "VV vs Caladan",
+                        "energy vs Parties", "energy vs Caladan",
+                        "VV SG (ms*s)"});
+    for (SimTime len : durations) {
+      const RepStats* stats = &grid[next];
+      next += 3;
       for (int k = 0; k < 3; ++k) {
-        cfg.controller = kinds[k];
-        stats[k] = run_replicated(cfg, profile, args.sweep());
         if (csv) {
           csv->cell(short_name(w)).cell(to_millis(len))
               .cell(to_string(kinds[k])).cell(stats[k].vv)

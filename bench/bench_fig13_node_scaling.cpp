@@ -24,7 +24,39 @@ int main(int argc, char** argv) {
       args.quick ? std::vector<WorkloadInfo>{make_chain(), make_hotel_recommend()}
                  : workload_catalog();
 
-  for (int nodes : {1, 2, 4}) {
+  const int node_counts[3] = {1, 2, 4};
+  const ControllerKind kinds[3] = {ControllerKind::kParties,
+                                   ControllerKind::kCaladan,
+                                   ControllerKind::kSurgeGuard};
+  // Profiles depend on the node count: one per (nodes, workload), in
+  // cell order.
+  std::vector<ProfileResult> profiles;
+  for (int nodes : node_counts) {
+    for (const WorkloadInfo& w : workloads) {
+      profiles.push_back(profile_workload(w, nodes));
+    }
+  }
+  std::vector<GridCell> cells;
+  std::size_t p = 0;
+  for (int nodes : node_counts) {
+    for (const WorkloadInfo& w : workloads) {
+      ExperimentConfig cfg;
+      cfg.workload = w;
+      cfg.nodes = nodes;
+      cfg.surge_mult = 1.75;
+      cfg.surge_len = 2 * kSecond;
+      args.apply_timing(cfg);
+      for (ControllerKind kind : kinds) {
+        cfg.controller = kind;
+        cells.push_back({cfg, &profiles[p]});
+      }
+      ++p;
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.sweep());
+
+  std::size_t next = 0;
+  for (int nodes : node_counts) {
     print_banner("Fig. 13 - " + std::to_string(nodes) +
                  " node(s), 1.75x 2s surges (normalized to Parties)");
     TablePrinter table({"workload", "VV sg/parties", "VV sg/caladan",
@@ -32,21 +64,9 @@ int main(int argc, char** argv) {
                         "energy sg/caladan"});
     std::vector<double> vvp, vvc, cp, ep, ec;
     for (const WorkloadInfo& w : workloads) {
-      const ProfileResult profile = profile_workload(w, nodes);
-      ExperimentConfig cfg;
-      cfg.workload = w;
-      cfg.nodes = nodes;
-      cfg.surge_mult = 1.75;
-      cfg.surge_len = 2 * kSecond;
-      args.apply_timing(cfg);
-
-      RepStats stats[3];
-      const ControllerKind kinds[3] = {ControllerKind::kParties,
-                                       ControllerKind::kCaladan,
-                                       ControllerKind::kSurgeGuard};
+      const RepStats* stats = &grid[next];
+      next += 3;
       for (int k = 0; k < 3; ++k) {
-        cfg.controller = kinds[k];
-        stats[k] = run_replicated(cfg, profile, args.sweep());
         if (csv) {
           csv->cell(nodes).cell(short_name(w)).cell(to_string(kinds[k]))
               .cell(stats[k].vv).cell(stats[k].cores).cell(stats[k].energy);

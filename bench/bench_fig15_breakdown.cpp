@@ -31,22 +31,33 @@ int main(int argc, char** argv) {
   const char* labels[4] = {"Parties", "+ new metrics", "+ sensitivity",
                            "Escalator (both)"};
 
-  for (const WorkloadInfo& w :
-       {make_social_read_user_timeline(), make_hotel_recommend()}) {
+  const WorkloadInfo workloads[2] = {make_social_read_user_timeline(),
+                                     make_hotel_recommend()};
+  const ProfileResult profiles[2] = {profile_workload(workloads[0], 1),
+                                     profile_workload(workloads[1], 1)};
+  std::vector<GridCell> cells;
+  for (std::size_t wi = 0; wi < 2; ++wi) {
+    for (ControllerKind variant : variants) {
+      ExperimentConfig cfg;
+      cfg.workload = workloads[wi];
+      cfg.controller = variant;
+      cfg.surge_mult = 1.75;
+      cfg.surge_len = 2 * kSecond;
+      args.apply_timing(cfg);
+      cells.push_back({cfg, &profiles[wi]});
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.sweep());
+
+  for (std::size_t wi = 0; wi < 2; ++wi) {
+    const WorkloadInfo& w = workloads[wi];
     print_banner("Fig. 15 - Escalator breakdown, " + w.spec.name +
                  " (1.75x 2s surges)");
-    const ProfileResult profile = profile_workload(w, 1);
     TablePrinter table({"variant", "VV (ms*s)", "VV vs Parties", "avg cores",
                         "cores vs Parties"});
     double base_vv = 0, base_cores = 0;
     for (int v = 0; v < 4; ++v) {
-      ExperimentConfig cfg;
-      cfg.workload = w;
-      cfg.controller = variants[v];
-      cfg.surge_mult = 1.75;
-      cfg.surge_len = 2 * kSecond;
-      args.apply_timing(cfg);
-      const RepStats stats = run_replicated(cfg, profile, args.sweep());
+      const RepStats& stats = grid[4 * wi + static_cast<std::size_t>(v)];
       if (v == 0) {
         base_vv = stats.vv;
         base_cores = stats.cores;

@@ -59,17 +59,20 @@ int main(int argc, char** argv) {
     RepStats stats;
     double peak_cores;
   };
-  std::vector<Cell> cells;
-  for (SimTime delay : {200 * kMicrosecond, 500 * kMillisecond, 1 * kSecond}) {
+  const SimTime delays[3] = {200 * kMicrosecond, 500 * kMillisecond,
+                             1 * kSecond};
+  std::vector<GridCell> grid_cells;
+  for (SimTime delay : delays) {
     ExperimentConfig cfg = base;
     cfg.ideal_detection_delay = delay;
-    Cell cell;
-    cell.delay = delay;
-    cell.stats = run_replicated(cfg, profile, args.sweep());
-    ExperimentConfig one = cfg;
-    one.seed = args.seed;
-    cell.peak_cores = peak_total_cores(run_experiment(one, profile));
-    cells.push_back(std::move(cell));
+    grid_cells.push_back({cfg, &profile});
+  }
+  std::vector<RepStats> grid = run_grid(grid_cells, args.sweep());
+  std::vector<Cell> cells;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    // Peak cores from the seed0 replication's allocation timelines.
+    const double peak = peak_total_cores(grid[i].first);
+    cells.push_back({delays[i], std::move(grid[i]), peak});
   }
 
   const double initial =

@@ -1,62 +1,82 @@
 #include "core/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "common/stats.hpp"
 
 namespace sg {
 
-RepStats run_replicated(const ExperimentConfig& config,
-                        const ProfileResult& profile,
-                        const SweepOptions& options) {
-  const int reps = std::max(1, options.replications);
-  std::vector<ExperimentResult> results(static_cast<std::size_t>(reps));
+std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
+                               const SweepOptions& options) {
+  const std::size_t reps =
+      static_cast<std::size_t>(std::max(1, options.replications));
+  const std::size_t items = cells.size() * reps;
+
+  // Pre-sized slots: item i = (cell i / reps, replication i % reps) writes
+  // only its own elements, so workers never touch the same slot.
+  std::vector<RepStats> stats(cells.size());
+  for (RepStats& s : stats) {
+    s.violation_volume.resize(reps);
+    s.avg_cores.resize(reps);
+    s.energy_joules.resize(reps);
+    s.p98_ms.resize(reps);
+  }
 
   unsigned threads = options.threads;
   if (threads == 0) {
-    // sglint: allow(D5) replication sizing only; no simulator state is shared
+    // sglint: allow(D5) pool sizing only; no simulator state is shared
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(reps));
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(1, items)));
 
-  // Work-stealing index; each worker builds and runs whole simulations
-  // locally (no shared mutable state between replications, CP.2), writing
-  // into its own pre-sized slot.
-  // sglint: allow(D5) work-stealing cursor over independent replications
-  std::atomic<int> next{0};
+  // Work-stealing index over (cell, replication) items; each worker builds
+  // and runs whole simulations locally (no shared mutable state between
+  // items, CP.2).
+  // sglint: allow(D5) work-stealing cursor over independent simulations
+  std::atomic<std::size_t> next{0};
   auto worker = [&]() {
     for (;;) {
-      const int k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= reps) return;
-      ExperimentConfig cfg = config;
-      cfg.seed = options.seed0 + static_cast<std::uint64_t>(k);
-      results[static_cast<std::size_t>(k)] = run_experiment(cfg, profile);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= items) return;
+      const std::size_t c = i / reps;
+      const std::size_t k = i % reps;
+      ExperimentConfig cfg = cells[c].config;
+      cfg.seed = options.seed0 + k;
+      ExperimentResult r = run_experiment(cfg, *cells[c].profile);
+      RepStats& s = stats[c];
+      s.violation_volume[k] = r.load.violation_volume_ms_s;
+      s.avg_cores[k] = r.avg_cores;
+      s.energy_joules[k] = r.energy_joules;
+      s.p98_ms[k] = to_millis(r.load.p98);
+      if (k == 0) s.first = std::move(r);
     }
   };
 
   if (threads <= 1) {
     worker();
   } else {
-    // sglint: allow(D5) replication pool; each worker runs its own simulator
+    // sglint: allow(D5) grid pool; each worker runs its own simulators
     std::vector<std::jthread> pool;
     pool.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
   }
 
-  RepStats stats;
-  for (const ExperimentResult& r : results) {
-    stats.violation_volume.push_back(r.load.violation_volume_ms_s);
-    stats.avg_cores.push_back(r.avg_cores);
-    stats.energy_joules.push_back(r.energy_joules);
-    stats.p98_ms.push_back(to_millis(r.load.p98));
+  for (RepStats& s : stats) {
+    s.vv = trimmed_mean(s.violation_volume, options.trim);
+    s.cores = trimmed_mean(s.avg_cores, options.trim);
+    s.energy = trimmed_mean(s.energy_joules, options.trim);
+    s.p98 = trimmed_mean(s.p98_ms, options.trim);
   }
-  stats.vv = trimmed_mean(stats.violation_volume, options.trim);
-  stats.cores = trimmed_mean(stats.avg_cores, options.trim);
-  stats.energy = trimmed_mean(stats.energy_joules, options.trim);
-  stats.p98 = trimmed_mean(stats.p98_ms, options.trim);
   return stats;
+}
+
+RepStats run_replicated(const ExperimentConfig& config,
+                        const ProfileResult& profile,
+                        const SweepOptions& options) {
+  return std::move(run_grid({{config, &profile}}, options).front());
 }
 
 RepStats run_replicated(const ExperimentConfig& config,

@@ -3,10 +3,14 @@
 // While averaging ... we exclude the best and worst data-points ... and
 // average the remaining 15."
 //
-// Replications are embarrassingly parallel: each runs its own Simulator
-// seeded seed0 + k, on its own thread, with no shared mutable state beyond
-// the result vector (guarded). Results are bit-deterministic per seed, so a
-// sweep's aggregate is reproducible regardless of thread schedule.
+// A figure is a grid of independent cells (spike pattern x controller x
+// workload), each replicated with seeds seed0..seed0+n-1. run_grid flattens
+// the grid into (cell, replication) work items and runs them on one
+// work-stealing pool: each item builds and runs its own Simulator and writes
+// into its own pre-sized slot of the result, so no lock is needed and
+// nothing is shared between items but the read-only configs and profiles.
+// Each run is bit-deterministic per seed and the slots fix the order, so the
+// output is byte-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +33,10 @@ struct RepStats {
   double energy = 0.0;
   double p98 = 0.0;
 
+  /// The full result of the seed0 replication (FR counters, max latency,
+  /// allocation traces when the config records them).
+  ExperimentResult first;
+
   std::size_t replications() const { return violation_volume.size(); }
 };
 
@@ -43,8 +51,20 @@ struct SweepOptions {
   std::uint64_t seed0 = 1;
 };
 
-/// Runs `options.replications` copies of `config` (seeds seed0..seed0+n-1)
-/// against a shared profile and aggregates with the trimmed-mean protocol.
+/// One grid cell: a configuration and the profile it runs against. The
+/// profile must outlive the run_grid call.
+struct GridCell {
+  ExperimentConfig config;
+  const ProfileResult* profile = nullptr;
+};
+
+/// Runs `options.replications` copies of every cell (seeds
+/// seed0..seed0+n-1) on one pool and aggregates each cell with the
+/// trimmed-mean protocol. Returns one RepStats per cell, in cell order.
+std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
+                               const SweepOptions& options);
+
+/// The one-cell grid: replicates `config` against a shared profile.
 RepStats run_replicated(const ExperimentConfig& config,
                         const ProfileResult& profile,
                         const SweepOptions& options);

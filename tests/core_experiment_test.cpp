@@ -179,6 +179,62 @@ TEST(SweepTest, ParallelMatchesSerial) {
   }
 }
 
+TEST(SweepTest, GridMatchesPerCellSerial) {
+  // One pool over (cell, replication) items must reproduce every cell's
+  // serial run exactly, whatever the interleaving.
+  const ProfileResult chain_profile = profile_workload(make_chain(), 1);
+  const WorkloadInfo read = make_social_read_user_timeline();
+  const ProfileResult read_profile = profile_workload(read, 1);
+  std::vector<GridCell> cells;
+  for (ControllerKind kind :
+       {ControllerKind::kSurgeGuard, ControllerKind::kCaladan}) {
+    ExperimentConfig cfg = short_config(kind);
+    cfg.duration = 2_s;
+    cells.push_back({cfg, &chain_profile});
+  }
+  ExperimentConfig read_cfg = short_config(ControllerKind::kEscalatorMetricsOnly);
+  read_cfg.workload = read;
+  read_cfg.duration = 2_s;
+  cells.push_back({read_cfg, &read_profile});
+
+  SweepOptions pooled;
+  pooled.replications = 2;
+  pooled.trim = 0;
+  pooled.threads = 4;
+  pooled.seed0 = 5;
+  const std::vector<RepStats> grid = run_grid(cells, pooled);
+  ASSERT_EQ(grid.size(), cells.size());
+
+  SweepOptions serial = pooled;
+  serial.threads = 1;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    SCOPED_TRACE(c);
+    const RepStats one =
+        run_replicated(cells[c].config, *cells[c].profile, serial);
+    ASSERT_EQ(grid[c].replications(), 2u);
+    EXPECT_EQ(grid[c].violation_volume, one.violation_volume);
+    EXPECT_EQ(grid[c].avg_cores, one.avg_cores);
+    EXPECT_EQ(grid[c].energy_joules, one.energy_joules);
+    EXPECT_EQ(grid[c].p98_ms, one.p98_ms);
+    EXPECT_EQ(grid[c].vv, one.vv);
+    EXPECT_EQ(grid[c].cores, one.cores);
+    EXPECT_EQ(grid[c].energy, one.energy);
+    EXPECT_EQ(grid[c].p98, one.p98);
+
+    ExperimentConfig cfg = cells[c].config;
+    cfg.seed = pooled.seed0;
+    const ExperimentResult direct = run_experiment(cfg, *cells[c].profile);
+    const ExperimentResult& first = grid[c].first;
+    EXPECT_EQ(first.load.violation_volume_ms_s,
+              direct.load.violation_volume_ms_s);
+    EXPECT_EQ(first.fr_boosts, direct.fr_boosts);
+    EXPECT_EQ(first.load.max_latency, direct.load.max_latency);
+    EXPECT_EQ(first.events_processed, direct.events_processed);
+  }
+  // The SurgeGuard cell exercises FirstResponder, so `first` carries it.
+  EXPECT_GT(grid[0].first.fr_boosts, 0u);
+}
+
 TEST(ControllerKindTest, Names) {
   EXPECT_STREQ(to_string(ControllerKind::kParties), "Parties");
   EXPECT_STREQ(to_string(ControllerKind::kCaladan), "CaladanAlgo");
