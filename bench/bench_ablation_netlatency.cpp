@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const WorkloadInfo w = make_chain();
   const ProfileResult profile = profile_workload(w, 1);
 
-  for (SimTime extra : {100 * kMicrosecond, 300 * kMicrosecond}) {
+  for (Duration extra : {100 * kMicrosecond, 300 * kMicrosecond}) {
     print_banner("network-latency surges: +" + format_time(extra) +
                  " per hop, 1s windows every 10s (no load surge)");
     TablePrinter table({"controller", "VV (ms*s)", "p98 (ms)", "FR boosts"});
@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
-      cfg.surge_len = 0;  // NO load surge: the disruption is latency only
+      // NO load surge: the disruption is latency only.
+      cfg.surge_len = Duration::zero();
       cfg.net_delay_extra = extra;
       cfg.net_delay_len = 1 * kSecond;
       cfg.net_delay_period = 10 * kSecond;
@@ -43,12 +44,12 @@ int main(int argc, char** argv) {
       const ExperimentResult r = run_experiment(cfg, profile);
       table.add_row({to_string(kind),
                      fmt_double(r.load.violation_volume_ms_s, 2),
-                     fmt_double(to_millis(r.load.p98), 2),
+                     fmt_double(r.load.p98.millis(), 2),
                      std::to_string(r.fr_boosts)});
       if (csv) {
-        csv->cell(static_cast<long long>(extra / kMicrosecond))
+        csv->cell(static_cast<long long>(extra.ns() / kMicrosecond.ns()))
             .cell(to_string(kind)).cell(r.load.violation_volume_ms_s)
-            .cell(to_millis(r.load.p98))
+            .cell(r.load.p98.millis())
             .cell(static_cast<long long>(r.fr_boosts));
         csv->end_row();
       }

@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
 
     LoadGenOptions gen_opts;
     gen_opts.pattern = cfg.make_pattern();
-    gen_opts.qos = static_cast<SimTime>(
-        cfg.qos_mult * static_cast<double>(profile.low_load_mean_latency));
+    gen_opts.qos = cfg.qos_mult * profile.low_load_mean_latency;
     gen_opts.warmup = cfg.warmup;
     gen_opts.duration = cfg.duration;
     LoadGenerator gen(sim, network, app, gen_opts);

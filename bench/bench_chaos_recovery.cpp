@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
-      cfg.surge_len = 0;  // NO load surge: the disruption is the fault
+      // NO load surge: the disruption is the fault.
+      cfg.surge_len = Duration::zero();
       args.apply_timing(cfg);
       cfg.seed = args.seed;
       cfg.rpc_retry.enabled = true;
@@ -73,14 +74,14 @@ int main(int argc, char** argv) {
       const ExperimentResult r = run_experiment(cfg, profile);
       table.add_row({to_string(kind),
                      fmt_double(r.load.violation_volume_ms_s, 2),
-                     fmt_double(to_millis(r.load.p99), 2),
+                     fmt_double(r.load.p99.millis(), 2),
                      std::to_string(r.load.completed_total),
                      std::to_string(r.load.retries),
                      std::to_string(r.load.dropped),
                      std::to_string(r.load.outstanding)});
       if (csv) {
         csv->cell(sc.name).cell(to_string(kind))
-            .cell(r.load.violation_volume_ms_s).cell(to_millis(r.load.p99))
+            .cell(r.load.violation_volume_ms_s).cell(r.load.p99.millis())
             .cell(static_cast<long long>(r.load.completed_total))
             .cell(static_cast<long long>(r.load.retries))
             .cell(static_cast<long long>(r.load.dropped))

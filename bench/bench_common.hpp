@@ -41,8 +41,8 @@ struct BenchArgs {
   bool full = false;
   bool csv = false;
   std::uint64_t seed = 1;
-  SimTime duration = 30 * kSecond;
-  SimTime warmup = 5 * kSecond;
+  Duration duration = 30 * kSecond;
+  Duration warmup = 5 * kSecond;
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;

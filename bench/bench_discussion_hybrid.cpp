@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       args.apply_timing(cfg);
       surged_cells.push_back({cfg, &profiles[wi]});
       // Steady-state rightsizing: same controller, no surges.
-      cfg.surge_len = 0;
+      cfg.surge_len = Duration::zero();
       steady_cells.push_back({cfg, &profiles[wi]});
     }
   }

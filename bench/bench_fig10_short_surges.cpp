@@ -25,18 +25,19 @@ int main(int argc, char** argv) {
     csv->end_row();
   }
 
-  const SimTime surge_lens[2] = {100 * kMicrosecond, 2 * kMillisecond};
+  const Duration surge_lens[2] = {100 * kMicrosecond, 2 * kMillisecond};
   const ControllerKind kinds[2] = {ControllerKind::kEscalator,
                                    ControllerKind::kSurgeGuard};
   std::vector<GridCell> cells;
-  for (SimTime surge_len : surge_lens) {
+  for (Duration surge_len : surge_lens) {
     for (ControllerKind kind : kinds) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
       // 20x instantaneous rate, one micro-surge per second.
       cfg.pattern_override = SpikePattern::surges(
-          w.base_rate_rps, 20.0, surge_len, 1 * kSecond, 3 * kSecond);
+          w.base_rate_rps, 20.0, surge_len, 1 * kSecond,
+          TimePoint::at(3 * kSecond));
       cfg.warmup = 2 * kSecond;
       cfg.duration = args.quick ? 6 * kSecond : 15 * kSecond;
       cfg.vv_window = 1 * kMillisecond;  // micro-surge resolution
@@ -56,15 +57,16 @@ int main(int argc, char** argv) {
       vv[k] = stats.vv;
       table.add_row({format_time(surge_lens[s]), to_string(kinds[k]),
                      fmt_double(stats.vv, 3), fmt_double(stats.p98, 2),
-                     fmt_double(to_millis(one.load.max_latency), 2),
+                     fmt_double(one.load.max_latency.millis(), 2),
                      std::to_string(one.fr_boosts),
                      k == 1 && vv[0] > 0
                          ? fmt_double(100.0 * (1.0 - vv[1] / vv[0]), 1) + "%"
                          : "-"});
       if (csv) {
-        csv->cell(static_cast<long long>(surge_lens[s] / kMicrosecond))
+        csv->cell(static_cast<long long>(surge_lens[s].ns() /
+                                         kMicrosecond.ns()))
             .cell(to_string(kinds[k])).cell(stats.vv).cell(stats.p98)
-            .cell(to_millis(one.load.max_latency))
+            .cell(one.load.max_latency.millis())
             .cell(static_cast<long long>(one.fr_boosts));
         csv->end_row();
       }

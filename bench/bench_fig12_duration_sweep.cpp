@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
     csv->end_row();
   }
 
-  const std::vector<SimTime> durations =
-      args.quick ? std::vector<SimTime>{100 * kMillisecond, 2 * kSecond}
-                 : std::vector<SimTime>{100 * kMillisecond, 500 * kMillisecond,
+  const std::vector<Duration> durations =
+      args.quick ? std::vector<Duration>{100 * kMillisecond, 2 * kSecond}
+                 : std::vector<Duration>{100 * kMillisecond, 500 * kMillisecond,
                                         1 * kSecond, 2 * kSecond, 5 * kSecond};
 
   const WorkloadInfo workloads[2] = {make_hotel_recommend(),
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                                      profile_workload(workloads[1], 1)};
   std::vector<GridCell> cells;
   for (std::size_t wi = 0; wi < 2; ++wi) {
-    for (SimTime len : durations) {
+    for (Duration len : durations) {
       ExperimentConfig cfg;
       cfg.workload = workloads[wi];
       cfg.surge_mult = 1.75;
@@ -59,12 +59,12 @@ int main(int argc, char** argv) {
     TablePrinter table({"surge len", "VV vs Parties", "VV vs Caladan",
                         "energy vs Parties", "energy vs Caladan",
                         "VV SG (ms*s)"});
-    for (SimTime len : durations) {
+    for (Duration len : durations) {
       const RepStats* stats = &grid[next];
       next += 3;
       for (int k = 0; k < 3; ++k) {
         if (csv) {
-          csv->cell(short_name(w)).cell(to_millis(len))
+          csv->cell(short_name(w)).cell(len.millis())
               .cell(to_string(kinds[k])).cell(stats[k].vv)
               .cell(stats[k].energy).cell(stats[k].cores);
           csv->end_row();

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
     cfg.duration = 30 * kSecond;
     // One 10s surge at 15s (paper's setup: surge over [15s, 25s]).
     cfg.pattern_override = SpikePattern::surges(
-        w.base_rate_rps, 1.75, 10 * kSecond, 60 * kSecond, 15 * kSecond);
+        w.base_rate_rps, 1.75, 10 * kSecond, 60 * kSecond,
+        TimePoint::at(15 * kSecond));
     cfg.record_alloc_timelines = true;
     cfg.trace_sample_interval = 1 * kSecond;
     cfg.seed = args.seed;
@@ -41,16 +42,16 @@ int main(int argc, char** argv) {
     print_banner("Fig. 14 - " + std::string(to_string(kind)) +
                  ": cores per service over time (surge 15s-25s)");
     std::vector<std::string> headers{"service"};
-    for (SimTime t = 10 * kSecond; t <= 30 * kSecond; t += 2 * kSecond) {
-      headers.push_back(std::to_string(t / kSecond) + "s");
+    for (Duration t = 10 * kSecond; t <= 30 * kSecond; t += 2 * kSecond) {
+      headers.push_back(std::to_string(t.ns() / kSecond.ns()) + "s");
     }
     TablePrinter table(headers);
     for (const ContainerTrace& trace : r.alloc_traces) {
       std::vector<std::string> row{trace.name};
-      for (SimTime t = 10 * kSecond; t <= 30 * kSecond; t += 2 * kSecond) {
+      for (Duration t = 10 * kSecond; t <= 30 * kSecond; t += 2 * kSecond) {
         double v = 0;
         for (const auto& p : trace.cores) {
-          if (p.time <= t) v = p.value;
+          if (p.time <= TimePoint::at(t)) v = p.value;
         }
         row.push_back(fmt_double(v, 0));
       }
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
       if (csv) {
         for (const auto& p : trace.cores) {
           csv->cell(to_string(kind)).cell(trace.name)
-              .cell(to_seconds(p.time)).cell(p.value);
+              .cell(p.time.since_origin().seconds()).cell(p.value);
           csv->end_row();
         }
       }
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
     for (const ContainerTrace& trace : r.alloc_traces) {
       double v = 0;
       for (const auto& p : trace.cores) {
-        if (p.time <= 24 * kSecond) v = p.value;
+        if (p.time <= TimePoint::at(24 * kSecond)) v = p.value;
       }
       total += v;
       if (trace.name.find("user-timeline-service") != std::string::npos) {

@@ -55,14 +55,14 @@ int main(int argc, char** argv) {
   const ProfileResult profile = profile_workload(base.workload, 1);
 
   struct Cell {
-    SimTime delay;
+    Duration delay;
     RepStats stats;
     double peak_cores;
   };
-  const SimTime delays[3] = {200 * kMicrosecond, 500 * kMillisecond,
-                             1 * kSecond};
+  const Duration delays[3] = {200 * kMicrosecond, 500 * kMillisecond,
+                              1 * kSecond};
   std::vector<GridCell> grid_cells;
-  for (SimTime delay : delays) {
+  for (Duration delay : delays) {
     ExperimentConfig cfg = base;
     cfg.ideal_detection_delay = delay;
     grid_cells.push_back({cfg, &profile});
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
                    fmt_double(c.peak_cores, 1), fmt_double(extra, 1),
                    fmt_ratio(extra / extra0, 2)});
     if (csv) {
-      csv->cell(static_cast<long long>(c.delay)).cell(c.stats.vv)
+      csv->cell(static_cast<long long>(c.delay.ns())).cell(c.stats.vv)
           .cell(c.peak_cores);
       csv->end_row();
     }

@@ -20,9 +20,10 @@ namespace {
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   EventQueue q;
-  SimTime t = 0;
+  TimePoint t;
   for (auto _ : state) {
-    q.push(++t, []() {});
+    t += kNanosecond;
+    q.push(t, []() {});
     benchmark::DoNotOptimize(q.pop());
   }
 }
@@ -31,7 +32,7 @@ BENCHMARK(BM_EventQueuePushPop);
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   Simulator sim;
   for (auto _ : state) {
-    sim.schedule_after(10, []() {});
+    sim.schedule_after(10 * kNanosecond, []() {});
     sim.step();
   }
 }
@@ -127,7 +128,7 @@ void BM_FirstResponderViolationPath(benchmark::State& state) {
     state.PauseTiming();
     // Make the packet violating and un-freeze the path.
     fx.sim.run_until(fx.sim.now() + 10 * kMillisecond);
-    pkt.start_time = fx.sim.now_point() - Duration::ms(100);
+    pkt.start_time = fx.sim.now() - Duration::ms(100);
     state.ResumeTiming();
     fx.fr->on_packet(pkt);
   }
@@ -158,11 +159,11 @@ void BM_SimulatedSecondThroughput(benchmark::State& state) {
     LoadGenOptions opts;
     opts.pattern = SpikePattern::steady(5000);
     opts.qos = 10 * kMillisecond;
-    opts.warmup = 0;
+    opts.warmup = Duration::zero();
     opts.duration = 1 * kSecond;
     LoadGenerator gen(sim, network, app, opts);
     gen.start();
-    sim.run_until(1 * kSecond);
+    sim.run_until(TimePoint::at(1 * kSecond));
     state.counters["events_per_sim_s"] =
         static_cast<double>(sim.events_processed());
   }

@@ -1,8 +1,7 @@
-// sg-lint throughput gate: runs the full flow-aware lint (lexer + D/H/A +
-// U1-U4 unit analysis) over the real tree in-process and fails if a scan
-// exceeds its budget. The lint runs on every commit and in pre-commit
-// hooks, so it must stay cheap; this bench pins that property with a
-// number instead of a feeling.
+// sg-lint throughput gate: runs the full lint (lexer + the D/H/A rules) over
+// the real tree in-process and fails if a scan exceeds its budget. The lint
+// runs on every commit and in pre-commit hooks, so it must stay cheap; this
+// bench pins that property with a number instead of a feeling.
 //
 // Emits BENCH_sglint.json with per-rep wall times and throughput. Exits
 // nonzero if the best-of-N scan is slower than the 5 s budget, or if the

@@ -12,8 +12,8 @@ namespace {
 
 // Measures time from surge start until the controller's first resource
 // action (core grant or frequency change) on any container.
-SimTime measure_reaction(ControllerKind kind, const ProfileResult& profile,
-                         const BenchArgs& args) {
+Duration measure_reaction(ControllerKind kind, const ProfileResult& profile,
+                          const BenchArgs& args) {
   ExperimentConfig cfg;
   cfg.workload = make_chain();
   cfg.controller = kind;
@@ -27,8 +27,9 @@ SimTime measure_reaction(ControllerKind kind, const ProfileResult& profile,
   cfg.seed = args.seed;
   const ExperimentResult r = run_experiment(cfg, profile);
 
-  const SimTime surge_start = cfg.warmup + cfg.first_surge_offset;
-  SimTime first_action = kTimeInfinity;
+  const TimePoint surge_start =
+      TimePoint::at(cfg.warmup + cfg.first_surge_offset);
+  Duration first_action = Duration::infinity();
   for (const ContainerTrace& trace : r.alloc_traces) {
     auto scan = [&](const std::vector<StepTimeline::Point>& pts) {
       if (pts.empty()) return;
@@ -79,12 +80,14 @@ int main(int argc, char** argv) {
         Row{ControllerKind::kEscalator, "averaged metrics, 100ms cycle"},
         Row{ControllerKind::kSurgeGuard,
             "per-packet slack -> same-millisecond frequency boost"}}) {
-    const SimTime reaction = measure_reaction(row.kind, profile, args);
+    const Duration reaction = measure_reaction(row.kind, profile, args);
     measured.add_row({to_string(row.kind),
-                      reaction == kTimeInfinity ? "none" : format_time(reaction),
+                      reaction == Duration::infinity() ? "none"
+                                                       : format_time(reaction),
                       row.note});
     if (csv) {
-      csv->cell(to_string(row.kind)).cell(static_cast<long long>(reaction));
+      csv->cell(to_string(row.kind))
+          .cell(static_cast<long long>(reaction.ns()));
       csv->end_row();
     }
   }

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     // 20x instantaneous rate, 2ms surges, one per second (Fig. 10's regime
     // where FirstResponder matters most).
     cfg.pattern_override = SpikePattern::surges(
-        w.base_rate_rps, 20.0, 2 * kMillisecond, 1 * kSecond, 3 * kSecond);
+        w.base_rate_rps, 20.0, 2 * kMillisecond, 1 * kSecond,
+        TimePoint::at(3 * kSecond));
     cfg.warmup = 2 * kSecond;
     cfg.duration = args.quick ? 4 * kSecond : 10 * kSecond;
     cfg.vv_window = 1 * kMillisecond;

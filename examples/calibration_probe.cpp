@@ -32,7 +32,7 @@ ProbeStats probe(const WorkloadInfo& w, double rate_frac, ControllerKind kind,
   ExperimentConfig cfg;
   cfg.workload = w;
   cfg.controller = kind;
-  cfg.surge_len = 0;  // steady
+  cfg.surge_len = Duration::zero();  // steady
   cfg.warmup = 3 * kSecond;
   cfg.duration = 10 * kSecond;
   cfg.seed = 11;
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   print_banner("calibration probe: " + w.spec.name);
   const ProfileResult prof_low = profile_workload(w, 1);
   std::printf("low-load mean e2e: %.3f ms\n",
-              to_millis(prof_low.low_load_mean_latency));
+              prof_low.low_load_mean_latency.millis());
 
   // Profile again at the BASE rate: the ratio base/low per container tells
   // how close to the knee each service runs.
@@ -99,9 +99,8 @@ int main(int argc, char** argv) {
   table.print();
 
   std::printf("base e2e mean: %.3f ms (%.2fx low-load)\n",
-              to_millis(prof_base.low_load_mean_latency),
-              static_cast<double>(prof_base.low_load_mean_latency) /
-                  static_cast<double>(prof_low.low_load_mean_latency));
+              prof_base.low_load_mean_latency.millis(),
+              prof_base.low_load_mean_latency / prof_low.low_load_mean_latency);
 
   // Steady-state quietness check: SurgeGuard on a surge-free base load.
   std::uint64_t boosts = 0;

@@ -32,7 +32,7 @@ class GreedyLatencyController final : public Controller {
   std::string name() const override { return "greedy-latency"; }
 
   void start() override {
-    env_.sim->schedule_periodic(kInterval, kInterval, [this]() {
+    env_.sim->schedule_periodic(TimePoint::at(kInterval), kInterval, [this]() {
       tick();
       return true;
     });
@@ -61,7 +61,7 @@ class GreedyLatencyController final : public Controller {
   }
 
  private:
-  static constexpr SimTime kInterval = 200 * kMillisecond;
+  static constexpr Duration kInterval = 200 * kMillisecond;
   ControllerEnv env_;
 };
 
@@ -99,7 +99,7 @@ LoadGenResults run_with_custom_controller(const WorkloadInfo& w,
   LoadGenOptions gen_opts;
   gen_opts.pattern =
       SpikePattern::surges(w.base_rate_rps, 1.75, 2 * kSecond, 10 * kSecond,
-                           6 * kSecond);
+                           TimePoint::at(6 * kSecond));
   gen_opts.qos = 2 * profile.low_load_mean_latency;
   gen_opts.warmup = 5 * kSecond;
   gen_opts.duration = 20 * kSecond;
@@ -131,13 +131,13 @@ int main() {
     cfg.seed = 99;
     const ExperimentResult r = run_experiment(cfg, profile);
     table.add_row({to_string(kind), fmt_double(r.load.violation_volume_ms_s, 2),
-                   fmt_double(to_millis(r.load.p98), 2)});
+                   fmt_double(r.load.p98.millis(), 2)});
   }
   // ...and the hand-rolled one through the raw API.
   const LoadGenResults custom = run_with_custom_controller(w, profile);
   table.add_row({"GreedyLatency (custom)",
                  fmt_double(custom.violation_volume_ms_s, 2),
-                 fmt_double(to_millis(custom.p98), 2)});
+                 fmt_double(custom.p98.millis(), 2)});
   table.print();
   std::printf(
       "\nThe custom controller plugs into the same ControllerEnv surface the\n"

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                " (static initial allocation)");
   TablePrinter table({"rate (rps)", "fraction of base", "mean (ms)",
                       "p98 (ms)", "p98 / low-load"});
-  const double low_p98 = to_millis(profile.low_load_p98);
+  const double low_p98 = profile.low_load_p98.millis();
 
   double knee_rate = 0.0;
   for (double frac : {0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.35, 1.5}) {
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     cfg.duration = 6 * kSecond;
     cfg.seed = 17;
     const ExperimentResult r = run_experiment(cfg, profile);
-    const double p98_ms = to_millis(r.load.p98);
+    const double p98_ms = r.load.p98.millis();
     const double blowup = low_p98 > 0 ? p98_ms / low_p98 : 0.0;
     table.add_row({fmt_double(w.base_rate_rps * frac, 0), fmt_double(frac, 2),
                    fmt_double(r.load.mean_latency_ns / 1e6, 2),

@@ -20,8 +20,8 @@ int main() {
   //    (paper §IV "SurgeGuard Parameters": 2x the low-load values).
   const ProfileResult profile = profile_workload(workload, /*nodes=*/1);
   std::printf("low-load mean e2e latency: %.2f ms (p98 %.2f ms)\n",
-              to_millis(profile.low_load_mean_latency),
-              to_millis(profile.low_load_p98));
+              profile.low_load_mean_latency.millis(),
+              profile.low_load_p98.millis());
 
   // 3. Describe the experiment: 2s surges at 1.75x the base rate, every
   //    10s, measured for 30s after a 5s warmup.
@@ -40,7 +40,7 @@ int main() {
     cfg.controller = kind;
     const ExperimentResult r = run_experiment(cfg, profile);
     table.add_row({to_string(kind), fmt_double(r.load.violation_volume_ms_s, 2),
-                   fmt_double(to_millis(r.load.p98), 2),
+                   fmt_double(r.load.p98.millis(), 2),
                    fmt_double(r.avg_cores, 1), fmt_double(r.energy_joules, 1),
                    fmt_double(r.load.throughput_rps, 0),
                    std::to_string(r.fr_boosts)});

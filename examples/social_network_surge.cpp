@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   // Step 1: profile at low load. Targets = 2x measured (paper §IV).
   const ProfileResult profile = profile_workload(w, /*nodes=*/1);
   std::printf("low-load mean e2e %.2f ms -> QoS %.2f ms\n",
-              to_millis(profile.low_load_mean_latency),
-              to_millis(profile.low_load_mean_latency) * 2.0);
+              profile.low_load_mean_latency.millis(),
+              profile.low_load_mean_latency.millis() * 2.0);
 
   // Step 2: the surge scenario — a single 10s surge mid-run, so the
   // allocation timelines are easy to read.
@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   cfg.warmup = 5 * kSecond;
   cfg.duration = 30 * kSecond;
   cfg.pattern_override = SpikePattern::surges(
-      w.base_rate_rps, surge_mult, 10 * kSecond, 60 * kSecond, 15 * kSecond);
+      w.base_rate_rps, surge_mult, 10 * kSecond, 60 * kSecond,
+      TimePoint::at(15 * kSecond));
   cfg.record_alloc_timelines = true;
   cfg.trace_sample_interval = 1 * kSecond;
   cfg.seed = 42;
@@ -50,17 +51,17 @@ int main(int argc, char** argv) {
                  fmt_double(surge_mult, 2) + "x surge (15s-25s)");
     std::printf("violation volume %.2f ms*s | p98 %.2f ms | avg cores %.1f | "
                 "energy %.0f J\n\n",
-                r.load.violation_volume_ms_s, to_millis(r.load.p98),
+                r.load.violation_volume_ms_s, r.load.p98.millis(),
                 r.avg_cores, r.energy_joules);
 
     // Step 3: where did the cores go?
     TablePrinter table({"service", "pre-surge", "t=20s (mid)", "t=24s (late)",
                         "t=29s (post)"});
     for (const ContainerTrace& trace : r.alloc_traces) {
-      auto at = [&](SimTime t) {
+      auto at = [&](Duration t) {
         double v = 0;
         for (const auto& p : trace.cores) {
-          if (p.time <= t) v = p.value;
+          if (p.time <= TimePoint::at(t)) v = p.value;
         }
         return fmt_double(v, 0);
       };

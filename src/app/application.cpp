@@ -7,10 +7,10 @@
 
 namespace sg {
 
-SimTime RpcRetryPolicy::timeout_for_attempt(int attempt) const {
-  double t = static_cast<double>(timeout);
+Duration RpcRetryPolicy::timeout_for_attempt(int attempt) const {
+  double t = static_cast<double>(timeout.ns());
   for (int i = 0; i < attempt; ++i) t *= backoff;
-  return static_cast<SimTime>(t);
+  return Duration{static_cast<std::int64_t>(t)};
 }
 
 std::vector<int> AppTopology::downstream_on_node(int container, int node,
@@ -110,7 +110,8 @@ void Application::start_metric_publication() {
   for (ServiceRuntime& sr : services_) {
     ServiceRuntime* srp = &sr;
     cluster_.sim().schedule_periodic(
-        options_.metrics_interval, options_.metrics_interval, [this, srp]() {
+        TimePoint::at(options_.metrics_interval), options_.metrics_interval,
+        [this, srp]() {
           const MetricsSnapshot snap =
               srp->metrics.flush(cluster_.sim().now());
           metrics_plane_.node_bus(srp->container->node()).publish(snap);
@@ -178,7 +179,7 @@ void Application::on_packet(const RpcPacket& pkt) {
 
 void Application::on_request(const RpcPacket& pkt) {
   ServiceRuntime& sr = runtime_of_container(pkt.dst_container);
-  const SimTime now = cluster_.sim().now();
+  const TimePoint now = cluster_.sim().now();
 
   if (sr.index == 0) {
     // Idempotency-key dedup at the frontend: a client retransmission (or a
@@ -202,7 +203,7 @@ void Application::on_request(const RpcPacket& pkt) {
   v.request_id = pkt.request_id;
   v.service = sr.index;
   v.start_time = pkt.start_time;
-  v.arrive = TimePoint::at(now);
+  v.arrive = now;
   v.time_from_start = v.arrive - pkt.start_time;
   v.arrived_upscale = pkt.upscale;
   v.reply_to = ReplyAddress{pkt.src_container, pkt.src_node, pkt.call_id};
@@ -212,7 +213,7 @@ void Application::on_request(const RpcPacket& pkt) {
     // to `now` so the delta read at completion is exact (state after sync()
     // is bit-identical to what submit() below would produce anyway).
     sr.container->sync();
-    v.exec_begin = TimePoint::at(now);
+    v.exec_begin = now;
     v.exec_share0 = sr.container->share_integral_ns();
   }
   ns.visits.emplace(key, v);
@@ -246,7 +247,7 @@ void Application::on_own_work_done(std::uint64_t key) {
       span.kind = SpanKind::kExec;
       span.container = sr.container->id();
       span.begin = v.exec_begin;
-      span.end = cluster_.sim().now_point();
+      span.end = cluster_.sim().now();
       // We run inside the container's completion handler: the share
       // integral is already advanced to now, so the delta is exact.
       span.cpu_served_ns = sr.container->share_integral_ns() - v.exec_share0;
@@ -275,7 +276,7 @@ void Application::begin_child(std::uint64_t key, std::size_t child_idx) {
   SG_ASSERT(it != ns.visits.end());
   ServiceRuntime& sr = services_[static_cast<std::size_t>(it->second.service)];
   ConnectionPool& pool = *sr.child_pools[child_idx];
-  const TimePoint t0 = cluster_.sim().now_point();
+  const TimePoint t0 = cluster_.sim().now();
   // The acquire may complete now (free connection) or later (implicit
   // queue). The wait, if any, is the hidden-dependency time (Fig. 5b).
   pool.acquire([this, key, child_idx, t0]() {
@@ -283,7 +284,7 @@ void Application::begin_child(std::uint64_t key, std::size_t child_idx) {
     auto vit = vmap.find(key);
     SG_ASSERT(vit != vmap.end());
     Visit& v = vit->second;
-    const Duration wait = cluster_.sim().now_point() - t0;
+    const Duration wait = cluster_.sim().now() - t0;
     v.conn_wait += wait;
     if (v.traced && wait > Duration::zero()) {
       if (TraceSink* trace = cluster_.sim().trace_sink()) {
@@ -406,7 +407,7 @@ void Application::finish_children(std::uint64_t key) {
       // Open the post-work exec segment; reply() closes it.
       sr.container->sync();
       v.post_span_open = true;
-      v.exec_begin = cluster_.sim().now_point();
+      v.exec_begin = cluster_.sim().now();
       v.exec_share0 = sr.container->share_integral_ns();
     }
     const double work =
@@ -426,12 +427,12 @@ void Application::reply(std::uint64_t key) {
   SG_ASSERT(it != ns.visits.end());
   Visit& v = it->second;
   ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
-  const SimTime now = cluster_.sim().now();
+  const TimePoint now = cluster_.sim().now();
 
   VisitRecord rec;
   rec.container = sr.container->id();
   rec.arrive = v.arrive;
-  rec.depart = TimePoint::at(now);
+  rec.depart = now;
   rec.conn_wait = v.conn_wait;
   rec.time_from_start = v.time_from_start;
   rec.upscale_hint = v.arrived_upscale > 0;
@@ -446,7 +447,7 @@ void Application::reply(std::uint64_t key) {
         post.kind = SpanKind::kExec;
         post.container = sr.container->id();
         post.begin = v.exec_begin;
-        post.end = TimePoint::at(now);
+        post.end = now;
         post.cpu_served_ns =
             sr.container->share_integral_ns() - v.exec_share0;
         trace->add_span(post);
@@ -456,9 +457,12 @@ void Application::reply(std::uint64_t key) {
       visit.kind = SpanKind::kVisit;
       visit.container = sr.container->id();
       visit.begin = v.arrive;
-      visit.end = TimePoint::at(now);
-      visit.boost_active_ns = sr.container->freq_timeline().time_above(
-          v.arrive.ns(), now, static_cast<double>(sr.container->dvfs().min_mhz));
+      visit.end = now;
+      visit.boost_active_ns = static_cast<double>(
+          sr.container->freq_timeline()
+              .time_above(v.arrive, now,
+                          static_cast<double>(sr.container->dvfs().min_mhz))
+              .ns());
       trace->add_span(visit);
     }
   }

@@ -61,7 +61,7 @@ struct RpcRetryPolicy {
   bool enabled = false;
   /// First-attempt timeout. Must comfortably exceed the normal RPC round
   /// trip or healthy calls will spuriously retransmit.
-  SimTime timeout = 50 * kMillisecond;
+  Duration timeout = 50 * kMillisecond;
   double backoff = 2.0;
   /// Retransmissions after the initial attempt; once exhausted the call is
   /// abandoned (child RPCs complete degraded, client requests count as
@@ -69,14 +69,14 @@ struct RpcRetryPolicy {
   int max_retries = 5;
 
   /// Timeout for attempt k (k=0 is the initial send).
-  SimTime timeout_for_attempt(int attempt) const;
+  Duration timeout_for_attempt(int attempt) const;
 };
 
 class Application {
  public:
   struct Options {
     /// Reporting window for container-runtime metric publication.
-    SimTime metrics_interval = 50 * kMillisecond;
+    Duration metrics_interval = 50 * kMillisecond;
 
     /// Child-RPC retransmission policy. Disabled by default: the fault-free
     /// testbed never needs it, and the pre-fault event sequence must stay

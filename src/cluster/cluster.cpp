@@ -66,7 +66,7 @@ double Cluster::total_energy_joules() const {
   return total;
 }
 
-double Cluster::average_allocated_cores(SimTime t0, SimTime t1) const {
+double Cluster::average_allocated_cores(TimePoint t0, TimePoint t1) const {
   double total = 0.0;
   for (const auto& c : containers_)
     total += c->core_timeline().average(t0, t1);

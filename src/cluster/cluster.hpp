@@ -55,7 +55,7 @@ class Cluster {
   double total_energy_joules() const;
 
   /// Cluster-wide time-averaged allocated cores over [t0, t1].
-  double average_allocated_cores(SimTime t0, SimTime t1) const;
+  double average_allocated_cores(TimePoint t0, TimePoint t1) const;
 
  private:
   Simulator& sim_;

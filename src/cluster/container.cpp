@@ -33,8 +33,8 @@ double Container::busy_cores() const {
 }
 
 void Container::advance() {
-  const SimTime now = sim_.now();
-  const Duration dt = Duration{now - last_advance_};
+  const TimePoint now = sim_.now();
+  const Duration dt = now - last_advance_;
   if (dt <= Duration::zero()) return;
   const double busy = busy_cores();
   if (busy > 0.0) {
@@ -42,7 +42,7 @@ void Container::advance() {
                           .energy(busy, Freq::mhz(freq_),
                                   Freq::mhz(params_.dvfs.ref_mhz), dt)
                           .joules();
-    busy_core_seconds_ += busy * to_seconds(dt);
+    busy_core_seconds_ += busy * dt.seconds();
     // busy / N == min(1, cores/N): the common per-job core share.
     share_integral_ns_ += static_cast<double>(dt.ns()) * busy /
                           static_cast<double>(jobs_.size());
@@ -53,7 +53,7 @@ void Container::advance() {
   const double idle_cores = static_cast<double>(cores_) - busy;
   if (idle_cores > 0.0) {
     energy_joules_ +=
-        params_.energy.allocated_idle_watts * idle_cores * to_seconds(dt);
+        params_.energy.allocated_idle_watts * idle_cores * dt.seconds();
   }
   last_advance_ = now;
 }
@@ -70,7 +70,7 @@ void Container::reschedule() {
   const double dt = std::max(0.0, work_left) / r;
   // ceil so that by the event time the job has definitely finished (modulo
   // float error handled in on_completion_event).
-  const SimTime delay = static_cast<SimTime>(std::ceil(dt));
+  const Duration delay{static_cast<std::int64_t>(std::ceil(dt))};
   completion_event_ =
       sim_.schedule_after(delay, [this]() { on_completion_event(); });
 }

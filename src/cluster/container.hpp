@@ -141,7 +141,7 @@ class Container {
 
   // Virtual-time processor-sharing state.
   double vtime_ = 0.0;
-  SimTime last_advance_ = 0;
+  TimePoint last_advance_;
   using HeapEntry = std::pair<double, JobId>;  // (finish_v, job)
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       finish_heap_;

@@ -37,23 +37,10 @@ struct EnergyModel {
            dynamic_watts_at_ref * std::pow(rel, freq_exponent);
   }
 
-  /// Raw-MHz convenience used by the DVFS plumbing (FreqMhz is the knob's
-  /// config unit); forwards to the strong-typed overload.
-  double busy_core_watts(FreqMhz f, FreqMhz ref) const {
-    return busy_core_watts(Freq::mhz(f), Freq::mhz(ref));
-  }
-
   /// Energy for `busy_cores` cores running `dt` at frequency f.
   Energy energy(double busy_cores, Freq f, Freq ref, Duration dt) const {
     return Energy::joules(busy_core_watts(f, ref) * busy_cores *
-                          to_seconds(dt));
-  }
-
-  /// Legacy raw interface (joules as double, dt in ns).
-  double energy_joules(double busy_cores, FreqMhz f, FreqMhz ref,
-                       SimTime dt) const {
-    return energy(busy_cores, Freq::mhz(f), Freq::mhz(ref), Duration{dt})
-        .joules();
+                          dt.seconds());
   }
 };
 

@@ -77,7 +77,7 @@ void Node::restart() {
   frozen_allocation_.clear();
 }
 
-double Node::average_allocated_cores(SimTime t0, SimTime t1) const {
+double Node::average_allocated_cores(TimePoint t0, TimePoint t1) const {
   double total = 0.0;
   for (const Container* c : containers_)
     total += c->core_timeline().average(t0, t1);

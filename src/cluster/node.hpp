@@ -79,7 +79,7 @@ class Node {
 
   /// Time-averaged allocated cores over [t0, t1] (the "cores used" metric in
   /// Figs. 11-13).
-  double average_allocated_cores(SimTime t0, SimTime t1) const;
+  double average_allocated_cores(TimePoint t0, TimePoint t1) const;
 
   /// Total busy-core energy of this node's containers (call after
   /// Container::sync on each).

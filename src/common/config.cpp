@@ -97,12 +97,7 @@ long long Config::get_int(const std::string& key, long long def) const {
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return def;
+  return try_get_bool(key).value_or(def);
 }
 
 std::optional<double> Config::try_get_double(const std::string& key) const {
@@ -121,6 +116,15 @@ std::optional<long long> Config::try_get_int(const std::string& key) const {
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') return std::nullopt;
   return v;
+}
+
+std::optional<bool> Config::try_get_bool(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return std::nullopt;
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  return std::nullopt;
 }
 
 void Config::set(const std::string& key, const std::string& value) {

@@ -30,7 +30,9 @@ class Config {
   bool has(const std::string& key) const;
 
   /// Typed getters with defaults. Type-mismatched values fall back to the
-  /// default (and are reported by `strict_get_*` variants used in tests).
+  /// default; callers that must reject them (experiment_from_config) check
+  /// the `try_get_*` variants, which return nullopt for an absent key or a
+  /// value that does not parse.
   std::string get_string(const std::string& key,
                          const std::string& def = "") const;
   double get_double(const std::string& key, double def = 0.0) const;
@@ -39,6 +41,8 @@ class Config {
 
   std::optional<double> try_get_double(const std::string& key) const;
   std::optional<long long> try_get_int(const std::string& key) const;
+  /// true/1/yes/on or false/0/no/off.
+  std::optional<bool> try_get_bool(const std::string& key) const;
 
   void set(const std::string& key, const std::string& value);
 

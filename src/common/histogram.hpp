@@ -19,24 +19,25 @@ class LatencyHistogram {
   explicit LatencyHistogram(int sub_buckets_per_octave = 32);
 
   /// Records one latency sample (values < 1ns clamp to the first bucket).
-  void record(SimTime latency);
+  void record(Duration latency);
 
   /// Records `n` identical samples.
-  void record_n(SimTime latency, std::uint64_t n);
+  void record_n(Duration latency, std::uint64_t n);
 
   std::uint64_t count() const { return total_count_; }
-  SimTime min() const;
-  SimTime max() const;
+  Duration min() const;
+  Duration max() const;
+  /// Mean latency in nanoseconds.
   double mean() const;
 
   /// Percentile in [0, 100]; returns the representative value of the bucket
   /// containing that rank. Returns 0 for an empty histogram.
-  SimTime percentile(double p) const;
+  Duration percentile(double p) const;
 
-  SimTime p50() const { return percentile(50.0); }
-  SimTime p90() const { return percentile(90.0); }
-  SimTime p98() const { return percentile(98.0); }
-  SimTime p99() const { return percentile(99.0); }
+  Duration p50() const { return percentile(50.0); }
+  Duration p90() const { return percentile(90.0); }
+  Duration p98() const { return percentile(98.0); }
+  Duration p99() const { return percentile(99.0); }
 
   /// Merges another histogram (must share bucket geometry).
   void merge(const LatencyHistogram& other);
@@ -44,24 +45,24 @@ class LatencyHistogram {
   void reset();
 
   /// Number of samples at or above the given threshold.
-  std::uint64_t count_at_or_above(SimTime threshold) const;
+  std::uint64_t count_at_or_above(Duration threshold) const;
 
   /// One row per non-empty bucket: (representative latency, count).
   struct Bucket {
-    SimTime value;
+    Duration value;
     std::uint64_t count;
   };
   std::vector<Bucket> nonzero_buckets() const;
 
  private:
-  std::size_t bucket_index(SimTime v) const;
-  SimTime bucket_value(std::size_t idx) const;
+  std::size_t bucket_index(Duration v) const;
+  Duration bucket_value(std::size_t idx) const;
 
   int sub_buckets_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_count_ = 0;
-  SimTime min_seen_ = kTimeInfinity;
-  SimTime max_seen_ = 0;
+  Duration min_seen_ = Duration::infinity();
+  Duration max_seen_;
   double sum_ = 0.0;
 };
 

@@ -5,9 +5,9 @@
 
 namespace sg {
 
-std::string format_time(SimTime t) {
-  const bool neg = t < 0;
-  const double abs_ns = std::abs(static_cast<double>(t));
+std::string format_time(Duration d) {
+  const bool neg = d.ns() < 0;
+  const double abs_ns = std::abs(static_cast<double>(d.ns()));
   char buf[64];
   if (abs_ns < 1e3) {
     std::snprintf(buf, sizeof(buf), "%s%.0fns", neg ? "-" : "", abs_ns);

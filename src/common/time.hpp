@@ -1,14 +1,13 @@
-// Simulated-time primitives and the strong-typed quantity layer shared by
-// every SurgeGuard module.
+// Simulated-time quantities shared by every SurgeGuard module.
 //
 // All simulation timestamps and durations are signed 64-bit nanosecond
 // counts. A signed representation lets slack computations (expected minus
 // observed progress, paper eq. 4) go negative without tripping wraparound.
 //
-// Quantity layer (DESIGN.md §8). The paper's slack math (eq. 4) is signed
-// mixed-unit arithmetic — exactly the kind that breeds silent ns-vs-ms and
-// timestamp-vs-duration bugs when everything is a bare int64_t. Four strong
-// types carry the dimension in the type system:
+// The paper's slack math is signed mixed-unit arithmetic — exactly the kind
+// that breeds silent ns-vs-ms and timestamp-vs-duration bugs when everything
+// is a bare int64_t. Four strong types carry the dimension instead
+// (DESIGN.md §8):
 //
 //   sg::Duration   — a span of simulated time (ns resolution)
 //   sg::TimePoint  — an instant, measured from simulation start
@@ -17,88 +16,29 @@
 //
 // All are zero-overhead wrappers: a single scalar member, every operation
 // constexpr and inline, no virtuals, trivially copyable. The allowed-ops
-// table (enforced both by deleted overloads here and by sg-lint rules
-// U1–U4) is:
+// table is:
 //
 //   Duration  ± Duration  → Duration      TimePoint − TimePoint → Duration
 //   TimePoint ± Duration  → TimePoint     Duration + TimePoint  → TimePoint
 //   Duration  × scalar    → Duration      Duration / Duration   → double
+//   Duration  % Duration  → Duration
 //   Freq      × Duration  → double (cycles; commutes)
 //   Energy    / Duration  → double (watts)
 //   Energy    ± Energy    → Energy        Freq ± Freq           → Freq
 //
-// Everything else (TimePoint + TimePoint, scaling a TimePoint, adding a
-// Duration to an Energy, ...) is dimensionally meaningless and does not
-// compile / does not lint.
-//
-// Migration note: `SimTime` remains the raw int64 nanosecond alias while the
-// tree migrates; APIs that predate the quantity layer still traffic in it.
-// The `_ns/_us/_ms/_s` literals keep producing SimTime so existing call
-// sites stay source-compatible; strong types are built via the explicit
-// factories (Duration::ms(5), TimePoint::at(t)) and unwrapped via .ns().
-// sg-lint treats SimTime as "time, point-or-duration unknown": it joins U2
-// and U3 enforcement but is exempt from U1 until its uses are migrated.
+// Everything else (TimePoint + TimePoint, scaling a TimePoint, comparing a
+// point with a duration, a bare integer where a quantity is expected, a
+// quantity where a number is expected, ...) does not compile; the
+// `time_negative_compile` test pins each rejection. The only way in from a
+// raw nanosecond count is the explicit constructor (or a unit factory such
+// as Duration::ms), and the only way out is .ns().
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
 
 namespace sg {
-
-/// Nanoseconds since simulation start (or a duration in nanoseconds).
-/// Legacy alias retained during the quantity-layer migration.
-using SimTime = std::int64_t;
-
-inline constexpr SimTime kNanosecond = 1;
-inline constexpr SimTime kMicrosecond = 1'000;
-inline constexpr SimTime kMillisecond = 1'000'000;
-inline constexpr SimTime kSecond = 1'000'000'000;
-
-/// Largest representable time; used as the "never" sentinel for events.
-inline constexpr SimTime kTimeInfinity = INT64_MAX;
-
-namespace literals {
-
-constexpr SimTime operator""_ns(unsigned long long v) {
-  return static_cast<SimTime>(v);
-}
-constexpr SimTime operator""_us(unsigned long long v) {
-  return static_cast<SimTime>(v) * kMicrosecond;
-}
-constexpr SimTime operator""_ms(unsigned long long v) {
-  return static_cast<SimTime>(v) * kMillisecond;
-}
-constexpr SimTime operator""_s(unsigned long long v) {
-  return static_cast<SimTime>(v) * kSecond;
-}
-
-}  // namespace literals
-
-/// Converts a duration to fractional seconds (for reporting / math).
-constexpr double to_seconds(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kSecond);
-}
-
-/// Converts a duration to fractional milliseconds.
-constexpr double to_millis(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
-/// Converts a duration to fractional microseconds.
-constexpr double to_micros(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
-
-/// Converts fractional seconds to a SimTime, rounding half away from zero
-/// (symmetric for negative slacks; plain `+ 0.5` truncation would round
-/// -1.5 ns to -1 ns but 1.5 ns to 2 ns).
-constexpr SimTime from_seconds(double s) {
-  const double ns = s * static_cast<double>(kSecond);
-  return static_cast<SimTime>(ns >= 0.0 ? ns + 0.5 : ns - 0.5);
-}
-
-/// Human-readable rendering with an auto-selected unit ("1.25ms", "3.2s").
-std::string format_time(SimTime t);
 
 // ---------------------------------------------------------------------------
 // Duration: a span of simulated time.
@@ -107,25 +47,33 @@ std::string format_time(SimTime t);
 class Duration {
  public:
   constexpr Duration() = default;
-  /// Explicit escape hatch from raw nanoseconds (legacy-API boundaries).
-  explicit constexpr Duration(SimTime ns) : ns_(ns) {}
+  /// Explicit entry from a raw nanosecond count.
+  explicit constexpr Duration(std::int64_t ns) : ns_(ns) {}
 
   static constexpr Duration zero() { return Duration{0}; }
-  static constexpr Duration infinity() { return Duration{kTimeInfinity}; }
-  static constexpr Duration ns(SimTime v) { return Duration{v}; }
-  static constexpr Duration us(SimTime v) { return Duration{v * kMicrosecond}; }
-  static constexpr Duration ms(SimTime v) { return Duration{v * kMillisecond}; }
-  static constexpr Duration sec(SimTime v) { return Duration{v * kSecond}; }
-  /// Fractional seconds, rounded half away from zero (cf. from_seconds).
+  /// Largest representable span; the "never" sentinel.
+  static constexpr Duration infinity() { return Duration{INT64_MAX}; }
+  static constexpr Duration ns(std::int64_t v) { return Duration{v}; }
+  static constexpr Duration us(std::int64_t v) { return Duration{v * 1'000}; }
+  static constexpr Duration ms(std::int64_t v) {
+    return Duration{v * 1'000'000};
+  }
+  static constexpr Duration sec(std::int64_t v) {
+    return Duration{v * 1'000'000'000};
+  }
+  /// Fractional seconds, rounded half away from zero (symmetric for negative
+  /// slacks; plain `+ 0.5` truncation would round -1.5 ns to -1 ns but
+  /// 1.5 ns to 2 ns).
   static constexpr Duration seconds(double s) {
-    return Duration{from_seconds(s)};
+    const double ns = s * 1e9;
+    return Duration{static_cast<std::int64_t>(ns >= 0.0 ? ns + 0.5 : ns - 0.5)};
   }
 
   /// Raw nanosecond count — the only way out of the type.
-  constexpr SimTime ns() const { return ns_; }
-  constexpr double seconds() const { return to_seconds(ns_); }
-  constexpr double millis() const { return to_millis(ns_); }
-  constexpr double micros() const { return to_micros(ns_); }
+  constexpr std::int64_t ns() const { return ns_; }
+  constexpr double seconds() const { return static_cast<double>(ns_) / 1e9; }
+  constexpr double millis() const { return static_cast<double>(ns_) / 1e6; }
+  constexpr double micros() const { return static_cast<double>(ns_) / 1e3; }
 
   constexpr Duration operator-() const { return Duration{-ns_}; }
   constexpr Duration& operator+=(Duration d) {
@@ -143,39 +91,69 @@ class Duration {
   friend constexpr Duration operator-(Duration a, Duration b) {
     return Duration{a.ns_ - b.ns_};
   }
-  /// Scaling keeps the dimension; the scalar side is dimensionless.
+  /// Scaling keeps the dimension; the scalar side is dimensionless. A
+  /// floating scalar truncates toward zero, like the int64 cast it replaces.
   friend constexpr Duration operator*(Duration d, double k) {
-    return Duration{static_cast<SimTime>(static_cast<double>(d.ns_) * k)};
+    return Duration{static_cast<std::int64_t>(static_cast<double>(d.ns_) * k)};
   }
   friend constexpr Duration operator*(double k, Duration d) { return d * k; }
-  friend constexpr Duration operator*(Duration d, SimTime k) {
-    return Duration{d.ns_ * k};
-  }
-  friend constexpr Duration operator*(SimTime k, Duration d) { return d * k; }
   friend constexpr Duration operator/(Duration d, double k) {
-    return Duration{static_cast<SimTime>(static_cast<double>(d.ns_) / k)};
+    return Duration{static_cast<std::int64_t>(static_cast<double>(d.ns_) / k)};
   }
-  friend constexpr Duration operator/(Duration d, SimTime k) {
-    return Duration{d.ns_ / k};
+  // Integer scalars stay exact integer arithmetic. Templates so that a plain
+  // `int` binds here exactly instead of tying between int64_t and double.
+  template <std::integral I>
+  friend constexpr Duration operator*(Duration d, I k) {
+    return Duration{d.ns_ * static_cast<std::int64_t>(k)};
+  }
+  template <std::integral I>
+  friend constexpr Duration operator*(I k, Duration d) {
+    return d * k;
+  }
+  template <std::integral I>
+  friend constexpr Duration operator/(Duration d, I k) {
+    return Duration{d.ns_ / static_cast<std::int64_t>(k)};
   }
   /// Ratio of two durations is dimensionless.
   friend constexpr double operator/(Duration a, Duration b) {
     return static_cast<double>(a.ns_) / static_cast<double>(b.ns_);
+  }
+  /// Remainder of a span modulo a period (phase within a cycle).
+  friend constexpr Duration operator%(Duration a, Duration b) {
+    return Duration{a.ns_ % b.ns_};
   }
 
   friend constexpr bool operator==(Duration a, Duration b) = default;
   friend constexpr auto operator<=>(Duration a, Duration b) = default;
 
  private:
-  SimTime ns_ = 0;
+  std::int64_t ns_ = 0;
 };
 
-/// Symmetric rendering for durations.
-inline std::string format_time(Duration d) { return format_time(d.ns()); }
+inline constexpr Duration kNanosecond = Duration::ns(1);
+inline constexpr Duration kMicrosecond = Duration::us(1);
+inline constexpr Duration kMillisecond = Duration::ms(1);
+inline constexpr Duration kSecond = Duration::sec(1);
 
-constexpr double to_seconds(Duration d) { return d.seconds(); }
-constexpr double to_millis(Duration d) { return d.millis(); }
-constexpr double to_micros(Duration d) { return d.micros(); }
+namespace literals {
+
+constexpr Duration operator""_ns(unsigned long long v) {
+  return Duration::ns(static_cast<std::int64_t>(v));
+}
+constexpr Duration operator""_us(unsigned long long v) {
+  return Duration::us(static_cast<std::int64_t>(v));
+}
+constexpr Duration operator""_ms(unsigned long long v) {
+  return Duration::ms(static_cast<std::int64_t>(v));
+}
+constexpr Duration operator""_s(unsigned long long v) {
+  return Duration::sec(static_cast<std::int64_t>(v));
+}
+
+}  // namespace literals
+
+/// Human-readable rendering with an auto-selected unit ("1.25ms", "3.2s").
+std::string format_time(Duration d);
 
 // ---------------------------------------------------------------------------
 // TimePoint: an instant, measured from simulation start.
@@ -184,19 +162,21 @@ constexpr double to_micros(Duration d) { return d.micros(); }
 class TimePoint {
  public:
   constexpr TimePoint() = default;
-  /// Explicit escape hatch from a raw ns-since-start (legacy-API boundary).
-  explicit constexpr TimePoint(SimTime ns_since_start)
+  /// Explicit entry from a raw nanoseconds-since-start count.
+  explicit constexpr TimePoint(std::int64_t ns_since_start)
       : ns_(ns_since_start) {}
 
   static constexpr TimePoint origin() { return TimePoint{0}; }
-  static constexpr TimePoint infinity() { return TimePoint{kTimeInfinity}; }
-  static constexpr TimePoint at(SimTime ns_since_start) {
-    return TimePoint{ns_since_start};
+  /// Latest representable instant; the "never" sentinel.
+  static constexpr TimePoint infinity() { return TimePoint{INT64_MAX}; }
+  /// The instant `since_origin` after simulation start.
+  static constexpr TimePoint at(Duration since_origin) {
+    return TimePoint{since_origin.ns()};
   }
 
   /// Raw nanoseconds since simulation start — the only way out.
-  constexpr SimTime ns() const { return ns_; }
-  /// Elapsed simulated time since the origin, as a strong duration.
+  constexpr std::int64_t ns() const { return ns_; }
+  /// Elapsed simulated time since the origin, as a duration.
   constexpr Duration since_origin() const { return Duration{ns_}; }
 
   constexpr TimePoint& operator+=(Duration d) {
@@ -223,7 +203,7 @@ class TimePoint {
   }
 
   // Dimensionally meaningless combinations are compile errors, not silent
-  // int64 arithmetic (sg-lint rule U1 catches the same shapes pre-build).
+  // int64 arithmetic.
   friend constexpr TimePoint operator+(TimePoint, TimePoint) = delete;
   friend constexpr TimePoint operator*(TimePoint, double) = delete;
   friend constexpr TimePoint operator*(double, TimePoint) = delete;
@@ -233,10 +213,8 @@ class TimePoint {
   friend constexpr auto operator<=>(TimePoint a, TimePoint b) = default;
 
  private:
-  SimTime ns_ = 0;
+  std::int64_t ns_ = 0;
 };
-
-inline std::string format_time(TimePoint p) { return format_time(p.ns()); }
 
 // ---------------------------------------------------------------------------
 // Freq: a CPU frequency. Stored in Hz as double so MHz-grid arithmetic and
@@ -266,7 +244,7 @@ class Freq {
   friend constexpr double operator/(Freq a, Freq b) { return a.hz_ / b.hz_; }
   /// freq × time → cycles (dimensionless count).
   friend constexpr double operator*(Freq f, Duration d) {
-    return f.hz_ * to_seconds(d);
+    return f.hz_ * d.seconds();
   }
   friend constexpr double operator*(Duration d, Freq f) { return f * d; }
 
@@ -317,7 +295,7 @@ class Energy {
   }
   /// energy ÷ time → power in watts.
   friend constexpr double operator/(Energy e, Duration d) {
-    return e.joules_ / to_seconds(d);
+    return e.joules_ / d.seconds();
   }
   /// Ratio of two energies is dimensionless.
   friend constexpr double operator/(Energy a, Energy b) {

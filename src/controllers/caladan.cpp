@@ -12,17 +12,20 @@ CaladanAlgo::CaladanAlgo(ControllerEnv env, Options options)
     : env_(std::move(env)), options_(options) {}
 
 void CaladanAlgo::start() {
-  env_.sim->schedule_periodic(options_.interval, options_.interval, [this]() {
-    tick();
-    return true;
-  }, Simulator::TickClass::kController);
+  env_.sim->schedule_periodic(
+      TimePoint::at(options_.interval), options_.interval,
+      [this]() {
+        tick();
+        return true;
+      },
+      Simulator::TickClass::kController);
 }
 
 void CaladanAlgo::tick() {
   TraceSink* trace = env_.sim->trace_sink();
   const auto audit = [&](DecisionKind kind, int container, int amount) {
     if (trace != nullptr) {
-      trace->add_decision({env_.sim->now_point(), kind, "caladan",
+      trace->add_decision({env_.sim->now(), kind, "caladan",
                            env_.node->id(), container, amount});
     }
   };

@@ -22,7 +22,7 @@ class CaladanAlgo final : public Controller {
     /// Decision interval. Caladan's native interval is 5-20us (Table I);
     /// as a userspace controller over periodic runtime metrics it is bound
     /// below by the metric publication interval.
-    SimTime interval = 50 * kMillisecond;
+    Duration interval = 50 * kMillisecond;
     /// Upscale when queueBuildup exceeds this (Caladan reacts to any
     /// standing queue).
     double queue_threshold = 1.05;

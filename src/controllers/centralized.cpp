@@ -20,10 +20,13 @@ CentralizedMLController::CentralizedMLController(Simulator& sim,
       options_(options) {}
 
 void CentralizedMLController::start() {
-  sim_.schedule_periodic(options_.interval, options_.interval, [this]() {
-    tick();
-    return true;
-  }, Simulator::TickClass::kController);
+  sim_.schedule_periodic(
+      TimePoint::at(options_.interval), options_.interval,
+      [this]() {
+        tick();
+        return true;
+      },
+      Simulator::TickClass::kController);
 }
 
 void CentralizedMLController::tick() {
@@ -89,7 +92,7 @@ void CentralizedMLController::apply(const std::vector<Decision>& decisions) {
       cluster_.node(c.node()).grant(&c, d.cores - c.cores());
     }
     if (trace != nullptr) {
-      trace->add_decision({sim_.now_point(), DecisionKind::kAllocSet,
+      trace->add_decision({sim_.now(), DecisionKind::kAllocSet,
                            "centralized-ml", c.node(), c.id(), c.cores()});
     }
     SG_DEBUG << "[centralized-ml] " << c.name() << " -> " << c.cores()

@@ -31,10 +31,10 @@ class CentralizedMLController final : public Controller {
  public:
   struct Options {
     /// Decision interval (paper Table I: > 1s).
-    SimTime interval = 1 * kSecond;
+    Duration interval = 1 * kSecond;
     /// Inference + metric-collection + decision-distribution latency between
     /// the metric snapshot and allocations taking effect.
-    SimTime inference_latency = 200 * kMillisecond;
+    Duration inference_latency = 200 * kMillisecond;
     /// Utilization the "model" provisions each container for.
     double util_target = 0.7;
     /// Demand estimates are inflated by the container's latency overshoot

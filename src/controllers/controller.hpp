@@ -54,11 +54,11 @@ class BusyWindowTracker {
   double window_busy_cores(Simulator& sim, Container* c) {
     c->sync();
     State& prev = last_[c->id()];
-    const TimePoint now = sim.now_point();
+    const TimePoint now = sim.now();
     const double busy_now = c->busy_core_seconds();
     double avg = static_cast<double>(c->cores());
     if (prev.at > TimePoint::origin() && now > prev.at) {
-      avg = (busy_now - prev.busy_core_seconds) / to_seconds(now - prev.at);
+      avg = (busy_now - prev.busy_core_seconds) / (now - prev.at).seconds();
     }
     prev.busy_core_seconds = busy_now;
     prev.at = now;

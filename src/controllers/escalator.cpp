@@ -13,10 +13,13 @@ Escalator::Escalator(ControllerEnv env, Options options)
     : env_(std::move(env)), options_(options) {}
 
 void Escalator::start() {
-  env_.sim->schedule_periodic(options_.interval, options_.interval, [this]() {
-    tick();
-    return true;
-  }, Simulator::TickClass::kController);
+  env_.sim->schedule_periodic(
+      TimePoint::at(options_.interval), options_.interval,
+      [this]() {
+        tick();
+        return true;
+      },
+      Simulator::TickClass::kController);
 }
 
 double Escalator::exec_signal(const MetricsSnapshot& snap) const {
@@ -31,7 +34,7 @@ void Escalator::tick() {
   TraceSink* trace = env_.sim->trace_sink();
   const auto audit = [&](DecisionKind kind, int container, int amount) {
     if (trace != nullptr) {
-      trace->add_decision({env_.sim->now_point(), kind, "escalator",
+      trace->add_decision({env_.sim->now(), kind, "escalator",
                            env_.node->id(), container, amount});
     }
   };

@@ -33,7 +33,7 @@ class Escalator final : public Controller {
     /// Decision interval (the slower, precise path; the paper leaves this
     /// unspecified — 100 ms sits between Parties' 500 ms and the metric
     /// publication interval).
-    SimTime interval = 100 * kMillisecond;
+    Duration interval = 100 * kMillisecond;
 
     /// QUEUE_TH: queueBuildup above this flags hidden-queue pressure.
     double queue_threshold = 1.30;

@@ -10,14 +10,11 @@ FirstResponder::FirstResponder(ControllerEnv env, Network& network,
     : env_(std::move(env)), network_(network), options_(options) {}
 
 void FirstResponder::start() {
-  freeze_window_ = Duration{options_.freeze_window};
+  freeze_window_ = options_.freeze_window;
   if (freeze_window_ <= Duration::zero()) {
     const Duration e2e = env_.targets.expected_e2e_latency;
-    freeze_window_ =
-        e2e > Duration::zero()
-            ? Duration{static_cast<SimTime>(options_.freeze_multiple *
-                                            static_cast<double>(e2e.ns()))}
-            : Duration::ms(2);
+    freeze_window_ = e2e > Duration::zero() ? options_.freeze_multiple * e2e
+                                            : Duration::ms(2);
   }
   network_.add_rx_hook(env_.node->id(), this);
 }
@@ -32,17 +29,16 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
   if (!env_.targets.has(pkt.dst_container)) return;
 
   // Per-packet slack (eqs. 4-5): expected minus observed progress.
-  const Duration observed = env_.sim->now_point() - pkt.start_time;
-  const Duration expected = Duration{static_cast<SimTime>(
+  const Duration observed = env_.sim->now() - pkt.start_time;
+  const Duration expected =
       options_.slack_margin *
-      static_cast<double>(
-          env_.targets.of(pkt.dst_container).expected_time_from_start.ns()))};
+      env_.targets.of(pkt.dst_container).expected_time_from_start;
   const Duration slack = expected - observed;
   if (slack >= Duration::zero()) return;
   ++violations_detected_;
 
   // Path freeze: one boost per path per window bounds update churn.
-  const TimePoint now = env_.sim->now_point();
+  const TimePoint now = env_.sim->now();
   const auto frozen = frozen_until_.find(pkt.dst_container);
   if (frozen != frozen_until_.end() && now < frozen->second) return;
   frozen_until_[pkt.dst_container] = now + freeze_window_;
@@ -57,7 +53,7 @@ void FirstResponder::boost(int container) {
   TraceSink* trace = env_.sim->trace_sink();
   const auto audit = [&](const Container& tc, FreqMhz before) {
     if (trace != nullptr && tc.frequency() != before) {
-      trace->add_decision({env_.sim->now_point(), DecisionKind::kFreqBoost,
+      trace->add_decision({env_.sim->now(), DecisionKind::kFreqBoost,
                            "first-responder", env_.node->id(), tc.id(),
                            static_cast<int>(tc.frequency())});
     }

@@ -31,11 +31,11 @@ class FirstResponder final : public Controller, public RxHook {
   struct Options {
     /// Delay between detecting a violation and the frequency change taking
     /// effect (work-item enqueue 0.44us + worker MSR write 2.1us, §VI-D).
-    SimTime update_latency = 2540 * kNanosecond;
+    Duration update_latency = 2540 * kNanosecond;
 
     /// Per-path freeze window; 0 means "derive as freeze_multiple x the
     /// profiled end-to-end latency" at start().
-    SimTime freeze_window = 0;
+    Duration freeze_window;
     double freeze_multiple = 2.0;
 
     /// Extra margin on expectedTimeFromStart before slack counts as

@@ -29,10 +29,11 @@ int IdealOracleController::cores_for_rate(std::size_t service,
 void IdealOracleController::start() {
   // Pre-plan every surge within the horizon (the oracle knows the schedule).
   for (const SpikePattern::Window& w :
-       options_.pattern.spikes_in(0, options_.horizon)) {
+       options_.pattern.spikes_in(TimePoint::origin(),
+                                  TimePoint::at(options_.horizon))) {
     env_.sim->schedule_at(w.start + options_.detection_delay,
                           [this, w]() { on_surge_detected(w); });
-    const SimTime drain_end =
+    const TimePoint drain_end =
         std::max(w.end, w.start + options_.detection_delay) +
         options_.drain_window;
     env_.sim->schedule_at(drain_end, [this, w]() { on_surge_over(w); });
@@ -43,8 +44,8 @@ void IdealOracleController::on_surge_detected(
     const SpikePattern::Window& /*window*/) {
   const double spike_rate = options_.pattern.spike_rate_rps;
   const double base_rate = options_.pattern.base_rate_rps;
-  const double delay_s = to_seconds(options_.detection_delay);
-  const double drain_s = to_seconds(options_.drain_window);
+  const double delay_s = options_.detection_delay.seconds();
+  const double drain_s = options_.drain_window.seconds();
 
   for (std::size_t i = 0; i < demand_ns_.size(); ++i) {
     Container& c = env_.app->service_container(static_cast<int>(i));
@@ -69,7 +70,7 @@ void IdealOracleController::on_surge_detected(
       const int granted = env_.node->grant(&c, needed - c.cores());
       if (granted > 0) {
         if (TraceSink* trace = env_.sim->trace_sink()) {
-          trace->add_decision({env_.sim->now_point(), DecisionKind::kCoreGrant,
+          trace->add_decision({env_.sim->now(), DecisionKind::kCoreGrant,
                                "ideal", env_.node->id(), c.id(), granted});
         }
       }
@@ -92,7 +93,7 @@ void IdealOracleController::restore_initial() {
                                             initial_cores_[i]);
       if (revoked > 0) {
         if (TraceSink* trace = env_.sim->trace_sink()) {
-          trace->add_decision({env_.sim->now_point(), DecisionKind::kCoreRevoke,
+          trace->add_decision({env_.sim->now(), DecisionKind::kCoreRevoke,
                                "ideal", env_.node->id(), c.id(), revoked});
         }
       }

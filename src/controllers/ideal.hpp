@@ -23,13 +23,13 @@ class IdealOracleController final : public Controller {
     /// The surge schedule the oracle is told about.
     SpikePattern pattern;
     /// Time from surge start to the oracle's reaction.
-    SimTime detection_delay = 200 * kMicrosecond;
+    Duration detection_delay = 200 * kMicrosecond;
     /// Target utilization the oracle provisions for during the surge.
     double util_target = 0.75;
     /// Window within which the oracle wants the backlog drained.
-    SimTime drain_window = 500 * kMillisecond;
+    Duration drain_window = 500 * kMillisecond;
     /// How long the sim runs (so the oracle can pre-plan every surge).
-    SimTime horizon = 60 * kSecond;
+    Duration horizon = 60 * kSecond;
   };
 
   IdealOracleController(ControllerEnv env, Options options);

@@ -12,10 +12,13 @@ PartiesController::PartiesController(ControllerEnv env, Options options)
     : env_(std::move(env)), options_(options) {}
 
 void PartiesController::start() {
-  env_.sim->schedule_periodic(options_.interval, options_.interval, [this]() {
-    tick();
-    return true;
-  }, Simulator::TickClass::kController);
+  env_.sim->schedule_periodic(
+      TimePoint::at(options_.interval), options_.interval,
+      [this]() {
+        tick();
+        return true;
+      },
+      Simulator::TickClass::kController);
 }
 
 double PartiesController::violation_ratio(const MetricsSnapshot& snap,
@@ -29,7 +32,7 @@ void PartiesController::tick() {
   TraceSink* trace = env_.sim->trace_sink();
   const auto audit = [&](DecisionKind kind, int container, int amount) {
     if (trace != nullptr) {
-      trace->add_decision({env_.sim->now_point(), kind, "parties",
+      trace->add_decision({env_.sim->now(), kind, "parties",
                            env_.node->id(), container, amount});
     }
   };

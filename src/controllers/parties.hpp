@@ -23,7 +23,7 @@ class PartiesController final : public Controller {
  public:
   struct Options {
     /// Decision interval (paper Table I: 500 ms).
-    SimTime interval = 500 * kMillisecond;
+    Duration interval = 500 * kMillisecond;
     /// Violation when avg execTime > upscale_threshold * QoS limit.
     double upscale_threshold = 1.0;
     /// Downscale when avg execTime < downscale_threshold * limit ...

@@ -1,35 +1,48 @@
 #include "core/config_map.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string_view>
 
 namespace sg {
 
 namespace {
 
-/// Exact keys experiment_from_config (and sg_run) consume. Kept in sync with
-/// the header's "Recognized keys" comment; core_config_map_test exercises
-/// the misspelling path.
-const char* const kKnownKeys[] = {
-    "workload", "controller", "nodes", "warmup_s", "duration_s",
-    "qos_mult", "target_mult", "seed", "rate_rps",
+enum class KeyType { kString, kInt, kDouble, kBool };
+
+/// Exact keys experiment_from_config (and sg_run) consume, grouped by the
+/// type their value must parse as. Kept in sync with the header's
+/// "Recognized keys" comment; core_config_map_test exercises the
+/// misspelling path.
+const char* const kStringKeys[] = {"workload", "controller", "fault.plan",
+                                   "trace.out"};
+const char* const kIntKeys[] = {"nodes", "seed", "retry.max",
+                                "trace.capacity"};
+const char* const kBoolKeys[] = {"retry.enabled", "record.alloc_timelines",
+                                 "record.latency_series", "trace.enabled",
+                                 "trace.keep_violators"};
+const char* const kDoubleKeys[] = {
+    "warmup_s", "duration_s", "qos_mult", "target_mult", "rate_rps",
     "surge.mult", "surge.len_ms", "surge.period_s",
     "netdelay.extra_us", "netdelay.len_ms", "netdelay.period_s",
-    "fault.plan",
-    "retry.enabled", "retry.timeout_ms", "retry.backoff", "retry.max",
-    "drain_s",
+    "retry.timeout_ms", "retry.backoff", "drain_s",
     "membw.node_bw_gbs", "membw.demand_per_core_gbs",
-    "ideal.detection_delay_ms",
-    "record.alloc_timelines", "record.latency_series",
-    "trace.enabled", "trace.sample", "trace.capacity",
-    "trace.keep_violators", "trace.out",
+    "ideal.detection_delay_ms", "trace.sample",
 };
 
-bool is_known_key(const std::string& key) {
-  for (const char* k : kKnownKeys) {
-    if (key == k) return true;
-  }
+template <std::size_t N>
+bool contains(const char* const (&keys)[N], const std::string& key) {
+  return std::find(std::begin(keys), std::end(keys), key) != std::end(keys);
+}
+
+/// Type of a recognized key; nullopt for keys no consumer reads.
+std::optional<KeyType> key_type(const std::string& key) {
+  if (contains(kStringKeys, key)) return KeyType::kString;
+  if (contains(kIntKeys, key)) return KeyType::kInt;
+  if (contains(kBoolKeys, key)) return KeyType::kBool;
+  if (contains(kDoubleKeys, key)) return KeyType::kDouble;
   // service.<name>.expected_exec_metric_us / .expected_time_from_start_us:
   // the <name> part is workload-dependent, so validate the shape only.
   constexpr std::string_view kServicePrefix = "service.";
@@ -39,8 +52,21 @@ bool is_known_key(const std::string& key) {
              key.compare(key.size() - suffix.size(), suffix.size(),
                          suffix) == 0;
     };
-    return ends_with(".expected_exec_metric_us") ||
-           ends_with(".expected_time_from_start_us");
+    if (ends_with(".expected_exec_metric_us") ||
+        ends_with(".expected_time_from_start_us")) {
+      return KeyType::kDouble;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Whether the value of a recognized key parses as its type.
+bool parses_as(const Config& cfg, const std::string& key, KeyType type) {
+  switch (type) {
+    case KeyType::kString: return true;
+    case KeyType::kInt: return cfg.try_get_int(key).has_value();
+    case KeyType::kDouble: return cfg.try_get_double(key).has_value();
+    case KeyType::kBool: return cfg.try_get_bool(key).has_value();
   }
   return false;
 }
@@ -71,6 +97,14 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   ExperimentConfig out;
 
   warn_unknown_config_keys(cfg);
+  // A present value that does not parse is an error, never the default.
+  for (const std::string& key : cfg.keys()) {
+    const auto type = key_type(key);
+    if (type && !parses_as(cfg, key, *type)) {
+      return fail("invalid value '" + cfg.get_string(key) + "' for key '" +
+                  key + "'");
+    }
+  }
 
   const std::string workload = cfg.get_string("workload", "chain");
   bool found = false;
@@ -92,9 +126,11 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   out.nodes = static_cast<int>(cfg.get_int("nodes", 1));
   if (out.nodes < 1) return fail("nodes must be >= 1");
 
-  out.warmup = from_seconds(cfg.get_double("warmup_s", 5.0));
-  out.duration = from_seconds(cfg.get_double("duration_s", 30.0));
-  if (out.warmup < 0 || out.duration <= 0) return fail("invalid timing");
+  out.warmup = Duration::seconds(cfg.get_double("warmup_s", 5.0));
+  out.duration = Duration::seconds(cfg.get_double("duration_s", 30.0));
+  if (out.warmup < Duration::zero() || out.duration <= Duration::zero()) {
+    return fail("invalid timing");
+  }
 
   out.qos_mult = cfg.get_double("qos_mult", 2.0);
   out.target_mult = cfg.get_double("target_mult", 2.0);
@@ -106,17 +142,17 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   }
 
   out.surge_mult = cfg.get_double("surge.mult", 1.75);
-  out.surge_len = from_seconds(cfg.get_double("surge.len_ms", 2000.0) / 1e3);
-  out.surge_period =
-      from_seconds(cfg.get_double("surge.period_s", 10.0));
+  out.surge_len =
+      Duration::seconds(cfg.get_double("surge.len_ms", 2000.0) / 1e3);
+  out.surge_period = Duration::seconds(cfg.get_double("surge.period_s", 10.0));
   if (out.surge_mult <= 0) return fail("surge.mult must be positive");
 
-  out.net_delay_extra = static_cast<SimTime>(
-      cfg.get_double("netdelay.extra_us", 0.0) * 1e3);
+  out.net_delay_extra = Duration{static_cast<std::int64_t>(
+      cfg.get_double("netdelay.extra_us", 0.0) * 1e3)};
   out.net_delay_len =
-      from_seconds(cfg.get_double("netdelay.len_ms", 0.0) / 1e3);
+      Duration::seconds(cfg.get_double("netdelay.len_ms", 0.0) / 1e3);
   out.net_delay_period =
-      from_seconds(cfg.get_double("netdelay.period_s", 10.0));
+      Duration::seconds(cfg.get_double("netdelay.period_s", 10.0));
 
   // Chaos: deterministic fault schedule + RPC retransmission policy. The
   // fault.plan value is the same spec string sg_run --fault-plan accepts.
@@ -127,18 +163,19 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     out.fault_plan = *plan;
   }
   out.rpc_retry.enabled = cfg.get_bool("retry.enabled", false);
-  out.rpc_retry.timeout = static_cast<SimTime>(
-      cfg.get_double("retry.timeout_ms", 50.0) * 1e6);
+  out.rpc_retry.timeout = Duration{static_cast<std::int64_t>(
+      cfg.get_double("retry.timeout_ms", 50.0) * 1e6)};
   out.rpc_retry.backoff = cfg.get_double("retry.backoff", 2.0);
   out.rpc_retry.max_retries =
       static_cast<int>(cfg.get_int("retry.max", 5));
   if (out.rpc_retry.enabled &&
-      (out.rpc_retry.timeout <= 0 || out.rpc_retry.backoff < 1.0 ||
+      (out.rpc_retry.timeout <= Duration::zero() ||
+       out.rpc_retry.backoff < 1.0 ||
        out.rpc_retry.max_retries < 0)) {
     return fail("invalid retry policy");
   }
-  out.drain = from_seconds(cfg.get_double("drain_s", 0.0));
-  if (out.drain < 0) return fail("drain_s must be >= 0");
+  out.drain = Duration::seconds(cfg.get_double("drain_s", 0.0));
+  if (out.drain < Duration::zero()) return fail("drain_s must be >= 0");
 
   if (cfg.has("membw.node_bw_gbs")) {
     MemBwDomain::Params bw;
@@ -149,8 +186,8 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     out.membw = bw;
   }
 
-  out.ideal_detection_delay = static_cast<SimTime>(
-      cfg.get_double("ideal.detection_delay_ms", 0.2) * 1e6);
+  out.ideal_detection_delay = Duration{static_cast<std::int64_t>(
+      cfg.get_double("ideal.detection_delay_ms", 0.2) * 1e6)};
 
   out.record_alloc_timelines = cfg.get_bool("record.alloc_timelines", false);
   out.record_latency_series = cfg.get_bool("record.latency_series", false);
@@ -170,7 +207,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
 std::vector<std::string> unknown_config_keys(const Config& cfg) {
   std::vector<std::string> unknown;
   for (const std::string& key : cfg.keys()) {
-    if (!is_known_key(key)) unknown.push_back(key);
+    if (!key_type(key)) unknown.push_back(key);
   }
   return unknown;
 }
@@ -197,7 +234,8 @@ int apply_target_overrides(const Config& cfg, const WorkloadInfo& workload,
     ContainerTargets& t = targets->per_container[static_cast<int>(i)];
     if (exec) t.expected_exec_metric_ns = *exec * 1e3;
     if (tfs) {
-      t.expected_time_from_start = Duration{static_cast<SimTime>(*tfs * 1e3)};
+      t.expected_time_from_start =
+          Duration{static_cast<std::int64_t>(*tfs * 1e3)};
     }
     ++overridden;
   }

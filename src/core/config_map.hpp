@@ -27,10 +27,13 @@
 //   service.<name>.expected_exec_metric_us
 //   service.<name>.expected_time_from_start_us
 //
-// Unknown keys are not errors (forward compatibility with configs written
-// for newer builds) but ARE reported: experiment_from_config prints one
-// stderr warning per unknown key, so a misspelled knob ("retry.timout_s")
-// fails loudly instead of silently running with the default.
+// A recognized key whose value does not parse as its type (`nodes = 2x`,
+// `duration_s = two`, `enabled = ture`) is an error naming the key and the
+// value. Unknown keys are not errors (forward compatibility with configs
+// written for newer builds) but ARE reported: experiment_from_config prints
+// one stderr warning per unknown key, so a misspelled knob
+// ("retry.timout_s") fails loudly instead of silently running with the
+// default.
 #pragma once
 
 #include <optional>
@@ -47,7 +50,8 @@ namespace sg {
 std::optional<ControllerKind> controller_from_string(const std::string& name);
 
 /// Builds an ExperimentConfig from a parsed Config. Returns nullopt and
-/// fills `error` on unknown workload/controller or invalid values.
+/// fills `error` on unknown workload/controller, a value that does not parse
+/// as its key's type, or an out-of-range value.
 std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
                                                        std::string* error);
 

@@ -30,11 +30,12 @@ const char* to_string(ControllerKind k) {
 
 SpikePattern ExperimentConfig::make_pattern() const {
   if (pattern_override) return *pattern_override;
-  if (surge_len <= 0 || surge_mult == 1.0) {
+  if (surge_len <= Duration::zero() || surge_mult == 1.0) {
     return SpikePattern::steady(workload.base_rate_rps);
   }
   return SpikePattern::surges(workload.base_rate_rps, surge_mult, surge_len,
-                              surge_period, warmup + first_surge_offset);
+                              surge_period,
+                              TimePoint::at(warmup + first_surge_offset));
 }
 
 namespace {
@@ -104,9 +105,9 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
 
   // Application with Little's-law-provisioned connection pools (eq. 1).
   AppSpec spec = w.spec;
-  const double hop_ns = config.nodes > 1
-                            ? static_cast<double>(tb->network.model().cross_node_ns)
-                            : static_cast<double>(tb->network.model().same_node_ns);
+  const Duration hop = config.nodes > 1 ? tb->network.model().cross_node
+                                        : tb->network.model().same_node;
+  const double hop_ns = static_cast<double>(hop.ns());
   spec.autosize_pools(w.base_rate_rps, hop_ns);
   Application::Options app_opts;
   app_opts.metrics_interval = config.metrics_interval;
@@ -240,14 +241,15 @@ ProfileResult profile_workload(const WorkloadInfo& workload, int nodes,
     ContainerTargets t;
     t.expected_exec_metric_ns =
         target_mult * m.lifetime_avg_exec_metric_ns();
-    t.expected_time_from_start = Duration{static_cast<SimTime>(
+    t.expected_time_from_start = Duration{static_cast<std::int64_t>(
         target_mult * m.lifetime_avg_time_from_start_ns())};
     prof.targets.per_container.emplace(c.id(), t);
   }
   const LoadGenResults res = gen.results();
-  prof.low_load_mean_latency = static_cast<SimTime>(res.mean_latency_ns);
+  prof.low_load_mean_latency =
+      Duration{static_cast<std::int64_t>(res.mean_latency_ns)};
   prof.low_load_p98 = res.p98;
-  prof.targets.expected_e2e_latency = Duration{prof.low_load_mean_latency};
+  prof.targets.expected_e2e_latency = prof.low_load_mean_latency;
   SG_ASSERT_MSG(res.completed > 0, "profiling run completed no requests");
   return prof;
 }
@@ -259,8 +261,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   LoadGenOptions gen_opts;
   gen_opts.pattern = pattern;
-  gen_opts.qos = static_cast<SimTime>(
-      config.qos_mult * static_cast<double>(profile.low_load_mean_latency));
+  gen_opts.qos = config.qos_mult * profile.low_load_mean_latency;
   gen_opts.warmup = config.warmup;
   gen_opts.duration = config.duration;
   gen_opts.vv_window = config.vv_window;
@@ -274,8 +275,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   if (TraceSink* trace = tb->sim.trace_sink()) {
     // Tail sampling keys off the run's QoS (known only now).
-    trace->set_slo_threshold(
-        Duration{config.trace_keep_violators ? gen_opts.qos : 0});
+    trace->set_slo_threshold(config.trace_keep_violators ? gen_opts.qos
+                                                         : Duration::zero());
   }
 
   tb->start_controllers();
@@ -285,15 +286,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // periodic windows during which every packet pays an extra delay. One
   // toggle event per sender (client + each node); the per-sender events
   // count towards the pinned event total, so they are not merged.
-  if (config.net_delay_len > 0 && config.net_delay_extra > 0) {
-    for (SimTime start = config.warmup + config.first_surge_offset;
+  if (config.net_delay_len > Duration::zero() &&
+      config.net_delay_extra > Duration::zero()) {
+    for (TimePoint start =
+             TimePoint::at(config.warmup + config.first_surge_offset);
          start < gen.measure_end(); start += config.net_delay_period) {
       for (int src = kClientNode; src < config.nodes; ++src) {
         tb->sim.schedule_at(start, [&tb, &config, src]() {
           tb->network.set_extra_delay_for(src, config.net_delay_extra);
         });
         tb->sim.schedule_at(start + config.net_delay_len, [&tb, src]() {
-          tb->network.set_extra_delay_for(src, 0);
+          tb->network.set_extra_delay_for(src, Duration::zero());
         });
       }
     }
@@ -318,7 +321,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
 
   tb->sim.run_until(gen.measure_end());
-  if (config.drain > 0) {
+  if (config.drain > Duration::zero()) {
     // Drain phase: no new arrivals; in-flight and retried requests finish
     // (or exhaust their retries) before results are read.
     gen.stop();
@@ -354,16 +357,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       const Container& c = tb->app->service_container(i);
       ContainerTrace trace;
       trace.name = c.name();
-      trace.cores = c.core_timeline().sample(0, gen.measure_end(),
+      trace.cores = c.core_timeline().sample(TimePoint::origin(),
+                                             gen.measure_end(),
                                              config.trace_sample_interval);
-      trace.frequency = c.freq_timeline().sample(0, gen.measure_end(),
-                                                 config.trace_sample_interval);
+      trace.frequency = c.freq_timeline().sample(
+          TimePoint::origin(), gen.measure_end(), config.trace_sample_interval);
       out.alloc_traces.push_back(std::move(trace));
     }
   }
   if (config.record_latency_series) {
     out.latency_series = gen.vv_tracker().latency_series().sample(
-        0, gen.measure_end(), config.vv_window);
+        TimePoint::origin(), gen.measure_end(), config.vv_window);
   }
   if (TraceSink* trace = tb->sim.trace_sink()) {
     std::vector<TraceContainerInfo> info;

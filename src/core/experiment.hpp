@@ -47,9 +47,9 @@ const char* to_string(ControllerKind k);
 struct ProfileResult {
   TargetMap targets;
   /// Mean end-to-end latency at low load (QoS derives from this).
-  SimTime low_load_mean_latency = 0;
+  Duration low_load_mean_latency;
   /// Mean end-to-end latency observed (diagnostics).
-  SimTime low_load_p98 = 0;
+  Duration low_load_p98;
 };
 
 struct ExperimentConfig {
@@ -61,12 +61,12 @@ struct ExperimentConfig {
   /// Surge shape: spike_rate = surge_mult * base rate, for surge_len, every
   /// surge_period, first one at warmup + first_surge_offset.
   double surge_mult = 1.75;
-  SimTime surge_len = 2 * kSecond;
-  SimTime surge_period = 10 * kSecond;
-  SimTime first_surge_offset = 1 * kSecond;
+  Duration surge_len = 2 * kSecond;
+  Duration surge_period = 10 * kSecond;
+  Duration first_surge_offset = 1 * kSecond;
 
-  SimTime warmup = 5 * kSecond;
-  SimTime duration = 30 * kSecond;
+  Duration warmup = 5 * kSecond;
+  Duration duration = 30 * kSecond;
 
   /// QoS target = qos_mult x low-load mean e2e latency (wrk2_spike -qos).
   /// 2x leaves headroom over base-load tails yet is tight enough that even
@@ -75,8 +75,8 @@ struct ExperimentConfig {
   /// Per-container targets = target_mult x low-load profile (paper: 2x).
   double target_mult = 2.0;
 
-  SimTime metrics_interval = 50 * kMillisecond;
-  SimTime vv_window = 5 * kMillisecond;
+  Duration metrics_interval = 50 * kMillisecond;
+  Duration vv_window = 5 * kMillisecond;
 
   /// Node sizing: allocatable cores = ceil(initial_on_node * free_headroom)
   /// (artifact: workload initialized to 2/3 of allocatable cores).
@@ -96,9 +96,9 @@ struct ExperimentConfig {
   /// `net_delay_extra` during windows of `net_delay_len` every
   /// `net_delay_period`, first at warmup + first_surge_offset. Models the
   /// paper's "surges in ... network latency" disruption class.
-  SimTime net_delay_extra = 0;
-  SimTime net_delay_len = 0;
-  SimTime net_delay_period = 10 * kSecond;
+  Duration net_delay_extra;
+  Duration net_delay_len;
+  Duration net_delay_period = 10 * kSecond;
 
   /// Deterministic fault schedule (chaos experiments). Empty = no faults and
   /// a bit-identical pre-fault event sequence. Window times are absolute
@@ -113,16 +113,16 @@ struct ExperimentConfig {
   /// Extra time simulated after measure_end with the generator stopped, so
   /// retried requests drain before results are read. Chaos runs should set
   /// this to at least the retry policy's worst-case backoff sum.
-  SimTime drain = 0;
+  Duration drain;
 
   /// IdealOracle detection delay (Fig. 4).
-  SimTime ideal_detection_delay = 200 * kMicrosecond;
-  SimTime ideal_drain_window = 500 * kMillisecond;
+  Duration ideal_detection_delay = 200 * kMicrosecond;
+  Duration ideal_drain_window = 500 * kMillisecond;
 
   /// Record per-container allocation timelines / output-latency series.
   bool record_alloc_timelines = false;
   bool record_latency_series = false;
-  SimTime trace_sample_interval = 100 * kMillisecond;
+  Duration trace_sample_interval = 100 * kMillisecond;
 
   /// Per-request distributed tracing (sg::trace). Off by default: the
   /// instrumented paths then reduce to one null check and the run is
@@ -174,8 +174,8 @@ struct ExperimentResult {
   /// from the testbed: exporters can run after the simulation is gone.
   std::optional<TraceReport> trace;
 
-  SimTime measure_start = 0;
-  SimTime measure_end = 0;
+  TimePoint measure_start;
+  TimePoint measure_end;
 };
 
 /// Profiles the workload at low load (10% of base rate) with a static

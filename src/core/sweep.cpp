@@ -50,7 +50,7 @@ std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
       s.violation_volume[k] = r.load.violation_volume_ms_s;
       s.avg_cores[k] = r.avg_cores;
       s.energy_joules[k] = r.energy_joules;
-      s.p98_ms[k] = to_millis(r.load.p98);
+      s.p98_ms[k] = r.load.p98.millis();
       if (k == 0) s.first = std::move(r);
     }
   };

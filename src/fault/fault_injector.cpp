@@ -108,7 +108,7 @@ Rng& FaultInjector::stream_for(int src_node) {
 }
 
 PacketFate FaultInjector::on_send(const RpcPacket& pkt) {
-  const SimTime now = sim_.now();
+  const TimePoint now = sim_.now();
   Rng& rng = stream_for(pkt.src_node);
   PacketFate fate;
   // Draw order is fixed (drop, then dup) and unconditional within an active
@@ -125,8 +125,8 @@ PacketFate FaultInjector::on_send(const RpcPacket& pkt) {
     fate.duplicate = true;
     ++stats_.packets_duplicated;
   }
-  fate.extra_delay_ns = plan_.extra_delay_at(now);
-  if (fate.extra_delay_ns > 0) ++stats_.packets_delayed;
+  fate.extra_delay = plan_.extra_delay_at(now);
+  if (fate.extra_delay > Duration::zero()) ++stats_.packets_delayed;
   return fate;
 }
 

@@ -75,7 +75,7 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
     }
     FaultWindow w;
     w.kind = *kind;
-    SimTime len = 0;
+    Duration len;
     for (const std::string& kv_raw : split(entry.substr(colon + 1), ',')) {
       const std::string kv = trim(kv_raw);
       if (kv.empty()) continue;
@@ -91,15 +91,15 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
         return fail("non-numeric value '" + val + "' for key '" + key + "'");
       }
       if (key == "start_ms") {
-        w.start = static_cast<SimTime>(num * 1e6);
+        w.start = TimePoint{static_cast<std::int64_t>(num * 1e6)};
       } else if (key == "len_ms") {
-        len = static_cast<SimTime>(num * 1e6);
+        len = Duration{static_cast<std::int64_t>(num * 1e6)};
       } else if (key == "rate") {
         w.rate = num;
       } else if (key == "factor") {
         w.factor = num;
       } else if (key == "extra_us") {
-        w.extra_delay_ns = static_cast<SimTime>(num * 1e3);
+        w.extra_delay = Duration{static_cast<std::int64_t>(num * 1e3)};
       } else if (key == "node") {
         w.node = static_cast<int>(num);
       } else {
@@ -126,7 +126,9 @@ bool FaultPlan::validate(std::string* error) const {
   };
   for (const FaultWindow& w : windows_) {
     const std::string tag = std::string(sg::to_string(w.kind));
-    if (w.start < 0) return fail(tag + " window starts before t=0");
+    if (w.start < TimePoint::origin()) {
+      return fail(tag + " window starts before t=0");
+    }
     if (w.end <= w.start) {
       return fail(tag + " window needs a positive len_ms");
     }
@@ -138,7 +140,7 @@ bool FaultPlan::validate(std::string* error) const {
         }
         break;
       case FaultKind::kPacketDelay:
-        if (w.extra_delay_ns < 0) {
+        if (w.extra_delay < Duration::zero()) {
           return fail("delay extra_us must be >= 0");
         }
         break;
@@ -162,7 +164,7 @@ std::string FaultPlan::to_string() const {
     if (!out.empty()) out += ";";
     out += sg::to_string(w.kind);
     std::snprintf(buf, sizeof(buf), ":start_ms=%g,len_ms=%g",
-                  to_millis(w.start), to_millis(w.end - w.start));
+                  w.start.since_origin().millis(), (w.end - w.start).millis());
     out += buf;
     switch (w.kind) {
       case FaultKind::kPacketDrop:
@@ -172,7 +174,7 @@ std::string FaultPlan::to_string() const {
         break;
       case FaultKind::kPacketDelay:
         std::snprintf(buf, sizeof(buf), ",extra_us=%g",
-                      to_micros(w.extra_delay_ns));
+                      w.extra_delay.micros());
         out += buf;
         break;
       case FaultKind::kNodeSlowdown:
@@ -191,7 +193,7 @@ std::string FaultPlan::to_string() const {
   return out;
 }
 
-double FaultPlan::drop_rate_at(SimTime t) const {
+double FaultPlan::drop_rate_at(TimePoint t) const {
   double keep = 1.0;
   for (const FaultWindow& w : windows_) {
     if (w.kind == FaultKind::kPacketDrop && w.active_at(t)) {
@@ -201,7 +203,7 @@ double FaultPlan::drop_rate_at(SimTime t) const {
   return 1.0 - keep;
 }
 
-double FaultPlan::dup_rate_at(SimTime t) const {
+double FaultPlan::dup_rate_at(TimePoint t) const {
   double keep = 1.0;
   for (const FaultWindow& w : windows_) {
     if (w.kind == FaultKind::kPacketDup && w.active_at(t)) {
@@ -211,25 +213,25 @@ double FaultPlan::dup_rate_at(SimTime t) const {
   return 1.0 - keep;
 }
 
-SimTime FaultPlan::extra_delay_at(SimTime t) const {
-  SimTime total = 0;
+Duration FaultPlan::extra_delay_at(TimePoint t) const {
+  Duration total;
   for (const FaultWindow& w : windows_) {
     if (w.kind == FaultKind::kPacketDelay && w.active_at(t)) {
-      total += w.extra_delay_ns;
+      total += w.extra_delay;
     }
   }
   return total;
 }
 
-bool FaultPlan::controller_stalled_at(SimTime t) const {
+bool FaultPlan::controller_stalled_at(TimePoint t) const {
   for (const FaultWindow& w : windows_) {
     if (w.kind == FaultKind::kControllerStall && w.active_at(t)) return true;
   }
   return false;
 }
 
-SimTime FaultPlan::horizon() const {
-  SimTime h = 0;
+TimePoint FaultPlan::horizon() const {
+  TimePoint h;
   for (const FaultWindow& w : windows_) h = std::max(h, w.end);
   return h;
 }

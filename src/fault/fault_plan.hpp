@@ -6,7 +6,7 @@
 //
 //   kPacketDrop     packets lost on the wire with probability `rate`
 //   kPacketDup      packets delivered twice with probability `rate`
-//   kPacketDelay    every packet pays `extra_delay_ns` more one-way latency
+//   kPacketDelay    every packet pays `extra_delay` more one-way latency
 //   kNodeSlowdown   containers on `node` execute at `factor` x normal speed
 //   kNodeFreeze     `node` loses all cores for the window, then restarts
 //                   with its pre-freeze allocation
@@ -44,18 +44,18 @@ const char* to_string(FaultKind k);
 /// node (node-scoped kinds only).
 struct FaultWindow {
   FaultKind kind = FaultKind::kPacketDrop;
-  SimTime start = 0;
-  SimTime end = 0;
+  TimePoint start;
+  TimePoint end;
   /// Per-packet probability for kPacketDrop / kPacketDup.
   double rate = 0.0;
   /// Execution-speed multiplier for kNodeSlowdown, in (0, 1].
   double factor = 1.0;
   /// Additional one-way packet delay for kPacketDelay.
-  SimTime extra_delay_ns = 0;
+  Duration extra_delay;
   /// Target node for kNodeSlowdown / kNodeFreeze (-1 = all nodes).
   int node = -1;
 
-  bool active_at(SimTime t) const { return t >= start && t < end; }
+  bool active_at(TimePoint t) const { return t >= start && t < end; }
 };
 
 class FaultPlan {
@@ -97,19 +97,20 @@ class FaultPlan {
 
   /// Combined drop probability of all active kPacketDrop windows at t
   /// (independent windows compose: 1 - prod(1 - rate_i)).
-  double drop_rate_at(SimTime t) const;
+  double drop_rate_at(TimePoint t) const;
 
   /// Combined duplication probability of active kPacketDup windows at t.
-  double dup_rate_at(SimTime t) const;
+  double dup_rate_at(TimePoint t) const;
 
   /// Sum of active kPacketDelay windows' extra delay at t.
-  SimTime extra_delay_at(SimTime t) const;
+  Duration extra_delay_at(TimePoint t) const;
 
   /// True when a kControllerStall window is active at t.
-  bool controller_stalled_at(SimTime t) const;
+  bool controller_stalled_at(TimePoint t) const;
 
-  /// Last window end (0 for an empty plan): the horizon a drain must cover.
-  SimTime horizon() const;
+  /// Last window end (the origin for an empty plan): the horizon a drain
+  /// must cover.
+  TimePoint horizon() const;
 
  private:
   std::vector<FaultWindow> windows_;

@@ -19,7 +19,7 @@ void ContainerRuntimeMetrics::record_visit(const VisitRecord& rec) {
   lifetime_time_from_start_.add(static_cast<double>(rec.time_from_start.ns()));
 }
 
-MetricsSnapshot ContainerRuntimeMetrics::flush(SimTime now) {
+MetricsSnapshot ContainerRuntimeMetrics::flush(TimePoint now) {
   MetricsSnapshot snap;
   snap.container = container_;
   snap.window_end = now;

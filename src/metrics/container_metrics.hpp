@@ -38,7 +38,7 @@ struct VisitRecord {
 /// Windowed averages published by a container runtime.
 struct MetricsSnapshot {
   int container = 0;
-  SimTime window_end = 0;
+  TimePoint window_end;
   long visits = 0;
 
   double avg_exec_time_ns = 0.0;
@@ -67,7 +67,7 @@ class ContainerRuntimeMetrics {
   long window_visits() const { return exec_time_.count(); }
 
   /// Closes the window: returns the snapshot and starts a fresh window.
-  MetricsSnapshot flush(SimTime now);
+  MetricsSnapshot flush(TimePoint now);
 
   /// Lifetime counters (profiling / sanity checks).
   std::uint64_t total_visits() const { return total_visits_; }

@@ -19,7 +19,8 @@ std::vector<int> MetricsBus::known_containers() const {
   return out;
 }
 
-bool MetricsBus::is_stale(int container, SimTime now, SimTime staleness) const {
+bool MetricsBus::is_stale(int container, TimePoint now,
+                          Duration staleness) const {
   const auto it = latest_.find(container);
   if (it == latest_.end()) return true;
   return now - it->second.window_end > staleness;

@@ -28,7 +28,7 @@ class MetricsBus {
   /// True when the latest snapshot for `container` is older than `now -
   /// staleness`; controllers skip stale entries so an idle container does
   /// not get judged on ancient data.
-  bool is_stale(int container, SimTime now, SimTime staleness) const;
+  bool is_stale(int container, TimePoint now, Duration staleness) const;
 
  private:
   // Ordered map: controllers and exporters enumerate published containers,

@@ -10,7 +10,7 @@ Network::Network(Simulator& sim, NetworkLatencyModel model)
       model_(model),
       rng_(sim.rng().fork()),
       delivery_seq_(1, 0),
-      extra_delay_(1, model.extra_delay_ns) {}
+      extra_delay_(1, model.extra_delay) {}
 
 void Network::configure_node_streams(int node_count) {
   SG_ASSERT_MSG(node_count >= 1, "network needs at least one node");
@@ -22,7 +22,7 @@ void Network::configure_node_streams(int node_count) {
   for (int n = 0; n < node_count; ++n) node_streams_.push_back(rng_.fork());
   delivery_seq_.assign(static_cast<std::size_t>(node_count) + 1, 0);
   extra_delay_.assign(static_cast<std::size_t>(node_count) + 1,
-                      model_.extra_delay_ns);
+                      model_.extra_delay);
 }
 
 void Network::register_receiver(int container, Receiver receiver) {
@@ -47,11 +47,11 @@ std::size_t Network::delay_slot(int src_node) const {
   return slot;
 }
 
-void Network::set_extra_delay(SimTime d) {
-  for (SimTime& slot : extra_delay_) slot = d;
+void Network::set_extra_delay(Duration d) {
+  for (Duration& slot : extra_delay_) slot = d;
 }
 
-void Network::set_extra_delay_for(int src_node, SimTime d) {
+void Network::set_extra_delay_for(int src_node, Duration d) {
   extra_delay_[delay_slot(src_node)] = d;
 }
 
@@ -75,18 +75,18 @@ std::uint64_t Network::next_delivery_rank(int src_node) {
          delivery_seq_[slot]++;
 }
 
-SimTime Network::sample_latency(int src_node, int dst_node) {
-  const SimTime base =
-      src_node == dst_node ? model_.same_node_ns : model_.cross_node_ns;
+Duration Network::sample_latency(int src_node, int dst_node) {
+  const Duration base =
+      src_node == dst_node ? model_.same_node : model_.cross_node;
   const double scale =
       stream_for(src_node).uniform(1.0 - model_.jitter, 1.0 + model_.jitter);
-  SimTime latency = static_cast<SimTime>(static_cast<double>(base) * scale);
+  Duration latency = base * scale;
   latency += extra_delay_[delay_slot(src_node)];
-  return latency < 0 ? 0 : latency;
+  return latency < Duration::zero() ? Duration::zero() : latency;
 }
 
 void Network::schedule_delivery(int src_node, const RpcPacket& pkt,
-                                SimTime latency) {
+                                Duration latency) {
   sim_.schedule_at_ranked(sim_.now() + latency, next_delivery_rank(src_node),
                           [this, pkt]() { deliver(pkt); });
 }
@@ -96,7 +96,7 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
   // copy. Traced packets get their send time stamped on it so delivery can
   // record the transit as a net-hop span.
   RpcPacket pkt = pkt_in;
-  if (pkt.traced) pkt.sent_at = sim_.now_point();
+  if (pkt.traced) pkt.sent_at = sim_.now();
   if (fault_hook_ != nullptr) {
     const PacketFate fate = fault_hook_->on_send(pkt);
     if (fate.drop) {
@@ -104,21 +104,21 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
       ++packets_dropped_;
       return;
     }
-    const SimTime latency =
-        sample_latency(src_node, pkt.dst_node) + fate.extra_delay_ns;
+    const Duration latency =
+        sample_latency(src_node, pkt.dst_node) + fate.extra_delay;
     schedule_delivery(src_node, pkt, latency);
     if (fate.duplicate) {
       ++packets_duplicated_;
       // The duplicate travels independently: its own latency draw (plus the
       // same fault delay), its own delivery, its own trip through the rx
       // hook chain.
-      const SimTime dup_latency =
-          sample_latency(src_node, pkt.dst_node) + fate.extra_delay_ns;
+      const Duration dup_latency =
+          sample_latency(src_node, pkt.dst_node) + fate.extra_delay;
       schedule_delivery(src_node, pkt, dup_latency);
     }
     return;
   }
-  const SimTime latency = sample_latency(src_node, pkt.dst_node);
+  const Duration latency = sample_latency(src_node, pkt.dst_node);
   schedule_delivery(src_node, pkt, latency);
 }
 
@@ -134,7 +134,7 @@ void Network::deliver(const RpcPacket& pkt) {
       span.container = pkt.dst_container;
       span.src_container = pkt.src_container;
       span.begin = pkt.sent_at;
-      span.end = sim_.now_point();
+      span.end = sim_.now();
       span.is_response = pkt.is_response;
       trace->add_span(span);
     }

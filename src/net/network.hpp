@@ -43,7 +43,7 @@ struct PacketFate {
   /// chain and the receiver callback once.
   bool duplicate = false;
   /// Additional one-way delay for this packet (both copies when duplicated).
-  SimTime extra_delay_ns = 0;
+  Duration extra_delay;
 };
 
 /// Wire-level fault decision point (the sg::fault attachment). Consulted
@@ -56,13 +56,13 @@ class PacketFaultHook {
 };
 
 struct NetworkLatencyModel {
-  SimTime same_node_ns = 15 * kMicrosecond;   // loopback RPC stack overhead
-  SimTime cross_node_ns = 40 * kMicrosecond;  // ToR-switch hop
+  Duration same_node = 15 * kMicrosecond;   // loopback RPC stack overhead
+  Duration cross_node = 40 * kMicrosecond;  // ToR-switch hop
   /// Multiplicative jitter: latency is scaled by U[1-jitter, 1+jitter].
   double jitter = 0.1;
   /// Additional delay injected on every packet (used by experiments that
   /// model transient network slowdowns).
-  SimTime extra_delay_ns = 0;
+  Duration extra_delay;
 };
 
 class Network {
@@ -101,12 +101,12 @@ class Network {
   void send(int src_node, const RpcPacket& pkt);
 
   /// Changes the extra per-packet delay for every sender at once.
-  void set_extra_delay(SimTime d);
+  void set_extra_delay(Duration d);
 
   /// Changes the extra per-packet delay for one sender (kClientNode for the
   /// client). Experiments schedule one toggle event per node; those events
   /// count towards the pinned event total.
-  void set_extra_delay_for(int src_node, SimTime d);
+  void set_extra_delay_for(int src_node, Duration d);
 
   /// Installs the wire-level fault hook (nullptr clears it). Non-owning;
   /// the hook must outlive the network. With no hook installed, send() takes
@@ -123,8 +123,8 @@ class Network {
   std::size_t delay_slot(int src_node) const;
   Rng& stream_for(int src_node);
   std::uint64_t next_delivery_rank(int src_node);
-  SimTime sample_latency(int src_node, int dst_node);
-  void schedule_delivery(int src_node, const RpcPacket& pkt, SimTime latency);
+  Duration sample_latency(int src_node, int dst_node);
+  void schedule_delivery(int src_node, const RpcPacket& pkt, Duration latency);
   void deliver(const RpcPacket& pkt);
 
   Simulator& sim_;
@@ -138,7 +138,7 @@ class Network {
   std::vector<std::uint64_t> delivery_seq_;
   // Extra per-packet delay by source (slot 0 = client; a single shared slot
   // until configure_node_streams).
-  std::vector<SimTime> extra_delay_;
+  std::vector<Duration> extra_delay_;
   // Ordered maps (determinism rule D1): lookup-only today, but any future
   // traversal must not depend on hash order.
   std::map<int, Receiver> receivers_;

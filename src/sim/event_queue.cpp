@@ -4,7 +4,7 @@
 
 namespace sg {
 
-EventId EventQueue::push(SimTime time, std::uint64_t rank, Callback cb) {
+EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback cb) {
   const EventId id = next_id_++;
   heap_.push(Entry{time, rank, next_seq_++, id, std::move(cb)});
   pending_.insert(id);
@@ -27,9 +27,9 @@ void EventQueue::drop_cancelled() const {
   }
 }
 
-SimTime EventQueue::next_time() const {
+TimePoint EventQueue::next_time() const {
   drop_cancelled();
-  return heap_.empty() ? kTimeInfinity : heap_.top().time;
+  return heap_.empty() ? TimePoint::infinity() : heap_.top().time;
 }
 
 EventQueue::Fired EventQueue::pop() {

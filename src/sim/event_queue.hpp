@@ -35,12 +35,12 @@ class EventQueue {
   using Callback = std::function<void()>;
 
   /// Adds an event; returns a handle usable with cancel().
-  EventId push(SimTime time, Callback cb) {
+  EventId push(TimePoint time, Callback cb) {
     return push(time, kDefaultRank, std::move(cb));
   }
 
   /// Adds an event with an explicit tie-break rank.
-  EventId push(SimTime time, std::uint64_t rank, Callback cb);
+  EventId push(TimePoint time, std::uint64_t rank, Callback cb);
 
   /// Cancels a pending event. Safe to call on already-fired or invalid
   /// handles (no-op). Returns true when the event was actually pending.
@@ -49,13 +49,13 @@ class EventQueue {
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
 
-  /// Time of the earliest live event (kTimeInfinity when empty).
-  SimTime next_time() const;
+  /// Time of the earliest live event (TimePoint::infinity() when empty).
+  TimePoint next_time() const;
 
   /// Removes and returns the earliest live event.
   /// Precondition: !empty().
   struct Fired {
-    SimTime time;
+    TimePoint time;
     EventId id;
     Callback cb;
   };
@@ -63,7 +63,7 @@ class EventQueue {
 
  private:
   struct Entry {
-    SimTime time;
+    TimePoint time;
     std::uint64_t rank;
     std::uint64_t seq;
     EventId id;

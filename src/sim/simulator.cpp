@@ -20,19 +20,19 @@ TraceSink& Simulator::enable_tracing(const TraceOptions& options) {
 
 void Simulator::disable_tracing() { trace_sink_.reset(); }
 
-EventId Simulator::schedule_at(SimTime t, EventQueue::Callback cb) {
+EventId Simulator::schedule_at(TimePoint t, EventQueue::Callback cb) {
   if (t < now_) t = now_;
   return queue_.push(t, std::move(cb));
 }
 
-EventId Simulator::schedule_at_ranked(SimTime t, std::uint64_t rank,
+EventId Simulator::schedule_at_ranked(TimePoint t, std::uint64_t rank,
                                       EventQueue::Callback cb) {
   if (t < now_) t = now_;
   return queue_.push(t, rank, std::move(cb));
 }
 
-EventId Simulator::schedule_after(SimTime delay, EventQueue::Callback cb) {
-  if (delay < 0) delay = 0;
+EventId Simulator::schedule_after(Duration delay, EventQueue::Callback cb) {
+  if (delay < Duration::zero()) delay = Duration::zero();
   return queue_.push(now_ + delay, std::move(cb));
 }
 
@@ -46,7 +46,7 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::run_until(SimTime end) {
+void Simulator::run_until(TimePoint end) {
   while (!queue_.empty() && queue_.next_time() <= end) {
     step();
   }
@@ -58,10 +58,11 @@ void Simulator::run_to_completion() {
   }
 }
 
-void Simulator::schedule_periodic(SimTime start, SimTime period,
+void Simulator::schedule_periodic(TimePoint start, Duration period,
                                   std::function<bool()> fn,
                                   TickClass tick_class) {
-  SG_ASSERT_MSG(period > 0, "periodic event needs a positive period");
+  SG_ASSERT_MSG(period > Duration::zero(),
+                "periodic event needs a positive period");
   // Each firing reschedules itself. Only event callbacks hold strong
   // references to the closure; the closure holds a weak one, so the chain is
   // freed as soon as fn() returns false or the queue is destroyed (no cycle).

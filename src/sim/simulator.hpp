@@ -26,31 +26,23 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  SimTime now() const { return now_; }
-  /// The clock as a strong timestamp (quantity layer, DESIGN.md §8).
-  TimePoint now_point() const { return TimePoint::at(now()); }
+  TimePoint now() const { return now_; }
+  /// Alias of now() for the benchmark harness (simbench/simbench.cpp), which
+  /// still calls it; delete it once the harness calls now().
+  TimePoint now_point() const { return now_; }
   Rng& rng() { return rng_; }
 
   /// Schedules a callback at absolute time t (clamped to now for past times,
   /// so "immediate" follow-ups from within a handler are legal).
-  EventId schedule_at(SimTime t, EventQueue::Callback cb);
+  EventId schedule_at(TimePoint t, EventQueue::Callback cb);
 
   /// schedule_at with an explicit same-timestamp tie-break rank (see
   /// EventQueue); used by Network so delivery order is canonical.
-  EventId schedule_at_ranked(SimTime t, std::uint64_t rank,
+  EventId schedule_at_ranked(TimePoint t, std::uint64_t rank,
                              EventQueue::Callback cb);
 
   /// Schedules a callback `delay` from now (delay < 0 clamps to 0).
-  EventId schedule_after(SimTime delay, EventQueue::Callback cb);
-
-  // Strong-typed equivalents: migrated call sites pass TimePoint/Duration
-  // directly instead of raw nanosecond counts.
-  EventId schedule_at(TimePoint t, EventQueue::Callback cb) {
-    return schedule_at(t.ns(), std::move(cb));
-  }
-  EventId schedule_after(Duration delay, EventQueue::Callback cb) {
-    return schedule_after(delay.ns(), std::move(cb));
-  }
+  EventId schedule_after(Duration delay, EventQueue::Callback cb);
 
   /// Cancels a pending event (no-op for fired/unknown handles).
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -60,7 +52,7 @@ class Simulator {
 
   /// Runs events with time <= end; the clock finishes exactly at `end` even
   /// if the queue drains early (so time-integrated statistics are exact).
-  void run_until(SimTime end);
+  void run_until(TimePoint end);
 
   /// Runs until the event queue is empty.
   void run_to_completion();
@@ -79,19 +71,9 @@ class Simulator {
   /// When a tick gate is installed and vetoes a firing, fn is skipped for
   /// that period (the tick is "missed") but the chain keeps rescheduling —
   /// this models a stalled controller that resumes after the stall window.
-  void schedule_periodic(SimTime start, SimTime period,
-                         std::function<bool()> fn,
-                         TickClass tick_class = TickClass::kDefault);
-
-  /// Strong-typed equivalent of schedule_periodic.
   void schedule_periodic(TimePoint start, Duration period,
                          std::function<bool()> fn,
-                         TickClass tick_class = TickClass::kDefault) {
-    schedule_periodic(start.ns(), period.ns(), std::move(fn), tick_class);
-  }
-
-  /// Strong-typed equivalent of run_until.
-  void run_until(TimePoint end) { run_until(end.ns()); }
+                         TickClass tick_class = TickClass::kDefault);
 
   /// Installs the periodic-tick gate (nullptr clears it). The gate returns
   /// false to veto a firing of the given class. Installed by the fault
@@ -123,7 +105,7 @@ class Simulator {
 
  private:
   EventQueue queue_;
-  SimTime now_ = 0;
+  TimePoint now_;
   std::uint64_t events_processed_ = 0;
   std::uint64_t ticks_stalled_ = 0;
   Rng rng_;

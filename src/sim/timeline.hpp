@@ -20,38 +20,38 @@ class StepTimeline {
 
   /// Records a new value effective from `t`. Times must be non-decreasing;
   /// same-time updates overwrite (last writer wins).
-  void set(SimTime t, double value);
+  void set(TimePoint t, double value);
 
   /// Current (latest) value.
   double current() const { return points_.back().value; }
 
   /// Value in effect at time t (t before the first point returns the
   /// initial value).
-  double at(SimTime t) const;
+  double at(TimePoint t) const;
 
   /// Time integral of the series over [t0, t1] (units: value * ns).
-  double integrate(SimTime t0, SimTime t1) const;
+  double integrate(TimePoint t0, TimePoint t1) const;
 
   /// Time-weighted average over [t0, t1].
-  double average(SimTime t0, SimTime t1) const;
+  double average(TimePoint t0, TimePoint t1) const;
 
   /// Time integral of max(0, value - threshold) over [t0, t1]. This is the
   /// violation-volume primitive (paper Fig. 3) when the series is latency.
-  double integrate_above(SimTime t0, SimTime t1, double threshold) const;
+  double integrate_above(TimePoint t0, TimePoint t1, double threshold) const;
 
   /// Total time within [t0, t1] during which value > threshold. With a
   /// frequency timeline and threshold = base MHz this is the
   /// "boost active" duration trace spans report.
-  SimTime time_above(SimTime t0, SimTime t1, double threshold) const;
+  Duration time_above(TimePoint t0, TimePoint t1, double threshold) const;
 
   struct Point {
-    SimTime time;
+    TimePoint time;
     double value;
   };
   const std::vector<Point>& points() const { return points_; }
 
   /// Samples the series every `dt` over [t0, t1] (for CSV/plot output).
-  std::vector<Point> sample(SimTime t0, SimTime t1, SimTime dt) const;
+  std::vector<Point> sample(TimePoint t0, TimePoint t1, Duration dt) const;
 
  private:
   std::vector<Point> points_;

@@ -38,7 +38,8 @@ std::string json_escape(const std::string& s) {
 
 /// Nanoseconds -> microseconds with exact 3-decimal precision (integer
 /// arithmetic: no float rounding, so output is byte-stable).
-std::string fmt_us(SimTime ns) {
+std::string fmt_us(Duration d) {
+  const std::int64_t ns = d.ns();
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%lld.%03lld",
                 static_cast<long long>(ns / 1000),
@@ -46,8 +47,7 @@ std::string fmt_us(SimTime ns) {
   return buf;
 }
 
-std::string fmt_us(TimePoint p) { return fmt_us(p.ns()); }
-std::string fmt_us(Duration d) { return fmt_us(d.ns()); }
+std::string fmt_us(TimePoint p) { return fmt_us(p.since_origin()); }
 
 std::string fmt_us_d(double ns) {
   char buf[32];

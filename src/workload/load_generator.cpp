@@ -33,22 +33,24 @@ void LoadGenerator::schedule_next_arrival() {
     // accept with probability rate(t)/max_rate. Exact for piecewise-constant
     // rates, which is all SpikePattern produces.
     const double gap = rng_.exponential(mean_gap_ns);
-    sim_.schedule_after(static_cast<SimTime>(gap), [this, max_rate]() {
-      const double accept_p =
-          options_.pattern.rate_at(sim_.now()) / max_rate;
-      if (rng_.uniform() < accept_p) issue_request();
-      schedule_next_arrival();
-    });
+    sim_.schedule_after(
+        Duration{static_cast<std::int64_t>(gap)}, [this, max_rate]() {
+          const double accept_p =
+              options_.pattern.rate_at(sim_.now()) / max_rate;
+          if (rng_.uniform() < accept_p) issue_request();
+          schedule_next_arrival();
+        });
   } else {
     // Constant-throughput pacing (wrk2's scheduling model) at the
     // instantaneous rate. When a rate-change boundary lands before the next
     // scheduled arrival, pacing re-synchronizes at the boundary so even
     // spikes shorter than one base-rate gap are generated.
-    const SimTime now = sim_.now();
+    const TimePoint now = sim_.now();
     const double rate_now = options_.pattern.rate_at(now);
-    const SimTime gap =
-        std::max<SimTime>(1, static_cast<SimTime>(std::llround(1e9 / rate_now)));
-    const SimTime boundary = options_.pattern.next_rate_change(now);
+    const Duration gap = std::max(
+        Duration::ns(1),
+        Duration{static_cast<std::int64_t>(std::llround(1e9 / rate_now))});
+    const TimePoint boundary = options_.pattern.next_rate_change(now);
     if (boundary < now + gap) {
       sim_.schedule_at(boundary, [this]() { schedule_next_arrival(); });
     } else {
@@ -62,7 +64,7 @@ void LoadGenerator::schedule_next_arrival() {
 
 void LoadGenerator::issue_request() {
   const RequestId id = next_request_++;
-  const TimePoint now = sim_.now_point();
+  const TimePoint now = sim_.now();
   ++issued_;
   Outstanding& o = outstanding_[id];
   o.start = now;
@@ -130,7 +132,7 @@ void LoadGenerator::on_response(const RpcPacket& pkt) {
     return;
   }
   if (it->second.timer != kInvalidEvent) sim_.cancel(it->second.timer);
-  const TimePoint now = sim_.now_point();
+  const TimePoint now = sim_.now();
   const Duration latency = now - it->second.start;
   if (it->second.traced) {
     // The response's final net-hop span was recorded at delivery (before
@@ -141,9 +143,9 @@ void LoadGenerator::on_response(const RpcPacket& pkt) {
   }
   outstanding_.erase(it);
   ++completed_total_;
-  vv_.record_completion(now.ns(), latency.ns());
-  if (now.ns() >= measure_start() && now.ns() < measure_end()) {
-    histogram_.record(latency.ns());
+  vv_.record_completion(now, latency);
+  if (now >= measure_start() && now < measure_end()) {
+    histogram_.record(latency);
     ++completed_in_window_;
   }
 }
@@ -168,7 +170,7 @@ LoadGenResults LoadGenerator::results() {
   r.max_latency = histogram_.max();
   r.mean_latency_ns = histogram_.mean();
   r.throughput_rps = static_cast<double>(completed_in_window_) /
-                     to_seconds(options_.duration);
+                     options_.duration.seconds();
   r.qos = options_.qos;
   return r;
 }

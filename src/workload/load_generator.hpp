@@ -25,19 +25,19 @@ struct LoadGenOptions {
   SpikePattern pattern;
 
   /// End-to-end QoS target (wrk2_spike -qos).
-  SimTime qos = 10 * kMillisecond;
+  Duration qos = 10 * kMillisecond;
 
   /// Measurement starts at `warmup` and lasts `duration` (paper: 30s + 60s;
   /// benches default shorter for wall-clock reasons, protocol identical).
-  SimTime warmup = 5 * kSecond;
-  SimTime duration = 30 * kSecond;
+  Duration warmup = 5 * kSecond;
+  Duration duration = 30 * kSecond;
 
   /// Poisson (true) or wrk2-style constant-throughput (false) pacing.
   /// wrk2's scheduler paces deterministically, so that is the default.
   bool poisson = false;
 
   /// Output-latency bucketing for the violation-volume curve.
-  SimTime vv_window = 5 * kMillisecond;
+  Duration vv_window = 5 * kMillisecond;
 
   /// Client-side request retransmission (wrk2 atop a retrying RPC client).
   /// A request's latency spans the ORIGINAL issue to the first completion,
@@ -56,13 +56,13 @@ struct LoadGenResults {
   std::uint64_t outstanding = 0;  // still in flight when results() was read
   double violation_volume_ms_s = 0.0;
   double violation_duration_frac = 0.0;
-  SimTime p50 = 0;
-  SimTime p98 = 0;
-  SimTime p99 = 0;
-  SimTime max_latency = 0;
+  Duration p50;
+  Duration p98;
+  Duration p99;
+  Duration max_latency;
   double mean_latency_ns = 0.0;
   double throughput_rps = 0.0;
-  SimTime qos = 0;
+  Duration qos;
 };
 
 class LoadGenerator {
@@ -84,8 +84,10 @@ class LoadGenerator {
   /// past warmup + duration.
   LoadGenResults results();
 
-  SimTime measure_start() const { return options_.warmup; }
-  SimTime measure_end() const { return options_.warmup + options_.duration; }
+  TimePoint measure_start() const { return TimePoint::at(options_.warmup); }
+  TimePoint measure_end() const {
+    return TimePoint::at(options_.warmup + options_.duration);
+  }
 
   const LatencyHistogram& histogram() const { return histogram_; }
   const ViolationVolumeTracker& vv_tracker() const { return vv_; }

@@ -5,22 +5,22 @@
 
 namespace sg {
 
-bool SpikePattern::in_spike(SimTime t) const {
+bool SpikePattern::in_spike(TimePoint t) const {
   if (!has_spikes()) return false;
   if (t < first_spike_at) return false;
-  const SimTime since = (t - first_spike_at) % spike_period;
+  const Duration since = (t - first_spike_at) % spike_period;
   return since < spike_len;
 }
 
-double SpikePattern::rate_at(SimTime t) const {
+double SpikePattern::rate_at(TimePoint t) const {
   return in_spike(t) ? spike_rate_rps : base_rate_rps;
 }
 
-SimTime SpikePattern::next_rate_change(SimTime t) const {
-  if (!has_spikes()) return kTimeInfinity;
+TimePoint SpikePattern::next_rate_change(TimePoint t) const {
+  if (!has_spikes()) return TimePoint::infinity();
   if (t < first_spike_at) return first_spike_at;
-  const std::int64_t k = (t - first_spike_at) / spike_period;
-  const SimTime within = (t - first_spike_at) % spike_period;
+  const std::int64_t k = (t - first_spike_at).ns() / spike_period.ns();
+  const Duration within = (t - first_spike_at) % spike_period;
   if (within < spike_len) {
     return first_spike_at + k * spike_period + spike_len;
   }
@@ -31,17 +31,17 @@ double SpikePattern::max_rate() const {
   return std::max(base_rate_rps, has_spikes() ? spike_rate_rps : 0.0);
 }
 
-std::vector<SpikePattern::Window> SpikePattern::spikes_in(SimTime t0,
-                                                          SimTime t1) const {
+std::vector<SpikePattern::Window> SpikePattern::spikes_in(TimePoint t0,
+                                                          TimePoint t1) const {
   std::vector<Window> out;
   if (!has_spikes() || t1 <= t0) return out;
   // First spike index whose window could intersect [t0, t1].
   std::int64_t k0 = 0;
-  if (t0 > first_spike_at) k0 = (t0 - first_spike_at) / spike_period;
+  if (t0 > first_spike_at) k0 = (t0 - first_spike_at).ns() / spike_period.ns();
   for (std::int64_t k = std::max<std::int64_t>(0, k0 - 1);; ++k) {
-    const SimTime start = first_spike_at + k * spike_period;
+    const TimePoint start = first_spike_at + k * spike_period;
     if (start >= t1) break;
-    const SimTime end = start + spike_len;
+    const TimePoint end = start + spike_len;
     if (end > t0) out.push_back({start, end});
   }
   return out;
@@ -51,12 +51,12 @@ SpikePattern SpikePattern::steady(double rate) {
   SpikePattern p;
   p.base_rate_rps = rate;
   p.spike_rate_rps = rate;
-  p.spike_len = 0;
+  p.spike_len = Duration::zero();
   return p;
 }
 
-SpikePattern SpikePattern::surges(double rate, double mult, SimTime len,
-                                  SimTime period, SimTime first_at) {
+SpikePattern SpikePattern::surges(double rate, double mult, Duration len,
+                                  Duration period, TimePoint first_at) {
   SpikePattern p;
   p.base_rate_rps = rate;
   p.spike_rate_rps = rate * mult;

@@ -20,24 +20,24 @@ struct SpikePattern {
   double spike_rate_rps = 1000.0;
 
   /// Spike duration (wrk2_spike -spikelen); 0 disables spikes.
-  SimTime spike_len = 0;
+  Duration spike_len;
 
   /// A spike starts every `spike_period`, the first at `first_spike_at`.
-  SimTime spike_period = 10 * kSecond;
-  SimTime first_spike_at = 5 * kSecond;
+  Duration spike_period = 10 * kSecond;
+  TimePoint first_spike_at = TimePoint::at(5 * kSecond);
 
   bool has_spikes() const {
-    return spike_len > 0 && spike_rate_rps != base_rate_rps;
+    return spike_len > Duration::zero() && spike_rate_rps != base_rate_rps;
   }
 
-  bool in_spike(SimTime t) const;
+  bool in_spike(TimePoint t) const;
 
   /// Instantaneous request rate at time t.
-  double rate_at(SimTime t) const;
+  double rate_at(TimePoint t) const;
 
   /// First time strictly after t at which the rate changes (spike start or
-  /// end); kTimeInfinity when the pattern is steady.
-  SimTime next_rate_change(SimTime t) const;
+  /// end); TimePoint::infinity() when the pattern is steady.
+  TimePoint next_rate_change(TimePoint t) const;
 
   /// Max of base and spike rates (thinning envelope for the generator).
   double max_rate() const;
@@ -45,17 +45,17 @@ struct SpikePattern {
   /// Spike windows intersecting [t0, t1] (for oracle controllers and
   /// plotting).
   struct Window {
-    SimTime start;
-    SimTime end;
+    TimePoint start;
+    TimePoint end;
   };
-  std::vector<Window> spikes_in(SimTime t0, SimTime t1) const;
+  std::vector<Window> spikes_in(TimePoint t0, TimePoint t1) const;
 
   /// Convenience: steady load at `rate`.
   static SpikePattern steady(double rate);
 
   /// Convenience: `mult`x surges of `len` every `period` on top of `rate`.
-  static SpikePattern surges(double rate, double mult, SimTime len,
-                             SimTime period, SimTime first_at);
+  static SpikePattern surges(double rate, double mult, Duration len,
+                             Duration period, TimePoint first_at);
 };
 
 }  // namespace sg

@@ -4,9 +4,9 @@
 
 namespace sg {
 
-ViolationVolumeTracker::ViolationVolumeTracker(SimTime qos, SimTime window)
+ViolationVolumeTracker::ViolationVolumeTracker(Duration qos, Duration window)
     : qos_(qos), window_(window), series_(0.0) {
-  SG_ASSERT(qos > 0 && window > 0);
+  SG_ASSERT(qos > Duration::zero() && window > Duration::zero());
 }
 
 void ViolationVolumeTracker::close_window() {
@@ -18,17 +18,18 @@ void ViolationVolumeTracker::close_window() {
   window_count_ = 0;
 }
 
-void ViolationVolumeTracker::record_completion(SimTime t, SimTime latency) {
+void ViolationVolumeTracker::record_completion(TimePoint t,
+                                               Duration latency) {
   SG_ASSERT_MSG(t >= window_start_, "completions must be time-ordered");
   while (t >= window_start_ + window_) {
     close_window();
     window_start_ += window_;
   }
-  window_sum_ += static_cast<double>(latency);
+  window_sum_ += static_cast<double>(latency.ns());
   ++window_count_;
 }
 
-void ViolationVolumeTracker::finalize(SimTime now) {
+void ViolationVolumeTracker::finalize(TimePoint now) {
   while (now >= window_start_ + window_) {
     close_window();
     window_start_ += window_;
@@ -36,32 +37,32 @@ void ViolationVolumeTracker::finalize(SimTime now) {
   close_window();
 }
 
-double ViolationVolumeTracker::violation_volume_ns2(SimTime t0,
-                                                    SimTime t1) const {
-  return series_.integrate_above(t0, t1, static_cast<double>(qos_));
+double ViolationVolumeTracker::violation_volume_ns2(TimePoint t0,
+                                                    TimePoint t1) const {
+  return series_.integrate_above(t0, t1, static_cast<double>(qos_.ns()));
 }
 
-double ViolationVolumeTracker::violation_volume_ms_s(SimTime t0,
-                                                     SimTime t1) const {
+double ViolationVolumeTracker::violation_volume_ms_s(TimePoint t0,
+                                                     TimePoint t1) const {
   // ns (latency) * ns (time) -> ms * s: divide by 1e6 * 1e9.
   return violation_volume_ns2(t0, t1) / 1e15;
 }
 
-double ViolationVolumeTracker::violation_duration_fraction(SimTime t0,
-                                                           SimTime t1) const {
+double ViolationVolumeTracker::violation_duration_fraction(TimePoint t0,
+                                                           TimePoint t1) const {
   if (t1 <= t0) return 0.0;
   double above = 0.0;
   const auto& pts = series_.points();
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const SimTime seg_start = std::max(pts[i].time, t0);
-    const SimTime seg_end =
+    const TimePoint seg_start = std::max(pts[i].time, t0);
+    const TimePoint seg_end =
         (i + 1 < pts.size()) ? std::min(pts[i + 1].time, t1) : t1;
     if (seg_start >= t1) break;
-    if (seg_end > seg_start && pts[i].value > static_cast<double>(qos_)) {
-      above += static_cast<double>(seg_end - seg_start);
+    if (seg_end > seg_start && pts[i].value > static_cast<double>(qos_.ns())) {
+      above += static_cast<double>((seg_end - seg_start).ns());
     }
   }
-  return above / static_cast<double>(t1 - t0);
+  return above / static_cast<double>((t1 - t0).ns());
 }
 
 }  // namespace sg

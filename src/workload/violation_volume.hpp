@@ -22,27 +22,27 @@ class ViolationVolumeTracker {
   /// qos: the end-to-end latency target (wrk2_spike -qos).
   /// window: bucketing granularity of the output-latency curve. Short-surge
   /// experiments (Fig. 10) use ~1ms; the 2s-surge experiments use ~5-10ms.
-  ViolationVolumeTracker(SimTime qos, SimTime window = 5 * kMillisecond);
+  ViolationVolumeTracker(Duration qos, Duration window = 5 * kMillisecond);
 
   /// Feeds one completed request (completion time t, end-to-end latency).
   /// Completion times must be non-decreasing (event-loop order guarantees
   /// this).
-  void record_completion(SimTime t, SimTime latency);
+  void record_completion(TimePoint t, Duration latency);
 
   /// Closes any open window (call once before reading results).
-  void finalize(SimTime now);
+  void finalize(TimePoint now);
 
-  SimTime qos() const { return qos_; }
+  Duration qos() const { return qos_; }
 
   /// Violation volume over [t0, t1] in nanosecond·nanoseconds.
-  double violation_volume_ns2(SimTime t0, SimTime t1) const;
+  double violation_volume_ns2(TimePoint t0, TimePoint t1) const;
 
   /// Violation volume in millisecond·seconds (the natural reporting unit:
   /// latency excess in ms integrated over seconds of wall time).
-  double violation_volume_ms_s(SimTime t0, SimTime t1) const;
+  double violation_volume_ms_s(TimePoint t0, TimePoint t1) const;
 
   /// Fraction of [t0, t1] spent above QoS (violation duration share).
-  double violation_duration_fraction(SimTime t0, SimTime t1) const;
+  double violation_duration_fraction(TimePoint t0, TimePoint t1) const;
 
   /// The bucketed output-latency curve (values in ns).
   const StepTimeline& latency_series() const { return series_; }
@@ -50,10 +50,10 @@ class ViolationVolumeTracker {
  private:
   void close_window();
 
-  SimTime qos_;
-  SimTime window_;
+  Duration qos_;
+  Duration window_;
   StepTimeline series_;
-  SimTime window_start_ = 0;
+  TimePoint window_start_;
   double window_sum_ = 0.0;
   long window_count_ = 0;
 };

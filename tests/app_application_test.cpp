@@ -24,18 +24,18 @@ struct MiniTestbed {
   }
 
   /// Sends one client request; returns (completed, latency).
-  std::pair<bool, SimTime> run_one_request() {
+  std::pair<bool, Duration> run_one_request() {
     bool done = false;
-    SimTime latency = 0;
+    Duration latency;
     network.register_client_receiver([&](const RpcPacket& p) {
       done = true;
-      latency = (sim.now_point() - p.start_time).ns();
+      latency = sim.now() - p.start_time;
     });
     RpcPacket pkt;
     pkt.request_id = 1;
     pkt.dst_container = app->entry_container();
     pkt.dst_node = app->entry_node();
-    pkt.start_time = sim.now_point();
+    pkt.start_time = sim.now();
     network.send(kClientNode, pkt);
     sim.run_to_completion();
     return {done, latency};
@@ -60,7 +60,7 @@ TEST(ApplicationTest, SingleRequestTraversesChain) {
   MiniTestbed tb(chain_spec(3));
   auto [done, latency] = tb.run_one_request();
   EXPECT_TRUE(done);
-  EXPECT_GT(latency, 30'000);  // at least the CPU work
+  EXPECT_GT(latency, Duration{30'000});  // at least the CPU work
   EXPECT_EQ(tb.app->requests_completed(), 1u);
   EXPECT_EQ(tb.app->in_flight(), 0);
 }
@@ -74,8 +74,8 @@ TEST(ApplicationTest, LatencyAccountsWorkAndHops) {
   // 3 services x 10us work; hops: client->s0, s0->s1, s1->s2 and the three
   // responses = 6 x same_node... client hops are cross-node (client is
   // remote): 2 cross + 4 same.
-  const SimTime expected = 3 * 10'000 + 2 * model.cross_node_ns +
-                           4 * model.same_node_ns;
+  const Duration expected = Duration{3 * 10'000} + 2 * model.cross_node +
+                            4 * model.same_node;
   EXPECT_EQ(latency, expected);
 }
 
@@ -109,8 +109,8 @@ TEST(ApplicationTest, ParallelFanoutOverlapsChildren) {
   // Parallel: children overlap (distinct containers) -> ~one child latency.
   // Sequential: both children serialize.
   EXPECT_LT(lat_par, lat_seq);
-  EXPECT_GT(lat_seq, 1'000'000);
-  EXPECT_LT(lat_par, 1'000'000);
+  EXPECT_GT(lat_seq, Duration{1'000'000});
+  EXPECT_LT(lat_par, Duration{1'000'000});
 }
 
 TEST(ApplicationTest, PostWorkRunsAfterChildren) {
@@ -121,8 +121,8 @@ TEST(ApplicationTest, PostWorkRunsAfterChildren) {
   MiniTestbed tb(spec, 4, model);
   auto [done, latency] = tb.run_one_request();
   ASSERT_TRUE(done);
-  const SimTime expected = 2 * 10'000 + 50'000 + 2 * model.cross_node_ns +
-                           2 * model.same_node_ns;
+  const Duration expected = Duration{2 * 10'000 + 50'000} +
+                            2 * model.cross_node + 2 * model.same_node;
   EXPECT_EQ(latency, expected);
 }
 
@@ -219,14 +219,14 @@ TEST(ApplicationTest, MetricPublicationFlushesToBus) {
     pkt.request_id = static_cast<RequestId>(i + 1);
     pkt.dst_container = tb.app->entry_container();
     pkt.dst_node = tb.app->entry_node();
-    pkt.start_time = tb.sim.now_point();
+    pkt.start_time = tb.sim.now();
     tb.network.send(kClientNode, pkt);
     tb.sim.run_until(tb.sim.now() + 60 * kMillisecond);
   }
   const auto snap =
       tb.metrics.node_bus(0).latest(tb.app->entry_container());
   ASSERT_TRUE(snap.has_value());
-  EXPECT_GT(snap->window_end, 0);
+  EXPECT_GT(snap->window_end, TimePoint::origin());
 }
 
 TEST(ApplicationTest, DeploymentRoundRobinSpreads) {

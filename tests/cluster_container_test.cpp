@@ -23,10 +23,10 @@ std::unique_ptr<Container> make_container(Simulator& sim, int cores,
 TEST(ContainerTest, SingleJobTakesItsWork) {
   Simulator sim;
   auto c = make_container(sim, 1);
-  SimTime done = kTimeInfinity;  // sentinel: callback never ran
+  TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(1000.0, [&]() { done = sim.now(); });
   sim.run_to_completion();
-  EXPECT_EQ(done, 1000);
+  EXPECT_EQ(done, TimePoint{1000});
 }
 
 TEST(ContainerTest, TwoJobsOnOneCoreShareProcessor) {
@@ -34,25 +34,25 @@ TEST(ContainerTest, TwoJobsOnOneCoreShareProcessor) {
   // at 2x the solo time.
   Simulator sim;
   auto c = make_container(sim, 1);
-  std::vector<SimTime> done;
+  std::vector<TimePoint> done;
   c->submit(1000.0, [&]() { done.push_back(sim.now()); });
   c->submit(1000.0, [&]() { done.push_back(sim.now()); });
   sim.run_to_completion();
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(static_cast<double>(done[0]), 2000.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(done[1]), 2000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[0].ns()), 2000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[1].ns()), 2000.0, 2.0);
 }
 
 TEST(ContainerTest, TwoJobsOnTwoCoresRunFullSpeed) {
   Simulator sim;
   auto c = make_container(sim, 2);
-  std::vector<SimTime> done;
+  std::vector<TimePoint> done;
   c->submit(1000.0, [&]() { done.push_back(sim.now()); });
   c->submit(1000.0, [&]() { done.push_back(sim.now()); });
   sim.run_to_completion();
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(static_cast<double>(done[0]), 1000.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(done[1]), 1000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[0].ns()), 1000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[1].ns()), 1000.0, 2.0);
 }
 
 TEST(ContainerTest, ShorterJobCompletesFirst) {
@@ -72,14 +72,14 @@ TEST(ContainerTest, StaggeredArrivalPs) {
   // full speed -> B done at 2000.
   Simulator sim;
   auto c = make_container(sim, 1);
-  SimTime done_a = 0, done_b = 0;
+  TimePoint done_a, done_b;
   c->submit(1000.0, [&]() { done_a = sim.now(); });
-  sim.schedule_at(500, [&]() {
+  sim.schedule_at(TimePoint{500}, [&]() {
     c->submit(1000.0, [&]() { done_b = sim.now(); });
   });
   sim.run_to_completion();
-  EXPECT_NEAR(static_cast<double>(done_a), 1500.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(done_b), 2000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done_a.ns()), 1500.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done_b.ns()), 2000.0, 2.0);
 }
 
 TEST(ContainerTest, FrequencyScalesThroughput) {
@@ -89,10 +89,10 @@ TEST(ContainerTest, FrequencyScalesThroughput) {
   dvfs.max_mhz = 3200;
   auto c = make_container(sim, 1, dvfs);
   c->set_frequency(3200);
-  SimTime done = kTimeInfinity;  // sentinel: callback never ran
+  TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(1000.0, [&]() { done = sim.now(); });
   sim.run_to_completion();
-  EXPECT_NEAR(static_cast<double>(done), 500.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done.ns()), 500.0, 2.0);
 }
 
 TEST(ContainerTest, FrequencyChangeMidJob) {
@@ -101,49 +101,49 @@ TEST(ContainerTest, FrequencyChangeMidJob) {
   dvfs.scaling_efficiency = 1.0;
   dvfs.max_mhz = 3200;
   auto c = make_container(sim, 1, dvfs);
-  SimTime done = kTimeInfinity;  // sentinel: callback never ran
+  TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(1000.0, [&]() { done = sim.now(); });
   // After 500ns (500 work done), double the speed: remaining 500 work takes
   // 250ns -> completes at 750.
-  sim.schedule_at(500, [&]() { c->set_frequency(3200); });
+  sim.schedule_at(TimePoint{500}, [&]() { c->set_frequency(3200); });
   sim.run_to_completion();
-  EXPECT_NEAR(static_cast<double>(done), 750.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done.ns()), 750.0, 2.0);
 }
 
 TEST(ContainerTest, CoreChangeMidJobRescales) {
   Simulator sim;
   auto c = make_container(sim, 1);
-  std::vector<SimTime> done;
+  std::vector<TimePoint> done;
   c->submit(1000.0, [&]() { done.push_back(sim.now()); });
   c->submit(1000.0, [&]() { done.push_back(sim.now()); });
   // At t=1000 each job has 500 work left (shared core). Granting a second
   // core lets both run at full speed: finish at 1500.
-  sim.schedule_at(1000, [&]() { c->set_cores(2); });
+  sim.schedule_at(TimePoint{1000}, [&]() { c->set_cores(2); });
   sim.run_to_completion();
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(static_cast<double>(done[0]), 1500.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(done[1]), 1500.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[0].ns()), 1500.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done[1].ns()), 1500.0, 2.0);
 }
 
 TEST(ContainerTest, ZeroCoresStallsJobs) {
   Simulator sim;
   auto c = make_container(sim, 1);
-  SimTime done = kTimeInfinity;  // sentinel: callback never ran
+  TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(1000.0, [&]() { done = sim.now(); });
-  sim.schedule_at(200, [&]() { c->set_cores(0); });
-  sim.schedule_at(5000, [&]() { c->set_cores(1); });
+  sim.schedule_at(TimePoint{200}, [&]() { c->set_cores(0); });
+  sim.schedule_at(TimePoint{5000}, [&]() { c->set_cores(1); });
   sim.run_to_completion();
   // 200 work done before the stall; 800 after cores return at t=5000.
-  EXPECT_NEAR(static_cast<double>(done), 5800.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done.ns()), 5800.0, 2.0);
 }
 
 TEST(ContainerTest, ZeroWorkJobCompletesImmediately) {
   Simulator sim;
   auto c = make_container(sim, 1);
-  SimTime done = kTimeInfinity;  // sentinel: callback never ran
+  TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(0.0, [&]() { done = sim.now(); });
   sim.run_to_completion();
-  EXPECT_EQ(done, 0);
+  EXPECT_EQ(done, TimePoint{0});
 }
 
 TEST(ContainerTest, CompletionCallbackCanResubmit) {
@@ -157,7 +157,7 @@ TEST(ContainerTest, CompletionCallbackCanResubmit) {
   c->submit(100.0, chain);
   sim.run_to_completion();
   EXPECT_EQ(completions, 3);
-  EXPECT_EQ(sim.now(), 300);
+  EXPECT_EQ(sim.now(), TimePoint{300});
   EXPECT_EQ(c->jobs_completed(), 3u);
 }
 
@@ -184,20 +184,21 @@ TEST(ContainerTest, BusyCoreSecondsAccumulate) {
 TEST(ContainerTest, EnergyChargedForBusyTime) {
   Simulator sim;
   auto c = make_container(sim, 1);
-  c->submit(static_cast<double>(kSecond), []() {});
+  c->submit(static_cast<double>(kSecond.ns()), []() {});
   sim.run_to_completion();
   c->sync();
   // 1 core-second busy at ref frequency.
   EnergyModel e;
   DvfsModel d;
-  EXPECT_NEAR(c->energy_joules(), e.busy_core_watts(d.ref_mhz, d.ref_mhz),
+  EXPECT_NEAR(c->energy_joules(),
+              e.busy_core_watts(Freq::mhz(d.ref_mhz), Freq::mhz(d.ref_mhz)),
               0.01);
 }
 
 TEST(ContainerTest, IdleAllocatedCoresDrawPower) {
   Simulator sim;
   auto c = make_container(sim, 4);
-  sim.run_until(kSecond);
+  sim.run_until(TimePoint::at(kSecond));
   c->sync();
   // 4 allocated, 0 busy for 1 second.
   EnergyModel e;
@@ -207,20 +208,20 @@ TEST(ContainerTest, IdleAllocatedCoresDrawPower) {
 TEST(ContainerTest, CoreTimelineTracksChanges) {
   Simulator sim;
   auto c = make_container(sim, 2);
-  sim.schedule_at(100, [&]() { c->set_cores(4); });
-  sim.schedule_at(200, [&]() { c->set_cores(1); });
+  sim.schedule_at(TimePoint{100}, [&]() { c->set_cores(4); });
+  sim.schedule_at(TimePoint{200}, [&]() { c->set_cores(1); });
   sim.run_to_completion();
-  EXPECT_DOUBLE_EQ(c->core_timeline().at(50), 2.0);
-  EXPECT_DOUBLE_EQ(c->core_timeline().at(150), 4.0);
-  EXPECT_DOUBLE_EQ(c->core_timeline().at(250), 1.0);
+  EXPECT_DOUBLE_EQ(c->core_timeline().at(TimePoint{50}), 2.0);
+  EXPECT_DOUBLE_EQ(c->core_timeline().at(TimePoint{150}), 4.0);
+  EXPECT_DOUBLE_EQ(c->core_timeline().at(TimePoint{250}), 1.0);
 }
 
 TEST(ContainerTest, FreqTimelineQuantized) {
   Simulator sim;
   auto c = make_container(sim, 1);
-  sim.schedule_at(10, [&]() { c->set_frequency(2357); });
+  sim.schedule_at(TimePoint{10}, [&]() { c->set_frequency(2357); });
   sim.run_to_completion();
-  EXPECT_DOUBLE_EQ(c->freq_timeline().at(20), 2300.0);
+  EXPECT_DOUBLE_EQ(c->freq_timeline().at(TimePoint{20}), 2300.0);
   EXPECT_EQ(c->frequency(), 2300);
 }
 
@@ -242,7 +243,8 @@ TEST_P(PsBatchTest, BatchMakespanMatchesCapacity) {
   EXPECT_EQ(done, jobs);
   const double expected =
       1000.0 * jobs / std::min(jobs, cores);
-  EXPECT_NEAR(static_cast<double>(sim.now()), expected, expected * 0.01 + 2);
+  EXPECT_NEAR(static_cast<double>(sim.now().ns()), expected,
+              expected * 0.01 + 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -34,22 +34,22 @@ TEST(MemBwTest, ContentionSlowsExecution) {
   cluster.node(0).enable_membw(tight_bw());
   Container& a = cluster.add_container("a", 0, 4);
 
-  SimTime solo_done = 0;
+  TimePoint solo_done;
   a.submit(1000.0, [&]() { solo_done = sim.now(); });
   sim.run_to_completion();
-  EXPECT_NEAR(static_cast<double>(solo_done), 1000.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(solo_done.ns()), 1000.0, 2.0);
 
   // Now 4 concurrent jobs on 4 cores: demand 24 GB/s vs 12 -> factor 0.5.
-  const SimTime start = sim.now();
-  std::vector<SimTime> done;
+  const TimePoint start = sim.now();
+  std::vector<Duration> done;
   for (int i = 0; i < 4; ++i) {
     a.submit(1000.0, [&]() { done.push_back(sim.now() - start); });
   }
   EXPECT_NEAR(cluster.node(0).membw()->interference_factor(), 0.5, 1e-9);
   sim.run_to_completion();
   ASSERT_EQ(done.size(), 4u);
-  for (SimTime d : done) {
-    EXPECT_NEAR(static_cast<double>(d), 2000.0, 5.0);
+  for (Duration d : done) {
+    EXPECT_NEAR(static_cast<double>(d.ns()), 2000.0, 5.0);
   }
 }
 
@@ -65,10 +65,10 @@ TEST(MemBwTest, ContentionSpansContainers) {
   // Noisy neighbor keeps 3 cores busy for a long time: total busy 4 cores
   // -> demand 24 vs bw 12 -> factor 0.5 while they overlap.
   for (int i = 0; i < 3; ++i) noisy.submit(1e9, []() {});
-  SimTime done = 0;
+  TimePoint done;
   victim.submit(1000.0, [&]() { done = sim.now(); });
-  sim.run_until(10'000);
-  EXPECT_NEAR(static_cast<double>(done), 2000.0, 5.0);
+  sim.run_until(TimePoint{10'000});
+  EXPECT_NEAR(static_cast<double>(done.ns()), 2000.0, 5.0);
 }
 
 TEST(MemBwTest, FactorRecoversWhenLoadDrops) {
@@ -92,14 +92,14 @@ TEST(MemBwTest, ProgressBankedAtOldFactorBeforeChange) {
   cluster.node(0).enable_membw(tight_bw());
   Container& a = cluster.add_container("a", 0, 1);
   Container& b = cluster.add_container("b", 0, 3);
-  SimTime done = 0;
+  TimePoint done;
   a.submit(1000.0, [&]() { done = sim.now(); });
-  sim.schedule_at(500, [&]() {
+  sim.schedule_at(TimePoint{500}, [&]() {
     for (int i = 0; i < 3; ++i) b.submit(1e9, []() {});
   });
-  sim.run_until(5000);
+  sim.run_until(TimePoint{5000});
   // 500 work at speed 1 + 500 work at speed 0.5 -> done at 500 + 1000.
-  EXPECT_NEAR(static_cast<double>(done), 1500.0, 5.0);
+  EXPECT_NEAR(static_cast<double>(done.ns()), 1500.0, 5.0);
 }
 
 TEST(MemBwTest, HysteresisSuppressesTinyChanges) {

@@ -77,10 +77,11 @@ TEST(NodeTest, AverageAllocatedCoresTimeWeighted) {
   cluster.add_node(64, 19);
   Container& a = cluster.add_container("a", 0, 2);
   Node& n = cluster.node(0);
-  sim.schedule_at(500, [&]() { n.grant(&a, 2); });
-  sim.run_until(1000);
+  sim.schedule_at(TimePoint{500}, [&]() { n.grant(&a, 2); });
+  sim.run_until(TimePoint{1000});
   // 2 cores for [0,500), 4 for [500,1000) -> average 3.
-  EXPECT_DOUBLE_EQ(n.average_allocated_cores(0, 1000), 3.0);
+  EXPECT_DOUBLE_EQ(
+      n.average_allocated_cores(TimePoint::origin(), TimePoint{1000}), 3.0);
 }
 
 TEST(NodeTest, EnergySumsContainers) {
@@ -89,7 +90,7 @@ TEST(NodeTest, EnergySumsContainers) {
   cluster.add_node(64, 19);
   cluster.add_container("a", 0, 2);
   cluster.add_container("b", 0, 3);
-  sim.run_until(kSecond);
+  sim.run_until(TimePoint::at(kSecond));
   cluster.sync_all();
   EnergyModel e;
   EXPECT_NEAR(cluster.node(0).energy_joules(), 5.0 * e.allocated_idle_watts,
@@ -128,8 +129,10 @@ TEST(ClusterTest, AverageAllocatedAcrossCluster) {
   cluster.add_node();
   cluster.add_container("a", 0, 4);
   cluster.add_container("b", 1, 6);
-  sim.run_until(100);
-  EXPECT_DOUBLE_EQ(cluster.average_allocated_cores(0, 100), 10.0);
+  sim.run_until(TimePoint{100});
+  EXPECT_DOUBLE_EQ(
+      cluster.average_allocated_cores(TimePoint::origin(), TimePoint{100}),
+      10.0);
 }
 
 }  // namespace

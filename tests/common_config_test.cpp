@@ -85,6 +85,15 @@ TEST(ConfigTest, TryGetParsesStrictly) {
   EXPECT_FALSE(cfg->try_get_int("z").has_value());  // trailing junk
 }
 
+TEST(ConfigTest, TryGetBoolParsesStrictly) {
+  auto cfg = Config::parse("a = yes\nb = off\nc = ture\n");
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->try_get_bool("a"), std::optional<bool>(true));
+  EXPECT_EQ(cfg->try_get_bool("b"), std::optional<bool>(false));
+  EXPECT_FALSE(cfg->try_get_bool("c").has_value());  // misspelled
+  EXPECT_FALSE(cfg->try_get_bool("missing").has_value());
+}
+
 TEST(ConfigTest, KeysWithPrefix) {
   auto cfg = Config::parse(
       "service.a.x = 1\nservice.b.x = 2\nother = 3\nservice.c = 4\n");

@@ -10,49 +10,50 @@ namespace {
 TEST(HistogramTest, EmptyHistogram) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0);
-  EXPECT_EQ(h.max(), 0);
+  EXPECT_EQ(h.min(), Duration{0});
+  EXPECT_EQ(h.max(), Duration{0});
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_EQ(h.percentile(50), 0);
+  EXPECT_EQ(h.percentile(50), Duration{0});
 }
 
 TEST(HistogramTest, SingleSample) {
   LatencyHistogram h;
-  h.record(1'000'000);
+  h.record(Duration{1'000'000});
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.min(), 1'000'000);
-  EXPECT_EQ(h.max(), 1'000'000);
+  EXPECT_EQ(h.min(), Duration{1'000'000});
+  EXPECT_EQ(h.max(), Duration{1'000'000});
   // Bucketed value within the relative error bound.
-  EXPECT_NEAR(static_cast<double>(h.p50()), 1e6, 1e6 * 0.04);
+  EXPECT_NEAR(static_cast<double>(h.p50().ns()), 1e6, 1e6 * 0.04);
 }
 
 TEST(HistogramTest, MeanIsExact) {
   // The mean is tracked outside the buckets, so it has no bucketing error.
   LatencyHistogram h;
-  h.record(100);
-  h.record(300);
+  h.record(Duration{100});
+  h.record(Duration{300});
   EXPECT_DOUBLE_EQ(h.mean(), 200.0);
 }
 
 TEST(HistogramTest, RecordNWeights) {
   LatencyHistogram h;
-  h.record_n(1000, 99);
-  h.record_n(100000, 1);
+  h.record_n(Duration{1000}, 99);
+  h.record_n(Duration{100000}, 1);
   EXPECT_EQ(h.count(), 100u);
   // p50 in the 1000 bucket, p99.5 near 100000.
-  EXPECT_NEAR(static_cast<double>(h.p50()), 1000, 1000 * 0.05);
-  EXPECT_NEAR(static_cast<double>(h.percentile(99.9)), 100000, 100000 * 0.05);
+  EXPECT_NEAR(static_cast<double>(h.p50().ns()), 1000, 1000 * 0.05);
+  EXPECT_NEAR(static_cast<double>(h.percentile(99.9).ns()), 100000,
+              100000 * 0.05);
 }
 
 TEST(HistogramTest, PercentileMonotone) {
   LatencyHistogram h;
   Rng rng(1);
   for (int i = 0; i < 10000; ++i) {
-    h.record(static_cast<SimTime>(rng.uniform(100.0, 1e7)));
+    h.record(Duration{static_cast<std::int64_t>(rng.uniform(100.0, 1e7))});
   }
-  SimTime prev = 0;
+  Duration prev;
   for (double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 98.0, 99.0, 99.9}) {
-    const SimTime v = h.percentile(p);
+    const Duration v = h.percentile(p);
     EXPECT_GE(v, prev) << "p" << p;
     prev = v;
   }
@@ -63,23 +64,23 @@ TEST(HistogramTest, PercentileRelativeErrorBounded) {
   LatencyHistogram h;
   Rng rng(2);
   for (int i = 0; i < 200000; ++i) {
-    h.record(static_cast<SimTime>(rng.uniform(0.0, 1e7)));
+    h.record(Duration{static_cast<std::int64_t>(rng.uniform(0.0, 1e7))});
   }
-  EXPECT_NEAR(static_cast<double>(h.p50()), 5e6, 5e6 * 0.05);
-  EXPECT_NEAR(static_cast<double>(h.p90()), 9e6, 9e6 * 0.05);
+  EXPECT_NEAR(static_cast<double>(h.p50().ns()), 5e6, 5e6 * 0.05);
+  EXPECT_NEAR(static_cast<double>(h.p90().ns()), 9e6, 9e6 * 0.05);
 }
 
 TEST(HistogramTest, ClampsTinyValues) {
   LatencyHistogram h;
-  h.record(0);
-  h.record(-5);  // degenerate inputs clamp to the first bucket
+  h.record(Duration{0});
+  h.record(Duration{-5});  // degenerate inputs clamp to the first bucket
   EXPECT_EQ(h.count(), 2u);
-  EXPECT_GE(h.min(), 1);
+  EXPECT_GE(h.min(), Duration{1});
 }
 
 TEST(HistogramTest, ExtremePercentilesReturnEdges) {
   LatencyHistogram h;
-  for (SimTime v : {100, 200, 400, 800}) h.record(v);
+  for (std::int64_t v : {100, 200, 400, 800}) h.record(Duration{v});
   EXPECT_LE(h.percentile(0.0), h.percentile(100.0));
   EXPECT_LE(h.percentile(100.0), h.max());
   EXPECT_GE(h.percentile(0.0), h.min());
@@ -87,45 +88,45 @@ TEST(HistogramTest, ExtremePercentilesReturnEdges) {
 
 TEST(HistogramTest, MergeCombinesCounts) {
   LatencyHistogram a, b;
-  a.record_n(1000, 50);
-  b.record_n(100000, 50);
+  a.record_n(Duration{1000}, 50);
+  b.record_n(Duration{100000}, 50);
   a.merge(b);
   EXPECT_EQ(a.count(), 100u);
-  EXPECT_EQ(a.max(), 100000);
-  EXPECT_EQ(a.min(), 1000);
+  EXPECT_EQ(a.max(), Duration{100000});
+  EXPECT_EQ(a.min(), Duration{1000});
   EXPECT_NEAR(a.mean(), (1000.0 * 50 + 100000.0 * 50) / 100.0, 1.0);
 }
 
 TEST(HistogramTest, MergeMismatchedGeometryIsNoop) {
   LatencyHistogram a(32), b(16);
-  b.record(1000);
+  b.record(Duration{1000});
   a.merge(b);
   EXPECT_EQ(a.count(), 0u);
 }
 
 TEST(HistogramTest, ResetClears) {
   LatencyHistogram h;
-  h.record_n(5000, 10);
+  h.record_n(Duration{5000}, 10);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0);
-  EXPECT_EQ(h.p99(), 0);
+  EXPECT_EQ(h.max(), Duration{0});
+  EXPECT_EQ(h.p99(), Duration{0});
 }
 
 TEST(HistogramTest, CountAtOrAbove) {
   LatencyHistogram h;
-  h.record_n(1000, 90);
-  h.record_n(1'000'000, 10);
-  EXPECT_EQ(h.count_at_or_above(500'000), 10u);
-  EXPECT_EQ(h.count_at_or_above(1), 100u);
-  EXPECT_EQ(h.count_at_or_above(100'000'000), 0u);
+  h.record_n(Duration{1000}, 90);
+  h.record_n(Duration{1'000'000}, 10);
+  EXPECT_EQ(h.count_at_or_above(Duration{500'000}), 10u);
+  EXPECT_EQ(h.count_at_or_above(Duration{1}), 100u);
+  EXPECT_EQ(h.count_at_or_above(Duration{100'000'000}), 0u);
 }
 
 TEST(HistogramTest, NonzeroBucketsSumToCount) {
   LatencyHistogram h;
   Rng rng(3);
   for (int i = 0; i < 5000; ++i) {
-    h.record(static_cast<SimTime>(rng.exponential(1e6)));
+    h.record(Duration{static_cast<std::int64_t>(rng.exponential(1e6))});
   }
   std::uint64_t total = 0;
   for (const auto& b : h.nonzero_buckets()) total += b.count;
@@ -140,7 +141,7 @@ TEST_P(HistogramPropertyTest, OrderAndBounds) {
   LatencyHistogram h;
   Rng rng(static_cast<std::uint64_t>(GetParam() * 1000));
   for (int i = 0; i < 20000; ++i) {
-    h.record(static_cast<SimTime>(rng.exponential(GetParam())));
+    h.record(Duration{static_cast<std::int64_t>(rng.exponential(GetParam()))});
   }
   EXPECT_LE(h.p50(), h.p98());
   EXPECT_LE(h.p98(), h.p99());

@@ -60,7 +60,7 @@ TEST(CaladanTest, ReclaimsIdleCores) {
   CaladanAlgo caladan(tb.env(), opts);
   tb.c1().set_cores(6);
   // First tick establishes the busy baseline (conservative: assumes busy).
-  tb.sim.run_until(50 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(50 * kMillisecond));
   tb.publish(tb.c1(), 100.0, 100.0);
   tb.publish(tb.c2(), 100.0, 100.0);
   caladan.tick();
@@ -106,7 +106,7 @@ TEST(CaladanTest, StartSchedulesTicks) {
   CaladanAlgo caladan(tb.env(), opts);
   caladan.start();
   tb.publish(tb.c1(), 600.0, 200.0);
-  tb.sim.run_until(60 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(60 * kMillisecond));
   EXPECT_GT(tb.c1().cores(), 2);
 }
 

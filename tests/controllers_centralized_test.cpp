@@ -25,7 +25,7 @@ TEST(CentralizedMLTest, DecisionsApplyAfterInferenceLatency) {
                              fast_ml());
   // Saturate c1 so its demand estimate exceeds its allocation.
   for (int i = 0; i < 8; ++i) tb.c1().submit(1e12, []() {});
-  tb.sim.run_until(500 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(500 * kMillisecond));
   tb.publish(tb.c1(), 900.0, 900.0);
   ml.tick();  // snapshot now, decision lands 200ms later
   EXPECT_EQ(tb.c1().cores(), 2);  // not yet
@@ -39,7 +39,7 @@ TEST(CentralizedMLTest, RightsizesIdleContainersDown) {
   CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets,
                              fast_ml());
   tb.c1().set_cores(8);  // grossly oversized and idle
-  tb.sim.run_until(1_s);
+  tb.sim.run_until(TimePoint::at(1_s));
   tb.publish(tb.c1(), 100.0, 100.0);
   tb.publish(tb.c2(), 100.0, 100.0);
   ml.tick();  // establishes the busy baseline
@@ -54,7 +54,7 @@ TEST(CentralizedMLTest, NeverBelowOneCore) {
   ControllerEnv env = tb.env(300.0);
   CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets,
                              fast_ml());
-  tb.sim.run_until(1_s);
+  tb.sim.run_until(TimePoint::at(1_s));
   ml.tick();
   tb.sim.run_until(tb.sim.now() + 1_s);
   ml.tick();
@@ -69,7 +69,7 @@ TEST(CentralizedMLTest, SteadyStateLeanerThanParties) {
   const ProfileResult profile = profile_workload(w, 1);
   ExperimentConfig cfg;
   cfg.workload = w;
-  cfg.surge_len = 0;  // steady state only
+  cfg.surge_len = Duration::zero();  // steady state only
   cfg.warmup = 3_s;
   cfg.duration = 10_s;
   cfg.controller = ControllerKind::kCentralizedML;

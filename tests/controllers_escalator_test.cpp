@@ -53,7 +53,7 @@ TEST(EscalatorTest, QueueBuildupSetsUpscaleStamp) {
   pkt.request_id = 1;
   pkt.dst_container = tb.app->entry_container();
   pkt.dst_node = tb.app->entry_node();
-  pkt.start_time = tb.sim.now_point();
+  pkt.start_time = tb.sim.now();
   tb.network.send(kClientNode, pkt);
   tb.sim.run_to_completion();
   ContainerRuntimeMetrics& m = const_cast<ContainerRuntimeMetrics&>(

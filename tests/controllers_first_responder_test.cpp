@@ -30,7 +30,7 @@ TEST(FirstResponderTest, PositiveSlackNoBoost) {
   ControllerTestbed tb;
   FirstResponder fr(tb.env(), tb.network, no_margin());
   fr.start();
-  tb.sim.run_until(100 * kMicrosecond);
+  tb.sim.run_until(TimePoint::at(100 * kMicrosecond));
   // expected tfs = 200us; observed 100us -> slack +100us.
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
@@ -43,7 +43,8 @@ TEST(FirstResponderTest, NegativeSlackBoostsToMax) {
   ControllerTestbed tb;
   FirstResponder fr(tb.env(), tb.network, no_margin());
   fr.start();
-  tb.sim.run_until(300 * kMicrosecond);  // observed 300us > expected 200us
+  // Observed 300us > expected 200us.
+  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
   EXPECT_EQ(fr.violations_detected(), 1u);
@@ -54,7 +55,7 @@ TEST(FirstResponderTest, BoostsSameNodeDownstreamToo) {
   ControllerTestbed tb;
   FirstResponder fr(tb.env(), tb.network, no_margin());
   fr.start();
-  tb.sim.run_until(300 * kMicrosecond);
+  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
   // c2 is downstream of c1 on the same node.
@@ -66,13 +67,13 @@ TEST(FirstResponderTest, UpdateAppliesAfterWorkerLatency) {
   // Coordinator-worker design (Fig. 9): the boost is NOT synchronous.
   ControllerTestbed tb;
   FirstResponder::Options opts = no_margin();
-  opts.update_latency = 2540;
+  opts.update_latency = Duration{2540};
   FirstResponder fr(tb.env(), tb.network, opts);
   fr.start();
-  tb.sim.run_until(300 * kMicrosecond);
+  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().min_mhz);  // not yet
-  tb.sim.run_until(tb.sim.now() + 3000);
+  tb.sim.run_until(tb.sim.now() + Duration{3000});
   EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().max_mhz);  // after 2.54us
 }
 
@@ -80,7 +81,7 @@ TEST(FirstResponderTest, FreezeWindowLimitsUpdates) {
   ControllerTestbed tb;
   FirstResponder fr(tb.env(), tb.network, no_margin());  // freeze 1ms
   fr.start();
-  tb.sim.run_until(300 * kMicrosecond);
+  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
@@ -99,7 +100,7 @@ TEST(FirstResponderTest, ResponsesIgnored) {
   ControllerTestbed tb;
   FirstResponder fr(tb.env(), tb.network, no_margin());
   fr.start();
-  tb.sim.run_until(10 * kMillisecond);  // hugely "late"
+  tb.sim.run_until(TimePoint::at(10 * kMillisecond));  // hugely "late"
   RpcPacket p = request_to(tb, tb.c1(), TimePoint::origin());
   p.is_response = true;
   fr.on_packet(p);
@@ -111,7 +112,7 @@ TEST(FirstResponderTest, ClientPacketsIgnored) {
   ControllerTestbed tb;
   FirstResponder fr(tb.env(), tb.network, no_margin());
   fr.start();
-  tb.sim.run_until(10 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(10 * kMillisecond));
   RpcPacket p;
   p.dst_container = kClientEndpoint;
   p.start_time = TimePoint::origin();
@@ -125,7 +126,7 @@ TEST(FirstResponderTest, UnknownTargetsIgnored) {
   env.targets.per_container.erase(tb.c2().id());
   FirstResponder fr(std::move(env), tb.network, no_margin());
   fr.start();
-  tb.sim.run_until(10 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(10 * kMillisecond));
   fr.on_packet(request_to(tb, tb.c2(), TimePoint::origin()));
   EXPECT_EQ(fr.violations_detected(), 0u);
 }
@@ -136,10 +137,10 @@ TEST(FirstResponderTest, SlackMarginScalesThreshold) {
   opts.slack_margin = 2.0;  // threshold becomes 400us
   FirstResponder fr(tb.env(), tb.network, opts);
   fr.start();
-  tb.sim.run_until(300 * kMicrosecond);
+  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));  // 300us < 400us -> fine
   EXPECT_EQ(fr.violations_detected(), 0u);
-  tb.sim.run_until(500 * kMicrosecond);
+  tb.sim.run_until(TimePoint::at(500 * kMicrosecond));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));  // 500us > 400us -> violation
   EXPECT_EQ(fr.violations_detected(), 1u);
 }
@@ -147,7 +148,7 @@ TEST(FirstResponderTest, SlackMarginScalesThreshold) {
 TEST(FirstResponderTest, FreezeWindowDerivedFromE2eLatency) {
   ControllerTestbed tb;
   FirstResponder::Options opts;
-  opts.freeze_window = 0;      // derive
+  opts.freeze_window = Duration::zero();  // derive
   opts.freeze_multiple = 2.0;  // 2x of the 500us profiled e2e
   FirstResponder fr(tb.env(), tb.network, opts);
   fr.start();
@@ -161,7 +162,7 @@ TEST(FirstResponderTest, HookedViaNetworkDelivery) {
   FirstResponder fr(tb.env(), tb.network, no_margin());
   fr.start();
   tb.network.register_client_receiver([](const RpcPacket&) {});
-  tb.sim.run_until(1 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(1 * kMillisecond));
   RpcPacket p = request_to(tb, tb.c1(), TimePoint::origin());  // started 1ms ago
   tb.network.send(kClientNode, p);
   tb.sim.run_to_completion();

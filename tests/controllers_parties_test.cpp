@@ -78,7 +78,7 @@ TEST(PartiesTest, NeverStealsFromBusyContainer) {
   // Keep c2's cores measurably busy.
   tb.c2().submit(1e12, []() {});
   tb.c2().submit(1e12, []() {});
-  tb.sim.run_until(500 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(500 * kMillisecond));
   tb.publish(tb.c1(), 900.0, 900.0);
   tb.publish(tb.c2(), 100.0, 100.0);  // low latency but fully busy
   parties.tick();  // drains pool
@@ -155,7 +155,7 @@ TEST(PartiesTest, StartSchedulesPeriodicTicks) {
   PartiesController parties(tb.env(300.0), opts);
   parties.start();
   tb.publish(tb.c1(), 900.0, 900.0);
-  tb.sim.run_until(600 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(600 * kMillisecond));
   EXPECT_EQ(tb.c1().cores(), 4);  // first tick at 500ms acted
 }
 

@@ -17,7 +17,7 @@ TEST(SurgeGuardTest, ComposesEscalatorAndFirstResponder) {
   sg_ctrl.start();
   // Escalator ticks must act on bus snapshots.
   tb.publish(tb.c1(), 900.0, 900.0);
-  tb.sim.run_until(150 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(150 * kMillisecond));
   EXPECT_GT(tb.c1().cores(), 2);
 }
 
@@ -37,7 +37,7 @@ TEST(SurgeGuardTest, FastPathBoostsWithinMicroseconds) {
   SurgeGuard sg_ctrl(tb.env(), tb.network, opts);
   sg_ctrl.start();
   tb.network.register_client_receiver([](const RpcPacket&) {});
-  tb.sim.run_until(1 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(1 * kMillisecond));
   RpcPacket p;
   p.request_id = 1;
   p.dst_container = tb.c1().id();
@@ -60,15 +60,15 @@ TEST(IdealOracleTest, AllocatesAtDetectionTime) {
   IdealOracleController::Options opts;
   // 30k rps x 100us work = 3 cores of demand > the initial 2.
   opts.pattern = SpikePattern::surges(15000, 2.0, 1 * kSecond, 10 * kSecond,
-                                      1 * kSecond);
+                                      TimePoint::at(1 * kSecond));
   opts.detection_delay = 100 * kMillisecond;
   opts.drain_window = 200 * kMillisecond;
   opts.horizon = 5 * kSecond;
   IdealOracleController oracle(tb.env(), opts);
   oracle.start();
-  tb.sim.run_until(1 * kSecond + 50 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(1 * kSecond + 50 * kMillisecond));
   EXPECT_EQ(tb.c1().cores(), 2);  // before detection
-  tb.sim.run_until(1 * kSecond + 150 * kMillisecond);
+  tb.sim.run_until(TimePoint::at(1 * kSecond + 150 * kMillisecond));
   EXPECT_GT(tb.c1().cores(), 2);  // after detection: sized for the surge
 }
 
@@ -76,13 +76,14 @@ TEST(IdealOracleTest, RestoresAfterDrain) {
   ControllerTestbed tb(8, 2, 64);
   IdealOracleController::Options opts;
   opts.pattern = SpikePattern::surges(5000, 2.0, 1 * kSecond, 10 * kSecond,
-                                      1 * kSecond);
+                                      TimePoint::at(1 * kSecond));
   opts.detection_delay = 100 * kMillisecond;
   opts.drain_window = 200 * kMillisecond;
   opts.horizon = 5 * kSecond;
   IdealOracleController oracle(tb.env(), opts);
   oracle.start();
-  tb.sim.run_until(2 * kSecond + 300 * kMillisecond);  // surge end + drain
+  // Surge end + drain.
+  tb.sim.run_until(TimePoint::at(2 * kSecond + 300 * kMillisecond));
   EXPECT_EQ(tb.c1().cores(), 2);
   EXPECT_EQ(tb.c2().cores(), 2);
 }
@@ -90,17 +91,18 @@ TEST(IdealOracleTest, RestoresAfterDrain) {
 TEST(IdealOracleTest, LongerDelayNeedsMoreCores) {
   // The Fig. 4 relationship: a slower detection accumulates more backlog
   // and therefore requires more cores to drain in the same window.
-  auto peak_cores = [](SimTime delay) {
+  auto peak_cores = [](Duration delay) {
     ControllerTestbed tb(8, 2, 64);
     IdealOracleController::Options opts;
-    opts.pattern = SpikePattern::surges(15000, 2.0, 1 * kSecond,
-                                        10 * kSecond, 1 * kSecond);
+    opts.pattern =
+        SpikePattern::surges(15000, 2.0, 1 * kSecond, 10 * kSecond,
+                             TimePoint::at(1 * kSecond));
     opts.detection_delay = delay;
     opts.drain_window = 200 * kMillisecond;
     opts.horizon = 3 * kSecond;
     IdealOracleController oracle(tb.env(), opts);
     oracle.start();
-    tb.sim.run_until(1 * kSecond + delay + 10 * kMillisecond);
+    tb.sim.run_until(TimePoint::at(1 * kSecond + delay + 10 * kMillisecond));
     return tb.c1().cores();
   };
   EXPECT_GE(peak_cores(500 * kMillisecond), peak_cores(1 * kMillisecond));

@@ -35,7 +35,7 @@ TEST(ConfigMapTest, DefaultsApply) {
   EXPECT_EQ(cfg->duration, 30 * kSecond);
   EXPECT_DOUBLE_EQ(cfg->surge_mult, 1.75);
   EXPECT_FALSE(cfg->membw.has_value());
-  EXPECT_EQ(cfg->net_delay_extra, 0);
+  EXPECT_EQ(cfg->net_delay_extra, Duration::zero());
 }
 
 TEST(ConfigMapTest, FullConfigRoundTrip) {
@@ -95,6 +95,28 @@ TEST(ConfigMapTest, InvalidValuesFail) {
   EXPECT_FALSE(experiment_from_config(parse("duration_s = 0"), nullptr));
   EXPECT_FALSE(
       experiment_from_config(parse("[membw]\nnode_bw_gbs = -5"), nullptr));
+}
+
+// A present value that does not parse is an error naming the key and the
+// value, never the default.
+void expect_rejected(const std::string& text, const std::string& key,
+                     const std::string& value) {
+  std::string err;
+  EXPECT_FALSE(experiment_from_config(parse(text), &err)) << text;
+  EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
+  EXPECT_NE(err.find("'" + value + "'"), std::string::npos) << err;
+}
+
+TEST(ConfigMapTest, MalformedIntegerRejected) {
+  expect_rejected("nodes = 2x\n", "nodes", "2x");
+}
+
+TEST(ConfigMapTest, MalformedDoubleRejected) {
+  expect_rejected("duration_s = two\n", "duration_s", "two");
+}
+
+TEST(ConfigMapTest, MalformedBoolRejected) {
+  expect_rejected("[trace]\nenabled = ture\n", "trace.enabled", "ture");
 }
 
 TEST(ConfigMapTest, RateOverride) {

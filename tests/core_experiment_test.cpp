@@ -36,7 +36,7 @@ TEST(ProfileTest, TargetsAreTwiceLowLoadValues) {
     EXPECT_NEAR(t4.expected_exec_metric_ns, 2.0 * t.expected_exec_metric_ns,
                 t.expected_exec_metric_ns * 0.01);
   }
-  EXPECT_GT(p2.low_load_mean_latency, 0);
+  EXPECT_GT(p2.low_load_mean_latency, Duration::zero());
   EXPECT_GE(p2.low_load_p98, p2.low_load_mean_latency);
 }
 
@@ -54,12 +54,12 @@ TEST(ProfileTest, DeeperContainersExpectLaterArrival) {
 TEST(ExperimentTest, StaticRunProducesSaneResults) {
   const ExperimentResult r = run_experiment(short_config(ControllerKind::kStatic));
   EXPECT_GT(r.load.completed, 0u);
-  EXPECT_GT(r.load.p98, 0);
+  EXPECT_GT(r.load.p98, Duration::zero());
   EXPECT_GT(r.avg_cores, 0.0);
   EXPECT_GT(r.energy_joules, 0.0);
   EXPECT_EQ(r.fr_boosts, 0u);  // no FirstResponder in a static run
-  EXPECT_EQ(r.measure_start, 2_s);
-  EXPECT_EQ(r.measure_end, 10_s);
+  EXPECT_EQ(r.measure_start, TimePoint::at(2_s));
+  EXPECT_EQ(r.measure_end, TimePoint::at(10_s));
 }
 
 TEST(ExperimentTest, StaticAllocationNeverChanges) {
@@ -140,8 +140,9 @@ TEST(ExperimentTest, MakePatternDerivesSurges) {
   const SpikePattern p = cfg.make_pattern();
   EXPECT_TRUE(p.has_spikes());
   EXPECT_DOUBLE_EQ(p.spike_rate_rps, cfg.workload.base_rate_rps * 1.75);
-  EXPECT_EQ(p.first_spike_at, cfg.warmup + cfg.first_surge_offset);
-  cfg.surge_len = 0;
+  EXPECT_EQ(p.first_spike_at,
+            TimePoint::at(cfg.warmup + cfg.first_surge_offset));
+  cfg.surge_len = Duration::zero();
   EXPECT_FALSE(cfg.make_pattern().has_spikes());
 }
 

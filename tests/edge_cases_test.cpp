@@ -134,10 +134,11 @@ TEST(EdgeCaseTest, EscalatorOnEmptyNode) {
 TEST(EdgeCaseTest, SurgeLongerThanPeriodClamps) {
   // spike_len == period: permanently surged — the pattern must behave as a
   // steady stream at the spike rate, not wedge.
-  SpikePattern p = SpikePattern::surges(1000, 2.0, 10_s, 10_s, 1_s);
-  EXPECT_TRUE(p.in_spike(5_s));
-  EXPECT_TRUE(p.in_spike(15_s));
-  EXPECT_DOUBLE_EQ(p.rate_at(20_s), 2000.0);
+  SpikePattern p =
+      SpikePattern::surges(1000, 2.0, 10_s, 10_s, TimePoint::at(1_s));
+  EXPECT_TRUE(p.in_spike(TimePoint::at(5_s)));
+  EXPECT_TRUE(p.in_spike(TimePoint::at(15_s)));
+  EXPECT_DOUBLE_EQ(p.rate_at(TimePoint::at(20_s)), 2000.0);
 }
 
 TEST(EdgeCaseTest, ExperimentWithTinyWindow) {
@@ -146,7 +147,7 @@ TEST(EdgeCaseTest, ExperimentWithTinyWindow) {
   cfg.controller = ControllerKind::kStatic;
   cfg.warmup = 100_ms;
   cfg.duration = 200_ms;
-  cfg.surge_len = 0;
+  cfg.surge_len = Duration::zero();
   const ExperimentResult r = run_experiment(cfg);
   EXPECT_GT(r.load.completed, 0u);
 }

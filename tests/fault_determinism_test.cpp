@@ -48,7 +48,7 @@ struct RunDigest {
   std::uint64_t app_retries = 0;
   std::uint64_t ticks_stalled = 0;
   double vv = 0.0;
-  SimTime p99 = 0;
+  Duration p99;
 
   bool operator==(const RunDigest& o) const {
     return events == o.events && faults == o.faults && issued == o.issued &&
@@ -149,7 +149,7 @@ TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {
   const auto plan = FaultPlan::parse("", &error);
   ASSERT_TRUE(plan.has_value()) << error;
   EXPECT_TRUE(plan->empty());
-  EXPECT_EQ(plan->horizon(), 0);
+  EXPECT_EQ(plan->horizon(), TimePoint::origin());
 }
 
 TEST(FaultPlanTest, OverlappingDropWindowsCompose) {
@@ -159,11 +159,11 @@ TEST(FaultPlanTest, OverlappingDropWindowsCompose) {
       &error);
   ASSERT_TRUE(plan.has_value()) << error;
   // Independent losses compose as 1 - prod(1 - rate_i).
-  EXPECT_DOUBLE_EQ(plan->drop_rate_at(2 * kMillisecond), 0.5);
-  EXPECT_DOUBLE_EQ(plan->drop_rate_at(7 * kMillisecond), 0.75);
-  EXPECT_DOUBLE_EQ(plan->drop_rate_at(12 * kMillisecond), 0.5);
-  EXPECT_DOUBLE_EQ(plan->drop_rate_at(20 * kMillisecond), 0.0);
-  EXPECT_EQ(plan->horizon(), 15 * kMillisecond);
+  EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(2 * kMillisecond)), 0.5);
+  EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(7 * kMillisecond)), 0.75);
+  EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(12 * kMillisecond)), 0.5);
+  EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(20 * kMillisecond)), 0.0);
+  EXPECT_EQ(plan->horizon(), TimePoint::at(15 * kMillisecond));
 }
 
 TEST(FaultPlanTest, DelayWindowsAdd) {
@@ -173,9 +173,12 @@ TEST(FaultPlanTest, DelayWindowsAdd) {
       "delay:start_ms=5,len_ms=10,extra_us=50",
       &error);
   ASSERT_TRUE(plan.has_value()) << error;
-  EXPECT_EQ(plan->extra_delay_at(2 * kMillisecond), 100 * kMicrosecond);
-  EXPECT_EQ(plan->extra_delay_at(7 * kMillisecond), 150 * kMicrosecond);
-  EXPECT_EQ(plan->extra_delay_at(12 * kMillisecond), 50 * kMicrosecond);
+  EXPECT_EQ(plan->extra_delay_at(TimePoint::at(2 * kMillisecond)),
+            100 * kMicrosecond);
+  EXPECT_EQ(plan->extra_delay_at(TimePoint::at(7 * kMillisecond)),
+            150 * kMicrosecond);
+  EXPECT_EQ(plan->extra_delay_at(TimePoint::at(12 * kMillisecond)),
+            50 * kMicrosecond);
 }
 
 TEST(FaultPlanTest, StallWindowHalfOpen) {
@@ -183,10 +186,12 @@ TEST(FaultPlanTest, StallWindowHalfOpen) {
   const auto plan =
       FaultPlan::parse("stall:start_ms=10,len_ms=5", &error);
   ASSERT_TRUE(plan.has_value()) << error;
-  EXPECT_FALSE(plan->controller_stalled_at(10 * kMillisecond - 1));
-  EXPECT_TRUE(plan->controller_stalled_at(10 * kMillisecond));
-  EXPECT_TRUE(plan->controller_stalled_at(15 * kMillisecond - 1));
-  EXPECT_FALSE(plan->controller_stalled_at(15 * kMillisecond));
+  const TimePoint start = TimePoint::at(10 * kMillisecond);
+  const TimePoint end = TimePoint::at(15 * kMillisecond);
+  EXPECT_FALSE(plan->controller_stalled_at(start - kNanosecond));
+  EXPECT_TRUE(plan->controller_stalled_at(start));
+  EXPECT_TRUE(plan->controller_stalled_at(end - kNanosecond));
+  EXPECT_FALSE(plan->controller_stalled_at(end));
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ ExperimentConfig chaos_config(bool faults, bool retry) {
   cfg.controller = ControllerKind::kSurgeGuard;
   cfg.warmup = 2_s;
   cfg.duration = 6_s;
-  cfg.surge_len = 0;
+  cfg.surge_len = Duration::zero();
   cfg.seed = 31;
   if (faults) {
     std::string error;
@@ -79,7 +79,7 @@ TEST(IntegrationChaosTest, TailBoundedVersusNoFaultBaseline) {
   // rather than collapsing into a retry storm.
   EXPECT_GT(chaos.load.p99, base.load.p99);
   EXPECT_LT(chaos.load.p99, 5_s);
-  EXPECT_LT(chaos.load.max_latency, chaos.measure_end + 6_s);
+  EXPECT_LT(chaos.load.max_latency, chaos.measure_end.since_origin() + 6_s);
   // Some backlogged completions slide past measure_end into the drain (they
   // still complete — the zero-stranded test pins that), so in-window
   // goodput dips but must not collapse.

@@ -100,7 +100,7 @@ TEST(MultiNodeTest, CrossNodeHintPropagation) {
     pkt.request_id = static_cast<RequestId>(i + 1);
     pkt.dst_container = app.entry_container();
     pkt.dst_node = app.entry_node();
-    pkt.start_time = sim.now_point();
+    pkt.start_time = sim.now();
     network.send(kClientNode, pkt);
   }
   sim.run_to_completion();

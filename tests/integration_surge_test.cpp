@@ -86,7 +86,7 @@ TEST(SurgeIntegrationTest, FirstResponderQuietAtSteadyState) {
   const WorkloadInfo w = make_chain();
   const ProfileResult profile = profile_workload(w, 1);
   ExperimentConfig cfg = surge_config(w, ControllerKind::kSurgeGuard);
-  cfg.surge_len = 0;  // steady
+  cfg.surge_len = Duration::zero();  // steady
   const ExperimentResult r = run_experiment(cfg, profile);
   EXPECT_EQ(r.fr_violations, 0u);
   EXPECT_EQ(r.fr_boosts, 0u);

@@ -46,7 +46,8 @@ struct Fig5Testbed {
                                         std::move(spec), dep);
     LoadGenOptions opts;
     // One long surge so window averages during the surge are unambiguous.
-    opts.pattern = SpikePattern::surges(13000, surge_mult, 2_s, 60_s, 1_s);
+    opts.pattern = SpikePattern::surges(13000, surge_mult, 2_s, 60_s,
+                                        TimePoint::at(1_s));
     opts.qos = 5_ms;
     opts.warmup = 500_ms;
     opts.duration = 2_s;
@@ -57,7 +58,7 @@ struct Fig5Testbed {
   /// snapshots collected DURING the surge (1s..3s).
   std::pair<MetricsSnapshot, MetricsSnapshot> run_and_snapshot() {
     gen->start();
-    sim.run_until(1_s);  // pre-surge
+    sim.run_until(TimePoint::at(1_s));  // pre-surge
     // Reset windows so the snapshot covers surge time only.
     auto& m1 = const_cast<ContainerRuntimeMetrics&>(
         app->runtime_metrics(app->service_container(0).id()));
@@ -65,7 +66,7 @@ struct Fig5Testbed {
         app->runtime_metrics(app->service_container(1).id()));
     m1.flush(sim.now());
     m2.flush(sim.now());
-    sim.run_until(2'800'000'000);  // most of the surge
+    sim.run_until(TimePoint{2'800'000'000});  // most of the surge
     return {m1.flush(sim.now()), m2.flush(sim.now())};
   }
 };

@@ -115,7 +115,7 @@ TEST(IntegrationTraceTest, SurgeRunYieldsBreakdownDecisionsAndViolators) {
   // second — enough pressure for SLO violations and controller responses.
   cfg.pattern_override = SpikePattern::surges(
       cfg.workload.base_rate_rps, 20.0, 2 * kMillisecond, 1 * kSecond,
-      1500 * kMillisecond);
+      TimePoint::at(1500 * kMillisecond));
   cfg.trace_enabled = true;
   cfg.trace_sample = 0.05;  // rely on tail sampling for the violators
   cfg.trace_capacity = 1u << 16;

@@ -9,12 +9,13 @@
 namespace sg {
 namespace {
 
-VisitRecord visit(SimTime arrive, SimTime depart, SimTime conn_wait,
-                  bool hint = false) {
+// A visit record from raw nanosecond timestamps.
+VisitRecord visit(std::int64_t arrive, std::int64_t depart,
+                  std::int64_t conn_wait, bool hint = false) {
   VisitRecord r;
   r.container = 1;
-  r.arrive = TimePoint::at(arrive);
-  r.depart = TimePoint::at(depart);
+  r.arrive = TimePoint{arrive};
+  r.depart = TimePoint{depart};
   r.conn_wait = Duration{conn_wait};
   r.time_from_start = Duration{arrive};
   r.upscale_hint = hint;
@@ -31,12 +32,12 @@ TEST(ContainerMetricsTest, WindowAverages) {
   ContainerRuntimeMetrics m(1);
   m.record_visit(visit(0, 1000, 0));
   m.record_visit(visit(0, 3000, 0));
-  const MetricsSnapshot s = m.flush(5000);
+  const MetricsSnapshot s = m.flush(TimePoint{5000});
   EXPECT_EQ(s.visits, 2);
   EXPECT_DOUBLE_EQ(s.avg_exec_time_ns, 2000.0);
   EXPECT_DOUBLE_EQ(s.avg_exec_metric_ns, 2000.0);
   EXPECT_DOUBLE_EQ(s.queue_buildup, 1.0);  // no conn wait
-  EXPECT_EQ(s.window_end, 5000);
+  EXPECT_EQ(s.window_end, TimePoint{5000});
   EXPECT_TRUE(s.valid());
 }
 
@@ -44,7 +45,7 @@ TEST(ContainerMetricsTest, QueueBuildupFromConnWait) {
   ContainerRuntimeMetrics m(1);
   // execTime 1000, of which 600 waiting for a connection.
   m.record_visit(visit(0, 1000, 600));
-  const MetricsSnapshot s = m.flush(1);
+  const MetricsSnapshot s = m.flush(TimePoint{1});
   EXPECT_DOUBLE_EQ(s.avg_exec_metric_ns, 400.0);
   EXPECT_DOUBLE_EQ(s.queue_buildup, 2.5);  // eq. 3: 1000/400
 }
@@ -52,8 +53,8 @@ TEST(ContainerMetricsTest, QueueBuildupFromConnWait) {
 TEST(ContainerMetricsTest, FlushResetsWindow) {
   ContainerRuntimeMetrics m(1);
   m.record_visit(visit(0, 1000, 0));
-  m.flush(1);
-  const MetricsSnapshot s2 = m.flush(2);
+  m.flush(TimePoint{1});
+  const MetricsSnapshot s2 = m.flush(TimePoint{2});
   EXPECT_EQ(s2.visits, 0);
   EXPECT_FALSE(s2.valid());
   EXPECT_DOUBLE_EQ(s2.queue_buildup, 1.0);
@@ -63,25 +64,26 @@ TEST(ContainerMetricsTest, HintLatchesWithinWindow) {
   ContainerRuntimeMetrics m(1);
   m.record_visit(visit(0, 10, 0, true));
   m.record_visit(visit(0, 10, 0, false));
-  EXPECT_TRUE(m.flush(1).upscale_hint_received);
+  EXPECT_TRUE(m.flush(TimePoint{1}).upscale_hint_received);
   m.record_visit(visit(0, 10, 0, false));
-  EXPECT_FALSE(m.flush(2).upscale_hint_received);  // cleared by flush
+  // Cleared by flush.
+  EXPECT_FALSE(m.flush(TimePoint{2}).upscale_hint_received);
 }
 
 TEST(ContainerMetricsTest, DegenerateExecMetricClamped) {
   ContainerRuntimeMetrics m(1);
   // All time spent waiting: execMetric ~ 0 -> queueBuildup clamps large.
   m.record_visit(visit(0, 1000, 1000));
-  const MetricsSnapshot s = m.flush(1);
+  const MetricsSnapshot s = m.flush(TimePoint{1});
   EXPECT_GE(s.queue_buildup, 1e5);
 }
 
 TEST(ContainerMetricsTest, LifetimeAveragesSurviveFlush) {
   ContainerRuntimeMetrics m(1);
   m.record_visit(visit(0, 1000, 0));
-  m.flush(1);
+  m.flush(TimePoint{1});
   m.record_visit(visit(0, 3000, 0));
-  m.flush(2);
+  m.flush(TimePoint{2});
   EXPECT_EQ(m.total_visits(), 2u);
   EXPECT_DOUBLE_EQ(m.lifetime_avg_exec_metric_ns(), 2000.0);
 }
@@ -91,7 +93,7 @@ TEST(MetricsBusTest, PublishAndRead) {
   EXPECT_FALSE(bus.latest(1).has_value());
   MetricsSnapshot s;
   s.container = 1;
-  s.window_end = 100;
+  s.window_end = TimePoint{100};
   s.visits = 5;
   bus.publish(s);
   const auto got = bus.latest(1);
@@ -103,22 +105,23 @@ TEST(MetricsBusTest, LatestOverwrites) {
   MetricsBus bus;
   MetricsSnapshot s;
   s.container = 1;
-  s.window_end = 100;
+  s.window_end = TimePoint{100};
   bus.publish(s);
-  s.window_end = 200;
+  s.window_end = TimePoint{200};
   bus.publish(s);
-  EXPECT_EQ(bus.latest(1)->window_end, 200);
+  EXPECT_EQ(bus.latest(1)->window_end, TimePoint{200});
 }
 
 TEST(MetricsBusTest, StalenessDetection) {
   MetricsBus bus;
-  EXPECT_TRUE(bus.is_stale(1, 0, 100));  // never published
+  // Never published.
+  EXPECT_TRUE(bus.is_stale(1, TimePoint::origin(), Duration{100}));
   MetricsSnapshot s;
   s.container = 1;
-  s.window_end = 1000;
+  s.window_end = TimePoint{1000};
   bus.publish(s);
-  EXPECT_FALSE(bus.is_stale(1, 1050, 100));
-  EXPECT_TRUE(bus.is_stale(1, 1200, 100));
+  EXPECT_FALSE(bus.is_stale(1, TimePoint{1050}, Duration{100}));
+  EXPECT_TRUE(bus.is_stale(1, TimePoint{1200}, Duration{100}));
 }
 
 TEST(MetricsBusTest, KnownContainers) {

@@ -34,14 +34,14 @@ TEST(NetworkTest, SameNodeFasterThanCrossNode) {
   NetworkLatencyModel model;
   model.jitter = 0.0;
   Network net(sim, model);
-  SimTime same = 0, cross = 0;
+  TimePoint same, cross;
   net.register_receiver(1, [&](const RpcPacket&) { same = sim.now(); });
   net.register_receiver(2, [&](const RpcPacket&) { cross = sim.now(); });
   net.send(0, make_packet(1, 0));  // same node
   net.send(0, make_packet(2, 1));  // cross node
   sim.run_to_completion();
-  EXPECT_EQ(same, model.same_node_ns);
-  EXPECT_EQ(cross, model.cross_node_ns);
+  EXPECT_EQ(same, TimePoint::at(model.same_node));
+  EXPECT_EQ(cross, TimePoint::at(model.cross_node));
 }
 
 TEST(NetworkTest, JitterBoundsLatency) {
@@ -49,8 +49,8 @@ TEST(NetworkTest, JitterBoundsLatency) {
   NetworkLatencyModel model;
   model.jitter = 0.1;
   Network net(sim, model);
-  std::vector<SimTime> deliveries;
-  SimTime sent_at = 0;
+  std::vector<Duration> deliveries;
+  TimePoint sent_at;
   net.register_receiver(1, [&](const RpcPacket&) {
     deliveries.push_back(sim.now() - sent_at);
   });
@@ -59,9 +59,9 @@ TEST(NetworkTest, JitterBoundsLatency) {
     net.send(0, make_packet(1, 0));
     sim.run_to_completion();
   }
-  for (SimTime d : deliveries) {
-    EXPECT_GE(d, static_cast<SimTime>(0.9 * static_cast<double>(model.same_node_ns)) - 1);
-    EXPECT_LE(d, static_cast<SimTime>(1.1 * static_cast<double>(model.same_node_ns)) + 1);
+  for (Duration d : deliveries) {
+    EXPECT_GE(d, 0.9 * model.same_node - kNanosecond);
+    EXPECT_LE(d, 1.1 * model.same_node + kNanosecond);
   }
 }
 
@@ -70,12 +70,12 @@ TEST(NetworkTest, ExtraDelayInjected) {
   NetworkLatencyModel model;
   model.jitter = 0.0;
   Network net(sim, model);
-  SimTime at = 0;
+  TimePoint at;
   net.register_receiver(1, [&](const RpcPacket&) { at = sim.now(); });
   net.set_extra_delay(1 * kMillisecond);
   net.send(0, make_packet(1, 0));
   sim.run_to_completion();
-  EXPECT_EQ(at, model.same_node_ns + 1 * kMillisecond);
+  EXPECT_EQ(at, TimePoint::at(model.same_node + 1 * kMillisecond));
 }
 
 TEST(NetworkTest, ClientReceiverGetsResponses) {
@@ -239,15 +239,15 @@ TEST(NetworkFaultTest, ExtraDelayShiftsDeliveryAndHooksSeeDelayedCopy) {
   model.jitter = 0.0;
   Network net(sim, model);
   ScriptedFaultHook fault;
-  fault.fate.extra_delay_ns = 1 * kMillisecond;
+  fault.fate.extra_delay = 1 * kMillisecond;
   net.set_fault_hook(&fault);
   CountingHook rx_hook;
   net.add_rx_hook(0, &rx_hook);
-  SimTime at = 0;
+  TimePoint at;
   net.register_receiver(1, [&](const RpcPacket&) { at = sim.now(); });
   net.send(0, make_packet(1, 0));
   sim.run_to_completion();
-  EXPECT_EQ(at, model.same_node_ns + 1 * kMillisecond);
+  EXPECT_EQ(at, TimePoint::at(model.same_node + 1 * kMillisecond));
   // The delayed packet is still delivered (and hooked) exactly once.
   EXPECT_EQ(rx_hook.seen.size(), 1u);
   EXPECT_EQ(net.packets_delivered(), 1u);
@@ -276,14 +276,14 @@ TEST(NetworkTest, PacketMetadataPreserved) {
   RpcPacket got;
   net.register_receiver(3, [&](const RpcPacket& p) { got = p; });
   RpcPacket sent = make_packet(3, 0);
-  sent.start_time = TimePoint::at(12345);
+  sent.start_time = TimePoint{12345};
   sent.upscale = 2;
   sent.call_id = 99;
   sent.src_container = 8;
   sent.src_node = 4;
   net.send(4, sent);
   sim.run_to_completion();
-  EXPECT_EQ(got.start_time, TimePoint::at(12345));
+  EXPECT_EQ(got.start_time, TimePoint{12345});
   EXPECT_EQ(got.upscale, 2);
   EXPECT_EQ(got.call_id, 99u);
   EXPECT_EQ(got.src_container, 8);

@@ -30,9 +30,9 @@ TEST_P(PsConservationTest, BusyTimeEqualsWorkDelivered) {
   double total_work_ns = 0.0;
   int completed = 0;
   const int jobs = 200;
-  SimTime t = 0;
+  TimePoint t;
   for (int i = 0; i < jobs; ++i) {
-    t += static_cast<SimTime>(rng.exponential(50'000.0));
+    t += Duration{static_cast<std::int64_t>(rng.exponential(50'000.0))};
     const double work = rng.uniform(1'000.0, 200'000.0);
     total_work_ns += work;
     sim.schedule_at(t, [&c, work, &completed]() {
@@ -42,7 +42,8 @@ TEST_P(PsConservationTest, BusyTimeEqualsWorkDelivered) {
   // Random core reconfigurations along the way (never to zero so the run
   // terminates).
   for (int i = 0; i < 20; ++i) {
-    const SimTime when = static_cast<SimTime>(rng.uniform(0.0, static_cast<double>(t)));
+    const TimePoint when{static_cast<std::int64_t>(
+        rng.uniform(0.0, static_cast<double>(t.ns())))};
     const int cores = static_cast<int>(rng.uniform_int(1, 4));
     sim.schedule_at(when, [&c, cores]() { c.set_cores(cores); });
   }
@@ -156,17 +157,18 @@ class TimelinePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TimelinePropertyTest, PointwiseMatchesIntegral) {
   Rng rng(GetParam());
   StepTimeline tl(rng.uniform(0.0, 5.0));
-  SimTime t = 0;
+  TimePoint t;
   for (int i = 0; i < 100; ++i) {
-    t += static_cast<SimTime>(rng.uniform_int(1, 1000));
+    t += Duration{static_cast<std::int64_t>(rng.uniform_int(1, 1000))};
     tl.set(t, rng.uniform(0.0, 10.0));
   }
   // Riemann sum over unit steps equals integrate() (piecewise-constant, so
   // the unit-step sum is exact when steps land on integers).
-  const SimTime end = t + 100;
+  const TimePoint end = t + Duration{100};
   double riemann = 0.0;
-  for (SimTime x = 0; x < end; ++x) riemann += tl.at(x);
-  EXPECT_NEAR(riemann, tl.integrate(0, end), 1e-6 * riemann + 1e-9);
+  for (TimePoint x; x < end; x += kNanosecond) riemann += tl.at(x);
+  EXPECT_NEAR(riemann, tl.integrate(TimePoint::origin(), end),
+              1e-6 * riemann + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelinePropertyTest,
@@ -185,7 +187,7 @@ TEST_P(FaultConservationTest, IssuedEqualsCompletedPlusDroppedPlusInFlight) {
   cfg.controller = ControllerKind::kSurgeGuard;
   cfg.warmup = 2 * kSecond;
   cfg.duration = 4 * kSecond;
-  cfg.surge_len = 0;
+  cfg.surge_len = Duration::zero();
   cfg.seed = 5;
   cfg.rpc_retry.enabled = true;
   cfg.drain = 5 * kSecond;
@@ -280,20 +282,20 @@ TEST(PsConservationTest, SpeedScaleFreezeStallsAndResumesExactly) {
   params.initial_cores = 1;
   Container c(sim, std::move(params));
 
-  SimTime done_at = 0;
+  TimePoint done_at;
   // 1ms of work at 1 core, reference frequency: finishes at t=1ms unfrozen.
   c.submit(1'000'000.0, [&]() { done_at = sim.now(); });
   // Freeze after 0.1ms of progress, thaw at 10ms.
-  sim.schedule_at(100'000, [&c]() { c.set_speed_scale(0.0); });
-  sim.schedule_at(5'000'000, [&c]() {
+  sim.schedule_at(TimePoint{100'000}, [&c]() { c.set_speed_scale(0.0); });
+  sim.schedule_at(TimePoint{5'000'000}, [&c]() {
     // Mid-freeze: the job is stalled but still queued.
     EXPECT_EQ(c.active_jobs(), 1);
   });
-  sim.schedule_at(10'000'000, [&c]() { c.set_speed_scale(1.0); });
+  sim.schedule_at(TimePoint{10'000'000}, [&c]() { c.set_speed_scale(1.0); });
   sim.run_to_completion();
   c.sync();
   // 0.1ms ran, 9.9ms frozen, then the remaining 0.9ms: exact resume point.
-  EXPECT_EQ(done_at, 10'900'000);
+  EXPECT_EQ(done_at, TimePoint{10'900'000});
   EXPECT_EQ(c.active_jobs(), 0);
   EXPECT_EQ(c.jobs_completed(), 1u);
 }

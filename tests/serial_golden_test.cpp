@@ -81,7 +81,7 @@ std::string hex_float(double v) {
 
 std::string digest(const ExperimentResult& r) {
   std::ostringstream os;
-  const auto i64 = [](auto v) { return static_cast<long long>(v); };
+  const auto i64 = [](Duration d) { return static_cast<long long>(d.ns()); };
   os << "vv_ms_s " << hex_float(r.load.violation_volume_ms_s) << '\n'
      << "violation_frac " << hex_float(r.load.violation_duration_frac) << '\n'
      << "issued " << r.load.issued << '\n'

@@ -9,85 +9,89 @@ namespace {
 
 TEST(SimulatorTest, ClockStartsAtZero) {
   Simulator sim;
-  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.now(), TimePoint{0});
   EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(SimulatorTest, ScheduleAfterAdvancesClock) {
   Simulator sim;
-  SimTime seen = kTimeInfinity;  // sentinel: callback never ran
-  sim.schedule_after(100, [&]() { seen = sim.now(); });
+  TimePoint seen = TimePoint::infinity();  // sentinel: callback never ran
+  sim.schedule_after(Duration{100}, [&]() { seen = sim.now(); });
   sim.run_to_completion();
-  EXPECT_EQ(seen, 100);
-  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(seen, TimePoint{100});
+  EXPECT_EQ(sim.now(), TimePoint{100});
 }
 
 TEST(SimulatorTest, ScheduleAtAbsolute) {
   Simulator sim;
-  std::vector<SimTime> seen;
-  sim.schedule_at(50, [&]() { seen.push_back(sim.now()); });
-  sim.schedule_at(25, [&]() { seen.push_back(sim.now()); });
+  std::vector<std::int64_t> seen;
+  sim.schedule_at(TimePoint{50}, [&]() { seen.push_back(sim.now().ns()); });
+  sim.schedule_at(TimePoint{25}, [&]() { seen.push_back(sim.now().ns()); });
   sim.run_to_completion();
-  EXPECT_EQ(seen, (std::vector<SimTime>{25, 50}));
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{25, 50}));
 }
 
 TEST(SimulatorTest, PastTimesClampToNow) {
   Simulator sim;
-  sim.schedule_at(100, []() {});
+  sim.schedule_at(TimePoint{100}, []() {});
   sim.run_to_completion();
-  SimTime seen = kTimeInfinity;  // sentinel: callback never ran
-  sim.schedule_at(10, [&]() { seen = sim.now(); });  // in the past
+  TimePoint seen = TimePoint::infinity();  // sentinel: callback never ran
+  // In the past.
+  sim.schedule_at(TimePoint{10}, [&]() { seen = sim.now(); });
   sim.run_to_completion();
-  EXPECT_EQ(seen, 100);
+  EXPECT_EQ(seen, TimePoint{100});
 
-  sim.schedule_after(-5, [&]() { seen = sim.now(); });  // negative delay
+  // Negative delay.
+  sim.schedule_after(Duration{-5}, [&]() { seen = sim.now(); });
   sim.run_to_completion();
-  EXPECT_EQ(seen, 100);
+  EXPECT_EQ(seen, TimePoint{100});
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_at(10, [&]() { ++fired; });
-  sim.schedule_at(20, [&]() { ++fired; });
-  sim.schedule_at(30, [&]() { ++fired; });
-  sim.run_until(20);
+  sim.schedule_at(TimePoint{10}, [&]() { ++fired; });
+  sim.schedule_at(TimePoint{20}, [&]() { ++fired; });
+  sim.schedule_at(TimePoint{30}, [&]() { ++fired; });
+  sim.run_until(TimePoint{20});
   EXPECT_EQ(fired, 2);          // events at t<=20 fire
-  EXPECT_EQ(sim.now(), 20);     // clock lands exactly on the boundary
-  sim.run_until(35);
+  // The clock lands exactly on the boundary.
+  EXPECT_EQ(sim.now(), TimePoint{20});
+  sim.run_until(TimePoint{35});
   EXPECT_EQ(fired, 3);
-  EXPECT_EQ(sim.now(), 35);     // clock reaches end even after queue drains
+  // The clock reaches the end even after the queue drains.
+  EXPECT_EQ(sim.now(), TimePoint{35});
 }
 
 TEST(SimulatorTest, RunUntilWithEmptyQueueAdvancesClock) {
   Simulator sim;
-  sim.run_until(1000);
-  EXPECT_EQ(sim.now(), 1000);
+  sim.run_until(TimePoint{1000});
+  EXPECT_EQ(sim.now(), TimePoint{1000});
 }
 
 TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
   Simulator sim;
   EXPECT_FALSE(sim.step());
-  sim.schedule_after(1, []() {});
+  sim.schedule_after(Duration{1}, []() {});
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
 }
 
 TEST(SimulatorTest, HandlersCanScheduleMore) {
   Simulator sim;
-  std::vector<SimTime> seen;
-  sim.schedule_after(10, [&]() {
-    seen.push_back(sim.now());
-    sim.schedule_after(5, [&]() { seen.push_back(sim.now()); });
+  std::vector<std::int64_t> seen;
+  sim.schedule_after(Duration{10}, [&]() {
+    seen.push_back(sim.now().ns());
+    sim.schedule_after(Duration{5}, [&]() { seen.push_back(sim.now().ns()); });
   });
   sim.run_to_completion();
-  EXPECT_EQ(seen, (std::vector<SimTime>{10, 15}));
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{10, 15}));
 }
 
 TEST(SimulatorTest, CancelScheduledEvent) {
   Simulator sim;
   bool fired = false;
-  const EventId id = sim.schedule_after(10, [&]() { fired = true; });
+  const EventId id = sim.schedule_after(Duration{10}, [&]() { fired = true; });
   EXPECT_TRUE(sim.cancel(id));
   sim.run_to_completion();
   EXPECT_FALSE(fired);
@@ -95,7 +99,7 @@ TEST(SimulatorTest, CancelScheduledEvent) {
 
 TEST(SimulatorTest, EventsProcessedCounter) {
   Simulator sim;
-  for (int i = 0; i < 5; ++i) sim.schedule_after(i, []() {});
+  for (int i = 0; i < 5; ++i) sim.schedule_after(Duration{i}, []() {});
   sim.run_to_completion();
   EXPECT_EQ(sim.events_processed(), 5u);
 }
@@ -103,24 +107,24 @@ TEST(SimulatorTest, EventsProcessedCounter) {
 TEST(SimulatorTest, PeriodicRunsUntilFalse) {
   Simulator sim;
   int ticks = 0;
-  sim.schedule_periodic(100, 50, [&]() {
+  sim.schedule_periodic(TimePoint{100}, Duration{50}, [&]() {
     ++ticks;
     return ticks < 4;
   });
   sim.run_to_completion();
   EXPECT_EQ(ticks, 4);
-  EXPECT_EQ(sim.now(), 100 + 3 * 50);
+  EXPECT_EQ(sim.now(), TimePoint{100 + 3 * 50});
 }
 
 TEST(SimulatorTest, PeriodicFirstFiringAtStart) {
   Simulator sim;
-  std::vector<SimTime> at;
-  sim.schedule_periodic(30, 10, [&]() {
-    at.push_back(sim.now());
+  std::vector<std::int64_t> at;
+  sim.schedule_periodic(TimePoint{30}, Duration{10}, [&]() {
+    at.push_back(sim.now().ns());
     return at.size() < 3;
   });
   sim.run_to_completion();
-  EXPECT_EQ(at, (std::vector<SimTime>{30, 40, 50}));
+  EXPECT_EQ(at, (std::vector<std::int64_t>{30, 40, 50}));
 }
 
 TEST(SimulatorTest, PeriodicStopsWithPendingQueueDestruction) {
@@ -128,11 +132,11 @@ TEST(SimulatorTest, PeriodicStopsWithPendingQueueDestruction) {
   // simulator is destroyed with its next event pending.
   auto sim = std::make_unique<Simulator>();
   int ticks = 0;
-  sim->schedule_periodic(0, 10, [&]() {
+  sim->schedule_periodic(TimePoint::origin(), Duration{10}, [&]() {
     ++ticks;
     return true;
   });
-  sim->run_until(100);
+  sim->run_until(TimePoint{100});
   EXPECT_EQ(ticks, 11);
   sim.reset();  // destruction with a live periodic event
 }

@@ -7,14 +7,14 @@
 namespace sg {
 namespace {
 
-TraceSpan span(RequestId id, SpanKind kind, int container, SimTime begin,
-               SimTime end) {
+TraceSpan span(RequestId id, SpanKind kind, int container, std::int64_t begin,
+               std::int64_t end) {
   TraceSpan s;
   s.request_id = id;
   s.kind = kind;
   s.container = container;
-  s.begin = TimePoint::at(begin);
-  s.end = TimePoint::at(end);
+  s.begin = TimePoint{begin};
+  s.end = TimePoint{end};
   return s;
 }
 
@@ -60,9 +60,9 @@ TEST(TraceSinkTest, RingEvictsOldestBeyondCapacity) {
   opts.capacity = 4;
   TraceSink sink(opts);
   for (RequestId id = 1; id <= 10; ++id) {
-    ASSERT_TRUE(sink.begin_request(id, TimePoint::at(static_cast<SimTime>(id))));
-    sink.end_request(id, TimePoint::at(static_cast<SimTime>(id) + 5),
-                     Duration::ns(5));
+    const TimePoint begin{static_cast<std::int64_t>(id)};
+    ASSERT_TRUE(sink.begin_request(id, begin));
+    sink.end_request(id, begin + Duration::ns(5), Duration::ns(5));
   }
   EXPECT_EQ(sink.kept_count(), 4u);
   EXPECT_EQ(sink.stats().traces_evicted, 6u);
@@ -80,9 +80,9 @@ TEST(TraceSinkTest, TailSamplingKeepsOnlySloViolators) {
   sink.set_slo_threshold(Duration::ns(100));
   for (RequestId id = 1; id <= 20; ++id) {
     EXPECT_TRUE(sink.should_record(id));
-    ASSERT_TRUE(sink.begin_request(id, TimePoint::at(0)));
+    ASSERT_TRUE(sink.begin_request(id, TimePoint::origin()));
     // Odd ids violate (latency 150 > 100), even ids do not.
-    sink.end_request(id, TimePoint::at(200),
+    sink.end_request(id, TimePoint{200},
                      Duration::ns(id % 2 == 1 ? 150 : 50));
   }
   EXPECT_EQ(sink.kept_count(), 10u);
@@ -99,14 +99,14 @@ TEST(TraceSinkTest, SpansForUnknownRequestsAreIgnored) {
   TraceSink sink(TraceOptions{});
   sink.add_span(span(42, SpanKind::kExec, 0, 0, 10));
   EXPECT_EQ(sink.stats().spans_recorded, 0u);
-  ASSERT_TRUE(sink.begin_request(1, TimePoint::at(0)));
+  ASSERT_TRUE(sink.begin_request(1, TimePoint::origin()));
   sink.add_span(span(1, SpanKind::kExec, 0, 0, 10));
   EXPECT_EQ(sink.stats().spans_recorded, 1u);
 }
 
 TEST(TraceSinkTest, AbandonDropsPendingBuffer) {
   TraceSink sink(TraceOptions{});
-  ASSERT_TRUE(sink.begin_request(1, TimePoint::at(0)));
+  ASSERT_TRUE(sink.begin_request(1, TimePoint::origin()));
   sink.add_span(span(1, SpanKind::kExec, 0, 0, 10));
   sink.abandon_request(1);
   EXPECT_EQ(sink.pending_count(), 0u);
@@ -118,12 +118,12 @@ TEST(TraceSinkTest, PendingOverflowRefusesNewRequests) {
   TraceOptions opts;
   opts.max_pending = 2;
   TraceSink sink(opts);
-  EXPECT_TRUE(sink.begin_request(1, TimePoint::at(0)));
-  EXPECT_TRUE(sink.begin_request(2, TimePoint::at(0)));
-  EXPECT_FALSE(sink.begin_request(3, TimePoint::at(0)));
+  EXPECT_TRUE(sink.begin_request(1, TimePoint::origin()));
+  EXPECT_TRUE(sink.begin_request(2, TimePoint::origin()));
+  EXPECT_FALSE(sink.begin_request(3, TimePoint::origin()));
   EXPECT_EQ(sink.stats().pending_overflow, 1u);
-  sink.end_request(1, TimePoint::at(10), Duration::ns(10));
-  EXPECT_TRUE(sink.begin_request(4, TimePoint::at(10)));
+  sink.end_request(1, TimePoint{10}, Duration::ns(10));
+  EXPECT_TRUE(sink.begin_request(4, TimePoint{10}));
 }
 
 TEST(TraceSinkTest, DecisionCapCountsDrops) {
@@ -131,7 +131,7 @@ TEST(TraceSinkTest, DecisionCapCountsDrops) {
   opts.max_decisions = 3;
   TraceSink sink(opts);
   for (int i = 0; i < 5; ++i) {
-    sink.add_decision({TimePoint::at(i), DecisionKind::kCoreGrant,
+    sink.add_decision({TimePoint{i}, DecisionKind::kCoreGrant,
                        "escalator", 0, 1, 2});
   }
   EXPECT_EQ(sink.stats().decisions_recorded, 3u);
@@ -145,7 +145,7 @@ TraceReport tiny_report() {
   TraceOptions opts;
   TraceSink sink(opts);
   sink.set_slo_threshold(Duration::ns(1000));
-  EXPECT_TRUE(sink.begin_request(7, TimePoint::at(0)));
+  EXPECT_TRUE(sink.begin_request(7, TimePoint::origin()));
   sink.add_span(span(7, SpanKind::kNetHop, 0, 0, 100));        // client -> 0
   sink.add_span(span(7, SpanKind::kExec, 0, 100, 400));        // exec
   sink.add_span(span(7, SpanKind::kConnWait, 0, 400, 450));    // pool wait
@@ -156,8 +156,8 @@ TraceReport tiny_report() {
   back.src_container = 0;
   back.is_response = true;
   sink.add_span(back);
-  sink.end_request(7, TimePoint::at(600), Duration::ns(600));
-  sink.add_decision({TimePoint::at(250), DecisionKind::kFreqBoost,
+  sink.end_request(7, TimePoint{600}, Duration::ns(600));
+  sink.add_decision({TimePoint{250}, DecisionKind::kFreqBoost,
                      "first-responder", 0, 0,
                      3200});
   sink.set_container_info({{0, 0, "app/frontend"}});
@@ -216,14 +216,14 @@ TEST(BreakdownTest, FractionsComputedFromSpans) {
 
 TEST(CriticalPathTest, GreedyCoverAccountsGaps) {
   TraceSink sink(TraceOptions{});
-  ASSERT_TRUE(sink.begin_request(1, TimePoint::at(0)));
+  ASSERT_TRUE(sink.begin_request(1, TimePoint::origin()));
   sink.add_span(span(1, SpanKind::kNetHop, 0, 0, 100));
   auto e = span(1, SpanKind::kExec, 0, 100, 300);
   e.cpu_served_ns = 150.0;  // 50 ns cpu-queue inside the exec segment
   sink.add_span(e);
   // Uncovered [300, 400): a structural gap.
   sink.add_span(span(1, SpanKind::kNetHop, -1, 400, 500));
-  sink.end_request(1, TimePoint::at(500), Duration::ns(500));
+  sink.end_request(1, TimePoint{500}, Duration::ns(500));
   const auto paths = critical_paths(sink.report(), 1);
   ASSERT_EQ(paths.size(), 1u);
   const CriticalPath& p = paths[0];
@@ -238,10 +238,10 @@ TEST(CriticalPathTest, GreedyCoverAccountsGaps) {
 TEST(CriticalPathTest, SlowestRequestsFirst) {
   TraceSink sink(TraceOptions{});
   for (RequestId id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(sink.begin_request(id, TimePoint::at(0)));
-    const SimTime latency = static_cast<SimTime>(100 * id);
+    ASSERT_TRUE(sink.begin_request(id, TimePoint::origin()));
+    const auto latency = static_cast<std::int64_t>(100 * id);
     sink.add_span(span(id, SpanKind::kNetHop, 0, 0, latency));
-    sink.end_request(id, TimePoint::at(latency), Duration{latency});
+    sink.end_request(id, TimePoint{latency}, Duration{latency});
   }
   const auto paths = critical_paths(sink.report(), 2);
   ASSERT_EQ(paths.size(), 2u);

@@ -67,9 +67,9 @@ TEST(LoadGeneratorTest, SpikeRaisesIssueRate) {
   GenTestbed tb;
   LoadGenOptions opts;
   // 1s of 1000 rps, then a 1s spike at 3000, then 1s at 1000.
-  opts.pattern = SpikePattern::surges(1000, 3.0, 1_s, 10_s, 1_s);
+  opts.pattern = SpikePattern::surges(1000, 3.0, 1_s, 10_s, TimePoint::at(1_s));
   opts.poisson = false;
-  opts.warmup = 0;
+  opts.warmup = Duration::zero();
   opts.duration = 3_s;
   opts.qos = 10_ms;
   LoadGenerator gen(tb.sim, tb.network, *tb.app, opts);
@@ -84,9 +84,10 @@ TEST(LoadGeneratorTest, ShortSpikeNotSkippedByPacing) {
   // requests (boundary re-pacing).
   GenTestbed tb;
   LoadGenOptions opts;
-  opts.pattern = SpikePattern::surges(1000, 20.0, 100_us, 1_s, 500_ms);
+  opts.pattern =
+      SpikePattern::surges(1000, 20.0, 100_us, 1_s, TimePoint::at(500_ms));
   opts.poisson = false;
-  opts.warmup = 0;
+  opts.warmup = Duration::zero();
   opts.duration = 1_s;
   opts.qos = 100_ms;
   LoadGenerator gen(tb.sim, tb.network, *tb.app, opts);
@@ -110,7 +111,7 @@ TEST(LoadGeneratorTest, LatencyRecordedOnlyInWindow) {
   tb.sim.run_until(gen.measure_end() + 1_s);  // run past the window
   const LoadGenResults r = gen.results();
   EXPECT_NEAR(static_cast<double>(r.completed), 1000.0, 10.0);
-  EXPECT_GT(r.p50, 0);
+  EXPECT_GT(r.p50, Duration::zero());
   EXPECT_LE(r.p50, r.p98);
   EXPECT_LE(r.p98, r.p99);
 }
@@ -134,14 +135,14 @@ TEST(LoadGeneratorTest, StopHaltsIssuing) {
   LoadGenOptions opts;
   opts.pattern = SpikePattern::steady(1000);
   opts.poisson = false;
-  opts.warmup = 0;
+  opts.warmup = Duration::zero();
   opts.duration = 10_s;
   opts.qos = 10_ms;
   LoadGenerator gen(tb.sim, tb.network, *tb.app, opts);
   gen.start();
-  tb.sim.run_until(500_ms);
+  tb.sim.run_until(TimePoint::at(500_ms));
   gen.stop();
-  tb.sim.run_until(2_s);
+  tb.sim.run_until(TimePoint::at(2_s));
   const LoadGenResults r = gen.results();
   EXPECT_NEAR(static_cast<double>(r.issued), 500.0, 5.0);
 }

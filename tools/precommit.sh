@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Pre-commit gate: sg-lint (determinism + unit-safety rules) and
+# Pre-commit gate: sg-lint (determinism and hygiene rules D1-D5, H1, A0) and
 # clang-format --dry-run over the staged C++ files only. Wire it up with
 #
 #   ln -s ../../tools/precommit.sh .git/hooks/pre-commit

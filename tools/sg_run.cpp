@@ -143,9 +143,12 @@ int main(int argc, char** argv) {
     cfg->trace_enabled = true;
   }
   if (trace_sample != nullptr) {
-    const double rate = std::atof(trace_sample);
-    if (rate < 0.0 || rate > 1.0) {
-      std::fprintf(stderr, "error: --trace-sample must be in [0, 1]\n");
+    char* end = nullptr;
+    const double rate = std::strtod(trace_sample, &end);
+    if (end == trace_sample || *end != '\0' || !(rate >= 0.0 && rate <= 1.0)) {
+      std::fprintf(stderr,
+                   "error: --trace-sample expects a rate in [0, 1], got '%s'\n",
+                   trace_sample);
       return 2;
     }
     cfg->trace_sample = rate;
@@ -189,9 +192,7 @@ int main(int argc, char** argv) {
   if (!quiet) {
     std::printf("low-load mean e2e: %s -> QoS %s\n",
                 format_time(profile.low_load_mean_latency).c_str(),
-                format_time(static_cast<SimTime>(
-                                cfg->qos_mult *
-                                static_cast<double>(profile.low_load_mean_latency)))
+                format_time(cfg->qos_mult * profile.low_load_mean_latency)
                     .c_str());
   }
 

@@ -1,0 +1,39 @@
+# sg_run rejects malformed input: each case below must exit with code 2 and
+# print an `error:` line naming the offending flag or config key, instead of
+# running with a default.
+#
+#   cmake -DSG_RUN=<binary> -DWORK_DIR=<dir> -P sg_run_flags_test.cmake
+file(MAKE_DIRECTORY ${WORK_DIR})
+file(WRITE ${WORK_DIR}/valid.cfg "workload = chain\nduration_s = 1\n")
+file(WRITE ${WORK_DIR}/nodes.cfg "workload = chain\nnodes = 2x\n")
+file(WRITE ${WORK_DIR}/duration.cfg "workload = chain\nduration_s = two\n")
+file(WRITE ${WORK_DIR}/trace.cfg "workload = chain\n[trace]\nenabled = ture\n")
+
+# Each case: config file, then the name the error must mention, then flags.
+set(cases
+  "valid.cfg|--trace-sample|--trace-sample abc"
+  "valid.cfg|--trace-sample|--trace-sample 1.5"
+  "nodes.cfg|nodes|"
+  "duration.cfg|duration_s|"
+  "trace.cfg|trace.enabled|")
+foreach(case IN LISTS cases)
+  string(REGEX MATCH "^([^|]*)\\|([^|]*)\\|(.*)$" fields "${case}")
+  set(config ${CMAKE_MATCH_1})
+  set(name ${CMAKE_MATCH_2})
+  set(flags "${CMAKE_MATCH_3}")
+  separate_arguments(argv UNIX_COMMAND "${flags}")
+  execute_process(
+    COMMAND ${SG_RUN} ${WORK_DIR}/${config} --quiet ${argv}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "${config} ${flags}: expected exit 2, got ${rc}\n${out}${err}")
+  endif()
+  string(REGEX MATCH "error:[^\n]*${name}" hit "${err}")
+  if(NOT hit)
+    message(FATAL_ERROR
+            "${config} ${flags}: no error line naming ${name}: ${err}")
+  endif()
+endforeach()

@@ -31,9 +31,11 @@
 //   A0  malformed suppression: `sglint: allow(...)` without a justification
 //       string. An unexplained suppression is itself a finding, so the
 //       requirement cannot be bypassed silently.
-//   U1-U4  flow-aware unit-safety rules (TimePoint/Duration mixing, raw
-//       time literals, quantity narrowing, dimension mismatches) — see
-//       units.hpp for the analyzer and the allowed-operation tables.
+//
+// Unit safety (TimePoint/Duration mixing, bare integers as times, narrowing
+// a quantity to a number, dimension mismatches) is not a lint rule: the
+// quantity types in src/common/time.hpp make each of those a compile error,
+// and the time_negative_compile test pins the rejections.
 //
 // Suppression syntax (trailing comment governs its own line, a whole-line
 // comment governs the next line):
@@ -51,7 +53,6 @@
 #include <vector>
 
 #include "lexer.hpp"
-#include "units.hpp"
 
 namespace sglint {
 
@@ -132,7 +133,6 @@ class RuleEngine {
   /// the .cpp (the header reports its own D3 findings when linted itself).
   void seed_declarations(const LexResult& lex) {
     collect_unordered_decls(lex.tokens, /*report_d3=*/false);
-    units_.seed_declarations(lex);
   }
 
   /// `relative_path` decides path-scoped rules (D4 exempts src/common/).
@@ -149,14 +149,6 @@ class RuleEngine {
     rule_d5_threading_primitives(lex.tokens);
     rule_h1_include_hygiene(lex);
     rule_a0_malformed_suppressions(directives);
-    // The quantity layer itself is where the raw algebra is legal by
-    // definition (it implements the operator tables the U rules enforce),
-    // so it is exempt — the same way src/common/ may use raw new (D4).
-    if (file_ != "src/common/time.hpp") {
-      for (const UnitFinding& u : units_.run(lex)) {
-        add(u.line, u.rule, u.message);
-      }
-    }
 
     apply_suppressions(directives);
     std::sort(findings_.begin(), findings_.end(),
@@ -459,7 +451,6 @@ class RuleEngine {
   std::string file_;
   std::set<std::string> unordered_names_;
   std::vector<Finding> findings_;
-  UnitAnalyzer units_;
 };
 
 }  // namespace sglint
