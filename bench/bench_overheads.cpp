@@ -29,6 +29,26 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
+void BM_EventQueueCancelHeavy(benchmark::State& state) {
+  // The RPC-timeout shape of a lossy run: 10 000 armed timeouts pending;
+  // each iteration arms one more, fires the reply, and cancels the timeout.
+  EventQueue q;
+  const Duration timeout = 50 * kMillisecond;
+  TimePoint t;
+  for (int i = 0; i < 10'000; ++i) {
+    t += kNanosecond;
+    q.push(t + timeout, []() {});
+  }
+  for (auto _ : state) {
+    t += kNanosecond;
+    const EventId armed = q.push(t + timeout, []() {});
+    q.push(t, []() {});
+    benchmark::DoNotOptimize(q.pop());
+    benchmark::DoNotOptimize(q.cancel(armed));
+  }
+}
+BENCHMARK(BM_EventQueueCancelHeavy);
+
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   Simulator sim;
   for (auto _ : state) {
@@ -37,6 +57,25 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatorScheduleRun);
+
+void BM_SimulatorPeriodicTick(benchmark::State& state) {
+  // One periodic firing per iteration, among 16 staggered chains (a
+  // controller loop and a metrics publication per node on 8 nodes).
+  Simulator sim;
+  std::uint64_t ticks = 0;
+  for (int k = 0; k < 16; ++k) {
+    sim.schedule_periodic(TimePoint::at(Duration::us(k + 1)), kMillisecond,
+                          [&ticks]() {
+                            ++ticks;
+                            return true;
+                          });
+  }
+  for (auto _ : state) {
+    sim.step();
+  }
+  benchmark::DoNotOptimize(ticks);
+}
+BENCHMARK(BM_SimulatorPeriodicTick);
 
 void BM_ContainerSubmitComplete(benchmark::State& state) {
   Simulator sim;

@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
 #include "trace/trace.hpp"
 
@@ -87,8 +89,11 @@ Duration Network::sample_latency(int src_node, int dst_node) {
 
 void Network::schedule_delivery(int src_node, const RpcPacket& pkt,
                                 Duration latency) {
+  auto delivery = [this, pkt]() { deliver(pkt); };
+  // One of these per packet: keep the closure inside its event slot.
+  static_assert(EventQueue::Callback::stores_inline<decltype(delivery)>);
   sim_.schedule_at_ranked(sim_.now() + latency, next_delivery_rank(src_node),
-                          [this, pkt]() { deliver(pkt); });
+                          std::move(delivery));
 }
 
 void Network::send(int src_node, const RpcPacket& pkt_in) {

@@ -1,45 +1,107 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "common/assert.hpp"
 
 namespace sg {
 
-EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback cb) {
-  const EventId id = next_id_++;
-  heap_.push(Entry{time, rank, next_seq_++, id, std::move(cb)});
-  pending_.insert(id);
-  return id;
+namespace {
+
+constexpr std::size_t kArity = 4;
+
+std::size_t parent_of(std::size_t pos) { return (pos - 1) / kArity; }
+std::size_t first_child_of(std::size_t pos) { return pos * kArity + 1; }
+
+}  // namespace
+
+EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback&& cb) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    SG_ASSERT_MSG(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                  "event slot space exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    callbacks_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
+  }
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{time, rank, next_seq_++, slot});
+  return id_of(slot);
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (id == kInvalidEvent) return false;
-  // Only genuinely pending events can be cancelled; fired or unknown ids are
-  // a no-op so callers can hold handles without lifetime bookkeeping.
-  if (pending_.erase(id) == 0) return false;
-  cancelled_.insert(id);
+  const auto slot_plus_one = static_cast<std::uint32_t>(id);
+  if (slot_plus_one == 0 || slot_plus_one > slots_.size()) return false;
+  const std::uint32_t slot = slot_plus_one - 1;
+  // A freed slot's generation has moved past every id it issued.
+  if (slots_[slot].generation != static_cast<std::uint32_t>(id >> 32)) {
+    return false;
+  }
+  const std::size_t pos = slots_[slot].heap_pos;
+  callbacks_[slot].reset();
+  free_slot(slot);
+  erase_at(pos);
   return true;
 }
 
-void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && cancelled_.count(heap_.top().id)) {
-    cancelled_.erase(heap_.top().id);
-    heap_.pop();
+EventQueue::Fired EventQueue::pop() {
+  SG_ASSERT_MSG(!heap_.empty(), "pop() on empty EventQueue");
+  const Key top = heap_.front();
+  Fired fired{top.time, id_of(top.slot), std::move(callbacks_[top.slot])};
+  free_slot(top.slot);
+  erase_at(0);
+  return fired;
+}
+
+void EventQueue::free_slot(std::uint32_t slot) {
+  ++slots_[slot].generation;
+  free_slots_.push_back(slot);
+}
+
+void EventQueue::erase_at(std::size_t pos) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the erased key was the last one
+  if (pos > 0 && before(last, heap_[parent_of(pos)])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
   }
 }
 
-TimePoint EventQueue::next_time() const {
-  drop_cancelled();
-  return heap_.empty() ? TimePoint::infinity() : heap_.top().time;
+// Both sifts move a hole instead of swapping: each displaced key is written
+// once, and `key` lands where the hole stops.
+void EventQueue::sift_up(std::size_t pos, const Key& key) {
+  while (pos > 0) {
+    const std::size_t parent = parent_of(pos);
+    if (!before(key, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, key);
 }
 
-EventQueue::Fired EventQueue::pop() {
-  drop_cancelled();
-  SG_ASSERT_MSG(!heap_.empty(), "pop() on empty EventQueue");
-  const Entry& top = heap_.top();
-  Fired fired{top.time, top.id, std::move(top.cb)};
-  heap_.pop();
-  pending_.erase(fired.id);
-  return fired;
+void EventQueue::sift_down(std::size_t pos, const Key& key) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = first_child_of(pos);
+    if (first >= n) break;
+    const std::size_t last = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], key)) break;
+    place(pos, heap_[best]);
+    pos = best;
+  }
+  place(pos, key);
 }
 
 }  // namespace sg

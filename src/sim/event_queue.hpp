@@ -1,6 +1,6 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A binary heap ordered by (time, rank, sequence) gives deterministic
+// Events pop in (time, rank, sequence) order, which gives deterministic
 // tie-breaking for simultaneous events — essential for reproducible
 // experiments. The rank is a caller-supplied canonical key: events pushed
 // without one (kDefaultRank) fall back to FIFO order among themselves, while
@@ -8,20 +8,30 @@
 // order by rank *regardless of insertion order*, so same-nanosecond
 // delivery order is a function of packet identity. That order is part of the
 // pinned simulated output (simbench fingerprints, serial goldens).
-// Cancellation is lazy (tombstones), which keeps schedule and pop at
-// O(log n) without a handle-indexed heap.
+//
+// The sequence number is unique, so the key is a total order and the pop
+// order depends on nothing else: not on the heap's shape, not on which slot
+// an event occupies, and not on when a cancelled event leaves the set.
+//
+// Layout: an indexed 4-ary min-heap of 32-byte keys. Callbacks live in a
+// slot array the keys point into, so sifts move keys only; each slot records
+// its heap position, so cancel() removes an event from the heap at once.
+// An EventId names a slot and the slot's generation, which is bumped
+// whenever the slot is freed: a stale id (fired, cancelled, or from a
+// previous occupant) no longer matches and is a no-op.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/inline_callback.hpp"
 #include "common/time.hpp"
 
 namespace sg {
 
+/// (generation << 32) | (slot + 1); never 0.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
@@ -32,27 +42,33 @@ inline constexpr std::uint64_t kDefaultRank = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
-  /// Adds an event; returns a handle usable with cancel().
-  EventId push(TimePoint time, Callback cb) {
+  /// Adds an event; returns a handle usable with cancel(). Callbacks are
+  /// taken by rvalue reference so each is relocated once, into its slot.
+  EventId push(TimePoint time, Callback&& cb) {
     return push(time, kDefaultRank, std::move(cb));
   }
 
   /// Adds an event with an explicit tie-break rank.
-  EventId push(TimePoint time, std::uint64_t rank, Callback cb);
+  EventId push(TimePoint time, std::uint64_t rank, Callback&& cb);
 
-  /// Cancels a pending event. Safe to call on already-fired or invalid
-  /// handles (no-op). Returns true when the event was actually pending.
+  /// Cancels a pending event, destroying its callback. Safe to call on
+  /// already-fired, cancelled or never-issued handles (no-op). Returns true
+  /// when the event was actually pending.
   bool cancel(EventId id);
 
-  bool empty() const { return pending_.empty(); }
-  std::size_t size() const { return pending_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest live event (TimePoint::infinity() when empty).
-  TimePoint next_time() const;
+  /// Time of the earliest event (TimePoint::infinity() when empty).
+  TimePoint next_time() const {
+    return heap_.empty() ? TimePoint::infinity() : heap_.front().time;
+  }
 
-  /// Removes and returns the earliest live event.
+  /// Removes and returns the earliest event. The callback is moved out of
+  /// its slot, and the slot freed, before the caller runs it, so a callback
+  /// may push (growing the slot array) or cancel freely.
   /// Precondition: !empty().
   struct Fired {
     TimePoint time;
@@ -62,28 +78,48 @@ class EventQueue {
   Fired pop();
 
  private:
-  struct Entry {
+  struct Key {
     TimePoint time;
     std::uint64_t rank;
     std::uint64_t seq;
-    EventId id;
-    // mutable so pop() can move the callback out of the priority_queue's
-    // const top() reference; the comparator never inspects cb.
-    mutable Callback cb;
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      if (rank != other.rank) return rank > other.rank;
-      return seq > other.seq;
-    }
+    std::uint32_t slot;
+  };
+  // A node's four children span two cache lines.
+  static_assert(sizeof(Key) == 32);
+
+  struct Slot {
+    std::uint32_t generation = 0;
+    std::uint32_t heap_pos = 0;
   };
 
-  void drop_cancelled() const;
+  static bool before(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.rank != b.rank) return a.rank < b.rank;
+    return a.seq < b.seq;
+  }
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> pending_;
+  EventId id_of(std::uint32_t slot) const {
+    return (static_cast<EventId>(slots_[slot].generation) << 32) |
+           (static_cast<EventId>(slot) + 1);
+  }
+
+  void place(std::size_t pos, const Key& key) {
+    heap_[pos] = key;
+    slots_[key.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+
+  void sift_up(std::size_t pos, const Key& key);
+  void sift_down(std::size_t pos, const Key& key);
+  /// Drops heap_[pos] and restores the heap order.
+  void erase_at(std::size_t pos);
+  void free_slot(std::uint32_t slot);
+
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  /// Parallel to slots_; empty for free slots.
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
 };
 
 }  // namespace sg

@@ -63,26 +63,21 @@ void Simulator::schedule_periodic(TimePoint start, Duration period,
                                   TickClass tick_class) {
   SG_ASSERT_MSG(period > Duration::zero(),
                 "periodic event needs a positive period");
-  // Each firing reschedules itself. Only event callbacks hold strong
-  // references to the closure; the closure holds a weak one, so the chain is
-  // freed as soon as fn() returns false or the queue is destroyed (no cycle).
-  auto fire = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_fire = fire;
-  *fire = [this, period, fn = std::move(fn), weak_fire, tick_class]() {
-    if (tick_gate_ && !tick_gate_(tick_class)) {
-      // Stalled: the tick is missed, but the chain survives the window.
-      ++ticks_stalled_;
-      if (auto strong = weak_fire.lock()) {
-        schedule_after(period, [strong]() { (*strong)(); });
-      }
-      return;
-    }
-    if (!fn()) return;
-    if (auto strong = weak_fire.lock()) {
-      schedule_after(period, [strong]() { (*strong)(); });
-    }
-  };
-  schedule_at(start, [fire]() { (*fire)(); });
+  const std::size_t chain = chains_.size();
+  chains_.push_back(PeriodicChain{period, std::move(fn), tick_class});
+  schedule_at(start, [this, chain]() { fire_periodic(chain); });
+}
+
+void Simulator::fire_periodic(std::size_t chain) {
+  PeriodicChain& c = chains_[chain];
+  if (tick_gate_ && !tick_gate_(c.tick_class)) {
+    // Stalled: the tick is missed, but the chain survives the window.
+    ++ticks_stalled_;
+  } else if (!c.fn()) {
+    c.fn = nullptr;  // ended: release the captures
+    return;
+  }
+  schedule_after(c.period, [this, chain]() { fire_periodic(chain); });
 }
 
 }  // namespace sg

@@ -5,7 +5,9 @@
 // lives a level up, across independent replications (core/sweep.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -71,6 +73,9 @@ class Simulator {
   /// When a tick gate is installed and vetoes a firing, fn is skipped for
   /// that period (the tick is "missed") but the chain keeps rescheduling —
   /// this models a stalled controller that resumes after the stall window.
+  ///
+  /// Each firing pushes the next one only after fn returns (or the gate
+  /// vetoes), so events fn schedules at now + period run before that tick.
   void schedule_periodic(TimePoint start, Duration period,
                          std::function<bool()> fn,
                          TickClass tick_class = TickClass::kDefault);
@@ -104,7 +109,18 @@ class Simulator {
   TraceSink* trace_sink() const { return trace_sink_.get(); }
 
  private:
+  struct PeriodicChain {
+    Duration period;
+    std::function<bool()> fn;  // empty once the chain has ended
+    TickClass tick_class;
+  };
+
+  void fire_periodic(std::size_t chain);
+
   EventQueue queue_;
+  /// Indexed by the [this, chain] tick events; a deque so fn may register
+  /// more chains while it runs without moving the one being called.
+  std::deque<PeriodicChain> chains_;
   TimePoint now_;
   std::uint64_t events_processed_ = 0;
   std::uint64_t ticks_stalled_ = 0;

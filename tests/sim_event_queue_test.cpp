@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace sg {
 namespace {
@@ -115,6 +123,188 @@ TEST(EventQueueTest, ManyEventsStressOrder) {
     EXPECT_GE(fired.time, prev);
     prev = fired.time;
   }
+}
+
+TEST(EventQueueTest, RandomOpsMatchOrderedSetModel) {
+  // Seeded interleaving of push, ranked push, cancel and pop against a
+  // std::set of (time, rank, seq) keys: same pop order, size and next_time
+  // after every operation. Narrow time and rank ranges force ties.
+  using ModelKey = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    EventQueue q;
+    std::set<ModelKey> model;
+    std::map<EventId, ModelKey> key_of;
+    std::vector<EventId> issued;
+    std::uint64_t seq = 0;
+    std::uint64_t fired_seq = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t r = rng.next_u64() % 100;
+      if (r < 45) {
+        const auto t = static_cast<std::int64_t>(rng.next_u64() % 64);
+        const std::uint64_t rank =
+            rng.bernoulli(0.5) ? kDefaultRank : 1 + rng.next_u64() % 4;
+        const std::uint64_t s = ++seq;
+        const EventId id =
+            q.push(TimePoint{t}, rank, [&fired_seq, s]() { fired_seq = s; });
+        ASSERT_NE(id, kInvalidEvent);
+        model.emplace(t, rank, s);
+        key_of[id] = ModelKey{t, rank, s};
+        issued.push_back(id);
+      } else if (r < 70 && !issued.empty()) {
+        // Any handle ever issued: pending, fired or already cancelled.
+        const EventId id = issued[rng.next_u64() % issued.size()];
+        const auto it = key_of.find(id);
+        const bool pending = it != key_of.end() && model.count(it->second);
+        ASSERT_EQ(q.cancel(id), pending) << "op " << op;
+        if (pending) model.erase(it->second);
+      } else if (!model.empty()) {
+        const ModelKey expected = *model.begin();
+        model.erase(model.begin());
+        auto fired = q.pop();
+        fired.cb();
+        ASSERT_EQ(fired.time, TimePoint{std::get<0>(expected)}) << "op " << op;
+        ASSERT_EQ(fired_seq, std::get<2>(expected)) << "op " << op;
+        ASSERT_EQ(key_of.at(fired.id), expected) << "op " << op;
+      }
+      ASSERT_EQ(q.size(), model.size()) << "op " << op;
+      ASSERT_EQ(q.empty(), model.empty());
+      ASSERT_EQ(q.next_time(), model.empty()
+                                   ? TimePoint::infinity()
+                                   : TimePoint{std::get<0>(*model.begin())});
+    }
+  }
+}
+
+TEST(EventQueueTest, StaleIdDoesNotCancelSlotsNewOccupant) {
+  EventQueue q;
+  const EventId old_id = q.push(TimePoint{10}, []() {});
+  q.pop();
+  // The freed slot is reused by the next push, under a new generation.
+  bool fired = false;
+  const EventId new_id = q.push(TimePoint{20}, [&]() { fired = true; });
+  EXPECT_NE(new_id, old_id);
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().cb();
+  EXPECT_TRUE(fired);
+
+  // Same after a cancel frees the slot.
+  const EventId cancelled = q.push(TimePoint{30}, []() {});
+  EXPECT_TRUE(q.cancel(cancelled));
+  const EventId next = q.push(TimePoint{40}, []() {});
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_TRUE(q.cancel(next));
+}
+
+TEST(EventQueueTest, NeverIssuedIdsAreRejectedWithSlotsLive) {
+  EventQueue q;
+  for (int i = 0; i < 8; ++i) q.push(TimePoint{i}, []() {});
+  EXPECT_FALSE(q.cancel(9999));
+  EXPECT_FALSE(q.cancel((EventId{5} << 32) | 1));  // future generation
+  EXPECT_EQ(q.size(), 8u);
+}
+
+TEST(EventQueueTest, CancelRootAndLastHeapElement) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 9; ++i) {
+    ids.push_back(q.push(TimePoint{10 * (i + 1)},
+                         [&order, i]() { order.push_back(i); }));
+  }
+  EXPECT_TRUE(q.cancel(ids.front()));  // the root
+  EXPECT_EQ(q.next_time(), TimePoint{20});
+  EXPECT_TRUE(q.cancel(ids.back()));  // pushed in order: the last element
+  EXPECT_EQ(q.size(), 7u);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+// Counts destructions of the one instance that was never moved from.
+struct DestroyCounter {
+  int* destroyed;
+  bool live = true;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed(other.destroyed), live(other.live) {
+    other.live = false;
+  }
+  DestroyCounter(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (live) ++*destroyed;
+  }
+};
+
+TEST(EventQueueCallbackTest, CaptureLargerThanInlineBufferRuns) {
+  EventQueue q;
+  std::array<char, 2 * InlineCallback::kInlineBytes> big{};
+  big.back() = 'x';
+  char seen = 0;
+  auto cb = [big, &seen]() { seen = big.back(); };
+  static_assert(!InlineCallback::stores_inline<decltype(cb)>);
+  q.push(TimePoint{1}, std::move(cb));
+  q.pop().cb();
+  EXPECT_EQ(seen, 'x');
+}
+
+TEST(EventQueueCallbackTest, MoveOnlyCaptureIsAccepted) {
+  EventQueue q;
+  auto value = std::make_unique<int>(42);
+  int seen = 0;
+  q.push(TimePoint{1}, [v = std::move(value), &seen]() { seen = *v; });
+  q.pop().cb();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(EventQueueCallbackTest, CaptureDestroyedExactlyOnce) {
+  int fired_destroyed = 0;
+  int cancelled_destroyed = 0;
+  int pending_destroyed = 0;
+  int big_destroyed = 0;
+  {
+    EventQueue q;
+    q.push(TimePoint{1}, [c = DestroyCounter(&fired_destroyed)]() {});
+    const EventId id =
+        q.push(TimePoint{2}, [c = DestroyCounter(&cancelled_destroyed)]() {});
+    q.push(TimePoint{3}, [c = DestroyCounter(&pending_destroyed)]() {});
+    std::array<char, 2 * InlineCallback::kInlineBytes> pad{};
+    q.push(TimePoint{4}, [c = DestroyCounter(&big_destroyed), pad]() {});
+    // Grow the slot array so stored callbacks are relocated.
+    for (int i = 0; i < 100; ++i) q.push(TimePoint{100 + i}, []() {});
+    q.pop().cb();
+    EXPECT_EQ(fired_destroyed, 1);
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(cancelled_destroyed, 1);
+    EXPECT_EQ(pending_destroyed, 0);
+    EXPECT_EQ(big_destroyed, 0);
+  }
+  EXPECT_EQ(fired_destroyed, 1);
+  EXPECT_EQ(cancelled_destroyed, 1);
+  EXPECT_EQ(pending_destroyed, 1);
+  EXPECT_EQ(big_destroyed, 1);
+}
+
+TEST(EventQueueCallbackTest, CallbackMayPushWhileRunning) {
+  // The pushes below reallocate the slot array while the callback runs;
+  // its captures must survive, so pop() hands the callback out of its slot.
+  EventQueue q;
+  const std::string tag(64, 'q');
+  std::string seen;
+  int pushed_ran = 0;
+  q.push(TimePoint{1}, [&q, &seen, &pushed_ran, tag]() {
+    for (int i = 0; i < 1000; ++i) {
+      q.push(TimePoint{2 + i}, [&pushed_ran]() { ++pushed_ran; });
+    }
+    seen = tag;
+  });
+  q.pop().cb();
+  EXPECT_EQ(seen, tag);
+  EXPECT_EQ(q.size(), 1000u);
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(pushed_ran, 1000);
 }
 
 }  // namespace

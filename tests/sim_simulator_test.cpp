@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace sg {
@@ -144,6 +145,70 @@ TEST(SimulatorTest, PeriodicStopsWithPendingQueueDestruction) {
 TEST(SimulatorTest, RngIsSeedDeterministic) {
   Simulator a(123), b(123);
   for (int i = 0; i < 100; ++i) ASSERT_EQ(a.rng().next_u64(), b.rng().next_u64());
+}
+
+TEST(SimulatorTest, TickGateVetoStallsAndChainResumes) {
+  Simulator sim;
+  // Controller ticks are vetoed in [30, 60); default-class ticks never are.
+  sim.set_tick_gate([&](Simulator::TickClass c) {
+    return c != Simulator::TickClass::kController ||
+           sim.now() < TimePoint{30} || sim.now() >= TimePoint{60};
+  });
+  std::vector<std::int64_t> controller;
+  std::vector<std::int64_t> other;
+  sim.schedule_periodic(
+      TimePoint{0}, Duration{10},
+      [&]() {
+        controller.push_back(sim.now().ns());
+        return true;
+      },
+      Simulator::TickClass::kController);
+  sim.schedule_periodic(TimePoint{0}, Duration{10}, [&]() {
+    other.push_back(sim.now().ns());
+    return true;
+  });
+  sim.run_until(TimePoint{90});
+  EXPECT_EQ(controller, (std::vector<std::int64_t>{0, 10, 20, 60, 70, 80, 90}));
+  EXPECT_EQ(other.size(), 10u);
+  EXPECT_EQ(sim.ticks_stalled(), 3u);
+
+  sim.set_tick_gate(nullptr);
+  sim.run_until(TimePoint{100});
+  EXPECT_EQ(controller.back(), 100);
+  EXPECT_EQ(sim.ticks_stalled(), 3u);
+}
+
+TEST(SimulatorTest, EventScheduledByTickAtNextPeriodFiresFirst) {
+  // The next tick is pushed after fn returns, so an event fn schedules for
+  // the same instant has the lower sequence number and runs first.
+  Simulator sim;
+  std::string order;
+  sim.schedule_periodic(TimePoint{0}, Duration{10}, [&]() {
+    order += 't';
+    sim.schedule_after(Duration{10}, [&]() { order += 'e'; });
+    return order.size() < 5;
+  });
+  sim.run_to_completion();
+  EXPECT_EQ(order, "tetete");
+}
+
+TEST(SimulatorTest, PeriodicMayRegisterChainsWhileRunning) {
+  Simulator sim;
+  int outer = 0;
+  int inner = 0;
+  sim.schedule_periodic(TimePoint{0}, Duration{10}, [&]() {
+    // Registering grows the chain store under the running tick.
+    for (int i = 0; i < 64; ++i) {
+      sim.schedule_periodic(sim.now(), Duration{10}, [&]() {
+        ++inner;
+        return false;
+      });
+    }
+    return ++outer < 3;
+  });
+  sim.run_to_completion();
+  EXPECT_EQ(outer, 3);
+  EXPECT_EQ(inner, 3 * 64);
 }
 
 }  // namespace
