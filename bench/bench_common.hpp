@@ -28,9 +28,9 @@
 #include <sys/stat.h>
 
 #include "common/csv.hpp"
-#include "core/experiment.hpp"
-#include "core/reporting.hpp"
 #include "common/stats.hpp"
+#include "common/table.hpp"
+#include "core/experiment.hpp"
 #include "core/sweep.hpp"
 
 namespace sg::bench {

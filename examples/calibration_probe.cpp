@@ -10,8 +10,8 @@
 #include <string>
 
 #include "common/csv.hpp"
+#include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/reporting.hpp"
 
 using namespace sg;
 

@@ -16,9 +16,9 @@
 #include <memory>
 
 #include "common/csv.hpp"
+#include "common/table.hpp"
 #include "controllers/controller.hpp"
 #include "core/experiment.hpp"
-#include "core/reporting.hpp"
 #include "workload/load_generator.hpp"
 
 using namespace sg;

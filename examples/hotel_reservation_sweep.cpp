@@ -8,8 +8,8 @@
 #include <string>
 
 #include "common/csv.hpp"
+#include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/reporting.hpp"
 #include "core/sweep.hpp"
 
 using namespace sg;

@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "common/csv.hpp"
+#include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/reporting.hpp"
 
 int main() {
   using namespace sg;

@@ -11,8 +11,8 @@
 #include <cstdlib>
 
 #include "common/csv.hpp"
+#include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/reporting.hpp"
 
 using namespace sg;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -22,13 +21,6 @@ void CaladanAlgo::start() {
 }
 
 void CaladanAlgo::tick() {
-  TraceSink* trace = env_.sim->trace_sink();
-  const auto audit = [&](DecisionKind kind, int container, int amount) {
-    if (trace != nullptr) {
-      trace->add_decision({env_.sim->now(), kind, "caladan",
-                           env_.node->id(), container, amount});
-    }
-  };
   struct Entry {
     Container* container;
     double queue_buildup;
@@ -49,7 +41,10 @@ void CaladanAlgo::tick() {
     if (snap->queue_buildup < options_.idle_threshold &&
         busy < static_cast<double>(c->cores()) - 1.0 - options_.idle_margin) {
       const int revoked = env_.node->revoke(c, options_.revoke_step, /*floor=*/1);
-      if (revoked > 0) audit(DecisionKind::kCoreRevoke, c->id(), revoked);
+      if (revoked > 0) {
+        env_.sim->audit(DecisionKind::kCoreRevoke, "caladan", env_.node->id(),
+                        c->id(), revoked);
+      }
     }
   }
 
@@ -60,10 +55,10 @@ void CaladanAlgo::tick() {
   });
   for (const Entry& e : queued) {
     const int granted = env_.node->grant(e.container, options_.grant_step);
-    if (granted > 0) audit(DecisionKind::kCoreGrant, e.container->id(), granted);
-    SG_DEBUG << "[caladan n" << env_.node->id() << "] upscale "
-             << e.container->name() << " qb=" << e.queue_buildup
-             << " cores=" << e.container->cores();
+    if (granted > 0) {
+      env_.sim->audit(DecisionKind::kCoreGrant, "caladan", env_.node->id(),
+                      e.container->id(), granted);
+    }
   }
 }
 

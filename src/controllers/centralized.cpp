@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -85,18 +84,13 @@ void CentralizedMLController::apply(const std::vector<Decision>& decisions) {
       cluster_.node(c.node()).revoke(&c, c.cores() - d.cores, d.cores);
     }
   }
-  TraceSink* trace = sim_.trace_sink();
   for (const Decision& d : decisions) {
     Container& c = cluster_.container(d.container);
     if (d.cores > c.cores()) {
       cluster_.node(c.node()).grant(&c, d.cores - c.cores());
     }
-    if (trace != nullptr) {
-      trace->add_decision({sim_.now(), DecisionKind::kAllocSet,
-                           "centralized-ml", c.node(), c.id(), c.cores()});
-    }
-    SG_DEBUG << "[centralized-ml] " << c.name() << " -> " << c.cores()
-             << " cores";
+    sim_.audit(DecisionKind::kAllocSet, "centralized-ml", c.node(), c.id(),
+               c.cores());
   }
 }
 

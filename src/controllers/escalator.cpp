@@ -4,7 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -31,13 +30,6 @@ double Escalator::exec_signal(const MetricsSnapshot& snap) const {
 
 void Escalator::tick() {
   ++tick_count_;
-  TraceSink* trace = env_.sim->trace_sink();
-  const auto audit = [&](DecisionKind kind, int container, int amount) {
-    if (trace != nullptr) {
-      trace->add_decision({env_.sim->now(), kind, "escalator",
-                           env_.node->id(), container, amount});
-    }
-  };
   // Ordered maps (determinism rule D1/D3): scores feed the sorted candidate
   // list and exec_ratio is FP state consulted across the downscale walk —
   // neither may depend on hash order.
@@ -82,7 +74,8 @@ void Escalator::tick() {
         }
       }
       env_.app->set_upscale_stamp(id, options_.hint_depth);
-      audit(DecisionKind::kUpscaleStamp, id, options_.hint_depth);
+      env_.sim->audit(DecisionKind::kUpscaleStamp, "escalator",
+                      env_.node->id(), id, options_.hint_depth);
     } else if (options_.use_new_metrics) {
       env_.app->set_upscale_stamp(id, 0);
     }
@@ -119,7 +112,8 @@ void Escalator::tick() {
   for (const Candidate& cand : candidates) {
     const int granted = env_.node->grant(cand.container, options_.core_step);
     if (granted > 0) {
-      audit(DecisionKind::kCoreGrant, cand.container->id(), granted);
+      env_.sim->audit(DecisionKind::kCoreGrant, "escalator",
+                      env_.node->id(), cand.container->id(), granted);
     }
     if (granted == 0 && options_.manage_frequency) {
       const DvfsModel& dvfs = cand.container->dvfs();
@@ -127,8 +121,9 @@ void Escalator::tick() {
       cand.container->set_frequency(cand.container->frequency() +
                                     options_.freq_step_levels * dvfs.step_mhz);
       if (cand.container->frequency() != was) {
-        audit(DecisionKind::kFreqBoost, cand.container->id(),
-              static_cast<int>(cand.container->frequency()));
+        env_.sim->audit(DecisionKind::kFreqBoost, "escalator",
+                        env_.node->id(), cand.container->id(),
+                        static_cast<int>(cand.container->frequency()));
       }
     } else if (granted > 0 && options_.manage_frequency &&
                cand.container->frequency() > cand.container->dvfs().min_mhz) {
@@ -141,12 +136,10 @@ void Escalator::tick() {
       cand.container->set_frequency(
           cand.container->frequency() -
           options_.freq_step_levels * cand.container->dvfs().step_mhz);
-      audit(DecisionKind::kFreqLower, cand.container->id(),
-            static_cast<int>(cand.container->frequency()));
+      env_.sim->audit(DecisionKind::kFreqLower, "escalator",
+                      env_.node->id(), cand.container->id(),
+                      static_cast<int>(cand.container->frequency()));
     }
-    SG_DEBUG << "[escalator n" << env_.node->id() << "] upscale "
-             << cand.container->name() << " score=" << cand.score
-             << " sens=" << cand.sens << " cores=" << cand.container->cores();
   }
 
   // --- downscale pass ---
@@ -175,7 +168,8 @@ void Escalator::tick() {
       if (options_.manage_frequency && boosted) {
         c->set_frequency(c->frequency() -
                          options_.freq_step_levels * c->dvfs().step_mhz);
-        audit(DecisionKind::kFreqLower, id, static_cast<int>(c->frequency()));
+        env_.sim->audit(DecisionKind::kFreqLower, "escalator",
+                        env_.node->id(), id, static_cast<int>(c->frequency()));
       }
       // Parties' slack rule on score-0 containers. Two guards: (a) a
       // container still running above base frequency owes its low execution
@@ -188,7 +182,10 @@ void Escalator::tick() {
             busy_.safe_to_revoke(c, options_.core_step)) {
           const int revoked =
               env_.node->revoke(c, options_.core_step, /*floor=*/1);
-          if (revoked > 0) audit(DecisionKind::kCoreRevoke, id, revoked);
+          if (revoked > 0) {
+            env_.sim->audit(DecisionKind::kCoreRevoke, "escalator",
+                            env_.node->id(), id, revoked);
+          }
           slack_streak_[id] = 0;
         }
       } else {
@@ -209,9 +206,10 @@ void Escalator::tick() {
                                    options_.sens_revoke_threshold) &&
         busy_.safe_to_revoke(c, options_.core_step, /*util_limit=*/0.9)) {
       const int revoked = env_.node->revoke(c, options_.core_step, /*floor=*/1);
-      if (revoked > 0) audit(DecisionKind::kCoreRevoke, id, revoked);
-      SG_DEBUG << "[escalator n" << env_.node->id() << "] sens-revoke "
-               << c->name() << " cores=" << c->cores();
+      if (revoked > 0) {
+        env_.sim->audit(DecisionKind::kCoreRevoke, "escalator",
+                        env_.node->id(), id, revoked);
+      }
     }
   }
 }

@@ -1,6 +1,5 @@
 #include "controllers/first_responder.hpp"
 
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -50,31 +49,22 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
 }
 
 void FirstResponder::boost(int container) {
-  TraceSink* trace = env_.sim->trace_sink();
-  const auto audit = [&](const Container& tc, FreqMhz before) {
-    if (trace != nullptr && tc.frequency() != before) {
-      trace->add_decision({env_.sim->now(), DecisionKind::kFreqBoost,
-                           "first-responder", env_.node->id(), tc.id(),
-                           static_cast<int>(tc.frequency())});
-    }
-  };
-  Container& c = env_.cluster->container(container);
   // The violating container and its same-node downstream containers jump to
   // max frequency (the paper's FirstResponder response).
-  const FreqMhz was = c.frequency();
-  c.set_frequency(c.dvfs().max_mhz);
-  audit(c, was);
-  ++boosts_applied_;
+  const auto to_max = [this](Container& c) {
+    const FreqMhz was = c.frequency();
+    c.set_frequency(c.dvfs().max_mhz);
+    if (c.frequency() != was) {
+      env_.sim->audit(DecisionKind::kFreqBoost, "first-responder",
+                      env_.node->id(), c.id(), static_cast<int>(c.frequency()));
+    }
+    ++boosts_applied_;
+  };
+  to_max(env_.cluster->container(container));
   for (int d : env_.topology.downstream_on_node(container, env_.node->id(),
                                                 *env_.cluster)) {
-    Container& dc = env_.cluster->container(d);
-    const FreqMhz dwas = dc.frequency();
-    dc.set_frequency(dc.dvfs().max_mhz);
-    audit(dc, dwas);
-    ++boosts_applied_;
+    to_max(env_.cluster->container(d));
   }
-  SG_DEBUG << "[first-responder n" << env_.node->id() << "] boost "
-           << c.name() << " and downstream to max frequency";
 }
 
 }  // namespace sg

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -69,14 +68,10 @@ void IdealOracleController::on_surge_detected(
     if (needed > c.cores()) {
       const int granted = env_.node->grant(&c, needed - c.cores());
       if (granted > 0) {
-        if (TraceSink* trace = env_.sim->trace_sink()) {
-          trace->add_decision({env_.sim->now(), DecisionKind::kCoreGrant,
-                               "ideal", env_.node->id(), c.id(), granted});
-        }
+        env_.sim->audit(DecisionKind::kCoreGrant, "ideal", env_.node->id(),
+                        c.id(), granted);
       }
     }
-    SG_DEBUG << "[ideal n" << env_.node->id() << "] surge detected, "
-             << c.name() << " -> " << c.cores() << " cores";
   }
 }
 
@@ -92,10 +87,8 @@ void IdealOracleController::restore_initial() {
       const int revoked = env_.node->revoke(&c, c.cores() - initial_cores_[i],
                                             initial_cores_[i]);
       if (revoked > 0) {
-        if (TraceSink* trace = env_.sim->trace_sink()) {
-          trace->add_decision({env_.sim->now(), DecisionKind::kCoreRevoke,
-                               "ideal", env_.node->id(), c.id(), revoked});
-        }
+        env_.sim->audit(DecisionKind::kCoreRevoke, "ideal", env_.node->id(),
+                        c.id(), revoked);
       }
     }
   }

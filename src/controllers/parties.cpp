@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -29,13 +28,6 @@ double PartiesController::violation_ratio(const MetricsSnapshot& snap,
 }
 
 void PartiesController::tick() {
-  TraceSink* trace = env_.sim->trace_sink();
-  const auto audit = [&](DecisionKind kind, int container, int amount) {
-    if (trace != nullptr) {
-      trace->add_decision({env_.sim->now(), kind, "parties",
-                           env_.node->id(), container, amount});
-    }
-  };
   struct Candidate {
     Container* container;
     double ratio;
@@ -78,7 +70,8 @@ void PartiesController::tick() {
   for (const Candidate& v : violators) {
     const int granted = env_.node->grant(v.container, options_.core_step);
     if (granted > 0) {
-      audit(DecisionKind::kCoreGrant, v.container->id(), granted);
+      env_.sim->audit(DecisionKind::kCoreGrant, "parties",
+                      env_.node->id(), v.container->id(), granted);
     }
     if (granted < options_.core_step && !stole_this_tick && !calm.empty()) {
       // Pool dry: take a step from the calmest container (lowest ratio)
@@ -99,18 +92,17 @@ void PartiesController::tick() {
         const int freed = env_.node->revoke(donor->container,
                                             options_.core_step, /*floor=*/1);
         if (freed > 0) {
-          audit(DecisionKind::kCoreRevoke, donor->container->id(), freed);
+          env_.sim->audit(DecisionKind::kCoreRevoke, "parties",
+                          env_.node->id(), donor->container->id(), freed);
           const int regranted = env_.node->grant(v.container, freed);
           if (regranted > 0) {
-            audit(DecisionKind::kCoreGrant, v.container->id(), regranted);
+            env_.sim->audit(DecisionKind::kCoreGrant, "parties",
+                            env_.node->id(), v.container->id(), regranted);
           }
           stole_this_tick = true;
         }
       }
     }
-    SG_DEBUG << "[parties n" << env_.node->id() << "] upscale "
-             << v.container->name() << " ratio=" << v.ratio
-             << " cores=" << v.container->cores();
   }
   // Frequency is a per-container knob (no shared pool), so Parties steps it
   // up on every violator each interval.
@@ -121,8 +113,9 @@ void PartiesController::tick() {
       v.container->set_frequency(v.container->frequency() +
                                  options_.freq_step_levels * dvfs.step_mhz);
       if (v.container->frequency() != was) {
-        audit(DecisionKind::kFreqBoost, v.container->id(),
-              static_cast<int>(v.container->frequency()));
+        env_.sim->audit(DecisionKind::kFreqBoost, "parties",
+                        env_.node->id(), v.container->id(),
+                        static_cast<int>(v.container->frequency()));
       }
     }
   }
@@ -138,8 +131,9 @@ void PartiesController::tick() {
       const DvfsModel& dvfs = c.container->dvfs();
       c.container->set_frequency(c.container->frequency() -
                                  options_.freq_step_levels * dvfs.step_mhz);
-      audit(DecisionKind::kFreqLower, c.container->id(),
-            static_cast<int>(c.container->frequency()));
+      env_.sim->audit(DecisionKind::kFreqLower, "parties",
+                      env_.node->id(), c.container->id(),
+                      static_cast<int>(c.container->frequency()));
     }
     const int streak = slack_streak_[c.container->id()];
     if (streak >= options_.downscale_hold && streak > longest_streak) {
@@ -152,12 +146,10 @@ void PartiesController::tick() {
     const int revoked =
         env_.node->revoke(revoke_target, options_.core_step, /*floor=*/1);
     if (revoked > 0) {
-      audit(DecisionKind::kCoreRevoke, revoke_target->id(), revoked);
+      env_.sim->audit(DecisionKind::kCoreRevoke, "parties",
+                      env_.node->id(), revoke_target->id(), revoked);
     }
     slack_streak_[revoke_target->id()] = 0;
-    SG_DEBUG << "[parties n" << env_.node->id() << "] downscale "
-             << revoke_target->name()
-             << " cores=" << revoke_target->cores();
   }
 }
 

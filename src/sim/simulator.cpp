@@ -18,7 +18,13 @@ TraceSink& Simulator::enable_tracing(const TraceOptions& options) {
   return *trace_sink_;
 }
 
-void Simulator::disable_tracing() { trace_sink_.reset(); }
+void Simulator::audit(DecisionKind kind, const char* controller, int node,
+                      int container, int amount) {
+  if (trace_sink_) {
+    trace_sink_->add_decision(
+        {now_, kind, controller, node, container, amount});
+  }
+}
 
 EventId Simulator::schedule_at(TimePoint t, EventQueue::Callback cb) {
   if (t < now_) t = now_;

@@ -19,6 +19,7 @@ namespace sg {
 
 class TraceSink;
 struct TraceOptions;
+enum class DecisionKind;
 
 class Simulator {
  public:
@@ -101,12 +102,15 @@ class Simulator {
   /// configuration (SLO threshold, container metadata).
   TraceSink& enable_tracing(const TraceOptions& options);
 
-  /// Removes the sink; instrumentation reverts to the no-op path.
-  void disable_tracing();
-
   /// Active sink, or nullptr when tracing is disabled. Instrumentation
   /// sites null-check this — the disabled cost is one pointer load.
   TraceSink* trace_sink() const { return trace_sink_.get(); }
+
+  /// Appends a controller decision, stamped now(), to the sink's decision
+  /// audit; does nothing when tracing is disabled. `controller` must be a
+  /// static string ("escalator", "first-responder", ...).
+  void audit(DecisionKind kind, const char* controller, int node,
+             int container, int amount);
 
  private:
   struct PeriodicChain {

@@ -172,7 +172,6 @@ class TraceSink {
   /// Tail-sampling threshold; completions with latency > slo are kept
   /// regardless of head sampling. Zero disables (set once QoS is known).
   void set_slo_threshold(Duration slo) { slo_ = slo; }
-  Duration slo_threshold() const { return slo_; }
 
   /// Opens a span buffer for a request. Returns false (and records nothing
   /// for this request) when max_pending in-flight buffers already exist.

@@ -5,8 +5,15 @@
 //   * determinism — same seed, byte-identical exported trace JSON;
 //   * zero observer effect — tracing disabled vs enabled leaves the event
 //     count and every latency percentile bit-identical;
-//   * surge runs produce breakdown rows, decisions, and kept violators.
+//   * surge runs produce breakdown rows, decisions, and kept violators;
+//   * every controller records its decisions in the audit under its own
+//     source name, on a real node and container.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
+#include <ostream>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "trace/export.hpp"
@@ -189,6 +196,70 @@ TEST(IntegrationTraceTest, HeadSamplingKeepsRoughlyTheRequestedFraction) {
   EXPECT_GT(kept_frac, 0.1);
   EXPECT_LT(kept_frac, 0.3);
 }
+
+struct AuditCase {
+  ControllerKind controller;
+  const char* source;  // source name of the controller's decisions
+};
+
+// Names the case in test output (the default would dump the raw bytes,
+// pointer included).
+void PrintTo(const AuditCase& c, std::ostream* os) {
+  *os << to_string(c.controller);
+}
+
+class ControllerAuditTest : public ::testing::TestWithParam<AuditCase> {};
+
+TEST_P(ControllerAuditTest, DecisionsCarryTheControllersSourceAndIds) {
+  ExperimentConfig cfg = base_config();
+  cfg.controller = GetParam().controller;
+  cfg.nodes = 2;
+  // One 1 s surge at 3x: long enough for Parties' 500 ms interval to see it.
+  cfg.surge_mult = 3.0;
+  cfg.surge_len = 1 * kSecond;
+  cfg.first_surge_offset = 500 * kMillisecond;
+  cfg.trace_enabled = true;
+  cfg.trace_sample = 0.0;  // the audit does not depend on request sampling
+
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_TRUE(r.trace.has_value());
+  const TraceReport& tr = *r.trace;
+  ASSERT_FALSE(tr.decisions.empty());
+  EXPECT_EQ(tr.stats.decisions_recorded, tr.decisions.size());
+
+  std::map<int, int> node_of;
+  for (const TraceContainerInfo& c : tr.containers) node_of[c.id] = c.node;
+  int fr_boosts = 0;
+  for (const DecisionEvent& e : tr.decisions) {
+    const auto it = node_of.find(e.container);
+    ASSERT_NE(it, node_of.end()) << "unknown container " << e.container;
+    EXPECT_EQ(e.node, it->second) << "container " << e.container;
+    EXPECT_GE(e.node, 0);
+    EXPECT_LT(e.node, cfg.nodes);
+    if (std::strcmp(e.controller, "first-responder") == 0) {
+      EXPECT_EQ(GetParam().controller, ControllerKind::kSurgeGuard);
+      if (e.kind == DecisionKind::kFreqBoost) ++fr_boosts;
+      continue;
+    }
+    EXPECT_STREQ(e.controller, GetParam().source);
+  }
+  if (GetParam().controller == ControllerKind::kSurgeGuard) {
+    EXPECT_GT(fr_boosts, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllControllers, ControllerAuditTest,
+    ::testing::Values(AuditCase{ControllerKind::kParties, "parties"},
+                      AuditCase{ControllerKind::kCaladan, "caladan"},
+                      AuditCase{ControllerKind::kEscalator, "escalator"},
+                      AuditCase{ControllerKind::kSurgeGuard, "escalator"},
+                      AuditCase{ControllerKind::kIdealOracle, "ideal"},
+                      AuditCase{ControllerKind::kCentralizedML,
+                                "centralized-ml"}),
+    [](const ::testing::TestParamInfo<AuditCase>& param_info) {
+      return std::string(to_string(param_info.param.controller));
+    });
 
 }  // namespace
 }  // namespace sg

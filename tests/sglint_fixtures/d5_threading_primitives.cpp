@@ -1,4 +1,4 @@
-// sg-lint fixture: D5 — threading primitives outside src/common/.
+// sg-lint fixture: D5 — threading primitives.
 // Simulations are single-threaded; a thread, lock or atomic inside one
 // makes event order depend on scheduling. Only replication-level
 // parallelism is legitimate, and it needs an explicit allow(D5).

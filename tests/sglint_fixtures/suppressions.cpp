@@ -19,6 +19,20 @@ std::vector<int> justified_trailing(const std::unordered_map<int, int>& m) {
   return keys;
 }
 
+// The parser accepts a space before '(' and lowercase rule ids; either
+// spelling still needs a reason.
+int spaced_and_lowercase(const std::unordered_map<int, int>& m) {
+  int total = 0;
+  // sglint: allow (D1) summation is order-independent (verified by test)
+  for (const auto& [k, v] : m) total += v;
+  // sglint: allow(d1) summation is order-independent (verified by test)
+  for (const auto& [k, v] : m) total += k;
+  // sglint: expect(A0)
+  // sglint: allow (d1)
+  for (const auto& [k, v] : m) total -= v;  // sglint: expect(D1)
+  return total;
+}
+
 int unjustified(const std::unordered_map<int, int>& m) {
   int total = 0;
   // sglint: expect(A0)

@@ -8,10 +8,10 @@
 // goes (scheduler accounting, pool sizing, network latency model, span
 // attribution) reproduces perfectly yet silently rewrites the paper's
 // Fig. 5-style story. Drift beyond the tolerances below means either a bug
-// or an intentional behavior change; when intentional, regenerate with:
+// or an intentional behavior change; when intentional, run
+// ./build/tests/trace_breakdown_gate_test with the two flags
 //
-//   ./build/tests/trace_breakdown_gate_test --gtest_also_run_disabled_tests \
-//       --gtest_filter='*PrintGolden*'
+//   --gtest_also_run_disabled_tests --gtest_filter='*PrintGolden*'
 //
 // and paste the printed table over kGolden.
 #include <gtest/gtest.h>

@@ -14,7 +14,7 @@ cd "$repo_root" || exit 2
 
 staged=$(git diff --cached --name-only --diff-filter=ACMR -- \
   '*.cpp' '*.hpp' '*.h' '*.cc' '*.hh' |
-  grep -v -e '^tests/sglint_fixtures/' -e '^tests/sglint_fixable/' || true)
+  grep -v -e '^tests/sglint_fixtures/' || true)
 if [ -z "$staged" ]; then
   echo "precommit: no staged C++ files, nothing to check"
   exit 0
@@ -37,7 +37,7 @@ status=0
 
 # shellcheck disable=SC2086  # word-splitting the file list is the point
 if ! $sglint $staged; then
-  echo "precommit: sg-lint found problems (fix, or try 'sglint --fix')" >&2
+  echo "precommit: sg-lint found problems" >&2
   status=1
 fi
 

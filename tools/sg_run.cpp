@@ -29,8 +29,8 @@
 #include <string>
 
 #include "common/csv.hpp"
+#include "common/table.hpp"
 #include "core/config_map.hpp"
-#include "core/reporting.hpp"
 #include "trace/export.hpp"
 
 using namespace sg;

@@ -19,12 +19,11 @@
 //       repeatedly been the source of leak-driven address reuse, which
 //       perturbs pointer-keyed containers between runs.
 //   D5  no threading primitives (std::thread/jthread, std::mutex family,
-//       std::atomic, std::condition_variable) outside src/common/ — a
-//       simulation runs on one thread, and a thread or lock inside it makes
-//       event order depend on scheduling. src/common/ holds the one
-//       sanctioned lock (the logging mutex). Replication-level parallelism
-//       (many independent simulations) is legitimate and suppressed
-//       explicitly with allow(D5), as in src/core/sweep.cpp.
+//       std::atomic, std::condition_variable) anywhere — a simulation runs
+//       on one thread, and a thread or lock inside it makes event order
+//       depend on scheduling. Replication-level parallelism (many
+//       independent simulations) is legitimate and suppressed explicitly
+//       with allow(D5), as in src/core/sweep.cpp.
 //   H1  include hygiene: a .cpp includes its own header first (catches
 //       headers that are not self-contained), and headers never contain
 //       `using namespace`.
@@ -42,7 +41,8 @@
 //
 //   code();  // sglint: allow(D1) hash map is snapshot-sorted two lines down
 //
-// The reason text is mandatory; rule lists may be comma-separated.
+// The reason text is mandatory; rule lists may be comma-separated. Spaces
+// before '(' and lowercase rule ids (`allow (d1)`) are accepted.
 #pragma once
 
 #include <algorithm>
@@ -96,6 +96,7 @@ inline std::vector<Directive> parse_directives(
              std::isalpha(static_cast<unsigned char>(text[i]))) {
         kind += text[i++];
       }
+      while (i < text.size() && text[i] == ' ') ++i;
       if ((kind != "allow" && kind != "expect") || i >= text.size() ||
           text[i] != '(') {
         break;
@@ -110,7 +111,8 @@ inline std::vector<Directive> parse_directives(
           if (!trim(rule).empty()) d.rules.push_back(trim(rule));
           rule.clear();
         } else {
-          rule += text[i];
+          rule += static_cast<char>(
+              std::toupper(static_cast<unsigned char>(text[i])));
         }
       }
       if (!trim(rule).empty()) d.rules.push_back(trim(rule));
@@ -362,11 +364,10 @@ class RuleEngine {
     }
   }
 
-  /// D5: threading primitives outside src/common/.
+  /// D5: threading primitives.
   /// Only the std::-qualified name is flagged (bare `mutex`/`atomic` are
   /// common as locals and fields), mirroring D2's std::time handling.
   void rule_d5_threading_primitives(const std::vector<Token>& toks) {
-    if (file_.rfind("src/common/", 0) == 0) return;
     static const std::set<std::string> kPrimitives = {
         "thread",        "jthread",
         "mutex",         "recursive_mutex",
@@ -382,8 +383,8 @@ class RuleEngine {
       if (toks[i - 1].text != "::" || toks[i - 2].text != "std") continue;
       add(toks[i].line, "D5",
           "'std::" + t +
-              "' outside src/common/: simulations are single-threaded; "
-              "replication-level parallelism needs an allow(D5)");
+              "': simulations are single-threaded; replication-level "
+              "parallelism needs an allow(D5)");
     }
   }
 

@@ -8,29 +8,22 @@
 // hygiene, allocation discipline) and reports precise lines.
 //
 // Usage:
-//   sglint [--machine] [--selftest] [--fix [--dry-run]] <file-or-dir>...
+//   sglint [--selftest] <file-or-dir>...
 //
-//   default     lint the given paths; exit 1 when any unsuppressed finding
-//               remains. Directories are walked recursively; directories
-//               named `sglint_fixtures`, `sglint_fixable`, `build`, or
-//               starting with '.' are skipped unless passed explicitly.
-//   --machine   one finding per line as `path:line:rule:message`, sorted
-//               by (path, line, rule) — a stable format for golden files
-//               and editor integrations (pinned by sglint_machine_golden).
+//   default     lint the given paths; print one finding per line as
+//               `path:line:rule:message`, sorted by (path, line, rule), on
+//               stdout (the format is pinned by sglint_machine_golden) and
+//               a one-line summary on stderr; exit 1 when any unsuppressed
+//               finding remains. Directories are walked recursively;
+//               directories named `sglint_fixtures`, `build`, or starting
+//               with '.' are skipped unless passed explicitly.
 //   --selftest  fixture mode: findings must match the `sglint: expect(R)`
 //               annotations in the files exactly (rule id + line), clean
 //               files must stay clean. Exit 0 only on an exact match.
-//   --fix       apply mechanical fixes in place: H1 own-header reordering
-//               (moves the own header to the top of the include block) and
-//               directive normalization (`allow (D1)` -> `allow(D1)`,
-//               lowercase rule ids uppercased — malformed spellings the
-//               parser would otherwise silently ignore). With --dry-run,
-//               print the would-be changes as a diff and write nothing.
 //
 // The tool intentionally has no dependency on the simulator libraries: it
 // must build and run even when src/ itself is broken.
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -56,8 +49,8 @@ bool has_cxx_extension(const fs::path& p) {
 
 bool skip_directory(const fs::path& dir) {
   const std::string name = dir.filename().string();
-  return name == "sglint_fixtures" || name == "sglint_fixable" ||
-         name == "build" || (!name.empty() && name[0] == '.');
+  return name == "sglint_fixtures" || name == "build" ||
+         (!name.empty() && name[0] == '.');
 }
 
 void collect_files(const fs::path& root, std::vector<fs::path>* out) {
@@ -141,185 +134,30 @@ FileReport lint_file(const fs::path& path) {
   return report;
 }
 
-int run_lint(const std::vector<fs::path>& files, bool machine) {
+int run_lint(const std::vector<fs::path>& files) {
   std::vector<sglint::Finding> all;
   for (const fs::path& f : files) {
     FileReport report = lint_file(f);
     for (sglint::Finding& fi : report.findings) all.push_back(std::move(fi));
   }
-  if (machine) {
-    // Pinned machine format: `path:line:rule:message`, globally sorted by
-    // (path, line, rule, message) so output is diffable against goldens.
-    std::sort(all.begin(), all.end(),
-              [](const sglint::Finding& a, const sglint::Finding& b) {
-                return std::tie(a.file, a.line, a.rule, a.message) <
-                       std::tie(b.file, b.line, b.rule, b.message);
-              });
-    for (const sglint::Finding& fi : all) {
-      std::cout << fi.file << ":" << fi.line << ":" << fi.rule << ":"
-                << fi.message << "\n";
-    }
+  // Globally sorted by (path, line, rule, message) so the output is
+  // diffable against goldens.
+  std::sort(all.begin(), all.end(),
+            [](const sglint::Finding& a, const sglint::Finding& b) {
+              return std::tie(a.file, a.line, a.rule, a.message) <
+                     std::tie(b.file, b.line, b.rule, b.message);
+            });
+  for (const sglint::Finding& fi : all) {
+    std::cout << fi.file << ":" << fi.line << ":" << fi.rule << ":"
+              << fi.message << "\n";
+  }
+  if (all.empty()) {
+    std::cerr << "sglint: " << files.size() << " files clean\n";
   } else {
-    for (const sglint::Finding& fi : all) {
-      std::cout << fi.file << ":" << fi.line << ": [" << fi.rule << "] "
-                << fi.message << "\n";
-    }
-    if (all.empty()) {
-      std::cout << "sglint: " << files.size() << " files clean\n";
-    } else {
-      std::cout << "sglint: " << all.size() << " finding(s) across "
-                << files.size() << " files\n";
-    }
+    std::cerr << "sglint: " << all.size() << " finding(s) across "
+              << files.size() << " files\n";
   }
   return all.empty() ? 0 : 1;
-}
-
-// --- --fix: mechanical repairs -------------------------------------------
-
-std::vector<std::string> split_lines(const std::string& src) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (char c : src) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) lines.push_back(cur);
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  return out;
-}
-
-/// Normalizes sglint directive spelling on one line: `allow (D1)` ->
-/// `allow(D1)` and lowercase rule ids uppercased — both spellings the
-/// directive parser silently ignores, turning an intended suppression into
-/// a no-op. Returns true if the line changed.
-bool fix_directive_spelling(std::string* line) {
-  const std::size_t tag = line->find("sglint:");
-  if (tag == std::string::npos) return false;
-  const std::string before = *line;
-  std::string& s = *line;
-  for (const char* kw : {"allow", "expect"}) {
-    const std::size_t kwlen = std::string(kw).size();
-    std::size_t i = tag;
-    while ((i = s.find(kw, i)) != std::string::npos) {
-      std::size_t j = i + kwlen;
-      // collapse spaces between the keyword and '('
-      std::size_t k = j;
-      while (k < s.size() && s[k] == ' ') ++k;
-      if (k < s.size() && s[k] == '(' && k > j) {
-        s.erase(j, k - j);
-      }
-      // uppercase the rule list inside the parens
-      if (j < s.size() && s[j] == '(') {
-        for (std::size_t r = j + 1; r < s.size() && s[r] != ')'; ++r) {
-          s[r] = static_cast<char>(
-              std::toupper(static_cast<unsigned char>(s[r])));
-        }
-      }
-      i = j;
-    }
-  }
-  return s != before;
-}
-
-bool is_include_line(const std::string& line, std::string* target,
-                     bool* quoted) {
-  std::size_t i = 0;
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  if (line.compare(i, 8, "#include") != 0) return false;
-  i += 8;
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  if (i >= line.size()) return false;
-  const char open = line[i];
-  const char close = open == '"' ? '"' : (open == '<' ? '>' : '\0');
-  if (close == '\0') return false;
-  const std::size_t end = line.find(close, i + 1);
-  if (end == std::string::npos) return false;
-  *target = line.substr(i + 1, end - i - 1);
-  *quoted = open == '"';
-  return true;
-}
-
-/// H1 repair: if the .cpp's own header is included but not first, move its
-/// include line to the top of the include block. Returns true on change.
-bool fix_own_header_order(const fs::path& path,
-                          std::vector<std::string>* lines) {
-  if (path.extension() != ".cpp") return false;
-  const std::string stem = path.stem().string();
-  std::size_t first_include = lines->size();
-  std::size_t own_include = lines->size();
-  for (std::size_t i = 0; i < lines->size(); ++i) {
-    std::string target;
-    bool quoted = false;
-    if (!is_include_line((*lines)[i], &target, &quoted)) continue;
-    if (first_include == lines->size()) first_include = i;
-    std::string base = target;
-    const std::size_t s = base.find_last_of('/');
-    if (s != std::string::npos) base = base.substr(s + 1);
-    if (quoted && (base == stem + ".hpp" || base == stem + ".h")) {
-      own_include = i;
-      break;
-    }
-  }
-  if (own_include >= lines->size() || own_include <= first_include) {
-    return false;
-  }
-  const std::string own = (*lines)[own_include];
-  lines->erase(lines->begin() + static_cast<std::ptrdiff_t>(own_include));
-  lines->insert(lines->begin() + static_cast<std::ptrdiff_t>(first_include),
-                own);
-  return true;
-}
-
-int run_fix(const std::vector<fs::path>& files, bool dry_run) {
-  std::size_t files_changed = 0;
-  for (const fs::path& f : files) {
-    const std::string src = read_file(f);
-    std::vector<std::string> lines = split_lines(src);
-    const std::vector<std::string> original = lines;
-    bool changed = false;
-    for (std::string& line : lines) {
-      changed |= fix_directive_spelling(&line);
-    }
-    changed |= fix_own_header_order(f, &lines);
-    if (!changed) continue;
-    ++files_changed;
-    const std::string display = relative_display_path(f);
-    if (dry_run) {
-      // Minimal line diff: pair off by index where counts match (they
-      // always do here — both fixes preserve the line count).
-      for (std::size_t i = 0; i < lines.size() && i < original.size(); ++i) {
-        if (lines[i] != original[i]) {
-          std::cout << display << ":" << (i + 1) << ": - " << original[i]
-                    << "\n";
-          std::cout << display << ":" << (i + 1) << ": + " << lines[i]
-                    << "\n";
-        }
-      }
-    } else {
-      std::ofstream out(f, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::cerr << "sglint: cannot write " << f << "\n";
-        return 2;
-      }
-      out << join_lines(lines);
-      std::cout << "sglint: fixed " << display << "\n";
-    }
-  }
-  std::cout << "sglint: " << (dry_run ? "would fix " : "fixed ")
-            << files_changed << " file(s)\n";
-  return 0;
 }
 
 /// Fixture mode: every finding must be announced by an expect() directive on
@@ -369,24 +207,15 @@ int run_selftest(const std::vector<fs::path>& files) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool machine = false;
+  constexpr const char* kUsage = "usage: sglint [--selftest] <file-or-dir>...\n";
   bool selftest = false;
-  bool fix = false;
-  bool dry_run = false;
   std::vector<fs::path> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--machine") {
-      machine = true;
-    } else if (arg == "--selftest") {
+    if (arg == "--selftest") {
       selftest = true;
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--dry-run") {
-      dry_run = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: sglint [--machine] [--selftest] "
-                   "[--fix [--dry-run]] <file-or-dir>...\n";
+      std::cout << kUsage;
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "sglint: unknown option " << arg << "\n";
@@ -395,9 +224,8 @@ int main(int argc, char** argv) {
       roots.emplace_back(arg);
     }
   }
-  if (roots.empty() || (dry_run && !fix)) {
-    std::cerr << "usage: sglint [--machine] [--selftest] "
-                 "[--fix [--dry-run]] <file-or-dir>...\n";
+  if (roots.empty()) {
+    std::cerr << kUsage;
     return 2;
   }
   std::vector<fs::path> files;
@@ -406,6 +234,5 @@ int main(int argc, char** argv) {
     std::cerr << "sglint: no C++ sources under the given paths\n";
     return 2;
   }
-  if (fix) return run_fix(files, dry_run);
-  return selftest ? run_selftest(files) : run_lint(files, machine);
+  return selftest ? run_selftest(files) : run_lint(files);
 }
