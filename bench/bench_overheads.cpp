@@ -9,6 +9,8 @@
 // the figure benches measure controller behaviour, not harness overhead.
 #include <benchmark/benchmark.h>
 
+#include "app/workloads.hpp"
+#include "common/assert.hpp"
 #include "controllers/first_responder.hpp"
 #include "controllers/surgeguard.hpp"
 #include "sim/event_queue.hpp"
@@ -173,6 +175,40 @@ void BM_FirstResponderViolationPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FirstResponderViolationPath);
+
+void BM_ApplicationRequest(benchmark::State& state) {
+  // Host time per completed CHAIN request (the application-visit layer):
+  // five visits, four child RPCs with their pool acquires, ten PS jobs and
+  // twelve deliveries, on a warm 1-node testbed with tracing off.
+  Simulator sim(7);
+  Cluster cluster(sim);
+  cluster.add_node(64, 19);
+  Network network(sim);
+  MetricsPlane metrics(1);
+  const WorkloadInfo chain = make_chain();
+  Application app(cluster, network, metrics, chain.spec,
+                  Deployment::single_node(chain.spec, 0, 2));
+  std::uint64_t completed = 0;
+  network.register_client_receiver(
+      [&completed](const RpcPacket&) { ++completed; });
+  RpcPacket pkt;
+  pkt.src_container = kClientEndpoint;
+  pkt.src_node = kClientNode;
+  pkt.dst_container = app.entry_container();
+  pkt.dst_node = app.entry_node();
+  auto one_request = [&]() {
+    ++pkt.request_id;
+    pkt.start_time = sim.now();
+    network.send(kClientNode, pkt);
+    sim.run_to_completion();
+  };
+  for (int i = 0; i < 1000; ++i) one_request();  // warm every arena and pool
+  for (auto _ : state) one_request();
+  SG_ASSERT(completed == app.requests_completed());
+  benchmark::DoNotOptimize(completed);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ApplicationRequest);
 
 void BM_SimulatedSecondThroughput(benchmark::State& state) {
   // Events per wall-second for a realistic full testbed: the number that

@@ -71,10 +71,6 @@ Application::Application(Cluster& cluster, Network& network,
   SG_ASSERT(deployment.node_of_service.size() == spec_.services.size());
   SG_ASSERT(deployment.initial_cores.size() == spec_.services.size());
 
-  NodeId max_node = 0;
-  for (NodeId n : deployment.node_of_service) max_node = std::max(max_node, n);
-  nodes_.resize(static_cast<std::size_t>(max_node) + 1);
-
   services_.reserve(spec_.services.size());
   service_rngs_.reserve(spec_.services.size());
   for (std::size_t i = 0; i < spec_.services.size(); ++i) {
@@ -100,7 +96,11 @@ Application::Application(Cluster& cluster, Network& network,
     }
     services_.push_back(std::move(sr));
     service_rngs_.push_back(rng_.fork());
-    service_by_container_.emplace(c.id(), static_cast<int>(i));
+    const auto slot = static_cast<std::size_t>(c.id());
+    if (service_by_container_.size() <= slot) {
+      service_by_container_.resize(slot + 1, -1);
+    }
+    service_by_container_[slot] = static_cast<int>(i);
     network_.register_receiver(c.id(),
                                [this](const RpcPacket& pkt) { on_packet(pkt); });
   }
@@ -121,14 +121,12 @@ void Application::start_metric_publication() {
 }
 
 void Application::set_upscale_stamp(ContainerId container, int stamp) {
-  runtime_of_container(container).upscale_stamp = std::max(0, stamp);
+  services_[service_of_container(container)].upscale_stamp = std::max(0, stamp);
 }
 
 const ContainerRuntimeMetrics& Application::runtime_metrics(
     ContainerId container) const {
-  const auto it = service_by_container_.find(container);
-  SG_ASSERT_MSG(it != service_by_container_.end(), "unknown container");
-  return services_[static_cast<std::size_t>(it->second)].metrics;
+  return services_[service_of_container(container)].metrics;
 }
 
 const ConnectionPool& Application::edge_pool(int service, int child_idx) const {
@@ -149,17 +147,12 @@ AppTopology Application::topology() const {
   return topo;
 }
 
-Application::NodeState& Application::node_state_of_key(std::uint64_t key) {
-  const int node = node_of_key(key);
-  SG_ASSERT_MSG(node >= 0 && static_cast<std::size_t>(node) < nodes_.size(),
-                "key with unknown node tag");
-  return nodes_[static_cast<std::size_t>(node)];
-}
-
-Application::ServiceRuntime& Application::runtime_of_container(int container) {
-  const auto it = service_by_container_.find(container);
-  SG_ASSERT_MSG(it != service_by_container_.end(), "unknown container");
-  return services_[static_cast<std::size_t>(it->second)];
+std::size_t Application::service_of_container(int container) const {
+  const auto slot = static_cast<std::size_t>(container);
+  SG_ASSERT_MSG(container >= 0 && slot < service_by_container_.size() &&
+                    service_by_container_[slot] >= 0,
+                "unknown container");
+  return static_cast<std::size_t>(service_by_container_[slot]);
 }
 
 int Application::outgoing_upscale(const ServiceRuntime& sr,
@@ -178,7 +171,7 @@ void Application::on_packet(const RpcPacket& pkt) {
 }
 
 void Application::on_request(const RpcPacket& pkt) {
-  ServiceRuntime& sr = runtime_of_container(pkt.dst_container);
+  ServiceRuntime& sr = services_[service_of_container(pkt.dst_container)];
   const TimePoint now = cluster_.sim().now();
 
   if (sr.index == 0) {
@@ -189,16 +182,13 @@ void Application::on_request(const RpcPacket& pkt) {
     // into a metastable retry storm. The in-flight visit's eventual
     // response completes the request; only requests the frontend has
     // already forgotten (genuinely lost, or response lost) re-execute.
-    const auto live = entry_visit_by_request_.find(pkt.request_id);
-    if (live != entry_visit_by_request_.end()) {
+    if (!entry_requests_.insert(pkt.request_id).second) {
       ++duplicate_requests_;
       return;
     }
+    ++in_flight_;
   }
 
-  NodeState& ns = nodes_[static_cast<std::size_t>(sr.container->node())];
-  const std::uint64_t key =
-      make_node_key(sr.container->node(), ns.next_visit_seq++);
   Visit v;
   v.request_id = pkt.request_id;
   v.service = sr.index;
@@ -216,11 +206,7 @@ void Application::on_request(const RpcPacket& pkt) {
     v.exec_begin = now;
     v.exec_share0 = sr.container->share_integral_ns();
   }
-  ns.visits.emplace(key, v);
-  if (sr.index == 0) {
-    ++in_flight_;
-    entry_visit_by_request_.emplace(pkt.request_id, key);
-  }
+  const VisitKey key = visits_.insert(v);
 
   const double work =
       sr.spec->work_ns_mean <= 0.0
@@ -233,11 +219,8 @@ void Application::on_request(const RpcPacket& pkt) {
   sr.container->submit(work, [this, key]() { on_own_work_done(key); });
 }
 
-void Application::on_own_work_done(std::uint64_t key) {
-  NodeState& ns = node_state_of_key(key);
-  auto it = ns.visits.find(key);
-  SG_ASSERT(it != ns.visits.end());
-  Visit& v = it->second;
+void Application::on_own_work_done(VisitKey key) {
+  Visit& v = visits_.at(key);
   ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
   const ServiceSpec& spec = *sr.spec;
   if (v.traced) {
@@ -260,8 +243,8 @@ void Application::on_own_work_done(std::uint64_t key) {
   }
   if (spec.fanout == FanoutMode::kParallel) {
     v.pending_children = static_cast<int>(spec.children.size());
-    // begin_child may resume synchronously and mutate visits_, so iterate
-    // over a stable count, re-finding nothing (key-based API).
+    // begin_child may resume synchronously and send the RPC, so iterate
+    // over a stable count and leave `v` alone (key-based API).
     const std::size_t n = spec.children.size();
     for (std::size_t i = 0; i < n; ++i) begin_child(key, i);
   } else {
@@ -270,20 +253,15 @@ void Application::on_own_work_done(std::uint64_t key) {
   }
 }
 
-void Application::begin_child(std::uint64_t key, std::size_t child_idx) {
-  NodeState& ns = node_state_of_key(key);
-  auto it = ns.visits.find(key);
-  SG_ASSERT(it != ns.visits.end());
-  ServiceRuntime& sr = services_[static_cast<std::size_t>(it->second.service)];
+void Application::begin_child(VisitKey key, std::size_t child_idx) {
+  ServiceRuntime& sr =
+      services_[static_cast<std::size_t>(visits_.at(key).service)];
   ConnectionPool& pool = *sr.child_pools[child_idx];
   const TimePoint t0 = cluster_.sim().now();
   // The acquire may complete now (free connection) or later (implicit
   // queue). The wait, if any, is the hidden-dependency time (Fig. 5b).
   pool.acquire([this, key, child_idx, t0]() {
-    auto& vmap = node_state_of_key(key).visits;
-    auto vit = vmap.find(key);
-    SG_ASSERT(vit != vmap.end());
-    Visit& v = vit->second;
+    Visit& v = visits_.at(key);
     const Duration wait = cluster_.sim().now() - t0;
     v.conn_wait += wait;
     if (v.traced && wait > Duration::zero()) {
@@ -302,22 +280,28 @@ void Application::begin_child(std::uint64_t key, std::size_t child_idx) {
   });
 }
 
-void Application::send_child_rpc(std::uint64_t key, std::size_t child_idx,
+void Application::send_child_rpc(VisitKey key, std::size_t child_idx,
                                  int attempt) {
-  NodeState& ns = node_state_of_key(key);
-  auto it = ns.visits.find(key);
-  SG_ASSERT(it != ns.visits.end());
-  Visit& v = it->second;
+  const Visit& v = visits_.at(key);
   ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
   const int child_service = sr.spec->children[child_idx];
   Container& child_container =
       *services_[static_cast<std::size_t>(child_service)].container;
 
+  PendingCall pc;
+  pc.visit_key = key;
+  pc.child_idx = child_idx;
+  pc.attempt = attempt;
+  const std::uint64_t call_id = calls_.insert(pc);
+  if (options_.retry.enabled) {
+    calls_.at(call_id).timer = cluster_.sim().schedule_after(
+        options_.retry.timeout_for_attempt(attempt),
+        [this, call_id]() { on_call_timeout(call_id); });
+  }
+
   RpcPacket pkt;
   pkt.request_id = v.request_id;
-  // Call ids carry the caller's node tag, so the response (delivered back
-  // on the caller's node) finds the right pending-call partition.
-  pkt.call_id = make_node_key(sr.container->node(), ns.next_call_seq++);
+  pkt.call_id = call_id;
   pkt.src_container = sr.container->id();
   pkt.src_node = sr.container->node();
   pkt.dst_container = child_container.id();
@@ -326,28 +310,14 @@ void Application::send_child_rpc(std::uint64_t key, std::size_t child_idx,
   pkt.start_time = v.start_time;   // propagated unchanged (Fig. 8)
   pkt.upscale = outgoing_upscale(sr, v);
   pkt.traced = v.traced;           // trace context propagates with the RPC
-
-  PendingCall pc;
-  pc.visit_key = key;
-  pc.child_idx = child_idx;
-  pc.attempt = attempt;
-  if (options_.retry.enabled) {
-    pc.timer = cluster_.sim().schedule_after(
-        options_.retry.timeout_for_attempt(attempt),
-        [this, call_id = pkt.call_id]() { on_call_timeout(call_id); });
-  }
-  ns.pending_calls.emplace(pkt.call_id, pc);
   network_.send(pkt.src_node, pkt);
 }
 
 void Application::on_call_timeout(std::uint64_t call_id) {
-  NodeState& ns = node_state_of_key(call_id);
-  const auto it = ns.pending_calls.find(call_id);
-  if (it == ns.pending_calls.end()) return;  // response won the race
-  const PendingCall pc = it->second;
+  // The response cancels this timer, so the call is still pending here.
   // The held connection stays held across retransmissions: the retry is the
-  // same logical call, re-sent on the same connection.
-  ns.pending_calls.erase(it);
+  // same logical call, re-sent on the same connection under a new call id.
+  const PendingCall pc = calls_.take(call_id);
   if (pc.attempt < options_.retry.max_retries) {
     ++rpc_retries_;
     send_child_rpc(pc.visit_key, pc.child_idx, pc.attempt + 1);
@@ -360,28 +330,28 @@ void Application::on_call_timeout(std::uint64_t call_id) {
 }
 
 void Application::on_response(const RpcPacket& pkt) {
-  NodeState& ns = node_state_of_key(pkt.call_id);
-  const auto it = ns.pending_calls.find(pkt.call_id);
-  if (it == ns.pending_calls.end()) {
+  const PendingCall* found = calls_.find(pkt.call_id);
+  if (found == nullptr) {
     // Duplicate response, or an original that lost the race against its own
     // retransmission. At-least-once delivery makes these benign under
-    // faults; count them so fault-free tests can assert zero.
+    // faults; count them so fault-free tests can assert zero. The call id's
+    // generation check keeps this exact even after the call's slot has been
+    // reused by a newer call.
     ++stray_responses_;
     return;
   }
-  const PendingCall pc = it->second;
+  const PendingCall pc = *found;
   if (pc.timer != kInvalidEvent) cluster_.sim().cancel(pc.timer);
-  ns.pending_calls.erase(it);
+  calls_.erase(pkt.call_id);
   on_child_reply(pc.visit_key, pc.child_idx);
 }
 
-void Application::on_child_reply(std::uint64_t key, std::size_t child_idx) {
-  NodeState& ns = node_state_of_key(key);
-  auto it = ns.visits.find(key);
-  SG_ASSERT(it != ns.visits.end());
-  Visit& v = it->second;
-  ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
+void Application::on_child_reply(VisitKey key, std::size_t child_idx) {
+  ServiceRuntime& sr =
+      services_[static_cast<std::size_t>(visits_.at(key).service)];
+  // A waiting visit may be granted the connection and send its RPC now.
   sr.child_pools[child_idx]->release();
+  Visit& v = visits_.at(key);
 
   if (sr.spec->fanout == FanoutMode::kParallel) {
     if (--v.pending_children == 0) finish_children(key);
@@ -395,11 +365,8 @@ void Application::on_child_reply(std::uint64_t key, std::size_t child_idx) {
   }
 }
 
-void Application::finish_children(std::uint64_t key) {
-  NodeState& ns = node_state_of_key(key);
-  auto it = ns.visits.find(key);
-  SG_ASSERT(it != ns.visits.end());
-  Visit& v = it->second;
+void Application::finish_children(VisitKey key) {
+  Visit& v = visits_.at(key);
   ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
   const double post = sr.spec->post_work_ns_mean;
   if (post > 0.0) {
@@ -421,11 +388,8 @@ void Application::finish_children(std::uint64_t key) {
   }
 }
 
-void Application::reply(std::uint64_t key) {
-  NodeState& ns = node_state_of_key(key);
-  auto it = ns.visits.find(key);
-  SG_ASSERT(it != ns.visits.end());
-  Visit& v = it->second;
+void Application::reply(VisitKey key) {
+  const Visit& v = visits_.at(key);
   ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
   const TimePoint now = cluster_.sim().now();
 
@@ -482,9 +446,9 @@ void Application::reply(std::uint64_t key) {
   if (sr.index == 0) {
     --in_flight_;
     ++requests_completed_;
-    entry_visit_by_request_.erase(v.request_id);
+    entry_requests_.erase(v.request_id);
   }
-  ns.visits.erase(it);
+  visits_.erase(key);
   network_.send(pkt.src_node, pkt);
 }
 

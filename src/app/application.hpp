@@ -8,15 +8,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "app/task_graph.hpp"
 #include "app/threadpool.hpp"
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
+#include "common/slot_arena.hpp"
 #include "metrics/container_metrics.hpp"
 #include "metrics/metrics_bus.hpp"
 #include "net/network.hpp"
@@ -184,47 +185,29 @@ class Application {
     double exec_share0 = 0.0;     // container share integral at segment open
   };
 
+  // Visits and pending calls live in slot arenas; their handles are the
+  // visit keys and the RPC call ids (DESIGN.md §5, "Request state").
+  using VisitKey = SlotArena<Visit>::Handle;
+
   /// One in-flight child RPC awaiting its response (or a retransmission).
   struct PendingCall {
-    std::uint64_t visit_key = 0;
+    VisitKey visit_key = 0;
     std::size_t child_idx = 0;
     int attempt = 0;               // 0 = initial send
     EventId timer = kInvalidEvent; // armed only when retry is enabled
   };
 
-  /// Per-node partition of the request-processing state. Every visit and
-  /// pending call is keyed with its owning node in the key's high bits, so
-  /// any handler can find the right partition from the key alone.
-  struct NodeState {
-    std::unordered_map<std::uint64_t, Visit> visits;
-    std::unordered_map<std::uint64_t, PendingCall> pending_calls;
-    std::uint64_t next_visit_seq = 1;
-    std::uint64_t next_call_seq = 1;
-  };
-
-  /// Node-tagged key: node id + 1 in the top 16 bits, per-node sequence
-  /// below. Sequences are node-local, so key assignment is independent of
-  /// the interleaving of other nodes' traffic.
-  static std::uint64_t make_node_key(int node, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(node + 1) << 48) | seq;
-  }
-  static int node_of_key(std::uint64_t key) {
-    return static_cast<int>(key >> 48) - 1;
-  }
-  NodeState& node_state_of_key(std::uint64_t key);
-
-  ServiceRuntime& runtime_of_container(int container);
+  std::size_t service_of_container(int container) const;
   void on_packet(const RpcPacket& pkt);
   void on_request(const RpcPacket& pkt);
   void on_response(const RpcPacket& pkt);
-  void on_own_work_done(std::uint64_t visit_key);
-  void begin_child(std::uint64_t visit_key, std::size_t child_idx);
-  void send_child_rpc(std::uint64_t visit_key, std::size_t child_idx,
-                      int attempt = 0);
+  void on_own_work_done(VisitKey key);
+  void begin_child(VisitKey key, std::size_t child_idx);
+  void send_child_rpc(VisitKey key, std::size_t child_idx, int attempt = 0);
   void on_call_timeout(std::uint64_t call_id);
-  void on_child_reply(std::uint64_t visit_key, std::size_t child_idx);
-  void finish_children(std::uint64_t visit_key);
-  void reply(std::uint64_t visit_key);
+  void on_child_reply(VisitKey key, std::size_t child_idx);
+  void finish_children(VisitKey key);
+  void reply(VisitKey key);
   int outgoing_upscale(const ServiceRuntime& sr, const Visit& v) const;
 
   Cluster& cluster_;
@@ -240,12 +223,13 @@ class Application {
   std::vector<Rng> service_rngs_;
 
   std::vector<ServiceRuntime> services_;
-  std::unordered_map<int, int> service_by_container_;
+  // Service index by container id; -1 for other applications' containers.
+  std::vector<int> service_by_container_;
 
-  // One partition per node (indexed by node id); see NodeState.
-  std::vector<NodeState> nodes_;
-  // In-flight entry visits by client request id (frontend idempotency key).
-  std::unordered_map<RequestId, std::uint64_t> entry_visit_by_request_;
+  SlotArena<Visit> visits_;
+  SlotArena<PendingCall> calls_;  // handle = the RPC's call_id
+  // Client request ids with an entry visit in flight (frontend idempotency).
+  std::unordered_set<RequestId> entry_requests_;
 
   int in_flight_ = 0;
   std::uint64_t requests_completed_ = 0;

@@ -4,7 +4,7 @@
 
 namespace sg {
 
-void ConnectionPool::acquire(std::function<void()> granted) {
+void ConnectionPool::acquire(InlineCallback granted) {
   ++total_acquisitions_;
   if (unbounded() || free_ > 0) {
     if (!unbounded()) --free_;
@@ -21,7 +21,7 @@ void ConnectionPool::release() {
   --in_use_;
   if (unbounded()) return;
   if (!waiters_.empty()) {
-    auto granted = std::move(waiters_.front());
+    InlineCallback granted = std::move(waiters_.front());
     waiters_.pop_front();
     ++in_use_;  // hand-off: the connection never returns to the free pool
     granted();

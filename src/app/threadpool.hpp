@@ -10,9 +10,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
-#include "common/time.hpp"
+#include "common/inline_callback.hpp"
 
 namespace sg {
 
@@ -33,7 +32,7 @@ class ConnectionPool {
   /// Acquires a connection; `granted` runs immediately when one is free,
   /// otherwise when a holder releases (FIFO). The callback receives nothing;
   /// callers measure their own wait by capturing the acquire timestamp.
-  void acquire(std::function<void()> granted);
+  void acquire(InlineCallback granted);
 
   /// Returns a connection; hands it straight to the oldest waiter if any.
   void release();
@@ -46,7 +45,7 @@ class ConnectionPool {
   int capacity_;
   int free_;
   int in_use_ = 0;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<InlineCallback> waiters_;
   std::uint64_t total_acquisitions_ = 0;
   std::uint64_t total_waits_ = 0;
 };

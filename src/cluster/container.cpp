@@ -66,7 +66,7 @@ void Container::reschedule() {
   if (finish_heap_.empty()) return;
   const double r = rate();
   if (r <= 0.0) return;  // starved: jobs stall until cores/freq return
-  const double work_left = finish_heap_.top().first - vtime_;
+  const double work_left = finish_heap_.top().finish_v - vtime_;
   const double dt = std::max(0.0, work_left) / r;
   // ceil so that by the event time the job has definitely finished (modulo
   // float error handled in on_completion_event).
@@ -83,13 +83,10 @@ void Container::on_completion_event() {
   // current rate (rate() > 0 here because the event was armed).
   const double eps = std::max(rate(), 1e-9) * 0.5;
   bool completed_any = false;
-  while (!finish_heap_.empty() && finish_heap_.top().first <= vtime_ + eps) {
-    const JobId id = finish_heap_.top().second;
+  while (!finish_heap_.empty() &&
+         finish_heap_.top().finish_v <= vtime_ + eps) {
+    InlineCallback cb = jobs_.take(finish_heap_.top().job);
     finish_heap_.pop();
-    auto it = jobs_.find(id);
-    SG_ASSERT_MSG(it != jobs_.end(), "completion for unknown job");
-    auto cb = std::move(it->second);
-    jobs_.erase(it);
     ++jobs_completed_;
     completed_any = true;
     // Callback may submit new jobs / change allocations re-entrantly; state
@@ -107,15 +104,13 @@ void Container::on_completion_event() {
   }
 }
 
-JobId Container::submit(double work_ns_ref, std::function<void()> on_complete) {
+void Container::submit(double work_ns_ref, InlineCallback on_complete) {
   SG_ASSERT_MSG(work_ns_ref >= 0.0, "negative work");
   advance();
-  const JobId id = next_job_id_++;
-  finish_heap_.emplace(vtime_ + work_ns_ref, id);
-  jobs_.emplace(id, std::move(on_complete));
+  finish_heap_.push(HeapEntry{vtime_ + work_ns_ref, next_job_seq_++,
+                              jobs_.insert(std::move(on_complete))});
   reschedule();
   if (membw_ != nullptr) membw_->on_member_activity_changed();
-  return id;
 }
 
 void Container::set_cores(int n) {

@@ -17,14 +17,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cpu.hpp"
 #include "cluster/energy.hpp"
+#include "common/inline_callback.hpp"
+#include "common/slot_arena.hpp"
 #include "common/time.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
@@ -33,7 +33,6 @@ namespace sg {
 
 using ContainerId = int;
 using NodeId = int;
-using JobId = std::uint64_t;
 
 class MemBwDomain;
 
@@ -61,7 +60,7 @@ class Container {
   /// Submits a CPU-bound job of `work_ns_ref` nanoseconds measured at one
   /// dedicated core at the reference frequency. `on_complete` fires from the
   /// event loop when the job's share of the CPU has delivered that work.
-  JobId submit(double work_ns_ref, std::function<void()> on_complete);
+  void submit(double work_ns_ref, InlineCallback on_complete);
 
   /// --- resource control (called by controllers) ---
 
@@ -142,11 +141,20 @@ class Container {
   // Virtual-time processor-sharing state.
   double vtime_ = 0.0;
   TimePoint last_advance_;
-  using HeapEntry = std::pair<double, JobId>;  // (finish_v, job)
+  // Completions pop in (finish_v, seq) order; seq is the submission order,
+  // so ties complete first-submitted first. `job` locates the callback.
+  struct HeapEntry {
+    double finish_v;
+    std::uint64_t seq;
+    SlotArena<InlineCallback>::Handle job;
+    bool operator>(const HeapEntry& o) const {
+      return finish_v != o.finish_v ? finish_v > o.finish_v : seq > o.seq;
+    }
+  };
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       finish_heap_;
-  std::unordered_map<JobId, std::function<void()>> jobs_;
-  JobId next_job_id_ = 1;
+  SlotArena<InlineCallback> jobs_;
+  std::uint64_t next_job_seq_ = 1;
   EventId completion_event_ = kInvalidEvent;
 
   // Accounting.

@@ -66,9 +66,10 @@ void LoadGenerator::issue_request() {
   const RequestId id = next_request_++;
   const TimePoint now = sim_.now();
   ++issued_;
-  Outstanding& o = outstanding_[id];
+  SG_ASSERT(id == window_base_ + outstanding_.size());
+  Outstanding& o = outstanding_.emplace_back();
+  ++outstanding_count_;
   o.start = now;
-  o.attempt = 0;
   if (TraceSink* trace = sim_.trace_sink()) {
     // Head sampling happens here, at the root of the request: the decision
     // is a pure hash of the request id, never a simulator RNG draw, so
@@ -98,10 +99,28 @@ void LoadGenerator::send_request(RequestId id, TimePoint start_time,
   network_.send(kClientNode, pkt);
 }
 
+LoadGenerator::Outstanding* LoadGenerator::find_outstanding(RequestId id) {
+  if (id < window_base_ || id - window_base_ >= outstanding_.size()) {
+    return nullptr;
+  }
+  Outstanding& o = outstanding_[id - window_base_];
+  return o.live ? &o : nullptr;
+}
+
+void LoadGenerator::retire(RequestId id) {
+  outstanding_[id - window_base_].live = false;
+  --outstanding_count_;
+  while (!outstanding_.empty() && !outstanding_.front().live) {
+    outstanding_.pop_front();
+    ++window_base_;
+  }
+}
+
 void LoadGenerator::on_request_timeout(RequestId id) {
-  const auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;  // completed meanwhile
-  Outstanding& o = it->second;
+  // The response cancels this timer, so the request is still outstanding.
+  Outstanding* found = find_outstanding(id);
+  SG_ASSERT_MSG(found != nullptr, "timeout of a retired request");
+  Outstanding& o = *found;
   if (o.attempt < options_.retry.max_retries) {
     ++o.attempt;
     ++retries_;
@@ -119,29 +138,29 @@ void LoadGenerator::on_request_timeout(RequestId id) {
   if (o.traced) {
     if (TraceSink* trace = sim_.trace_sink()) trace->abandon_request(id);
   }
-  outstanding_.erase(it);
+  retire(id);
 }
 
 void LoadGenerator::on_response(const RpcPacket& pkt) {
-  const auto it = outstanding_.find(pkt.request_id);
-  if (it == outstanding_.end()) {
+  const Outstanding* o = find_outstanding(pkt.request_id);
+  if (o == nullptr) {
     // Response for a request already completed (dup faults / a retransmit
     // race) or already abandoned. Counted, not recorded: one completion per
     // request.
     ++duplicate_responses_;
     return;
   }
-  if (it->second.timer != kInvalidEvent) sim_.cancel(it->second.timer);
+  if (o->timer != kInvalidEvent) sim_.cancel(o->timer);
   const TimePoint now = sim_.now();
-  const Duration latency = now - it->second.start;
-  if (it->second.traced) {
+  const Duration latency = now - o->start;
+  if (o->traced) {
     // The response's final net-hop span was recorded at delivery (before
     // this receiver ran), so the trace is complete when we seal it here.
     if (TraceSink* trace = sim_.trace_sink()) {
       trace->end_request(pkt.request_id, now, latency);
     }
   }
-  outstanding_.erase(it);
+  retire(pkt.request_id);
   ++completed_total_;
   vv_.record_completion(now, latency);
   if (now >= measure_start() && now < measure_end()) {
@@ -159,7 +178,7 @@ LoadGenResults LoadGenerator::results() {
   r.retries = retries_;
   r.dropped = dropped_;
   r.duplicate_responses = duplicate_responses_;
-  r.outstanding = outstanding_.size();
+  r.outstanding = outstanding_count_;
   r.violation_volume_ms_s =
       vv_.violation_volume_ms_s(measure_start(), measure_end());
   r.violation_duration_frac =

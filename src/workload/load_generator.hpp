@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 
 #include "app/application.hpp"
 #include "common/histogram.hpp"
@@ -96,7 +96,7 @@ class LoadGenerator {
   /// Requests issued but neither completed nor abandoned. Zero at drain is
   /// the request-conservation invariant:
   /// issued == completed_total + dropped + outstanding.
-  std::size_t outstanding() const { return outstanding_.size(); }
+  std::size_t outstanding() const { return outstanding_count_; }
 
   std::uint64_t issued() const { return issued_; }
   std::uint64_t completed_total() const { return completed_total_; }
@@ -106,10 +106,16 @@ class LoadGenerator {
  private:
   struct Outstanding {
     TimePoint start;               // original issue time (latency anchor)
-    int attempt = 0;               // 0 = initial send
     EventId timer = kInvalidEvent; // armed only when retry is enabled
+    int attempt = 0;               // 0 = initial send
     bool traced = false;           // spans being recorded for this request
+    bool live = true;              // false once completed or abandoned
   };
+
+  /// The live entry of request `id`, or nullptr.
+  Outstanding* find_outstanding(RequestId id);
+  /// Retires request `id`'s entry and pops retired entries off the front.
+  void retire(RequestId id);
 
   void schedule_next_arrival();
   void issue_request();
@@ -133,7 +139,13 @@ class LoadGenerator {
   std::uint64_t retries_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t duplicate_responses_ = 0;
-  std::unordered_map<RequestId, Outstanding> outstanding_;
+  // Request ids are issued sequentially, so the outstanding requests are a
+  // window: entry i is request window_base_ + i, and the front is live. A
+  // request that never completes (loss without retry) holds the window open
+  // behind it, at 24 bytes per later request, until the run ends.
+  std::deque<Outstanding> outstanding_;
+  RequestId window_base_ = 1;
+  std::size_t outstanding_count_ = 0;
   bool stopped_ = false;
 };
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "fault/fault_injector.hpp"
 #include "workload/load_generator.hpp"
 
 namespace sg {
@@ -16,11 +19,13 @@ struct MiniTestbed {
   std::unique_ptr<Application> app;
 
   explicit MiniTestbed(AppSpec spec, int cores_per_service = 4,
-                       NetworkLatencyModel model = {}) : network(sim, model) {
+                       NetworkLatencyModel model = {},
+                       Application::Options options = {})
+      : network(sim, model) {
     cluster.add_node(64, 19);
     Deployment dep = Deployment::single_node(spec, 0, cores_per_service);
     app = std::make_unique<Application>(cluster, network, metrics,
-                                        std::move(spec), dep);
+                                        std::move(spec), dep, options);
   }
 
   /// Sends one client request; returns (completed, latency).
@@ -233,6 +238,123 @@ TEST(ApplicationTest, DeploymentRoundRobinSpreads) {
   AppSpec spec = chain_spec(4);
   const Deployment d = Deployment::round_robin(spec, 2, 2);
   EXPECT_EQ(d.node_of_service, (std::vector<NodeId>{0, 1, 0, 1}));
+}
+
+// Records the call id of every child-RPC request and response it sees, and
+// forwards the fate decision to an optional inner hook.
+struct CallIdRecorder final : PacketFaultHook {
+  PacketFaultHook* inner = nullptr;
+  std::vector<std::uint64_t> requests;
+  std::vector<std::uint64_t> duplicated_responses;
+
+  PacketFate on_send(const RpcPacket& pkt) override {
+    const PacketFate fate =
+        inner != nullptr ? inner->on_send(pkt) : PacketFate{};
+    if (pkt.call_id == 0) return fate;  // client traffic
+    if (!pkt.is_response) {
+      requests.push_back(pkt.call_id);
+    } else if (fate.duplicate && !fate.drop) {
+      duplicated_responses.push_back(pkt.call_id);
+    }
+    return fate;
+  }
+};
+
+std::uint32_t slot_of(std::uint64_t call_id) {
+  return static_cast<std::uint32_t>(call_id);
+}
+
+TEST(ApplicationTest, ResponseToAReusedCallSlotIsStray) {
+  // The first child call times out after 20us, well before its 40us round
+  // trip, and is re-sent under a new call id that reuses the freed slot.
+  // The original's response then arrives while the retransmission holds
+  // that slot: its generation no longer matches, so it must count as stray
+  // and must not complete the retransmitted call early.
+  NetworkLatencyModel model;
+  model.jitter = 0.0;
+  Application::Options options;
+  options.retry.enabled = true;
+  options.retry.timeout = 20 * kMicrosecond;
+  options.retry.backoff = 10.0;  // the retransmission's 200us never fires
+  options.retry.max_retries = 1;
+  MiniTestbed tb(chain_spec(2), 4, model, options);
+  CallIdRecorder recorder;
+  tb.network.set_fault_hook(&recorder);
+
+  auto [done, latency] = tb.run_one_request();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(tb.app->rpc_retries(), 1u);
+  EXPECT_EQ(tb.app->stray_responses(), 1u);
+  EXPECT_EQ(tb.app->rpc_failures(), 0u);
+  ASSERT_EQ(recorder.requests.size(), 2u);
+  EXPECT_EQ(slot_of(recorder.requests[0]), slot_of(recorder.requests[1]));
+  EXPECT_NE(recorder.requests[0], recorder.requests[1]);
+  // Completed by the retransmission's own response: the client hops, both
+  // services' work, the 20us timeout and one full child round trip. Had the
+  // stale response completed the call, the timeout would be missing.
+  const Duration expected = 2 * model.cross_node + Duration{2 * 10'000} +
+                            20 * kMicrosecond + 2 * model.same_node;
+  EXPECT_EQ(latency, expected);
+  EXPECT_EQ(tb.app->in_flight(), 0);
+  for (int i = 0; i < tb.app->service_count(); ++i) {
+    EXPECT_EQ(tb.app->service_container(i).active_jobs(), 0);
+  }
+}
+
+TEST(ApplicationTest, DupAndDropFaultsConserveRequests) {
+  // Duplicated child responses arrive after their call has completed, often
+  // once a newer call holds the same slot. Each must count as stray and
+  // touch nothing else, so every request still drains exactly once.
+  using namespace sg::literals;
+  Application::Options options;
+  options.retry.enabled = true;
+  options.retry.timeout = 2_ms;
+  MiniTestbed tb(chain_spec(3, 50'000.0), 4, {}, options);
+  std::string error;
+  const auto plan = FaultPlan::parse(
+      "dup:start_ms=0,len_ms=400,rate=0.3;drop:start_ms=0,len_ms=400,rate=0.05",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  FaultInjector injector(tb.sim, *plan);
+  injector.arm(&tb.network, &tb.cluster);
+  CallIdRecorder recorder;
+  recorder.inner = &injector;
+  tb.network.set_fault_hook(&recorder);
+
+  LoadGenOptions lg;
+  lg.pattern = SpikePattern::steady(20'000);
+  lg.warmup = 0_s;
+  lg.duration = 400_ms;
+  lg.retry = options.retry;
+  LoadGenerator gen(tb.sim, tb.network, *tb.app, lg);
+  gen.start();
+  tb.sim.run_until(gen.measure_end());
+  gen.stop();
+  tb.sim.run_to_completion();
+
+  const LoadGenResults r = gen.results();
+  EXPECT_GT(injector.stats().packets_duplicated, 0u);
+  EXPECT_GT(injector.stats().packets_dropped, 0u);
+  EXPECT_GT(tb.app->rpc_retries(), 0u);
+  EXPECT_GT(tb.app->stray_responses(), 0u);
+  // Some duplicated response's slot was reissued to a later call.
+  bool slot_reused = false;
+  for (std::uint64_t dup : recorder.duplicated_responses) {
+    for (std::uint64_t req : recorder.requests) {
+      if (slot_of(req) == slot_of(dup) && (req >> 32) > (dup >> 32)) {
+        slot_reused = true;
+      }
+    }
+    if (slot_reused) break;
+  }
+  EXPECT_TRUE(slot_reused);
+  EXPECT_GT(r.issued, 0u);
+  EXPECT_EQ(r.issued, r.completed_total + r.dropped + r.outstanding);
+  EXPECT_EQ(r.outstanding, 0u);
+  EXPECT_EQ(tb.app->in_flight(), 0);
+  for (int i = 0; i < tb.app->service_count(); ++i) {
+    EXPECT_EQ(tb.app->service_container(i).active_jobs(), 0);
+  }
 }
 
 }  // namespace
