@@ -24,13 +24,13 @@ int main(int argc, char** argv) {
   const WorkloadInfo w = make_chain();
   const ProfileResult profile = profile_workload(w, 1);
 
-  for (Duration extra : {100 * kMicrosecond, 300 * kMicrosecond}) {
-    print_banner("network-latency surges: +" + format_time(extra) +
-                 " per hop, 1s windows every 10s (no load surge)");
-    TablePrinter table({"controller", "VV (ms*s)", "p98 (ms)", "FR boosts"});
-    for (ControllerKind kind :
-         {ControllerKind::kStatic, ControllerKind::kParties,
-          ControllerKind::kSurgeGuard}) {
+  const Duration extras[] = {100 * kMicrosecond, 300 * kMicrosecond};
+  const ControllerKind kinds[] = {ControllerKind::kStatic,
+                                  ControllerKind::kParties,
+                                  ControllerKind::kSurgeGuard};
+  std::vector<GridCell> cells;
+  for (Duration extra : extras) {
+    for (ControllerKind kind : kinds) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
@@ -40,8 +40,18 @@ int main(int argc, char** argv) {
       cfg.net_delay_len = 1 * kSecond;
       cfg.net_delay_period = 10 * kSecond;
       args.apply_timing(cfg);
-      cfg.seed = args.seed;
-      const ExperimentResult r = run_experiment(cfg, profile);
+      cells.push_back({cfg, &profile});
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.one_run());
+
+  std::size_t cell = 0;
+  for (Duration extra : extras) {
+    print_banner("network-latency surges: +" + format_time(extra) +
+                 " per hop, 1s windows every 10s (no load surge)");
+    TablePrinter table({"controller", "VV (ms*s)", "p98 (ms)", "FR boosts"});
+    for (ControllerKind kind : kinds) {
+      const ExperimentResult& r = grid[cell++].first;
       table.add_row({to_string(kind),
                      fmt_double(r.load.violation_volume_ms_s, 2),
                      fmt_double(r.load.p98.millis(), 2),

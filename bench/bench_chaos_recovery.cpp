@@ -45,33 +45,44 @@ int main(int argc, char** argv) {
        "slow:node=0,start_ms=8000,len_ms=500,factor=0.25"},
   };
 
+  const ControllerKind kinds[] = {ControllerKind::kParties,
+                                  ControllerKind::kCaladan,
+                                  ControllerKind::kSurgeGuard};
+  std::vector<GridCell> cells;
   for (const Scenario& sc : scenarios) {
-    print_banner(std::string("chaos: ") + sc.name);
-    TablePrinter table({"controller", "VV (ms*s)", "p99 (ms)", "completed",
-                        "retries", "dropped", "stranded"});
-    for (ControllerKind kind :
-         {ControllerKind::kParties, ControllerKind::kCaladan,
-          ControllerKind::kSurgeGuard}) {
+    FaultPlan plan;
+    if (sc.plan[0] != '\0') {
+      std::string error;
+      const auto parsed = FaultPlan::parse(sc.plan, &error);
+      if (!parsed) {
+        std::fprintf(stderr, "bad plan: %s\n", error.c_str());
+        return 2;
+      }
+      plan = *parsed;
+    }
+    for (ControllerKind kind : kinds) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
       // NO load surge: the disruption is the fault.
       cfg.surge_len = Duration::zero();
       args.apply_timing(cfg);
-      cfg.seed = args.seed;
       cfg.rpc_retry.enabled = true;
       cfg.rpc_retry.timeout = 50 * kMillisecond;
       cfg.drain = 5 * kSecond;
-      if (sc.plan[0] != '\0') {
-        std::string error;
-        const auto plan = FaultPlan::parse(sc.plan, &error);
-        if (!plan) {
-          std::fprintf(stderr, "bad plan: %s\n", error.c_str());
-          return 2;
-        }
-        cfg.fault_plan = *plan;
-      }
-      const ExperimentResult r = run_experiment(cfg, profile);
+      cfg.fault_plan = plan;
+      cells.push_back({cfg, &profile});
+    }
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.one_run());
+
+  std::size_t cell = 0;
+  for (const Scenario& sc : scenarios) {
+    print_banner(std::string("chaos: ") + sc.name);
+    TablePrinter table({"controller", "VV (ms*s)", "p99 (ms)", "completed",
+                        "retries", "dropped", "stranded"});
+    for (ControllerKind kind : kinds) {
+      const ExperimentResult& r = grid[cell++].first;
       table.add_row({to_string(kind),
                      fmt_double(r.load.violation_volume_ms_s, 2),
                      fmt_double(r.load.p99.millis(), 2),

@@ -86,6 +86,14 @@ struct BenchArgs {
     return s;
   }
 
+  /// One replication per cell at the base seed, untrimmed.
+  SweepOptions one_run() const {
+    SweepOptions s = sweep();
+    s.replications = 1;
+    s.trim = 0;
+    return s;
+  }
+
   void apply_timing(ExperimentConfig& cfg) const {
     cfg.duration = duration;
     cfg.warmup = warmup;

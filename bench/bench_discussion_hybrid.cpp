@@ -51,10 +51,8 @@ int main(int argc, char** argv) {
   const std::vector<RepStats> surged_grid =
       run_grid(surged_cells, args.sweep());
   // The steady state is one run at the base seed.
-  SweepOptions one_run = args.sweep();
-  one_run.replications = 1;
-  one_run.trim = 0;
-  const std::vector<RepStats> steady_grid = run_grid(steady_cells, one_run);
+  const std::vector<RepStats> steady_grid =
+      run_grid(steady_cells, args.one_run());
 
   for (std::size_t wi = 0; wi < 2; ++wi) {
     const WorkloadInfo& w = workloads[wi];

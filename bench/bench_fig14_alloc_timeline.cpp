@@ -22,9 +22,11 @@ int main(int argc, char** argv) {
   const WorkloadInfo w = make_social_read_user_timeline();
   const ProfileResult profile = profile_workload(w, 1);
 
-  for (ControllerKind kind :
-       {ControllerKind::kParties, ControllerKind::kCaladan,
-        ControllerKind::kSurgeGuard}) {
+  const ControllerKind kinds[] = {ControllerKind::kParties,
+                                  ControllerKind::kCaladan,
+                                  ControllerKind::kSurgeGuard};
+  std::vector<GridCell> cells;
+  for (ControllerKind kind : kinds) {
     ExperimentConfig cfg;
     cfg.workload = w;
     cfg.controller = kind;
@@ -36,8 +38,13 @@ int main(int argc, char** argv) {
         TimePoint::at(15 * kSecond));
     cfg.record_alloc_timelines = true;
     cfg.trace_sample_interval = 1 * kSecond;
-    cfg.seed = args.seed;
-    const ExperimentResult r = run_experiment(cfg, profile);
+    cells.push_back({cfg, &profile});
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.one_run());
+
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    const ControllerKind kind = kinds[k];
+    const ExperimentResult& r = grid[k].first;
 
     print_banner("Fig. 14 - " + std::string(to_string(kind)) +
                  ": cores per service over time (surge 15s-25s)");

@@ -129,11 +129,6 @@ const ContainerRuntimeMetrics& Application::runtime_metrics(
   return services_[service_of_container(container)].metrics;
 }
 
-const ConnectionPool& Application::edge_pool(int service, int child_idx) const {
-  return *services_[static_cast<std::size_t>(service)]
-              .child_pools[static_cast<std::size_t>(child_idx)];
-}
-
 AppTopology Application::topology() const {
   AppTopology topo;
   topo.entry = services_.front().container->id();
@@ -182,10 +177,7 @@ void Application::on_request(const RpcPacket& pkt) {
     // into a metastable retry storm. The in-flight visit's eventual
     // response completes the request; only requests the frontend has
     // already forgotten (genuinely lost, or response lost) re-execute.
-    if (!entry_requests_.insert(pkt.request_id).second) {
-      ++duplicate_requests_;
-      return;
-    }
+    if (!entry_requests_.insert(pkt.request_id).second) return;
     ++in_flight_;
   }
 

@@ -140,12 +140,6 @@ class Application {
   /// Responses with no pending call: duplicates, or originals that raced a
   /// retransmission. Benign under faults; a bug if nonzero without them.
   std::uint64_t stray_responses() const { return stray_responses_; }
-  /// Entry requests absorbed by the frontend's idempotency dedup (a copy of
-  /// a request whose original visit was still in flight).
-  std::uint64_t duplicate_requests() const { return duplicate_requests_; }
-
-  /// Per-edge pool (service, child index) — exposed for tests/inspection.
-  const ConnectionPool& edge_pool(int service, int child_idx) const;
 
   /// Container-id adjacency of the task graph (for controllers).
   AppTopology topology() const;
@@ -233,7 +227,6 @@ class Application {
 
   int in_flight_ = 0;
   std::uint64_t requests_completed_ = 0;
-  std::uint64_t duplicate_requests_ = 0;
   std::uint64_t rpc_retries_ = 0;
   std::uint64_t rpc_failures_ = 0;
   std::uint64_t stray_responses_ = 0;

@@ -77,7 +77,6 @@ class Container {
   /// entirely. Used by fault injection to model node slowdown/freeze;
   /// orthogonal to cores, DVFS, and memory-bandwidth interference.
   void set_speed_scale(double scale);
-  double speed_scale() const { return speed_scale_; }
 
   /// --- introspection ---
 

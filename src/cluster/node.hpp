@@ -61,7 +61,6 @@ class Node {
   /// in (0, 1] (1 restores full speed). Models a degraded machine: thermal
   /// throttling, a noisy neighbor VM, failing hardware.
   void set_slowdown(double factor);
-  double slowdown_factor() const { return slowdown_factor_; }
 
   /// Freezes the node: every container's core allocation is remembered and
   /// zeroed (jobs stall; packets still arrive and queue), and grant/revoke

@@ -88,18 +88,6 @@ std::string Config::get_string(const std::string& key,
   return it == values_.end() ? def : it->second;
 }
 
-double Config::get_double(const std::string& key, double def) const {
-  return try_get_double(key).value_or(def);
-}
-
-long long Config::get_int(const std::string& key, long long def) const {
-  return try_get_int(key).value_or(def);
-}
-
-bool Config::get_bool(const std::string& key, bool def) const {
-  return try_get_bool(key).value_or(def);
-}
-
 std::optional<double> Config::try_get_double(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;

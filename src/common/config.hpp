@@ -29,16 +29,13 @@ class Config {
 
   bool has(const std::string& key) const;
 
-  /// Typed getters with defaults. Type-mismatched values fall back to the
-  /// default; callers that must reject them (experiment_from_config) check
-  /// the `try_get_*` variants, which return nullopt for an absent key or a
-  /// value that does not parse.
+  /// The raw value, or `def` for an absent key.
   std::string get_string(const std::string& key,
                          const std::string& def = "") const;
-  double get_double(const std::string& key, double def = 0.0) const;
-  long long get_int(const std::string& key, long long def = 0) const;
-  bool get_bool(const std::string& key, bool def = false) const;
 
+  /// Typed getters: nullopt for an absent key or a value that does not
+  /// parse as the whole of the type, never a silent default. Callers own
+  /// their defaults (experiment_from_config keeps them in ExperimentConfig).
   std::optional<double> try_get_double(const std::string& key) const;
   std::optional<long long> try_get_int(const std::string& key) const;
   /// true/1/yes/on or false/0/no/off.

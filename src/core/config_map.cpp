@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iterator>
 #include <string_view>
+#include <type_traits>
 
 namespace sg {
 
@@ -106,6 +107,37 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     }
   }
 
+  // Every present value parsed above. A key that is absent leaves the
+  // ExperimentConfig (or RpcRetryPolicy, MemBwDomain::Params) default in
+  // place: those structs are the one source of defaults.
+  const auto set = [&cfg](const char* key, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (const auto v = cfg.try_get_bool(key)) field = *v;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (const auto v = cfg.try_get_double(key)) field = *v;
+    } else {
+      if (const auto v = cfg.try_get_int(key)) field = static_cast<T>(*v);
+    }
+  };
+  // A duration given in seconds divided by `per_second` (1e3 for ms),
+  // rounded to the nearest ns.
+  const auto set_rounded = [&cfg](const char* key, double per_second,
+                                  Duration& field) {
+    if (const auto v = cfg.try_get_double(key)) {
+      field = Duration::seconds(*v / per_second);
+    }
+  };
+  // A duration given in units of `unit_ns` ns, truncated to whole ns.
+  const auto set_truncated = [&cfg](const char* key, double unit_ns,
+                                    Duration& field) {
+    if (const auto v = cfg.try_get_double(key)) {
+      field = Duration{static_cast<std::int64_t>(*v * unit_ns)};
+    }
+  };
+
+  // ExperimentConfig has no default workload; a config file without one
+  // runs CHAIN.
   const std::string workload = cfg.get_string("workload", "chain");
   bool found = false;
   for (const WorkloadInfo& w : workload_catalog()) {
@@ -118,41 +150,39 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   }
   if (!found) return fail("unknown workload: " + workload);
 
-  const std::string controller = cfg.get_string("controller", "surgeguard");
-  const auto kind = controller_from_string(controller);
-  if (!kind) return fail("unknown controller: " + controller);
-  out.controller = *kind;
+  if (cfg.has("controller")) {
+    const std::string controller = cfg.get_string("controller");
+    const auto kind = controller_from_string(controller);
+    if (!kind) return fail("unknown controller: " + controller);
+    out.controller = *kind;
+  }
 
-  out.nodes = static_cast<int>(cfg.get_int("nodes", 1));
+  set("nodes", out.nodes);
   if (out.nodes < 1) return fail("nodes must be >= 1");
 
-  out.warmup = Duration::seconds(cfg.get_double("warmup_s", 5.0));
-  out.duration = Duration::seconds(cfg.get_double("duration_s", 30.0));
+  set_rounded("warmup_s", 1.0, out.warmup);
+  set_rounded("duration_s", 1.0, out.duration);
   if (out.warmup < Duration::zero() || out.duration <= Duration::zero()) {
     return fail("invalid timing");
   }
 
-  out.qos_mult = cfg.get_double("qos_mult", 2.0);
-  out.target_mult = cfg.get_double("target_mult", 2.0);
-  out.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  set("qos_mult", out.qos_mult);
+  set("target_mult", out.target_mult);
+  set("seed", out.seed);
 
   // Optional base-rate override (the wrk2 -rate knob).
   if (const auto rate = cfg.try_get_double("rate_rps"); rate && *rate > 0) {
     out.workload.base_rate_rps = *rate;
   }
 
-  out.surge_mult = cfg.get_double("surge.mult", 1.75);
-  out.surge_len =
-      Duration::seconds(cfg.get_double("surge.len_ms", 2000.0) / 1e3);
-  out.surge_period = Duration::seconds(cfg.get_double("surge.period_s", 10.0));
+  set("surge.mult", out.surge_mult);
+  set_rounded("surge.len_ms", 1e3, out.surge_len);
+  set_rounded("surge.period_s", 1.0, out.surge_period);
   if (out.surge_mult <= 0) return fail("surge.mult must be positive");
 
-  out.net_delay_extra = Duration{static_cast<std::int64_t>(
-      cfg.get_double("netdelay.extra_us", 0.0) * 1e3)};
-  out.net_delay_len =
-      Duration::seconds(cfg.get_double("netdelay.len_ms", 0.0) / 1e3);
-  out.net_delay_period =
-      Duration::seconds(cfg.get_double("netdelay.period_s", 10.0));
+  set_truncated("netdelay.extra_us", 1e3, out.net_delay_extra);
+  set_rounded("netdelay.len_ms", 1e3, out.net_delay_len);
+  set_rounded("netdelay.period_s", 1.0, out.net_delay_period);
 
   // Chaos: deterministic fault schedule + RPC retransmission policy. The
   // fault.plan value is the same spec string sg_run --fault-plan accepts.
@@ -162,45 +192,42 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     if (!plan) return fail(fault_error);
     out.fault_plan = *plan;
   }
-  out.rpc_retry.enabled = cfg.get_bool("retry.enabled", false);
-  out.rpc_retry.timeout = Duration{static_cast<std::int64_t>(
-      cfg.get_double("retry.timeout_ms", 50.0) * 1e6)};
-  out.rpc_retry.backoff = cfg.get_double("retry.backoff", 2.0);
-  out.rpc_retry.max_retries =
-      static_cast<int>(cfg.get_int("retry.max", 5));
+  set("retry.enabled", out.rpc_retry.enabled);
+  set_truncated("retry.timeout_ms", 1e6, out.rpc_retry.timeout);
+  set("retry.backoff", out.rpc_retry.backoff);
+  set("retry.max", out.rpc_retry.max_retries);
   if (out.rpc_retry.enabled &&
       (out.rpc_retry.timeout <= Duration::zero() ||
        out.rpc_retry.backoff < 1.0 ||
        out.rpc_retry.max_retries < 0)) {
     return fail("invalid retry policy");
   }
-  out.drain = Duration::seconds(cfg.get_double("drain_s", 0.0));
+  set_rounded("drain_s", 1.0, out.drain);
   if (out.drain < Duration::zero()) return fail("drain_s must be >= 0");
 
   if (cfg.has("membw.node_bw_gbs")) {
     MemBwDomain::Params bw;
-    bw.node_bw_gbs = cfg.get_double("membw.node_bw_gbs", 100.0);
-    bw.demand_per_busy_core_gbs =
-        cfg.get_double("membw.demand_per_core_gbs", 6.0);
+    set("membw.node_bw_gbs", bw.node_bw_gbs);
+    set("membw.demand_per_core_gbs", bw.demand_per_busy_core_gbs);
     if (bw.node_bw_gbs <= 0) return fail("membw.node_bw_gbs must be positive");
     out.membw = bw;
   }
 
-  out.ideal_detection_delay = Duration{static_cast<std::int64_t>(
-      cfg.get_double("ideal.detection_delay_ms", 0.2) * 1e6)};
+  set_truncated("ideal.detection_delay_ms", 1e6, out.ideal_detection_delay);
 
-  out.record_alloc_timelines = cfg.get_bool("record.alloc_timelines", false);
-  out.record_latency_series = cfg.get_bool("record.latency_series", false);
+  set("record.alloc_timelines", out.record_alloc_timelines);
+  set("record.latency_series", out.record_latency_series);
 
-  out.trace_enabled = cfg.get_bool("trace.enabled", false);
-  out.trace_sample = cfg.get_double("trace.sample", 1.0);
+  set("trace.enabled", out.trace_enabled);
+  set("trace.sample", out.trace_sample);
   if (out.trace_sample < 0.0 || out.trace_sample > 1.0) {
     return fail("trace.sample must be in [0, 1]");
   }
-  const long long cap = cfg.get_int("trace.capacity", 4096);
-  if (cap <= 0) return fail("trace.capacity must be positive");
-  out.trace_capacity = static_cast<std::size_t>(cap);
-  out.trace_keep_violators = cfg.get_bool("trace.keep_violators", true);
+  if (const auto cap = cfg.try_get_int("trace.capacity")) {
+    if (*cap <= 0) return fail("trace.capacity must be positive");
+    out.trace_capacity = static_cast<std::size_t>(*cap);
+  }
+  set("trace.keep_violators", out.trace_keep_violators);
   return out;
 }
 

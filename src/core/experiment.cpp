@@ -57,7 +57,10 @@ struct Testbed {
   }
 
   Testbed(std::uint64_t seed, int nodes)
-      : sim(seed), cluster(sim), network(sim), metrics(static_cast<std::size_t>(nodes)) {}
+      : sim(seed),
+        cluster(sim),
+        network(sim, NetworkLatencyModel{}, nodes),
+        metrics(static_cast<std::size_t>(nodes)) {}
 };
 
 std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
@@ -65,10 +68,6 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
                                        const SpikePattern& pattern) {
   auto tb = std::make_unique<Testbed>(config.seed, config.nodes);
   const WorkloadInfo& w = config.workload;
-
-  // Per-sender wire streams: the drawn jitter, and so every result, is
-  // pinned by the committed fingerprints.
-  tb->network.configure_node_streams(config.nodes);
 
   if (config.trace_enabled) {
     TraceOptions topts;

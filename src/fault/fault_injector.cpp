@@ -29,18 +29,19 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
 void FaultInjector::arm(Network* net, Cluster* cluster) {
   SG_ASSERT_MSG(!armed_, "fault injector armed twice");
   armed_ = true;
-  if (cluster != nullptr) {
-    // Fork per-source streams in a fixed order (client first, then nodes)
+  if (net != nullptr) {
+    SG_ASSERT_MSG(cluster == nullptr ||
+                      cluster->node_count() ==
+                          static_cast<std::size_t>(net->node_count()),
+                  "network and cluster disagree on the node count");
+    // Fork per-sender streams in a fixed order (client first, then nodes)
     // so each sender's coin-flip sequence is a pure function of its own
     // packet order. The streams are pinned by the committed fingerprints.
-    per_node_ = true;
-    client_stream_ = rng_.fork();
-    node_streams_.reserve(cluster->node_count());
-    for (std::size_t n = 0; n < cluster->node_count(); ++n) {
-      node_streams_.push_back(rng_.fork());
-    }
+    const auto senders = static_cast<std::size_t>(net->node_count()) + 1;
+    streams_.reserve(senders);
+    for (std::size_t s = 0; s < senders; ++s) streams_.push_back(rng_.fork());
+    net->set_fault_hook(this);
   }
-  if (net != nullptr) net->set_fault_hook(this);
   if (cluster != nullptr) schedule_node_windows(*cluster);
   // Controller-stall windows gate periodic kController ticks. The gate is
   // pure (reads the plan against the clock), so installing it even for
@@ -99,17 +100,12 @@ void FaultInjector::schedule_node_windows(Cluster& cluster) {
   }
 }
 
-Rng& FaultInjector::stream_for(int src_node) {
-  if (!per_node_) return rng_;
-  if (src_node < 0) return client_stream_;
-  SG_ASSERT_MSG(static_cast<std::size_t>(src_node) < node_streams_.size(),
-                "fault stream for unknown node");
-  return node_streams_[static_cast<std::size_t>(src_node)];
-}
-
 PacketFate FaultInjector::on_send(const RpcPacket& pkt) {
   const TimePoint now = sim_.now();
-  Rng& rng = stream_for(pkt.src_node);
+  const auto slot = static_cast<std::size_t>(pkt.src_node + 1);
+  SG_ASSERT_MSG(pkt.src_node >= kClientNode && slot < streams_.size(),
+                "fault stream for unknown node");
+  Rng& rng = streams_[slot];
   PacketFate fate;
   // Draw order is fixed (drop, then dup) and unconditional within an active
   // window, so the RNG stream consumed per packet depends only on the

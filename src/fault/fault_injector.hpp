@@ -4,8 +4,9 @@
 // the Network, schedules node freeze/slowdown windows on the Cluster, and
 // installs the controller-tick gate on the Simulator. All randomness (the
 // per-packet drop/dup coin flips) comes from an RNG forked off the owning
-// Simulator's RNG at construction, so the full fault timeline — which
-// packets die, when nodes stall — is a pure function of (plan, seed).
+// Simulator's RNG at construction, split into one stream per sender of the
+// network, so the full fault timeline — which packets die, when nodes
+// stall — is a pure function of (plan, seed).
 #pragma once
 
 #include <cstdint>
@@ -48,11 +49,11 @@ class FaultInjector final : public PacketFaultHook {
   /// need `net`; node windows need `cluster`; controller-stall windows only
   /// need the simulator. Call once, before the simulation runs.
   ///
-  /// With a cluster attached, the per-packet coin flips switch to
-  /// per-source-node RNG streams (plus one for the client), so each node's
-  /// fault outcomes depend only on its own send sequence. The streams are
-  /// pinned by the committed fingerprints. Without a cluster the historical
-  /// single-stream behavior is kept.
+  /// The per-packet coin flips come from one RNG stream per sender of
+  /// `net` (the client, then each node), so each sender's fault outcomes
+  /// depend only on its own send sequence. The streams are pinned by the
+  /// committed fingerprints. With both layers attached, the network and the
+  /// cluster must agree on the node count.
   void arm(Network* net, Cluster* cluster);
 
   const FaultPlan& plan() const { return plan_; }
@@ -65,16 +66,14 @@ class FaultInjector final : public PacketFaultHook {
 
  private:
   void schedule_node_windows(Cluster& cluster);
-  Rng& stream_for(int src_node);
 
   Simulator& sim_;
   FaultPlan plan_;
-  Rng rng_;
+  Rng rng_;  // forks the per-sender streams in arm()
   FaultStats stats_;
   bool armed_ = false;
-  bool per_node_ = false;
-  Rng client_stream_{0};  // reseeded in arm()
-  std::vector<Rng> node_streams_;
+  // Coin-flip streams by sender slot: 0 is the client, node n is n + 1.
+  std::vector<Rng> streams_;
 };
 
 }  // namespace sg

@@ -63,9 +63,6 @@ class ContainerRuntimeMetrics {
 
   void record_visit(const VisitRecord& rec);
 
-  bool window_empty() const { return exec_time_.empty(); }
-  long window_visits() const { return exec_time_.count(); }
-
   /// Closes the window: returns the snapshot and starts a fresh window.
   MetricsSnapshot flush(TimePoint now);
 

@@ -7,30 +7,32 @@
 
 namespace sg {
 
-Network::Network(Simulator& sim, NetworkLatencyModel model)
-    : sim_(sim),
-      model_(model),
-      rng_(sim.rng().fork()),
-      delivery_seq_(1, 0),
-      extra_delay_(1, model.extra_delay) {}
-
-void Network::configure_node_streams(int node_count) {
+Network::Network(Simulator& sim, NetworkLatencyModel model, int node_count)
+    : sim_(sim), model_(model) {
   SG_ASSERT_MSG(node_count >= 1, "network needs at least one node");
-  SG_ASSERT_MSG(!per_node_streams_, "node streams already configured");
-  per_node_streams_ = true;
-  // Derived from the network's own stream in a fixed order at setup time.
-  client_stream_ = rng_.fork();
-  node_streams_.reserve(static_cast<std::size_t>(node_count));
-  for (int n = 0; n < node_count; ++n) node_streams_.push_back(rng_.fork());
-  delivery_seq_.assign(static_cast<std::size_t>(node_count) + 1, 0);
-  extra_delay_.assign(static_cast<std::size_t>(node_count) + 1,
-                      model_.extra_delay);
+  // The network takes one fork of the simulator's stream and derives every
+  // sender's stream from it in slot order, so each sender's jitter is a
+  // pure function of its own send sequence.
+  Rng root = sim.rng().fork();
+  const auto slots = static_cast<std::size_t>(node_count) + 1;
+  senders_.reserve(slots);
+  for (std::size_t s = 0; s < slots; ++s) {
+    senders_.push_back({root.fork(), 0, Duration::zero()});
+  }
+  hooks_.resize(slots);
+}
+
+std::size_t Network::slot_of(int node) const {
+  SG_ASSERT_MSG(node >= kClientNode && node < node_count(), "unknown node");
+  return static_cast<std::size_t>(node + 1);
 }
 
 void Network::register_receiver(int container, Receiver receiver) {
-  SG_ASSERT_MSG(container != kClientEndpoint,
+  SG_ASSERT_MSG(container >= 0,
                 "use register_client_receiver for the client endpoint");
-  receivers_[container] = std::move(receiver);
+  const auto id = static_cast<std::size_t>(container);
+  if (id >= receivers_.size()) receivers_.resize(id + 1);
+  receivers_[id] = std::move(receiver);
 }
 
 void Network::register_client_receiver(Receiver receiver) {
@@ -39,92 +41,56 @@ void Network::register_client_receiver(Receiver receiver) {
 
 void Network::add_rx_hook(int node, RxHook* hook) {
   SG_ASSERT(hook != nullptr);
-  hooks_[node].push_back(hook);
-}
-
-std::size_t Network::delay_slot(int src_node) const {
-  if (!per_node_streams_) return 0;
-  const auto slot = static_cast<std::size_t>(src_node + 1);
-  SG_ASSERT_MSG(slot < extra_delay_.size(), "unknown source node");
-  return slot;
-}
-
-void Network::set_extra_delay(Duration d) {
-  for (Duration& slot : extra_delay_) slot = d;
+  hooks_[slot_of(node)].push_back(hook);
 }
 
 void Network::set_extra_delay_for(int src_node, Duration d) {
-  extra_delay_[delay_slot(src_node)] = d;
+  senders_[slot_of(src_node)].extra_delay = d;
 }
 
-Rng& Network::stream_for(int src_node) {
-  if (!per_node_streams_) return rng_;
-  if (src_node < 0) return client_stream_;
-  SG_ASSERT_MSG(static_cast<std::size_t>(src_node) < node_streams_.size(),
-                "unknown source node");
-  return node_streams_[static_cast<std::size_t>(src_node)];
-}
-
-std::uint64_t Network::next_delivery_rank(int src_node) {
-  const auto slot = static_cast<std::size_t>(src_node + 1);
-  SG_ASSERT_MSG(slot < delivery_seq_.size() || !per_node_streams_,
-                "unknown source node");
-  if (slot >= delivery_seq_.size()) delivery_seq_.resize(slot + 1, 0);
+void Network::schedule_delivery(int src_node, Sender& from,
+                                const RpcPacket& pkt, Duration fault_delay) {
+  const Duration base =
+      src_node == pkt.dst_node ? model_.same_node : model_.cross_node;
+  const double scale =
+      from.rng.uniform(1.0 - model_.jitter, 1.0 + model_.jitter);
+  Duration latency = base * scale + from.extra_delay;
+  if (latency < Duration::zero()) latency = Duration::zero();
+  latency += fault_delay;
   // Canonical rank: (source node, per-source sequence). Each source's
   // sequence follows its own local send order; same-nanosecond deliveries
   // tie-break on it instead of on insertion order.
-  return (static_cast<std::uint64_t>(src_node + 2) << 40) |
-         delivery_seq_[slot]++;
-}
-
-Duration Network::sample_latency(int src_node, int dst_node) {
-  const Duration base =
-      src_node == dst_node ? model_.same_node : model_.cross_node;
-  const double scale =
-      stream_for(src_node).uniform(1.0 - model_.jitter, 1.0 + model_.jitter);
-  Duration latency = base * scale;
-  latency += extra_delay_[delay_slot(src_node)];
-  return latency < Duration::zero() ? Duration::zero() : latency;
-}
-
-void Network::schedule_delivery(int src_node, const RpcPacket& pkt,
-                                Duration latency) {
+  const std::uint64_t rank =
+      (static_cast<std::uint64_t>(src_node + 2) << 40) | from.seq++;
   auto delivery = [this, pkt]() { deliver(pkt); };
   // One of these per packet: keep the closure inside its event slot.
   static_assert(EventQueue::Callback::stores_inline<decltype(delivery)>);
-  sim_.schedule_at_ranked(sim_.now() + latency, next_delivery_rank(src_node),
-                          std::move(delivery));
+  sim_.schedule_at_ranked(sim_.now() + latency, rank, std::move(delivery));
 }
 
 void Network::send(int src_node, const RpcPacket& pkt_in) {
-  // Packets are value types: the copy in the closures below is the wire
+  Sender& from = senders_[slot_of(src_node)];
+  slot_of(pkt_in.dst_node);  // rejects an unknown destination node
+  // Packets are value types: the copy in the delivery closure is the wire
   // copy. Traced packets get their send time stamped on it so delivery can
   // record the transit as a net-hop span.
   RpcPacket pkt = pkt_in;
   if (pkt.traced) pkt.sent_at = sim_.now();
-  if (fault_hook_ != nullptr) {
-    const PacketFate fate = fault_hook_->on_send(pkt);
-    if (fate.drop) {
-      // Lost on the wire: neither rx hooks nor the receiver ever see it.
-      ++packets_dropped_;
-      return;
-    }
-    const Duration latency =
-        sample_latency(src_node, pkt.dst_node) + fate.extra_delay;
-    schedule_delivery(src_node, pkt, latency);
-    if (fate.duplicate) {
-      ++packets_duplicated_;
-      // The duplicate travels independently: its own latency draw (plus the
-      // same fault delay), its own delivery, its own trip through the rx
-      // hook chain.
-      const Duration dup_latency =
-          sample_latency(src_node, pkt.dst_node) + fate.extra_delay;
-      schedule_delivery(src_node, pkt, dup_latency);
-    }
+  const PacketFate fate =
+      fault_hook_ != nullptr ? fault_hook_->on_send(pkt) : PacketFate{};
+  if (fate.drop) {
+    // Lost on the wire: neither rx hooks nor the receiver ever see it.
+    ++packets_dropped_;
     return;
   }
-  const Duration latency = sample_latency(src_node, pkt.dst_node);
-  schedule_delivery(src_node, pkt, latency);
+  schedule_delivery(src_node, from, pkt, fate.extra_delay);
+  if (fate.duplicate) {
+    ++packets_duplicated_;
+    // The duplicate travels independently: its own latency draw (plus the
+    // same fault delay), its own delivery, its own trip through the rx hook
+    // chain.
+    schedule_delivery(src_node, from, pkt, fate.extra_delay);
+  }
 }
 
 void Network::deliver(const RpcPacket& pkt) {
@@ -145,18 +111,21 @@ void Network::deliver(const RpcPacket& pkt) {
     }
   }
   // Receive-side hook chain: the netif_receive_skb attachment point. Hooks
-  // see the packet before the destination container does.
-  if (const auto hit = hooks_.find(pkt.dst_node); hit != hooks_.end()) {
-    for (RxHook* hook : hit->second) hook->on_packet(pkt);
+  // see the packet before the destination container does. send() checked
+  // the destination node.
+  for (RxHook* hook : hooks_[static_cast<std::size_t>(pkt.dst_node + 1)]) {
+    hook->on_packet(pkt);
   }
   if (pkt.dst_container == kClientEndpoint) {
     SG_ASSERT_MSG(client_receiver_, "no client receiver registered");
     client_receiver_(pkt);
     return;
   }
-  const auto it = receivers_.find(pkt.dst_container);
-  SG_ASSERT_MSG(it != receivers_.end(), "packet to unregistered container");
-  it->second(pkt);
+  const auto id = static_cast<std::size_t>(pkt.dst_container);
+  SG_ASSERT_MSG(pkt.dst_container >= 0 && id < receivers_.size() &&
+                    receivers_[id],
+                "packet to unregistered container");
+  receivers_[id](pkt);
 }
 
 }  // namespace sg

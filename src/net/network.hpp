@@ -7,14 +7,18 @@
 // destination container. `Network` therefore runs a per-node hook chain at
 // delivery time, before invoking the destination's receiver callback.
 //
-// Every delivery carries a canonical rank — (source node, per-source
-// sequence) — that orders same-nanosecond deliveries. The rank is part of
-// the pinned simulated output (simbench fingerprints, serial goldens):
-// replacing it with FIFO order would reorder ties and change results.
+// The network knows its node count from construction. Every sender — the
+// client and each node — owns its jitter stream, delivery sequence and
+// extra delay, so a packet's latency depends only on its sender's own send
+// history. Every delivery carries a canonical rank — (source node,
+// per-source sequence) — that orders same-nanosecond deliveries. Streams and
+// ranks are part of the pinned simulated output (simbench fingerprints,
+// serial goldens): replacing them with one shared stream or with FIFO order
+// would change results.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -60,33 +64,22 @@ struct NetworkLatencyModel {
   Duration cross_node = 40 * kMicrosecond;  // ToR-switch hop
   /// Multiplicative jitter: latency is scaled by U[1-jitter, 1+jitter].
   double jitter = 0.1;
-  /// Additional delay injected on every packet (used by experiments that
-  /// model transient network slowdowns).
-  Duration extra_delay;
 };
 
 class Network {
  public:
   using Receiver = std::function<void(const RpcPacket&)>;
 
-  Network(Simulator& sim, NetworkLatencyModel model = {});
+  /// A network of `node_count` nodes (ids 0..node_count-1) plus the client
+  /// endpoint (kClientNode). The per-sender jitter streams are forked here,
+  /// client first, then nodes in id order.
+  Network(Simulator& sim, NetworkLatencyModel model = {}, int node_count = 1);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Switches to per-source-node jitter streams, delivery sequences, and
-  /// extra-delay slots for `node_count` nodes (plus the client endpoint).
-  /// Every latency draw is then a function of the *sending node's* local
-  /// history instead of a global draw order. Experiments always call this;
-  /// the streams are pinned by the committed fingerprints, so collapsing
-  /// them into one stream would change results. Must run before any
-  /// traffic; directly-constructed networks that never call it keep the
-  /// historical single-stream behavior.
-  void configure_node_streams(int node_count);
-
   /// Registers the receiver for packets addressed to `container`. The
-  /// application model registers one per service instance; the workload
-  /// generator registers the client endpoint per node it drives.
+  /// application model registers one per service instance.
   void register_receiver(int container, Receiver receiver);
 
   /// Registers a client-side receiver for response packets addressed to
@@ -97,11 +90,9 @@ class Network {
   void add_rx_hook(int node, RxHook* hook);
 
   /// Sends a packet from `src_node`; it is delivered on pkt.dst_node after
-  /// the modeled latency: hooks first, then the destination receiver.
+  /// the modeled latency: hooks first, then the destination receiver. Both
+  /// nodes must be in [kClientNode, node_count()).
   void send(int src_node, const RpcPacket& pkt);
-
-  /// Changes the extra per-packet delay for every sender at once.
-  void set_extra_delay(Duration d);
 
   /// Changes the extra per-packet delay for one sender (kClientNode for the
   /// client). Experiments schedule one toggle event per node; those events
@@ -109,41 +100,37 @@ class Network {
   void set_extra_delay_for(int src_node, Duration d);
 
   /// Installs the wire-level fault hook (nullptr clears it). Non-owning;
-  /// the hook must outlive the network. With no hook installed, send() takes
-  /// the exact pre-fault path (bit-identical baseline runs).
+  /// the hook must outlive the network. With no hook installed every packet
+  /// gets the default (clean) PacketFate.
   void set_fault_hook(PacketFaultHook* hook) { fault_hook_ = hook; }
 
   const NetworkLatencyModel& model() const { return model_; }
+  int node_count() const { return static_cast<int>(senders_.size()) - 1; }
 
   std::uint64_t packets_delivered() const { return packets_delivered_; }
   std::uint64_t packets_dropped() const { return packets_dropped_; }
   std::uint64_t packets_duplicated() const { return packets_duplicated_; }
 
  private:
-  std::size_t delay_slot(int src_node) const;
-  Rng& stream_for(int src_node);
-  std::uint64_t next_delivery_rank(int src_node);
-  Duration sample_latency(int src_node, int dst_node);
-  void schedule_delivery(int src_node, const RpcPacket& pkt, Duration latency);
+  struct Sender {
+    Rng rng;                // latency jitter draws
+    std::uint64_t seq = 0;  // per-source delivery sequence
+    Duration extra_delay;   // set_extra_delay_for
+  };
+
+  /// Index of `node` in senders_ and hooks_: 0 for the client, node + 1
+  /// otherwise. Rejects ids outside [kClientNode, node_count()).
+  std::size_t slot_of(int node) const;
+  void schedule_delivery(int src_node, Sender& from, const RpcPacket& pkt,
+                         Duration fault_delay);
   void deliver(const RpcPacket& pkt);
 
   Simulator& sim_;
   NetworkLatencyModel model_;
-  Rng rng_;
-  bool per_node_streams_ = false;
-  Rng client_stream_{0};  // reseeded by configure_node_streams
-  std::vector<Rng> node_streams_;
-  // Per-source delivery sequence numbers; slot 0 is the client. Combined
-  // with the source node id they form the canonical delivery rank.
-  std::vector<std::uint64_t> delivery_seq_;
-  // Extra per-packet delay by source (slot 0 = client; a single shared slot
-  // until configure_node_streams).
-  std::vector<Duration> extra_delay_;
-  // Ordered maps (determinism rule D1): lookup-only today, but any future
-  // traversal must not depend on hash order.
-  std::map<int, Receiver> receivers_;
+  std::vector<Sender> senders_;               // by slot
+  std::vector<std::vector<RxHook*>> hooks_;   // by destination slot
+  std::vector<Receiver> receivers_;           // by container id
   Receiver client_receiver_;
-  std::map<int, std::vector<RxHook*>> hooks_;
   PacketFaultHook* fault_hook_ = nullptr;
   std::uint64_t packets_delivered_ = 0;
   std::uint64_t packets_dropped_ = 0;

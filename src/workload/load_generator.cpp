@@ -13,7 +13,6 @@ LoadGenerator::LoadGenerator(Simulator& sim, Network& network,
       network_(network),
       app_(app),
       options_(options),
-      rng_(sim.rng().fork()),
       vv_(options.qos, options.vv_window) {
   SG_ASSERT(options_.pattern.base_rate_rps > 0.0);
   network_.register_client_receiver(
@@ -24,41 +23,24 @@ void LoadGenerator::start() { schedule_next_arrival(); }
 
 void LoadGenerator::schedule_next_arrival() {
   if (stopped_) return;
-  const double max_rate = options_.pattern.max_rate();
-  SG_ASSERT(max_rate > 0.0);
-  const double mean_gap_ns = 1e9 / max_rate;
-
-  if (options_.poisson) {
-    // Non-homogeneous Poisson via thinning: draw at the envelope rate,
-    // accept with probability rate(t)/max_rate. Exact for piecewise-constant
-    // rates, which is all SpikePattern produces.
-    const double gap = rng_.exponential(mean_gap_ns);
-    sim_.schedule_after(
-        Duration{static_cast<std::int64_t>(gap)}, [this, max_rate]() {
-          const double accept_p =
-              options_.pattern.rate_at(sim_.now()) / max_rate;
-          if (rng_.uniform() < accept_p) issue_request();
-          schedule_next_arrival();
-        });
+  // Constant-throughput pacing (wrk2's scheduling model) at the
+  // instantaneous rate. When a rate-change boundary lands before the next
+  // scheduled arrival, pacing re-synchronizes at the boundary so even
+  // spikes shorter than one base-rate gap are generated.
+  const TimePoint now = sim_.now();
+  const double rate_now = options_.pattern.rate_at(now);
+  SG_ASSERT(rate_now > 0.0);
+  const Duration gap = std::max(
+      Duration::ns(1),
+      Duration{static_cast<std::int64_t>(std::llround(1e9 / rate_now))});
+  const TimePoint boundary = options_.pattern.next_rate_change(now);
+  if (boundary < now + gap) {
+    sim_.schedule_at(boundary, [this]() { schedule_next_arrival(); });
   } else {
-    // Constant-throughput pacing (wrk2's scheduling model) at the
-    // instantaneous rate. When a rate-change boundary lands before the next
-    // scheduled arrival, pacing re-synchronizes at the boundary so even
-    // spikes shorter than one base-rate gap are generated.
-    const TimePoint now = sim_.now();
-    const double rate_now = options_.pattern.rate_at(now);
-    const Duration gap = std::max(
-        Duration::ns(1),
-        Duration{static_cast<std::int64_t>(std::llround(1e9 / rate_now))});
-    const TimePoint boundary = options_.pattern.next_rate_change(now);
-    if (boundary < now + gap) {
-      sim_.schedule_at(boundary, [this]() { schedule_next_arrival(); });
-    } else {
-      sim_.schedule_after(gap, [this]() {
-        issue_request();
-        schedule_next_arrival();
-      });
-    }
+    sim_.schedule_after(gap, [this]() {
+      issue_request();
+      schedule_next_arrival();
+    });
   }
 }
 

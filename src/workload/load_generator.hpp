@@ -4,7 +4,9 @@
 // records per-request latency, and reports the latency histogram plus the
 // violation volume — exactly the outputs of the paper's modified wrk2.
 // Arrivals are open-loop (requests are sent on schedule regardless of
-// completions), which is what makes queue buildup during surges visible.
+// completions), which is what makes queue buildup during surges visible,
+// and paced at a constant rate like wrk2's scheduler, so the arrival
+// sequence is a pure function of the pattern.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,6 @@
 
 #include "app/application.hpp"
 #include "common/histogram.hpp"
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -31,10 +32,6 @@ struct LoadGenOptions {
   /// benches default shorter for wall-clock reasons, protocol identical).
   Duration warmup = 5 * kSecond;
   Duration duration = 30 * kSecond;
-
-  /// Poisson (true) or wrk2-style constant-throughput (false) pacing.
-  /// wrk2's scheduler paces deterministically, so that is the default.
-  bool poisson = false;
 
   /// Output-latency bucketing for the violation-volume curve.
   Duration vv_window = 5 * kMillisecond;
@@ -101,7 +98,6 @@ class LoadGenerator {
   std::uint64_t issued() const { return issued_; }
   std::uint64_t completed_total() const { return completed_total_; }
   std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t client_retries() const { return retries_; }
 
  private:
   struct Outstanding {
@@ -127,7 +123,6 @@ class LoadGenerator {
   Network& network_;
   Application& app_;
   LoadGenOptions options_;
-  Rng rng_;
 
   LatencyHistogram histogram_;
   ViolationVolumeTracker vv_;

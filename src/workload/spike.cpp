@@ -27,10 +27,6 @@ TimePoint SpikePattern::next_rate_change(TimePoint t) const {
   return first_spike_at + (k + 1) * spike_period;
 }
 
-double SpikePattern::max_rate() const {
-  return std::max(base_rate_rps, has_spikes() ? spike_rate_rps : 0.0);
-}
-
 std::vector<SpikePattern::Window> SpikePattern::spikes_in(TimePoint t0,
                                                           TimePoint t1) const {
   std::vector<Window> out;

@@ -39,9 +39,6 @@ struct SpikePattern {
   /// end); TimePoint::infinity() when the pattern is steady.
   TimePoint next_rate_change(TimePoint t) const;
 
-  /// Max of base and spike rates (thinning envelope for the generator).
-  double max_rate() const;
-
   /// Spike windows intersecting [t0, t1] (for oracle controllers and
   /// plotting).
   struct Window {

@@ -8,24 +8,24 @@ namespace {
 TEST(ConfigTest, ParsesKeyValues) {
   auto cfg = Config::parse("a = 1\nb = hello\nc=2.5\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->get_int("a"), 1);
+  EXPECT_EQ(cfg->try_get_int("a"), 1);
   EXPECT_EQ(cfg->get_string("b"), "hello");
-  EXPECT_DOUBLE_EQ(cfg->get_double("c"), 2.5);
+  EXPECT_DOUBLE_EQ(cfg->try_get_double("c").value(), 2.5);
 }
 
 TEST(ConfigTest, SectionsPrefixKeys) {
   auto cfg = Config::parse(
       "[service.nginx]\ncores = 2\n[service.redis]\ncores = 1\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->get_int("service.nginx.cores"), 2);
-  EXPECT_EQ(cfg->get_int("service.redis.cores"), 1);
+  EXPECT_EQ(cfg->try_get_int("service.nginx.cores"), 2);
+  EXPECT_EQ(cfg->try_get_int("service.redis.cores"), 1);
 }
 
 TEST(ConfigTest, CommentsAndBlankLines) {
   auto cfg = Config::parse(
       "# full-line comment\n\na = 1  # trailing comment\n   \n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->get_int("a"), 1);
+  EXPECT_EQ(cfg->try_get_int("a"), 1);
   EXPECT_EQ(cfg->size(), 1u);
 }
 
@@ -53,10 +53,11 @@ TEST(ConfigTest, EmptyKeyFails) {
 TEST(ConfigTest, DefaultsWhenMissing) {
   auto cfg = Config::parse("");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->get_int("nope", 42), 42);
-  EXPECT_DOUBLE_EQ(cfg->get_double("nope", 1.5), 1.5);
+  // Typed getters have no defaults: the caller supplies one.
+  EXPECT_FALSE(cfg->try_get_int("nope").has_value());
+  EXPECT_FALSE(cfg->try_get_double("nope").has_value());
+  EXPECT_FALSE(cfg->try_get_bool("nope").has_value());
   EXPECT_EQ(cfg->get_string("nope", "d"), "d");
-  EXPECT_TRUE(cfg->get_bool("nope", true));
 }
 
 TEST(ConfigTest, BoolParsing) {
@@ -64,17 +65,21 @@ TEST(ConfigTest, BoolParsing) {
       "t1 = true\nt2 = 1\nt3 = yes\nt4 = on\nf1 = false\nf2 = 0\nf3 = no\n"
       "junk = maybe\n");
   ASSERT_TRUE(cfg.has_value());
-  for (const char* k : {"t1", "t2", "t3", "t4"}) EXPECT_TRUE(cfg->get_bool(k));
-  for (const char* k : {"f1", "f2", "f3"}) EXPECT_FALSE(cfg->get_bool(k, true));
-  EXPECT_TRUE(cfg->get_bool("junk", true));  // unparsable -> default
+  for (const char* k : {"t1", "t2", "t3", "t4"}) {
+    EXPECT_EQ(cfg->try_get_bool(k), std::optional<bool>(true)) << k;
+  }
+  for (const char* k : {"f1", "f2", "f3"}) {
+    EXPECT_EQ(cfg->try_get_bool(k), std::optional<bool>(false)) << k;
+  }
+  EXPECT_FALSE(cfg->try_get_bool("junk").has_value());  // unparsable
 }
 
-TEST(ConfigTest, TypeMismatchFallsBack) {
+TEST(ConfigTest, TypeMismatchYieldsNoValue) {
   auto cfg = Config::parse("s = notanumber\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->get_int("s", -1), -1);
   EXPECT_FALSE(cfg->try_get_int("s").has_value());
   EXPECT_FALSE(cfg->try_get_double("s").has_value());
+  EXPECT_FALSE(cfg->try_get_bool("s").has_value());
 }
 
 TEST(ConfigTest, TryGetParsesStrictly) {
@@ -109,14 +114,14 @@ TEST(ConfigTest, SetAndRoundTrip) {
   const std::string text = cfg.to_string();
   auto reparsed = Config::parse(text);
   ASSERT_TRUE(reparsed.has_value());
-  EXPECT_EQ(reparsed->get_int("a"), 1);
-  EXPECT_EQ(reparsed->get_int("b"), 2);
+  EXPECT_EQ(reparsed->try_get_int("a"), 1);
+  EXPECT_EQ(reparsed->try_get_int("b"), 2);
 }
 
 TEST(ConfigTest, LastWriterWins) {
   auto cfg = Config::parse("a = 1\na = 2\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->get_int("a"), 2);
+  EXPECT_EQ(cfg->try_get_int("a"), 2);
 }
 
 TEST(ConfigTest, LoadMissingFileFails) {

@@ -5,6 +5,9 @@
 // tests (parse/round-trip/validation/window composition).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/experiment.hpp"
 
 namespace sg {
@@ -118,6 +121,62 @@ TEST(FaultDeterminismTest, EveryFaultKindFires) {
 
 // ---------------------------------------------------------------------------
 // FaultPlan spec grammar.
+
+// Request ids of node 1's packets that survive a 50% drop window, sent
+// after node 0 sent `others` packets of its own.
+std::vector<RequestId> node1_survivors(int others) {
+  Simulator sim(9);
+  Cluster cluster(sim);
+  cluster.add_node(4, 0);
+  cluster.add_node(4, 0);
+  Network net(sim, {}, 2);
+  std::string error;
+  const auto plan =
+      FaultPlan::parse("drop:start_ms=0,len_ms=1000,rate=0.5", &error);
+  EXPECT_TRUE(plan.has_value()) << error;
+  FaultInjector injector(sim, *plan);
+  injector.arm(&net, &cluster);
+  std::vector<RequestId> survivors;
+  net.register_receiver(0, [](const RpcPacket&) {});
+  net.register_receiver(1, [&](const RpcPacket& p) {
+    survivors.push_back(p.request_id);
+  });
+  RpcPacket pkt;
+  pkt.dst_container = 0;
+  pkt.dst_node = 0;
+  pkt.src_node = 0;
+  for (int i = 0; i < others; ++i) net.send(0, pkt);
+  pkt.dst_container = 1;
+  pkt.dst_node = 1;
+  pkt.src_node = 1;
+  for (RequestId id = 1; id <= 64; ++id) {
+    pkt.request_id = id;
+    net.send(1, pkt);
+  }
+  sim.run_to_completion();
+  std::sort(survivors.begin(), survivors.end());
+  return survivors;
+}
+
+TEST(FaultDeterminismTest, SenderCoinFlipsIgnoreOtherSenders) {
+  // Each sender flips its own coins: node 0's traffic does not change which
+  // of node 1's packets are dropped.
+  const std::vector<RequestId> alone = node1_survivors(0);
+  EXPECT_GT(alone.size(), 0u);
+  EXPECT_LT(alone.size(), 64u);
+  EXPECT_EQ(node1_survivors(1), alone);
+  EXPECT_EQ(node1_survivors(9), alone);
+}
+
+TEST(FaultDeterminismDeathTest, ArmRejectsNodeCountMismatch) {
+  Simulator sim(1);
+  Cluster cluster(sim);
+  cluster.add_node(4, 0);
+  cluster.add_node(4, 0);
+  Network net(sim);  // one node
+  FaultInjector injector(sim, FaultPlan{});
+  EXPECT_DEATH(injector.arm(&net, &cluster), "disagree on the node count");
+}
 
 TEST(FaultPlanTest, ToStringRoundTrips) {
   std::string error;

@@ -36,7 +36,7 @@ TEST(MultiNodeTest, CrossNodeHintPropagation) {
   Cluster cluster(sim);
   cluster.add_node(40, 19);
   cluster.add_node(40, 19);
-  Network network(sim);
+  Network network(sim, {}, 2);
   MetricsPlane metrics(2);
 
   AppSpec spec;

@@ -33,7 +33,7 @@ TEST(NetworkTest, SameNodeFasterThanCrossNode) {
   Simulator sim;
   NetworkLatencyModel model;
   model.jitter = 0.0;
-  Network net(sim, model);
+  Network net(sim, model, 2);
   TimePoint same, cross;
   net.register_receiver(1, [&](const RpcPacket&) { same = sim.now(); });
   net.register_receiver(2, [&](const RpcPacket&) { cross = sim.now(); });
@@ -72,7 +72,7 @@ TEST(NetworkTest, ExtraDelayInjected) {
   Network net(sim, model);
   TimePoint at;
   net.register_receiver(1, [&](const RpcPacket&) { at = sim.now(); });
-  net.set_extra_delay(1 * kMillisecond);
+  net.set_extra_delay_for(0, 1 * kMillisecond);
   net.send(0, make_packet(1, 0));
   sim.run_to_completion();
   EXPECT_EQ(at, TimePoint::at(model.same_node + 1 * kMillisecond));
@@ -120,7 +120,7 @@ TEST(NetworkTest, RxHookRunsBeforeReceiver) {
 
 TEST(NetworkTest, HookOnlyOnDestinationNode) {
   Simulator sim;
-  Network net(sim);
+  Network net(sim, {}, 2);
   CountingHook hook0, hook1;
   net.add_rx_hook(0, &hook0);
   net.add_rx_hook(1, &hook1);
@@ -272,7 +272,7 @@ TEST(NetworkFaultTest, ClearingFaultHookRestoresCleanDelivery) {
 
 TEST(NetworkTest, PacketMetadataPreserved) {
   Simulator sim;
-  Network net(sim);
+  Network net(sim, {}, 5);
   RpcPacket got;
   net.register_receiver(3, [&](const RpcPacket& p) { got = p; });
   RpcPacket sent = make_packet(3, 0);
@@ -288,6 +288,39 @@ TEST(NetworkTest, PacketMetadataPreserved) {
   EXPECT_EQ(got.call_id, 99u);
   EXPECT_EQ(got.src_container, 8);
   EXPECT_EQ(got.src_node, 4);
+}
+
+// Latency of one node-1 packet, optionally after node 0 sent `others`.
+Duration node1_latency(int others) {
+  Simulator sim(9);
+  Network net(sim, {}, 2);
+  TimePoint at;
+  net.register_receiver(0, [](const RpcPacket&) {});
+  net.register_receiver(1, [&](const RpcPacket&) { at = sim.now(); });
+  for (int i = 0; i < others; ++i) net.send(0, make_packet(0, 0));
+  net.send(1, make_packet(1, 1));
+  sim.run_to_completion();
+  return at - TimePoint::origin();
+}
+
+TEST(NetworkTest, SenderJitterIgnoresOtherSenders) {
+  // Each sender draws from its own stream: node 0's traffic does not shift
+  // node 1's latency draws.
+  const Duration alone = node1_latency(0);
+  EXPECT_EQ(node1_latency(1), alone);
+  EXPECT_EQ(node1_latency(7), alone);
+}
+
+TEST(NetworkDeathTest, SendRejectsUnknownNodes) {
+  Simulator sim;
+  Network net(sim, {}, 2);
+  net.register_receiver(1, [](const RpcPacket&) {});
+  EXPECT_DEATH(net.send(2, make_packet(1, 0)), "unknown node");
+  EXPECT_DEATH(net.send(-2, make_packet(1, 0)), "unknown node");
+  EXPECT_DEATH(net.send(0, make_packet(1, 2)), "unknown node");
+  EXPECT_DEATH(net.send(0, make_packet(1, -2)), "unknown node");
+  CountingHook hook;
+  EXPECT_DEATH(net.add_rx_hook(2, &hook), "unknown node");
 }
 
 }  // namespace

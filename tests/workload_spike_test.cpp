@@ -15,7 +15,6 @@ TEST(SpikeTest, SteadyPatternHasNoSpikes) {
   EXPECT_FALSE(p.has_spikes());
   EXPECT_DOUBLE_EQ(p.rate_at(at(0_ns)), 1000.0);
   EXPECT_DOUBLE_EQ(p.rate_at(at(100 * kSecond)), 1000.0);
-  EXPECT_DOUBLE_EQ(p.max_rate(), 1000.0);
   EXPECT_EQ(p.next_rate_change(at(0_ns)), TimePoint::infinity());
   EXPECT_TRUE(p.spikes_in(at(0_ns), at(100 * kSecond)).empty());
 }
@@ -24,7 +23,6 @@ TEST(SpikeTest, SurgeFactoryFields) {
   const SpikePattern p = SpikePattern::surges(1000, 1.75, 2_s, 10_s, at(5_s));
   EXPECT_TRUE(p.has_spikes());
   EXPECT_DOUBLE_EQ(p.spike_rate_rps, 1750.0);
-  EXPECT_DOUBLE_EQ(p.max_rate(), 1750.0);
 }
 
 TEST(SpikeTest, RateDuringAndOutsideSpike) {
