@@ -51,6 +51,26 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
 
+void BM_EventQueueCancelHeavyLane(benchmark::State& state) {
+  // BM_EventQueueCancelHeavy with the timeouts in a timer lane, as
+  // Simulator::schedule_timer arms them: only the lane head is in the heap.
+  EventQueue q;
+  const Duration timeout = 50 * kMillisecond;
+  TimePoint t;
+  for (int i = 0; i < 10'000; ++i) {
+    t += kNanosecond;
+    q.push_lane(0, t + timeout, []() {});
+  }
+  for (auto _ : state) {
+    t += kNanosecond;
+    const EventId armed = q.push_lane(0, t + timeout, []() {});
+    q.push(t, []() {});
+    benchmark::DoNotOptimize(q.pop());
+    benchmark::DoNotOptimize(q.cancel(armed));
+  }
+}
+BENCHMARK(BM_EventQueueCancelHeavyLane);
+
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   Simulator sim;
   for (auto _ : state) {

@@ -286,7 +286,7 @@ void Application::send_child_rpc(VisitKey key, std::size_t child_idx,
   pc.attempt = attempt;
   const std::uint64_t call_id = calls_.insert(pc);
   if (options_.retry.enabled) {
-    calls_.at(call_id).timer = cluster_.sim().schedule_after(
+    calls_.at(call_id).timer = cluster_.sim().schedule_timer(
         options_.retry.timeout_for_attempt(attempt),
         [this, call_id]() { on_call_timeout(call_id); });
   }

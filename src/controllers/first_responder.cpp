@@ -25,13 +25,13 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
   // time at request INGRESS; responses flowing back upstream carry the whole
   // downstream latency and would trivially (and meaninglessly) violate.
   if (pkt.is_response) return;
-  if (!env_.targets.has(pkt.dst_container)) return;
+  const ContainerTargets* targets = env_.targets.find(pkt.dst_container);
+  if (targets == nullptr) return;
 
   // Per-packet slack (eqs. 4-5): expected minus observed progress.
   const Duration observed = env_.sim->now() - pkt.start_time;
   const Duration expected =
-      options_.slack_margin *
-      env_.targets.of(pkt.dst_container).expected_time_from_start;
+      options_.slack_margin * targets->expected_time_from_start;
   const Duration slack = expected - observed;
   if (slack >= Duration::zero()) return;
   ++violations_detected_;

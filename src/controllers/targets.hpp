@@ -31,13 +31,17 @@ struct TargetMap {
   /// FirstResponder's path-freeze window, ~2x of this).
   Duration expected_e2e_latency;
 
-  const ContainerTargets& of(int container) const {
-    static const ContainerTargets kZero{};
+  /// Targets of `container`, or nullptr when it has none.
+  const ContainerTargets* find(int container) const {
     const auto it = per_container.find(container);
-    return it == per_container.end() ? kZero : it->second;
+    return it == per_container.end() ? nullptr : &it->second;
   }
 
-  bool has(int container) const { return per_container.count(container) > 0; }
+  const ContainerTargets& of(int container) const {
+    static const ContainerTargets kZero{};
+    const ContainerTargets* t = find(container);
+    return t == nullptr ? kZero : *t;
+  }
 };
 
 }  // namespace sg

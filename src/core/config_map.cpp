@@ -1,6 +1,7 @@
 #include "core/config_map.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -72,6 +73,22 @@ bool parses_as(const Config& cfg, const std::string& key, KeyType type) {
   return false;
 }
 
+/// Whether `ns` converts to a Duration: finite and inside int64_t's range.
+bool fits_duration(double ns) {
+  return std::isfinite(ns) && std::fabs(ns) < 0x1p63;
+}
+
+/// Whether timeout * backoff^max_retries, the longest timeout the policy
+/// arms, fits in a Duration; multiplied as RpcRetryPolicy does.
+bool longest_timeout_fits(const RpcRetryPolicy& retry) {
+  double t = static_cast<double>(retry.timeout.ns());
+  for (int i = 0; i < retry.max_retries; ++i) {
+    t *= retry.backoff;
+    if (!fits_duration(t)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::optional<ControllerKind> controller_from_string(const std::string& name) {
@@ -120,20 +137,32 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
       if (const auto v = cfg.try_get_int(key)) field = static_cast<T>(*v);
     }
   };
+  // The duration setters return false, with range_error set, for a value
+  // that is not finite or does not fit in a Duration.
+  std::string range_error;
+  const auto out_of_range = [&cfg, &range_error](const char* key) {
+    range_error = "invalid value '" + cfg.get_string(key) + "' for key '" +
+                  key + "': not a finite duration within range";
+    return false;
+  };
   // A duration given in seconds divided by `per_second` (1e3 for ms),
   // rounded to the nearest ns.
-  const auto set_rounded = [&cfg](const char* key, double per_second,
-                                  Duration& field) {
+  const auto set_rounded = [&](const char* key, double per_second,
+                               Duration& field) {
     if (const auto v = cfg.try_get_double(key)) {
+      if (!fits_duration(*v / per_second * 1e9)) return out_of_range(key);
       field = Duration::seconds(*v / per_second);
     }
+    return true;
   };
   // A duration given in units of `unit_ns` ns, truncated to whole ns.
-  const auto set_truncated = [&cfg](const char* key, double unit_ns,
-                                    Duration& field) {
+  const auto set_truncated = [&](const char* key, double unit_ns,
+                                 Duration& field) {
     if (const auto v = cfg.try_get_double(key)) {
+      if (!fits_duration(*v * unit_ns)) return out_of_range(key);
       field = Duration{static_cast<std::int64_t>(*v * unit_ns)};
     }
+    return true;
   };
 
   // ExperimentConfig has no default workload; a config file without one
@@ -160,8 +189,10 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   set("nodes", out.nodes);
   if (out.nodes < 1) return fail("nodes must be >= 1");
 
-  set_rounded("warmup_s", 1.0, out.warmup);
-  set_rounded("duration_s", 1.0, out.duration);
+  if (!set_rounded("warmup_s", 1.0, out.warmup) ||
+      !set_rounded("duration_s", 1.0, out.duration)) {
+    return fail(range_error);
+  }
   if (out.warmup < Duration::zero() || out.duration <= Duration::zero()) {
     return fail("invalid timing");
   }
@@ -176,13 +207,18 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   }
 
   set("surge.mult", out.surge_mult);
-  set_rounded("surge.len_ms", 1e3, out.surge_len);
-  set_rounded("surge.period_s", 1.0, out.surge_period);
-  if (out.surge_mult <= 0) return fail("surge.mult must be positive");
+  if (!set_rounded("surge.len_ms", 1e3, out.surge_len) ||
+      !set_rounded("surge.period_s", 1.0, out.surge_period)) {
+    return fail(range_error);
+  }
+  // Range checks on doubles are written negated so a NaN fails them too.
+  if (!(out.surge_mult > 0)) return fail("surge.mult must be positive");
 
-  set_truncated("netdelay.extra_us", 1e3, out.net_delay_extra);
-  set_rounded("netdelay.len_ms", 1e3, out.net_delay_len);
-  set_rounded("netdelay.period_s", 1.0, out.net_delay_period);
+  if (!set_truncated("netdelay.extra_us", 1e3, out.net_delay_extra) ||
+      !set_rounded("netdelay.len_ms", 1e3, out.net_delay_len) ||
+      !set_rounded("netdelay.period_s", 1.0, out.net_delay_period)) {
+    return fail(range_error);
+  }
 
   // Chaos: deterministic fault schedule + RPC retransmission policy. The
   // fault.plan value is the same spec string sg_run --fault-plan accepts.
@@ -193,34 +229,45 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     out.fault_plan = *plan;
   }
   set("retry.enabled", out.rpc_retry.enabled);
-  set_truncated("retry.timeout_ms", 1e6, out.rpc_retry.timeout);
+  if (!set_truncated("retry.timeout_ms", 1e6, out.rpc_retry.timeout)) {
+    return fail(range_error);
+  }
   set("retry.backoff", out.rpc_retry.backoff);
   set("retry.max", out.rpc_retry.max_retries);
-  if (out.rpc_retry.enabled &&
-      (out.rpc_retry.timeout <= Duration::zero() ||
-       out.rpc_retry.backoff < 1.0 ||
-       out.rpc_retry.max_retries < 0)) {
-    return fail("invalid retry policy");
+  if (out.rpc_retry.enabled) {
+    const RpcRetryPolicy& retry = out.rpc_retry;
+    if (retry.timeout <= Duration::zero() || !std::isfinite(retry.backoff) ||
+        retry.backoff < 1.0 || retry.max_retries < 0) {
+      return fail("invalid retry policy: retry.timeout_ms must be > 0, "
+                  "retry.backoff finite and >= 1, retry.max >= 0");
+    }
+    if (!longest_timeout_fits(retry)) {
+      return fail("invalid retry policy: the longest timeout, retry.timeout_ms"
+                  " * retry.backoff^retry.max, does not fit in a duration");
+    }
   }
-  set_rounded("drain_s", 1.0, out.drain);
+  if (!set_rounded("drain_s", 1.0, out.drain)) return fail(range_error);
   if (out.drain < Duration::zero()) return fail("drain_s must be >= 0");
 
   if (cfg.has("membw.node_bw_gbs")) {
     MemBwDomain::Params bw;
     set("membw.node_bw_gbs", bw.node_bw_gbs);
     set("membw.demand_per_core_gbs", bw.demand_per_busy_core_gbs);
-    if (bw.node_bw_gbs <= 0) return fail("membw.node_bw_gbs must be positive");
+    if (!(bw.node_bw_gbs > 0)) return fail("membw.node_bw_gbs must be positive");
     out.membw = bw;
   }
 
-  set_truncated("ideal.detection_delay_ms", 1e6, out.ideal_detection_delay);
+  if (!set_truncated("ideal.detection_delay_ms", 1e6,
+                     out.ideal_detection_delay)) {
+    return fail(range_error);
+  }
 
   set("record.alloc_timelines", out.record_alloc_timelines);
   set("record.latency_series", out.record_latency_series);
 
   set("trace.enabled", out.trace_enabled);
   set("trace.sample", out.trace_sample);
-  if (out.trace_sample < 0.0 || out.trace_sample > 1.0) {
+  if (!(out.trace_sample >= 0.0 && out.trace_sample <= 1.0)) {
     return fail("trace.sample must be in [0, 1]");
   }
   if (const auto cap = cfg.try_get_int("trace.capacity")) {

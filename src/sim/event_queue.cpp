@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -17,11 +16,10 @@ std::size_t first_child_of(std::size_t pos) { return pos * kArity + 1; }
 
 }  // namespace
 
-EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback&& cb) {
+std::uint32_t EventQueue::acquire_slot(Callback&& cb) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
-    SG_ASSERT_MSG(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
-                  "event slot space exhausted");
+    SG_ASSERT_MSG(slots_.size() < kBehindHead, "event slot space exhausted");
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
     callbacks_.push_back(std::move(cb));
@@ -30,8 +28,35 @@ EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback&& cb) {
     free_slots_.pop_back();
     callbacks_[slot] = std::move(cb);
   }
+  return slot;
+}
+
+EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback&& cb) {
+  const std::uint32_t slot = acquire_slot(std::move(cb));
   heap_.emplace_back();
-  sift_up(heap_.size() - 1, Key{time, rank, next_seq_++, slot});
+  sift_up(heap_.size() - 1, Key{time, rank, next_seq_++, slot, kNoLane});
+  return id_of(slot);
+}
+
+EventId EventQueue::push_lane(std::uint32_t lane_id, TimePoint time,
+                              Callback&& cb) {
+  SG_ASSERT_MSG(lane_id < kBehindHead, "timer lane index out of range");
+  if (lane_id >= lanes_.size()) lanes_.resize(lane_id + 1);
+  Lane& lane = lanes_[lane_id];
+  SG_ASSERT_MSG(time >= lane.last_time,
+                "timer lane pushed out of order (earlier than its last push)");
+  lane.last_time = time;
+  const std::uint32_t slot = acquire_slot(std::move(cb));
+  const std::uint64_t seq = next_seq_++;
+  const bool becomes_head = lane.count == 0;
+  lane.push_back(LaneEntry{time, seq, slot, slots_[slot].generation});
+  if (becomes_head) {
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{time, kDefaultRank, seq, slot, lane_id});
+  } else {
+    slots_[slot].heap_pos = kBehindHead | lane_id;
+    ++behind_heads_;
+  }
   return id_of(slot);
 }
 
@@ -43,10 +68,19 @@ bool EventQueue::cancel(EventId id) {
   if (slots_[slot].generation != static_cast<std::uint32_t>(id >> 32)) {
     return false;
   }
-  const std::size_t pos = slots_[slot].heap_pos;
+  const std::uint32_t pos = slots_[slot].heap_pos;
   callbacks_[slot].reset();
   free_slot(slot);
-  erase_at(pos);
+  if ((pos & kBehindHead) != 0) {
+    --behind_heads_;
+    // The stale entry is skipped when it reaches the front, unless it (and
+    // stale entries before it) can leave from the back now; trimming keeps
+    // a lane whose latest timers are cancelled from growing.
+    Lane& lane = lanes_[pos & ~kBehindHead];
+    while (!is_live(lane.back())) lane.pop_back();
+  } else {
+    remove_key(pos);
+  }
   return true;
 }
 
@@ -55,8 +89,41 @@ EventQueue::Fired EventQueue::pop() {
   const Key top = heap_.front();
   Fired fired{top.time, id_of(top.slot), std::move(callbacks_[top.slot])};
   free_slot(top.slot);
-  erase_at(0);
+  remove_key(0);
   return fired;
+}
+
+void EventQueue::remove_key(std::size_t pos) {
+  const std::uint32_t lane = heap_[pos].lane;
+  if (lane == kNoLane) {
+    erase_at(pos);
+  } else {
+    advance_lane(lane, pos);
+  }
+}
+
+void EventQueue::advance_lane(std::uint32_t lane_id, std::size_t pos) {
+  Lane& lane = lanes_[lane_id];
+  lane.pop_front();
+  while (lane.count > 0 && !is_live(lane.front())) lane.pop_front();
+  if (lane.count == 0) {
+    erase_at(pos);
+    return;
+  }
+  // The lane is sorted by (time, seq), so the new head's key is larger than
+  // the old one's and can only move down.
+  --behind_heads_;
+  const LaneEntry& next = lane.front();
+  sift_down(pos, Key{next.time, kDefaultRank, next.seq, next.slot, lane_id});
+}
+
+void EventQueue::Lane::grow() {
+  std::vector<LaneEntry> grown(std::max<std::size_t>(16, 2 * ring.size()));
+  for (std::size_t i = 0; i < count; ++i) {
+    grown[i] = ring[(head + i) & (ring.size() - 1)];
+  }
+  ring.swap(grown);
+  head = 0;
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {

@@ -11,7 +11,8 @@
 //
 // The sequence number is unique, so the key is a total order and the pop
 // order depends on nothing else: not on the heap's shape, not on which slot
-// an event occupies, and not on when a cancelled event leaves the set.
+// an event occupies, not on when a cancelled event leaves the set, and not
+// on whether an event waits in the heap or in a timer lane.
 //
 // Layout: an indexed 4-ary min-heap of 32-byte keys. Callbacks live in a
 // slot array the keys point into, so sifts move keys only; each slot records
@@ -19,6 +20,17 @@
 // An EventId names a slot and the slot's generation, which is bumped
 // whenever the slot is freed: a stale id (fired, cancelled, or from a
 // previous occupant) no longer matches and is a no-op.
+//
+// Timer lanes keep timeouts out of the heap. A lane is a FIFO of unranked
+// events whose times never decrease in push order (the caller arms every
+// timer of one lane with the same fixed delay, and the clock never runs
+// backwards), so push order is already (time, seq) order and only the lane's
+// head needs a heap key. Popping or cancelling a head re-keys its heap entry
+// in place with the next live entry; cancelling an entry behind the head
+// frees its slot at once and leaves a stale lane entry that the generation
+// check skips when it reaches the front. Lane heads carry ordinary
+// (time, kDefaultRank, seq) keys, so the total pop order is exactly the one
+// the same pushes would give in the heap.
 #pragma once
 
 #include <cstddef>
@@ -53,13 +65,21 @@ class EventQueue {
   /// Adds an event with an explicit tie-break rank.
   EventId push(TimePoint time, std::uint64_t rank, Callback&& cb);
 
+  /// Appends an unranked event to timer lane `lane` (lanes are small dense
+  /// indices, created on first use) in O(1). `time` must not be earlier
+  /// than the lane's previous push.
+  EventId push_lane(std::uint32_t lane, TimePoint time, Callback&& cb);
+
   /// Cancels a pending event, destroying its callback. Safe to call on
   /// already-fired, cancelled or never-issued handles (no-op). Returns true
   /// when the event was actually pending.
   bool cancel(EventId id);
 
+  // A lane with pending events keeps its head in the heap, so the heap is
+  // empty only when no event is pending.
   bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  /// Pending events, in the heap and behind lane heads.
+  std::size_t size() const { return heap_.size() + behind_heads_; }
 
   /// Time of the earliest event (TimePoint::infinity() when empty).
   TimePoint next_time() const {
@@ -78,18 +98,61 @@ class EventQueue {
   Fired pop();
 
  private:
+  static constexpr std::uint32_t kNoLane = UINT32_MAX;
+  /// Tags a slot's heap_pos as the lane index of an event waiting behind
+  /// its lane's head. Slot counts (hence heap positions) and lane indices
+  /// stay below it.
+  static constexpr std::uint32_t kBehindHead = 1u << 31;
+
   struct Key {
     TimePoint time;
     std::uint64_t rank;
     std::uint64_t seq;
     std::uint32_t slot;
+    /// Timer lane whose head this is; kNoLane for an event of the heap.
+    std::uint32_t lane;
   };
   // A node's four children span two cache lines.
   static_assert(sizeof(Key) == 32);
 
   struct Slot {
     std::uint32_t generation = 0;
+    /// Position of the slot's key in the heap, or kBehindHead | lane.
     std::uint32_t heap_pos = 0;
+  };
+
+  struct LaneEntry {
+    TimePoint time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    /// The slot's generation at push; a mismatch marks a cancelled entry.
+    std::uint32_t generation;
+  };
+
+  /// FIFO ring of one lane's entries. The front entry is always live and
+  /// keyed in the heap; cancelled entries behind it wait to be skipped.
+  struct Lane {
+    std::vector<LaneEntry> ring;  // capacity is zero or a power of two
+    std::size_t head = 0;
+    std::size_t count = 0;
+    TimePoint last_time;  // of the latest push, for the FIFO assertion
+
+    const LaneEntry& front() const { return ring[head]; }
+    const LaneEntry& back() const {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+    void pop_back() { --count; }
+    void push_back(const LaneEntry& entry) {
+      if (count == ring.size()) grow();
+      ring[(head + count) & (ring.size() - 1)] = entry;
+      ++count;
+    }
+    /// Doubles the ring, unrolling it to start at index 0.
+    void grow();
   };
 
   static bool before(const Key& a, const Key& b) {
@@ -108,6 +171,19 @@ class EventQueue {
     slots_[key.slot].heap_pos = static_cast<std::uint32_t>(pos);
   }
 
+  bool is_live(const LaneEntry& e) const {
+    return slots_[e.slot].generation == e.generation;
+  }
+
+  /// Takes a free slot (or a new one) for `cb`.
+  std::uint32_t acquire_slot(Callback&& cb);
+  /// Removes the key at heap_[pos], whose slot has been freed: a heap
+  /// event's key leaves the heap, a lane head's gives way to its lane's next.
+  void remove_key(std::size_t pos);
+  /// Replaces `lane`'s head, whose key sits at heap_[pos] and whose slot has
+  /// been freed, by the next live entry (or drops the key if none is left).
+  void advance_lane(std::uint32_t lane, std::size_t pos);
+
   void sift_up(std::size_t pos, const Key& key);
   void sift_down(std::size_t pos, const Key& key);
   /// Drops heap_[pos] and restores the heap order.
@@ -119,6 +195,9 @@ class EventQueue {
   /// Parallel to slots_; empty for free slots.
   std::vector<Callback> callbacks_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<Lane> lanes_;
+  /// Live lane entries that are not their lane's head (and have no key).
+  std::size_t behind_heads_ = 0;
   std::uint64_t next_seq_ = 1;
 };
 

@@ -42,6 +42,15 @@ EventId Simulator::schedule_after(Duration delay, EventQueue::Callback cb) {
   return queue_.push(now_ + delay, std::move(cb));
 }
 
+EventId Simulator::schedule_timer(Duration delay, EventQueue::Callback cb) {
+  if (delay < Duration::zero()) delay = Duration::zero();
+  std::size_t lane = 0;
+  while (lane < timer_delays_.size() && timer_delays_[lane] != delay) ++lane;
+  if (lane == timer_delays_.size()) timer_delays_.push_back(delay);
+  return queue_.push_lane(static_cast<std::uint32_t>(lane), now_ + delay,
+                          std::move(cb));
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto fired = queue_.pop();

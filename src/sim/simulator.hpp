@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -46,6 +47,16 @@ class Simulator {
 
   /// Schedules a callback `delay` from now (delay < 0 clamps to 0).
   EventId schedule_after(Duration delay, EventQueue::Callback cb);
+
+  /// schedule_after for timeouts: every timer of one delay waits in a FIFO
+  /// lane of the event queue instead of the heap (see EventQueue). Fires at
+  /// the same instant and in the same order as schedule_after would; meant
+  /// for a handful of fixed delays (RPC and client retry timeouts), since
+  /// each distinct delay keeps a lane.
+  EventId schedule_timer(Duration delay, EventQueue::Callback cb);
+
+  /// Timer lanes created so far: one per distinct (clamped) delay.
+  std::size_t timer_lanes() const { return timer_delays_.size(); }
 
   /// Cancels a pending event (no-op for fired/unknown handles).
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -122,6 +133,8 @@ class Simulator {
   void fire_periodic(std::size_t chain);
 
   EventQueue queue_;
+  /// Delay of each timer lane, indexed by lane.
+  std::vector<Duration> timer_delays_;
   /// Indexed by the [this, chain] tick events; a deque so fn may register
   /// more chains while it runs without moving the one being called.
   std::deque<PeriodicChain> chains_;

@@ -59,7 +59,7 @@ void LoadGenerator::issue_request() {
     o.traced = trace->should_record(id) && trace->begin_request(id, now);
   }
   if (options_.retry.enabled) {
-    o.timer = sim_.schedule_after(options_.retry.timeout_for_attempt(0),
+    o.timer = sim_.schedule_timer(options_.retry.timeout_for_attempt(0),
                                   [this, id]() { on_request_timeout(id); });
   }
   send_request(id, now, o.traced);
@@ -107,7 +107,7 @@ void LoadGenerator::on_request_timeout(RequestId id) {
     ++o.attempt;
     ++retries_;
     o.timer =
-        sim_.schedule_after(options_.retry.timeout_for_attempt(o.attempt),
+        sim_.schedule_timer(options_.retry.timeout_for_attempt(o.attempt),
                             [this, id]() { on_request_timeout(id); });
     // The retransmission keeps the ORIGINAL start_time: latency is measured
     // from the client's first attempt, so retries land in the tail.

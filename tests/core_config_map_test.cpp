@@ -119,6 +119,48 @@ TEST(ConfigMapTest, MalformedBoolRejected) {
   expect_rejected("[trace]\nenabled = ture\n", "trace.enabled", "ture");
 }
 
+TEST(ConfigMapTest, NonFiniteOrOverflowingDurationRejected) {
+  expect_rejected("duration_s = inf\n", "duration_s", "inf");
+  expect_rejected("warmup_s = nan\n", "warmup_s", "nan");
+  expect_rejected("[surge]\nlen_ms = -1e300\n", "surge.len_ms", "-1e300");
+  expect_rejected("[netdelay]\nextra_us = 1e16\n", "netdelay.extra_us",
+                  "1e16");
+  // Rejected whether or not retry is enabled: 1e26 ns overflows int64_t.
+  expect_rejected("[retry]\ntimeout_ms = 1e20\n", "retry.timeout_ms", "1e20");
+  expect_rejected("[ideal]\ndetection_delay_ms = nan\n",
+                  "ideal.detection_delay_ms", "nan");
+  // Just inside the range still parses: 9e18 ns is about 285 years.
+  const auto cfg = experiment_from_config(parse("drain_s = 9e9\n"), nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->drain, Duration::sec(9'000'000'000));
+}
+
+TEST(ConfigMapTest, InvalidRetryPolicyRejected) {
+  const auto rejects = [](const std::string& retry, const std::string& key) {
+    std::string err;
+    EXPECT_FALSE(experiment_from_config(
+        parse("[retry]\nenabled = true\n" + retry), &err))
+        << retry;
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+  };
+  rejects("backoff = nan\n", "retry.backoff");
+  rejects("backoff = inf\n", "retry.backoff");
+  rejects("backoff = 0.5\n", "retry.backoff");
+  rejects("timeout_ms = 0\n", "retry.timeout_ms");
+  rejects("max = -1\n", "retry.max");
+  // 1 s * 10^20 does not fit in a Duration; 1 s * 10^9 does.
+  rejects("timeout_ms = 1000\nbackoff = 10\nmax = 20\n", "retry.max");
+  const auto cfg = experiment_from_config(
+      parse("[retry]\nenabled = true\ntimeout_ms = 1000\nbackoff = 10\n"
+            "max = 9\n"),
+      nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->rpc_retry.timeout_for_attempt(9), Duration::sec(1'000'000'000));
+  // A disabled policy is not validated.
+  EXPECT_TRUE(experiment_from_config(
+      parse("[retry]\nenabled = false\nbackoff = nan\n"), nullptr));
+}
+
 TEST(ConfigMapTest, RateOverride) {
   const auto cfg =
       experiment_from_config(parse("workload = chain\nrate_rps = 5000"), nullptr);

@@ -221,6 +221,145 @@ TEST(EventQueueTest, CancelRootAndLastHeapElement) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
 }
 
+TEST(EventQueueLaneTest, LaneEventsInterleaveWithHeapByKey) {
+  EventQueue q;
+  std::vector<int> order;
+  q.push_lane(0, TimePoint{10}, [&]() { order.push_back(1); });
+  q.push(TimePoint{10}, [&]() { order.push_back(2); });
+  q.push_lane(1, TimePoint{5}, [&]() { order.push_back(0); });
+  q.push_lane(0, TimePoint{10}, [&]() { order.push_back(3); });
+  q.push(TimePoint{10}, 1, [&]() { order.push_back(5); });  // ranked: last
+  q.push_lane(1, TimePoint{10}, [&]() { order.push_back(4); });
+  EXPECT_EQ(q.size(), 6u);
+  EXPECT_EQ(q.next_time(), TimePoint{5});
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueueLaneTest, CancelHeadMiddleAndTail) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(q.push_lane(0, TimePoint{10 * (i + 1)},
+                              [&order, i]() { order.push_back(i); }));
+  }
+  EXPECT_TRUE(q.cancel(ids[2]));  // middle
+  EXPECT_TRUE(q.cancel(ids[0]));  // head: the lane advances to ids[1]
+  EXPECT_EQ(q.next_time(), TimePoint{20});
+  EXPECT_TRUE(q.cancel(ids[5]));  // tail
+  EXPECT_FALSE(q.cancel(ids[2]));
+  EXPECT_EQ(q.size(), 3u);
+  q.pop().cb();
+  // The head advance skips the cancelled ids[2].
+  EXPECT_EQ(q.next_time(), TimePoint{40});
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+  // A drained lane takes new pushes, its FIFO bound kept.
+  q.push_lane(0, TimePoint{60}, [&order]() { order.push_back(6); });
+  q.pop().cb();
+  EXPECT_EQ(order.back(), 6);
+}
+
+TEST(EventQueueLaneTest, RandomOpsMatchOrderedSetModel) {
+  // Seeded interleaving of heap pushes (ranked and unranked), pushes to
+  // three timer lanes, cancels and pops against a std::set of
+  // (time, rank, seq) keys. As in the simulator, `now` is the last popped
+  // time and lane k arms at now + kLaneDelay[k], so each lane is FIFO.
+  // Small delays force ties between lanes and heap events.
+  using ModelKey = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  constexpr std::array<std::int64_t, 3> kLaneDelay{0, 2, 5};
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    EventQueue q;
+    std::set<ModelKey> model;
+    std::map<EventId, ModelKey> key_of;
+    std::map<EventId, std::uint32_t> lane_of;
+    std::array<std::set<ModelKey>, kLaneDelay.size()> lane_model;
+    std::vector<EventId> issued;
+    std::uint64_t seq = 0;
+    std::uint64_t fired_seq = 0;
+    std::int64_t now = 0;
+    int head_cancels = 0;
+    int middle_cancels = 0;
+    int stale_cancels = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t r = rng.next_u64() % 100;
+      if (r < 45) {
+        const std::uint64_t s = ++seq;
+        auto cb = [&fired_seq, s]() { fired_seq = s; };
+        EventId id;
+        ModelKey key;
+        if (rng.bernoulli(0.4)) {
+          const std::int64_t t =
+              now + static_cast<std::int64_t>(rng.next_u64() % 8);
+          const std::uint64_t rank =
+              rng.bernoulli(0.5) ? kDefaultRank : 1 + rng.next_u64() % 4;
+          id = q.push(TimePoint{t}, rank, std::move(cb));
+          key = ModelKey{t, rank, s};
+        } else {
+          const auto lane =
+              static_cast<std::uint32_t>(rng.next_u64() % kLaneDelay.size());
+          const std::int64_t t = now + kLaneDelay[lane];
+          id = q.push_lane(lane, TimePoint{t}, std::move(cb));
+          key = ModelKey{t, kDefaultRank, s};
+          lane_of[id] = lane;
+          lane_model[lane].insert(key);
+        }
+        ASSERT_NE(id, kInvalidEvent);
+        model.insert(key);
+        key_of[id] = key;
+        issued.push_back(id);
+      } else if (r < 75 && !issued.empty()) {
+        // Any handle ever issued: pending, fired or already cancelled.
+        const EventId id = issued[rng.next_u64() % issued.size()];
+        const auto it = key_of.find(id);
+        const bool pending = it != key_of.end() && model.count(it->second);
+        ASSERT_EQ(q.cancel(id), pending) << "op " << op;
+        if (!pending) {
+          ++stale_cancels;
+        } else {
+          model.erase(it->second);
+          if (const auto lane = lane_of.find(id); lane != lane_of.end()) {
+            std::set<ModelKey>& lm = lane_model[lane->second];
+            if (*lm.begin() == it->second) {
+              ++head_cancels;
+            } else {
+              ++middle_cancels;
+            }
+            lm.erase(it->second);
+          }
+        }
+      } else if (!model.empty()) {
+        const ModelKey expected = *model.begin();
+        model.erase(model.begin());
+        for (auto& lm : lane_model) lm.erase(expected);
+        auto fired = q.pop();
+        fired.cb();
+        now = std::get<0>(expected);
+        ASSERT_EQ(fired.time, TimePoint{now}) << "op " << op;
+        ASSERT_EQ(fired_seq, std::get<2>(expected)) << "op " << op;
+        ASSERT_EQ(key_of.at(fired.id), expected) << "op " << op;
+      }
+      ASSERT_EQ(q.size(), model.size()) << "op " << op;
+      ASSERT_EQ(q.empty(), model.empty());
+      ASSERT_EQ(q.next_time(), model.empty()
+                                   ? TimePoint::infinity()
+                                   : TimePoint{std::get<0>(*model.begin())});
+    }
+    EXPECT_GT(head_cancels, 0);
+    EXPECT_GT(middle_cancels, 0);
+    EXPECT_GT(stale_cancels, 0);
+  }
+}
+
+TEST(EventQueueLaneDeathTest, OutOfOrderPushAborts) {
+  EventQueue q;
+  q.push_lane(0, TimePoint{10}, []() {});
+  q.push_lane(1, TimePoint{5}, []() {});  // another lane: its own bound
+  EXPECT_DEATH(q.push_lane(0, TimePoint{9}, []() {}), "out of order");
+}
+
 // Counts destructions of the one instance that was never moved from.
 struct DestroyCounter {
   int* destroyed;

@@ -98,6 +98,67 @@ TEST(SimulatorTest, CancelScheduledEvent) {
   EXPECT_FALSE(fired);
 }
 
+TEST(SimulatorTest, ScheduleTimerNegativeDelayClampsToNow) {
+  Simulator sim;
+  sim.schedule_at(TimePoint{100}, []() {});
+  sim.run_to_completion();
+  TimePoint seen = TimePoint::infinity();  // sentinel: callback never ran
+  sim.schedule_timer(Duration{-5}, [&]() { seen = sim.now(); });
+  sim.run_to_completion();
+  EXPECT_EQ(seen, TimePoint{100});
+  // The clamped delay is zero, so a zero-delay timer shares its lane.
+  sim.schedule_timer(Duration::zero(), []() {});
+  EXPECT_EQ(sim.timer_lanes(), 1u);
+}
+
+TEST(SimulatorTest, ScheduleTimerGivesEachDistinctDelayOneLane) {
+  Simulator sim;
+  std::string order;
+  sim.schedule_timer(Duration{10}, [&]() { order += 'a'; });
+  sim.schedule_timer(Duration{100}, [&]() { order += 'd'; });
+  sim.schedule_timer(Duration{10}, [&]() { order += 'b'; });
+  // Shorter than the lanes above: a lane shared with them would be out of
+  // order and abort.
+  sim.schedule_timer(Duration{5}, [&]() { order += '_'; });
+  EXPECT_EQ(sim.timer_lanes(), 3u);
+  sim.run_until(TimePoint{7});
+  sim.schedule_timer(Duration{3}, [&]() { order += 'c'; });  // fires at 10
+  EXPECT_EQ(sim.timer_lanes(), 4u);
+  EXPECT_EQ(sim.events_pending(), 4u);
+  sim.run_to_completion();
+  EXPECT_EQ(order, "_abcd");
+  EXPECT_EQ(sim.now(), TimePoint{100});
+}
+
+TEST(SimulatorTest, TimerAndScheduleAfterAtSameInstantFireInArmingOrder) {
+  Simulator sim;
+  std::string order;
+  sim.schedule_after(Duration{10}, [&]() { order += 'a'; });
+  sim.schedule_timer(Duration{10}, [&]() { order += 'b'; });
+  sim.schedule_at(TimePoint{10}, [&]() { order += 'c'; });
+  sim.schedule_timer(Duration{10}, [&]() { order += 'd'; });
+  sim.schedule_after(Duration{10}, [&]() { order += 'e'; });
+  sim.run_to_completion();
+  EXPECT_EQ(order, "abcde");
+}
+
+TEST(SimulatorTest, CancelledLaneHeadLetsNextTimerFireOnTime) {
+  Simulator sim;
+  std::vector<std::int64_t> fired_at;
+  const EventId head = sim.schedule_timer(
+      Duration{100}, [&]() { fired_at.push_back(-sim.now().ns()); });
+  sim.schedule_at(TimePoint{30}, [&]() {
+    sim.schedule_timer(Duration{100},
+                       [&]() { fired_at.push_back(sim.now().ns()); });
+  });
+  sim.run_until(TimePoint{50});
+  EXPECT_TRUE(sim.cancel(head));
+  EXPECT_FALSE(sim.cancel(head));
+  sim.run_to_completion();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{130}));
+  EXPECT_EQ(sim.now(), TimePoint{130});
+}
+
 TEST(SimulatorTest, EventsProcessedCounter) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_after(Duration{i}, []() {});

@@ -8,6 +8,11 @@ file(WRITE ${WORK_DIR}/valid.cfg "workload = chain\nduration_s = 1\n")
 file(WRITE ${WORK_DIR}/nodes.cfg "workload = chain\nnodes = 2x\n")
 file(WRITE ${WORK_DIR}/duration.cfg "workload = chain\nduration_s = two\n")
 file(WRITE ${WORK_DIR}/trace.cfg "workload = chain\n[trace]\nenabled = ture\n")
+file(WRITE ${WORK_DIR}/backoff.cfg
+     "workload = chain\n[retry]\nenabled = true\nbackoff = nan\n")
+file(WRITE ${WORK_DIR}/timeout.cfg "workload = chain\n[retry]\ntimeout_ms = 1e20\n")
+file(WRITE ${WORK_DIR}/longest.cfg
+     "workload = chain\n[retry]\nenabled = true\ntimeout_ms = 1000\nbackoff = 10\nmax = 20\n")
 
 # Each case: config file, then the name the error must mention, then flags.
 set(cases
@@ -15,7 +20,10 @@ set(cases
   "valid.cfg|--trace-sample|--trace-sample 1.5"
   "nodes.cfg|nodes|"
   "duration.cfg|duration_s|"
-  "trace.cfg|trace.enabled|")
+  "trace.cfg|trace.enabled|"
+  "backoff.cfg|retry.backoff|"
+  "timeout.cfg|retry.timeout_ms|"
+  "longest.cfg|retry.max|")
 foreach(case IN LISTS cases)
   string(REGEX MATCH "^([^|]*)\\|([^|]*)\\|(.*)$" fields "${case}")
   set(config ${CMAKE_MATCH_1})
