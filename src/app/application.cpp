@@ -53,18 +53,12 @@ Deployment Deployment::round_robin(const AppSpec& spec, int node_count,
 
 Application::Application(Cluster& cluster, Network& network,
                          MetricsPlane& metrics, AppSpec spec,
-                         const Deployment& deployment)
-    : Application(cluster, network, metrics, std::move(spec), deployment,
-                  Options()) {}
-
-Application::Application(Cluster& cluster, Network& network,
-                         MetricsPlane& metrics, AppSpec spec,
-                         const Deployment& deployment, Options options)
+                         const Deployment& deployment, RpcRetryPolicy retry)
     : cluster_(cluster),
       network_(network),
       metrics_plane_(metrics),
       spec_(std::move(spec)),
-      options_(options),
+      retry_(retry),
       rng_(cluster.sim().rng().fork()) {
   std::string error;
   SG_ASSERT_MSG(spec_.validate(&error), error.c_str());
@@ -110,7 +104,7 @@ void Application::start_metric_publication() {
   for (ServiceRuntime& sr : services_) {
     ServiceRuntime* srp = &sr;
     cluster_.sim().schedule_periodic(
-        TimePoint::at(options_.metrics_interval), options_.metrics_interval,
+        TimePoint::at(kMetricsInterval), kMetricsInterval,
         [this, srp]() {
           const MetricsSnapshot snap =
               srp->metrics.flush(cluster_.sim().now());
@@ -285,9 +279,9 @@ void Application::send_child_rpc(VisitKey key, std::size_t child_idx,
   pc.child_idx = child_idx;
   pc.attempt = attempt;
   const std::uint64_t call_id = calls_.insert(pc);
-  if (options_.retry.enabled) {
+  if (retry_.enabled) {
     calls_.at(call_id).timer = cluster_.sim().schedule_timer(
-        options_.retry.timeout_for_attempt(attempt),
+        retry_.timeout_for_attempt(attempt),
         [this, call_id]() { on_call_timeout(call_id); });
   }
 
@@ -310,7 +304,7 @@ void Application::on_call_timeout(std::uint64_t call_id) {
   // The held connection stays held across retransmissions: the retry is the
   // same logical call, re-sent on the same connection under a new call id.
   const PendingCall pc = calls_.take(call_id);
-  if (pc.attempt < options_.retry.max_retries) {
+  if (pc.attempt < retry_.max_retries) {
     ++rpc_retries_;
     send_child_rpc(pc.visit_key, pc.child_idx, pc.attempt + 1);
     return;
@@ -417,7 +411,7 @@ void Application::reply(VisitKey key) {
       visit.boost_active_ns = static_cast<double>(
           sr.container->freq_timeline()
               .time_above(v.arrive, now,
-                          static_cast<double>(sr.container->dvfs().min_mhz))
+                          static_cast<double>(kDvfs.min_mhz))
               .ns());
       trace->add_span(visit);
     }

@@ -75,22 +75,15 @@ struct RpcRetryPolicy {
 
 class Application {
  public:
-  struct Options {
-    /// Reporting window for container-runtime metric publication.
-    Duration metrics_interval = 50 * kMillisecond;
+  /// Reporting window for container-runtime metric publication.
+  static constexpr Duration kMetricsInterval = 50 * kMillisecond;
 
-    /// Child-RPC retransmission policy. Disabled by default: the fault-free
-    /// testbed never needs it, and the pre-fault event sequence must stay
-    /// bit-identical.
-    RpcRetryPolicy retry;
-  };
-
+  /// `retry` is the child-RPC retransmission policy. Disabled by default:
+  /// the fault-free testbed never needs it, and the pre-fault event sequence
+  /// must stay bit-identical.
   Application(Cluster& cluster, Network& network, MetricsPlane& metrics,
-              AppSpec spec, const Deployment& deployment, Options options);
-
-  /// Convenience overload with default Options.
-  Application(Cluster& cluster, Network& network, MetricsPlane& metrics,
-              AppSpec spec, const Deployment& deployment);
+              AppSpec spec, const Deployment& deployment,
+              RpcRetryPolicy retry = {});
 
   Application(const Application&) = delete;
   Application& operator=(const Application&) = delete;
@@ -107,7 +100,7 @@ class Application {
   ContainerId entry_container() const { return services_.front().container->id(); }
   NodeId entry_node() const { return services_.front().container->node(); }
 
-  /// Starts publishing runtime metrics every metrics_interval. Call once
+  /// Starts publishing runtime metrics every kMetricsInterval. Call once
   /// after controllers are attached so their buses observe from t=0.
   void start_metric_publication();
 
@@ -208,7 +201,7 @@ class Application {
   Network& network_;
   MetricsPlane& metrics_plane_;
   AppSpec spec_;
-  Options options_;
+  RpcRetryPolicy retry_;
   Rng rng_;
   // Per-service work-draw streams, forked from rng_ in service order. Each
   // service's draw sequence depends only on its own request order. The

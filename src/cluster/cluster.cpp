@@ -12,8 +12,7 @@ NodeId Cluster::add_node(int total_logical_cores, int reserved_cores) {
 }
 
 Container& Cluster::add_container(const std::string& name, NodeId node_id,
-                                  int initial_cores, const DvfsModel& dvfs,
-                                  const EnergyModel& energy) {
+                                  int initial_cores) {
   SG_ASSERT_MSG(by_name_.count(name) == 0, "duplicate container name");
   SG_ASSERT(node_id >= 0 && static_cast<std::size_t>(node_id) < nodes_.size());
   const ContainerId id = static_cast<ContainerId>(containers_.size());
@@ -22,8 +21,6 @@ Container& Cluster::add_container(const std::string& name, NodeId node_id,
   params.id = id;
   params.node = node_id;
   params.initial_cores = initial_cores;
-  params.dvfs = dvfs;
-  params.energy = energy;
   containers_.push_back(std::make_unique<Container>(sim_, std::move(params)));
   Container* c = containers_.back().get();
   nodes_[static_cast<std::size_t>(node_id)]->attach(c);

@@ -30,8 +30,7 @@ class Cluster {
   /// Creates a container on `node` with an initial core allocation drawn
   /// from that node's pool. Names must be unique cluster-wide.
   Container& add_container(const std::string& name, NodeId node,
-                           int initial_cores, const DvfsModel& dvfs = {},
-                           const EnergyModel& energy = {});
+                           int initial_cores);
 
   Node& node(NodeId id);
   const Node& node(NodeId id) const;

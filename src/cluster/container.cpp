@@ -11,7 +11,7 @@ Container::Container(Simulator& sim, Params params)
     : sim_(sim),
       params_(std::move(params)),
       cores_(params_.initial_cores),
-      freq_(params_.dvfs.quantize(params_.dvfs.min_mhz)),
+      freq_(kDvfs.quantize(kDvfs.min_mhz)),
       core_timeline_(static_cast<double>(cores_)),
       freq_timeline_(static_cast<double>(freq_)) {
   SG_ASSERT(cores_ >= 0);
@@ -24,7 +24,7 @@ double Container::rate() const {
       std::min(1.0, static_cast<double>(cores_) / static_cast<double>(n));
   const double interference =
       membw_ != nullptr ? membw_->interference_factor() : 1.0;
-  return params_.dvfs.speed(freq_) * share * interference * speed_scale_;
+  return kDvfs.speed(freq_) * share * interference * speed_scale_;
 }
 
 double Container::busy_cores() const {
@@ -38,10 +38,9 @@ void Container::advance() {
   if (dt <= Duration::zero()) return;
   const double busy = busy_cores();
   if (busy > 0.0) {
-    energy_joules_ += params_.energy
-                          .energy(busy, Freq::mhz(freq_),
-                                  Freq::mhz(params_.dvfs.ref_mhz), dt)
-                          .joules();
+    energy_joules_ +=
+        kEnergy.energy(busy, Freq::mhz(freq_), Freq::mhz(kDvfs.ref_mhz), dt)
+            .joules();
     busy_core_seconds_ += busy * dt.seconds();
     // busy / N == min(1, cores/N): the common per-job core share.
     share_integral_ns_ += static_cast<double>(dt.ns()) * busy /
@@ -53,7 +52,7 @@ void Container::advance() {
   const double idle_cores = static_cast<double>(cores_) - busy;
   if (idle_cores > 0.0) {
     energy_joules_ +=
-        params_.energy.allocated_idle_watts * idle_cores * dt.seconds();
+        kEnergy.allocated_idle_watts * idle_cores * dt.seconds();
   }
   last_advance_ = now;
 }
@@ -124,7 +123,7 @@ void Container::set_cores(int n) {
 }
 
 void Container::set_frequency(FreqMhz f) {
-  const FreqMhz q = params_.dvfs.quantize(f);
+  const FreqMhz q = kDvfs.quantize(f);
   if (q == freq_) return;
   advance();
   freq_ = q;

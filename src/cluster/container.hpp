@@ -43,8 +43,6 @@ class Container {
     ContainerId id = 0;
     NodeId node = 0;
     int initial_cores = 2;
-    DvfsModel dvfs{};
-    EnergyModel energy{};
   };
 
   Container(Simulator& sim, Params params);
@@ -55,7 +53,6 @@ class Container {
   const std::string& name() const { return params_.name; }
   ContainerId id() const { return params_.id; }
   NodeId node() const { return params_.node; }
-  const DvfsModel& dvfs() const { return params_.dvfs; }
 
   /// Submits a CPU-bound job of `work_ns_ref` nanoseconds measured at one
   /// dedicated core at the reference frequency. `on_complete` fires from the
@@ -68,7 +65,7 @@ class Container {
   void set_cores(int n);
   int cores() const { return cores_; }
 
-  /// Sets the container's core frequency (quantized onto the DVFS grid).
+  /// Sets the container's core frequency (quantized onto kDvfs's grid).
   void set_frequency(FreqMhz f);
   FreqMhz frequency() const { return freq_; }
 

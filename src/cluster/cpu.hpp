@@ -59,4 +59,8 @@ struct DvfsModel {
   }
 };
 
+/// The DVFS model of every container (the paper's testbed runs one CPU
+/// model).
+inline constexpr DvfsModel kDvfs{};
+
 }  // namespace sg

@@ -44,4 +44,7 @@ struct EnergyModel {
   }
 };
 
+/// The power model of every container.
+inline constexpr EnergyModel kEnergy{};
+
 }  // namespace sg

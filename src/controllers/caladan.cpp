@@ -7,12 +7,9 @@
 
 namespace sg {
 
-CaladanAlgo::CaladanAlgo(ControllerEnv env, Options options)
-    : env_(std::move(env)), options_(options) {}
-
 void CaladanAlgo::start() {
   env_.sim->schedule_periodic(
-      TimePoint::at(options_.interval), options_.interval,
+      TimePoint::at(kInterval), kInterval,
       [this]() {
         tick();
         return true;
@@ -32,15 +29,15 @@ void CaladanAlgo::tick() {
     const double busy = busy_.window_busy_cores(*env_.sim, c);
     if (!snap || !snap->valid()) continue;
 
-    if (snap->queue_buildup > options_.queue_threshold) {
+    if (snap->queue_buildup > kQueueThreshold) {
       queued.push_back({c, snap->queue_buildup});
       continue;
     }
     // Reclaim: no queueing signal and the top core sat mostly idle over the
     // window (Caladan parks cores the moment they stop being needed).
-    if (snap->queue_buildup < options_.idle_threshold &&
-        busy < static_cast<double>(c->cores()) - 1.0 - options_.idle_margin) {
-      const int revoked = env_.node->revoke(c, options_.revoke_step, /*floor=*/1);
+    if (snap->queue_buildup < kIdleThreshold &&
+        busy < static_cast<double>(c->cores()) - 1.0 - kIdleMargin) {
+      const int revoked = env_.node->revoke(c, kRevokeStep, /*floor=*/1);
       if (revoked > 0) {
         env_.sim->audit(DecisionKind::kCoreRevoke, "caladan", env_.node->id(),
                         c->id(), revoked);
@@ -54,7 +51,7 @@ void CaladanAlgo::tick() {
     return a.queue_buildup > b.queue_buildup;
   });
   for (const Entry& e : queued) {
-    const int granted = env_.node->grant(e.container, options_.grant_step);
+    const int granted = env_.node->grant(e.container, kGrantStep);
     if (granted > 0) {
       env_.sim->audit(DecisionKind::kCoreGrant, "caladan", env_.node->id(),
                       e.container->id(), granted);

@@ -18,31 +18,28 @@ namespace sg {
 
 class CaladanAlgo final : public Controller {
  public:
-  struct Options {
-    /// Decision interval. Caladan's native interval is 5-20us (Table I);
-    /// as a userspace controller over periodic runtime metrics it is bound
-    /// below by the metric publication interval.
-    Duration interval = 50 * kMillisecond;
-    /// Upscale when queueBuildup exceeds this (Caladan reacts to any
-    /// standing queue).
-    double queue_threshold = 1.05;
-    /// Revoke when queueBuildup is below this and the container's top core
-    /// has been mostly idle over the window (Caladan parks idle cores).
-    double idle_threshold = 1.01;
-    /// Top core counts as idle when window-average busy cores stayed below
-    /// cores - 1 - margin.
-    double idle_margin = 0.2;
-    /// Logical cores granted per congested container per tick. Caladan's
-    /// native loop re-adds cores within microseconds until queues clear;
-    /// over one (much longer) userspace tick that compounds to multiple
-    /// hyperthreads. Revocation stays at single-hyperthread granularity
-    /// (the paper lets CaladanAlgo allocate hyperthreads individually, §V).
-    int grant_step = 2;
-    int revoke_step = 1;
-  };
+  /// Decision interval. Caladan's native interval is 5-20us (Table I);
+  /// as a userspace controller over periodic runtime metrics it is bound
+  /// below by the metric publication interval.
+  static constexpr Duration kInterval = 50 * kMillisecond;
+  /// Upscale when queueBuildup exceeds this (Caladan reacts to any
+  /// standing queue).
+  static constexpr double kQueueThreshold = 1.05;
+  /// Revoke when queueBuildup is below this and the container's top core
+  /// has been mostly idle over the window (Caladan parks idle cores).
+  static constexpr double kIdleThreshold = 1.01;
+  /// Top core counts as idle when window-average busy cores stayed below
+  /// cores - 1 - margin.
+  static constexpr double kIdleMargin = 0.2;
+  /// Logical cores granted per congested container per tick. Caladan's
+  /// native loop re-adds cores within microseconds until queues clear;
+  /// over one (much longer) userspace tick that compounds to multiple
+  /// hyperthreads. Revocation stays at single-hyperthread granularity
+  /// (the paper lets CaladanAlgo allocate hyperthreads individually, §V).
+  static constexpr int kGrantStep = 2;
+  static constexpr int kRevokeStep = 1;
 
-  CaladanAlgo(ControllerEnv env, Options options);
-  CaladanAlgo(ControllerEnv env) : CaladanAlgo(std::move(env), Options()) {}
+  explicit CaladanAlgo(ControllerEnv env) : env_(std::move(env)) {}
 
   std::string name() const override { return "caladan"; }
   void start() override;
@@ -51,7 +48,6 @@ class CaladanAlgo final : public Controller {
 
  private:
   ControllerEnv env_;
-  Options options_;
   BusyWindowTracker busy_;
 };
 

@@ -10,17 +10,15 @@ namespace sg {
 CentralizedMLController::CentralizedMLController(Simulator& sim,
                                                  Cluster& cluster,
                                                  MetricsPlane& metrics,
-                                                 TargetMap targets,
-                                                 Options options)
+                                                 TargetMap targets)
     : sim_(sim),
       cluster_(cluster),
       metrics_(metrics),
-      targets_(std::move(targets)),
-      options_(options) {}
+      targets_(std::move(targets)) {}
 
 void CentralizedMLController::start() {
   sim_.schedule_periodic(
-      TimePoint::at(options_.interval), options_.interval,
+      TimePoint::at(kInterval), kInterval,
       [this]() {
         tick();
         return true;
@@ -30,7 +28,7 @@ void CentralizedMLController::start() {
 
 void CentralizedMLController::tick() {
   // Metric snapshot "arrives at the inference server" now; the decision
-  // lands inference_latency later.
+  // lands kInferenceLatency later.
   std::vector<Decision> decisions;
   for (std::size_t n = 0; n < cluster_.node_count(); ++n) {
     Node& node = cluster_.node(static_cast<NodeId>(n));
@@ -47,12 +45,12 @@ void CentralizedMLController::tick() {
         const double limit = targets_.of(c->id()).expected_exec_metric_ns;
         if (limit > 0.0) {
           inflation = std::clamp(snap->avg_exec_time_ns / limit, 1.0,
-                                 options_.max_inflation);
+                                 kMaxInflation);
         }
       }
       const int want = std::max(
           1, static_cast<int>(std::ceil(demand * inflation /
-                                        options_.util_target)));
+                                        kUtilTarget)));
       desired.emplace_back(c, want);
       total_desired += want;
     }
@@ -70,7 +68,7 @@ void CentralizedMLController::tick() {
       decisions.push_back({c->id(), cores});
     }
   }
-  sim_.schedule_after(options_.inference_latency,
+  sim_.schedule_after(kInferenceLatency,
                       [this, decisions = std::move(decisions)]() {
                         apply(decisions);
                       });

@@ -29,33 +29,26 @@ namespace sg {
 
 class CentralizedMLController final : public Controller {
  public:
-  struct Options {
-    /// Decision interval (paper Table I: > 1s).
-    Duration interval = 1 * kSecond;
-    /// Inference + metric-collection + decision-distribution latency between
-    /// the metric snapshot and allocations taking effect.
-    Duration inference_latency = 200 * kMillisecond;
-    /// Utilization the "model" provisions each container for.
-    double util_target = 0.7;
-    /// Demand estimates are inflated by the container's latency overshoot
-    /// (a trained model predicts the allocation that restores the target).
-    double max_inflation = 4.0;
-  };
+  /// Decision interval (paper Table I: > 1s).
+  static constexpr Duration kInterval = 1 * kSecond;
+  /// Inference + metric-collection + decision-distribution latency between
+  /// the metric snapshot and allocations taking effect.
+  static constexpr Duration kInferenceLatency = 200 * kMillisecond;
+  /// Utilization the "model" provisions each container for.
+  static constexpr double kUtilTarget = 0.7;
+  /// Demand estimates are inflated by the container's latency overshoot
+  /// (a trained model predicts the allocation that restores the target).
+  static constexpr double kMaxInflation = 4.0;
 
   /// Centralized: sees every node and every bus (unlike the per-node
   /// controllers, which is the point of the comparison).
   CentralizedMLController(Simulator& sim, Cluster& cluster,
-                          MetricsPlane& metrics, TargetMap targets,
-                          Options options);
-  CentralizedMLController(Simulator& sim, Cluster& cluster,
-                          MetricsPlane& metrics, TargetMap targets)
-      : CentralizedMLController(sim, cluster, metrics, std::move(targets),
-                                Options()) {}
+                          MetricsPlane& metrics, TargetMap targets);
 
   std::string name() const override { return "centralized-ml"; }
   void start() override;
 
-  /// One decision cycle: snapshot now, apply after inference_latency.
+  /// One decision cycle: snapshot now, apply after kInferenceLatency.
   void tick();
 
  private:
@@ -69,7 +62,6 @@ class CentralizedMLController final : public Controller {
   Cluster& cluster_;
   MetricsPlane& metrics_;
   TargetMap targets_;
-  Options options_;
   BusyWindowTracker busy_;
 };
 

@@ -47,7 +47,7 @@ void Escalator::tick() {
     // normalized to base frequency so FirstResponder boosts do not corrupt
     // the per-core-count cells.
     if (options_.use_sensitivity) {
-      const double speed = c->dvfs().speed(c->frequency());
+      const double speed = kDvfs.speed(c->frequency());
       sens_.observe(id, c->cores(), snap->avg_exec_metric_ns * speed);
     }
 
@@ -73,9 +73,9 @@ void Escalator::tick() {
           }
         }
       }
-      env_.app->set_upscale_stamp(id, options_.hint_depth);
+      env_.app->set_upscale_stamp(id, kHintDepth);
       env_.sim->audit(DecisionKind::kUpscaleStamp, "escalator",
-                      env_.node->id(), id, options_.hint_depth);
+                      env_.node->id(), id, kHintDepth);
     } else if (options_.use_new_metrics) {
       env_.app->set_upscale_stamp(id, 0);
     }
@@ -99,8 +99,7 @@ void Escalator::tick() {
     if (it == scores.end() || it->second <= 0) continue;
     const double s =
         options_.use_sensitivity
-            ? sens_.sensitivity_or(c->id(), c->cores(),
-                                   options_.unknown_sensitivity)
+            ? sens_.sensitivity_or(c->id(), c->cores(), kUnknownSensitivity)
             : 0.0;
     candidates.push_back({c, it->second, s});
   }
@@ -110,32 +109,29 @@ void Escalator::tick() {
               return a.sens > b.sens;
             });
   for (const Candidate& cand : candidates) {
-    const int granted = env_.node->grant(cand.container, options_.core_step);
+    const int granted = env_.node->grant(cand.container, kCoreStep);
     if (granted > 0) {
       env_.sim->audit(DecisionKind::kCoreGrant, "escalator",
                       env_.node->id(), cand.container->id(), granted);
     }
-    if (granted == 0 && options_.manage_frequency) {
-      const DvfsModel& dvfs = cand.container->dvfs();
+    if (granted == 0) {
       const FreqMhz was = cand.container->frequency();
       cand.container->set_frequency(cand.container->frequency() +
-                                    options_.freq_step_levels * dvfs.step_mhz);
+                                    kFreqStepLevels * kDvfs.step_mhz);
       if (cand.container->frequency() != was) {
         env_.sim->audit(DecisionKind::kFreqBoost, "escalator",
                         env_.node->id(), cand.container->id(),
                         static_cast<int>(cand.container->frequency()));
       }
-    } else if (granted > 0 && options_.manage_frequency &&
-               cand.container->frequency() > cand.container->dvfs().min_mhz) {
+    } else if (granted > 0 && cand.container->frequency() > kDvfs.min_mhz) {
       // Swap FirstResponder's stopgap frequency boost for the cores just
       // granted: sustained load is served by cores (cheap), the boost was
       // only buying time until this slower path caught up (shFreq/shCores
       // synchronization in paper Fig. 7). Stepping down gradually (rather
       // than resetting) avoids oscillating with the fast path while the
       // backlog is still draining.
-      cand.container->set_frequency(
-          cand.container->frequency() -
-          options_.freq_step_levels * cand.container->dvfs().step_mhz);
+      cand.container->set_frequency(cand.container->frequency() -
+                                    kFreqStepLevels * kDvfs.step_mhz);
       env_.sim->audit(DecisionKind::kFreqLower, "escalator",
                       env_.node->id(), cand.container->id(),
                       static_cast<int>(cand.container->frequency()));
@@ -164,10 +160,9 @@ void Escalator::tick() {
 
     if (!is_candidate) {
       // Frequency steps back toward the floor first.
-      const bool boosted = c->frequency() > c->dvfs().min_mhz;
-      if (options_.manage_frequency && boosted) {
-        c->set_frequency(c->frequency() -
-                         options_.freq_step_levels * c->dvfs().step_mhz);
+      const bool boosted = c->frequency() > kDvfs.min_mhz;
+      if (boosted) {
+        c->set_frequency(c->frequency() - kFreqStepLevels * kDvfs.step_mhz);
         env_.sim->audit(DecisionKind::kFreqLower, "escalator",
                         env_.node->id(), id, static_cast<int>(c->frequency()));
       }
@@ -177,11 +172,10 @@ void Escalator::tick() {
       // downstream speed in disguise (exec includes downstream time), so a
       // core is only taken when the container's measured CPU usage fits in
       // the smaller allocation.
-      if (!boosted && rit->second < options_.downscale_threshold) {
-        if (++slack_streak_[id] >= options_.downscale_hold &&
-            busy_.safe_to_revoke(c, options_.core_step)) {
-          const int revoked =
-              env_.node->revoke(c, options_.core_step, /*floor=*/1);
+      if (!boosted && rit->second < kDownscaleThreshold) {
+        if (++slack_streak_[id] >= kDownscaleHold &&
+            busy_.safe_to_revoke(c, kCoreStep)) {
+          const int revoked = env_.node->revoke(c, kCoreStep, /*floor=*/1);
           if (revoked > 0) {
             env_.sim->audit(DecisionKind::kCoreRevoke, "escalator",
                             env_.node->id(), id, revoked);
@@ -201,11 +195,10 @@ void Escalator::tick() {
     // hog cores even while "violating" (Fig. 6 right, Fig. 14's mid-surge
     // revocations).
     if (options_.use_sensitivity && !any_zero_score &&
-        tick_count_ % options_.sens_revoke_period_ticks == 0 &&
-        sens_.revocation_candidate(id, c->cores(),
-                                   options_.sens_revoke_threshold) &&
-        busy_.safe_to_revoke(c, options_.core_step, /*util_limit=*/0.9)) {
-      const int revoked = env_.node->revoke(c, options_.core_step, /*floor=*/1);
+        tick_count_ % kSensRevokePeriodTicks == 0 &&
+        sens_.revocation_candidate(id, c->cores(), kSensRevokeThreshold) &&
+        busy_.safe_to_revoke(c, kCoreStep, /*util_limit=*/0.9)) {
+      const int revoked = env_.node->revoke(c, kCoreStep, /*floor=*/1);
       if (revoked > 0) {
         env_.sim->audit(DecisionKind::kCoreRevoke, "escalator",
                         env_.node->id(), id, revoked);

@@ -29,6 +29,8 @@ namespace sg {
 
 class Escalator final : public Controller {
  public:
+  /// The knobs experiments vary: Fig. 15's ablation and
+  /// bench_ablation_thresholds.
   struct Options {
     /// Decision interval (the slower, precise path; the paper leaves this
     /// unspecified — 100 ms sits between Parties' 500 ms and the metric
@@ -42,31 +44,6 @@ class Escalator final : public Controller {
     /// slowdown of the container itself.
     double exec_threshold = 1.0;
 
-    /// pkt.upscale stamp depth (how many successive downstream containers
-    /// an upstream violation may upscale).
-    int hint_depth = 3;
-
-    /// Logical cores per adjustment (2 = hyperthread pair, §V).
-    int core_step = 2;
-
-    /// Parties-style downscale rule for score-0 containers.
-    double downscale_threshold = 0.5;
-    int downscale_hold = 3;
-
-    /// Sensitivity-based revocation threshold (paper: sens < 0.02) and how
-    /// often it runs, in ticks (paper: "periodically revoking").
-    double sens_revoke_threshold = 0.02;
-    int sens_revoke_period_ticks = 2;
-
-    /// Treats unexplored sensitivity cells as this value so upscaling
-    /// prefers exploring unknown allocations over known-useless ones.
-    double unknown_sensitivity = 0.5;
-
-    /// Escalator also manages frequency (Fig. 7): boost when violating with
-    /// an empty pool, step back toward the floor when calm.
-    bool manage_frequency = true;
-    int freq_step_levels = 5;
-
     /// --- ablation flags (Fig. 15) ---
     /// Use execMetric/queueBuildup/hints (Design Feature #2). When false,
     /// falls back to Parties' total-execution-time signal.
@@ -74,6 +51,31 @@ class Escalator final : public Controller {
     /// Use sensitivity-aware allocation + revocation (Design Feature #3).
     bool use_sensitivity = true;
   };
+
+  /// pkt.upscale stamp depth (how many successive downstream containers
+  /// an upstream violation may upscale).
+  static constexpr int kHintDepth = 3;
+
+  /// Logical cores per adjustment (2 = hyperthread pair, §V).
+  static constexpr int kCoreStep = 2;
+
+  /// Parties-style downscale rule for score-0 containers.
+  static constexpr double kDownscaleThreshold = 0.5;
+  static constexpr int kDownscaleHold = 3;
+
+  /// Sensitivity-based revocation threshold (paper: sens < 0.02) and how
+  /// often it runs, in ticks (paper: "periodically revoking").
+  static constexpr double kSensRevokeThreshold = 0.02;
+  static constexpr int kSensRevokePeriodTicks = 2;
+
+  /// Treats unexplored sensitivity cells as this value so upscaling
+  /// prefers exploring unknown allocations over known-useless ones.
+  static constexpr double kUnknownSensitivity = 0.5;
+
+  /// DVFS steps per frequency adjustment. Escalator also manages frequency
+  /// (Fig. 7): boost when violating with an empty pool, step back toward
+  /// the floor when calm.
+  static constexpr int kFreqStepLevels = 5;
 
   Escalator(ControllerEnv env, Options options);
   Escalator(ControllerEnv env) : Escalator(std::move(env), Options()) {}

@@ -4,17 +4,10 @@
 
 namespace sg {
 
-FirstResponder::FirstResponder(ControllerEnv env, Network& network,
-                               Options options)
-    : env_(std::move(env)), network_(network), options_(options) {}
-
 void FirstResponder::start() {
-  freeze_window_ = options_.freeze_window;
-  if (freeze_window_ <= Duration::zero()) {
-    const Duration e2e = env_.targets.expected_e2e_latency;
-    freeze_window_ = e2e > Duration::zero() ? options_.freeze_multiple * e2e
-                                            : Duration::ms(2);
-  }
+  const Duration e2e = env_.targets.expected_e2e_latency;
+  freeze_window_ =
+      e2e > Duration::zero() ? kFreezeMultiple * e2e : Duration::ms(2);
   network_.add_rx_hook(env_.node->id(), this);
 }
 
@@ -30,8 +23,7 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
 
   // Per-packet slack (eqs. 4-5): expected minus observed progress.
   const Duration observed = env_.sim->now() - pkt.start_time;
-  const Duration expected =
-      options_.slack_margin * targets->expected_time_from_start;
+  const Duration expected = kSlackMargin * targets->expected_time_from_start;
   const Duration slack = expected - observed;
   if (slack >= Duration::zero()) return;
   ++violations_detected_;
@@ -44,8 +36,7 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
 
   // Coordinator enqueues; worker applies the boost off the critical path.
   const int target = pkt.dst_container;
-  env_.sim->schedule_after(options_.update_latency,
-                           [this, target]() { boost(target); });
+  env_.sim->schedule_after(kUpdateLatency, [this, target]() { boost(target); });
 }
 
 void FirstResponder::boost(int container) {
@@ -53,7 +44,7 @@ void FirstResponder::boost(int container) {
   // max frequency (the paper's FirstResponder response).
   const auto to_max = [this](Container& c) {
     const FreqMhz was = c.frequency();
-    c.set_frequency(c.dvfs().max_mhz);
+    c.set_frequency(kDvfs.max_mhz);
     if (c.frequency() != was) {
       env_.sim->audit(DecisionKind::kFreqBoost, "first-responder",
                       env_.node->id(), c.id(), static_cast<int>(c.frequency()));

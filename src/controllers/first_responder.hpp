@@ -28,28 +28,24 @@ namespace sg {
 
 class FirstResponder final : public Controller, public RxHook {
  public:
-  struct Options {
-    /// Delay between detecting a violation and the frequency change taking
-    /// effect (work-item enqueue 0.44us + worker MSR write 2.1us, §VI-D).
-    Duration update_latency = 2540 * kNanosecond;
+  /// Delay between detecting a violation and the frequency change taking
+  /// effect (work-item enqueue 0.44us + worker MSR write 2.1us, §VI-D).
+  static constexpr Duration kUpdateLatency = 2540 * kNanosecond;
 
-    /// Per-path freeze window; 0 means "derive as freeze_multiple x the
-    /// profiled end-to-end latency" at start().
-    Duration freeze_window;
-    double freeze_multiple = 2.0;
+  /// Per-path freeze window = kFreezeMultiple x the profiled end-to-end
+  /// latency (2 ms when nothing was profiled).
+  static constexpr double kFreezeMultiple = 2.0;
 
-    /// Extra margin on expectedTimeFromStart before slack counts as
-    /// negative. The paper's 2x-low-load targets assume the many-core
-    /// containers of its testbed, whose base-load latency distribution is
-    /// tight; the simulator's 1-2-core containers have heavier processor-
-    /// sharing tails, so without margin FirstResponder would fire on
-    /// ordinary base-load jitter rather than genuine surges.
-    double slack_margin = 1.75;
-  };
+  /// Extra margin on expectedTimeFromStart before slack counts as
+  /// negative. The paper's 2x-low-load targets assume the many-core
+  /// containers of its testbed, whose base-load latency distribution is
+  /// tight; the simulator's 1-2-core containers have heavier processor-
+  /// sharing tails, so without margin FirstResponder would fire on
+  /// ordinary base-load jitter rather than genuine surges.
+  static constexpr double kSlackMargin = 1.75;
 
-  FirstResponder(ControllerEnv env, Network& network, Options options);
   FirstResponder(ControllerEnv env, Network& network)
-      : FirstResponder(std::move(env), network, Options()) {}
+      : env_(std::move(env)), network_(network) {}
 
   std::string name() const override { return "first-responder"; }
 
@@ -71,7 +67,6 @@ class FirstResponder final : public Controller, public RxHook {
 
   ControllerEnv env_;
   Network& network_;
-  Options options_;
   Duration freeze_window_;
   /// Per-container "do not touch until" timestamps.
   std::unordered_map<int, TimePoint> frozen_until_;

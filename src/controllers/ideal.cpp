@@ -22,7 +22,7 @@ int IdealOracleController::cores_for_rate(std::size_t service,
                                           double rate) const {
   const double demand_cores = rate * demand_ns_[service] / 1e9;
   return std::max(1, static_cast<int>(
-                         std::ceil(demand_cores / options_.util_target)));
+                         std::ceil(demand_cores / kUtilTarget)));
 }
 
 void IdealOracleController::start() {

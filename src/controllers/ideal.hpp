@@ -24,13 +24,14 @@ class IdealOracleController final : public Controller {
     SpikePattern pattern;
     /// Time from surge start to the oracle's reaction.
     Duration detection_delay = 200 * kMicrosecond;
-    /// Target utilization the oracle provisions for during the surge.
-    double util_target = 0.75;
     /// Window within which the oracle wants the backlog drained.
     Duration drain_window = 500 * kMillisecond;
     /// How long the sim runs (so the oracle can pre-plan every surge).
     Duration horizon = 60 * kSecond;
   };
+
+  /// Target utilization the oracle provisions for during the surge.
+  static constexpr double kUtilTarget = 0.75;
 
   IdealOracleController(ControllerEnv env, Options options);
 
@@ -42,7 +43,7 @@ class IdealOracleController final : public Controller {
   void on_surge_over(const SpikePattern::Window& w);
   void restore_initial();
 
-  /// Cores needed by service i to sustain `rate` at util_target.
+  /// Cores needed by service i to sustain `rate` at kUtilTarget.
   int cores_for_rate(std::size_t service, double rate) const;
 
   ControllerEnv env_;

@@ -7,12 +7,9 @@
 
 namespace sg {
 
-PartiesController::PartiesController(ControllerEnv env, Options options)
-    : env_(std::move(env)), options_(options) {}
-
 void PartiesController::start() {
   env_.sim->schedule_periodic(
-      TimePoint::at(options_.interval), options_.interval,
+      TimePoint::at(kInterval), kInterval,
       [this]() {
         tick();
         return true;
@@ -40,14 +37,14 @@ void PartiesController::tick() {
     const auto snap = env_.bus->latest(c->id());
     if (!snap || !snap->valid()) continue;
     const double ratio = violation_ratio(*snap, c->id());
-    if (ratio > options_.upscale_threshold) {
+    if (ratio > kUpscaleThreshold) {
       violators.push_back({c, ratio});
       slack_streak_[c->id()] = 0;
     } else {
       // Core slack only counts at base frequency: a boosted container's low
       // latency is bought by the frequency knob, not by spare cores.
-      if (ratio < options_.downscale_threshold &&
-          c->frequency() <= c->dvfs().min_mhz) {
+      if (ratio < kDownscaleThreshold &&
+          c->frequency() <= kDvfs.min_mhz) {
         ++slack_streak_[c->id()];
       } else {
         slack_streak_[c->id()] = 0;
@@ -68,12 +65,12 @@ void PartiesController::tick() {
             [](const Candidate& a, const Candidate& b) { return a.ratio > b.ratio; });
   bool stole_this_tick = false;
   for (const Candidate& v : violators) {
-    const int granted = env_.node->grant(v.container, options_.core_step);
+    const int granted = env_.node->grant(v.container, kCoreStep);
     if (granted > 0) {
       env_.sim->audit(DecisionKind::kCoreGrant, "parties",
                       env_.node->id(), v.container->id(), granted);
     }
-    if (granted < options_.core_step && !stole_this_tick && !calm.empty()) {
+    if (granted < kCoreStep && !stole_this_tick && !calm.empty()) {
       // Pool dry: take a step from the calmest container (lowest ratio)
       // whose measured CPU usage actually fits in the smaller allocation —
       // latency slack alone is not idleness (a leaf service with no
@@ -82,7 +79,7 @@ void PartiesController::tick() {
       for (const Candidate& c : calm) {
         // The floor caps what a revoke can actually take; judge safety on
         // that amount, not the nominal step.
-        const int takeable = std::min(options_.core_step, c.container->cores() - 1);
+        const int takeable = std::min(kCoreStep, c.container->cores() - 1);
         if (takeable <= 0 || !busy_.safe_to_revoke(c.container, takeable)) {
           continue;
         }
@@ -90,7 +87,7 @@ void PartiesController::tick() {
       }
       if (donor != nullptr) {
         const int freed = env_.node->revoke(donor->container,
-                                            options_.core_step, /*floor=*/1);
+                                            kCoreStep, /*floor=*/1);
         if (freed > 0) {
           env_.sim->audit(DecisionKind::kCoreRevoke, "parties",
                           env_.node->id(), donor->container->id(), freed);
@@ -106,17 +103,14 @@ void PartiesController::tick() {
   }
   // Frequency is a per-container knob (no shared pool), so Parties steps it
   // up on every violator each interval.
-  if (options_.manage_frequency) {
-    for (const Candidate& v : violators) {
-      const DvfsModel& dvfs = v.container->dvfs();
-      const FreqMhz was = v.container->frequency();
-      v.container->set_frequency(v.container->frequency() +
-                                 options_.freq_step_levels * dvfs.step_mhz);
-      if (v.container->frequency() != was) {
-        env_.sim->audit(DecisionKind::kFreqBoost, "parties",
-                        env_.node->id(), v.container->id(),
-                        static_cast<int>(v.container->frequency()));
-      }
+  for (const Candidate& v : violators) {
+    const FreqMhz was = v.container->frequency();
+    v.container->set_frequency(v.container->frequency() +
+                               kFreqStepLevels * kDvfs.step_mhz);
+    if (v.container->frequency() != was) {
+      env_.sim->audit(DecisionKind::kFreqBoost, "parties",
+                      env_.node->id(), v.container->id(),
+                      static_cast<int>(v.container->frequency()));
     }
   }
 
@@ -126,25 +120,23 @@ void PartiesController::tick() {
   Container* revoke_target = nullptr;
   int longest_streak = 0;
   for (const Candidate& c : calm) {
-    if (options_.manage_frequency &&
-        c.container->frequency() > c.container->dvfs().min_mhz) {
-      const DvfsModel& dvfs = c.container->dvfs();
+    if (c.container->frequency() > kDvfs.min_mhz) {
       c.container->set_frequency(c.container->frequency() -
-                                 options_.freq_step_levels * dvfs.step_mhz);
+                                 kFreqStepLevels * kDvfs.step_mhz);
       env_.sim->audit(DecisionKind::kFreqLower, "parties",
                       env_.node->id(), c.container->id(),
                       static_cast<int>(c.container->frequency()));
     }
     const int streak = slack_streak_[c.container->id()];
-    if (streak >= options_.downscale_hold && streak > longest_streak) {
+    if (streak >= kDownscaleHold && streak > longest_streak) {
       longest_streak = streak;
       revoke_target = c.container;
     }
   }
   if (revoke_target != nullptr &&
-      busy_.safe_to_revoke(revoke_target, options_.core_step)) {
+      busy_.safe_to_revoke(revoke_target, kCoreStep)) {
     const int revoked =
-        env_.node->revoke(revoke_target, options_.core_step, /*floor=*/1);
+        env_.node->revoke(revoke_target, kCoreStep, /*floor=*/1);
     if (revoked > 0) {
       env_.sim->audit(DecisionKind::kCoreRevoke, "parties",
                       env_.node->id(), revoke_target->id(), revoked);

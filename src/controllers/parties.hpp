@@ -21,27 +21,22 @@ namespace sg {
 
 class PartiesController final : public Controller {
  public:
-  struct Options {
-    /// Decision interval (paper Table I: 500 ms).
-    Duration interval = 500 * kMillisecond;
-    /// Violation when avg execTime > upscale_threshold * QoS limit.
-    double upscale_threshold = 1.0;
-    /// Downscale when avg execTime < downscale_threshold * limit ...
-    double downscale_threshold = 0.5;
-    /// ... for this many consecutive intervals.
-    int downscale_hold = 3;
-    /// Logical cores moved per adjustment (2 = both hyperthreads of a
-    /// physical core, per the paper's §V allocation policy).
-    int core_step = 2;
-    /// Whether Parties may also raise per-container frequency when the free
-    /// pool is exhausted (Parties manages frequency as one of its knobs).
-    bool manage_frequency = true;
-    /// DVFS steps per frequency adjustment.
-    int freq_step_levels = 3;
-  };
+  /// Decision interval (paper Table I: 500 ms).
+  static constexpr Duration kInterval = 500 * kMillisecond;
+  /// Violation when avg execTime > kUpscaleThreshold * QoS limit.
+  static constexpr double kUpscaleThreshold = 1.0;
+  /// Downscale when avg execTime < kDownscaleThreshold * limit ...
+  static constexpr double kDownscaleThreshold = 0.5;
+  /// ... for this many consecutive intervals.
+  static constexpr int kDownscaleHold = 3;
+  /// Logical cores moved per adjustment (2 = both hyperthreads of a
+  /// physical core, per the paper's §V allocation policy).
+  static constexpr int kCoreStep = 2;
+  /// DVFS steps per frequency adjustment (Parties manages frequency as one
+  /// of its knobs).
+  static constexpr int kFreqStepLevels = 3;
 
-  PartiesController(ControllerEnv env, Options options);
-  PartiesController(ControllerEnv env) : PartiesController(std::move(env), Options()) {}
+  explicit PartiesController(ControllerEnv env) : env_(std::move(env)) {}
 
   std::string name() const override { return "parties"; }
   void start() override;
@@ -54,7 +49,6 @@ class PartiesController final : public Controller {
   double violation_ratio(const MetricsSnapshot& snap, int container) const;
 
   ControllerEnv env_;
-  Options options_;
   BusyWindowTracker busy_;
   /// Consecutive low-latency intervals per container (downscale FSM).
   /// Ordered map (determinism rule D1): decision-loop state stays

@@ -6,8 +6,7 @@ SurgeGuard::SurgeGuard(ControllerEnv env, Network& network, Options options) {
   // Both units get their own copy of the (cheap, read-mostly) environment.
   escalator_ = std::make_unique<Escalator>(env, options.escalator);
   if (options.enable_first_responder) {
-    first_responder_ = std::make_unique<FirstResponder>(
-        std::move(env), network, options.first_responder);
+    first_responder_ = std::make_unique<FirstResponder>(std::move(env), network);
   }
 }
 

@@ -16,7 +16,6 @@ class SurgeGuard final : public Controller {
  public:
   struct Options {
     Escalator::Options escalator{};
-    FirstResponder::Options first_responder{};
     /// Disables the fast path (yields the "Escalator alone" configuration
     /// of Fig. 10).
     bool enable_first_responder = true;

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 namespace sg {
 
@@ -22,8 +23,7 @@ const char* const kStringKeys[] = {"workload", "controller", "fault.plan",
                                    "trace.out"};
 const char* const kIntKeys[] = {"nodes", "seed", "retry.max",
                                 "trace.capacity"};
-const char* const kBoolKeys[] = {"retry.enabled", "record.alloc_timelines",
-                                 "record.latency_series", "trace.enabled",
+const char* const kBoolKeys[] = {"retry.enabled", "trace.enabled",
                                  "trace.keep_violators"};
 const char* const kDoubleKeys[] = {
     "warmup_s", "duration_s", "qos_mult", "target_mult", "rate_rps",
@@ -126,24 +126,31 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
 
   // Every present value parsed above. A key that is absent leaves the
   // ExperimentConfig (or RpcRetryPolicy, MemBwDomain::Params) default in
-  // place: those structs are the one source of defaults.
-  const auto set = [&cfg](const char* key, auto& field) {
+  // place: those structs are the one source of defaults. The setters return
+  // false, with range_error set, for a value their field cannot hold.
+  std::string range_error;
+  const auto invalid = [&cfg, &range_error](const char* key,
+                                            const char* why) {
+    range_error = "invalid value '" + cfg.get_string(key) + "' for key '" +
+                  key + "': " + why;
+    return false;
+  };
+  const auto set = [&](const char* key, auto& field) {
     using T = std::remove_reference_t<decltype(field)>;
     if constexpr (std::is_same_v<T, bool>) {
       if (const auto v = cfg.try_get_bool(key)) field = *v;
     } else if constexpr (std::is_floating_point_v<T>) {
       if (const auto v = cfg.try_get_double(key)) field = *v;
     } else {
-      if (const auto v = cfg.try_get_int(key)) field = static_cast<T>(*v);
+      if (const auto v = cfg.try_get_int(key)) {
+        if (!std::in_range<T>(*v)) return invalid(key, "out of range");
+        field = static_cast<T>(*v);
+      }
     }
+    return true;
   };
-  // The duration setters return false, with range_error set, for a value
-  // that is not finite or does not fit in a Duration.
-  std::string range_error;
-  const auto out_of_range = [&cfg, &range_error](const char* key) {
-    range_error = "invalid value '" + cfg.get_string(key) + "' for key '" +
-                  key + "': not a finite duration within range";
-    return false;
+  const auto out_of_range = [&invalid](const char* key) {
+    return invalid(key, "not a finite duration within range");
   };
   // A duration given in seconds divided by `per_second` (1e3 for ms),
   // rounded to the nearest ns.
@@ -186,7 +193,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     out.controller = *kind;
   }
 
-  set("nodes", out.nodes);
+  if (!set("nodes", out.nodes)) return fail(range_error);
   if (out.nodes < 1) return fail("nodes must be >= 1");
 
   if (!set_rounded("warmup_s", 1.0, out.warmup) ||
@@ -197,14 +204,18 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     return fail("invalid timing");
   }
 
+  // Multipliers and the base-rate override (the wrk2 -rate knob).
+  for (const char* key : {"qos_mult", "target_mult", "rate_rps"}) {
+    const auto v = cfg.try_get_double(key);
+    if (v && !(std::isfinite(*v) && *v > 0)) {
+      invalid(key, "must be finite and > 0");
+      return fail(range_error);
+    }
+  }
   set("qos_mult", out.qos_mult);
   set("target_mult", out.target_mult);
-  set("seed", out.seed);
-
-  // Optional base-rate override (the wrk2 -rate knob).
-  if (const auto rate = cfg.try_get_double("rate_rps"); rate && *rate > 0) {
-    out.workload.base_rate_rps = *rate;
-  }
+  set("rate_rps", out.workload.base_rate_rps);
+  if (!set("seed", out.seed)) return fail(range_error);
 
   set("surge.mult", out.surge_mult);
   if (!set_rounded("surge.len_ms", 1e3, out.surge_len) ||
@@ -233,7 +244,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     return fail(range_error);
   }
   set("retry.backoff", out.rpc_retry.backoff);
-  set("retry.max", out.rpc_retry.max_retries);
+  if (!set("retry.max", out.rpc_retry.max_retries)) return fail(range_error);
   if (out.rpc_retry.enabled) {
     const RpcRetryPolicy& retry = out.rpc_retry;
     if (retry.timeout <= Duration::zero() || !std::isfinite(retry.backoff) ||
@@ -261,9 +272,6 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
                      out.ideal_detection_delay)) {
     return fail(range_error);
   }
-
-  set("record.alloc_timelines", out.record_alloc_timelines);
-  set("record.latency_series", out.record_latency_series);
 
   set("trace.enabled", out.trace_enabled);
   set("trace.sample", out.trace_sample);

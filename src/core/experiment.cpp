@@ -40,6 +40,10 @@ SpikePattern ExperimentConfig::make_pattern() const {
 
 namespace {
 
+/// Logical cores per node outside the application's pool: 3 for SurgeGuard
+/// and 16 for network processing and the OS (paper §V).
+constexpr int kReservedCoresPerNode = 19;
+
 /// Everything one simulated run needs, with construction order = teardown
 /// safety (sim outlives all users).
 struct Testbed {
@@ -96,8 +100,8 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
             static_cast<double>(init_on_node[static_cast<std::size_t>(n)]) *
             config.free_headroom)));
     const NodeId id =
-        tb->cluster.add_node(app_cores + config.reserved_cores_per_node,
-                             config.reserved_cores_per_node);
+        tb->cluster.add_node(app_cores + kReservedCoresPerNode,
+                             kReservedCoresPerNode);
     // Optional shared-resource interference (paper §VII extension).
     if (config.membw) tb->cluster.node(id).enable_membw(*config.membw);
   }
@@ -108,11 +112,9 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
                                         : tb->network.model().same_node;
   const double hop_ns = static_cast<double>(hop.ns());
   spec.autosize_pools(w.base_rate_rps, hop_ns);
-  Application::Options app_opts;
-  app_opts.metrics_interval = config.metrics_interval;
-  app_opts.retry = config.rpc_retry;
   tb->app = std::make_unique<Application>(tb->cluster, tb->network, tb->metrics,
-                                          std::move(spec), deployment, app_opts);
+                                          std::move(spec), deployment,
+                                          config.rpc_retry);
   tb->app->start_metric_publication();
 
   // Chaos: arm the fault schedule. Created AFTER the stack above so that a
@@ -363,10 +365,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
           TimePoint::origin(), gen.measure_end(), config.trace_sample_interval);
       out.alloc_traces.push_back(std::move(trace));
     }
-  }
-  if (config.record_latency_series) {
-    out.latency_series = gen.vv_tracker().latency_series().sample(
-        TimePoint::origin(), gen.measure_end(), config.vv_window);
   }
   if (TraceSink* trace = tb->sim.trace_sink()) {
     std::vector<TraceContainerInfo> info;

@@ -48,7 +48,7 @@ struct ProfileResult {
   TargetMap targets;
   /// Mean end-to-end latency at low load (QoS derives from this).
   Duration low_load_mean_latency;
-  /// Mean end-to-end latency observed (diagnostics).
+  /// 98th-percentile end-to-end latency at low load (diagnostics).
   Duration low_load_p98;
 };
 
@@ -75,13 +75,11 @@ struct ExperimentConfig {
   /// Per-container targets = target_mult x low-load profile (paper: 2x).
   double target_mult = 2.0;
 
-  Duration metrics_interval = 50 * kMillisecond;
   Duration vv_window = 5 * kMillisecond;
 
   /// Node sizing: allocatable cores = ceil(initial_on_node * free_headroom)
   /// (artifact: workload initialized to 2/3 of allocatable cores).
   double free_headroom = 1.5;
-  int reserved_cores_per_node = 19;
 
   std::uint64_t seed = 1;
 
@@ -119,9 +117,8 @@ struct ExperimentConfig {
   Duration ideal_detection_delay = 200 * kMicrosecond;
   Duration ideal_drain_window = 500 * kMillisecond;
 
-  /// Record per-container allocation timelines / output-latency series.
+  /// Record per-container allocation timelines.
   bool record_alloc_timelines = false;
-  bool record_latency_series = false;
   Duration trace_sample_interval = 100 * kMillisecond;
 
   /// Per-request distributed tracing (sg::trace). Off by default: the
@@ -166,9 +163,8 @@ struct ExperimentResult {
   std::uint64_t controller_ticks_stalled = 0;
   std::uint64_t events_processed = 0;
 
-  /// Optional traces.
+  /// Allocation timelines (present when record_alloc_timelines).
   std::vector<ContainerTrace> alloc_traces;
-  std::vector<StepTimeline::Point> latency_series;
 
   /// Request-level trace snapshot (present when trace_enabled). Detached
   /// from the testbed: exporters can run after the simulation is gone.

@@ -41,6 +41,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Salt for the head-sampling hash (fixed, so runs stay comparable).
+constexpr std::uint64_t kSampleSalt = 0x53757267;
+
 }  // namespace
 
 TraceSink::TraceSink(TraceOptions options) : options_(options) {
@@ -54,7 +57,7 @@ bool TraceSink::head_sampled(RequestId id) const {
   if (options_.head_sample_rate >= 1.0) return true;
   if (options_.head_sample_rate <= 0.0) return false;
   // Top 53 bits -> uniform double in [0, 1).
-  const double u = static_cast<double>(mix64(id ^ options_.sample_salt) >> 11) *
+  const double u = static_cast<double>(mix64(id ^ kSampleSalt) >> 11) *
                    0x1.0p-53;
   return u < options_.head_sample_rate;
 }

@@ -108,8 +108,6 @@ struct TraceOptions {
   std::size_t max_pending = 1u << 16;
   /// Decision-event cap (events beyond it are counted, not stored).
   std::size_t max_decisions = 1u << 20;
-  /// Salt for the head-sampling hash (fixed default keeps runs comparable).
-  std::uint64_t sample_salt = 0x53757267;
 };
 
 /// One kept request: its spans in recording order plus keep provenance.

@@ -87,7 +87,6 @@ class LoadGenerator {
   }
 
   const LatencyHistogram& histogram() const { return histogram_; }
-  const ViolationVolumeTracker& vv_tracker() const { return vv_; }
   const LoadGenOptions& options() const { return options_; }
 
   /// Requests issued but neither completed nor abandoned. Zero at drain is

@@ -44,9 +44,6 @@ class ViolationVolumeTracker {
   /// Fraction of [t0, t1] spent above QoS (violation duration share).
   double violation_duration_fraction(TimePoint t0, TimePoint t1) const;
 
-  /// The bucketed output-latency curve (values in ns).
-  const StepTimeline& latency_series() const { return series_; }
-
  private:
   void close_window();
 

@@ -20,12 +20,12 @@ struct MiniTestbed {
 
   explicit MiniTestbed(AppSpec spec, int cores_per_service = 4,
                        NetworkLatencyModel model = {},
-                       Application::Options options = {})
+                       RpcRetryPolicy retry = {})
       : network(sim, model) {
     cluster.add_node(64, 19);
     Deployment dep = Deployment::single_node(spec, 0, cores_per_service);
     app = std::make_unique<Application>(cluster, network, metrics,
-                                        std::move(spec), dep, options);
+                                        std::move(spec), dep, retry);
   }
 
   /// Sends one client request; returns (completed, latency).
@@ -272,12 +272,12 @@ TEST(ApplicationTest, ResponseToAReusedCallSlotIsStray) {
   // and must not complete the retransmitted call early.
   NetworkLatencyModel model;
   model.jitter = 0.0;
-  Application::Options options;
-  options.retry.enabled = true;
-  options.retry.timeout = 20 * kMicrosecond;
-  options.retry.backoff = 10.0;  // the retransmission's 200us never fires
-  options.retry.max_retries = 1;
-  MiniTestbed tb(chain_spec(2), 4, model, options);
+  RpcRetryPolicy retry;
+  retry.enabled = true;
+  retry.timeout = 20 * kMicrosecond;
+  retry.backoff = 10.0;  // the retransmission's 200us never fires
+  retry.max_retries = 1;
+  MiniTestbed tb(chain_spec(2), 4, model, retry);
   CallIdRecorder recorder;
   tb.network.set_fault_hook(&recorder);
 
@@ -306,10 +306,10 @@ TEST(ApplicationTest, DupAndDropFaultsConserveRequests) {
   // once a newer call holds the same slot. Each must count as stray and
   // touch nothing else, so every request still drains exactly once.
   using namespace sg::literals;
-  Application::Options options;
-  options.retry.enabled = true;
-  options.retry.timeout = 2_ms;
-  MiniTestbed tb(chain_spec(3, 50'000.0), 4, {}, options);
+  RpcRetryPolicy retry;
+  retry.enabled = true;
+  retry.timeout = 2_ms;
+  MiniTestbed tb(chain_spec(3, 50'000.0), 4, {}, retry);
   std::string error;
   const auto plan = FaultPlan::parse(
       "dup:start_ms=0,len_ms=400,rate=0.3;drop:start_ms=0,len_ms=400,rate=0.05",
@@ -325,7 +325,7 @@ TEST(ApplicationTest, DupAndDropFaultsConserveRequests) {
   lg.pattern = SpikePattern::steady(20'000);
   lg.warmup = 0_s;
   lg.duration = 400_ms;
-  lg.retry = options.retry;
+  lg.retry = retry;
   LoadGenerator gen(tb.sim, tb.network, *tb.app, lg);
   gen.start();
   tb.sim.run_until(gen.measure_end());

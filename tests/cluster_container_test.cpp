@@ -9,14 +9,12 @@
 namespace sg {
 namespace {
 
-std::unique_ptr<Container> make_container(Simulator& sim, int cores,
-                                          DvfsModel dvfs = {}) {
+std::unique_ptr<Container> make_container(Simulator& sim, int cores) {
   Container::Params p;
   p.name = "c";
   p.id = 0;
   p.node = 0;
   p.initial_cores = cores;
-  p.dvfs = dvfs;
   return std::make_unique<Container>(sim, std::move(p));
 }
 
@@ -84,30 +82,26 @@ TEST(ContainerTest, StaggeredArrivalPs) {
 
 TEST(ContainerTest, FrequencyScalesThroughput) {
   Simulator sim;
-  DvfsModel dvfs;
-  dvfs.scaling_efficiency = 1.0;  // exact 2x at 3200
-  dvfs.max_mhz = 3200;
-  auto c = make_container(sim, 1, dvfs);
-  c->set_frequency(3200);
+  auto c = make_container(sim, 1);
+  c->set_frequency(kDvfs.max_mhz);
   TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(1000.0, [&]() { done = sim.now(); });
   sim.run_to_completion();
-  EXPECT_NEAR(static_cast<double>(done.ns()), 500.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done.ns()),
+              1000.0 / kDvfs.speed(kDvfs.max_mhz), 2.0);
 }
 
 TEST(ContainerTest, FrequencyChangeMidJob) {
   Simulator sim;
-  DvfsModel dvfs;
-  dvfs.scaling_efficiency = 1.0;
-  dvfs.max_mhz = 3200;
-  auto c = make_container(sim, 1, dvfs);
+  auto c = make_container(sim, 1);
   TimePoint done = TimePoint::infinity();  // sentinel: callback never ran
   c->submit(1000.0, [&]() { done = sim.now(); });
-  // After 500ns (500 work done), double the speed: remaining 500 work takes
-  // 250ns -> completes at 750.
-  sim.schedule_at(TimePoint{500}, [&]() { c->set_frequency(3200); });
+  // After 500ns at the reference frequency (500 work done), go to max: the
+  // remaining 500 work runs at the max-frequency speed.
+  sim.schedule_at(TimePoint{500}, [&]() { c->set_frequency(kDvfs.max_mhz); });
   sim.run_to_completion();
-  EXPECT_NEAR(static_cast<double>(done.ns()), 750.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(done.ns()),
+              500.0 + 500.0 / kDvfs.speed(kDvfs.max_mhz), 2.0);
 }
 
 TEST(ContainerTest, CoreChangeMidJobRescales) {
@@ -188,10 +182,9 @@ TEST(ContainerTest, EnergyChargedForBusyTime) {
   sim.run_to_completion();
   c->sync();
   // 1 core-second busy at ref frequency.
-  EnergyModel e;
-  DvfsModel d;
   EXPECT_NEAR(c->energy_joules(),
-              e.busy_core_watts(Freq::mhz(d.ref_mhz), Freq::mhz(d.ref_mhz)),
+              kEnergy.busy_core_watts(Freq::mhz(kDvfs.ref_mhz),
+                                      Freq::mhz(kDvfs.ref_mhz)),
               0.01);
 }
 
@@ -201,8 +194,7 @@ TEST(ContainerTest, IdleAllocatedCoresDrawPower) {
   sim.run_until(TimePoint::at(kSecond));
   c->sync();
   // 4 allocated, 0 busy for 1 second.
-  EnergyModel e;
-  EXPECT_NEAR(c->energy_joules(), 4.0 * e.allocated_idle_watts, 0.01);
+  EXPECT_NEAR(c->energy_joules(), 4.0 * kEnergy.allocated_idle_watts, 0.01);
 }
 
 TEST(ContainerTest, CoreTimelineTracksChanges) {

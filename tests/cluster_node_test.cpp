@@ -92,9 +92,8 @@ TEST(NodeTest, EnergySumsContainers) {
   cluster.add_container("b", 0, 3);
   sim.run_until(TimePoint::at(kSecond));
   cluster.sync_all();
-  EnergyModel e;
-  EXPECT_NEAR(cluster.node(0).energy_joules(), 5.0 * e.allocated_idle_watts,
-              0.01);
+  EXPECT_NEAR(cluster.node(0).energy_joules(),
+              5.0 * kEnergy.allocated_idle_watts, 0.01);
 }
 
 TEST(ClusterTest, LookupByNameAndId) {

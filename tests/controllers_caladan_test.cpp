@@ -43,24 +43,12 @@ TEST(CaladanTest, BlindToConnectionPerRequestOverload) {
   EXPECT_EQ(tb.c2().cores(), 2);
 }
 
-TEST(CaladanTest, HyperthreadGranularityGrants) {
-  ControllerTestbed tb;
-  CaladanAlgo::Options opts;
-  opts.grant_step = 1;  // single-hyperthread mode
-  CaladanAlgo caladan(tb.env(), opts);
-  tb.publish(tb.c1(), 600.0, 200.0);
-  caladan.tick();
-  EXPECT_EQ(tb.c1().cores(), 3);  // odd allocation allowed
-}
-
 TEST(CaladanTest, ReclaimsIdleCores) {
   ControllerTestbed tb;
-  CaladanAlgo::Options opts;
-  opts.interval = 50 * kMillisecond;
-  CaladanAlgo caladan(tb.env(), opts);
+  CaladanAlgo caladan(tb.env());
   tb.c1().set_cores(6);
   // First tick establishes the busy baseline (conservative: assumes busy).
-  tb.sim.run_until(TimePoint::at(50 * kMillisecond));
+  tb.sim.run_until(TimePoint::at(CaladanAlgo::kInterval));
   tb.publish(tb.c1(), 100.0, 100.0);
   tb.publish(tb.c2(), 100.0, 100.0);
   caladan.tick();
@@ -88,8 +76,8 @@ TEST(CaladanTest, DoesNotReclaimBusyCores) {
 }
 
 TEST(CaladanTest, WorstQueueServedFirstUnderScarcity) {
-  // node 25 -> app 6 cores, 2+2 allocated, 2 free; grant_step=2 means only
-  // one container can be served.
+  // node 25 -> app 6 cores, 2+2 allocated, 2 free; kGrantStep = 2 means
+  // only one container can be served.
   ControllerTestbed tb(8, 2, 25);
   CaladanAlgo caladan(tb.env());
   tb.publish(tb.c1(), 600.0, 200.0);  // qb 3.0
@@ -101,12 +89,10 @@ TEST(CaladanTest, WorstQueueServedFirstUnderScarcity) {
 
 TEST(CaladanTest, StartSchedulesTicks) {
   ControllerTestbed tb;
-  CaladanAlgo::Options opts;
-  opts.interval = 50 * kMillisecond;
-  CaladanAlgo caladan(tb.env(), opts);
+  CaladanAlgo caladan(tb.env());
   caladan.start();
   tb.publish(tb.c1(), 600.0, 200.0);
-  tb.sim.run_until(TimePoint::at(60 * kMillisecond));
+  tb.sim.run_until(TimePoint::at(CaladanAlgo::kInterval + 10 * kMillisecond));
   EXPECT_GT(tb.c1().cores(), 2);
 }
 

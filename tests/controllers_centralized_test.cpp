@@ -11,33 +11,27 @@ namespace {
 using testutil::ControllerTestbed;
 using namespace sg::literals;
 
-CentralizedMLController::Options fast_ml() {
-  CentralizedMLController::Options o;
-  o.interval = 1_s;
-  o.inference_latency = 200 * kMillisecond;
-  return o;
-}
-
 TEST(CentralizedMLTest, DecisionsApplyAfterInferenceLatency) {
   ControllerTestbed tb;
   ControllerEnv env = tb.env(300.0);
-  CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets,
-                             fast_ml());
+  CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets);
   // Saturate c1 so its demand estimate exceeds its allocation.
   for (int i = 0; i < 8; ++i) tb.c1().submit(1e12, []() {});
   tb.sim.run_until(TimePoint::at(500 * kMillisecond));
   tb.publish(tb.c1(), 900.0, 900.0);
-  ml.tick();  // snapshot now, decision lands 200ms later
+  ml.tick();  // snapshot now, decision lands kInferenceLatency later
+  tb.sim.run_until(tb.sim.now() +
+                   CentralizedMLController::kInferenceLatency -
+                   Duration::ns(1));
   EXPECT_EQ(tb.c1().cores(), 2);  // not yet
-  tb.sim.run_until(tb.sim.now() + 250 * kMillisecond);
+  tb.sim.run_until(tb.sim.now() + Duration::ns(1));
   EXPECT_GT(tb.c1().cores(), 2);  // applied
 }
 
 TEST(CentralizedMLTest, RightsizesIdleContainersDown) {
   ControllerTestbed tb;
   ControllerEnv env = tb.env(300.0);
-  CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets,
-                             fast_ml());
+  CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets);
   tb.c1().set_cores(8);  // grossly oversized and idle
   tb.sim.run_until(TimePoint::at(1_s));
   tb.publish(tb.c1(), 100.0, 100.0);
@@ -52,8 +46,7 @@ TEST(CentralizedMLTest, RightsizesIdleContainersDown) {
 TEST(CentralizedMLTest, NeverBelowOneCore) {
   ControllerTestbed tb;
   ControllerEnv env = tb.env(300.0);
-  CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets,
-                             fast_ml());
+  CentralizedMLController ml(tb.sim, tb.cluster, tb.metrics, env.targets);
   tb.sim.run_until(TimePoint::at(1_s));
   ml.tick();
   tb.sim.run_until(tb.sim.now() + 1_s);

@@ -9,15 +9,9 @@ namespace {
 
 using testutil::ControllerTestbed;
 
-Escalator::Options fast_opts() {
-  Escalator::Options o;
-  o.interval = 100 * kMillisecond;
-  return o;
-}
-
 TEST(EscalatorTest, ExecMetricViolationScoresContainer) {
   ControllerTestbed tb;
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   tb.publish(tb.c1(), 600.0, 600.0);  // execMetric 2x the 300us target
   tb.publish(tb.c2(), 100.0, 100.0);
   esc.tick();
@@ -29,7 +23,7 @@ TEST(EscalatorTest, ExecMetricViolationScoresContainer) {
 TEST(EscalatorTest, QueueBuildupScoresDownstreamNotSelf) {
   // Table II row 2: queueBuildup violation at c1 -> candidate is c2.
   ControllerTestbed tb;
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   // execMetric at c1 healthy (200 < 300) but queueBuildup 3x.
   tb.publish(tb.c1(), 600.0, 200.0);
   tb.publish(tb.c2(), 150.0, 150.0);
@@ -42,7 +36,7 @@ TEST(EscalatorTest, QueueBuildupScoresDownstreamNotSelf) {
 
 TEST(EscalatorTest, QueueBuildupSetsUpscaleStamp) {
   ControllerTestbed tb;
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   tb.publish(tb.c1(), 600.0, 200.0);
   tb.publish(tb.c2(), 150.0, 150.0);
   esc.tick();
@@ -64,7 +58,7 @@ TEST(EscalatorTest, QueueBuildupSetsUpscaleStamp) {
 TEST(EscalatorTest, HintReceivedScoresContainer) {
   // Table II row 1: pkt.upscale > 0 -> the receiving container.
   ControllerTestbed tb;
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   tb.publish(tb.c1(), 100.0, 100.0);
   tb.publish(tb.c2(), 150.0, 150.0, /*hint=*/true);
   esc.tick();
@@ -74,7 +68,7 @@ TEST(EscalatorTest, HintReceivedScoresContainer) {
 
 TEST(EscalatorTest, ScoresAccumulateAcrossChecks) {
   ControllerTestbed tb;
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   tb.publish(tb.c1(), 900.0, 300.5);        // queue buildup ~3 (downstream c2)
   tb.publish(tb.c2(), 700.0, 700.0, true);  // hint + execMetric violation
   esc.tick();
@@ -83,7 +77,7 @@ TEST(EscalatorTest, ScoresAccumulateAcrossChecks) {
 
 TEST(EscalatorTest, HigherScoreWinsScarcePool) {
   ControllerTestbed tb(8, 2, 25);  // 2 free logical cores only
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   tb.publish(tb.c1(), 600.0, 600.0);        // score 1
   tb.publish(tb.c2(), 700.0, 700.0, true);  // score 2
   esc.tick();
@@ -93,8 +87,7 @@ TEST(EscalatorTest, HigherScoreWinsScarcePool) {
 
 TEST(EscalatorTest, SensitivityBreaksScoreTies) {
   ControllerTestbed tb(8, 2, 25);
-  Escalator::Options opts = fast_opts();
-  Escalator esc(tb.env(300.0), opts);
+  Escalator esc(tb.env(300.0));
   // Teach the tracker: c1 insensitive (same exec at 2 vs 3 cores), c2
   // sensitive (halves).
   for (int i = 0; i < 3; ++i) {
@@ -129,7 +122,7 @@ TEST(EscalatorTest, AblationMetricsOffUsesExecTime) {
   // With use_new_metrics=false, the controller regresses to Parties'
   // signal: the queue holder gets the cores.
   ControllerTestbed tb;
-  Escalator::Options opts = fast_opts();
+  Escalator::Options opts;
   opts.use_new_metrics = false;
   Escalator esc(tb.env(300.0), opts);
   tb.publish(tb.c1(), 900.0, 150.0);  // all conn wait
@@ -141,7 +134,7 @@ TEST(EscalatorTest, AblationMetricsOffUsesExecTime) {
 
 TEST(EscalatorTest, AblationSensitivityOffIgnoresTracker) {
   ControllerTestbed tb;
-  Escalator::Options opts = fast_opts();
+  Escalator::Options opts;
   opts.use_sensitivity = false;
   Escalator esc(tb.env(300.0), opts);
   tb.publish(tb.c1(), 600.0, 600.0);
@@ -151,11 +144,9 @@ TEST(EscalatorTest, AblationSensitivityOffIgnoresTracker) {
 
 TEST(EscalatorTest, PartiesDownscaleOnScoreZero) {
   ControllerTestbed tb;
-  Escalator::Options opts = fast_opts();
-  opts.downscale_hold = 2;
-  Escalator esc(tb.env(300.0), opts);
+  Escalator esc(tb.env(300.0));
   tb.c1().set_cores(6);
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < Escalator::kDownscaleHold; ++i) {
     tb.sim.run_until(tb.sim.now() + 100 * kMillisecond);
     tb.publish(tb.c1(), 100.0, 100.0);  // deep slack (ratio 0.33)
     tb.publish(tb.c2(), 200.0, 200.0);
@@ -166,14 +157,17 @@ TEST(EscalatorTest, PartiesDownscaleOnScoreZero) {
 
 TEST(EscalatorTest, NoCoreSlackJudgementWhileBoosted) {
   ControllerTestbed tb;
-  Escalator::Options opts = fast_opts();
-  opts.downscale_hold = 1;
-  Escalator esc(tb.env(300.0), opts);
+  Escalator esc(tb.env(300.0));
   tb.c1().set_cores(6);
   tb.c1().set_frequency(3100);
-  tb.publish(tb.c1(), 100.0, 100.0);
-  tb.publish(tb.c2(), 200.0, 200.0);
-  esc.tick();
+  // Deep slack for a whole hold, but every tick starts above base frequency
+  // (each steps down by kFreqStepLevels only).
+  for (int i = 0; i < Escalator::kDownscaleHold; ++i) {
+    tb.sim.run_until(tb.sim.now() + 100 * kMillisecond);
+    tb.publish(tb.c1(), 100.0, 100.0);
+    tb.publish(tb.c2(), 200.0, 200.0);
+    esc.tick();
+  }
   // Frequency stepped down, cores untouched (low exec bought by the boost).
   EXPECT_EQ(tb.c1().cores(), 6);
   EXPECT_LT(tb.c1().frequency(), 3100);
@@ -181,43 +175,58 @@ TEST(EscalatorTest, NoCoreSlackJudgementWhileBoosted) {
 
 TEST(EscalatorTest, SensRevocationOnlyWhenAllCandidates) {
   ControllerTestbed tb;
-  Escalator::Options opts = fast_opts();
-  opts.sens_revoke_period_ticks = 1;
-  Escalator esc(tb.env(300.0), opts);
+  Escalator esc(tb.env(300.0));
   auto advance = [&]() { tb.sim.run_until(tb.sim.now() + 100 * kMillisecond); };
+  // Sensitivity revocation runs every kSensRevokePeriodTicks ticks: pad with
+  // calm ticks so that each case below lands on one.
+  int ticks = 0;
+  auto tick = [&]() {
+    esc.tick();
+    ++ticks;
+  };
+  auto pad_to_revocation_tick = [&]() {
+    while ((ticks + 1) % Escalator::kSensRevokePeriodTicks != 0) {
+      advance();
+      tb.publish(tb.c1(), 250.0, 250.0);
+      tb.publish(tb.c2(), 200.0, 200.0);
+      tick();
+    }
+  };
   // Teach flat sensitivity for c1 around 4 cores (calm rows: exec below the
   // 300us target so no tick upscales during teaching).
   tb.c1().set_cores(3);
   advance();
   tb.publish(tb.c1(), 250.0, 250.0);
   tb.publish(tb.c2(), 200.0, 200.0);
-  esc.tick();
+  tick();
   tb.c1().set_cores(4);
   advance();
   tb.publish(tb.c1(), 250.0, 249.0);
   tb.publish(tb.c2(), 200.0, 200.0);
-  esc.tick();
+  tick();
   ASSERT_EQ(tb.c1().cores(), 4);
   // Case 1: c2 calm (score 0 exists) -> sens revocation must NOT fire.
+  pad_to_revocation_tick();
   advance();
   tb.publish(tb.c1(), 700.0, 650.0);  // violating and flat
   tb.publish(tb.c2(), 100.0, 100.0);  // calm
-  esc.tick();
+  tick();
   EXPECT_GE(tb.c1().cores(), 4);
   // Case 2: both candidates -> sens revocation fires on flat c1. Start c1
   // at 2 so the in-tick grant lands it on 4, where sens[3] is known-flat:
   // the revocation takes the step straight back.
+  pad_to_revocation_tick();
   tb.c1().set_cores(2);
   advance();
   tb.publish(tb.c1(), 700.0, 400.0);  // candidate, flat curve at 3->4
   tb.publish(tb.c2(), 700.0, 700.0);  // candidate
-  esc.tick();
+  tick();
   EXPECT_EQ(tb.c1().cores(), 2);  // granted to 4, then sens-revoked to 2
 }
 
 TEST(EscalatorTest, FrequencyFallbackWhenPoolDry) {
   ControllerTestbed tb(8, 3, 25);  // app 6, 3+3 allocated -> free 0
-  Escalator esc(tb.env(300.0), fast_opts());
+  Escalator esc(tb.env(300.0));
   const FreqMhz f0 = tb.c1().frequency();
   tb.publish(tb.c1(), 900.0, 900.0);
   tb.publish(tb.c2(), 200.0, 200.0);

@@ -9,12 +9,10 @@ namespace {
 
 using testutil::ControllerTestbed;
 
-FirstResponder::Options no_margin() {
-  FirstResponder::Options o;
-  o.slack_margin = 1.0;  // exact eq. 4 semantics for unit tests
-  o.freeze_window = 1 * kMillisecond;
-  return o;
-}
+// The testbed's expectedTimeFromStart is 200us, so slack turns negative
+// past kSlackMargin x 200us; a packet this old is late.
+constexpr Duration kThreshold = FirstResponder::kSlackMargin * Duration::us(200);
+constexpr Duration kLate = kThreshold + 100 * kMicrosecond;
 
 RpcPacket request_to(ControllerTestbed& tb, Container& c, TimePoint start) {
   RpcPacket p;
@@ -28,60 +26,59 @@ RpcPacket request_to(ControllerTestbed& tb, Container& c, TimePoint start) {
 
 TEST(FirstResponderTest, PositiveSlackNoBoost) {
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
   tb.sim.run_until(TimePoint::at(100 * kMicrosecond));
-  // expected tfs = 200us; observed 100us -> slack +100us.
+  // Observed 100us, well inside the threshold.
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
   EXPECT_EQ(fr.violations_detected(), 0u);
   EXPECT_EQ(fr.boosts_applied(), 0u);
-  EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().min_mhz);
+  EXPECT_EQ(tb.c1().frequency(), kDvfs.min_mhz);
 }
 
 TEST(FirstResponderTest, NegativeSlackBoostsToMax) {
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
-  // Observed 300us > expected 200us.
-  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
+  tb.sim.run_until(TimePoint::at(kLate));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
   EXPECT_EQ(fr.violations_detected(), 1u);
-  EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().max_mhz);
+  EXPECT_EQ(tb.c1().frequency(), kDvfs.max_mhz);
 }
 
 TEST(FirstResponderTest, BoostsSameNodeDownstreamToo) {
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
-  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
+  tb.sim.run_until(TimePoint::at(kLate));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
   // c2 is downstream of c1 on the same node.
-  EXPECT_EQ(tb.c2().frequency(), tb.c2().dvfs().max_mhz);
+  EXPECT_EQ(tb.c2().frequency(), kDvfs.max_mhz);
   EXPECT_EQ(fr.boosts_applied(), 2u);
 }
 
 TEST(FirstResponderTest, UpdateAppliesAfterWorkerLatency) {
   // Coordinator-worker design (Fig. 9): the boost is NOT synchronous.
   ControllerTestbed tb;
-  FirstResponder::Options opts = no_margin();
-  opts.update_latency = Duration{2540};
-  FirstResponder fr(tb.env(), tb.network, opts);
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
-  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
+  tb.sim.run_until(TimePoint::at(kLate));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
-  EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().min_mhz);  // not yet
-  tb.sim.run_until(tb.sim.now() + Duration{3000});
-  EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().max_mhz);  // after 2.54us
+  tb.sim.run_until(tb.sim.now() + FirstResponder::kUpdateLatency -
+                   Duration::ns(1));
+  EXPECT_EQ(tb.c1().frequency(), kDvfs.min_mhz);  // not yet
+  tb.sim.run_until(tb.sim.now() + Duration::ns(1));
+  EXPECT_EQ(tb.c1().frequency(), kDvfs.max_mhz);  // after 2.54us
 }
 
 TEST(FirstResponderTest, FreezeWindowLimitsUpdates) {
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());  // freeze 1ms
+  FirstResponder fr(tb.env(), tb.network);  // freeze 2 x 500us e2e
   fr.start();
-  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
+  tb.sim.run_until(TimePoint::at(kLate));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
@@ -93,12 +90,12 @@ TEST(FirstResponderTest, FreezeWindowLimitsUpdates) {
   tb.sim.run_until(tb.sim.now() + 2 * kMillisecond);
   fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));
   tb.sim.run_to_completion();
-  EXPECT_EQ(tb.c1().frequency(), tb.c1().dvfs().max_mhz);
+  EXPECT_EQ(tb.c1().frequency(), kDvfs.max_mhz);
 }
 
 TEST(FirstResponderTest, ResponsesIgnored) {
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
   tb.sim.run_until(TimePoint::at(10 * kMillisecond));  // hugely "late"
   RpcPacket p = request_to(tb, tb.c1(), TimePoint::origin());
@@ -110,7 +107,7 @@ TEST(FirstResponderTest, ResponsesIgnored) {
 
 TEST(FirstResponderTest, ClientPacketsIgnored) {
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
   tb.sim.run_until(TimePoint::at(10 * kMillisecond));
   RpcPacket p;
@@ -124,7 +121,7 @@ TEST(FirstResponderTest, UnknownTargetsIgnored) {
   ControllerTestbed tb;
   ControllerEnv env = tb.env();
   env.targets.per_container.erase(tb.c2().id());
-  FirstResponder fr(std::move(env), tb.network, no_margin());
+  FirstResponder fr(std::move(env), tb.network);
   fr.start();
   tb.sim.run_until(TimePoint::at(10 * kMillisecond));
   fr.on_packet(request_to(tb, tb.c2(), TimePoint::origin()));
@@ -132,34 +129,32 @@ TEST(FirstResponderTest, UnknownTargetsIgnored) {
 }
 
 TEST(FirstResponderTest, SlackMarginScalesThreshold) {
+  // Eq. 4 alone flags any packet older than the 200us expectation; the
+  // margin stretches the threshold to kSlackMargin x 200us.
   ControllerTestbed tb;
-  FirstResponder::Options opts = no_margin();
-  opts.slack_margin = 2.0;  // threshold becomes 400us
-  FirstResponder fr(tb.env(), tb.network, opts);
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
-  tb.sim.run_until(TimePoint::at(300 * kMicrosecond));
-  fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));  // 300us < 400us -> fine
+  tb.sim.run_until(TimePoint::at(kThreshold));
+  fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));  // on it -> fine
   EXPECT_EQ(fr.violations_detected(), 0u);
-  tb.sim.run_until(TimePoint::at(500 * kMicrosecond));
-  fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));  // 500us > 400us -> violation
+  tb.sim.run_until(TimePoint::at(kThreshold + Duration::ns(1)));
+  fr.on_packet(request_to(tb, tb.c1(), TimePoint::origin()));  // past it
   EXPECT_EQ(fr.violations_detected(), 1u);
 }
 
 TEST(FirstResponderTest, FreezeWindowDerivedFromE2eLatency) {
   ControllerTestbed tb;
-  FirstResponder::Options opts;
-  opts.freeze_window = Duration::zero();  // derive
-  opts.freeze_multiple = 2.0;  // 2x of the 500us profiled e2e
-  FirstResponder fr(tb.env(), tb.network, opts);
+  FirstResponder fr(tb.env(), tb.network);  // 500us profiled e2e
   fr.start();
-  EXPECT_EQ(fr.effective_freeze_window(), Duration::ms(1));
+  EXPECT_EQ(fr.effective_freeze_window(),
+            FirstResponder::kFreezeMultiple * Duration::us(500));
 }
 
 TEST(FirstResponderTest, HookedViaNetworkDelivery) {
   // End-to-end: a late packet delivered through the Network triggers the
   // hook without any manual on_packet call.
   ControllerTestbed tb;
-  FirstResponder fr(tb.env(), tb.network, no_margin());
+  FirstResponder fr(tb.env(), tb.network);
   fr.start();
   tb.network.register_client_receiver([](const RpcPacket&) {});
   tb.sim.run_until(TimePoint::at(1 * kMillisecond));

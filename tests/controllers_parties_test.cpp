@@ -91,8 +91,7 @@ TEST(PartiesTest, NeverStealsFromBusyContainer) {
 
 TEST(PartiesTest, FrequencyRampsOnViolators) {
   ControllerTestbed tb;
-  PartiesController::Options opts;
-  PartiesController parties(tb.env(300.0), opts);
+  PartiesController parties(tb.env(300.0));
   const FreqMhz f0 = tb.c1().frequency();
   tb.publish(tb.c1(), 600.0, 600.0);
   tb.publish(tb.c2(), 100.0, 100.0);
@@ -112,20 +111,19 @@ TEST(PartiesTest, FrequencyStepsDownWhenCalm) {
 
 TEST(PartiesTest, DownscaleNeedsSustainedSlack) {
   ControllerTestbed tb;
-  PartiesController::Options opts;
-  opts.downscale_hold = 3;
-  PartiesController parties(tb.env(300.0), opts);
+  PartiesController parties(tb.env(300.0));
   tb.c1().set_cores(6);
-  // Two slack intervals: not enough. (Simulated time advances between
-  // ticks so the busy-window revocation guard sees the container idle.)
-  for (int i = 0; i < 2; ++i) {
+  // One slack interval short of the hold: not enough. (Simulated time
+  // advances between ticks so the busy-window revocation guard sees the
+  // container idle.)
+  for (int i = 0; i < PartiesController::kDownscaleHold - 1; ++i) {
     tb.sim.run_until(tb.sim.now() + 500 * kMillisecond);
     tb.publish(tb.c1(), 100.0, 100.0);
     tb.publish(tb.c2(), 200.0, 200.0);
     parties.tick();
   }
   EXPECT_EQ(tb.c1().cores(), 6);
-  // Third interval crosses the hold.
+  // The next interval crosses the hold.
   tb.sim.run_until(tb.sim.now() + 500 * kMillisecond);
   tb.publish(tb.c1(), 100.0, 100.0);
   tb.publish(tb.c2(), 200.0, 200.0);
@@ -135,24 +133,31 @@ TEST(PartiesTest, DownscaleNeedsSustainedSlack) {
 
 TEST(PartiesTest, SlackStreakResetsOnViolation) {
   ControllerTestbed tb;
-  PartiesController::Options opts;
-  opts.downscale_hold = 2;
-  PartiesController parties(tb.env(300.0), opts);
+  PartiesController parties(tb.env(300.0));
   tb.c1().set_cores(6);
-  tb.publish(tb.c1(), 100.0, 100.0);
-  parties.tick();
+  // Slack intervals one short of the hold on both sides of a violation:
+  // together they would cross it, but the violation resets the streak.
+  const auto slack_ticks = [&] {
+    for (int i = 0; i < PartiesController::kDownscaleHold - 1; ++i) {
+      tb.sim.run_until(tb.sim.now() + 500 * kMillisecond);
+      tb.publish(tb.c1(), 100.0, 100.0);
+      parties.tick();
+    }
+  };
+  slack_ticks();
   tb.publish(tb.c1(), 600.0, 600.0);  // violation resets the streak
   parties.tick();
-  tb.publish(tb.c1(), 100.0, 100.0);
-  parties.tick();
-  EXPECT_GE(tb.c1().cores(), 6);  // no downscale yet (streak broken)
+  const int after_violation = tb.c1().cores();
+  // Undo the violation's frequency step so only the streak can block the
+  // downscale (a boosted container's slack does not count).
+  tb.c1().set_frequency(kDvfs.min_mhz);
+  slack_ticks();
+  EXPECT_EQ(tb.c1().cores(), after_violation);  // streak broken: no downscale
 }
 
 TEST(PartiesTest, StartSchedulesPeriodicTicks) {
   ControllerTestbed tb;
-  PartiesController::Options opts;
-  opts.interval = 500 * kMillisecond;
-  PartiesController parties(tb.env(300.0), opts);
+  PartiesController parties(tb.env(300.0));
   parties.start();
   tb.publish(tb.c1(), 900.0, 900.0);
   tb.sim.run_until(TimePoint::at(600 * kMillisecond));

@@ -135,6 +135,27 @@ TEST(ConfigMapTest, NonFiniteOrOverflowingDurationRejected) {
   EXPECT_EQ(cfg->drain, Duration::sec(9'000'000'000));
 }
 
+TEST(ConfigMapTest, OutOfRangeNumbersRejected) {
+  // An integer that does not fit its field is not truncated.
+  expect_rejected("nodes = 4294967297\n", "nodes", "4294967297");
+  expect_rejected("[retry]\nmax = 4294967296\n", "retry.max", "4294967296");
+  expect_rejected("seed = -1\n", "seed", "-1");
+  // Rates and multipliers must be finite and positive.
+  expect_rejected("rate_rps = nan\n", "rate_rps", "nan");
+  expect_rejected("rate_rps = -5\n", "rate_rps", "-5");
+  expect_rejected("target_mult = -1\n", "target_mult", "-1");
+  expect_rejected("qos_mult = nan\n", "qos_mult", "nan");
+  expect_rejected("qos_mult = inf\n", "qos_mult", "inf");
+  expect_rejected("target_mult = 0\n", "target_mult", "0");
+  // The edges of the ranges still parse.
+  const auto cfg = experiment_from_config(
+      parse("seed = 9223372036854775807\n[retry]\nmax = 2147483647\n"),
+      nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->seed, 9223372036854775807ull);
+  EXPECT_EQ(cfg->rpc_retry.max_retries, 2147483647);
+}
+
 TEST(ConfigMapTest, InvalidRetryPolicyRejected) {
   const auto rejects = [](const std::string& retry, const std::string& key) {
     std::string err;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/stats.hpp"
 #include "core/sweep.hpp"
 
@@ -128,11 +130,49 @@ TEST(ExperimentTest, PatternOverrideUsed) {
               cfg.workload.base_rate_rps * 0.02);
 }
 
-TEST(ExperimentTest, LatencySeriesRecorded) {
-  ExperimentConfig cfg = short_config(ControllerKind::kStatic);
-  cfg.record_latency_series = true;
-  const ExperimentResult r = run_experiment(cfg);
-  EXPECT_FALSE(r.latency_series.empty());
+TEST(ExperimentTest, Fig15VariantsWireEscalatorOptions) {
+  // Fig. 15's middle bars run Escalator with one mechanism switched off, at
+  // Parties' 500 ms cadence; the full Escalator ticks every 100 ms. Read
+  // the wiring back from the decision audit of short traced surges.
+  const ProfileResult profile = profile_workload(make_chain(), 1);
+  struct Audit {
+    int decisions = 0;
+    int stamps = 0;
+    int off_500ms = 0;  // decisions not on a multiple of 500 ms
+    int off_100ms = 0;
+  };
+  const auto audit = [&](ControllerKind kind) {
+    ExperimentConfig cfg = short_config(kind);
+    cfg.warmup = 1_s;
+    cfg.duration = 3_s;
+    cfg.surge_period = 2_s;
+    cfg.trace_enabled = true;
+    cfg.trace_sample = 0.0;  // the decision audit only
+    cfg.trace_keep_violators = false;
+    const ExperimentResult r = run_experiment(cfg, profile);
+    Audit out;
+    for (const DecisionEvent& d : r.trace->decisions) {
+      if (std::string_view(d.controller) != "escalator") continue;
+      ++out.decisions;
+      if (d.kind == DecisionKind::kUpscaleStamp) ++out.stamps;
+      if (d.at.since_origin() % 500_ms != Duration::zero()) ++out.off_500ms;
+      if (d.at.since_origin() % 100_ms != Duration::zero()) ++out.off_100ms;
+    }
+    return out;
+  };
+
+  const Audit sens_only = audit(ControllerKind::kEscalatorSensOnly);
+  EXPECT_GT(sens_only.decisions, 0);
+  EXPECT_EQ(sens_only.stamps, 0);  // Parties' metric: no queueBuildup hints
+  EXPECT_EQ(sens_only.off_500ms, 0);
+
+  const Audit metrics_only = audit(ControllerKind::kEscalatorMetricsOnly);
+  EXPECT_GT(metrics_only.stamps, 0);
+  EXPECT_EQ(metrics_only.off_500ms, 0);
+
+  const Audit full = audit(ControllerKind::kEscalator);
+  EXPECT_GT(full.off_500ms, 0);
+  EXPECT_EQ(full.off_100ms, 0);
 }
 
 TEST(ExperimentTest, MakePatternDerivesSurges) {

@@ -180,11 +180,11 @@ TEST(EdgeCaseTest, FrequencyBoundsRespectedUnderSpam) {
   for (int i = 0; i < 100; ++i) {
     c.set_frequency(c.frequency() + 500);
   }
-  EXPECT_EQ(c.frequency(), c.dvfs().max_mhz);
+  EXPECT_EQ(c.frequency(), kDvfs.max_mhz);
   for (int i = 0; i < 100; ++i) {
     c.set_frequency(c.frequency() - 500);
   }
-  EXPECT_EQ(c.frequency(), c.dvfs().min_mhz);
+  EXPECT_EQ(c.frequency(), kDvfs.min_mhz);
 }
 
 }  // namespace

@@ -63,14 +63,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PsConservationTest,
 // simple all-max case.
 TEST(PsConservationTest, FrequencyScalesDeliveredWork) {
   Simulator sim(9);
-  DvfsModel dvfs;
   Container::Params params;
   params.name = "freq";
   params.initial_cores = 1;
-  params.dvfs = dvfs;
   Container c(sim, std::move(params));
-  c.set_frequency(dvfs.max_mhz);
-  const double speed = dvfs.speed(dvfs.max_mhz);
+  c.set_frequency(kDvfs.max_mhz);
+  const double speed = kDvfs.speed(kDvfs.max_mhz);
   c.submit(1'000'000.0, []() {});
   sim.run_to_completion();
   c.sync();

@@ -13,8 +13,16 @@ file(WRITE ${WORK_DIR}/backoff.cfg
 file(WRITE ${WORK_DIR}/timeout.cfg "workload = chain\n[retry]\ntimeout_ms = 1e20\n")
 file(WRITE ${WORK_DIR}/longest.cfg
      "workload = chain\n[retry]\nenabled = true\ntimeout_ms = 1000\nbackoff = 10\nmax = 20\n")
+file(WRITE ${WORK_DIR}/nodes_wide.cfg "workload = chain\nnodes = 4294967297\n")
+file(WRITE ${WORK_DIR}/max_wide.cfg "workload = chain\n[retry]\nmax = 4294967296\n")
+file(WRITE ${WORK_DIR}/seed.cfg "workload = chain\nseed = -1\n")
+file(WRITE ${WORK_DIR}/rate_nan.cfg "workload = chain\nrate_rps = nan\n")
+file(WRITE ${WORK_DIR}/rate_neg.cfg "workload = chain\nrate_rps = -5\n")
+file(WRITE ${WORK_DIR}/target.cfg "workload = chain\ntarget_mult = -1\n")
+file(WRITE ${WORK_DIR}/qos.cfg "workload = chain\nqos_mult = nan\n")
 
 # Each case: config file, then the name the error must mention, then flags.
+# A range error must name the value and the key.
 set(cases
   "valid.cfg|--trace-sample|--trace-sample abc"
   "valid.cfg|--trace-sample|--trace-sample 1.5"
@@ -23,7 +31,14 @@ set(cases
   "trace.cfg|trace.enabled|"
   "backoff.cfg|retry.backoff|"
   "timeout.cfg|retry.timeout_ms|"
-  "longest.cfg|retry.max|")
+  "longest.cfg|retry.max|"
+  "nodes_wide.cfg|'4294967297' for key 'nodes'|"
+  "max_wide.cfg|'4294967296' for key 'retry.max'|"
+  "seed.cfg|'-1' for key 'seed'|"
+  "rate_nan.cfg|'nan' for key 'rate_rps'|"
+  "rate_neg.cfg|'-5' for key 'rate_rps'|"
+  "target.cfg|'-1' for key 'target_mult'|"
+  "qos.cfg|'nan' for key 'qos_mult'|")
 foreach(case IN LISTS cases)
   string(REGEX MATCH "^([^|]*)\\|([^|]*)\\|(.*)$" fields "${case}")
   set(config ${CMAKE_MATCH_1})
