@@ -41,16 +41,6 @@ Deployment Deployment::single_node(const AppSpec& spec, NodeId node,
   return d;
 }
 
-Deployment Deployment::round_robin(const AppSpec& spec, int node_count,
-                                   int cores_per_service) {
-  Deployment d;
-  d.node_of_service.resize(spec.services.size());
-  for (std::size_t i = 0; i < spec.services.size(); ++i)
-    d.node_of_service[i] = static_cast<NodeId>(i % static_cast<std::size_t>(node_count));
-  d.initial_cores.assign(spec.services.size(), cores_per_service);
-  return d;
-}
-
 Application::Application(Cluster& cluster, Network& network,
                          MetricsPlane& metrics, AppSpec spec,
                          const Deployment& deployment, RpcRetryPolicy retry)

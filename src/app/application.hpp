@@ -48,9 +48,6 @@ struct Deployment {
   /// All services on one node.
   static Deployment single_node(const AppSpec& spec, NodeId node,
                                 int cores_per_service);
-  /// Round-robin across `node_count` nodes.
-  static Deployment round_robin(const AppSpec& spec, int node_count,
-                                int cores_per_service);
 };
 
 /// Timeout/retry policy for RPCs (paper testbeds run Thrift/gRPC, both of

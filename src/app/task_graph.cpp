@@ -70,13 +70,6 @@ int AppSpec::depth() const {
   return services.empty() ? 0 : go(0);
 }
 
-int AppSpec::edge_count() const {
-  int edges = 0;
-  for (const ServiceSpec& s : services)
-    edges += static_cast<int>(s.children.size());
-  return edges;
-}
-
 double AppSpec::estimate_subtree_latency_ns(int service,
                                             double net_hop_ns) const {
   const ServiceSpec& s = services[static_cast<std::size_t>(service)];
@@ -91,11 +84,6 @@ double AppSpec::estimate_subtree_latency_ns(int service,
   const double child_time =
       s.fanout == FanoutMode::kParallel ? child_max : child_total;
   return s.work_ns_mean + child_time + s.post_work_ns_mean;
-}
-
-double AppSpec::estimate_e2e_latency_ns(double net_hop_ns) const {
-  if (services.empty()) return 0.0;
-  return 2.0 * net_hop_ns + estimate_subtree_latency_ns(0, net_hop_ns);
 }
 
 std::vector<std::vector<int>> AppSpec::autosize_pools(double rate_rps,

@@ -90,13 +90,6 @@ struct AppSpec {
   /// Depth" counts services, so a 5-service chain has depth 5).
   int depth() const;
 
-  /// Total number of RPC edges.
-  int edge_count() const;
-
-  /// Estimated end-to-end latency at zero load: CPU works plus two network
-  /// hops per edge (used for pool autosizing and sanity checks).
-  double estimate_e2e_latency_ns(double net_hop_ns) const;
-
   /// Estimated zero-load subtree latency of one service (own work +
   /// children round-trips).
   double estimate_subtree_latency_ns(int service, double net_hop_ns) const;

@@ -21,7 +21,6 @@ class ConnectionPool {
   explicit ConnectionPool(int capacity) : capacity_(capacity), free_(capacity) {}
 
   bool unbounded() const { return capacity_ < 0; }
-  int capacity() const { return capacity_; }
 
   /// Connections currently held.
   int in_use() const { return in_use_; }

@@ -48,11 +48,6 @@ const Container& Cluster::container(ContainerId id) const {
   return *containers_[static_cast<std::size_t>(id)];
 }
 
-Container* Cluster::find_container(const std::string& name) {
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : containers_[static_cast<std::size_t>(it->second)].get();
-}
-
 void Cluster::sync_all() {
   for (auto& c : containers_) c->sync();
 }

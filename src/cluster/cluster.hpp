@@ -38,7 +38,6 @@ class Cluster {
 
   Container& container(ContainerId id);
   const Container& container(ContainerId id) const;
-  Container* find_container(const std::string& name);
   std::size_t container_count() const { return containers_.size(); }
 
   const std::vector<std::unique_ptr<Container>>& containers() const {

@@ -38,9 +38,7 @@ void Container::advance() {
   if (dt <= Duration::zero()) return;
   const double busy = busy_cores();
   if (busy > 0.0) {
-    energy_joules_ +=
-        kEnergy.energy(busy, Freq::mhz(freq_), Freq::mhz(kDvfs.ref_mhz), dt)
-            .joules();
+    energy_joules_ += kEnergy.energy(busy, freq_, dt);
     busy_core_seconds_ += busy * dt.seconds();
     // busy / N == min(1, cores/N): the common per-job core share.
     share_integral_ns_ += static_cast<double>(dt.ns()) * busy /

@@ -7,8 +7,6 @@
 // with frequency relative to the reference.
 #pragma once
 
-#include <vector>
-
 #include "common/assert.hpp"
 
 namespace sg {
@@ -45,17 +43,6 @@ struct DvfsModel {
     SG_ASSERT(ref_mhz > 0);
     const double rel = static_cast<double>(f) / static_cast<double>(ref_mhz);
     return 1.0 + scaling_efficiency * (rel - 1.0);
-  }
-
-  /// Number of discrete levels.
-  int levels() const { return (max_mhz - min_mhz) / step_mhz + 1; }
-
-  /// All levels, ascending.
-  std::vector<FreqMhz> level_list() const {
-    std::vector<FreqMhz> out;
-    out.reserve(static_cast<std::size_t>(levels()));
-    for (FreqMhz f = min_mhz; f <= max_mhz; f += step_mhz) out.push_back(f);
-    return out;
   }
 };
 

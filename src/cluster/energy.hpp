@@ -29,18 +29,18 @@ struct EnergyModel {
   double allocated_idle_watts = 1.2;
 
   /// Power of one busy core at frequency f (idle power is excluded, as the
-  /// paper subtracts idle energy). The frequency ratio is dimensionless
-  /// (Freq / Freq), so the formula cannot silently mix Hz with MHz.
-  double busy_core_watts(Freq f, Freq ref) const {
-    const double rel = f / ref;
+  /// paper subtracts idle energy). Both sides of the frequency ratio are
+  /// integer MHz, so the formula cannot silently mix Hz with MHz.
+  double busy_core_watts(FreqMhz f) const {
+    const double rel =
+        static_cast<double>(f) / static_cast<double>(kDvfs.ref_mhz);
     return static_watts_per_core +
            dynamic_watts_at_ref * std::pow(rel, freq_exponent);
   }
 
-  /// Energy for `busy_cores` cores running `dt` at frequency f.
-  Energy energy(double busy_cores, Freq f, Freq ref, Duration dt) const {
-    return Energy::joules(busy_core_watts(f, ref) * busy_cores *
-                          dt.seconds());
+  /// Energy in joules for `busy_cores` cores running `dt` at frequency f.
+  double energy(double busy_cores, FreqMhz f, Duration dt) const {
+    return busy_core_watts(f) * busy_cores * dt.seconds();
   }
 };
 

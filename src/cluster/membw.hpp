@@ -60,8 +60,6 @@ class MemBwDomain {
   /// Recomputes the factor and resynchronizes every member if it moved.
   void on_member_activity_changed();
 
-  const Params& params() const { return params_; }
-
  private:
   double compute_factor() const;
 

@@ -29,8 +29,6 @@ class Node {
   explicit Node(Params params);
 
   NodeId id() const { return params_.id; }
-  int total_logical_cores() const { return params_.total_logical_cores; }
-  int reserved_cores() const { return params_.reserved_cores; }
 
   /// Cores schedulable for application containers.
   int app_cores() const {

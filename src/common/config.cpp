@@ -119,31 +119,10 @@ void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
 }
 
-std::vector<std::string> Config::keys_with_prefix(
-    const std::string& prefix) const {
-  std::vector<std::string> out;
-  for (auto it = values_.lower_bound(prefix); it != values_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(it->first);
-  }
-  return out;
-}
-
 std::vector<std::string> Config::keys() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
-}
-
-std::string Config::to_string() const {
-  std::string out;
-  for (const auto& [k, v] : values_) {
-    out += k;
-    out += " = ";
-    out += v;
-    out += '\n';
-  }
   return out;
 }
 

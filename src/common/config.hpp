@@ -43,16 +43,10 @@ class Config {
 
   void set(const std::string& key, const std::string& value);
 
-  /// All keys with the given prefix (e.g. "service." for per-service blocks).
-  std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
-
   /// Every key, sorted (validation passes enumerate against a known set).
   std::vector<std::string> keys() const;
 
   std::size_t size() const { return values_.size(); }
-
-  /// Serializes back to `key = value` lines (sorted by key).
-  std::string to_string() const;
 
  private:
   std::map<std::string, std::string> values_;

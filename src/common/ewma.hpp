@@ -25,25 +25,15 @@ class Ewma {
     } else {
       value_ = alpha_ * value_ + (1.0 - alpha_) * sample;
     }
-    ++count_;
   }
 
   bool initialized() const { return initialized_; }
   double value() const { return value_; }
-  long count() const { return count_; }
-  double alpha() const { return alpha_; }
-
-  void reset() {
-    value_ = 0.0;
-    initialized_ = false;
-    count_ = 0;
-  }
 
  private:
   double alpha_;
   double value_ = 0.0;
   bool initialized_ = false;
-  long count_ = 0;
 };
 
 /// Windowed mean: accumulates samples, then `take()` returns the mean and

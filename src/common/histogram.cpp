@@ -12,10 +12,9 @@ constexpr int kOctaves = 63;
 
 }  // namespace
 
-LatencyHistogram::LatencyHistogram(int sub_buckets_per_octave)
-    : sub_buckets_(sub_buckets_per_octave),
-      counts_(static_cast<std::size_t>(kOctaves) *
-              static_cast<std::size_t>(sub_buckets_per_octave)) {}
+LatencyHistogram::LatencyHistogram()
+    : counts_(static_cast<std::size_t>(kOctaves) *
+              static_cast<std::size_t>(kSubBuckets)) {}
 
 std::size_t LatencyHistogram::bucket_index(Duration v) const {
   if (v < kNanosecond) v = kNanosecond;
@@ -24,21 +23,21 @@ std::size_t LatencyHistogram::bucket_index(Duration v) const {
   // Position within the octave, in [0, 1).
   const double base = static_cast<double>(std::uint64_t{1} << octave);
   const double frac = (static_cast<double>(uv) - base) / base;
-  int sub = static_cast<int>(frac * sub_buckets_);
-  sub = std::clamp(sub, 0, sub_buckets_ - 1);
+  int sub = static_cast<int>(frac * kSubBuckets);
+  sub = std::clamp(sub, 0, kSubBuckets - 1);
   std::size_t idx = static_cast<std::size_t>(octave) *
-                        static_cast<std::size_t>(sub_buckets_) +
+                        static_cast<std::size_t>(kSubBuckets) +
                     static_cast<std::size_t>(sub);
   return std::min(idx, counts_.size() - 1);
 }
 
 Duration LatencyHistogram::bucket_value(std::size_t idx) const {
-  const auto octave = static_cast<int>(idx / static_cast<std::size_t>(sub_buckets_));
-  const auto sub = static_cast<int>(idx % static_cast<std::size_t>(sub_buckets_));
+  const auto octave = static_cast<int>(idx / static_cast<std::size_t>(kSubBuckets));
+  const auto sub = static_cast<int>(idx % static_cast<std::size_t>(kSubBuckets));
   const double base = std::ldexp(1.0, octave);
   // Midpoint of the sub-bucket.
   const double v = base * (1.0 + (static_cast<double>(sub) + 0.5) /
-                                     static_cast<double>(sub_buckets_));
+                                     static_cast<double>(kSubBuckets));
   return Duration{static_cast<std::int64_t>(v)};
 }
 
@@ -77,40 +76,6 @@ Duration LatencyHistogram::percentile(double p) const {
     }
   }
   return max_seen_;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  // Geometry must match for a bucketwise merge to be meaningful.
-  if (other.counts_.size() != counts_.size()) return;
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_count_ += other.total_count_;
-  min_seen_ = std::min(min_seen_, other.min_seen_);
-  max_seen_ = std::max(max_seen_, other.max_seen_);
-  sum_ += other.sum_;
-}
-
-void LatencyHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_count_ = 0;
-  min_seen_ = Duration::infinity();
-  max_seen_ = Duration::zero();
-  sum_ = 0.0;
-}
-
-std::uint64_t LatencyHistogram::count_at_or_above(Duration threshold) const {
-  std::uint64_t n = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > 0 && bucket_value(i) >= threshold) n += counts_[i];
-  }
-  return n;
-}
-
-std::vector<LatencyHistogram::Bucket> LatencyHistogram::nonzero_buckets() const {
-  std::vector<Bucket> out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > 0) out.push_back({bucket_value(i), counts_[i]});
-  }
-  return out;
 }
 
 }  // namespace sg

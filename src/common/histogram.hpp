@@ -14,9 +14,7 @@ namespace sg {
 
 class LatencyHistogram {
  public:
-  /// sub_buckets_per_octave controls resolution; 32 gives ~2.2% max relative
-  /// error, which is tighter than the run-to-run noise of any experiment.
-  explicit LatencyHistogram(int sub_buckets_per_octave = 32);
+  LatencyHistogram();
 
   /// Records one latency sample (values < 1ns clamp to the first bucket).
   void record(Duration latency);
@@ -35,30 +33,17 @@ class LatencyHistogram {
   Duration percentile(double p) const;
 
   Duration p50() const { return percentile(50.0); }
-  Duration p90() const { return percentile(90.0); }
   Duration p98() const { return percentile(98.0); }
   Duration p99() const { return percentile(99.0); }
-
-  /// Merges another histogram (must share bucket geometry).
-  void merge(const LatencyHistogram& other);
-
-  void reset();
-
-  /// Number of samples at or above the given threshold.
-  std::uint64_t count_at_or_above(Duration threshold) const;
-
-  /// One row per non-empty bucket: (representative latency, count).
-  struct Bucket {
-    Duration value;
-    std::uint64_t count;
-  };
-  std::vector<Bucket> nonzero_buckets() const;
 
  private:
   std::size_t bucket_index(Duration v) const;
   Duration bucket_value(std::size_t idx) const;
 
-  int sub_buckets_;
+  /// Resolution: 32 sub-buckets per octave give ~2.2% max relative error,
+  /// which is tighter than the run-to-run noise of any experiment.
+  static constexpr int kSubBuckets = 32;
+
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_count_ = 0;
   Duration min_seen_ = Duration::infinity();

@@ -58,12 +58,6 @@ class Rng {
   /// Forks an independent generator (distinct stream) for a sub-component.
   Rng fork();
 
-  // UniformRandomBitGenerator interface so <algorithm> shuffles work.
-  using result_type = std::uint64_t;
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return UINT64_MAX; }
-  result_type operator()() { return next_u64(); }
-
  private:
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;

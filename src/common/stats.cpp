@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace sg {
@@ -12,39 +11,6 @@ double mean(const std::vector<double>& xs) {
          static_cast<double>(xs.size());
 }
 
-double variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size());
-}
-
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
-
-double median(std::vector<double> xs) {
-  if (xs.empty()) return 0.0;
-  const std::size_t mid = xs.size() / 2;
-  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid),
-                   xs.end());
-  if (xs.size() % 2 == 1) return xs[mid];
-  const double hi = xs[mid];
-  std::nth_element(xs.begin(),
-                   xs.begin() + static_cast<std::ptrdiff_t>(mid - 1),
-                   xs.begin() + static_cast<std::ptrdiff_t>(mid));
-  return 0.5 * (xs[mid - 1] + hi);
-}
-
-double percentile_of(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  std::sort(xs.begin(), xs.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(xs.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  return xs[std::min(idx, xs.size() - 1)];
-}
-
 double trimmed_mean(std::vector<double> xs, std::size_t trim) {
   if (xs.empty()) return 0.0;
   if (2 * trim >= xs.size()) return mean(xs);
@@ -53,24 +19,6 @@ double trimmed_mean(std::vector<double> xs, std::size_t trim) {
   const auto last = xs.end() - static_cast<std::ptrdiff_t>(trim);
   return std::accumulate(first, last, 0.0) /
          static_cast<double>(std::distance(first, last));
-}
-
-double min_of(const std::vector<double>& xs) {
-  return xs.empty() ? 0.0 : *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(const std::vector<double>& xs) {
-  return xs.empty() ? 0.0 : *std::max_element(xs.begin(), xs.end());
-}
-
-double geometric_mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) return 0.0;
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
 }  // namespace sg

@@ -11,22 +11,9 @@
 namespace sg {
 
 double mean(const std::vector<double>& xs);
-double variance(const std::vector<double>& xs);   // population variance
-double stddev(const std::vector<double>& xs);
-double median(std::vector<double> xs);
-
-/// Percentile (nearest-rank) of the sample; p in [0, 100].
-double percentile_of(std::vector<double> xs, double p);
 
 /// Drops `trim` smallest and `trim` largest values, then averages the rest.
 /// If 2*trim >= xs.size(), falls back to the plain mean.
 double trimmed_mean(std::vector<double> xs, std::size_t trim = 1);
-
-/// min / max convenience (0 for empty input).
-double min_of(const std::vector<double>& xs);
-double max_of(const std::vector<double>& xs);
-
-/// Geometric mean of strictly positive values (0 if any value <= 0).
-double geometric_mean(const std::vector<double>& xs);
 
 }  // namespace sg

@@ -6,15 +6,16 @@
 //
 // The paper's slack math is signed mixed-unit arithmetic — exactly the kind
 // that breeds silent ns-vs-ms and timestamp-vs-duration bugs when everything
-// is a bare int64_t. Four strong types carry the dimension instead
+// is a bare int64_t. Two strong types carry the dimension instead
 // (DESIGN.md §8):
 //
 //   sg::Duration   — a span of simulated time (ns resolution)
 //   sg::TimePoint  — an instant, measured from simulation start
-//   sg::Freq       — a CPU frequency (Hz resolution, stored as double)
-//   sg::Energy     — an energy amount (joules, stored as double)
 //
-// All are zero-overhead wrappers: a single scalar member, every operation
+// Frequency is integer MHz (`FreqMhz`, cluster/cpu.hpp) so that DVFS levels
+// compare exactly; energy is `double` joules.
+//
+// Both types are zero-overhead wrappers: a single int64 member, every operation
 // constexpr and inline, no virtuals, trivially copyable. The allowed-ops
 // table is:
 //
@@ -22,9 +23,6 @@
 //   TimePoint ± Duration  → TimePoint     Duration + TimePoint  → TimePoint
 //   Duration  × scalar    → Duration      Duration / Duration   → double
 //   Duration  % Duration  → Duration
-//   Freq      × Duration  → double (cycles; commutes)
-//   Energy    / Duration  → double (watts)
-//   Energy    ± Energy    → Energy        Freq ± Freq           → Freq
 //
 // Everything else (TimePoint + TimePoint, scaling a TimePoint, comparing a
 // point with a duration, a bare integer where a quantity is expected, a
@@ -214,99 +212,6 @@ class TimePoint {
 
  private:
   std::int64_t ns_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Freq: a CPU frequency. Stored in Hz as double so MHz-grid arithmetic and
-// fractional scaling both stay exact enough (grid values are exact in
-// double up to 2^53 Hz).
-// ---------------------------------------------------------------------------
-
-class Freq {
- public:
-  constexpr Freq() = default;
-  explicit constexpr Freq(double hertz) : hz_(hertz) {}
-
-  static constexpr Freq hz(double v) { return Freq{v}; }
-  static constexpr Freq mhz(double v) { return Freq{v * 1e6}; }
-  static constexpr Freq ghz(double v) { return Freq{v * 1e9}; }
-
-  constexpr double hz() const { return hz_; }
-  constexpr double mhz() const { return hz_ / 1e6; }
-  constexpr double ghz() const { return hz_ / 1e9; }
-
-  friend constexpr Freq operator+(Freq a, Freq b) { return Freq{a.hz_ + b.hz_}; }
-  friend constexpr Freq operator-(Freq a, Freq b) { return Freq{a.hz_ - b.hz_}; }
-  friend constexpr Freq operator*(Freq f, double k) { return Freq{f.hz_ * k}; }
-  friend constexpr Freq operator*(double k, Freq f) { return f * k; }
-  friend constexpr Freq operator/(Freq f, double k) { return Freq{f.hz_ / k}; }
-  /// Ratio of two frequencies is dimensionless (DVFS speed scaling).
-  friend constexpr double operator/(Freq a, Freq b) { return a.hz_ / b.hz_; }
-  /// freq × time → cycles (dimensionless count).
-  friend constexpr double operator*(Freq f, Duration d) {
-    return f.hz_ * d.seconds();
-  }
-  friend constexpr double operator*(Duration d, Freq f) { return f * d; }
-
-  friend constexpr bool operator==(Freq a, Freq b) = default;
-  friend constexpr auto operator<=>(Freq a, Freq b) = default;
-
- private:
-  double hz_ = 0.0;
-};
-
-// ---------------------------------------------------------------------------
-// Energy: joules. Accumulated per container by the energy model; the
-// paper's controller comparison is on relative energy, so double precision
-// is the right representation (sums of many small increments).
-// ---------------------------------------------------------------------------
-
-class Energy {
- public:
-  constexpr Energy() = default;
-  explicit constexpr Energy(double j) : joules_(j) {}
-
-  static constexpr Energy zero() { return Energy{0.0}; }
-  static constexpr Energy joules(double v) { return Energy{v}; }
-
-  constexpr double joules() const { return joules_; }
-
-  constexpr Energy& operator+=(Energy e) {
-    joules_ += e.joules_;
-    return *this;
-  }
-  constexpr Energy& operator-=(Energy e) {
-    joules_ -= e.joules_;
-    return *this;
-  }
-
-  friend constexpr Energy operator+(Energy a, Energy b) {
-    return Energy{a.joules_ + b.joules_};
-  }
-  friend constexpr Energy operator-(Energy a, Energy b) {
-    return Energy{a.joules_ - b.joules_};
-  }
-  friend constexpr Energy operator*(Energy e, double k) {
-    return Energy{e.joules_ * k};
-  }
-  friend constexpr Energy operator*(double k, Energy e) { return e * k; }
-  friend constexpr Energy operator/(Energy e, double k) {
-    return Energy{e.joules_ / k};
-  }
-  /// energy ÷ time → power in watts.
-  friend constexpr double operator/(Energy e, Duration d) {
-    return e.joules_ / d.seconds();
-  }
-  /// Ratio of two energies is dimensionless.
-  friend constexpr double operator/(Energy a, Energy b) {
-    return a.joules_ / b.joules_;
-  }
-
-  friend constexpr bool operator==(Energy a, Energy b) = default;
-  friend constexpr auto operator<=>(Energy a, Energy b) = default;
-
- private:
-  double joules_ = 0.0;
 };
 
 }  // namespace sg

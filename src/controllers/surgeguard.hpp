@@ -28,7 +28,6 @@ class SurgeGuard final : public Controller {
   std::string name() const override { return "surgeguard"; }
   void start() override;
 
-  Escalator& escalator() { return *escalator_; }
   FirstResponder* first_responder() { return first_responder_.get(); }
 
  private:

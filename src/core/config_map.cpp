@@ -239,6 +239,14 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     if (!plan) return fail(fault_error);
     out.fault_plan = *plan;
   }
+  // A run with faults retries by default (a dropped packet would otherwise
+  // strand its request forever) and drains for 5 s past the measurement
+  // window so retried requests finish counting. Explicit retry.enabled and
+  // drain_s keys still win: the setters below overwrite these defaults.
+  if (!out.fault_plan.empty()) {
+    out.rpc_retry.enabled = true;
+    out.drain = 5 * kSecond;
+  }
   set("retry.enabled", out.rpc_retry.enabled);
   if (!set_truncated("retry.timeout_ms", 1e6, out.rpc_retry.timeout)) {
     return fail(range_error);

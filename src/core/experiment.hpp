@@ -105,12 +105,15 @@ struct ExperimentConfig {
 
   /// RPC retransmission policy applied to BOTH the application's child RPCs
   /// and the client's requests. Required for requests to survive packet
-  /// loss; leave disabled for fault-free runs.
+  /// loss; leave disabled for fault-free runs. experiment_from_config
+  /// enables it when a fault plan is set and retry.enabled is absent.
   RpcRetryPolicy rpc_retry;
 
   /// Extra time simulated after measure_end with the generator stopped, so
   /// retried requests drain before results are read. Chaos runs should set
-  /// this to at least the retry policy's worst-case backoff sum.
+  /// this to at least the retry policy's worst-case backoff sum;
+  /// experiment_from_config makes it 5 s when a fault plan is set and
+  /// drain_s is absent.
   Duration drain;
 
   /// IdealOracle detection delay (Fig. 4).

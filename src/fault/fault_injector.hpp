@@ -56,8 +56,6 @@ class FaultInjector final : public PacketFaultHook {
   /// cluster must agree on the node count.
   void arm(Network* net, Cluster* cluster);
 
-  const FaultPlan& plan() const { return plan_; }
-
   /// Observable fault footprint so far.
   FaultStats stats() const { return stats_; }
 

@@ -1,6 +1,5 @@
 #include "fault/fault_plan.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -228,12 +227,6 @@ bool FaultPlan::controller_stalled_at(TimePoint t) const {
     if (w.kind == FaultKind::kControllerStall && w.active_at(t)) return true;
   }
   return false;
-}
-
-TimePoint FaultPlan::horizon() const {
-  TimePoint h;
-  for (const FaultWindow& w : windows_) h = std::max(h, w.end);
-  return h;
 }
 
 }  // namespace sg

@@ -108,10 +108,6 @@ class FaultPlan {
   /// True when a kControllerStall window is active at t.
   bool controller_stalled_at(TimePoint t) const;
 
-  /// Last window end (the origin for an empty plan): the horizon a drain
-  /// must cover.
-  TimePoint horizon() const;
-
  private:
   std::vector<FaultWindow> windows_;
 };

@@ -22,14 +22,6 @@ class MetricsBus {
   /// Latest snapshot for a container (nullopt if never published).
   std::optional<MetricsSnapshot> latest(int container) const;
 
-  /// Containers that have ever published, in ascending id order.
-  std::vector<int> known_containers() const;
-
-  /// True when the latest snapshot for `container` is older than `now -
-  /// staleness`; controllers skip stale entries so an idle container does
-  /// not get judged on ancient data.
-  bool is_stale(int container, TimePoint now, Duration staleness) const;
-
  private:
   // Ordered map: controllers and exporters enumerate published containers,
   // and that order must be identical across runs (determinism rule D1).

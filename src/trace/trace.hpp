@@ -156,8 +156,6 @@ class TraceSink {
  public:
   explicit TraceSink(TraceOptions options);
 
-  const TraceOptions& options() const { return options_; }
-
   /// Deterministic head-sampling verdict for a request id (pure hash).
   bool head_sampled(RequestId id) const;
 

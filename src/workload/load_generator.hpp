@@ -50,7 +50,10 @@ struct LoadGenResults {
   std::uint64_t retries = 0;    // client retransmissions
   std::uint64_t dropped = 0;    // requests abandoned (retries exhausted)
   std::uint64_t duplicate_responses = 0;  // extra responses (dup faults)
-  std::uint64_t outstanding = 0;  // still in flight when results() was read
+  /// Requests issued but neither completed nor abandoned when results()
+  /// was read. Zero at drain is the request-conservation invariant:
+  /// issued == completed_total + dropped + outstanding.
+  std::uint64_t outstanding = 0;
   double violation_volume_ms_s = 0.0;
   double violation_duration_frac = 0.0;
   Duration p50;
@@ -85,18 +88,6 @@ class LoadGenerator {
   TimePoint measure_end() const {
     return TimePoint::at(options_.warmup + options_.duration);
   }
-
-  const LatencyHistogram& histogram() const { return histogram_; }
-  const LoadGenOptions& options() const { return options_; }
-
-  /// Requests issued but neither completed nor abandoned. Zero at drain is
-  /// the request-conservation invariant:
-  /// issued == completed_total + dropped + outstanding.
-  std::size_t outstanding() const { return outstanding_count_; }
-
-  std::uint64_t issued() const { return issued_; }
-  std::uint64_t completed_total() const { return completed_total_; }
-  std::uint64_t dropped() const { return dropped_; }
 
  private:
   struct Outstanding {

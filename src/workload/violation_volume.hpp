@@ -32,8 +32,6 @@ class ViolationVolumeTracker {
   /// Closes any open window (call once before reading results).
   void finalize(TimePoint now);
 
-  Duration qos() const { return qos_; }
-
   /// Violation volume over [t0, t1] in nanosecond·nanoseconds.
   double violation_volume_ns2(TimePoint t0, TimePoint t1) const;
 

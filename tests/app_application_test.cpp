@@ -234,12 +234,6 @@ TEST(ApplicationTest, MetricPublicationFlushesToBus) {
   EXPECT_GT(snap->window_end, TimePoint::origin());
 }
 
-TEST(ApplicationTest, DeploymentRoundRobinSpreads) {
-  AppSpec spec = chain_spec(4);
-  const Deployment d = Deployment::round_robin(spec, 2, 2);
-  EXPECT_EQ(d.node_of_service, (std::vector<NodeId>{0, 1, 0, 1}));
-}
-
 // Records the call id of every child-RPC request and response it sees, and
 // forwards the fate decision to an optional inner hook.
 struct CallIdRecorder final : PacketFaultHook {

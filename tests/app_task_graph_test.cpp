@@ -75,15 +75,14 @@ TEST(TaskGraphTest, DepthOfTreeIsLongestPath) {
   deep.name = "deep";
   spec.services = {root, left, mid, deep};
   EXPECT_EQ(spec.depth(), 3);
-  EXPECT_EQ(spec.edge_count(), 3);
 }
 
 TEST(TaskGraphTest, ZeroLoadLatencyEstimate) {
   AppSpec spec = two_service_chain();
-  // e2e = client hop*2 + workA + (2 hops + workB)
+  // root subtree = workA + (2 hops + workB)
   const double hop = 1000.0;
-  EXPECT_DOUBLE_EQ(spec.estimate_e2e_latency_ns(hop),
-                   2 * hop + 100 + 2 * hop + 200);
+  EXPECT_DOUBLE_EQ(spec.estimate_subtree_latency_ns(0, hop),
+                   100 + 2 * hop + 200);
 }
 
 TEST(TaskGraphTest, ParallelFanoutUsesMaxChild) {

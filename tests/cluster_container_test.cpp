@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -182,10 +183,23 @@ TEST(ContainerTest, EnergyChargedForBusyTime) {
   sim.run_to_completion();
   c->sync();
   // 1 core-second busy at ref frequency.
-  EXPECT_NEAR(c->energy_joules(),
-              kEnergy.busy_core_watts(Freq::mhz(kDvfs.ref_mhz),
-                                      Freq::mhz(kDvfs.ref_mhz)),
+  EXPECT_NEAR(c->energy_joules(), kEnergy.busy_core_watts(kDvfs.ref_mhz),
               0.01);
+}
+
+TEST(EnergyModelTest, WattsMatchHzRatioBitwise) {
+  // The reference is the power formula with both frequencies in Hz. Every
+  // DVFS level and its Hz value are exact in double, so the MHz ratio must
+  // round to the same double and the watts must match bit for bit.
+  for (FreqMhz f = kDvfs.min_mhz; f <= kDvfs.max_mhz; f += kDvfs.step_mhz) {
+    const double hz = static_cast<double>(f) * 1e6;
+    const double ref_hz = static_cast<double>(kDvfs.ref_mhz) * 1e6;
+    const double expected =
+        kEnergy.static_watts_per_core +
+        kEnergy.dynamic_watts_at_ref *
+            std::pow(hz / ref_hz, kEnergy.freq_exponent);
+    EXPECT_EQ(kEnergy.busy_core_watts(f), expected) << f << " MHz";
+  }
 }
 
 TEST(ContainerTest, IdleAllocatedCoresDrawPower) {

@@ -101,9 +101,8 @@ TEST(ClusterTest, LookupByNameAndId) {
   Cluster cluster(sim);
   cluster.add_node();
   Container& a = cluster.add_container("svc/a", 0, 2);
-  EXPECT_EQ(cluster.find_container("svc/a"), &a);
-  EXPECT_EQ(cluster.find_container("missing"), nullptr);
   EXPECT_EQ(&cluster.container(a.id()), &a);
+  EXPECT_EQ(cluster.container(a.id()).name(), "svc/a");
   EXPECT_EQ(cluster.container_count(), 1u);
 }
 

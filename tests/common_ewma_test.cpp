@@ -37,21 +37,6 @@ TEST(EwmaTest, AlphaZeroTracksLast) {
   EXPECT_DOUBLE_EQ(e.value(), 999.0);
 }
 
-TEST(EwmaTest, CountsSamples) {
-  Ewma e;
-  for (int i = 0; i < 7; ++i) e.add(1.0);
-  EXPECT_EQ(e.count(), 7);
-}
-
-TEST(EwmaTest, ResetClears) {
-  Ewma e;
-  e.add(5.0);
-  e.reset();
-  EXPECT_FALSE(e.initialized());
-  EXPECT_EQ(e.count(), 0);
-  EXPECT_DOUBLE_EQ(e.value(), 0.0);
-}
-
 TEST(EwmaTest, ConvergesToConstantInput) {
   Ewma e(0.5);
   e.add(0.0);

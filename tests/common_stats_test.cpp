@@ -11,29 +11,6 @@ TEST(StatsTest, MeanBasics) {
   EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
 }
 
-TEST(StatsTest, VarianceAndStddev) {
-  EXPECT_DOUBLE_EQ(variance({}), 0.0);
-  EXPECT_DOUBLE_EQ(variance({4.0}), 0.0);
-  EXPECT_DOUBLE_EQ(variance({2.0, 4.0}), 1.0);
-  EXPECT_DOUBLE_EQ(stddev({2.0, 4.0}), 1.0);
-}
-
-TEST(StatsTest, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(median({}), 0.0);
-  EXPECT_DOUBLE_EQ(median({3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-}
-
-TEST(StatsTest, PercentileNearestRank) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 50), 50.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 98), 98.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 100), 100.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 0), 1.0);
-}
-
 TEST(StatsTest, TrimmedMeanDropsExtremes) {
   // The paper's protocol: 17 points, drop best and worst, average 15.
   std::vector<double> xs;
@@ -50,20 +27,6 @@ TEST(StatsTest, TrimmedMeanFallsBackWhenOvertrimmed) {
 
 TEST(StatsTest, TrimmedMeanZeroTrimIsMean) {
   EXPECT_DOUBLE_EQ(trimmed_mean({1.0, 2.0, 3.0}, 0), 2.0);
-}
-
-TEST(StatsTest, MinMax) {
-  EXPECT_DOUBLE_EQ(min_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(max_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(min_of({3.0, -1.0, 2.0}), -1.0);
-  EXPECT_DOUBLE_EQ(max_of({3.0, -1.0, 2.0}), 3.0);
-}
-
-TEST(StatsTest, GeometricMean) {
-  EXPECT_DOUBLE_EQ(geometric_mean({}), 0.0);
-  EXPECT_NEAR(geometric_mean({2.0, 8.0}), 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(geometric_mean({2.0, 0.0}), 0.0);   // non-positive input
-  EXPECT_DOUBLE_EQ(geometric_mean({2.0, -3.0}), 0.0);
 }
 
 }  // namespace

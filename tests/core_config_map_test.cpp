@@ -182,6 +182,46 @@ TEST(ConfigMapTest, InvalidRetryPolicyRejected) {
       parse("[retry]\nenabled = false\nbackoff = nan\n"), nullptr));
 }
 
+constexpr const char* kDropPlan =
+    "[fault]\nplan = drop:start_ms=1500,len_ms=1000,rate=0.1\n";
+
+TEST(ConfigMapTest, FaultPlanEnablesRetryAndDrain) {
+  std::string err;
+  const auto cfg = experiment_from_config(parse(kDropPlan), &err);
+  ASSERT_TRUE(cfg.has_value()) << err;
+  EXPECT_FALSE(cfg->fault_plan.empty());
+  EXPECT_TRUE(cfg->rpc_retry.enabled);
+  EXPECT_EQ(cfg->drain, 5 * kSecond);
+  // The policy the plan enables is validated like an explicit one.
+  EXPECT_FALSE(experiment_from_config(
+      parse(std::string(kDropPlan) + "[retry]\ntimeout_ms = 0\n"), &err));
+  EXPECT_NE(err.find("retry.timeout_ms"), std::string::npos) << err;
+}
+
+TEST(ConfigMapTest, ExplicitRetryAndDrainKeysWin) {
+  std::string err;
+  const auto cfg = experiment_from_config(
+      parse("drain_s = 0\n" + std::string(kDropPlan) +
+            "[retry]\nenabled = false\n"),
+      &err);
+  ASSERT_TRUE(cfg.has_value()) << err;
+  EXPECT_FALSE(cfg->fault_plan.empty());
+  EXPECT_FALSE(cfg->rpc_retry.enabled);
+  EXPECT_EQ(cfg->drain, Duration::zero());
+}
+
+TEST(ConfigMapTest, NoFaultPlanKeepsRetryAndDrainDefaults) {
+  const ExperimentConfig defaults;
+  for (const char* text : {"", "[fault]\nplan =\n"}) {
+    std::string err;
+    const auto cfg = experiment_from_config(parse(text), &err);
+    ASSERT_TRUE(cfg.has_value()) << err;
+    EXPECT_TRUE(cfg->fault_plan.empty()) << text;
+    EXPECT_FALSE(cfg->rpc_retry.enabled) << text;
+    EXPECT_EQ(cfg->drain, defaults.drain) << text;
+  }
+}
+
 TEST(ConfigMapTest, RateOverride) {
   const auto cfg =
       experiment_from_config(parse("workload = chain\nrate_rps = 5000"), nullptr);

@@ -208,7 +208,6 @@ TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {
   const auto plan = FaultPlan::parse("", &error);
   ASSERT_TRUE(plan.has_value()) << error;
   EXPECT_TRUE(plan->empty());
-  EXPECT_EQ(plan->horizon(), TimePoint::origin());
 }
 
 TEST(FaultPlanTest, OverlappingDropWindowsCompose) {
@@ -222,7 +221,6 @@ TEST(FaultPlanTest, OverlappingDropWindowsCompose) {
   EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(7 * kMillisecond)), 0.75);
   EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(12 * kMillisecond)), 0.5);
   EXPECT_DOUBLE_EQ(plan->drop_rate_at(TimePoint::at(20 * kMillisecond)), 0.0);
-  EXPECT_EQ(plan->horizon(), TimePoint::at(15 * kMillisecond));
 }
 
 TEST(FaultPlanTest, DelayWindowsAdd) {

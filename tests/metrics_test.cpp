@@ -112,28 +112,6 @@ TEST(MetricsBusTest, LatestOverwrites) {
   EXPECT_EQ(bus.latest(1)->window_end, TimePoint{200});
 }
 
-TEST(MetricsBusTest, StalenessDetection) {
-  MetricsBus bus;
-  // Never published.
-  EXPECT_TRUE(bus.is_stale(1, TimePoint::origin(), Duration{100}));
-  MetricsSnapshot s;
-  s.container = 1;
-  s.window_end = TimePoint{1000};
-  bus.publish(s);
-  EXPECT_FALSE(bus.is_stale(1, TimePoint{1050}, Duration{100}));
-  EXPECT_TRUE(bus.is_stale(1, TimePoint{1200}, Duration{100}));
-}
-
-TEST(MetricsBusTest, KnownContainers) {
-  MetricsBus bus;
-  for (int id : {3, 1, 2}) {
-    MetricsSnapshot s;
-    s.container = id;
-    bus.publish(s);
-  }
-  EXPECT_EQ(bus.known_containers().size(), 3u);
-}
-
 TEST(MetricsPlaneTest, PerNodeBuses) {
   MetricsPlane plane(2);
   MetricsSnapshot s;

@@ -50,7 +50,7 @@ void print_usage(const char* argv0, std::FILE* out) {
                "  --quiet            suppress setup/progress output "
                "(results still print)\n"
                "  --fault-plan SPEC  override fault.plan with a chaos "
-               "schedule (drop/dup/delay/slow/freeze/part windows)\n"
+               "schedule (drop/dup/delay/slow/freeze/stall windows)\n"
                "  --trace            enable per-request tracing "
                "(overrides trace.enabled)\n"
                "  --trace-sample R   head-sampling rate in [0, 1] "
@@ -64,8 +64,6 @@ void print_usage(const char* argv0, std::FILE* out) {
 void print_histogram(const LoadGenResults& results) {
   std::printf("\nLatency distribution (wrk2-style):\n");
   TablePrinter table({"percentile", "latency"});
-  // LoadGenResults carries the headline percentiles; the full histogram is
-  // accessible programmatically via LoadGenerator::histogram().
   table.add_row({"50.000%", format_time(results.p50)});
   table.add_row({"98.000%", format_time(results.p98)});
   table.add_row({"99.000%", format_time(results.p99)});
@@ -119,23 +117,16 @@ int main(int argc, char** argv) {
   }
 
   std::string error;
-  const auto file_cfg = Config::load(argv[1], &error);
+  auto file_cfg = Config::load(argv[1], &error);
   if (!file_cfg) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
+  if (fault_spec != nullptr) file_cfg->set("fault.plan", fault_spec);
   auto cfg = experiment_from_config(*file_cfg, &error);
   if (!cfg) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
-  }
-  if (fault_spec != nullptr) {
-    const auto plan = FaultPlan::parse(fault_spec, &error);
-    if (!plan) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 2;
-    }
-    cfg->fault_plan = *plan;
   }
   // Trace flags override the config file's trace.* keys; providing a sample
   // rate or an output path implies --trace.
@@ -156,13 +147,6 @@ int main(int argc, char** argv) {
   const std::string trace_path =
       trace_out != nullptr ? trace_out
                            : file_cfg->get_string("trace.out", "trace.json");
-  if (!cfg->fault_plan.empty()) {
-    // Chaos runs retry by default (a dropped packet would otherwise strand
-    // its request forever) and drain past the last fault window. Explicit
-    // config keys still win.
-    if (!file_cfg->has("retry.enabled")) cfg->rpc_retry.enabled = true;
-    if (!file_cfg->has("drain_s")) cfg->drain = 5 * kSecond;
-  }
 
   if (!quiet) {
     std::printf("workload:   %s @ %.0f rps (%s, %s)\n",
