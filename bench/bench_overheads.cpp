@@ -15,6 +15,8 @@
 #include "controllers/surgeguard.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "trace/export.hpp"
+#include "trace/trace.hpp"
 #include "workload/load_generator.hpp"
 
 namespace sg {
@@ -229,6 +231,73 @@ void BM_ApplicationRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ApplicationRequest);
+
+/// Spans per traced request, about what a readUserTimeline request records.
+constexpr int kSpansPerRequest = 24;
+
+/// Records one request whose spans cycle through the four kinds on 12
+/// containers.
+void record_request(TraceSink& sink, RequestId id, TimePoint& t) {
+  sink.begin_request(id, t);
+  TraceSpan span;
+  span.request_id = id;
+  for (int k = 0; k < kSpansPerRequest; ++k) {
+    span.kind = static_cast<SpanKind>(k % 4);
+    span.container = k % 12;
+    span.src_container = (k + 11) % 12;
+    span.is_response = k % 8 == 3;
+    span.begin = t;
+    t += Duration::us(10);
+    span.end = t;
+    span.cpu_served_ns = 7'500.0 + k;
+    span.boost_active_ns = 1'250.5 * k;
+    sink.add_span(span);
+  }
+  sink.end_request(id, t, Duration::us(10 * kSpansPerRequest));
+}
+
+void BM_TraceSinkSteadyState(benchmark::State& state) {
+  // Host time per traced request once the kept-trace ring is full, so each
+  // completion evicts the oldest trace (simbench's trace.span_ns samples
+  // never fill the ring).
+  const TraceOptions opts;
+  TraceSink sink(opts);
+  RequestId id = 0;
+  TimePoint t;
+  for (std::size_t i = 0; i < 2 * opts.capacity; ++i) {
+    record_request(sink, ++id, t);
+  }
+  for (auto _ : state) record_request(sink, ++id, t);
+  SG_ASSERT(sink.kept_count() == opts.capacity);
+  state.SetItemsProcessed(state.iterations() * kSpansPerRequest);
+}
+BENCHMARK(BM_TraceSinkSteadyState);
+
+void BM_ChromeTraceJson(benchmark::State& state) {
+  // The Chrome-JSON export of a full default ring: 4 096 traces of 24 spans.
+  const TraceOptions opts;
+  TraceSink sink(opts);
+  RequestId id = 0;
+  TimePoint t;
+  for (std::size_t i = 0; i < opts.capacity; ++i) {
+    record_request(sink, ++id, t);
+  }
+  std::vector<TraceContainerInfo> info;
+  for (int c = 0; c < 12; ++c) {
+    info.push_back({c, 0, "socialNetwork/service-" + std::to_string(c)});
+  }
+  sink.set_container_info(std::move(info));
+  const TraceReport report = sink.report();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = chrome_trace_json(report);
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_ChromeTraceJson)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatedSecondThroughput(benchmark::State& state) {
   // Events per wall-second for a realistic full testbed: the number that

@@ -204,8 +204,11 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     return fail("invalid timing");
   }
 
-  // Multipliers and the base-rate override (the wrk2 -rate knob).
-  for (const char* key : {"qos_mult", "target_mult", "rate_rps"}) {
+  // Multipliers, memory bandwidths and the base-rate override (the wrk2
+  // -rate knob).
+  for (const char* key :
+       {"qos_mult", "target_mult", "rate_rps", "surge.mult",
+        "membw.node_bw_gbs", "membw.demand_per_core_gbs"}) {
     const auto v = cfg.try_get_double(key);
     if (v && !(std::isfinite(*v) && *v > 0)) {
       invalid(key, "must be finite and > 0");
@@ -222,8 +225,6 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
       !set_rounded("surge.period_s", 1.0, out.surge_period)) {
     return fail(range_error);
   }
-  // Range checks on doubles are written negated so a NaN fails them too.
-  if (!(out.surge_mult > 0)) return fail("surge.mult must be positive");
 
   if (!set_truncated("netdelay.extra_us", 1e3, out.net_delay_extra) ||
       !set_rounded("netdelay.len_ms", 1e3, out.net_delay_len) ||
@@ -268,11 +269,11 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   if (!set_rounded("drain_s", 1.0, out.drain)) return fail(range_error);
   if (out.drain < Duration::zero()) return fail("drain_s must be >= 0");
 
-  if (cfg.has("membw.node_bw_gbs")) {
+  // Either [membw] key enables the domain; the other keeps its default.
+  if (cfg.has("membw.node_bw_gbs") || cfg.has("membw.demand_per_core_gbs")) {
     MemBwDomain::Params bw;
     set("membw.node_bw_gbs", bw.node_bw_gbs);
     set("membw.demand_per_core_gbs", bw.demand_per_busy_core_gbs);
-    if (!(bw.node_bw_gbs > 0)) return fail("membw.node_bw_gbs must be positive");
     out.membw = bw;
   }
 

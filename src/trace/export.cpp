@@ -1,11 +1,16 @@
 #include "trace/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <numeric>
+#include <string_view>
+#include <system_error>
 
+#include "common/assert.hpp"
 #include "common/csv.hpp"
 
 namespace sg {
@@ -36,27 +41,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Nanoseconds -> microseconds with exact 3-decimal precision (integer
-/// arithmetic: no float rounding, so output is byte-stable).
-std::string fmt_us(Duration d) {
-  const std::int64_t ns = d.ns();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  return buf;
-}
-
-std::string fmt_us(TimePoint p) { return fmt_us(p.since_origin()); }
-
-std::string fmt_us_d(double ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", ns / 1e3);
-  return buf;
-}
-
 /// Stable thread id for a container (client endpoint -1 maps to 1).
-long long tid_of(int container) { return container + 2; }
+long long tid_of(int container) { return container + 2LL; }
 
 std::map<int, std::string> name_map(const TraceReport& report) {
   std::map<int, std::string> names;
@@ -73,92 +59,221 @@ std::string name_of(const std::map<int, std::string>& names, int container) {
   return fallback;
 }
 
+// Upper bounds on what one JSON field or event writes, for the reservation.
+/// Any integer field, or an exact-µs value (16 digits, '.', 3 digits).
+constexpr std::size_t kNumberMax = 24;
+/// A "%.3f" value: sign, the 309 integer digits of DBL_MAX, '.', 3 digits.
+constexpr std::size_t kFixed3Max = 320;
+/// The literal text of any one event, numbers and names excluded.
+constexpr std::size_t kEventTextMax = 128;
+
+/// Bytes JsonWriter::fixed3 writes for `ns`: below 1e15 ns the value has
+/// at most 13 integer digits after rounding; NaN falls to the general case.
+std::size_t fixed3_bound(double ns) {
+  return std::fabs(ns) < 1e15 ? kNumberMax : kFixed3Max;
+}
+
+/// Appends JSON to one string the caller reserves up front. Numbers are
+/// written with std::to_chars, so nothing is formatted into temporaries.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::size_t reserve) { out_.reserve(reserve); }
+
+  JsonWriter& raw(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+
+  template <typename Int>
+  JsonWriter& integer(Int v) {
+    char buf[kNumberMax];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+
+  /// Non-negative nanoseconds as exact microseconds with three decimals
+  /// (integer arithmetic: no float rounding, so output is byte-stable).
+  JsonWriter& us(std::int64_t ns) {
+    SG_ASSERT(ns >= 0);
+    integer(ns / 1000);
+    const auto frac = static_cast<int>(ns % 1000);
+    const char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                            static_cast<char>('0' + frac / 10 % 10),
+                            static_cast<char>('0' + frac % 10)};
+    out_.append(digits, sizeof(digits));
+    return *this;
+  }
+
+  /// ns / 1e3 as printf's "%.3f" prints it: to_chars with a precision is
+  /// specified as printf-equivalent in the C locale.
+  JsonWriter& fixed3(double ns) {
+    char buf[kFixed3Max];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), ns / 1e3,
+                                 std::chars_format::fixed, 3);
+    SG_ASSERT(r.ec == std::errc{});
+    out_.append(buf, r.ptr);
+    return *this;
+  }
+
+  std::size_t size() const { return out_.size(); }
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+/// Container names, JSON-escaped once per export.
+class NameTable {
+ public:
+  explicit NameTable(const TraceReport& report) {
+    for (const auto& [id, name] : name_map(report)) {
+      escaped_.emplace(id, json_escape(name));
+    }
+  }
+
+  /// Escaped names in id order, for the thread metadata.
+  const std::map<int, std::string>& escaped() const { return escaped_; }
+
+  /// Bytes append() writes for `container`.
+  std::size_t bound(int container) const {
+    const auto it = escaped_.find(container);
+    return it != escaped_.end() ? it->second.size() : 1 + kNumberMax;
+  }
+
+  /// The escaped name, or "c<id>" for a container without one.
+  void append(JsonWriter& w, int container) const {
+    const auto it = escaped_.find(container);
+    if (it != escaped_.end()) {
+      w.raw(it->second);
+    } else {
+      w.raw("c").integer(container);
+    }
+  }
+
+ private:
+  std::map<int, std::string> escaped_;
+};
+
+/// An upper bound on the bytes chrome_trace_json writes for `report`.
+std::size_t chrome_trace_bound(const TraceReport& report,
+                               const NameTable& names) {
+  std::size_t bytes = 4 * kEventTextMax;  // envelope + process metadata
+  for (const auto& [id, name] : names.escaped()) {
+    bytes += 3 * (kEventTextMax + 2 * kNumberMax + name.size());
+  }
+  for (const RequestTrace& tr : report.traces) {
+    for (const TraceSpan& s : tr.spans) {
+      bytes += kEventTextMax + 4 * kNumberMax + names.bound(s.container) +
+               names.bound(s.src_container) + fixed3_bound(s.boost_active_ns) +
+               fixed3_bound(s.cpu_served_ns) +
+               fixed3_bound(static_cast<double>(s.wall().ns()) -
+                            s.cpu_served_ns);
+    }
+  }
+  for (const DecisionEvent& d : report.decisions) {
+    bytes += kEventTextMax + 4 * kNumberMax + std::strlen(d.controller) +
+             std::strlen(to_string(d.kind));
+  }
+  return bytes;
+}
+
 }  // namespace
 
 std::string chrome_trace_json(const TraceReport& report) {
-  const std::map<int, std::string> names = name_map(report);
-  std::string out;
-  out.reserve(1u << 16);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto event = [&](const std::string& body) {
-    if (!first) out += ',';
-    first = false;
-    out += '{';
-    out += body;
-    out += '}';
-  };
+  const NameTable names(report);
+  const std::size_t bound = chrome_trace_bound(report, names);
+  JsonWriter w(bound);
 
-  // Track metadata: process names + per-container thread names. std::map
-  // iteration keeps the order stable.
-  event("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-        "\"args\":{\"name\":\"services\"}");
-  event("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"network\"}");
-  event("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
-        "\"args\":{\"name\":\"controllers\"}");
-  for (const auto& [id, name] : names) {
+  // Track metadata: process names + per-container thread names, in id
+  // order. The first event is written here, so every later one starts
+  // with its ',' separator.
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+        "\"args\":{\"name\":\"services\"}},"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+        "\"args\":{\"name\":\"network\"}},"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
+        "\"args\":{\"name\":\"controllers\"}}");
+  for (const auto& [id, name] : names.escaped()) {
     for (int pid = 0; pid <= 2; ++pid) {
-      event("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-            std::to_string(pid) +
-            ",\"tid\":" + std::to_string(tid_of(id)) +
-            ",\"args\":{\"name\":\"" + json_escape(name) + "\"}");
+      w.raw(",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":")
+          .integer(pid)
+          .raw(",\"tid\":")
+          .integer(tid_of(id))
+          .raw(",\"args\":{\"name\":\"")
+          .raw(name)
+          .raw("\"}}");
     }
   }
 
   for (const RequestTrace& tr : report.traces) {
-    const std::string req = std::to_string(tr.id);
+    // Everything from the name's closing quote to the request id, which
+    // every span slice shares.
+    const auto slice = [&](int pid, const TraceSpan& s) {
+      w.raw("\",\"ph\":\"X\",\"pid\":")
+          .integer(pid)
+          .raw(",\"tid\":")
+          .integer(tid_of(s.container))
+          .raw(",\"ts\":")
+          .us(s.begin.ns())
+          .raw(",\"dur\":")
+          .us(s.wall().ns())
+          .raw(",\"args\":{\"req\":")
+          .integer(tr.id);
+    };
     for (const TraceSpan& s : tr.spans) {
-      std::string body;
       switch (s.kind) {
         case SpanKind::kVisit:
-          body = "\"name\":\"" + json_escape(name_of(names, s.container)) +
-                 "\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
-                 std::to_string(tid_of(s.container)) +
-                 ",\"ts\":" + fmt_us(s.begin) + ",\"dur\":" + fmt_us(s.wall()) +
-                 ",\"args\":{\"req\":" + req +
-                 ",\"boost_active_us\":" + fmt_us_d(s.boost_active_ns) + "}";
+          w.raw(",{\"name\":\"");
+          names.append(w, s.container);
+          slice(0, s);
+          w.raw(",\"boost_active_us\":").fixed3(s.boost_active_ns).raw("}}");
           break;
         case SpanKind::kExec:
-          body = "\"name\":\"exec\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
-                 std::to_string(tid_of(s.container)) +
-                 ",\"ts\":" + fmt_us(s.begin) + ",\"dur\":" + fmt_us(s.wall()) +
-                 ",\"args\":{\"req\":" + req +
-                 ",\"cpu_served_us\":" + fmt_us_d(s.cpu_served_ns) +
-                 ",\"cpu_queue_us\":" +
-                 fmt_us_d(static_cast<double>(s.wall().ns()) - s.cpu_served_ns) +
-                 "}";
+          w.raw(",{\"name\":\"exec");
+          slice(0, s);
+          w.raw(",\"cpu_served_us\":")
+              .fixed3(s.cpu_served_ns)
+              .raw(",\"cpu_queue_us\":")
+              .fixed3(static_cast<double>(s.wall().ns()) - s.cpu_served_ns)
+              .raw("}}");
           break;
         case SpanKind::kConnWait:
-          body = "\"name\":\"conn-wait\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
-                 std::to_string(tid_of(s.container)) +
-                 ",\"ts\":" + fmt_us(s.begin) + ",\"dur\":" + fmt_us(s.wall()) +
-                 ",\"args\":{\"req\":" + req + "}";
+          w.raw(",{\"name\":\"conn-wait");
+          slice(0, s);
+          w.raw("}}");
           break;
         case SpanKind::kNetHop:
-          body = std::string("\"name\":\"") +
-                 (s.is_response ? "rpc-response" : "rpc") +
-                 "\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-                 std::to_string(tid_of(s.container)) +
-                 ",\"ts\":" + fmt_us(s.begin) + ",\"dur\":" + fmt_us(s.wall()) +
-                 ",\"args\":{\"req\":" + req + ",\"src\":\"" +
-                 json_escape(name_of(names, s.src_container)) + "\"}";
+          w.raw(",{\"name\":\"").raw(s.is_response ? "rpc-response" : "rpc");
+          slice(1, s);
+          w.raw(",\"src\":\"");
+          names.append(w, s.src_container);
+          w.raw("\"}}");
           break;
       }
-      event(body);
     }
   }
 
   for (const DecisionEvent& d : report.decisions) {
-    event(std::string("\"name\":\"") + d.controller + " " +
-          to_string(d.kind) + "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\"tid\":" +
-          std::to_string(tid_of(d.container)) + ",\"ts\":" + fmt_us(d.at) +
-          ",\"args\":{\"amount\":" + std::to_string(d.amount) +
-          ",\"node\":" + std::to_string(d.node) + "}");
+    w.raw(",{\"name\":\"")
+        .raw(d.controller)
+        .raw(" ")
+        .raw(to_string(d.kind))
+        .raw("\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\"tid\":")
+        .integer(tid_of(d.container))
+        .raw(",\"ts\":")
+        .us(d.at.ns())
+        .raw(",\"args\":{\"amount\":")
+        .integer(d.amount)
+        .raw(",\"node\":")
+        .integer(d.node)
+        .raw("}}");
   }
 
-  out += "]}";
-  return out;
+  w.raw("]}");
+  SG_ASSERT_MSG(w.size() <= bound, "chrome trace outgrew its reservation");
+  return w.take();
 }
 
 std::vector<BreakdownRow> latency_breakdown(const TraceReport& report) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -67,7 +68,18 @@ bool TraceSink::begin_request(RequestId id, TimePoint now) {
     ++stats_.pending_overflow;
     return false;
   }
-  RequestTrace& t = pending_[id];
+  auto it = pending_.find(id);
+  if (it == pending_.end()) {
+    if (spare_.empty()) {
+      it = pending_.try_emplace(id).first;
+    } else {
+      PendingMap::node_type node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = id;
+      it = pending_.insert(std::move(node)).position;
+    }
+  }
+  RequestTrace& t = it->second;
   t.id = id;
   t.begin = now;
   t.head_sampled = head_sampled(id);
@@ -76,6 +88,9 @@ bool TraceSink::begin_request(RequestId id, TimePoint now) {
 }
 
 void TraceSink::add_span(const TraceSpan& span) {
+  SG_ASSERT_MSG(span.begin >= TimePoint::origin(),
+                "trace span begins before the origin");
+  SG_ASSERT_MSG(span.end >= span.begin, "trace span ends before it begins");
   const auto it = pending_.find(span.request_id);
   if (it == pending_.end()) return;  // not recorded (sampled out / overflow)
   it->second.spans.push_back(span);
@@ -85,8 +100,8 @@ void TraceSink::add_span(const TraceSpan& span) {
 void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
   const auto it = pending_.find(id);
   if (it == pending_.end()) return;
-  RequestTrace t = std::move(it->second);
-  pending_.erase(it);
+  PendingMap::node_type node = pending_.extract(it);
+  RequestTrace& t = node.mapped();
   t.end = now;
   t.latency = latency;
   t.slo_violation = slo_ > Duration::zero() && latency > slo_;
@@ -94,22 +109,37 @@ void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
       t.head_sampled || (options_.keep_slo_violators && t.slo_violation);
   if (!keep) {
     ++stats_.requests_discarded;
+    recycle(std::move(node));
     return;
   }
   ++stats_.requests_kept;
   if (t.slo_violation) ++stats_.slo_violators_kept;
-  kept_.push_back(std::move(t));
-  while (kept_.size() > options_.capacity) {
-    kept_.pop_front();
+  if (kept_.size() < options_.capacity) {
+    kept_.push_back(std::move(t));
+  } else {
+    // The evicted trace swaps into the node, and its buffer is reused.
+    std::swap(kept_[head_], t);
+    head_ = (head_ + 1) % kept_.size();
     ++stats_.traces_evicted;
   }
+  recycle(std::move(node));
 }
 
 void TraceSink::abandon_request(RequestId id) {
-  if (pending_.erase(id) > 0) ++stats_.requests_abandoned;
+  PendingMap::node_type node = pending_.extract(id);
+  if (node.empty()) return;
+  ++stats_.requests_abandoned;
+  recycle(std::move(node));
+}
+
+void TraceSink::recycle(PendingMap::node_type node) {
+  node.mapped().spans.clear();
+  spare_.push_back(std::move(node));
 }
 
 void TraceSink::add_decision(const DecisionEvent& e) {
+  SG_ASSERT_MSG(e.at >= TimePoint::origin(),
+                "decision event before the origin");
   if (decisions_.size() >= options_.max_decisions) {
     ++stats_.decisions_dropped;
     return;
@@ -133,7 +163,12 @@ bool span_content_less(const TraceSpan& a, const TraceSpan& b) {
 
 TraceReport TraceSink::report() const {
   TraceReport r;
-  r.traces.assign(kept_.begin(), kept_.end());
+  // Oldest first: the ring's slots from head_ on, then those before it.
+  r.traces.reserve(kept_.size());
+  r.traces.assign(kept_.begin() + static_cast<std::ptrdiff_t>(head_),
+                  kept_.end());
+  r.traces.insert(r.traces.end(), kept_.begin(),
+                  kept_.begin() + static_cast<std::ptrdiff_t>(head_));
   // Canonicalize: exports list spans in content order, not recording order.
   // The committed fingerprints and trace goldens pin this order, so the
   // sort stays even though recording order is itself deterministic.

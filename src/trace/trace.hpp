@@ -34,11 +34,13 @@
 //
 // Memory is O(capacity + in-flight): kept traces live in a fixed-capacity
 // ring (oldest evicted), in-flight buffers are bounded by max_pending, and
-// decision events by max_decisions.
+// decision events by max_decisions. Recording allocates nothing in steady
+// state: an evicted, discarded or abandoned trace hands its pending-map
+// node and its cleared span buffer to a spare list, and begin_request
+// takes them back from there.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -174,7 +176,8 @@ class TraceSink {
   bool begin_request(RequestId id, TimePoint now);
 
   /// Appends a span to its request's buffer; ignored (O(1)) when the
-  /// request is not being recorded.
+  /// request is not being recorded. The span must not begin before the
+  /// origin nor end before it begins (asserted).
   void add_span(const TraceSpan& span);
 
   /// Completes a request: applies the keep decision (head sample || SLO
@@ -184,6 +187,7 @@ class TraceSink {
   /// Drops an in-flight buffer (client abandoned the request).
   void abandon_request(RequestId id);
 
+  /// Records a decision; `e.at` must not be before the origin (asserted).
   void add_decision(const DecisionEvent& e);
 
   /// Container metadata for exporters (typically set once before report()).
@@ -201,11 +205,20 @@ class TraceSink {
   TraceReport report() const;
 
  private:
+  using PendingMap = std::unordered_map<RequestId, RequestTrace>;
+
+  /// Clears a finished node's spans (keeping their capacity) and parks the
+  /// node for the next begin_request.
+  void recycle(PendingMap::node_type node);
 
   TraceOptions options_;
   Duration slo_;
-  std::unordered_map<RequestId, RequestTrace> pending_;
-  std::deque<RequestTrace> kept_;
+  PendingMap pending_;
+  std::vector<PendingMap::node_type> spare_;
+  /// Kept-trace ring: grows to `capacity` slots in completion order, then
+  /// each new trace overwrites the oldest, kept_[head_].
+  std::vector<RequestTrace> kept_;
+  std::size_t head_ = 0;
   std::vector<DecisionEvent> decisions_;
   std::vector<TraceContainerInfo> containers_;
   TraceStats stats_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace sg {
 namespace {
 
@@ -154,6 +156,29 @@ TEST(ConfigMapTest, OutOfRangeNumbersRejected) {
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->seed, 9223372036854775807ull);
   EXPECT_EQ(cfg->rpc_retry.max_retries, 2147483647);
+}
+
+TEST(ConfigMapTest, NonFiniteOrNonPositiveSurgeAndMemBwRejected) {
+  const std::pair<const char*, const char*> keys[] = {
+      {"[surge]\nmult", "surge.mult"},
+      {"[membw]\nnode_bw_gbs", "membw.node_bw_gbs"},
+      {"[membw]\ndemand_per_core_gbs", "membw.demand_per_core_gbs"},
+  };
+  for (const auto& [line, key] : keys) {
+    for (const char* value : {"inf", "nan", "-1", "0"}) {
+      expect_rejected(std::string(line) + " = " + value + "\n", key, value);
+    }
+  }
+}
+
+TEST(ConfigMapTest, DemandKeyAloneEnablesMemBw) {
+  const auto cfg =
+      experiment_from_config(parse("[membw]\ndemand_per_core_gbs = 3\n"),
+                             nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  ASSERT_TRUE(cfg->membw.has_value());
+  EXPECT_DOUBLE_EQ(cfg->membw->node_bw_gbs, MemBwDomain::Params{}.node_bw_gbs);
+  EXPECT_DOUBLE_EQ(cfg->membw->demand_per_busy_core_gbs, 3.0);
 }
 
 TEST(ConfigMapTest, InvalidRetryPolicyRejected) {

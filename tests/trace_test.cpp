@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+
 #include "trace/export.hpp"
 
 namespace sg {
@@ -114,6 +117,73 @@ TEST(TraceSinkTest, AbandonDropsPendingBuffer) {
   EXPECT_EQ(sink.stats().requests_abandoned, 1u);
 }
 
+TEST(TraceSinkTest, RecycledBuffersCarryNoStaleSpans) {
+  // Nothing is head-sampled; a request is kept only when it breaks the
+  // 100 ns SLO. With capacity 2, the third and fourth kept requests evict
+  // the first two and record into their recycled buffers.
+  TraceOptions opts;
+  opts.capacity = 2;
+  opts.head_sample_rate = 0.0;
+  opts.keep_slo_violators = true;
+  TraceSink sink(opts);
+  sink.set_slo_threshold(Duration::ns(100));
+  enum Outcome { kKept, kSampledOut, kAbandoned };
+  struct Request {
+    int spans;
+    Outcome outcome;
+  };
+  const Request requests[] = {{3, kKept},       {1, kKept}, {4, kSampledOut},
+                              {1, kAbandoned},  {5, kKept}, {2, kKept}};
+  std::int64_t t = 0;
+  RequestId id = 0;
+  for (const Request& r : requests) {
+    ++id;
+    ASSERT_TRUE(sink.begin_request(id, TimePoint{t}));
+    for (int k = 0; k < r.spans; ++k) {
+      sink.add_span(span(id, SpanKind::kExec, static_cast<int>(id), t, t + 10));
+      t += 10;
+    }
+    if (r.outcome == kAbandoned) {
+      sink.abandon_request(id);
+    } else {
+      sink.end_request(id, TimePoint{t},
+                       Duration::ns(r.outcome == kKept ? 150 : 50));
+    }
+  }
+  EXPECT_EQ(sink.stats().requests_kept, 4u);
+  EXPECT_EQ(sink.stats().requests_discarded, 1u);
+  EXPECT_EQ(sink.stats().requests_abandoned, 1u);
+  EXPECT_EQ(sink.stats().traces_evicted, 2u);
+  EXPECT_EQ(sink.pending_count(), 0u);
+
+  const TraceReport report = sink.report();
+  ASSERT_EQ(report.traces.size(), 2u);
+  EXPECT_EQ(report.traces[0].id, 5u);
+  EXPECT_EQ(report.traces[1].id, 6u);
+  EXPECT_EQ(report.traces[0].spans.size(), 5u);
+  EXPECT_EQ(report.traces[1].spans.size(), 2u);
+  for (const RequestTrace& tr : report.traces) {
+    for (const TraceSpan& s : tr.spans) {
+      EXPECT_EQ(s.request_id, tr.id);
+      EXPECT_EQ(s.container, static_cast<int>(tr.id));
+      EXPECT_GE(s.begin, tr.begin);
+      EXPECT_LE(s.end, tr.end);
+    }
+  }
+}
+
+TEST(TraceSinkDeathTest, SpanBeginningBeforeTheOriginAborts) {
+  TraceSink sink(TraceOptions{});
+  EXPECT_DEATH(sink.add_span(span(1, SpanKind::kExec, 0, -1, 10)),
+               "before the origin");
+}
+
+TEST(TraceSinkDeathTest, SpanEndingBeforeItBeginsAborts) {
+  TraceSink sink(TraceOptions{});
+  EXPECT_DEATH(sink.add_span(span(1, SpanKind::kExec, 0, 10, 9)),
+               "ends before it begins");
+}
+
 TEST(TraceSinkTest, PendingOverflowRefusesNewRequests) {
   TraceOptions opts;
   opts.max_pending = 2;
@@ -200,6 +270,109 @@ TEST(ChromeTraceTest, EmitsStructurallyValidJson) {
 
 TEST(ChromeTraceTest, DeterministicForSameReport) {
   EXPECT_EQ(chrome_trace_json(tiny_report()), chrome_trace_json(tiny_report()));
+}
+
+// The exporter's number formats, written the way printf writes them.
+std::string printf_us(std::int64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
+                static_cast<long long>(ns / 1000),
+                static_cast<long long>(ns % 1000));
+  return buf;
+}
+
+std::string printf_fixed3(double ns) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.3f", ns / 1e3);
+  return buf;
+}
+
+// One request of hand-built spans; `containers` names the tracks.
+TraceReport report_of(std::vector<TraceSpan> spans,
+                      std::vector<TraceContainerInfo> containers = {}) {
+  TraceReport report;
+  RequestTrace trace;
+  trace.id = 7;
+  trace.spans = std::move(spans);
+  report.traces.push_back(std::move(trace));
+  report.containers = std::move(containers);
+  return report;
+}
+
+bool contains(const std::string& json, const std::string& part) {
+  return json.find(part) != std::string::npos;
+}
+
+TEST(ChromeTraceTest, ExactMicrosecondsMatchPrintf) {
+  const std::int64_t large = 9'000'000'000'000'123'456;
+  const std::int64_t values[] = {0, 999, 1000, 123'456'789, large};
+  std::vector<TraceSpan> spans;
+  for (const std::int64_t v : values) {
+    // ts = v, dur = 999 (v itself would overflow at the large timestamp).
+    spans.push_back(span(7, SpanKind::kConnWait, 0, v, v + 999));
+    // ts = 0, dur = v.
+    spans.push_back(span(7, SpanKind::kConnWait, 0, 0, v));
+  }
+  const std::string json = chrome_trace_json(report_of(spans));
+  for (const std::int64_t v : values) {
+    EXPECT_TRUE(contains(json, "\"ts\":" + printf_us(v) + ",\"dur\":0.999,"))
+        << v;
+    EXPECT_TRUE(contains(json, "\"ts\":0.000,\"dur\":" + printf_us(v) + ","))
+        << v;
+  }
+  EXPECT_TRUE(contains(json, "\"ts\":9000000000000123.456,"));
+}
+
+TEST(ChromeTraceTest, FixedThreeDecimalsMatchPrintf) {
+  const double values_us[] = {0.0,  -0.0, 0.0005, 0.0015, -0.0004,
+                              1e12, 1e300};
+  std::vector<TraceSpan> spans;
+  std::vector<double> ns;
+  for (const double v : values_us) ns.push_back(v * 1e3);
+  // The most negative double, whose "%.3f" is the longest the exporter
+  // writes (311 chars).
+  ns.push_back(std::numeric_limits<double>::lowest());
+  for (const double v : ns) {
+    auto exec = span(7, SpanKind::kExec, 0, 0, 1000);
+    exec.cpu_served_ns = v;
+    spans.push_back(exec);
+    auto visit = span(7, SpanKind::kVisit, 0, 0, 1000);
+    visit.boost_active_ns = v;
+    spans.push_back(visit);
+  }
+  const std::string json = chrome_trace_json(report_of(spans));
+  for (const double v : ns) {
+    EXPECT_TRUE(contains(json, "\"cpu_served_us\":" + printf_fixed3(v) +
+                                   ",\"cpu_queue_us\":" +
+                                   printf_fixed3(1000.0 - v) + "}}"))
+        << printf_fixed3(v);
+    EXPECT_TRUE(
+        contains(json, "\"boost_active_us\":" + printf_fixed3(v) + "}}"))
+        << printf_fixed3(v);
+  }
+  EXPECT_TRUE(contains(json, "\"cpu_served_us\":-0.000,"));
+  EXPECT_TRUE(contains(json, "\"boost_active_us\":1000000000000.000}}"));
+}
+
+TEST(ChromeTraceTest, NamesAreEscapedAndUnnamedContainersFallBack) {
+  auto named_hop = span(7, SpanKind::kNetHop, 5, 0, 10);
+  named_hop.src_container = 0;
+  auto unnamed_hop = span(7, SpanKind::kNetHop, 0, 0, 10);
+  unnamed_hop.src_container = 9;
+  const std::string json = chrome_trace_json(
+      report_of({span(7, SpanKind::kVisit, 0, 0, 10),
+                 span(7, SpanKind::kVisit, 5, 0, 10), named_hop, unnamed_hop},
+                {{0, 0, "a\"b\\c\x01" "d\n\t"}}));
+  const std::string escaped = "a\\\"b\\\\c\\u0001d\\n\\t";
+  EXPECT_TRUE(contains(json, "{\"name\":\"" + escaped +
+                                 "\",\"ph\":\"X\",\"pid\":0,\"tid\":2,"));
+  EXPECT_TRUE(contains(json, "\"pid\":2,\"tid\":2,\"args\":{\"name\":\"" +
+                                 escaped + "\"}}"));
+  EXPECT_TRUE(contains(json, "\"src\":\"" + escaped + "\"}}"));
+  // Container 5 and 9 have no name.
+  EXPECT_TRUE(
+      contains(json, "{\"name\":\"c5\",\"ph\":\"X\",\"pid\":0,\"tid\":7,"));
+  EXPECT_TRUE(contains(json, "\"src\":\"c9\"}}"));
 }
 
 TEST(BreakdownTest, FractionsComputedFromSpans) {
