@@ -9,8 +9,11 @@
 // the figure benches measure controller behaviour, not harness overhead.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "app/workloads.hpp"
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "controllers/first_responder.hpp"
 #include "controllers/surgeguard.hpp"
 #include "sim/event_queue.hpp"
@@ -72,6 +75,38 @@ void BM_EventQueueCancelHeavyLane(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueCancelHeavyLane);
+
+void BM_EventQueueReschedule(benchmark::State& state) {
+  // A container's completion event re-armed on every submit and
+  // completion, in a heap 26 deep (25 other pending events). in_place:1
+  // re-keys it with reschedule(); in_place:0 cancels it and pushes a new
+  // one, the re-arm it replaces. The new times cycle through seeded
+  // offsets spread across the other events', so sifts go both ways.
+  const bool in_place = state.range(0) != 0;
+  EventQueue q;
+  const TimePoint base = TimePoint::at(kMillisecond);
+  for (int i = 0; i < 25; ++i) q.push(base + Duration::ns(40 * i), []() {});
+  Rng rng(5);
+  std::vector<TimePoint> times(64);
+  for (TimePoint& t : times) {
+    t = base + Duration::ns(rng.uniform_int(0, 1000));
+  }
+  EventId armed = q.push(times.back(), []() {});
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const TimePoint t = times[next];
+    next = (next + 1) & (times.size() - 1);
+    if (in_place) {
+      benchmark::DoNotOptimize(q.reschedule(armed, t));
+    } else {
+      q.cancel(armed);
+      armed = q.push(t, []() {});
+    }
+    benchmark::DoNotOptimize(armed);
+  }
+  SG_ASSERT(q.size() == 26);
+}
+BENCHMARK(BM_EventQueueReschedule)->ArgName("in_place")->Arg(1)->Arg(0);
 
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   Simulator sim;

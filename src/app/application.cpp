@@ -1,11 +1,22 @@
 #include "app/application.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
+
+namespace {
+
+/// mu of the log-normal with the given mean and sigma:
+/// E = exp(mu + sigma^2 / 2).
+double lognormal_mu(double mean, double sigma) {
+  return std::log(mean) - 0.5 * sigma * sigma;
+}
+
+}  // namespace
 
 Duration RpcRetryPolicy::timeout_for_attempt(int attempt) const {
   double t = static_cast<double>(timeout.ns());
@@ -65,6 +76,8 @@ Application::Application(Cluster& cluster, Network& network,
     ServiceRuntime sr;
     sr.spec = &spec_.services[i];
     sr.index = static_cast<int>(i);
+    sr.work_mu = lognormal_mu(ss.work_ns_mean, ss.work_sigma);
+    sr.post_mu = lognormal_mu(ss.post_work_ns_mean, ss.work_sigma);
     sr.container = &c;
     sr.metrics = ContainerRuntimeMetrics(c.id());
     for (std::size_t k = 0; k < ss.children.size(); ++k) {
@@ -165,7 +178,10 @@ void Application::on_request(const RpcPacket& pkt) {
     ++in_flight_;
   }
 
-  Visit v;
+  // Built in its slot: filling a stack Visit and copying it in costs a
+  // store-forwarding stall per visit.
+  const VisitKey key = visits_.insert(Visit{});
+  Visit& v = visits_.at(key);
   v.request_id = pkt.request_id;
   v.service = sr.index;
   v.start_time = pkt.start_time;
@@ -182,15 +198,13 @@ void Application::on_request(const RpcPacket& pkt) {
     v.exec_begin = now;
     v.exec_share0 = sr.container->share_integral_ns();
   }
-  const VisitKey key = visits_.insert(v);
 
   const double work =
       sr.spec->work_ns_mean <= 0.0
           ? 0.0
           : (sr.spec->work_sigma > 0.0
                  ? service_rngs_[static_cast<std::size_t>(sr.index)]
-                       .lognormal_mean(sr.spec->work_ns_mean,
-                                       sr.spec->work_sigma)
+                       .lognormal(sr.work_mu, sr.spec->work_sigma)
                  : sr.spec->work_ns_mean);
   sr.container->submit(work, [this, key]() { on_own_work_done(key); });
 }
@@ -355,8 +369,8 @@ void Application::finish_children(VisitKey key) {
     }
     const double work =
         sr.spec->work_sigma > 0.0
-            ? service_rngs_[static_cast<std::size_t>(sr.index)].lognormal_mean(
-                  post, sr.spec->work_sigma)
+            ? service_rngs_[static_cast<std::size_t>(sr.index)].lognormal(
+                  sr.post_mu, sr.spec->work_sigma)
             : post;
     sr.container->submit(work, [this, key]() { reply(key); });
   } else {

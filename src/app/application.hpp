@@ -138,6 +138,10 @@ class Application {
   struct ServiceRuntime {
     const ServiceSpec* spec = nullptr;
     int index = 0;
+    /// mu of the log-normal own-work and post-work draws (Rng::lognormal),
+    /// solved once from the spec's means and work_sigma.
+    double work_mu = 0.0;
+    double post_mu = 0.0;
     Container* container = nullptr;
     ContainerRuntimeMetrics metrics;
     int upscale_stamp = 0;

@@ -12,6 +12,8 @@ Container::Container(Simulator& sim, Params params)
       params_(std::move(params)),
       cores_(params_.initial_cores),
       freq_(kDvfs.quantize(kDvfs.min_mhz)),
+      speed_(kDvfs.speed(freq_)),
+      busy_watts_(kEnergy.busy_core_watts(freq_)),
       core_timeline_(static_cast<double>(cores_)),
       freq_timeline_(static_cast<double>(freq_)) {
   SG_ASSERT(cores_ >= 0);
@@ -24,7 +26,7 @@ double Container::rate() const {
       std::min(1.0, static_cast<double>(cores_) / static_cast<double>(n));
   const double interference =
       membw_ != nullptr ? membw_->interference_factor() : 1.0;
-  return kDvfs.speed(freq_) * share * interference * speed_scale_;
+  return speed_ * share * interference * speed_scale_;
 }
 
 double Container::busy_cores() const {
@@ -38,7 +40,8 @@ void Container::advance() {
   if (dt <= Duration::zero()) return;
   const double busy = busy_cores();
   if (busy > 0.0) {
-    energy_joules_ += kEnergy.energy(busy, freq_, dt);
+    // kEnergy.energy(busy, freq_, dt), same product in the same order.
+    energy_joules_ += busy_watts_ * busy * dt.seconds();
     busy_core_seconds_ += busy * dt.seconds();
     // busy / N == min(1, cores/N): the common per-job core share.
     share_integral_ns_ += static_cast<double>(dt.ns()) * busy /
@@ -56,20 +59,30 @@ void Container::advance() {
 }
 
 void Container::reschedule() {
-  if (completion_event_ != kInvalidEvent) {
-    sim_.cancel(completion_event_);
-    completion_event_ = kInvalidEvent;
+  // Idle, or starved: jobs stall until cores/freq return.
+  const double r = finish_heap_.empty() ? 0.0 : rate();
+  if (r <= 0.0) {
+    if (completion_event_ != kInvalidEvent) {
+      sim_.cancel(completion_event_);
+      completion_event_ = kInvalidEvent;
+    }
+    return;
   }
-  if (finish_heap_.empty()) return;
-  const double r = rate();
-  if (r <= 0.0) return;  // starved: jobs stall until cores/freq return
   const double work_left = finish_heap_.top().finish_v - vtime_;
   const double dt = std::max(0.0, work_left) / r;
   // ceil so that by the event time the job has definitely finished (modulo
   // float error handled in on_completion_event).
   const Duration delay{static_cast<std::int64_t>(std::ceil(dt))};
-  completion_event_ =
-      sim_.schedule_after(delay, [this]() { on_completion_event(); });
+  // Re-keying the armed event takes a fresh sequence number, exactly as
+  // cancelling it and scheduling a new one would, so same-instant order is
+  // unchanged. It is re-keyed even when its time is unchanged.
+  if (completion_event_ == kInvalidEvent) {
+    completion_event_ =
+        sim_.schedule_after(delay, [this]() { on_completion_event(); });
+  } else {
+    const bool rearmed = sim_.reschedule_after(completion_event_, delay);
+    SG_ASSERT_MSG(rearmed, "container completion event not pending");
+  }
 }
 
 void Container::on_completion_event() {
@@ -92,9 +105,9 @@ void Container::on_completion_event() {
   }
   // Guard against a stuck heap: if rounding left the top job un-finished,
   // rescheduling computes a fresh (tiny but positive) delay, so progress is
-  // guaranteed. completed_any is informational for debugging.
-  (void)completed_any;
-  advance();
+  // guaranteed. The callbacks ran at this same instant, so the accounting
+  // advanced above is still current. completed_any gates the membw update:
+  // an event that completed nothing changed no activity the domain reads.
   reschedule();
   if (completed_any && membw_ != nullptr) {
     membw_->on_member_activity_changed();
@@ -125,6 +138,8 @@ void Container::set_frequency(FreqMhz f) {
   if (q == freq_) return;
   advance();
   freq_ = q;
+  speed_ = kDvfs.speed(q);
+  busy_watts_ = kEnergy.busy_core_watts(q);
   freq_timeline_.set(sim_.now(), static_cast<double>(q));
   reschedule();
 }

@@ -132,6 +132,11 @@ class Container {
 
   int cores_;
   FreqMhz freq_;
+  // kDvfs.speed(freq_) and kEnergy.busy_core_watts(freq_), refreshed only
+  // where freq_ changes (constructor, set_frequency): advance() and rate()
+  // run on every submit and completion, the frequency rarely changes.
+  double speed_;
+  double busy_watts_;
   double speed_scale_ = 1.0;
 
   // Virtual-time processor-sharing state.

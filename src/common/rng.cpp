@@ -75,10 +75,7 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::lognormal_mean(double mean, double sigma) {
-  // E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); solve for mu so that the
-  // sample mean equals `mean`.
-  const double mu = std::log(mean) - 0.5 * sigma * sigma;
+double Rng::lognormal(double mu, double sigma) {
   return std::exp(mu + sigma * normal());
 }
 

@@ -46,11 +46,12 @@ class Rng {
   /// Normal variate with mean/stddev.
   double normal(double mean, double stddev);
 
-  /// Log-normal variate parameterized by the *target* mean and the sigma of
-  /// the underlying normal. Service-time jitter in the application model is
-  /// log-normal, matching the right-skewed service times observed in
-  /// microservice deployments.
-  double lognormal_mean(double mean, double sigma);
+  /// Log-normal variate exp(mu + sigma * normal()): mu and sigma are those
+  /// of the underlying normal. Service-time jitter in the application model
+  /// is log-normal, matching the right-skewed service times observed in
+  /// microservice deployments; its callers solve mu once from the target
+  /// mean, mu = log(mean) - sigma^2 / 2, since E = exp(mu + sigma^2 / 2).
+  double lognormal(double mu, double sigma);
 
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p);

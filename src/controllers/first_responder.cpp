@@ -1,5 +1,6 @@
 #include "controllers/first_responder.hpp"
 
+#include "common/assert.hpp"
 #include "trace/trace.hpp"
 
 namespace sg {
@@ -8,6 +9,14 @@ void FirstResponder::start() {
   const Duration e2e = env_.targets.expected_e2e_latency;
   freeze_window_ =
       e2e > Duration::zero() ? kFreezeMultiple * e2e : Duration::ms(2);
+  for (const auto& [container, targets] : env_.targets.per_container) {
+    SG_ASSERT_MSG(container >= 0, "targets for a negative container id");
+    const auto slot = static_cast<std::size_t>(container);
+    if (slot >= slack_limit_.size()) {
+      slack_limit_.resize(slot + 1, Duration::infinity());
+    }
+    slack_limit_[slot] = kSlackMargin * targets.expected_time_from_start;
+  }
   network_.add_rx_hook(env_.node->id(), this);
 }
 
@@ -18,12 +27,13 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
   // time at request INGRESS; responses flowing back upstream carry the whole
   // downstream latency and would trivially (and meaninglessly) violate.
   if (pkt.is_response) return;
-  const ContainerTargets* targets = env_.targets.find(pkt.dst_container);
-  if (targets == nullptr) return;
+  const auto slot = static_cast<std::size_t>(pkt.dst_container);
+  if (slot >= slack_limit_.size()) return;
+  const Duration expected = slack_limit_[slot];
+  if (expected == Duration::infinity()) return;  // no targets
 
   // Per-packet slack (eqs. 4-5): expected minus observed progress.
   const Duration observed = env_.sim->now() - pkt.start_time;
-  const Duration expected = kSlackMargin * targets->expected_time_from_start;
   const Duration slack = expected - observed;
   if (slack >= Duration::zero()) return;
   ++violations_detected_;

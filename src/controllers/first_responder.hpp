@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "controllers/controller.hpp"
 
@@ -49,7 +50,8 @@ class FirstResponder final : public Controller, public RxHook {
 
   std::string name() const override { return "first-responder"; }
 
-  /// Attaches the hook to this node's receive path.
+  /// Attaches the hook to this node's receive path and fixes the slack
+  /// limits from env.targets (set the targets before calling it).
   void start() override;
 
   /// RxHook: the per-packet slack check (the 0.26us critical-path code).
@@ -68,6 +70,10 @@ class FirstResponder final : public Controller, public RxHook {
   ControllerEnv env_;
   Network& network_;
   Duration freeze_window_;
+  /// kSlackMargin x expectedTimeFromStart, indexed by container id;
+  /// Duration::infinity() for a container without targets. Built by
+  /// start(), so the per-packet check is one vector load.
+  std::vector<Duration> slack_limit_;
   /// Per-container "do not touch until" timestamps.
   std::unordered_map<int, TimePoint> frozen_until_;
 

@@ -60,14 +60,20 @@ EventId EventQueue::push_lane(std::uint32_t lane_id, TimePoint time,
   return id_of(slot);
 }
 
-bool EventQueue::cancel(EventId id) {
+std::uint32_t EventQueue::live_slot(EventId id) const {
   const auto slot_plus_one = static_cast<std::uint32_t>(id);
-  if (slot_plus_one == 0 || slot_plus_one > slots_.size()) return false;
+  if (slot_plus_one == 0 || slot_plus_one > slots_.size()) return kNoSlot;
   const std::uint32_t slot = slot_plus_one - 1;
   // A freed slot's generation has moved past every id it issued.
   if (slots_[slot].generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false;
+    return kNoSlot;
   }
+  return slot;
+}
+
+bool EventQueue::cancel(EventId id) {
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) return false;
   const std::uint32_t pos = slots_[slot].heap_pos;
   callbacks_[slot].reset();
   free_slot(slot);
@@ -81,6 +87,19 @@ bool EventQueue::cancel(EventId id) {
   } else {
     remove_key(pos);
   }
+  return true;
+}
+
+bool EventQueue::reschedule(EventId id, TimePoint time) {
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) return false;
+  const std::uint32_t pos = slots_[slot].heap_pos;
+  SG_ASSERT_MSG((pos & kBehindHead) == 0 && heap_[pos].lane == kNoLane,
+                "reschedule() of a timer-lane event");
+  Key key = heap_[pos];
+  key.time = time;
+  key.seq = next_seq_++;
+  resift(pos, key);
   return true;
 }
 
@@ -135,10 +154,14 @@ void EventQueue::erase_at(std::size_t pos) {
   const Key last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // the erased key was the last one
-  if (pos > 0 && before(last, heap_[parent_of(pos)])) {
-    sift_up(pos, last);
+  resift(pos, last);
+}
+
+void EventQueue::resift(std::size_t pos, const Key& key) {
+  if (pos > 0 && before(key, heap_[parent_of(pos)])) {
+    sift_up(pos, key);
   } else {
-    sift_down(pos, last);
+    sift_down(pos, key);
   }
 }
 

@@ -12,11 +12,14 @@
 // The sequence number is unique, so the key is a total order and the pop
 // order depends on nothing else: not on the heap's shape, not on which slot
 // an event occupies, not on when a cancelled event leaves the set, and not
-// on whether an event waits in the heap or in a timer lane.
+// on whether an event waits in the heap or in a timer lane. reschedule()
+// moves a heap event in place under a fresh sequence number, the key that
+// cancelling it and pushing it anew would give, so it keeps this order too.
 //
 // Layout: an indexed 4-ary min-heap of 32-byte keys. Callbacks live in a
 // slot array the keys point into, so sifts move keys only; each slot records
-// its heap position, so cancel() removes an event from the heap at once.
+// its heap position, so cancel() removes an event from the heap at once
+// and reschedule() re-keys it where it stands.
 // An EventId names a slot and the slot's generation, which is bumped
 // whenever the slot is freed: a stale id (fired, cancelled, or from a
 // previous occupant) no longer matches and is a no-op.
@@ -75,6 +78,15 @@ class EventQueue {
   /// when the event was actually pending.
   bool cancel(EventId id);
 
+  /// Moves a pending heap event to `time` in place: it keeps its id, slot,
+  /// rank and callback and takes a fresh sequence number, so its key is
+  /// exactly the one cancel() followed by push() with the same rank would
+  /// give, and the pop order is the same. Returns false (and changes
+  /// nothing) for a fired, cancelled or never-issued id. A timer-lane event
+  /// cannot be moved (its lane's FIFO order would break): an assertion
+  /// failure.
+  bool reschedule(EventId id, TimePoint time);
+
   // A lane with pending events keeps its head in the heap, so the heap is
   // empty only when no event is pending.
   bool empty() const { return heap_.empty(); }
@@ -99,6 +111,7 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNoLane = UINT32_MAX;
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
   /// Tags a slot's heap_pos as the lane index of an event waiting behind
   /// its lane's head. Slot counts (hence heap positions) and lane indices
   /// stay below it.
@@ -175,6 +188,8 @@ class EventQueue {
     return slots_[e.slot].generation == e.generation;
   }
 
+  /// The slot of pending event `id`, or kNoSlot when `id` is stale.
+  std::uint32_t live_slot(EventId id) const;
   /// Takes a free slot (or a new one) for `cb`.
   std::uint32_t acquire_slot(Callback&& cb);
   /// Removes the key at heap_[pos], whose slot has been freed: a heap
@@ -186,6 +201,9 @@ class EventQueue {
 
   void sift_up(std::size_t pos, const Key& key);
   void sift_down(std::size_t pos, const Key& key);
+  /// Places `key` at heap_[pos] (whose old key it replaces), sifting it up
+  /// or down as its order demands.
+  void resift(std::size_t pos, const Key& key);
   /// Drops heap_[pos] and restores the heap order.
   void erase_at(std::size_t pos);
   void free_slot(std::uint32_t slot);

@@ -61,6 +61,15 @@ class Simulator {
   /// Cancels a pending event (no-op for fired/unknown handles).
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Moves pending event `id` (scheduled with schedule_at/_after, not
+  /// schedule_timer) to `delay` from now (delay < 0 clamps to 0). Same
+  /// firing instant and order as cancel() followed by schedule_after(), but
+  /// the event keeps its id and callback. False for a fired or unknown id.
+  bool reschedule_after(EventId id, Duration delay) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    return queue_.reschedule(id, now_ + delay);
+  }
+
   /// Processes one event; returns false when the queue is empty.
   bool step();
 

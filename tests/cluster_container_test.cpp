@@ -202,6 +202,36 @@ TEST(EnergyModelTest, WattsMatchHzRatioBitwise) {
   }
 }
 
+TEST(ContainerTest, PerFrequencyConstantsMatchModelsBitwise) {
+  // One job on two cores at each DVFS level: it finishes at
+  // ceil(work / speed), and the energy is the sum advance() charges per
+  // interval, computed here from kEnergy/kDvfs at the level itself.
+  const double work = 1'234'567.0;
+  const TimePoint end = TimePoint::at(2 * kMillisecond);
+  int levels = 0;
+  for (FreqMhz f = kDvfs.min_mhz; f <= kDvfs.max_mhz; f += kDvfs.step_mhz) {
+    ++levels;
+    Simulator sim;
+    auto c = make_container(sim, 2);
+    c->set_frequency(f);
+    TimePoint done = TimePoint::infinity();
+    c->submit(work, [&]() { done = sim.now(); });
+    sim.run_until(end);
+    c->sync();
+    const Duration busy{
+        static_cast<std::int64_t>(std::ceil(work / kDvfs.speed(f)))};
+    ASSERT_EQ(done, TimePoint::at(busy)) << f << " MHz";
+    double expected = 0.0;
+    // [0, done): one core busy, one idle.
+    expected += kEnergy.energy(1.0, f, busy);
+    expected += kEnergy.allocated_idle_watts * 1.0 * busy.seconds();
+    // [done, end): both idle.
+    expected += kEnergy.allocated_idle_watts * 2.0 * (end - done).seconds();
+    EXPECT_EQ(c->energy_joules(), expected) << f << " MHz";
+  }
+  EXPECT_EQ(levels, 16);
+}
+
 TEST(ContainerTest, IdleAllocatedCoresDrawPower) {
   Simulator sim;
   auto c = make_container(sim, 4);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace sg {
@@ -107,18 +108,38 @@ TEST(RngTest, NormalShiftScale) {
 }
 
 TEST(RngTest, LognormalMeanParameterization) {
-  // lognormal_mean is parameterized by the TARGET mean, unlike the usual
-  // (mu, sigma) convention.
+  // mu = log(mean) - sigma^2 / 2 gives the target mean (the application's
+  // work draws solve mu this way).
   Rng rng(21);
   const int n = 200000;
+  const double mu = std::log(300.0) - 0.5 * 0.25 * 0.25;
   double sum = 0;
-  for (int i = 0; i < n; ++i) sum += rng.lognormal_mean(300.0, 0.25);
+  for (int i = 0; i < n; ++i) sum += rng.lognormal(mu, 0.25);
   EXPECT_NEAR(sum / n, 300.0, 3.0);
 }
 
 TEST(RngTest, LognormalStrictlyPositive) {
   Rng rng(23);
-  for (int i = 0; i < 10000; ++i) ASSERT_GT(rng.lognormal_mean(100.0, 0.5), 0.0);
+  const double mu = std::log(100.0) - 0.5 * 0.5 * 0.5;
+  for (int i = 0; i < 10000; ++i) ASSERT_GT(rng.lognormal(mu, 0.5), 0.0);
+}
+
+TEST(RngTest, LognormalWithHoistedMuMatchesMeanFormulaBitwise) {
+  // The application solves mu once per service; each draw must equal the
+  // formerly per-draw formula, exp((log(mean) - 0.5 sigma^2) +
+  // sigma * normal()), bit for bit.
+  for (const auto& [mean, sigma] : {std::pair{200'000.0, 0.25},
+                                    std::pair{37.5, 0.9},
+                                    std::pair{1.0, 0.0}}) {
+    Rng a(29);
+    Rng b(29);
+    const double mu = std::log(mean) - 0.5 * sigma * sigma;
+    for (int i = 0; i < 10000; ++i) {
+      const double formula =
+          std::exp((std::log(mean) - 0.5 * sigma * sigma) + sigma * b.normal());
+      ASSERT_EQ(a.lognormal(mu, sigma), formula) << mean << " draw " << i;
+    }
+  }
 }
 
 TEST(RngTest, BernoulliFrequency) {

@@ -128,6 +128,21 @@ TEST(FirstResponderTest, UnknownTargetsIgnored) {
   EXPECT_EQ(fr.violations_detected(), 0u);
 }
 
+TEST(FirstResponderTest, ContainerPastTheTargetTableIgnored) {
+  // An id beyond every container with targets is inspected, never flagged.
+  ControllerTestbed tb;
+  FirstResponder fr(tb.env(), tb.network);
+  fr.start();
+  tb.sim.run_until(TimePoint::at(10 * kMillisecond));
+  RpcPacket p = request_to(tb, tb.c2(), TimePoint::origin());
+  p.dst_container = 1000;
+  fr.on_packet(p);
+  tb.sim.run_to_completion();
+  EXPECT_EQ(fr.packets_inspected(), 1u);
+  EXPECT_EQ(fr.violations_detected(), 0u);
+  EXPECT_EQ(fr.boosts_applied(), 0u);
+}
+
 TEST(FirstResponderTest, SlackMarginScalesThreshold) {
   // Eq. 4 alone flags any packet older than the 200us expectation; the
   // margin stretches the threshold to kSlackMargin x 200us.

@@ -360,6 +360,152 @@ TEST(EventQueueLaneDeathTest, OutOfOrderPushAborts) {
   EXPECT_DEATH(q.push_lane(0, TimePoint{9}, []() {}), "out of order");
 }
 
+TEST(EventQueueRescheduleTest, MovesEventKeepingIdAndCallback) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.push(TimePoint{10}, [&order]() { order.push_back(0); });
+  q.push(TimePoint{20}, [&order]() { order.push_back(1); });
+  EXPECT_TRUE(q.reschedule(a, TimePoint{30}));  // later: sifts down
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), TimePoint{20});
+  q.pop().cb();
+  auto fired = q.pop();
+  EXPECT_EQ(fired.time, TimePoint{30});
+  EXPECT_EQ(fired.id, a);
+  fired.cb();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+TEST(EventQueueRescheduleTest, SameTimeTakesAFreshSequenceNumber) {
+  // Re-keying to an unchanged time still moves the event behind every
+  // equal-time event pushed since, as cancel followed by push would.
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.push(TimePoint{10}, [&order]() { order.push_back(0); });
+  q.push(TimePoint{10}, [&order]() { order.push_back(1); });
+  q.push(TimePoint{5}, [&order]() { order.push_back(2); });
+  EXPECT_TRUE(q.reschedule(a, TimePoint{10}));
+  const EventId c = q.push(TimePoint{10}, 3, [&order]() { order.push_back(3); });
+  EXPECT_TRUE(q.reschedule(c, TimePoint{1}));  // earlier: sifts up, keeps rank
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+}
+
+TEST(EventQueueRescheduleTest, StaleIdsAreRejected) {
+  EventQueue q;
+  const EventId fired = q.push(TimePoint{1}, []() {});
+  q.pop();
+  const EventId cancelled = q.push(TimePoint{2}, []() {});
+  EXPECT_TRUE(q.cancel(cancelled));
+  for (int i = 0; i < 8; ++i) q.push(TimePoint{10 + i}, []() {});
+  ASSERT_EQ(q.size(), 8u);
+  for (const EventId id :
+       {fired, cancelled, kInvalidEvent, EventId{9999},
+        (EventId{5} << 32) | 1}) {  // a future generation of a live slot
+    EXPECT_FALSE(q.reschedule(id, TimePoint{3})) << id;
+    EXPECT_EQ(q.size(), 8u);
+    EXPECT_EQ(q.next_time(), TimePoint{10});
+  }
+}
+
+TEST(EventQueueRescheduleTest, RandomOpsMatchCancelAndPush) {
+  // Seeded interleaving of push, ranked push, lane push, cancel, reschedule
+  // and pop applied to two queues: `q` re-keys in place, `ref` cancels and
+  // pushes anew with the same rank. Both must pop the same events at the
+  // same times in the same order. As in the simulator, `now` is the last
+  // popped time; coarse times make ties common.
+  constexpr std::array<std::int64_t, 2> kLaneDelay{0, 3};
+  struct Event {
+    EventId id;
+    EventId ref_id;
+    std::uint64_t rank;
+    bool lane;
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    EventQueue q;
+    EventQueue ref;
+    std::vector<Event> events;
+    int fired = -1;
+    int ref_fired = -1;
+    std::int64_t now = 0;
+    int rescheduled = 0;
+    int stale_reschedules = 0;
+    auto on_q = [&fired](int e) {
+      return [&fired, e]() { fired = e; };
+    };
+    auto on_ref = [&ref_fired](int e) {
+      return [&ref_fired, e]() { ref_fired = e; };
+    };
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t r = rng.next_u64() % 100;
+      const int next = static_cast<int>(events.size());
+      if (r < 25) {
+        const TimePoint t{now + static_cast<std::int64_t>(rng.next_u64() % 4)};
+        const std::uint64_t rank =
+            rng.bernoulli(0.6) ? kDefaultRank : 1 + rng.next_u64() % 3;
+        events.push_back({q.push(t, rank, on_q(next)),
+                          ref.push(t, rank, on_ref(next)), rank, false});
+      } else if (r < 40) {
+        const auto lane =
+            static_cast<std::uint32_t>(rng.next_u64() % kLaneDelay.size());
+        const TimePoint t{now + kLaneDelay[lane]};
+        events.push_back({q.push_lane(lane, t, on_q(next)),
+                          ref.push_lane(lane, t, on_ref(next)), kDefaultRank,
+                          true});
+      } else if (r < 50 && !events.empty()) {
+        // Any event ever issued: pending, fired or already cancelled.
+        const Event& e = events[rng.next_u64() % events.size()];
+        ASSERT_EQ(q.cancel(e.id), ref.cancel(e.ref_id)) << "op " << op;
+      } else if (r < 75 && !events.empty()) {
+        const std::size_t i = rng.next_u64() % events.size();
+        Event& e = events[i];
+        if (e.lane) continue;
+        const TimePoint t{now + static_cast<std::int64_t>(rng.next_u64() % 4)};
+        const std::size_t size = q.size();
+        const bool moved = q.reschedule(e.id, t);
+        ASSERT_EQ(moved, ref.cancel(e.ref_id)) << "op " << op;
+        if (moved) {
+          ++rescheduled;
+          e.ref_id = ref.push(t, e.rank, on_ref(static_cast<int>(i)));
+        } else {
+          ++stale_reschedules;
+        }
+        ASSERT_EQ(q.size(), size) << "op " << op;
+      } else if (!ref.empty()) {
+        ASSERT_FALSE(q.empty()) << "op " << op;
+        auto a = q.pop();
+        auto b = ref.pop();
+        a.cb();
+        b.cb();
+        ASSERT_EQ(a.time, b.time) << "op " << op;
+        ASSERT_EQ(fired, ref_fired) << "op " << op;
+        ASSERT_EQ(a.id, events[static_cast<std::size_t>(fired)].id);
+        now = a.time.ns();
+      }
+      ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+      ASSERT_EQ(q.next_time(), ref.next_time()) << "op " << op;
+    }
+    while (!ref.empty()) {
+      ASSERT_FALSE(q.empty());
+      q.pop().cb();
+      ref.pop().cb();
+      ASSERT_EQ(fired, ref_fired);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(rescheduled, 500);
+    EXPECT_GT(stale_reschedules, 100);
+  }
+}
+
+TEST(EventQueueRescheduleDeathTest, LaneEventAborts) {
+  EventQueue q;
+  const EventId head = q.push_lane(0, TimePoint{10}, []() {});
+  const EventId behind = q.push_lane(0, TimePoint{20}, []() {});
+  EXPECT_DEATH(q.reschedule(head, TimePoint{30}), "timer-lane event");
+  EXPECT_DEATH(q.reschedule(behind, TimePoint{30}), "timer-lane event");
+}
+
 // Counts destructions of the one instance that was never moved from.
 struct DestroyCounter {
   int* destroyed;

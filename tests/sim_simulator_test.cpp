@@ -111,6 +111,24 @@ TEST(SimulatorTest, ScheduleTimerNegativeDelayClampsToNow) {
   EXPECT_EQ(sim.timer_lanes(), 1u);
 }
 
+TEST(SimulatorTest, RescheduleAfterMovesEventRelativeToNow) {
+  Simulator sim;
+  std::vector<TimePoint> seen;
+  const EventId id =
+      sim.schedule_after(Duration{50}, [&]() { seen.push_back(sim.now()); });
+  sim.schedule_at(TimePoint{100}, [&, id]() {
+    // Already fired: nothing to move.
+    EXPECT_FALSE(sim.reschedule_after(id, Duration{10}));
+  });
+  const EventId late =
+      sim.schedule_after(Duration{500}, [&]() { seen.push_back(sim.now()); });
+  sim.run_until(TimePoint{200});
+  EXPECT_TRUE(sim.reschedule_after(late, Duration{-5}));  // clamps to now
+  sim.run_to_completion();
+  EXPECT_EQ(seen, (std::vector<TimePoint>{TimePoint{50}, TimePoint{200}}));
+  EXPECT_EQ(sim.events_pending(), 0u);
+}
+
 TEST(SimulatorTest, ScheduleTimerGivesEachDistinctDelayOneLane) {
   Simulator sim;
   std::string order;
