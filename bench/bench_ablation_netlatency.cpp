@@ -2,11 +2,11 @@
 //
 // The paper's abstract scopes SurgeGuard to "surges in load and network
 // latency". This bench injects the second disruption class: periodic
-// windows during which every packet pays a large extra delay (a congested
-// ToR, a failing link). FirstResponder's per-packet slack (eq. 4) counts
-// lateness from ANY cause, so it detects these windows just as fast as load
-// surges, and the frequency boost compensates the compute share of the
-// end-to-end budget while the disruption lasts.
+// fault-plan delay windows during which every packet pays a large extra
+// delay (a congested ToR, a failing link). FirstResponder's per-packet
+// slack (eq. 4) counts lateness from ANY cause, so it detects these windows
+// just as fast as load surges, and the frequency boost compensates the
+// compute share of the end-to-end budget while the disruption lasts.
 #include "bench_common.hpp"
 
 using namespace sg;
@@ -34,12 +34,21 @@ int main(int argc, char** argv) {
       ExperimentConfig cfg;
       cfg.workload = w;
       cfg.controller = kind;
-      // NO load surge: the disruption is latency only.
+      // NO load surge: the disruption is latency only. One 1 s delay window
+      // every 10 s of the measurement window, the first where a load surge
+      // would start.
       cfg.surge_len = Duration::zero();
-      cfg.net_delay_extra = extra;
-      cfg.net_delay_len = 1 * kSecond;
-      cfg.net_delay_period = 10 * kSecond;
       args.apply_timing(cfg);
+      const TimePoint measure_end = TimePoint::at(cfg.warmup + cfg.duration);
+      for (TimePoint start = TimePoint::at(cfg.warmup + cfg.first_surge_offset);
+           start < measure_end; start += 10 * kSecond) {
+        FaultWindow delay;
+        delay.kind = FaultKind::kPacketDelay;
+        delay.start = start;
+        delay.end = start + 1 * kSecond;
+        delay.extra_delay = extra;
+        cfg.fault_plan.add(delay);
+      }
       cells.push_back({cfg, &profile});
     }
   }

@@ -67,6 +67,11 @@ class Duration {
     return Duration{static_cast<std::int64_t>(ns >= 0.0 ? ns + 0.5 : ns - 0.5)};
   }
 
+  /// Whether a nanosecond count converts to a Duration: finite and inside
+  /// int64_t's range (NaN fails both comparisons). Parsers check a value
+  /// with this before the cast, which is undefined behaviour otherwise.
+  static constexpr bool fits(double ns) { return ns > -0x1p63 && ns < 0x1p63; }
+
   /// Raw nanosecond count — the only way out of the type.
   constexpr std::int64_t ns() const { return ns_; }
   constexpr double seconds() const { return static_cast<double>(ns_) / 1e9; }

@@ -28,7 +28,6 @@ const char* const kBoolKeys[] = {"retry.enabled", "trace.enabled",
 const char* const kDoubleKeys[] = {
     "warmup_s", "duration_s", "qos_mult", "target_mult", "rate_rps",
     "surge.mult", "surge.len_ms", "surge.period_s",
-    "netdelay.extra_us", "netdelay.len_ms", "netdelay.period_s",
     "retry.timeout_ms", "retry.backoff", "drain_s",
     "membw.node_bw_gbs", "membw.demand_per_core_gbs",
     "ideal.detection_delay_ms", "trace.sample",
@@ -73,18 +72,13 @@ bool parses_as(const Config& cfg, const std::string& key, KeyType type) {
   return false;
 }
 
-/// Whether `ns` converts to a Duration: finite and inside int64_t's range.
-bool fits_duration(double ns) {
-  return std::isfinite(ns) && std::fabs(ns) < 0x1p63;
-}
-
 /// Whether timeout * backoff^max_retries, the longest timeout the policy
 /// arms, fits in a Duration; multiplied as RpcRetryPolicy does.
 bool longest_timeout_fits(const RpcRetryPolicy& retry) {
   double t = static_cast<double>(retry.timeout.ns());
   for (int i = 0; i < retry.max_retries; ++i) {
     t *= retry.backoff;
-    if (!fits_duration(t)) return false;
+    if (!Duration::fits(t)) return false;
   }
   return true;
 }
@@ -149,6 +143,11 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     }
     return true;
   };
+  // A range error on a value that parsed: the ExperimentConfig is refused.
+  const auto reject = [&](const char* key, const char* why) {
+    invalid(key, why);
+    return fail(range_error);
+  };
   const auto out_of_range = [&invalid](const char* key) {
     return invalid(key, "not a finite duration within range");
   };
@@ -157,7 +156,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   const auto set_rounded = [&](const char* key, double per_second,
                                Duration& field) {
     if (const auto v = cfg.try_get_double(key)) {
-      if (!fits_duration(*v / per_second * 1e9)) return out_of_range(key);
+      if (!Duration::fits(*v / per_second * 1e9)) return out_of_range(key);
       field = Duration::seconds(*v / per_second);
     }
     return true;
@@ -166,7 +165,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   const auto set_truncated = [&](const char* key, double unit_ns,
                                  Duration& field) {
     if (const auto v = cfg.try_get_double(key)) {
-      if (!fits_duration(*v * unit_ns)) return out_of_range(key);
+      if (!Duration::fits(*v * unit_ns)) return out_of_range(key);
       field = Duration{static_cast<std::int64_t>(*v * unit_ns)};
     }
     return true;
@@ -194,14 +193,15 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   }
 
   if (!set("nodes", out.nodes)) return fail(range_error);
-  if (out.nodes < 1) return fail("nodes must be >= 1");
+  if (out.nodes < 1) return reject("nodes", "must be >= 1");
 
   if (!set_rounded("warmup_s", 1.0, out.warmup) ||
       !set_rounded("duration_s", 1.0, out.duration)) {
     return fail(range_error);
   }
-  if (out.warmup < Duration::zero() || out.duration <= Duration::zero()) {
-    return fail("invalid timing");
+  if (out.warmup < Duration::zero()) return reject("warmup_s", "must be >= 0");
+  if (out.duration <= Duration::zero()) {
+    return reject("duration_s", "must be > 0");
   }
 
   // Multipliers, memory bandwidths and the base-rate override (the wrk2
@@ -211,8 +211,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
         "membw.node_bw_gbs", "membw.demand_per_core_gbs"}) {
     const auto v = cfg.try_get_double(key);
     if (v && !(std::isfinite(*v) && *v > 0)) {
-      invalid(key, "must be finite and > 0");
-      return fail(range_error);
+      return reject(key, "must be finite and > 0");
     }
   }
   set("qos_mult", out.qos_mult);
@@ -226,18 +225,23 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     return fail(range_error);
   }
 
-  if (!set_truncated("netdelay.extra_us", 1e3, out.net_delay_extra) ||
-      !set_rounded("netdelay.len_ms", 1e3, out.net_delay_len) ||
-      !set_rounded("netdelay.period_s", 1.0, out.net_delay_period)) {
-    return fail(range_error);
-  }
-
   // Chaos: deterministic fault schedule + RPC retransmission policy. The
   // fault.plan value is the same spec string sg_run --fault-plan accepts.
   if (cfg.has("fault.plan")) {
     std::string fault_error;
     const auto plan = FaultPlan::from_config(cfg, &fault_error);
     if (!plan) return fail(fault_error);
+    // The plan cannot know the node count; a window on a node the cluster
+    // lacks would abort the run when it is armed.
+    for (const FaultWindow& w : plan->windows()) {
+      if (w.node >= out.nodes) {
+        const std::string why = std::string(to_string(w.kind)) +
+                                " window targets node " +
+                                std::to_string(w.node) + ", but nodes = " +
+                                std::to_string(out.nodes);
+        return reject("fault.plan", why.c_str());
+      }
+    }
     out.fault_plan = *plan;
   }
   // A run with faults retries by default (a dropped packet would otherwise
@@ -267,7 +271,7 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
     }
   }
   if (!set_rounded("drain_s", 1.0, out.drain)) return fail(range_error);
-  if (out.drain < Duration::zero()) return fail("drain_s must be >= 0");
+  if (out.drain < Duration::zero()) return reject("drain_s", "must be >= 0");
 
   // Either [membw] key enables the domain; the other keeps its default.
   if (cfg.has("membw.node_bw_gbs") || cfg.has("membw.demand_per_core_gbs")) {
@@ -285,10 +289,10 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   set("trace.enabled", out.trace_enabled);
   set("trace.sample", out.trace_sample);
   if (!(out.trace_sample >= 0.0 && out.trace_sample <= 1.0)) {
-    return fail("trace.sample must be in [0, 1]");
+    return reject("trace.sample", "must be in [0, 1]");
   }
   if (const auto cap = cfg.try_get_int("trace.capacity")) {
-    if (*cap <= 0) return fail("trace.capacity must be positive");
+    if (*cap <= 0) return reject("trace.capacity", "must be positive");
     out.trace_capacity = static_cast<std::size_t>(*cap);
   }
   set("trace.keep_violators", out.trace_keep_violators);

@@ -16,12 +16,14 @@
 //                         ml+surgeguard
 //   nodes               = 1
 //   warmup_s, duration_s, qos_mult, target_mult, seed
+//   rate_rps            (base-rate override, wrk2 -rate)
 //   surge.mult, surge.len_ms, surge.period_s
-//   netdelay.extra_us, netdelay.len_ms, netdelay.period_s
-//   fault.plan          (FaultPlan spec, see fault/fault_plan.hpp)
+//   fault.plan          (FaultPlan spec, see fault/fault_plan.hpp; its
+//                        `delay` windows are the network-latency surges)
 //   retry.enabled, retry.timeout_ms, retry.backoff, retry.max
 //   drain_s             (post-measurement drain window)
 //   membw.node_bw_gbs, membw.demand_per_core_gbs
+//   ideal.detection_delay_ms
 //   trace.enabled, trace.sample, trace.capacity, trace.keep_violators,
 //   trace.out           (export path; consumed by sg_run)
 //   service.<name>.expected_exec_metric_us

@@ -162,9 +162,10 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
           tb->controllers.push_back(std::make_unique<CentralizedMLController>(
               tb->sim, tb->cluster, tb->metrics, targets));
         }
+        SurgeGuard::Options opts;
+        opts.escalator = config.escalator;
         auto sg_ctrl =
-            std::make_unique<SurgeGuard>(std::move(env), tb->network,
-                                         SurgeGuard::Options{});
+            std::make_unique<SurgeGuard>(std::move(env), tb->network, opts);
         if (sg_ctrl->first_responder() != nullptr) {
           tb->first_responders.push_back(sg_ctrl->first_responder());
         }
@@ -176,6 +177,7 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
       case ControllerKind::kEscalatorMetricsOnly:
       case ControllerKind::kEscalatorSensOnly: {
         SurgeGuard::Options opts;
+        opts.escalator = config.escalator;
         opts.enable_first_responder =
             config.controller == ControllerKind::kSurgeGuard;
         // Fig. 15's middle bars are "Parties + one mechanism": one Escalator
@@ -282,26 +284,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   tb->start_controllers();
   gen.start();
-
-  // Network-latency surge injection (the paper's second disruption class):
-  // periodic windows during which every packet pays an extra delay. One
-  // toggle event per sender (client + each node); the per-sender events
-  // count towards the pinned event total, so they are not merged.
-  if (config.net_delay_len > Duration::zero() &&
-      config.net_delay_extra > Duration::zero()) {
-    for (TimePoint start =
-             TimePoint::at(config.warmup + config.first_surge_offset);
-         start < gen.measure_end(); start += config.net_delay_period) {
-      for (int src = kClientNode; src < config.nodes; ++src) {
-        tb->sim.schedule_at(start, [&tb, &config, src]() {
-          tb->network.set_extra_delay_for(src, config.net_delay_extra);
-        });
-        tb->sim.schedule_at(start + config.net_delay_len, [&tb, src]() {
-          tb->network.set_extra_delay_for(src, Duration::zero());
-        });
-      }
-    }
-  }
 
   // Energy over the measurement window only (paper subtracts idle and
   // reports application energy during the run). One capture event per node,

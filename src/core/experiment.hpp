@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "app/workloads.hpp"
+#include "controllers/escalator.hpp"
 #include "controllers/targets.hpp"
 #include "fault/fault_injector.hpp"
 #include "sim/timeline.hpp"
@@ -90,17 +91,16 @@ struct ExperimentConfig {
   /// (paper §VII extension; bench_ablation_membw).
   std::optional<MemBwDomain::Params> membw;
 
-  /// Injects periodic network-latency surges: every packet gains
-  /// `net_delay_extra` during windows of `net_delay_len` every
-  /// `net_delay_period`, first at warmup + first_surge_offset. Models the
-  /// paper's "surges in ... network latency" disruption class.
-  Duration net_delay_extra;
-  Duration net_delay_len;
-  Duration net_delay_period = 10 * kSecond;
+  /// Escalator options for every Escalator the testbed builds (the
+  /// Escalator, SurgeGuard and ML+SurgeGuard kinds; the two Fig. 15 kinds
+  /// override `use_*` and `interval` on top). bench_ablation_thresholds
+  /// sweeps the thresholds here.
+  Escalator::Options escalator;
 
   /// Deterministic fault schedule (chaos experiments). Empty = no faults and
   /// a bit-identical pre-fault event sequence. Window times are absolute
-  /// simulation times (warmup included), matching net_delay_* semantics.
+  /// simulation times (warmup included). Network-latency surges, the
+  /// paper's second disruption class, are kPacketDelay windows.
   FaultPlan fault_plan;
 
   /// RPC retransmission policy applied to BOTH the application's child RPCs

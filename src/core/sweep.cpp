@@ -79,11 +79,4 @@ RepStats run_replicated(const ExperimentConfig& config,
   return std::move(run_grid({{config, &profile}}, options).front());
 }
 
-RepStats run_replicated(const ExperimentConfig& config,
-                        const SweepOptions& options) {
-  const ProfileResult profile =
-      profile_workload(config.workload, config.nodes, config.target_mult);
-  return run_replicated(config, profile, options);
-}
-
 }  // namespace sg

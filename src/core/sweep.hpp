@@ -69,8 +69,4 @@ RepStats run_replicated(const ExperimentConfig& config,
                         const ProfileResult& profile,
                         const SweepOptions& options);
 
-/// Convenience wrapper that profiles first.
-RepStats run_replicated(const ExperimentConfig& config,
-                        const SweepOptions& options);
-
 }  // namespace sg

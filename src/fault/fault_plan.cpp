@@ -1,5 +1,7 @@
 #include "fault/fault_plan.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -75,6 +77,7 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
     FaultWindow w;
     w.kind = *kind;
     Duration len;
+    std::string len_text;
     for (const std::string& kv_raw : split(entry.substr(colon + 1), ',')) {
       const std::string kv = trim(kv_raw);
       if (kv.empty()) continue;
@@ -84,26 +87,48 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
       }
       const std::string key = trim(kv.substr(0, eq));
       const std::string val = trim(kv.substr(eq + 1));
+      const auto invalid = [&](const char* why) {
+        return fail("invalid value '" + val + "' for key '" + key +
+                    "': " + why);
+      };
       char* endp = nullptr;
       const double num = std::strtod(val.c_str(), &endp);
-      if (endp == val.c_str() || *endp != '\0') {
-        return fail("non-numeric value '" + val + "' for key '" + key + "'");
-      }
-      if (key == "start_ms") {
-        w.start = TimePoint{static_cast<std::int64_t>(num * 1e6)};
-      } else if (key == "len_ms") {
-        len = Duration{static_cast<std::int64_t>(num * 1e6)};
+      if (endp == val.c_str() || *endp != '\0') return invalid("not a number");
+      if (!std::isfinite(num)) return invalid("must be a finite number");
+      if (key == "start_ms" || key == "len_ms" || key == "extra_us") {
+        // Truncated to whole ns; a zero len_ms is left to validate().
+        const double ns = num * (key == "extra_us" ? 1e3 : 1e6);
+        if (!Duration::fits(ns)) return invalid("does not fit in a duration");
+        const Duration d{static_cast<std::int64_t>(ns)};
+        if (d < Duration::zero()) return invalid("must be >= 0");
+        if (key == "start_ms") {
+          w.start = TimePoint::at(d);
+        } else if (key == "len_ms") {
+          len = d;
+          len_text = val;
+        } else {
+          w.extra_delay = d;
+        }
       } else if (key == "rate") {
+        if (!(num >= 0.0 && num <= 1.0)) return invalid("must be in [0, 1]");
         w.rate = num;
       } else if (key == "factor") {
+        if (!(num > 0.0 && num <= 1.0)) return invalid("must be in (0, 1]");
         w.factor = num;
-      } else if (key == "extra_us") {
-        w.extra_delay = Duration{static_cast<std::int64_t>(num * 1e3)};
       } else if (key == "node") {
+        if (num != std::trunc(num) || num < -1.0 || num > INT_MAX) {
+          return invalid("must be a node id or -1 (every node)");
+        }
         w.node = static_cast<int>(num);
       } else {
         return fail("unknown key '" + key + "'");
       }
+    }
+    // start and len are each >= 0 and below 2^63 ns; their sum may not be.
+    if (len > Duration::infinity() - w.start.since_origin()) {
+      return fail("invalid value '" + len_text +
+                  "' for key 'len_ms': the window end, start_ms + len_ms, "
+                  "does not fit in a duration");
     }
     w.end = w.start + len;
     plan.add(w);
@@ -134,7 +159,7 @@ bool FaultPlan::validate(std::string* error) const {
     switch (w.kind) {
       case FaultKind::kPacketDrop:
       case FaultKind::kPacketDup:
-        if (w.rate < 0.0 || w.rate > 1.0) {
+        if (!(w.rate >= 0.0 && w.rate <= 1.0)) {
           return fail(tag + " rate must be in [0, 1]");
         }
         break;
@@ -144,7 +169,7 @@ bool FaultPlan::validate(std::string* error) const {
         }
         break;
       case FaultKind::kNodeSlowdown:
-        if (w.factor <= 0.0 || w.factor > 1.0) {
+        if (!(w.factor > 0.0 && w.factor <= 1.0)) {
           return fail("slow factor must be in (0, 1]");
         }
         break;

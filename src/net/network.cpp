@@ -17,7 +17,7 @@ Network::Network(Simulator& sim, NetworkLatencyModel model, int node_count)
   const auto slots = static_cast<std::size_t>(node_count) + 1;
   senders_.reserve(slots);
   for (std::size_t s = 0; s < slots; ++s) {
-    senders_.push_back({root.fork(), 0, Duration::zero()});
+    senders_.push_back({root.fork(), 0});
   }
   hooks_.resize(slots);
 }
@@ -44,17 +44,13 @@ void Network::add_rx_hook(int node, RxHook* hook) {
   hooks_[slot_of(node)].push_back(hook);
 }
 
-void Network::set_extra_delay_for(int src_node, Duration d) {
-  senders_[slot_of(src_node)].extra_delay = d;
-}
-
 void Network::schedule_delivery(int src_node, Sender& from,
                                 const RpcPacket& pkt, Duration fault_delay) {
   const Duration base =
       src_node == pkt.dst_node ? model_.same_node : model_.cross_node;
   const double scale =
       from.rng.uniform(1.0 - model_.jitter, 1.0 + model_.jitter);
-  Duration latency = base * scale + from.extra_delay;
+  Duration latency = base * scale;
   if (latency < Duration::zero()) latency = Duration::zero();
   latency += fault_delay;
   // Canonical rank: (source node, per-source sequence). Each source's

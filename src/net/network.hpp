@@ -8,13 +8,13 @@
 // delivery time, before invoking the destination's receiver callback.
 //
 // The network knows its node count from construction. Every sender — the
-// client and each node — owns its jitter stream, delivery sequence and
-// extra delay, so a packet's latency depends only on its sender's own send
-// history. Every delivery carries a canonical rank — (source node,
-// per-source sequence) — that orders same-nanosecond deliveries. Streams and
-// ranks are part of the pinned simulated output (simbench fingerprints,
-// serial goldens): replacing them with one shared stream or with FIFO order
-// would change results.
+// client and each node — owns its jitter stream and delivery sequence, so a
+// packet's latency depends only on its sender's own send history. Extra
+// delay (network-latency surges) comes from the fault hook. Every delivery
+// carries a canonical rank — (source node, per-source sequence) — that
+// orders same-nanosecond deliveries. Streams and ranks are part of the
+// pinned simulated output (simbench fingerprints, serial goldens): replacing
+// them with one shared stream or with FIFO order would change results.
 #pragma once
 
 #include <cstdint>
@@ -94,11 +94,6 @@ class Network {
   /// nodes must be in [kClientNode, node_count()).
   void send(int src_node, const RpcPacket& pkt);
 
-  /// Changes the extra per-packet delay for one sender (kClientNode for the
-  /// client). Experiments schedule one toggle event per node; those events
-  /// count towards the pinned event total.
-  void set_extra_delay_for(int src_node, Duration d);
-
   /// Installs the wire-level fault hook (nullptr clears it). Non-owning;
   /// the hook must outlive the network. With no hook installed every packet
   /// gets the default (clean) PacketFate.
@@ -115,7 +110,6 @@ class Network {
   struct Sender {
     Rng rng;                // latency jitter draws
     std::uint64_t seq = 0;  // per-source delivery sequence
-    Duration extra_delay;   // set_extra_delay_for
   };
 
   /// Index of `node` in senders_ and hooks_: 0 for the client, node + 1

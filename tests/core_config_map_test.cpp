@@ -37,7 +37,7 @@ TEST(ConfigMapTest, DefaultsApply) {
   EXPECT_EQ(cfg->duration, 30 * kSecond);
   EXPECT_DOUBLE_EQ(cfg->surge_mult, 1.75);
   EXPECT_FALSE(cfg->membw.has_value());
-  EXPECT_EQ(cfg->net_delay_extra, Duration::zero());
+  EXPECT_TRUE(cfg->fault_plan.empty());
 }
 
 TEST(ConfigMapTest, FullConfigRoundTrip) {
@@ -53,10 +53,8 @@ seed = 99
 mult = 1.5
 len_ms = 500
 period_s = 5
-[netdelay]
-extra_us = 250
-len_ms = 1000
-period_s = 8
+[fault]
+plan = delay:start_ms=4000,len_ms=1000,extra_us=250
 [membw]
 node_bw_gbs = 48
 demand_per_core_gbs = 5
@@ -73,8 +71,12 @@ demand_per_core_gbs = 5
   EXPECT_DOUBLE_EQ(cfg->surge_mult, 1.5);
   EXPECT_EQ(cfg->surge_len, 500 * kMillisecond);
   EXPECT_EQ(cfg->surge_period, 5 * kSecond);
-  EXPECT_EQ(cfg->net_delay_extra, 250 * kMicrosecond);
-  EXPECT_EQ(cfg->net_delay_len, 1 * kSecond);
+  ASSERT_EQ(cfg->fault_plan.size(), 1u);
+  const FaultWindow& delay = cfg->fault_plan.windows()[0];
+  EXPECT_EQ(delay.kind, FaultKind::kPacketDelay);
+  EXPECT_EQ(delay.start, TimePoint::at(4 * kSecond));
+  EXPECT_EQ(delay.end, TimePoint::at(5 * kSecond));
+  EXPECT_EQ(delay.extra_delay, 250 * kMicrosecond);
   ASSERT_TRUE(cfg->membw.has_value());
   EXPECT_DOUBLE_EQ(cfg->membw->node_bw_gbs, 48.0);
   EXPECT_DOUBLE_EQ(cfg->membw->demand_per_busy_core_gbs, 5.0);
@@ -92,21 +94,22 @@ TEST(ConfigMapTest, UnknownControllerFails) {
   EXPECT_NE(err.find("unknown controller"), std::string::npos);
 }
 
-TEST(ConfigMapTest, InvalidValuesFail) {
-  EXPECT_FALSE(experiment_from_config(parse("nodes = 0"), nullptr));
-  EXPECT_FALSE(experiment_from_config(parse("duration_s = 0"), nullptr));
-  EXPECT_FALSE(
-      experiment_from_config(parse("[membw]\nnode_bw_gbs = -5"), nullptr));
-}
-
-// A present value that does not parse is an error naming the key and the
-// value, never the default.
+// A present value that does not parse, or lies outside its key's range, is
+// an error naming the key and the value, never the default.
 void expect_rejected(const std::string& text, const std::string& key,
                      const std::string& value) {
   std::string err;
   EXPECT_FALSE(experiment_from_config(parse(text), &err)) << text;
   EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
   EXPECT_NE(err.find("'" + value + "'"), std::string::npos) << err;
+}
+
+TEST(ConfigMapTest, InvalidValuesFail) {
+  expect_rejected("nodes = 0\n", "nodes", "0");
+  expect_rejected("warmup_s = -1\n", "warmup_s", "-1");
+  expect_rejected("duration_s = 0\n", "duration_s", "0");
+  expect_rejected("drain_s = -1\n", "drain_s", "-1");
+  expect_rejected("[membw]\nnode_bw_gbs = -5\n", "membw.node_bw_gbs", "-5");
 }
 
 TEST(ConfigMapTest, MalformedIntegerRejected) {
@@ -125,8 +128,10 @@ TEST(ConfigMapTest, NonFiniteOrOverflowingDurationRejected) {
   expect_rejected("duration_s = inf\n", "duration_s", "inf");
   expect_rejected("warmup_s = nan\n", "warmup_s", "nan");
   expect_rejected("[surge]\nlen_ms = -1e300\n", "surge.len_ms", "-1e300");
-  expect_rejected("[netdelay]\nextra_us = 1e16\n", "netdelay.extra_us",
-                  "1e16");
+  // The fault plan's times overflow the same way; its error names its own
+  // key and value inside the plan.
+  expect_rejected("[fault]\nplan = delay:start_ms=0,len_ms=1,extra_us=1e16\n",
+                  "extra_us", "1e16");
   // Rejected whether or not retry is enabled: 1e26 ns overflows int64_t.
   expect_rejected("[retry]\ntimeout_ms = 1e20\n", "retry.timeout_ms", "1e20");
   expect_rejected("[ideal]\ndetection_delay_ms = nan\n",
@@ -156,6 +161,17 @@ TEST(ConfigMapTest, OutOfRangeNumbersRejected) {
   ASSERT_TRUE(cfg.has_value());
   EXPECT_EQ(cfg->seed, 9223372036854775807ull);
   EXPECT_EQ(cfg->rpc_retry.max_retries, 2147483647);
+}
+
+TEST(ConfigMapTest, FaultWindowOnAMissingNodeRejected) {
+  expect_rejected(
+      "nodes = 2\n[fault]\nplan = freeze:node=2,start_ms=0,len_ms=1\n",
+      "fault.plan", "freeze:node=2,start_ms=0,len_ms=1");
+  const auto cfg = experiment_from_config(
+      parse("nodes = 2\n[fault]\nplan = freeze:node=1,start_ms=0,len_ms=1\n"),
+      nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->fault_plan.windows()[0].node, 1);
 }
 
 TEST(ConfigMapTest, NonFiniteOrNonPositiveSurgeAndMemBwRejected) {
@@ -284,22 +300,32 @@ TEST(ConfigMapTest, PartialTargetOverride) {
 }
 
 TEST(ConfigMapTest, MisspelledKeyIsFlaggedAsUnknown) {
-  // The classic typo: retry.timout_s instead of retry.timeout_ms. And a
-  // stale key: sim.shards no longer exists (the event loop is serial).
+  // The classic typo: retry.timout_s instead of retry.timeout_ms. And
+  // stale keys: sim.shards no longer exists (the event loop is serial),
+  // and network-latency surges are fault.plan delay windows, not [netdelay].
   const Config cfg = parse(R"(
 workload = chain
+[netdelay]
+extra_us = 250
+len_ms = 1000
+period_s = 8
 [retry]
 timout_s = 5
 [sim]
 shards = 2
 )");
   const auto unknown = unknown_config_keys(cfg);
-  ASSERT_EQ(unknown.size(), 2u);
-  EXPECT_EQ(unknown[0], "retry.timout_s");
-  EXPECT_EQ(unknown[1], "sim.shards");
-  EXPECT_EQ(warn_unknown_config_keys(cfg), 2);
+  ASSERT_EQ(unknown.size(), 5u);
+  EXPECT_EQ(unknown[0], "netdelay.extra_us");
+  EXPECT_EQ(unknown[1], "netdelay.len_ms");
+  EXPECT_EQ(unknown[2], "netdelay.period_s");
+  EXPECT_EQ(unknown[3], "retry.timout_s");
+  EXPECT_EQ(unknown[4], "sim.shards");
+  EXPECT_EQ(warn_unknown_config_keys(cfg), 5);
   // The experiment still parses — unknown keys warn, they do not fail.
-  EXPECT_TRUE(experiment_from_config(cfg, nullptr).has_value());
+  const auto out = experiment_from_config(cfg, nullptr);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->fault_plan.empty());
 }
 
 TEST(ConfigMapTest, ValidKeysAreNotFlagged) {
@@ -352,14 +378,10 @@ keep_violators = false
 }
 
 TEST(ConfigMapTest, InvalidTraceValuesFail) {
-  std::string err;
-  EXPECT_FALSE(
-      experiment_from_config(parse("[trace]\nsample = 1.5\n"), &err));
-  EXPECT_NE(err.find("trace.sample"), std::string::npos);
-  EXPECT_FALSE(
-      experiment_from_config(parse("[trace]\nsample = -0.1\n"), nullptr));
-  EXPECT_FALSE(
-      experiment_from_config(parse("[trace]\ncapacity = 0\n"), nullptr));
+  expect_rejected("[trace]\nsample = 1.5\n", "trace.sample", "1.5");
+  expect_rejected("[trace]\nsample = -0.1\n", "trace.sample", "-0.1");
+  expect_rejected("[trace]\nsample = nan\n", "trace.sample", "nan");
+  expect_rejected("[trace]\ncapacity = 0\n", "trace.capacity", "0");
 }
 
 TEST(ConfigMapTest, ConfiguredExperimentRuns) {

@@ -141,8 +141,10 @@ TEST(ExperimentTest, Fig15VariantsWireEscalatorOptions) {
     int off_500ms = 0;  // decisions not on a multiple of 500 ms
     int off_100ms = 0;
   };
-  const auto audit = [&](ControllerKind kind) {
+  const auto audit = [&](ControllerKind kind,
+                         Escalator::Options escalator = {}) {
     ExperimentConfig cfg = short_config(kind);
+    cfg.escalator = escalator;
     cfg.warmup = 1_s;
     cfg.duration = 3_s;
     cfg.surge_period = 2_s;
@@ -173,6 +175,15 @@ TEST(ExperimentTest, Fig15VariantsWireEscalatorOptions) {
   const Audit full = audit(ControllerKind::kEscalator);
   EXPECT_GT(full.off_500ms, 0);
   EXPECT_EQ(full.off_100ms, 0);
+  EXPECT_GT(full.stamps, 0);
+
+  // ExperimentConfig::escalator reaches the Escalator the testbed builds: a
+  // QUEUE_TH no queueBuildup reaches stamps no upscale hint.
+  Escalator::Options deaf;
+  deaf.queue_threshold = 1e9;
+  const Audit no_hints = audit(ControllerKind::kEscalator, deaf);
+  EXPECT_GT(no_hints.decisions, 0);
+  EXPECT_EQ(no_hints.stamps, 0);
 }
 
 TEST(ExperimentTest, MakePatternDerivesSurges) {

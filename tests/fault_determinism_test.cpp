@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -178,6 +179,47 @@ TEST(FaultDeterminismDeathTest, ArmRejectsNodeCountMismatch) {
   EXPECT_DEATH(injector.arm(&net, &cluster), "disagree on the node count");
 }
 
+TEST(FaultInjectorTest, DelayWindowIsHalfOpenAtSendTime) {
+  // A delay window [start, end) applies to the packets SENT inside it: one
+  // sent at start pays the extra delay, one sent at end does not.
+  Simulator sim(1);
+  NetworkLatencyModel model;
+  model.jitter = 0.0;
+  Network net(sim, model);
+  FaultWindow delay;
+  delay.kind = FaultKind::kPacketDelay;
+  delay.start = TimePoint::at(1_ms);
+  delay.end = TimePoint::at(2_ms);
+  delay.extra_delay = 100_us;
+  FaultPlan plan;
+  plan.add(delay);
+  FaultInjector injector(sim, plan);
+  injector.arm(&net, nullptr);
+
+  // Indexed by request id: the undelayed packet sent at end arrives before
+  // the delayed one sent 1 ns earlier.
+  std::vector<TimePoint> delivered(4);
+  net.register_receiver(1, [&](const RpcPacket& p) {
+    delivered[p.request_id] = sim.now();
+  });
+  const TimePoint sends[] = {delay.start - kNanosecond, delay.start,
+                             delay.end - kNanosecond, delay.end};
+  for (RequestId id = 0; id < 4; ++id) {
+    RpcPacket pkt;
+    pkt.request_id = id;
+    pkt.dst_container = 1;
+    pkt.src_node = 0;
+    sim.schedule_at(sends[id], [&net, pkt]() { net.send(0, pkt); });
+  }
+  sim.run_to_completion();
+
+  EXPECT_EQ(delivered[0], sends[0] + model.same_node);
+  EXPECT_EQ(delivered[1], sends[1] + model.same_node + 100_us);
+  EXPECT_EQ(delivered[2], sends[2] + model.same_node + 100_us);
+  EXPECT_EQ(delivered[3], sends[3] + model.same_node);
+  EXPECT_EQ(injector.stats().packets_delayed, 2u);
+}
+
 TEST(FaultPlanTest, ToStringRoundTrips) {
   std::string error;
   const auto plan = FaultPlan::parse(kAllKindsPlan, &error);
@@ -201,6 +243,67 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::parse("drop start_ms=0", &error));
   EXPECT_FALSE(
       FaultPlan::parse("slow:start_ms=0,len_ms=1,factor=0", &error));
+}
+
+TEST(FaultPlanTest, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // Each spec is rejected with an error naming the key and the value.
+  const struct {
+    const char* spec;
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"delay:start_ms=0,len_ms=1,extra_us=1e16", "extra_us", "1e16"},
+      {"drop:start_ms=1e20,len_ms=1,rate=0.1", "start_ms", "1e20"},
+      {"drop:start_ms=-1,len_ms=1,rate=0.1", "start_ms", "-1"},
+      {"stall:start_ms=inf,len_ms=1", "start_ms", "inf"},
+      {"drop:start_ms=0,len_ms=9.3e12,rate=0.1", "len_ms", "9.3e12"},
+      // Each fits on its own; the window end does not.
+      {"stall:start_ms=5e12,len_ms=5e12", "len_ms", "5e12"},
+      {"drop:start_ms=0,len_ms=1,rate=nan", "rate", "nan"},
+      {"dup:start_ms=0,len_ms=1,rate=-0.1", "rate", "-0.1"},
+      {"slow:start_ms=0,len_ms=1,factor=nan", "factor", "nan"},
+      {"freeze:start_ms=0,len_ms=1,node=-5", "node", "-5"},
+      {"freeze:start_ms=0,len_ms=1,node=0.7", "node", "0.7"},
+      {"freeze:start_ms=0,len_ms=1,node=1e10", "node", "1e10"},
+      {"drop:start_ms=zero,len_ms=1", "start_ms", "zero"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(c.spec, &error)) << c.spec;
+    EXPECT_NE(error.find("'" + std::string(c.key) + "'"), std::string::npos)
+        << c.spec << ": " << error;
+    EXPECT_NE(error.find("'" + std::string(c.value) + "'"), std::string::npos)
+        << c.spec << ": " << error;
+  }
+  // The edges still parse: every node, a named node, a window ending just
+  // inside the range.
+  std::string error;
+  const auto plan = FaultPlan::parse(
+      "freeze:start_ms=0,len_ms=1,node=-1;slow:node=3,start_ms=0,len_ms=1,"
+      "factor=1;stall:start_ms=9e12,len_ms=2e11",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(plan->windows()[0].node, -1);
+  EXPECT_EQ(plan->windows()[1].node, 3);
+  EXPECT_EQ(plan->windows()[2].end, TimePoint::at(Duration::sec(9'200'000'000)));
+}
+
+TEST(FaultPlanTest, ValidateRejectsNaNRatesAndFactors) {
+  // Windows built in code skip parse(); validate() still catches NaN.
+  FaultWindow drop;
+  drop.kind = FaultKind::kPacketDrop;
+  drop.end = TimePoint::at(1_ms);
+  drop.rate = std::nan("");
+  FaultPlan drops;
+  drops.add(drop);
+  EXPECT_FALSE(drops.validate());
+  FaultWindow slow;
+  slow.kind = FaultKind::kNodeSlowdown;
+  slow.end = TimePoint::at(1_ms);
+  slow.factor = std::nan("");
+  FaultPlan slows;
+  slows.add(slow);
+  EXPECT_FALSE(slows.validate());
 }
 
 TEST(FaultPlanTest, EmptySpecIsEmptyPlan) {

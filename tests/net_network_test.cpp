@@ -65,19 +65,6 @@ TEST(NetworkTest, JitterBoundsLatency) {
   }
 }
 
-TEST(NetworkTest, ExtraDelayInjected) {
-  Simulator sim;
-  NetworkLatencyModel model;
-  model.jitter = 0.0;
-  Network net(sim, model);
-  TimePoint at;
-  net.register_receiver(1, [&](const RpcPacket&) { at = sim.now(); });
-  net.set_extra_delay_for(0, 1 * kMillisecond);
-  net.send(0, make_packet(1, 0));
-  sim.run_to_completion();
-  EXPECT_EQ(at, TimePoint::at(model.same_node + 1 * kMillisecond));
-}
-
 TEST(NetworkTest, ClientReceiverGetsResponses) {
   Simulator sim;
   Network net(sim);

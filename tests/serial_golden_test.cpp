@@ -2,9 +2,8 @@
 // digest exactly. The simbench fingerprints pin a traced 1-node run, an
 // untraced 8-node run and a 2-node packet-loss run under Parties; these two
 // configs reach what they do not — a traced 4-node CHAIN under SurgeGuard,
-// and the same run under the full chaos plan (drop/dup/slow/freeze/stall,
-// RPC retry, drain) plus network-delay windows, whose per-node toggle
-// events count towards events_processed.
+// and the same run under the full chaos plan (drop/dup/slow/freeze/stall
+// and three network-delay windows, RPC retry, drain).
 //
 // Each digest holds the load-side results, the simulation-wide counters,
 // the accumulated FP metrics as %a hex floats (exact bits), the fault
@@ -52,15 +51,15 @@ ExperimentConfig chain4_chaos_config() {
       "dup:start_ms=2000,len_ms=600,rate=0.05;"
       "slow:node=1,start_ms=2500,len_ms=400,factor=0.3;"
       "freeze:node=2,start_ms=3200,len_ms=200;"
-      "stall:start_ms=1800,len_ms=500",
+      "stall:start_ms=1800,len_ms=500;"
+      "delay:start_ms=2000,len_ms=300,extra_us=40;"
+      "delay:start_ms=3000,len_ms=300,extra_us=40;"
+      "delay:start_ms=4000,len_ms=300,extra_us=40",
       &err);
   SG_ASSERT_MSG(plan.has_value(), err.c_str());
   cfg.fault_plan = *plan;
   cfg.rpc_retry.enabled = true;
   cfg.drain = 2 * kSecond;
-  cfg.net_delay_extra = 40 * kMicrosecond;
-  cfg.net_delay_len = 300 * kMillisecond;
-  cfg.net_delay_period = 1 * kSecond;
   return cfg;
 }
 

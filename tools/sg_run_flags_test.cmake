@@ -20,6 +20,11 @@ file(WRITE ${WORK_DIR}/rate_nan.cfg "workload = chain\nrate_rps = nan\n")
 file(WRITE ${WORK_DIR}/rate_neg.cfg "workload = chain\nrate_rps = -5\n")
 file(WRITE ${WORK_DIR}/target.cfg "workload = chain\ntarget_mult = -1\n")
 file(WRITE ${WORK_DIR}/qos.cfg "workload = chain\nqos_mult = nan\n")
+file(WRITE ${WORK_DIR}/nodes_zero.cfg "workload = chain\nnodes = 0\n")
+file(WRITE ${WORK_DIR}/duration_zero.cfg "workload = chain\nduration_s = 0\n")
+file(WRITE ${WORK_DIR}/drain.cfg "workload = chain\ndrain_s = -1\n")
+file(WRITE ${WORK_DIR}/sample.cfg "workload = chain\n[trace]\nsample = 1.5\n")
+file(WRITE ${WORK_DIR}/capacity.cfg "workload = chain\n[trace]\ncapacity = 0\n")
 
 # Each case: config file, then the name the error must mention, then flags.
 # A range error must name the value and the key.
@@ -38,7 +43,14 @@ set(cases
   "rate_nan.cfg|'nan' for key 'rate_rps'|"
   "rate_neg.cfg|'-5' for key 'rate_rps'|"
   "target.cfg|'-1' for key 'target_mult'|"
-  "qos.cfg|'nan' for key 'qos_mult'|")
+  "qos.cfg|'nan' for key 'qos_mult'|"
+  "nodes_zero.cfg|'0' for key 'nodes'|"
+  "duration_zero.cfg|'0' for key 'duration_s'|"
+  "drain.cfg|'-1' for key 'drain_s'|"
+  "sample.cfg|'1.5' for key 'trace.sample'|"
+  "capacity.cfg|'0' for key 'trace.capacity'|"
+  "valid.cfg|'nan' for key 'factor'|--fault-plan slow:start_ms=0,len_ms=1,factor=nan"
+  "valid.cfg|'1e16' for key 'extra_us'|--fault-plan delay:start_ms=0,len_ms=1,extra_us=1e16")
 foreach(case IN LISTS cases)
   string(REGEX MATCH "^([^|]*)\\|([^|]*)\\|(.*)$" fields "${case}")
   set(config ${CMAKE_MATCH_1})
