@@ -36,8 +36,6 @@ int main(int argc, char** argv) {
     cfg.pattern_override = SpikePattern::surges(
         w.base_rate_rps, 1.75, 10 * kSecond, 60 * kSecond,
         TimePoint::at(15 * kSecond));
-    cfg.record_alloc_timelines = true;
-    cfg.trace_sample_interval = 1 * kSecond;
     cells.push_back({cfg, &profile});
   }
   const std::vector<RepStats> grid = run_grid(cells, args.one_run());
@@ -53,19 +51,15 @@ int main(int argc, char** argv) {
       headers.push_back(std::to_string(t.ns() / kSecond.ns()) + "s");
     }
     TablePrinter table(headers);
-    for (const ContainerTrace& trace : r.alloc_traces) {
-      std::vector<std::string> row{trace.name};
+    for (const ServiceTimeline& service : r.timelines) {
+      std::vector<std::string> row{service.name};
       for (Duration t = 10 * kSecond; t <= 30 * kSecond; t += 2 * kSecond) {
-        double v = 0;
-        for (const auto& p : trace.cores) {
-          if (p.time <= TimePoint::at(t)) v = p.value;
-        }
-        row.push_back(fmt_double(v, 0));
+        row.push_back(fmt_double(service.cores.at(TimePoint::at(t)), 0));
       }
       table.add_row(std::move(row));
       if (csv) {
-        for (const auto& p : trace.cores) {
-          csv->cell(to_string(kind)).cell(trace.name)
+        for (const StepTimeline::Point& p : service.cores.points()) {
+          csv->cell(to_string(kind)).cell(service.name)
               .cell(p.time.since_origin().seconds()).cell(p.value);
           csv->end_row();
         }
@@ -76,13 +70,10 @@ int main(int argc, char** argv) {
     // The paper's headline number: what share of all application cores does
     // user-timeline-service hold at the height of the surge?
     double ut_cores = 0, total = 0;
-    for (const ContainerTrace& trace : r.alloc_traces) {
-      double v = 0;
-      for (const auto& p : trace.cores) {
-        if (p.time <= TimePoint::at(24 * kSecond)) v = p.value;
-      }
+    for (const ServiceTimeline& service : r.timelines) {
+      const double v = service.cores.at(TimePoint::at(24 * kSecond));
       total += v;
-      if (trace.name.find("user-timeline-service") != std::string::npos) {
+      if (service.name.find("user-timeline-service") != std::string::npos) {
         ut_cores = v;
       }
     }

@@ -17,18 +17,21 @@ using namespace sg::bench;
 
 namespace {
 
-/// Peak simultaneous application cores across the run (the "cores needed
-/// to overcome the surge" quantity Fig. 4 plots).
+/// Peak simultaneous application cores over the measurement window (the
+/// "cores needed to overcome the surge" quantity Fig. 4 plots). A sum of
+/// step functions peaks at one of its change points, so the maximum over
+/// every change point up to measure_end is exact.
 double peak_total_cores(const ExperimentResult& r) {
   double peak = 0.0;
-  if (r.alloc_traces.empty()) return peak;
-  const std::size_t n = r.alloc_traces.front().cores.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    double total = 0.0;
-    for (const ContainerTrace& trace : r.alloc_traces) {
-      if (i < trace.cores.size()) total += trace.cores[i].value;
+  for (const ServiceTimeline& changed : r.timelines) {
+    for (const StepTimeline::Point& p : changed.cores.points()) {
+      if (p.time > r.measure_end) break;
+      double total = 0.0;
+      for (const ServiceTimeline& service : r.timelines) {
+        total += service.cores.at(p.time);
+      }
+      peak = std::max(peak, total);
     }
-    peak = std::max(peak, total);
   }
   return peak;
 }
@@ -49,8 +52,6 @@ int main(int argc, char** argv) {
   base.duration = args.quick ? 12 * kSecond : 30 * kSecond;
   base.ideal_drain_window = 150 * kMillisecond;
   base.free_headroom = 3.0;  // deep pool: isolate detection latency
-  base.record_alloc_timelines = true;
-  base.trace_sample_interval = 10 * kMillisecond;
 
   const ProfileResult profile = profile_workload(base.workload, 1);
 
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   std::vector<RepStats> grid = run_grid(grid_cells, args.sweep());
   std::vector<Cell> cells;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    // Peak cores from the seed0 replication's allocation timelines.
+    // Peak cores from the seed0 replication's core timelines.
     const double peak = peak_total_cores(grid[i].first);
     cells.push_back({delays[i], std::move(grid[i]), peak});
   }

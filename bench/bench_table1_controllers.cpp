@@ -10,39 +10,23 @@ using namespace sg::bench;
 
 namespace {
 
-// Measures time from surge start until the controller's first resource
-// action (core grant or frequency change) on any container.
-Duration measure_reaction(ControllerKind kind, const ProfileResult& profile,
-                          const BenchArgs& args) {
-  ExperimentConfig cfg;
-  cfg.workload = make_chain();
-  cfg.controller = kind;
-  cfg.warmup = 3 * kSecond;
-  cfg.duration = 6 * kSecond;
-  cfg.surge_mult = 1.75;
-  cfg.surge_len = 2 * kSecond;
-  cfg.first_surge_offset = 1 * kSecond;
-  cfg.record_alloc_timelines = true;
-  cfg.trace_sample_interval = 100 * kMicrosecond;
-  cfg.seed = args.seed;
-  const ExperimentResult r = run_experiment(cfg, profile);
-
-  const TimePoint surge_start =
-      TimePoint::at(cfg.warmup + cfg.first_surge_offset);
+// Time from surge start until the controller's first resource action (core
+// grant or frequency change) on any container: the first change point
+// strictly after `surge_start` whose value differs from the value at t=0.
+Duration first_action_after(const ExperimentResult& r, TimePoint surge_start) {
   Duration first_action = Duration::infinity();
-  for (const ContainerTrace& trace : r.alloc_traces) {
-    auto scan = [&](const std::vector<StepTimeline::Point>& pts) {
-      if (pts.empty()) return;
-      const double initial = pts.front().value;
-      for (const auto& p : pts) {
-        if (p.time > surge_start && p.value != initial) {
-          first_action = std::min(first_action, p.time - surge_start);
-          return;
-        }
+  auto scan = [&](const StepTimeline& timeline) {
+    const double initial = timeline.at(TimePoint::origin());
+    for (const StepTimeline::Point& p : timeline.points()) {
+      if (p.time > surge_start && p.value != initial) {
+        first_action = std::min(first_action, p.time - surge_start);
+        return;
       }
-    };
-    scan(trace.cores);
-    scan(trace.frequency);
+    }
+  };
+  for (const ServiceTimeline& service : r.timelines) {
+    scan(service.cores);
+    scan(service.mhz);
   }
   return first_action;
 }
@@ -74,20 +58,37 @@ int main(int argc, char** argv) {
     ControllerKind kind;
     const char* note;
   };
-  for (const Row& row :
-       {Row{ControllerKind::kParties, "averaged metrics, 500ms FSM"},
-        Row{ControllerKind::kCaladan, "queue signal, metric-publication bound"},
-        Row{ControllerKind::kEscalator, "averaged metrics, 100ms cycle"},
-        Row{ControllerKind::kSurgeGuard,
-            "per-packet slack -> same-millisecond frequency boost"}}) {
-    const Duration reaction = measure_reaction(row.kind, profile, args);
-    measured.add_row({to_string(row.kind),
+  const Row rows[] = {
+      {ControllerKind::kParties, "averaged metrics, 500ms FSM"},
+      {ControllerKind::kCaladan, "queue signal, metric-publication bound"},
+      {ControllerKind::kEscalator, "averaged metrics, 100ms cycle"},
+      {ControllerKind::kSurgeGuard,
+       "per-packet slack -> same-millisecond frequency boost"}};
+  ExperimentConfig cfg;
+  cfg.workload = make_chain();
+  cfg.warmup = 3 * kSecond;
+  cfg.duration = 6 * kSecond;
+  cfg.surge_mult = 1.75;
+  cfg.surge_len = 2 * kSecond;
+  cfg.first_surge_offset = 1 * kSecond;
+  std::vector<GridCell> cells;
+  for (const Row& row : rows) {
+    cfg.controller = row.kind;
+    cells.push_back({cfg, &profile});
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.one_run());
+
+  const TimePoint surge_start =
+      TimePoint::at(cfg.warmup + cfg.first_surge_offset);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const ControllerKind kind = rows[i].kind;
+    const Duration reaction = first_action_after(grid[i].first, surge_start);
+    measured.add_row({to_string(kind),
                       reaction == Duration::infinity() ? "none"
                                                        : format_time(reaction),
-                      row.note});
+                      rows[i].note});
     if (csv) {
-      csv->cell(to_string(row.kind))
-          .cell(static_cast<long long>(reaction.ns()));
+      csv->cell(to_string(kind)).cell(static_cast<long long>(reaction.ns()));
       csv->end_row();
     }
   }

@@ -33,8 +33,10 @@ int main(int argc, char** argv) {
     csv->end_row();
   }
 
-  for (ControllerKind kind :
-       {ControllerKind::kEscalator, ControllerKind::kSurgeGuard}) {
+  const ControllerKind kinds[] = {ControllerKind::kEscalator,
+                                  ControllerKind::kSurgeGuard};
+  std::vector<GridCell> cells;
+  for (ControllerKind kind : kinds) {
     ExperimentConfig cfg;
     cfg.workload = w;
     cfg.controller = kind;
@@ -46,12 +48,15 @@ int main(int argc, char** argv) {
     cfg.warmup = 2 * kSecond;
     cfg.duration = args.quick ? 4 * kSecond : 10 * kSecond;
     cfg.vv_window = 1 * kMillisecond;
-    cfg.seed = args.seed;
     cfg.trace_enabled = true;
     cfg.trace_capacity = 1u << 16;
+    cells.push_back({cfg, &profile});
+  }
+  const std::vector<RepStats> grid = run_grid(cells, args.one_run());
 
-    const ExperimentResult r = run_experiment(cfg, profile);
-    const TraceReport& tr = *r.trace;
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    const ControllerKind kind = kinds[k];
+    const TraceReport& tr = *grid[k].first.trace;
 
     std::printf("\n--- %s: %llu traces kept (%llu SLO violators), "
                 "%llu controller decisions ---\n",

@@ -17,18 +17,10 @@ using namespace sg;
 
 namespace {
 
-struct ProbeStats {
-  std::vector<double> exec_metric;
-  std::vector<double> tfs;
-  std::vector<double> queue_buildup;
-  std::vector<double> util;
-  std::vector<std::string> names;
-};
-
 // Runs a steady load at `rate_frac` of base with a given controller and
-// collects per-service lifetime averages.
-ProbeStats probe(const WorkloadInfo& w, double rate_frac, ControllerKind kind,
-                 const ProfileResult& prof, std::uint64_t* fr_boosts) {
+// returns how many frequency boosts FirstResponder applied.
+std::uint64_t probe(const WorkloadInfo& w, double rate_frac,
+                    ControllerKind kind, const ProfileResult& prof) {
   ExperimentConfig cfg;
   cfg.workload = w;
   cfg.controller = kind;
@@ -36,18 +28,8 @@ ProbeStats probe(const WorkloadInfo& w, double rate_frac, ControllerKind kind,
   cfg.warmup = 3 * kSecond;
   cfg.duration = 10 * kSecond;
   cfg.seed = 11;
-  SpikePattern pattern = SpikePattern::steady(w.base_rate_rps * rate_frac);
-  cfg.pattern_override = pattern;
-  cfg.record_alloc_timelines = true;
-  const ExperimentResult r = run_experiment(cfg, prof);
-  if (fr_boosts) *fr_boosts = r.fr_boosts;
-
-  // Re-derive per-service stats with a dedicated instrumented run: the
-  // public ExperimentResult does not expose runtime metrics, so probe via a
-  // fresh profile-style run at the target rate.
-  ProbeStats out;
-  (void)r;
-  return out;
+  cfg.pattern_override = SpikePattern::steady(w.base_rate_rps * rate_frac);
+  return run_experiment(cfg, prof).fr_boosts;
 }
 
 }  // namespace
@@ -103,8 +85,8 @@ int main(int argc, char** argv) {
               prof_base.low_load_mean_latency / prof_low.low_load_mean_latency);
 
   // Steady-state quietness check: SurgeGuard on a surge-free base load.
-  std::uint64_t boosts = 0;
-  probe(w, 1.0, ControllerKind::kSurgeGuard, prof_low, &boosts);
+  const std::uint64_t boosts =
+      probe(w, 1.0, ControllerKind::kSurgeGuard, prof_low);
   std::printf("FirstResponder boosts on steady base load (13s): %llu %s\n",
               static_cast<unsigned long long>(boosts),
               boosts < 100 ? "(quiet - OK)" : "(NOISY - recalibrate)");

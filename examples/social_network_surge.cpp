@@ -39,8 +39,6 @@ int main(int argc, char** argv) {
   cfg.pattern_override = SpikePattern::surges(
       w.base_rate_rps, surge_mult, 10 * kSecond, 60 * kSecond,
       TimePoint::at(15 * kSecond));
-  cfg.record_alloc_timelines = true;
-  cfg.trace_sample_interval = 1 * kSecond;
   cfg.seed = 42;
 
   for (ControllerKind kind :
@@ -57,15 +55,11 @@ int main(int argc, char** argv) {
     // Step 3: where did the cores go?
     TablePrinter table({"service", "pre-surge", "t=20s (mid)", "t=24s (late)",
                         "t=29s (post)"});
-    for (const ContainerTrace& trace : r.alloc_traces) {
+    for (const ServiceTimeline& service : r.timelines) {
       auto at = [&](Duration t) {
-        double v = 0;
-        for (const auto& p : trace.cores) {
-          if (p.time <= TimePoint::at(t)) v = p.value;
-        }
-        return fmt_double(v, 0);
+        return fmt_double(service.cores.at(TimePoint::at(t)), 0);
       };
-      table.add_row({trace.name, at(14 * kSecond), at(20 * kSecond),
+      table.add_row({service.name, at(14 * kSecond), at(20 * kSecond),
                      at(24 * kSecond), at(29 * kSecond)});
     }
     table.print();

@@ -335,18 +335,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   out.controller_ticks_stalled = tb->sim.ticks_stalled();
   out.events_processed = tb->sim.events_processed();
 
-  if (config.record_alloc_timelines) {
-    for (int i = 0; i < tb->app->service_count(); ++i) {
-      const Container& c = tb->app->service_container(i);
-      ContainerTrace trace;
-      trace.name = c.name();
-      trace.cores = c.core_timeline().sample(TimePoint::origin(),
-                                             gen.measure_end(),
-                                             config.trace_sample_interval);
-      trace.frequency = c.freq_timeline().sample(
-          TimePoint::origin(), gen.measure_end(), config.trace_sample_interval);
-      out.alloc_traces.push_back(std::move(trace));
-    }
+  for (int i = 0; i < tb->app->service_count(); ++i) {
+    const Container& c = tb->app->service_container(i);
+    out.timelines.push_back({c.name(), c.core_timeline(), c.freq_timeline()});
   }
   if (TraceSink* trace = tb->sim.trace_sink()) {
     std::vector<TraceContainerInfo> info;

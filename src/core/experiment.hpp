@@ -120,10 +120,6 @@ struct ExperimentConfig {
   Duration ideal_detection_delay = 200 * kMicrosecond;
   Duration ideal_drain_window = 500 * kMillisecond;
 
-  /// Record per-container allocation timelines.
-  bool record_alloc_timelines = false;
-  Duration trace_sample_interval = 100 * kMillisecond;
-
   /// Per-request distributed tracing (sg::trace). Off by default: the
   /// instrumented paths then reduce to one null check and the run is
   /// bit-identical to an untraced build.
@@ -139,10 +135,12 @@ struct ExperimentConfig {
   SpikePattern make_pattern() const;
 };
 
-struct ContainerTrace {
+/// One service container's exact resource record: every change point of
+/// its core allocation and of its frequency (MHz) over the whole run.
+struct ServiceTimeline {
   std::string name;
-  std::vector<StepTimeline::Point> cores;      // sampled allocation
-  std::vector<StepTimeline::Point> frequency;  // sampled MHz
+  StepTimeline cores;
+  StepTimeline mhz;
 };
 
 struct ExperimentResult {
@@ -166,8 +164,9 @@ struct ExperimentResult {
   std::uint64_t controller_ticks_stalled = 0;
   std::uint64_t events_processed = 0;
 
-  /// Allocation timelines (present when record_alloc_timelines).
-  std::vector<ContainerTrace> alloc_traces;
+  /// Core and frequency timelines of every service container, in service
+  /// order.
+  std::vector<ServiceTimeline> timelines;
 
   /// Request-level trace snapshot (present when trace_enabled). Detached
   /// from the testbed: exporters can run after the simulation is gone.

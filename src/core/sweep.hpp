@@ -34,7 +34,7 @@ struct RepStats {
   double p98 = 0.0;
 
   /// The full result of the seed0 replication (FR counters, max latency,
-  /// allocation traces when the config records them).
+  /// each service's core and frequency timelines).
   ExperimentResult first;
 
   std::size_t replications() const { return violation_volume.size(); }

@@ -31,6 +31,20 @@ std::optional<FaultKind> kind_from_string(const std::string& s) {
   return std::nullopt;
 }
 
+/// Whether a window of `kind` reads `key`. Unknown keys return true and are
+/// rejected by the parser as unknown.
+bool kind_reads_key(FaultKind kind, const std::string& key) {
+  if (key == "node") {
+    return kind == FaultKind::kNodeSlowdown || kind == FaultKind::kNodeFreeze;
+  }
+  if (key == "rate") {
+    return kind == FaultKind::kPacketDrop || kind == FaultKind::kPacketDup;
+  }
+  if (key == "factor") return kind == FaultKind::kNodeSlowdown;
+  if (key == "extra_us") return kind == FaultKind::kPacketDelay;
+  return true;
+}
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -87,6 +101,10 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
       }
       const std::string key = trim(kv.substr(0, eq));
       const std::string val = trim(kv.substr(eq + 1));
+      if (!kind_reads_key(w.kind, key)) {
+        return fail("key '" + key + "' does not apply to " +
+                    sg::to_string(w.kind) + " windows");
+      }
       const auto invalid = [&](const char* why) {
         return fail("invalid value '" + val + "' for key '" + key +
                     "': " + why);

@@ -70,10 +70,13 @@ class FaultPlan {
   ///
   ///   drop:start_ms=6000,len_ms=2000,rate=0.1;slow:node=0,start_ms=9000,len_ms=500,factor=0.25
   ///
-  /// Every value must be a finite number: times must fit a Duration (and
-  /// so must start_ms + len_ms), rate lie in [0, 1], factor in (0, 1], and
-  /// node be an integer >= -1. Returns nullopt and fills `error`, naming
-  /// the key and the value, on malformed specs.
+  /// Each window takes only the keys its kind reads: start_ms and len_ms
+  /// always, rate on drop/dup, extra_us on delay, factor on slow and node
+  /// on slow/freeze. Every value must be a finite number: times must fit a
+  /// Duration (and so must start_ms + len_ms), rate lie in [0, 1], factor
+  /// in (0, 1], and node be an integer >= -1. Returns nullopt and fills
+  /// `error`, naming the key and the value (or the key and the kind), on
+  /// malformed specs.
   static std::optional<FaultPlan> parse(const std::string& spec,
                                         std::string* error = nullptr);
 

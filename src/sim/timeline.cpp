@@ -98,13 +98,4 @@ Duration StepTimeline::time_above(TimePoint t0, TimePoint t1,
   return acc;
 }
 
-std::vector<StepTimeline::Point> StepTimeline::sample(TimePoint t0,
-                                                      TimePoint t1,
-                                                      Duration dt) const {
-  std::vector<Point> out;
-  if (dt <= Duration::zero()) return out;
-  for (TimePoint t = t0; t <= t1; t += dt) out.push_back({t, at(t)});
-  return out;
-}
-
 }  // namespace sg

@@ -50,9 +50,6 @@ class StepTimeline {
   };
   const std::vector<Point>& points() const { return points_; }
 
-  /// Samples the series every `dt` over [t0, t1] (for CSV/plot output).
-  std::vector<Point> sample(TimePoint t0, TimePoint t1, Duration dt) const;
-
  private:
   std::vector<Point> points_;
 };

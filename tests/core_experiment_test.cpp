@@ -65,15 +65,28 @@ TEST(ExperimentTest, StaticRunProducesSaneResults) {
 }
 
 TEST(ExperimentTest, StaticAllocationNeverChanges) {
-  ExperimentConfig cfg = short_config(ControllerKind::kStatic);
-  cfg.record_alloc_timelines = true;
-  const ExperimentResult r = run_experiment(cfg);
-  ASSERT_EQ(r.alloc_traces.size(), 5u);
-  for (const auto& trace : r.alloc_traces) {
-    for (const auto& pt : trace.cores) {
-      EXPECT_DOUBLE_EQ(pt.value, 2.0) << trace.name;
-    }
+  const ExperimentResult r =
+      run_experiment(short_config(ControllerKind::kStatic));
+  ASSERT_EQ(r.timelines.size(), 5u);
+  for (const ServiceTimeline& service : r.timelines) {
+    ASSERT_EQ(service.cores.points().size(), 1u) << service.name;
+    EXPECT_DOUBLE_EQ(service.cores.current(), 2.0) << service.name;
   }
+}
+
+TEST(ExperimentTest, TimelinesAverageToAvgCores) {
+  // The result's timelines are the exact record avg_cores is computed from.
+  const ExperimentResult r =
+      run_experiment(short_config(ControllerKind::kSurgeGuard));
+  ASSERT_EQ(r.timelines.size(), 5u);
+  double total = 0.0;
+  bool any_change = false;
+  for (const ServiceTimeline& service : r.timelines) {
+    any_change = any_change || service.cores.points().size() > 1;
+    total += service.cores.average(r.measure_start, r.measure_end);
+  }
+  EXPECT_TRUE(any_change) << "the surge run should move some allocation";
+  EXPECT_DOUBLE_EQ(total, r.avg_cores);
 }
 
 TEST(ExperimentTest, DeterministicForSameSeed) {

@@ -288,6 +288,49 @@ TEST(FaultPlanTest, RejectsNonFiniteAndOutOfRangeNumbers) {
   EXPECT_EQ(plan->windows()[2].end, TimePoint::at(Duration::sec(9'200'000'000)));
 }
 
+TEST(FaultPlanTest, RejectsKeysTheKindDoesNotRead) {
+  // Each spec is rejected with an error naming the key and the kind.
+  const struct {
+    const char* spec;
+    const char* key;
+    const char* kind;
+  } cases[] = {
+      {"drop:node=1,start_ms=1000,len_ms=500,rate=0.1", "node", "drop"},
+      {"dup:start_ms=0,len_ms=1,rate=0.1,node=0", "node", "dup"},
+      {"delay:start_ms=0,len_ms=1,extra_us=10,node=-1", "node", "delay"},
+      {"stall:start_ms=0,len_ms=1,node=0", "node", "stall"},
+      {"slow:start_ms=0,len_ms=1,factor=0.5,rate=0.1", "rate", "slow"},
+      {"delay:start_ms=0,len_ms=1,rate=0.1", "rate", "delay"},
+      {"freeze:start_ms=0,len_ms=1,factor=0.5", "factor", "freeze"},
+      {"drop:start_ms=0,len_ms=1,factor=0.5", "factor", "drop"},
+      {"dup:start_ms=0,len_ms=1,extra_us=10", "extra_us", "dup"},
+      {"slow:start_ms=0,len_ms=1,extra_us=10", "extra_us", "slow"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(c.spec, &error)) << c.spec;
+    EXPECT_NE(error.find("'" + std::string(c.key) + "'"), std::string::npos)
+        << c.spec << ": " << error;
+    EXPECT_NE(error.find(std::string(c.kind) + " windows"), std::string::npos)
+        << c.spec << ": " << error;
+  }
+}
+
+TEST(FaultPlanTest, EchoKeepsEveryKeyTheUserWrote) {
+  // With every ignored key rejected, each key written survives the echo.
+  const std::string spec =
+      "drop:start_ms=1000,len_ms=500,rate=0.1;"
+      "dup:start_ms=1000,len_ms=500,rate=0.2;"
+      "delay:start_ms=1000,len_ms=500,extra_us=300;"
+      "slow:start_ms=1000,len_ms=500,factor=0.25,node=1;"
+      "freeze:start_ms=1000,len_ms=500,node=0;"
+      "stall:start_ms=1000,len_ms=500";
+  std::string error;
+  const auto plan = FaultPlan::parse(spec, &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(plan->to_string(), spec);
+}
+
 TEST(FaultPlanTest, ValidateRejectsNaNRatesAndFactors) {
   // Windows built in code skip parse(); validate() still catches NaN.
   FaultWindow drop;

@@ -20,10 +20,9 @@ TEST(MultiNodeTest, RoundRobinPlacementSpansNodes) {
   cfg.controller = ControllerKind::kStatic;
   cfg.warmup = 1_s;
   cfg.duration = 2_s;
-  cfg.record_alloc_timelines = true;
   const ProfileResult profile = profile_workload(w, 4);
   const ExperimentResult r = run_experiment(cfg, profile);
-  EXPECT_EQ(r.alloc_traces.size(), 12u);
+  EXPECT_EQ(r.timelines.size(), 12u);
   EXPECT_GT(r.load.completed, 0u);
 }
 
@@ -125,7 +124,6 @@ TEST(MultiNodeTest, PerNodePoolsAreIsolated) {
   cfg.duration = 8_s;
   cfg.surge_mult = 1.75;
   cfg.surge_len = 2_s;
-  cfg.record_alloc_timelines = true;
   const ProfileResult profile = profile_workload(w, 2);
   const ExperimentResult r = run_experiment(cfg, profile);
 
@@ -137,14 +135,17 @@ TEST(MultiNodeTest, PerNodePoolsAreIsolated) {
   }
   const double cap0 = std::ceil(init_node0 * 1.5);
   const double cap1 = std::ceil(init_node1 * 1.5);
-  const std::size_t samples = r.alloc_traces.front().cores.size();
-  for (std::size_t s = 0; s < samples; ++s) {
-    double total0 = 0, total1 = 0;
-    for (std::size_t i = 0; i < r.alloc_traces.size(); ++i) {
-      (i % 2 == 0 ? total0 : total1) += r.alloc_traces[i].cores[s].value;
+  // Node sums are constant between change points, so checking at every
+  // change point of every service checks them at all times.
+  for (const ServiceTimeline& changed : r.timelines) {
+    for (const StepTimeline::Point& p : changed.cores.points()) {
+      double total0 = 0, total1 = 0;
+      for (std::size_t i = 0; i < r.timelines.size(); ++i) {
+        (i % 2 == 0 ? total0 : total1) += r.timelines[i].cores.at(p.time);
+      }
+      ASSERT_LE(total0, cap0 + 1e-9);
+      ASSERT_LE(total1, cap1 + 1e-9);
     }
-    ASSERT_LE(total0, cap0 + 1e-9);
-    ASSERT_LE(total1, cap1 + 1e-9);
   }
 }
 

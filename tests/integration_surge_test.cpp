@@ -133,17 +133,20 @@ TEST(SurgeIntegrationTest, CoreLedgerNeverOversubscribed) {
        {ControllerKind::kParties, ControllerKind::kCaladan,
         ControllerKind::kSurgeGuard}) {
     ExperimentConfig cfg = surge_config(w, kind);
-    cfg.record_alloc_timelines = true;
     const ExperimentResult r = run_experiment(cfg, profile);
-    // Sum of allocations never exceeds the node's app cores at any sample.
+    // Sum of allocations never exceeds the node's app cores at any change
+    // point of any service (the sum is constant in between).
     const int app_cores =
         static_cast<int>(std::ceil(w.total_initial_cores() * 1.5));
-    const std::size_t samples = r.alloc_traces.front().cores.size();
-    for (std::size_t i = 0; i < samples; ++i) {
-      double total = 0;
-      for (const auto& trace : r.alloc_traces) total += trace.cores[i].value;
-      ASSERT_LE(total, app_cores + 1e-9) << to_string(kind);
-      ASSERT_GE(total, w.spec.services.size());  // every container >= 1 core
+    for (const ServiceTimeline& changed : r.timelines) {
+      for (const StepTimeline::Point& p : changed.cores.points()) {
+        double total = 0;
+        for (const ServiceTimeline& service : r.timelines) {
+          total += service.cores.at(p.time);
+        }
+        ASSERT_LE(total, app_cores + 1e-9) << to_string(kind);
+        ASSERT_GE(total, w.spec.services.size());  // every container >= 1 core
+      }
     }
   }
 }

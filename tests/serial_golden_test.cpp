@@ -131,7 +131,7 @@ TEST(SerialGoldenTest, Chain4SurgeTraced) {
   expect_golden(chain4_config(), "serial_chain4_surge.txt");
 }
 
-TEST(SerialGoldenTest, Chain4ChaosNetDelay) {
+TEST(SerialGoldenTest, Chain4ChaosDelayWindow) {
   expect_golden(chain4_chaos_config(), "serial_chain4_chaos.txt");
 }
 

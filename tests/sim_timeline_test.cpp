@@ -93,22 +93,6 @@ TEST(TimelineTest, IntegrateAbovePartialSegments) {
                    6.0 * 50);
 }
 
-TEST(TimelineTest, SampleProducesRegularGrid) {
-  StepTimeline t(1.0);
-  t.set(TimePoint{15}, 2.0);
-  const auto pts = t.sample(TimePoint{0}, TimePoint{30}, Duration{10});
-  ASSERT_EQ(pts.size(), 4u);
-  EXPECT_DOUBLE_EQ(pts[0].value, 1.0);   // t=0
-  EXPECT_DOUBLE_EQ(pts[1].value, 1.0);   // t=10
-  EXPECT_DOUBLE_EQ(pts[2].value, 2.0);   // t=20
-  EXPECT_DOUBLE_EQ(pts[3].value, 2.0);   // t=30
-}
-
-TEST(TimelineTest, SampleInvalidStep) {
-  StepTimeline t(1.0);
-  EXPECT_TRUE(t.sample(TimePoint{0}, TimePoint{10}, Duration{0}).empty());
-}
-
 TEST(TimelineTest, TimeAboveCountsOnlyStrictlyAboveSegments) {
   StepTimeline t(1600.0);           // base frequency
   t.set(TimePoint{100}, 3200.0);    // boost on

@@ -27,7 +27,8 @@ file(WRITE ${WORK_DIR}/sample.cfg "workload = chain\n[trace]\nsample = 1.5\n")
 file(WRITE ${WORK_DIR}/capacity.cfg "workload = chain\n[trace]\ncapacity = 0\n")
 
 # Each case: config file, then the name the error must mention, then flags.
-# A range error must name the value and the key.
+# A range error must name the value and the key; a fault-plan key that its
+# window's kind does not read must name the key and the kind.
 set(cases
   "valid.cfg|--trace-sample|--trace-sample abc"
   "valid.cfg|--trace-sample|--trace-sample 1.5"
@@ -50,7 +51,8 @@ set(cases
   "sample.cfg|'1.5' for key 'trace.sample'|"
   "capacity.cfg|'0' for key 'trace.capacity'|"
   "valid.cfg|'nan' for key 'factor'|--fault-plan slow:start_ms=0,len_ms=1,factor=nan"
-  "valid.cfg|'1e16' for key 'extra_us'|--fault-plan delay:start_ms=0,len_ms=1,extra_us=1e16")
+  "valid.cfg|'1e16' for key 'extra_us'|--fault-plan delay:start_ms=0,len_ms=1,extra_us=1e16"
+  "valid.cfg|key 'node' does not apply to drop|--fault-plan drop:node=1,start_ms=1000,len_ms=500,rate=0.1")
 foreach(case IN LISTS cases)
   string(REGEX MATCH "^([^|]*)\\|([^|]*)\\|(.*)$" fields "${case}")
   set(config ${CMAKE_MATCH_1})
