@@ -9,6 +9,8 @@
 // the figure benches measure controller behaviour, not harness overhead.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "app/workloads.hpp"
@@ -16,6 +18,7 @@
 #include "common/rng.hpp"
 #include "controllers/first_responder.hpp"
 #include "controllers/surgeguard.hpp"
+#include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "trace/export.hpp"
@@ -31,7 +34,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (auto _ : state) {
     t += kNanosecond;
     q.push(t, []() {});
-    benchmark::DoNotOptimize(q.pop());
+    q.pop().run();
   }
 }
 BENCHMARK(BM_EventQueuePushPop);
@@ -50,7 +53,7 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
     t += kNanosecond;
     const EventId armed = q.push(t + timeout, []() {});
     q.push(t, []() {});
-    benchmark::DoNotOptimize(q.pop());
+    q.pop().run();
     benchmark::DoNotOptimize(q.cancel(armed));
   }
 }
@@ -70,7 +73,7 @@ void BM_EventQueueCancelHeavyLane(benchmark::State& state) {
     t += kNanosecond;
     const EventId armed = q.push_lane(0, t + timeout, []() {});
     q.push(t, []() {});
-    benchmark::DoNotOptimize(q.pop());
+    q.pop().run();
     benchmark::DoNotOptimize(q.cancel(armed));
   }
 }
@@ -135,6 +138,65 @@ void BM_SimulatorPeriodicTick(benchmark::State& state) {
   benchmark::DoNotOptimize(ticks);
 }
 BENCHMARK(BM_SimulatorPeriodicTick);
+
+// Request flows of BM_SimulatorChain8nShape: each alternates a near-term
+// completion with a ranked delivery that carries an RpcPacket, as Network's
+// deliveries do.
+class PacketFlows {
+ public:
+  PacketFlows(Simulator& sim, int flows) : sim_(sim) {
+    Rng rng(7);
+    for (Duration& d : delays_) d = Duration::ns(rng.uniform_int(500, 20'000));
+    for (int f = 0; f < flows; ++f) complete(f);
+  }
+  std::uint64_t delivered() const { return delivered_; }
+
+ private:
+  Duration next_delay() {
+    next_ = (next_ + 1) % delays_.size();
+    return delays_[next_];
+  }
+  void complete(int flow) {
+    RpcPacket pkt;
+    pkt.call_id = static_cast<std::uint64_t>(flow);
+    sim_.schedule_at_ranked(sim_.now() + next_delay(), rank_++,
+                            [this, pkt]() { deliver(pkt); });
+  }
+  void deliver(const RpcPacket& pkt) {
+    ++delivered_;
+    const int flow = static_cast<int>(pkt.call_id);
+    sim_.schedule_after(next_delay(), [this, flow]() { complete(flow); });
+  }
+
+  Simulator& sim_;
+  std::array<Duration, 64> delays_{};
+  std::size_t next_ = 0;
+  std::uint64_t rank_ = 1;
+  std::uint64_t delivered_ = 0;
+};
+
+void BM_SimulatorChain8nShape(benchmark::State& state) {
+  // One step per iteration at chain-8n-surge's queue shape: the 16
+  // periodic chains of BM_SimulatorPeriodicTick (1 ms ahead of everything
+  // else) over 10 request flows, so about 10 events wait near the head and
+  // half of the steps are ranked packet deliveries.
+  Simulator sim;
+  std::uint64_t ticks = 0;
+  for (int k = 0; k < 16; ++k) {
+    sim.schedule_periodic(TimePoint::at(Duration::us(k + 1)), kMillisecond,
+                          [&ticks]() {
+                            ++ticks;
+                            return true;
+                          });
+  }
+  PacketFlows flows(sim, 10);
+  for (auto _ : state) {
+    sim.step();
+  }
+  benchmark::DoNotOptimize(ticks);
+  benchmark::DoNotOptimize(flows.delivered());
+}
+BENCHMARK(BM_SimulatorChain8nShape);
 
 void BM_ContainerSubmitComplete(benchmark::State& state) {
   Simulator sim;

@@ -19,14 +19,17 @@ Container::Container(Simulator& sim, Params params)
   SG_ASSERT(cores_ >= 0);
 }
 
-double Container::rate() const {
+void Container::refresh_rate() {
   const int n = static_cast<int>(jobs_.size());
-  if (n == 0 || cores_ == 0) return 0.0;
+  if (n == 0 || cores_ == 0) {
+    rate_ = 0.0;
+    return;
+  }
   const double share =
       std::min(1.0, static_cast<double>(cores_) / static_cast<double>(n));
   const double interference =
       membw_ != nullptr ? membw_->interference_factor() : 1.0;
-  return speed_ * share * interference * speed_scale_;
+  rate_ = speed_ * share * interference * speed_scale_;
 }
 
 double Container::busy_cores() const {
@@ -97,6 +100,7 @@ void Container::on_completion_event() {
          finish_heap_.top().finish_v <= vtime_ + eps) {
     InlineCallback cb = jobs_.take(finish_heap_.top().job);
     finish_heap_.pop();
+    refresh_rate();
     ++jobs_completed_;
     completed_any = true;
     // Callback may submit new jobs / change allocations re-entrantly; state
@@ -119,6 +123,7 @@ void Container::submit(double work_ns_ref, InlineCallback on_complete) {
   advance();
   finish_heap_.push(HeapEntry{vtime_ + work_ns_ref, next_job_seq_++,
                               jobs_.insert(std::move(on_complete))});
+  refresh_rate();
   reschedule();
   if (membw_ != nullptr) membw_->on_member_activity_changed();
 }
@@ -129,6 +134,7 @@ void Container::set_cores(int n) {
   advance();
   cores_ = n;
   core_timeline_.set(sim_.now(), static_cast<double>(n));
+  refresh_rate();
   reschedule();
   if (membw_ != nullptr) membw_->on_member_activity_changed();
 }
@@ -141,6 +147,7 @@ void Container::set_frequency(FreqMhz f) {
   speed_ = kDvfs.speed(q);
   busy_watts_ = kEnergy.busy_core_watts(q);
   freq_timeline_.set(sim_.now(), static_cast<double>(q));
+  refresh_rate();
   reschedule();
 }
 
@@ -149,6 +156,7 @@ void Container::set_speed_scale(double scale) {
   if (scale == speed_scale_) return;
   advance();
   speed_scale_ = scale;
+  refresh_rate();
   reschedule();
 }
 
@@ -158,6 +166,7 @@ void Container::attach_membw(MemBwDomain* domain) {
   SG_ASSERT_MSG(membw_ == nullptr, "container already in a membw domain");
   advance();
   membw_ = domain;
+  refresh_rate();
   domain->add_member(this);
   domain->on_member_activity_changed();
 }

@@ -90,7 +90,10 @@ class Container {
 
   /// Re-arms the pending completion event after an external rate change
   /// (MemBwDomain factor updates). Callers must have sync()ed first.
-  void notify_rate_changed() { reschedule(); }
+  void notify_rate_changed() {
+    refresh_rate();
+    reschedule();
+  }
 
   /// Joules consumed by busy cores so far (idle excluded).
   double energy_joules() const { return energy_joules_; }
@@ -116,7 +119,10 @@ class Container {
 
  private:
   /// Per-job progress rate (work-ns at ref per wall ns); 0 when starved.
-  double rate() const;
+  double rate() const { return rate_; }
+  /// Recomputes rate_ from its inputs: job count, cores, frequency, speed
+  /// scale and the membw factor. Called wherever one of them changes.
+  void refresh_rate();
 
   /// Advances virtual time & energy integrals to sim_.now().
   void advance();
@@ -138,6 +144,9 @@ class Container {
   double speed_;
   double busy_watts_;
   double speed_scale_ = 1.0;
+  // rate() of the current inputs; advance() and reschedule() read it on
+  // every submit and completion.
+  double rate_ = 0.0;
 
   // Virtual-time processor-sharing state.
   double vtime_ = 0.0;

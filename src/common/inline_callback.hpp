@@ -43,12 +43,7 @@ class InlineCallback {
     requires(!std::is_same_v<std::remove_cvref_t<F>, InlineCallback> &&
              std::is_invocable_v<std::decay_t<F>&>)
   InlineCallback(F&& f) {
-    using D = std::decay_t<F>;
-    if constexpr (stores_inline<D>) {
-      emplace<D>(std::forward<F>(f));
-    } else {
-      emplace<Boxed<D>>(Boxed<D>{std::make_unique<D>(std::forward<F>(f))});
-    }
+    emplace(std::forward<F>(f));
   }
 
   InlineCallback(InlineCallback&& other) noexcept { take(other); }
@@ -65,6 +60,20 @@ class InlineCallback {
   InlineCallback& operator=(const InlineCallback&) = delete;
 
   ~InlineCallback() { reset(); }
+
+  /// Constructs `f` directly in this empty callback's storage, with no
+  /// temporary to relocate. Precondition: empty.
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, InlineCallback> &&
+             std::is_invocable_v<std::decay_t<F>&>)
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (stores_inline<D>) {
+      construct<D>(std::forward<F>(f));
+    } else {
+      construct<Boxed<D>>(Boxed<D>{std::make_unique<D>(std::forward<F>(f))});
+    }
+  }
 
   /// Precondition: non-empty.
   void operator()() {
@@ -118,7 +127,7 @@ class InlineCallback {
   };
 
   template <class D, class F>
-  void emplace(F&& f) {
+  void construct(F&& f) {
     static_assert(stores_inline<D>);
     ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
     ops_ = &kOps<D>;

@@ -1,7 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <memory>
 
 #include "common/assert.hpp"
 
@@ -16,37 +16,32 @@ std::size_t first_child_of(std::size_t pos) { return pos * kArity + 1; }
 
 }  // namespace
 
-std::uint32_t EventQueue::acquire_slot(Callback&& cb) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    SG_ASSERT_MSG(slots_.size() < kBehindHead, "event slot space exhausted");
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    callbacks_.push_back(std::move(cb));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(cb);
+std::uint32_t EventQueue::new_slot() {
+  SG_ASSERT_MSG(slots_.size() < kBehindHead, "event slot space exhausted");
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  if ((slot & kChunkMask) == 0) {
+    chunks_.push_back(
+        std::make_unique_for_overwrite<Callback[]>(kChunkMask + 1));
   }
+  slots_.emplace_back();
   return slot;
 }
 
-EventId EventQueue::push(TimePoint time, std::uint64_t rank, Callback&& cb) {
-  const std::uint32_t slot = acquire_slot(std::move(cb));
+EventId EventQueue::key_in_heap(TimePoint time, std::uint64_t rank,
+                                std::uint32_t slot) {
   heap_.emplace_back();
   sift_up(heap_.size() - 1, Key{time, rank, next_seq_++, slot, kNoLane});
   return id_of(slot);
 }
 
-EventId EventQueue::push_lane(std::uint32_t lane_id, TimePoint time,
-                              Callback&& cb) {
+EventId EventQueue::append_to_lane(std::uint32_t lane_id, TimePoint time,
+                                   std::uint32_t slot) {
   SG_ASSERT_MSG(lane_id < kBehindHead, "timer lane index out of range");
   if (lane_id >= lanes_.size()) lanes_.resize(lane_id + 1);
   Lane& lane = lanes_[lane_id];
   SG_ASSERT_MSG(time >= lane.last_time,
                 "timer lane pushed out of order (earlier than its last push)");
   lane.last_time = time;
-  const std::uint32_t slot = acquire_slot(std::move(cb));
   const std::uint64_t seq = next_seq_++;
   const bool becomes_head = lane.count == 0;
   lane.push_back(LaneEntry{time, seq, slot, slots_[slot].generation});
@@ -75,8 +70,8 @@ bool EventQueue::cancel(EventId id) {
   const std::uint32_t slot = live_slot(id);
   if (slot == kNoSlot) return false;
   const std::uint32_t pos = slots_[slot].heap_pos;
-  callbacks_[slot].reset();
-  free_slot(slot);
+  ++slots_[slot].generation;
+  release_slot(slot);
   if ((pos & kBehindHead) != 0) {
     --behind_heads_;
     // The stale entry is skipped when it reaches the front, unless it (and
@@ -106,10 +101,12 @@ bool EventQueue::reschedule(EventId id, TimePoint time) {
 EventQueue::Fired EventQueue::pop() {
   SG_ASSERT_MSG(!heap_.empty(), "pop() on empty EventQueue");
   const Key top = heap_.front();
-  Fired fired{top.time, id_of(top.slot), std::move(callbacks_[top.slot])};
-  free_slot(top.slot);
+  const EventId id = id_of(top.slot);
+  // The id dies now, so the callback cannot cancel or move itself; the slot
+  // leaves the free list only when the Fired releases it.
+  ++slots_[top.slot].generation;
   remove_key(0);
-  return fired;
+  return Fired(*this, top.time, id, top.slot);
 }
 
 void EventQueue::remove_key(std::size_t pos) {
@@ -143,11 +140,6 @@ void EventQueue::Lane::grow() {
   }
   ring.swap(grown);
   head = 0;
-}
-
-void EventQueue::free_slot(std::uint32_t slot) {
-  ++slots_[slot].generation;
-  free_slots_.push_back(slot);
 }
 
 void EventQueue::erase_at(std::size_t pos) {

@@ -16,13 +16,18 @@
 // moves a heap event in place under a fresh sequence number, the key that
 // cancelling it and pushing it anew would give, so it keeps this order too.
 //
-// Layout: an indexed 4-ary min-heap of 32-byte keys. Callbacks live in a
-// slot array the keys point into, so sifts move keys only; each slot records
-// its heap position, so cancel() removes an event from the heap at once
-// and reschedule() re-keys it where it stands.
+// Layout: an indexed 4-ary min-heap of 32-byte keys. Callbacks live in
+// slots the keys point into, so sifts move keys only; each slot records its
+// heap position, so cancel() removes an event from the heap at once and
+// reschedule() re-keys it where it stands. push() constructs a callback
+// directly in its slot, and the fired event's callback runs there too
+// (Fired::run). The slots are fixed-size chunks that never move, so a
+// running callback may push (adding chunks) without its captures moving
+// under it.
 // An EventId names a slot and the slot's generation, which is bumped
-// whenever the slot is freed: a stale id (fired, cancelled, or from a
-// previous occupant) no longer matches and is a no-op.
+// when the slot's event fires or is cancelled: a stale id (fired,
+// cancelled, running, or from a previous occupant) no longer matches and is
+// a no-op.
 //
 // Timer lanes keep timeouts out of the heap. A lane is a FIFO of unranked
 // events whose times never decrease in push order (the caller arms every
@@ -38,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -59,19 +65,30 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  /// Adds an event; returns a handle usable with cancel(). Callbacks are
-  /// taken by rvalue reference so each is relocated once, into its slot.
-  EventId push(TimePoint time, Callback&& cb) {
-    return push(time, kDefaultRank, std::move(cb));
+  /// Adds an event; returns a handle usable with cancel(). The callable is
+  /// constructed directly in the event's slot.
+  template <class F>
+  EventId push(TimePoint time, F&& f) {
+    return push(time, kDefaultRank, std::forward<F>(f));
   }
 
   /// Adds an event with an explicit tie-break rank.
-  EventId push(TimePoint time, std::uint64_t rank, Callback&& cb);
+  template <class F>
+  EventId push(TimePoint time, std::uint64_t rank, F&& f) {
+    const std::uint32_t slot = acquire_slot();
+    callback(slot).emplace(std::forward<F>(f));
+    return key_in_heap(time, rank, slot);
+  }
 
   /// Appends an unranked event to timer lane `lane` (lanes are small dense
   /// indices, created on first use) in O(1). `time` must not be earlier
   /// than the lane's previous push.
-  EventId push_lane(std::uint32_t lane, TimePoint time, Callback&& cb);
+  template <class F>
+  EventId push_lane(std::uint32_t lane, TimePoint time, F&& f) {
+    const std::uint32_t slot = acquire_slot();
+    callback(slot).emplace(std::forward<F>(f));
+    return append_to_lane(lane, time, slot);
+  }
 
   /// Cancels a pending event, destroying its callback. Safe to call on
   /// already-fired, cancelled or never-issued handles (no-op). Returns true
@@ -98,15 +115,33 @@ class EventQueue {
     return heap_.empty() ? TimePoint::infinity() : heap_.front().time;
   }
 
-  /// Removes and returns the earliest event. The callback is moved out of
-  /// its slot, and the slot freed, before the caller runs it, so a callback
-  /// may push (growing the slot array) or cancel freely.
-  /// Precondition: !empty().
-  struct Fired {
-    TimePoint time;
-    EventId id;
-    Callback cb;
+  /// The earliest event, taken by pop(): its key has left the queue and
+  /// its id is already stale, so cancel() and reschedule() of it return
+  /// false, but its callback stays in its slot. run() invokes the callback
+  /// there; the slot is freed (and the callback destroyed) when the Fired
+  /// is, so a callback may push and cancel freely while it runs. Neither
+  /// copyable nor movable: it lives where pop() returns it.
+  class Fired {
+   public:
+    const TimePoint time;
+    const EventId id;
+
+    void run() { queue_.callback(slot_)(); }
+    ~Fired() { queue_.release_slot(slot_); }
+
+    Fired(const Fired&) = delete;
+    Fired& operator=(const Fired&) = delete;
+
+   private:
+    friend class EventQueue;
+    Fired(EventQueue& queue, TimePoint t, EventId event, std::uint32_t slot)
+        : time(t), id(event), queue_(queue), slot_(slot) {}
+
+    EventQueue& queue_;
+    const std::uint32_t slot_;
   };
+
+  /// Takes the earliest event. Precondition: !empty().
   Fired pop();
 
  private:
@@ -116,6 +151,10 @@ class EventQueue {
   /// its lane's head. Slot counts (hence heap positions) and lane indices
   /// stay below it.
   static constexpr std::uint32_t kBehindHead = 1u << 31;
+  /// Callbacks per chunk: 256 x 104 bytes, 26 KiB. A queue grows one chunk
+  /// at a time and never shrinks.
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
   struct Key {
     TimePoint time;
@@ -188,15 +227,38 @@ class EventQueue {
     return slots_[e.slot].generation == e.generation;
   }
 
+  Callback& callback(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
+  }
+
   /// The slot of pending event `id`, or kNoSlot when `id` is stale.
   std::uint32_t live_slot(EventId id) const;
-  /// Takes a free slot (or a new one) for `cb`.
-  std::uint32_t acquire_slot(Callback&& cb);
-  /// Removes the key at heap_[pos], whose slot has been freed: a heap
-  /// event's key leaves the heap, a lane head's gives way to its lane's next.
+  /// Takes a free slot (or a new one); its callback is empty.
+  std::uint32_t acquire_slot() {
+    if (free_slots_.empty()) return new_slot();
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  std::uint32_t new_slot();
+  /// Empties the slot of a fired or cancelled event (whose generation has
+  /// moved on) and makes it reusable.
+  void release_slot(std::uint32_t slot) {
+    callback(slot).reset();
+    free_slots_.push_back(slot);
+  }
+  /// Keys the event in `slot` into the heap; returns its id.
+  EventId key_in_heap(TimePoint time, std::uint64_t rank, std::uint32_t slot);
+  /// Appends the event in `slot` to timer lane `lane`; returns its id.
+  EventId append_to_lane(std::uint32_t lane, TimePoint time,
+                         std::uint32_t slot);
+  /// Removes the key at heap_[pos], whose event has fired or been
+  /// cancelled: a heap event's key leaves the heap, a lane head's gives way
+  /// to its lane's next.
   void remove_key(std::size_t pos);
-  /// Replaces `lane`'s head, whose key sits at heap_[pos] and whose slot has
-  /// been freed, by the next live entry (or drops the key if none is left).
+  /// Replaces `lane`'s head, whose key sits at heap_[pos] and whose event
+  /// has fired or been cancelled, by the next live entry (or drops the key
+  /// if none is left).
   void advance_lane(std::uint32_t lane, std::size_t pos);
 
   void sift_up(std::size_t pos, const Key& key);
@@ -206,12 +268,12 @@ class EventQueue {
   void resift(std::size_t pos, const Key& key);
   /// Drops heap_[pos] and restores the heap order.
   void erase_at(std::size_t pos);
-  void free_slot(std::uint32_t slot);
 
   std::vector<Key> heap_;
   std::vector<Slot> slots_;
-  /// Parallel to slots_; empty for free slots.
-  std::vector<Callback> callbacks_;
+  /// Callback of slot s at chunks_[s >> kChunkShift][s & kChunkMask]; empty
+  /// for free slots. Chunks never move, unlike a growing vector's elements.
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<Lane> lanes_;
   /// Live lane entries that are not their lane's head (and have no key).

@@ -26,38 +26,21 @@ void Simulator::audit(DecisionKind kind, const char* controller, int node,
   }
 }
 
-EventId Simulator::schedule_at(TimePoint t, EventQueue::Callback cb) {
-  if (t < now_) t = now_;
-  return queue_.push(t, std::move(cb));
-}
-
-EventId Simulator::schedule_at_ranked(TimePoint t, std::uint64_t rank,
-                                      EventQueue::Callback cb) {
-  if (t < now_) t = now_;
-  return queue_.push(t, rank, std::move(cb));
-}
-
-EventId Simulator::schedule_after(Duration delay, EventQueue::Callback cb) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return queue_.push(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::schedule_timer(Duration delay, EventQueue::Callback cb) {
-  if (delay < Duration::zero()) delay = Duration::zero();
+std::uint32_t Simulator::timer_lane(Duration delay) {
   std::size_t lane = 0;
   while (lane < timer_delays_.size() && timer_delays_[lane] != delay) ++lane;
   if (lane == timer_delays_.size()) timer_delays_.push_back(delay);
-  return queue_.push_lane(static_cast<std::uint32_t>(lane), now_ + delay,
-                          std::move(cb));
+  return static_cast<std::uint32_t>(lane);
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto fired = queue_.pop();
+  // The callback runs in its slot; `fired` frees the slot after it returns.
+  EventQueue::Fired fired = queue_.pop();
   SG_ASSERT_MSG(fired.time >= now_, "event queue returned time in the past");
   now_ = fired.time;
   ++events_processed_;
-  fired.cb();
+  fired.run();
   return true;
 }
 
@@ -92,7 +75,7 @@ void Simulator::fire_periodic(std::size_t chain) {
     c.fn = nullptr;  // ended: release the captures
     return;
   }
-  schedule_after(c.period, [this, chain]() { fire_periodic(chain); });
+  schedule_timer(c.period, [this, chain]() { fire_periodic(chain); });
 }
 
 }  // namespace sg

@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,23 +38,41 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   /// Schedules a callback at absolute time t (clamped to now for past times,
-  /// so "immediate" follow-ups from within a handler are legal).
-  EventId schedule_at(TimePoint t, EventQueue::Callback cb);
+  /// so "immediate" follow-ups from within a handler are legal). Like every
+  /// schedule_* call, it constructs the callable directly in its event slot.
+  template <class F>
+  EventId schedule_at(TimePoint t, F&& f) {
+    if (t < now_) t = now_;
+    return queue_.push(t, std::forward<F>(f));
+  }
 
   /// schedule_at with an explicit same-timestamp tie-break rank (see
   /// EventQueue); used by Network so delivery order is canonical.
-  EventId schedule_at_ranked(TimePoint t, std::uint64_t rank,
-                             EventQueue::Callback cb);
+  template <class F>
+  EventId schedule_at_ranked(TimePoint t, std::uint64_t rank, F&& f) {
+    if (t < now_) t = now_;
+    return queue_.push(t, rank, std::forward<F>(f));
+  }
 
   /// Schedules a callback `delay` from now (delay < 0 clamps to 0).
-  EventId schedule_after(Duration delay, EventQueue::Callback cb);
+  template <class F>
+  EventId schedule_after(Duration delay, F&& f) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    return queue_.push(now_ + delay, std::forward<F>(f));
+  }
 
-  /// schedule_after for timeouts: every timer of one delay waits in a FIFO
-  /// lane of the event queue instead of the heap (see EventQueue). Fires at
-  /// the same instant and in the same order as schedule_after would; meant
-  /// for a handful of fixed delays (RPC and client retry timeouts), since
-  /// each distinct delay keeps a lane.
-  EventId schedule_timer(Duration delay, EventQueue::Callback cb);
+  /// schedule_after for timeouts and periodic ticks: every timer of one
+  /// delay waits in a FIFO lane of the event queue instead of the heap (see
+  /// EventQueue). Fires at the same instant and in the same order as
+  /// schedule_after would; meant for a handful of fixed delays (RPC and
+  /// client retry timeouts, tick periods), since each distinct delay keeps
+  /// a lane.
+  template <class F>
+  EventId schedule_timer(Duration delay, F&& f) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    const std::uint32_t lane = timer_lane(delay);
+    return queue_.push_lane(lane, now_ + delay, std::forward<F>(f));
+  }
 
   /// Timer lanes created so far: one per distinct (clamped) delay.
   std::size_t timer_lanes() const { return timer_delays_.size(); }
@@ -97,6 +116,8 @@ class Simulator {
   ///
   /// Each firing pushes the next one only after fn returns (or the gate
   /// vetoes), so events fn schedules at now + period run before that tick.
+  /// The re-arm is a schedule_timer(period): chains of one period share a
+  /// timer lane, and only its head waits in the event heap.
   void schedule_periodic(TimePoint start, Duration period,
                          std::function<bool()> fn,
                          TickClass tick_class = TickClass::kDefault);
@@ -140,6 +161,8 @@ class Simulator {
   };
 
   void fire_periodic(std::size_t chain);
+  /// The timer lane of `delay` (>= 0), created on first use.
+  std::uint32_t timer_lane(Duration delay);
 
   EventQueue queue_;
   /// Delay of each timer lane, indexed by lane.

@@ -120,6 +120,37 @@ TEST(ContainerTest, CoreChangeMidJobRescales) {
   EXPECT_NEAR(static_cast<double>(done[1].ns()), 1500.0, 2.0);
 }
 
+TEST(ContainerTest, CompletionInstantsExactAcrossEveryRateInput) {
+  // Each phase changes one input of the per-job rate, and the instants are
+  // exact: a rate that missed any change would move A or B.
+  //   [0, 1000)     A, B on 1 core: rate 0.5; vtime reaches 500.
+  //   [1000, 1200)  2 cores: rate 1; vtime 700.
+  //   [1200, 1400)  1 core: rate 0.5; vtime 800.
+  //   [1400, 2200)  speed scale 0.5: rate 0.25; A's last 200 take 800.
+  //   [2200, 5000)  A done, B alone: rate 0.5; vtime 1000 -> 2400.
+  //   [5000, 6000)  0 cores: B stalls.
+  //   [6000, 7000)  1 core again: rate 0.5; vtime 2900.
+  //   [7000, ...)   max frequency: rate 0.5 * speed(max); B's last 2100
+  //                 take ceil(4200 / 1.515625) = 2772.
+  Simulator sim;
+  auto c = make_container(sim, 1);
+  TimePoint done_a = TimePoint::infinity();
+  TimePoint done_b = TimePoint::infinity();
+  c->submit(1000.0, [&]() { done_a = sim.now(); });
+  c->submit(5000.0, [&]() { done_b = sim.now(); });
+  sim.schedule_at(TimePoint{1000}, [&]() { c->set_cores(2); });
+  sim.schedule_at(TimePoint{1200}, [&]() { c->set_cores(1); });
+  sim.schedule_at(TimePoint{1400}, [&]() { c->set_speed_scale(0.5); });
+  sim.schedule_at(TimePoint{5000}, [&]() { c->set_cores(0); });
+  sim.schedule_at(TimePoint{6000}, [&]() { c->set_cores(1); });
+  sim.schedule_at(TimePoint{7000},
+                  [&]() { c->set_frequency(kDvfs.max_mhz); });
+  sim.run_to_completion();
+  EXPECT_EQ(done_a, TimePoint{2200});
+  EXPECT_EQ(done_b, TimePoint{7000 + 2772});
+  EXPECT_EQ(sim.now(), done_b);
+}
+
 TEST(ContainerTest, ZeroCoresStallsJobs) {
   Simulator sim;
   auto c = make_container(sim, 1);

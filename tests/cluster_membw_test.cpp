@@ -102,6 +102,54 @@ TEST(MemBwTest, ProgressBankedAtOldFactorBeforeChange) {
   EXPECT_NEAR(static_cast<double>(done.ns()), 1500.0, 5.0);
 }
 
+TEST(MemBwTest, CompletionInstantExactAcrossFactorChanges) {
+  // The interference factor is an input of every member's rate: a's job
+  // runs at 1 until b's jobs halve the factor at 500, at 0.5 until b drops
+  // to one core at 1500 (4 busy cores -> 2, factor back to 1), then at 1.
+  // vtime: 500 + 1000 * 0.5 = 1000 at 1500, so the last 2000 end at 3500.
+  Simulator sim;
+  Cluster cluster(sim);
+  cluster.add_node(64, 19);
+  cluster.node(0).enable_membw(tight_bw());
+  Container& a = cluster.add_container("a", 0, 1);
+  Container& b = cluster.add_container("b", 0, 3);
+  TimePoint done = TimePoint::infinity();
+  a.submit(3000.0, [&]() { done = sim.now(); });
+  sim.schedule_at(TimePoint{500}, [&]() {
+    for (int i = 0; i < 3; ++i) b.submit(1e9, []() {});
+    EXPECT_DOUBLE_EQ(cluster.node(0).membw()->interference_factor(), 0.5);
+  });
+  sim.schedule_at(TimePoint{1500}, [&]() {
+    b.set_cores(1);
+    EXPECT_DOUBLE_EQ(cluster.node(0).membw()->interference_factor(), 1.0);
+  });
+  sim.run_until(TimePoint{10'000});
+  EXPECT_EQ(done, TimePoint{3500});
+}
+
+TEST(MemBwTest, JoiningAContendedDomainSlowsAtOnce) {
+  // x's four busy cores halve the factor when the domain is enabled at 200;
+  // y joins next, and its extra core moves the factor by less than the
+  // hysteresis, so no resync follows: y's rate must take the domain's 0.5
+  // on joining. vtime 200 at the join, the last 800 take 1600.
+  MemBwDomain::Params p = tight_bw();
+  p.hysteresis = 0.3;
+  Simulator sim;
+  Cluster cluster(sim);
+  cluster.add_node(64, 19);
+  Container& x = cluster.add_container("x", 0, 4);
+  Container& y = cluster.add_container("y", 0, 1);
+  for (int i = 0; i < 4; ++i) x.submit(1e9, []() {});
+  TimePoint done = TimePoint::infinity();
+  y.submit(1000.0, [&]() { done = sim.now(); });
+  sim.schedule_at(TimePoint{200}, [&]() {
+    cluster.node(0).enable_membw(p);
+    EXPECT_DOUBLE_EQ(cluster.node(0).membw()->interference_factor(), 0.5);
+  });
+  sim.run_until(TimePoint{10'000});
+  EXPECT_EQ(done, TimePoint{1800});
+}
+
 TEST(MemBwTest, HysteresisSuppressesTinyChanges) {
   MemBwDomain::Params p;
   p.node_bw_gbs = 100.0;

@@ -28,7 +28,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.push(TimePoint{30}, [&]() { order.push_back(3); });
   q.push(TimePoint{10}, [&]() { order.push_back(1); });
   q.push(TimePoint{20}, [&]() { order.push_back(2); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -39,7 +39,7 @@ TEST(EventQueueTest, FifoTieBreakAtSameTime) {
   for (int i = 0; i < 10; ++i) {
     q.push(TimePoint{100}, [&order, i]() { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -72,7 +72,7 @@ TEST(EventQueueTest, CancelIsIdempotent) {
 TEST(EventQueueTest, CancelFiredEventIsNoop) {
   EventQueue q;
   const EventId id = q.push(TimePoint{10}, []() {});
-  q.pop().cb();
+  q.pop().run();
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -90,7 +90,7 @@ TEST(EventQueueTest, CancelMiddleKeepsOthers) {
   q.push(TimePoint{30}, [&]() { order.push_back(3); });
   q.cancel(mid);
   EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
@@ -162,7 +162,7 @@ TEST(EventQueueTest, RandomOpsMatchOrderedSetModel) {
         const ModelKey expected = *model.begin();
         model.erase(model.begin());
         auto fired = q.pop();
-        fired.cb();
+        fired.run();
         ASSERT_EQ(fired.time, TimePoint{std::get<0>(expected)}) << "op " << op;
         ASSERT_EQ(fired_seq, std::get<2>(expected)) << "op " << op;
         ASSERT_EQ(key_of.at(fired.id), expected) << "op " << op;
@@ -186,7 +186,7 @@ TEST(EventQueueTest, StaleIdDoesNotCancelSlotsNewOccupant) {
   EXPECT_NE(new_id, old_id);
   EXPECT_FALSE(q.cancel(old_id));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().cb();
+  q.pop().run();
   EXPECT_TRUE(fired);
 
   // Same after a cancel frees the slot.
@@ -217,7 +217,7 @@ TEST(EventQueueTest, CancelRootAndLastHeapElement) {
   EXPECT_EQ(q.next_time(), TimePoint{20});
   EXPECT_TRUE(q.cancel(ids.back()));  // pushed in order: the last element
   EXPECT_EQ(q.size(), 7u);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -232,7 +232,7 @@ TEST(EventQueueLaneTest, LaneEventsInterleaveWithHeapByKey) {
   q.push_lane(1, TimePoint{10}, [&]() { order.push_back(4); });
   EXPECT_EQ(q.size(), 6u);
   EXPECT_EQ(q.next_time(), TimePoint{5});
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
@@ -250,14 +250,14 @@ TEST(EventQueueLaneTest, CancelHeadMiddleAndTail) {
   EXPECT_TRUE(q.cancel(ids[5]));  // tail
   EXPECT_FALSE(q.cancel(ids[2]));
   EXPECT_EQ(q.size(), 3u);
-  q.pop().cb();
+  q.pop().run();
   // The head advance skips the cancelled ids[2].
   EXPECT_EQ(q.next_time(), TimePoint{40});
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
   // A drained lane takes new pushes, its FIFO bound kept.
   q.push_lane(0, TimePoint{60}, [&order]() { order.push_back(6); });
-  q.pop().cb();
+  q.pop().run();
   EXPECT_EQ(order.back(), 6);
 }
 
@@ -335,7 +335,7 @@ TEST(EventQueueLaneTest, RandomOpsMatchOrderedSetModel) {
         model.erase(model.begin());
         for (auto& lm : lane_model) lm.erase(expected);
         auto fired = q.pop();
-        fired.cb();
+        fired.run();
         now = std::get<0>(expected);
         ASSERT_EQ(fired.time, TimePoint{now}) << "op " << op;
         ASSERT_EQ(fired_seq, std::get<2>(expected)) << "op " << op;
@@ -368,11 +368,11 @@ TEST(EventQueueRescheduleTest, MovesEventKeepingIdAndCallback) {
   EXPECT_TRUE(q.reschedule(a, TimePoint{30}));  // later: sifts down
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.next_time(), TimePoint{20});
-  q.pop().cb();
+  q.pop().run();
   auto fired = q.pop();
   EXPECT_EQ(fired.time, TimePoint{30});
   EXPECT_EQ(fired.id, a);
-  fired.cb();
+  fired.run();
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }
 
@@ -387,7 +387,7 @@ TEST(EventQueueRescheduleTest, SameTimeTakesAFreshSequenceNumber) {
   EXPECT_TRUE(q.reschedule(a, TimePoint{10}));
   const EventId c = q.push(TimePoint{10}, 3, [&order]() { order.push_back(3); });
   EXPECT_TRUE(q.reschedule(c, TimePoint{1}));  // earlier: sifts up, keeps rank
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
 }
 
@@ -476,8 +476,8 @@ TEST(EventQueueRescheduleTest, RandomOpsMatchCancelAndPush) {
         ASSERT_FALSE(q.empty()) << "op " << op;
         auto a = q.pop();
         auto b = ref.pop();
-        a.cb();
-        b.cb();
+        a.run();
+        b.run();
         ASSERT_EQ(a.time, b.time) << "op " << op;
         ASSERT_EQ(fired, ref_fired) << "op " << op;
         ASSERT_EQ(a.id, events[static_cast<std::size_t>(fired)].id);
@@ -488,8 +488,8 @@ TEST(EventQueueRescheduleTest, RandomOpsMatchCancelAndPush) {
     }
     while (!ref.empty()) {
       ASSERT_FALSE(q.empty());
-      q.pop().cb();
-      ref.pop().cb();
+      q.pop().run();
+      ref.pop().run();
       ASSERT_EQ(fired, ref_fired);
     }
     EXPECT_TRUE(q.empty());
@@ -531,7 +531,7 @@ TEST(EventQueueCallbackTest, CaptureLargerThanInlineBufferRuns) {
   auto cb = [big, &seen]() { seen = big.back(); };
   static_assert(!InlineCallback::stores_inline<decltype(cb)>);
   q.push(TimePoint{1}, std::move(cb));
-  q.pop().cb();
+  q.pop().run();
   EXPECT_EQ(seen, 'x');
 }
 
@@ -540,7 +540,7 @@ TEST(EventQueueCallbackTest, MoveOnlyCaptureIsAccepted) {
   auto value = std::make_unique<int>(42);
   int seen = 0;
   q.push(TimePoint{1}, [v = std::move(value), &seen]() { seen = *v; });
-  q.pop().cb();
+  q.pop().run();
   EXPECT_EQ(seen, 42);
 }
 
@@ -557,9 +557,9 @@ TEST(EventQueueCallbackTest, CaptureDestroyedExactlyOnce) {
     q.push(TimePoint{3}, [c = DestroyCounter(&pending_destroyed)]() {});
     std::array<char, 2 * InlineCallback::kInlineBytes> pad{};
     q.push(TimePoint{4}, [c = DestroyCounter(&big_destroyed), pad]() {});
-    // Grow the slot array so stored callbacks are relocated.
-    for (int i = 0; i < 100; ++i) q.push(TimePoint{100 + i}, []() {});
-    q.pop().cb();
+    // Fill the first chunk and start another.
+    for (int i = 0; i < 300; ++i) q.push(TimePoint{100 + i}, []() {});
+    q.pop().run();
     EXPECT_EQ(fired_destroyed, 1);
     EXPECT_TRUE(q.cancel(id));
     EXPECT_EQ(cancelled_destroyed, 1);
@@ -573,23 +573,50 @@ TEST(EventQueueCallbackTest, CaptureDestroyedExactlyOnce) {
 }
 
 TEST(EventQueueCallbackTest, CallbackMayPushWhileRunning) {
-  // The pushes below reallocate the slot array while the callback runs;
-  // its captures must survive, so pop() hands the callback out of its slot.
+  // The callback runs in its slot. Its pushes fill more than two chunks of
+  // slots while it runs, so new chunks are allocated under it; its captures
+  // must neither move nor die.
   EventQueue q;
   const std::string tag(64, 'q');
   std::string seen;
+  bool stayed_in_place = false;
   int pushed_ran = 0;
-  q.push(TimePoint{1}, [&q, &seen, &pushed_ran, tag]() {
+  q.push(TimePoint{1}, [&q, &seen, &stayed_in_place, &pushed_ran, tag]() {
+    const std::string* before = &tag;
     for (int i = 0; i < 1000; ++i) {
       q.push(TimePoint{2 + i}, [&pushed_ran]() { ++pushed_ran; });
     }
+    stayed_in_place = &tag == before;
     seen = tag;
   });
-  q.pop().cb();
+  q.pop().run();
+  EXPECT_TRUE(stayed_in_place);
   EXPECT_EQ(seen, tag);
   EXPECT_EQ(q.size(), 1000u);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop().run();
   EXPECT_EQ(pushed_ran, 1000);
+}
+
+TEST(EventQueueCallbackTest, FiredEventsIdIsStaleWhileItRuns) {
+  // pop() kills the id at once; the slot is freed only when the Fired is
+  // destroyed, so a push while it lives takes another slot.
+  EventQueue q;
+  const EventId id = q.push(TimePoint{5}, []() {});
+  const EventId other = q.push(TimePoint{9}, []() {});
+  {
+    auto fired = q.pop();
+    EXPECT_EQ(fired.id, id);
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_FALSE(q.reschedule(id, TimePoint{7}));
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.next_time(), TimePoint{9});
+    const EventId pushed = q.push(TimePoint{8}, []() {});
+    EXPECT_NE(static_cast<std::uint32_t>(pushed),
+              static_cast<std::uint32_t>(id));  // not the running slot
+    fired.run();
+  }
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_TRUE(q.cancel(other));
 }
 
 }  // namespace

@@ -271,6 +271,53 @@ TEST(SimulatorTest, EventScheduledByTickAtNextPeriodFiresFirst) {
   EXPECT_EQ(order, "tetete");
 }
 
+TEST(SimulatorTest, RunningEventCannotCancelOrMoveItself) {
+  Simulator sim;
+  EventId self = kInvalidEvent;
+  int ran = 0;
+  self = sim.schedule_after(Duration{10}, [&]() {
+    ++ran;
+    EXPECT_FALSE(sim.cancel(self));
+    EXPECT_FALSE(sim.reschedule_after(self, Duration{5}));
+    EXPECT_EQ(sim.events_pending(), 1u);
+  });
+  sim.schedule_after(Duration{20}, []() {});
+  sim.run_to_completion();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.now(), TimePoint{20});
+}
+
+TEST(SimulatorTest, PeriodicChainsShareATimerLanePerPeriod) {
+  // Chains A and B tick every 10, C every 15: two timer lanes. At one
+  // instant events run in push order, lanes or not: 'x' was pushed at set-up
+  // and runs before the t=10 ticks; 'a', which A's fn schedules for its
+  // next tick's instant, runs before that tick, whose re-arm is pushed
+  // after fn returns; C's tick at 20 was armed at 5, before all of them.
+  Simulator sim;
+  std::string order;
+  sim.schedule_periodic(TimePoint{0}, Duration{10}, [&]() {
+    order += 'A';
+    sim.schedule_after(Duration{10}, [&]() { order += 'a'; });
+    return sim.now() < TimePoint{20};
+  });
+  sim.schedule_periodic(TimePoint{0}, Duration{10}, [&]() {
+    order += 'B';
+    return sim.now() < TimePoint{20};
+  });
+  sim.schedule_periodic(TimePoint{5}, Duration{15}, [&]() {
+    order += 'C';
+    return sim.now() < TimePoint{20};
+  });
+  sim.schedule_at(TimePoint{10}, [&]() { order += 'x'; });
+  sim.run_until(TimePoint{5});
+  EXPECT_EQ(sim.timer_lanes(), 2u);
+  sim.run_to_completion();
+  EXPECT_EQ(order, "ABCxaABCaABa");
+  EXPECT_EQ(sim.timer_lanes(), 2u);
+  EXPECT_EQ(sim.now(), TimePoint{30});
+}
+
 TEST(SimulatorTest, PeriodicMayRegisterChainsWhileRunning) {
   Simulator sim;
   int outer = 0;
