@@ -17,7 +17,6 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "controllers/first_responder.hpp"
-#include "controllers/surgeguard.hpp"
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"

@@ -9,8 +9,11 @@
 // It demonstrates every integration point a controller implementor needs:
 //   * ControllerEnv: the per-node view (node, metrics bus, topology, targets)
 //   * MetricsSnapshot: the published runtime metrics
-//   * Node::grant/revoke: the core ledger
-//   * Container::set_frequency: the DVFS knob
+//   * start_decision_loop: the periodic decision tick (a `stall` fault
+//     window skips it, as it skips the built-ins')
+//   * Actuator: grant/revoke on the core ledger and set_frequency on the
+//     DVFS knob, each action recorded in the decision audit under the
+//     controller's source name, like the built-ins' actions
 //   * the experiment harness run directly against a custom controller
 #include <cstdio>
 #include <memory>
@@ -29,13 +32,8 @@ class GreedyLatencyController final : public Controller {
  public:
   explicit GreedyLatencyController(ControllerEnv env) : env_(std::move(env)) {}
 
-  std::string name() const override { return "greedy-latency"; }
-
   void start() override {
-    env_.sim->schedule_periodic(TimePoint::at(kInterval), kInterval, [this]() {
-      tick();
-      return true;
-    });
+    start_decision_loop(*env_.sim, kInterval, [this] { tick(); });
   }
 
   void tick() {
@@ -53,16 +51,15 @@ class GreedyLatencyController final : public Controller {
         worst = c;
       }
     }
-    if (worst != nullptr) {
-      if (env_.node->grant(worst, 2) == 0) {
-        worst->set_frequency(worst->frequency() + 300);
-      }
+    if (worst != nullptr && act_.grant(*worst, 2) == 0) {
+      act_.set_frequency(*worst, worst->frequency() + 300);
     }
   }
 
  private:
   static constexpr Duration kInterval = 200 * kMillisecond;
   ControllerEnv env_;
+  Actuator act_{env_, "greedy-latency"};
 };
 
 /// Runs one experiment with a caller-constructed controller. This is the

@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "trace/trace.hpp"
-
 namespace sg {
 
 void CaladanAlgo::start() {
-  env_.sim->schedule_periodic(
-      TimePoint::at(kInterval), kInterval,
-      [this]() {
-        tick();
-        return true;
-      },
-      Simulator::TickClass::kController);
+  start_decision_loop(*env_.sim, kInterval, [this] { tick(); });
 }
 
 void CaladanAlgo::tick() {
@@ -37,11 +29,7 @@ void CaladanAlgo::tick() {
     // window (Caladan parks cores the moment they stop being needed).
     if (snap->queue_buildup < kIdleThreshold &&
         busy < static_cast<double>(c->cores()) - 1.0 - kIdleMargin) {
-      const int revoked = env_.node->revoke(c, kRevokeStep, /*floor=*/1);
-      if (revoked > 0) {
-        env_.sim->audit(DecisionKind::kCoreRevoke, "caladan", env_.node->id(),
-                        c->id(), revoked);
-      }
+      act_.revoke(*c, kRevokeStep, /*floor=*/1);
     }
   }
 
@@ -50,13 +38,7 @@ void CaladanAlgo::tick() {
   std::sort(queued.begin(), queued.end(), [](const Entry& a, const Entry& b) {
     return a.queue_buildup > b.queue_buildup;
   });
-  for (const Entry& e : queued) {
-    const int granted = env_.node->grant(e.container, kGrantStep);
-    if (granted > 0) {
-      env_.sim->audit(DecisionKind::kCoreGrant, "caladan", env_.node->id(),
-                      e.container->id(), granted);
-    }
-  }
+  for (const Entry& e : queued) act_.grant(*e.container, kGrantStep);
 }
 
 }  // namespace sg

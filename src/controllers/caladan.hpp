@@ -41,13 +41,13 @@ class CaladanAlgo final : public Controller {
 
   explicit CaladanAlgo(ControllerEnv env) : env_(std::move(env)) {}
 
-  std::string name() const override { return "caladan"; }
   void start() override;
 
   void tick();
 
  private:
   ControllerEnv env_;
+  Actuator act_{env_, "caladan"};
   BusyWindowTracker busy_;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "trace/trace.hpp"
-
 namespace sg {
 
 CentralizedMLController::CentralizedMLController(Simulator& sim,
@@ -17,19 +15,13 @@ CentralizedMLController::CentralizedMLController(Simulator& sim,
       targets_(std::move(targets)) {}
 
 void CentralizedMLController::start() {
-  sim_.schedule_periodic(
-      TimePoint::at(kInterval), kInterval,
-      [this]() {
-        tick();
-        return true;
-      },
-      Simulator::TickClass::kController);
+  start_decision_loop(sim_, kInterval, [this] { tick(); });
 }
 
 void CentralizedMLController::tick() {
   // Metric snapshot "arrives at the inference server" now; the decision
   // lands kInferenceLatency later.
-  std::vector<Decision> decisions;
+  std::vector<Actuator::SetPoint> decisions;
   for (std::size_t n = 0; n < cluster_.node_count(); ++n) {
     Node& node = cluster_.node(static_cast<NodeId>(n));
     const MetricsBus& bus = metrics_.node_bus(static_cast<int>(n));
@@ -70,26 +62,8 @@ void CentralizedMLController::tick() {
   }
   sim_.schedule_after(kInferenceLatency,
                       [this, decisions = std::move(decisions)]() {
-                        apply(decisions);
+                        act_.set_cores(decisions);
                       });
-}
-
-void CentralizedMLController::apply(const std::vector<Decision>& decisions) {
-  // Two passes over the ledger so shrinks free cores before grows take them.
-  for (const Decision& d : decisions) {
-    Container& c = cluster_.container(d.container);
-    if (d.cores < c.cores()) {
-      cluster_.node(c.node()).revoke(&c, c.cores() - d.cores, d.cores);
-    }
-  }
-  for (const Decision& d : decisions) {
-    Container& c = cluster_.container(d.container);
-    if (d.cores > c.cores()) {
-      cluster_.node(c.node()).grant(&c, d.cores - c.cores());
-    }
-    sim_.audit(DecisionKind::kAllocSet, "centralized-ml", c.node(), c.id(),
-               c.cores());
-  }
 }
 
 }  // namespace sg

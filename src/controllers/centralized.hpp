@@ -45,23 +45,17 @@ class CentralizedMLController final : public Controller {
   CentralizedMLController(Simulator& sim, Cluster& cluster,
                           MetricsPlane& metrics, TargetMap targets);
 
-  std::string name() const override { return "centralized-ml"; }
   void start() override;
 
   /// One decision cycle: snapshot now, apply after kInferenceLatency.
   void tick();
 
  private:
-  struct Decision {
-    int container;
-    int cores;
-  };
-  void apply(const std::vector<Decision>& decisions);
-
   Simulator& sim_;
   Cluster& cluster_;
   MetricsPlane& metrics_;
   TargetMap targets_;
+  Actuator act_{sim_, cluster_, "centralized-ml"};
   BusyWindowTracker busy_;
 };
 

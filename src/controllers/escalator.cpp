@@ -4,21 +4,13 @@
 #include <map>
 #include <vector>
 
-#include "trace/trace.hpp"
-
 namespace sg {
 
 Escalator::Escalator(ControllerEnv env, Options options)
     : env_(std::move(env)), options_(options) {}
 
 void Escalator::start() {
-  env_.sim->schedule_periodic(
-      TimePoint::at(options_.interval), options_.interval,
-      [this]() {
-        tick();
-        return true;
-      },
-      Simulator::TickClass::kController);
+  start_decision_loop(*env_.sim, options_.interval, [this] { tick(); });
 }
 
 double Escalator::exec_signal(const MetricsSnapshot& snap) const {
@@ -73,11 +65,9 @@ void Escalator::tick() {
           }
         }
       }
-      env_.app->set_upscale_stamp(id, kHintDepth);
-      env_.sim->audit(DecisionKind::kUpscaleStamp, "escalator",
-                      env_.node->id(), id, kHintDepth);
+      act_.set_upscale_stamp(*c, kHintDepth);
     } else if (options_.use_new_metrics) {
-      env_.app->set_upscale_stamp(id, 0);
+      act_.set_upscale_stamp(*c, 0);
     }
 
     // Check 3: execMetric violation -> the container itself.
@@ -109,32 +99,18 @@ void Escalator::tick() {
               return a.sens > b.sens;
             });
   for (const Candidate& cand : candidates) {
-    const int granted = env_.node->grant(cand.container, kCoreStep);
-    if (granted > 0) {
-      env_.sim->audit(DecisionKind::kCoreGrant, "escalator",
-                      env_.node->id(), cand.container->id(), granted);
-    }
+    Container& c = *cand.container;
+    const int granted = act_.grant(c, kCoreStep);
     if (granted == 0) {
-      const FreqMhz was = cand.container->frequency();
-      cand.container->set_frequency(cand.container->frequency() +
-                                    kFreqStepLevels * kDvfs.step_mhz);
-      if (cand.container->frequency() != was) {
-        env_.sim->audit(DecisionKind::kFreqBoost, "escalator",
-                        env_.node->id(), cand.container->id(),
-                        static_cast<int>(cand.container->frequency()));
-      }
-    } else if (granted > 0 && cand.container->frequency() > kDvfs.min_mhz) {
+      act_.set_frequency(c, c.frequency() + kFreqStepLevels * kDvfs.step_mhz);
+    } else if (c.frequency() > kDvfs.min_mhz) {
       // Swap FirstResponder's stopgap frequency boost for the cores just
       // granted: sustained load is served by cores (cheap), the boost was
       // only buying time until this slower path caught up (shFreq/shCores
       // synchronization in paper Fig. 7). Stepping down gradually (rather
       // than resetting) avoids oscillating with the fast path while the
       // backlog is still draining.
-      cand.container->set_frequency(cand.container->frequency() -
-                                    kFreqStepLevels * kDvfs.step_mhz);
-      env_.sim->audit(DecisionKind::kFreqLower, "escalator",
-                      env_.node->id(), cand.container->id(),
-                      static_cast<int>(cand.container->frequency()));
+      act_.set_frequency(c, c.frequency() - kFreqStepLevels * kDvfs.step_mhz);
     }
   }
 
@@ -162,9 +138,8 @@ void Escalator::tick() {
       // Frequency steps back toward the floor first.
       const bool boosted = c->frequency() > kDvfs.min_mhz;
       if (boosted) {
-        c->set_frequency(c->frequency() - kFreqStepLevels * kDvfs.step_mhz);
-        env_.sim->audit(DecisionKind::kFreqLower, "escalator",
-                        env_.node->id(), id, static_cast<int>(c->frequency()));
+        act_.set_frequency(*c,
+                           c->frequency() - kFreqStepLevels * kDvfs.step_mhz);
       }
       // Parties' slack rule on score-0 containers. Two guards: (a) a
       // container still running above base frequency owes its low execution
@@ -175,11 +150,7 @@ void Escalator::tick() {
       if (!boosted && rit->second < kDownscaleThreshold) {
         if (++slack_streak_[id] >= kDownscaleHold &&
             busy_.safe_to_revoke(c, kCoreStep)) {
-          const int revoked = env_.node->revoke(c, kCoreStep, /*floor=*/1);
-          if (revoked > 0) {
-            env_.sim->audit(DecisionKind::kCoreRevoke, "escalator",
-                            env_.node->id(), id, revoked);
-          }
+          act_.revoke(*c, kCoreStep, /*floor=*/1);
           slack_streak_[id] = 0;
         }
       } else {
@@ -198,11 +169,7 @@ void Escalator::tick() {
         tick_count_ % kSensRevokePeriodTicks == 0 &&
         sens_.revocation_candidate(id, c->cores(), kSensRevokeThreshold) &&
         busy_.safe_to_revoke(c, kCoreStep, /*util_limit=*/0.9)) {
-      const int revoked = env_.node->revoke(c, kCoreStep, /*floor=*/1);
-      if (revoked > 0) {
-        env_.sim->audit(DecisionKind::kCoreRevoke, "escalator",
-                        env_.node->id(), id, revoked);
-      }
+      act_.revoke(*c, kCoreStep, /*floor=*/1);
     }
   }
 }

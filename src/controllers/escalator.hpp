@@ -80,7 +80,6 @@ class Escalator final : public Controller {
   Escalator(ControllerEnv env, Options options);
   Escalator(ControllerEnv env) : Escalator(std::move(env), Options()) {}
 
-  std::string name() const override { return "escalator"; }
   void start() override;
 
   void tick();
@@ -94,6 +93,7 @@ class Escalator final : public Controller {
   double exec_signal(const MetricsSnapshot& snap) const;
 
   ControllerEnv env_;
+  Actuator act_{env_, "escalator"};
   Options options_;
   SensitivityTracker sens_;
   BusyWindowTracker busy_;

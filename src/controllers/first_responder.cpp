@@ -1,7 +1,6 @@
 #include "controllers/first_responder.hpp"
 
 #include "common/assert.hpp"
-#include "trace/trace.hpp"
 
 namespace sg {
 
@@ -53,12 +52,7 @@ void FirstResponder::boost(int container) {
   // The violating container and its same-node downstream containers jump to
   // max frequency (the paper's FirstResponder response).
   const auto to_max = [this](Container& c) {
-    const FreqMhz was = c.frequency();
-    c.set_frequency(kDvfs.max_mhz);
-    if (c.frequency() != was) {
-      env_.sim->audit(DecisionKind::kFreqBoost, "first-responder",
-                      env_.node->id(), c.id(), static_cast<int>(c.frequency()));
-    }
+    act_.set_frequency(c, kDvfs.max_mhz);
     ++boosts_applied_;
   };
   to_max(env_.cluster->container(container));

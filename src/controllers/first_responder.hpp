@@ -48,8 +48,6 @@ class FirstResponder final : public Controller, public RxHook {
   FirstResponder(ControllerEnv env, Network& network)
       : env_(std::move(env)), network_(network) {}
 
-  std::string name() const override { return "first-responder"; }
-
   /// Attaches the hook to this node's receive path and fixes the slack
   /// limits from env.targets (set the targets before calling it).
   void start() override;
@@ -68,6 +66,7 @@ class FirstResponder final : public Controller, public RxHook {
   void boost(int container);
 
   ControllerEnv env_;
+  Actuator act_{env_, "first-responder"};
   Network& network_;
   Duration freeze_window_;
   /// kSlackMargin x expectedTimeFromStart, indexed by container id;

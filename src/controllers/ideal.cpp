@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "trace/trace.hpp"
 
 namespace sg {
 
@@ -65,13 +64,7 @@ void IdealOracleController::on_surge_detected(
     }
     (void)base_rate;
 
-    if (needed > c.cores()) {
-      const int granted = env_.node->grant(&c, needed - c.cores());
-      if (granted > 0) {
-        env_.sim->audit(DecisionKind::kCoreGrant, "ideal", env_.node->id(),
-                        c.id(), granted);
-      }
-    }
+    if (needed > c.cores()) act_.grant(c, needed - c.cores());
   }
 }
 
@@ -84,12 +77,7 @@ void IdealOracleController::restore_initial() {
     Container& c = env_.app->service_container(static_cast<int>(i));
     if (c.node() != env_.node->id()) continue;
     if (c.cores() > initial_cores_[i]) {
-      const int revoked = env_.node->revoke(&c, c.cores() - initial_cores_[i],
-                                            initial_cores_[i]);
-      if (revoked > 0) {
-        env_.sim->audit(DecisionKind::kCoreRevoke, "ideal", env_.node->id(),
-                        c.id(), revoked);
-      }
+      act_.revoke(c, c.cores() - initial_cores_[i], initial_cores_[i]);
     }
   }
 }

@@ -35,7 +35,6 @@ class IdealOracleController final : public Controller {
 
   IdealOracleController(ControllerEnv env, Options options);
 
-  std::string name() const override { return "ideal-oracle"; }
   void start() override;
 
  private:
@@ -47,6 +46,7 @@ class IdealOracleController final : public Controller {
   int cores_for_rate(std::size_t service, double rate) const;
 
   ControllerEnv env_;
+  Actuator act_{env_, "ideal"};
   Options options_;
   std::vector<int> initial_cores_;
   std::vector<double> demand_ns_;  // per-request CPU ns per service

@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "trace/trace.hpp"
-
 namespace sg {
 
 void PartiesController::start() {
-  env_.sim->schedule_periodic(
-      TimePoint::at(kInterval), kInterval,
-      [this]() {
-        tick();
-        return true;
-      },
-      Simulator::TickClass::kController);
+  start_decision_loop(*env_.sim, kInterval, [this] { tick(); });
 }
 
 double PartiesController::violation_ratio(const MetricsSnapshot& snap,
@@ -65,11 +57,7 @@ void PartiesController::tick() {
             [](const Candidate& a, const Candidate& b) { return a.ratio > b.ratio; });
   bool stole_this_tick = false;
   for (const Candidate& v : violators) {
-    const int granted = env_.node->grant(v.container, kCoreStep);
-    if (granted > 0) {
-      env_.sim->audit(DecisionKind::kCoreGrant, "parties",
-                      env_.node->id(), v.container->id(), granted);
-    }
+    const int granted = act_.grant(*v.container, kCoreStep);
     if (granted < kCoreStep && !stole_this_tick && !calm.empty()) {
       // Pool dry: take a step from the calmest container (lowest ratio)
       // whose measured CPU usage actually fits in the smaller allocation —
@@ -86,16 +74,10 @@ void PartiesController::tick() {
         if (donor == nullptr || c.ratio < donor->ratio) donor = &c;
       }
       if (donor != nullptr) {
-        const int freed = env_.node->revoke(donor->container,
-                                            kCoreStep, /*floor=*/1);
+        const int freed =
+            act_.revoke(*donor->container, kCoreStep, /*floor=*/1);
         if (freed > 0) {
-          env_.sim->audit(DecisionKind::kCoreRevoke, "parties",
-                          env_.node->id(), donor->container->id(), freed);
-          const int regranted = env_.node->grant(v.container, freed);
-          if (regranted > 0) {
-            env_.sim->audit(DecisionKind::kCoreGrant, "parties",
-                            env_.node->id(), v.container->id(), regranted);
-          }
+          act_.grant(*v.container, freed);
           stole_this_tick = true;
         }
       }
@@ -104,14 +86,8 @@ void PartiesController::tick() {
   // Frequency is a per-container knob (no shared pool), so Parties steps it
   // up on every violator each interval.
   for (const Candidate& v : violators) {
-    const FreqMhz was = v.container->frequency();
-    v.container->set_frequency(v.container->frequency() +
-                               kFreqStepLevels * kDvfs.step_mhz);
-    if (v.container->frequency() != was) {
-      env_.sim->audit(DecisionKind::kFreqBoost, "parties",
-                      env_.node->id(), v.container->id(),
-                      static_cast<int>(v.container->frequency()));
-    }
+    act_.set_frequency(*v.container, v.container->frequency() +
+                                         kFreqStepLevels * kDvfs.step_mhz);
   }
 
   // Downscale: frequency steps back toward the floor for every calm
@@ -121,11 +97,8 @@ void PartiesController::tick() {
   int longest_streak = 0;
   for (const Candidate& c : calm) {
     if (c.container->frequency() > kDvfs.min_mhz) {
-      c.container->set_frequency(c.container->frequency() -
-                                 kFreqStepLevels * kDvfs.step_mhz);
-      env_.sim->audit(DecisionKind::kFreqLower, "parties",
-                      env_.node->id(), c.container->id(),
-                      static_cast<int>(c.container->frequency()));
+      act_.set_frequency(*c.container, c.container->frequency() -
+                                           kFreqStepLevels * kDvfs.step_mhz);
     }
     const int streak = slack_streak_[c.container->id()];
     if (streak >= kDownscaleHold && streak > longest_streak) {
@@ -135,12 +108,7 @@ void PartiesController::tick() {
   }
   if (revoke_target != nullptr &&
       busy_.safe_to_revoke(revoke_target, kCoreStep)) {
-    const int revoked =
-        env_.node->revoke(revoke_target, kCoreStep, /*floor=*/1);
-    if (revoked > 0) {
-      env_.sim->audit(DecisionKind::kCoreRevoke, "parties",
-                      env_.node->id(), revoke_target->id(), revoked);
-    }
+    act_.revoke(*revoke_target, kCoreStep, /*floor=*/1);
     slack_streak_[revoke_target->id()] = 0;
   }
 }

@@ -38,7 +38,6 @@ class PartiesController final : public Controller {
 
   explicit PartiesController(ControllerEnv env) : env_(std::move(env)) {}
 
-  std::string name() const override { return "parties"; }
   void start() override;
 
   /// One decision cycle (exposed for tests).
@@ -49,6 +48,7 @@ class PartiesController final : public Controller {
   double violation_ratio(const MetricsSnapshot& snap, int container) const;
 
   ControllerEnv env_;
+  Actuator act_{env_, "parties"};
   BusyWindowTracker busy_;
   /// Consecutive low-latency intervals per container (downscale FSM).
   /// Ordered map (determinism rule D1): decision-loop state stays

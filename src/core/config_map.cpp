@@ -185,6 +185,27 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   }
   if (!found) return fail("unknown workload: " + workload);
 
+  // Per-service target overrides: <name> must be a service of the selected
+  // workload, and the value a time that fits a Duration and is at least
+  // 1 ns (apply_target_overrides truncates to whole ns; a 0 ns
+  // time-from-start would make every packet a violation).
+  for (const std::string& key : cfg.keys()) {
+    if (key.rfind("service.", 0) != 0 || !key_type(key)) continue;
+    const std::string name = key.substr(8, key.rfind('.') - 8);
+    const std::vector<ServiceSpec>& services = out.workload.spec.services;
+    if (std::none_of(services.begin(), services.end(),
+                     [&](const ServiceSpec& s) { return s.name == name; })) {
+      const std::string why =
+          "no service '" + name + "' in workload " + workload;
+      return reject(key.c_str(), why.c_str());
+    }
+    const double ns = *cfg.try_get_double(key) * 1e3;
+    if (!(ns >= 1 && Duration::fits(ns))) {
+      return reject(key.c_str(),
+                    "must be at least 0.001 (1 ns) and within range");
+    }
+  }
+
   if (cfg.has("controller")) {
     const std::string controller = cfg.get_string("controller");
     const auto kind = controller_from_string(controller);

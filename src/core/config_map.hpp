@@ -28,6 +28,9 @@
 //   trace.out           (export path; consumed by sg_run)
 //   service.<name>.expected_exec_metric_us
 //   service.<name>.expected_time_from_start_us
+//                       (<name> must be a service of the selected workload;
+//                        the value at least 0.001 (1 ns) and within a
+//                        Duration's range)
 //
 // A recognized key whose value does not parse as its type (`nodes = 2x`,
 // `duration_s = two`, `enabled = ture`) is an error naming the key and the

@@ -6,9 +6,10 @@
 #include "controllers/caladan.hpp"
 #include "controllers/centralized.hpp"
 #include "controllers/controller.hpp"
+#include "controllers/escalator.hpp"
+#include "controllers/first_responder.hpp"
 #include "controllers/ideal.hpp"
 #include "controllers/parties.hpp"
-#include "controllers/surgeguard.hpp"
 
 namespace sg {
 
@@ -155,47 +156,40 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
               tb->sim, tb->cluster, tb->metrics, targets));
         }
         break;
-      case ControllerKind::kMLPlusSurgeGuard: {
+      case ControllerKind::kMLPlusSurgeGuard:
         // Paper SVII: the ML controller periodically sets steady-state
         // allocations; SurgeGuard handles the transients in between.
         if (n == 0) {
           tb->controllers.push_back(std::make_unique<CentralizedMLController>(
               tb->sim, tb->cluster, tb->metrics, targets));
         }
-        SurgeGuard::Options opts;
-        opts.escalator = config.escalator;
-        auto sg_ctrl =
-            std::make_unique<SurgeGuard>(std::move(env), tb->network, opts);
-        if (sg_ctrl->first_responder() != nullptr) {
-          tb->first_responders.push_back(sg_ctrl->first_responder());
-        }
-        tb->controllers.push_back(std::move(sg_ctrl));
-        break;
-      }
+        [[fallthrough]];
       case ControllerKind::kEscalator:
       case ControllerKind::kSurgeGuard:
       case ControllerKind::kEscalatorMetricsOnly:
       case ControllerKind::kEscalatorSensOnly: {
-        SurgeGuard::Options opts;
-        opts.escalator = config.escalator;
-        opts.enable_first_responder =
-            config.controller == ControllerKind::kSurgeGuard;
+        // SurgeGuard (paper Fig. 7) is an Escalator plus a FirstResponder on
+        // each node; the containers' allocation state is what the two share.
+        Escalator::Options opts = config.escalator;
         // Fig. 15's middle bars are "Parties + one mechanism": one Escalator
         // feature on top of the Parties base allocator at Parties' own
         // 500 ms cadence — NOT the faster full Escalator.
         if (config.controller == ControllerKind::kEscalatorMetricsOnly) {
-          opts.escalator.use_sensitivity = false;
-          opts.escalator.interval = 500 * kMillisecond;
+          opts.use_sensitivity = false;
+          opts.interval = 500 * kMillisecond;
         }
         if (config.controller == ControllerKind::kEscalatorSensOnly) {
-          opts.escalator.use_new_metrics = false;
-          opts.escalator.interval = 500 * kMillisecond;
+          opts.use_new_metrics = false;
+          opts.interval = 500 * kMillisecond;
         }
-        auto sg_ctrl = std::make_unique<SurgeGuard>(std::move(env), tb->network, opts);
-        if (sg_ctrl->first_responder() != nullptr) {
-          tb->first_responders.push_back(sg_ctrl->first_responder());
+        tb->controllers.push_back(std::make_unique<Escalator>(env, opts));
+        if (config.controller == ControllerKind::kSurgeGuard ||
+            config.controller == ControllerKind::kMLPlusSurgeGuard) {
+          auto fr =
+              std::make_unique<FirstResponder>(std::move(env), tb->network);
+          tb->first_responders.push_back(fr.get());
+          tb->controllers.push_back(std::move(fr));
         }
-        tb->controllers.push_back(std::move(sg_ctrl));
         break;
       }
       case ControllerKind::kIdealOracle: {

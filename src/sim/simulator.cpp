@@ -18,14 +18,6 @@ TraceSink& Simulator::enable_tracing(const TraceOptions& options) {
   return *trace_sink_;
 }
 
-void Simulator::audit(DecisionKind kind, const char* controller, int node,
-                      int container, int amount) {
-  if (trace_sink_) {
-    trace_sink_->add_decision(
-        {now_, kind, controller, node, container, amount});
-  }
-}
-
 std::uint32_t Simulator::timer_lane(Duration delay) {
   std::size_t lane = 0;
   while (lane < timer_delays_.size() && timer_delays_[lane] != delay) ++lane;

@@ -21,7 +21,6 @@ namespace sg {
 
 class TraceSink;
 struct TraceOptions;
-enum class DecisionKind;
 
 class Simulator {
  public:
@@ -146,12 +145,6 @@ class Simulator {
   /// Active sink, or nullptr when tracing is disabled. Instrumentation
   /// sites null-check this — the disabled cost is one pointer load.
   TraceSink* trace_sink() const { return trace_sink_.get(); }
-
-  /// Appends a controller decision, stamped now(), to the sink's decision
-  /// audit; does nothing when tracing is disabled. `controller` must be a
-  /// static string ("escalator", "first-responder", ...).
-  void audit(DecisionKind kind, const char* controller, int node,
-             int container, int amount);
 
  private:
   struct PeriodicChain {

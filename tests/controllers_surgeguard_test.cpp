@@ -1,8 +1,11 @@
-#include "controllers/surgeguard.hpp"
-
+// SurgeGuard (paper Fig. 7) is an Escalator plus a FirstResponder on each
+// node, built side by side as the experiment harness builds them; and the
+// IdealOracle of Fig. 4.
 #include <gtest/gtest.h>
 
 #include "controller_test_util.hpp"
+#include "controllers/escalator.hpp"
+#include "controllers/first_responder.hpp"
 #include "controllers/ideal.hpp"
 
 namespace sg {
@@ -12,28 +15,22 @@ using testutil::ControllerTestbed;
 
 TEST(SurgeGuardTest, ComposesEscalatorAndFirstResponder) {
   ControllerTestbed tb;
-  SurgeGuard sg_ctrl(tb.env(), tb.network);
-  EXPECT_NE(sg_ctrl.first_responder(), nullptr);
-  sg_ctrl.start();
+  Escalator escalator(tb.env());
+  FirstResponder first_responder(tb.env(), tb.network);
+  escalator.start();
+  first_responder.start();
   // Escalator ticks must act on bus snapshots.
   tb.publish(tb.c1(), 900.0, 900.0);
   tb.sim.run_until(TimePoint::at(150 * kMillisecond));
   EXPECT_GT(tb.c1().cores(), 2);
 }
 
-TEST(SurgeGuardTest, EscalatorOnlyConfiguration) {
-  ControllerTestbed tb;
-  SurgeGuard::Options opts;
-  opts.enable_first_responder = false;
-  SurgeGuard sg_ctrl(tb.env(), tb.network, opts);
-  EXPECT_EQ(sg_ctrl.first_responder(), nullptr);
-  sg_ctrl.start();  // must not crash without the fast path
-}
-
 TEST(SurgeGuardTest, FastPathBoostsWithinMicroseconds) {
   ControllerTestbed tb;
-  SurgeGuard sg_ctrl(tb.env(), tb.network);
-  sg_ctrl.start();
+  Escalator escalator(tb.env());
+  FirstResponder first_responder(tb.env(), tb.network);
+  escalator.start();
+  first_responder.start();
   tb.network.register_client_receiver([](const RpcPacket&) {});
   tb.sim.run_until(TimePoint::at(1 * kMillisecond));
   RpcPacket p;
@@ -45,12 +42,7 @@ TEST(SurgeGuardTest, FastPathBoostsWithinMicroseconds) {
   // Well before the first Escalator tick (100ms), frequency is boosted.
   tb.sim.run_until(tb.sim.now() + 100 * kMicrosecond);
   EXPECT_EQ(tb.c1().frequency(), kDvfs.max_mhz);
-}
-
-TEST(SurgeGuardTest, NameIdentifiesComposite) {
-  ControllerTestbed tb;
-  SurgeGuard sg_ctrl(tb.env(), tb.network);
-  EXPECT_EQ(sg_ctrl.name(), "surgeguard");
+  EXPECT_EQ(first_responder.boosts_applied(), 2u);  // c1 and downstream c2
 }
 
 TEST(IdealOracleTest, AllocatesAtDetectionTime) {

@@ -299,6 +299,42 @@ TEST(ConfigMapTest, PartialTargetOverride) {
   EXPECT_EQ(targets.of(0).expected_time_from_start, Duration::ns(2000));  // kept
 }
 
+TEST(ConfigMapTest, MalformedTargetOverrideRejected) {
+  // A service the workload lacks, or a value that is not a time of at
+  // least 1 ns within a Duration's range, is an error naming key and value.
+  const std::pair<const char*, const char*> cases[] = {
+      {"[service.no-such-service]\nexpected_exec_metric_us = 5\n",
+       "'5' for key 'service.no-such-service.expected_exec_metric_us'"},
+      {"[service.chain-1]\nexpected_time_from_start_us = nan\n",
+       "'nan' for key 'service.chain-1.expected_time_from_start_us'"},
+      {"[service.chain-1]\nexpected_time_from_start_us = -5\n",
+       "'-5' for key 'service.chain-1.expected_time_from_start_us'"},
+      {"[service.chain-1]\nexpected_time_from_start_us = 1e300\n",
+       "'1e300' for key 'service.chain-1.expected_time_from_start_us'"},
+      {"[service.chain-1]\nexpected_exec_metric_us = 0\n",
+       "'0' for key 'service.chain-1.expected_exec_metric_us'"},
+      // 0.4 ns would truncate to a 0 ns time-from-start.
+      {"[service.chain-1]\nexpected_time_from_start_us = 0.0004\n",
+       "'0.0004' for key 'service.chain-1.expected_time_from_start_us'"},
+  };
+  for (const auto& [text, what] : cases) {
+    std::string err;
+    const auto out = experiment_from_config(
+        parse(std::string("workload = chain\n") + text), &err);
+    EXPECT_FALSE(out.has_value()) << text;
+    EXPECT_NE(err.find(what), std::string::npos) << err;
+  }
+  // A well-formed override of a real service passes.
+  std::string err;
+  EXPECT_TRUE(experiment_from_config(
+                  parse("workload = chain\n[service.chain-1]\n"
+                        "expected_exec_metric_us = 5\n"
+                        "expected_time_from_start_us = 40\n"),
+                  &err)
+                  .has_value())
+      << err;
+}
+
 TEST(ConfigMapTest, MisspelledKeyIsFlaggedAsUnknown) {
   // The classic typo: retry.timout_s instead of retry.timeout_ms. And
   // stale keys: sim.shards no longer exists (the event loop is serial),

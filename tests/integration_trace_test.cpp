@@ -7,13 +7,21 @@
 //     count and every latency percentile bit-identical;
 //   * surge runs produce breakdown rows, decisions, and kept violators;
 //   * every controller records its decisions in the audit under its own
-//     source name, on a real node and container.
+//     source name, on a real node and container, and each controller
+//     kind's audit matches tests/golden/controller_audit.txt exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "trace/export.hpp"
@@ -199,7 +207,8 @@ TEST(IntegrationTraceTest, HeadSamplingKeepsRoughlyTheRequestedFraction) {
 
 struct AuditCase {
   ControllerKind controller;
-  const char* source;  // source name of the controller's decisions
+  /// Source names the kind's decisions may carry; the first is its own.
+  std::vector<std::string> sources;
 };
 
 // Names the case in test output (the default would dump the raw bytes,
@@ -208,57 +217,127 @@ void PrintTo(const AuditCase& c, std::ostream* os) {
   *os << to_string(c.controller);
 }
 
-class ControllerAuditTest : public ::testing::TestWithParam<AuditCase> {};
+class ControllerAuditTest : public ::testing::TestWithParam<AuditCase> {
+ protected:
+  /// A 2-node CHAIN with one 1 s surge at 3x: long enough for Parties'
+  /// 500 ms interval to see it.
+  static ExperimentResult run_case() {
+    ExperimentConfig cfg = base_config();
+    cfg.controller = GetParam().controller;
+    cfg.nodes = 2;
+    cfg.surge_mult = 3.0;
+    cfg.surge_len = 1 * kSecond;
+    cfg.first_surge_offset = 500 * kMillisecond;
+    cfg.trace_enabled = true;
+    cfg.trace_sample = 0.0;  // the audit does not depend on request sampling
+    return run_experiment(cfg);
+  }
+};
 
 TEST_P(ControllerAuditTest, DecisionsCarryTheControllersSourceAndIds) {
-  ExperimentConfig cfg = base_config();
-  cfg.controller = GetParam().controller;
-  cfg.nodes = 2;
-  // One 1 s surge at 3x: long enough for Parties' 500 ms interval to see it.
-  cfg.surge_mult = 3.0;
-  cfg.surge_len = 1 * kSecond;
-  cfg.first_surge_offset = 500 * kMillisecond;
-  cfg.trace_enabled = true;
-  cfg.trace_sample = 0.0;  // the audit does not depend on request sampling
-
-  const ExperimentResult r = run_experiment(cfg);
+  const ExperimentResult r = run_case();
   ASSERT_TRUE(r.trace.has_value());
   const TraceReport& tr = *r.trace;
   ASSERT_FALSE(tr.decisions.empty());
   EXPECT_EQ(tr.stats.decisions_recorded, tr.decisions.size());
 
+  const std::vector<std::string>& sources = GetParam().sources;
   std::map<int, int> node_of;
   for (const TraceContainerInfo& c : tr.containers) node_of[c.id] = c.node;
+  std::map<std::string, int> per_source;
   int fr_boosts = 0;
   for (const DecisionEvent& e : tr.decisions) {
     const auto it = node_of.find(e.container);
     ASSERT_NE(it, node_of.end()) << "unknown container " << e.container;
     EXPECT_EQ(e.node, it->second) << "container " << e.container;
     EXPECT_GE(e.node, 0);
-    EXPECT_LT(e.node, cfg.nodes);
-    if (std::strcmp(e.controller, "first-responder") == 0) {
-      EXPECT_EQ(GetParam().controller, ControllerKind::kSurgeGuard);
-      if (e.kind == DecisionKind::kFreqBoost) ++fr_boosts;
-      continue;
+    EXPECT_LT(e.node, 2);
+    EXPECT_NE(std::find(sources.begin(), sources.end(), e.controller),
+              sources.end())
+        << "unexpected source " << e.controller;
+    ++per_source[e.controller];
+    if (std::strcmp(e.controller, "first-responder") == 0 &&
+        e.kind == DecisionKind::kFreqBoost) {
+      ++fr_boosts;
     }
-    EXPECT_STREQ(e.controller, GetParam().source);
   }
-  if (GetParam().controller == ControllerKind::kSurgeGuard) {
+  EXPECT_GT(per_source[sources.front()], 0);
+  if (std::find(sources.begin(), sources.end(), "first-responder") !=
+      sources.end()) {
     EXPECT_GT(fr_boosts, 0);
   }
 }
 
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One golden line: the decision count and an FNV-1a of every field of
+/// every decision, in report order.
+std::string audit_digest(ControllerKind kind, const TraceReport& tr) {
+  std::ostringstream all;
+  for (const DecisionEvent& e : tr.decisions) {
+    all << e.at.ns() << ' ' << to_string(e.kind) << ' ' << e.controller << ' '
+        << e.node << ' ' << e.container << ' ' << e.amount << '\n';
+  }
+  char fnv[32];
+  std::snprintf(fnv, sizeof fnv, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(all.str())));
+  std::ostringstream line;
+  line << to_string(kind) << " decisions=" << tr.decisions.size()
+       << " fnv1a=" << fnv;
+  return line.str();
+}
+
+/// The golden line of `kind` in tests/golden/controller_audit.txt.
+std::string golden_audit_line(ControllerKind kind) {
+  const std::string path = std::string(SG_GOLDEN_DIR) + "/controller_audit.txt";
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  const std::string prefix = std::string(to_string(kind)) + " ";
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+// Every controller's audit is pinned: a controller that stops recording an
+// action (or records one it did not take) changes its line. There is no
+// re-record switch: a new golden is a reviewed edit of the file.
+TEST_P(ControllerAuditTest, DecisionsMatchTheRecordedAudit) {
+  const ExperimentResult r = run_case();
+  ASSERT_TRUE(r.trace.has_value());
+  EXPECT_EQ(r.trace->stats.decisions_dropped, 0u);
+  EXPECT_EQ(audit_digest(GetParam().controller, *r.trace),
+            golden_audit_line(GetParam().controller));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllControllers, ControllerAuditTest,
-    ::testing::Values(AuditCase{ControllerKind::kParties, "parties"},
-                      AuditCase{ControllerKind::kCaladan, "caladan"},
-                      AuditCase{ControllerKind::kEscalator, "escalator"},
-                      AuditCase{ControllerKind::kSurgeGuard, "escalator"},
-                      AuditCase{ControllerKind::kIdealOracle, "ideal"},
-                      AuditCase{ControllerKind::kCentralizedML,
-                                "centralized-ml"}),
+    ::testing::Values(
+        AuditCase{ControllerKind::kParties, {"parties"}},
+        AuditCase{ControllerKind::kCaladan, {"caladan"}},
+        AuditCase{ControllerKind::kEscalator, {"escalator"}},
+        AuditCase{ControllerKind::kSurgeGuard,
+                  {"escalator", "first-responder"}},
+        AuditCase{ControllerKind::kEscalatorMetricsOnly, {"escalator"}},
+        AuditCase{ControllerKind::kEscalatorSensOnly, {"escalator"}},
+        AuditCase{ControllerKind::kIdealOracle, {"ideal"}},
+        AuditCase{ControllerKind::kCentralizedML, {"centralized-ml"}},
+        AuditCase{ControllerKind::kMLPlusSurgeGuard,
+                  {"centralized-ml", "escalator", "first-responder"}}),
     [](const ::testing::TestParamInfo<AuditCase>& param_info) {
-      return std::string(to_string(param_info.param.controller));
+      // Test names are alphanumeric: "Parties+Metrics" -> "PartiesMetrics".
+      std::string name;
+      for (const char c : std::string(to_string(param_info.param.controller))) {
+        if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+      }
+      return name;
     });
 
 }  // namespace

@@ -25,6 +25,14 @@ file(WRITE ${WORK_DIR}/duration_zero.cfg "workload = chain\nduration_s = 0\n")
 file(WRITE ${WORK_DIR}/drain.cfg "workload = chain\ndrain_s = -1\n")
 file(WRITE ${WORK_DIR}/sample.cfg "workload = chain\n[trace]\nsample = 1.5\n")
 file(WRITE ${WORK_DIR}/capacity.cfg "workload = chain\n[trace]\ncapacity = 0\n")
+file(WRITE ${WORK_DIR}/service_name.cfg
+     "workload = chain\n[service.no-such-service]\nexpected_exec_metric_us = 5\n")
+file(WRITE ${WORK_DIR}/service_nan.cfg
+     "workload = chain\n[service.chain-1]\nexpected_time_from_start_us = nan\n")
+file(WRITE ${WORK_DIR}/service_neg.cfg
+     "workload = chain\n[service.chain-1]\nexpected_time_from_start_us = -5\n")
+file(WRITE ${WORK_DIR}/service_wide.cfg
+     "workload = chain\n[service.chain-1]\nexpected_time_from_start_us = 1e300\n")
 
 # Each case: config file, then the name the error must mention, then flags.
 # A range error must name the value and the key; a fault-plan key that its
@@ -50,6 +58,10 @@ set(cases
   "drain.cfg|'-1' for key 'drain_s'|"
   "sample.cfg|'1.5' for key 'trace.sample'|"
   "capacity.cfg|'0' for key 'trace.capacity'|"
+  "service_name.cfg|'5' for key 'service.no-such-service.expected_exec_metric_us'|"
+  "service_nan.cfg|'nan' for key 'service.chain-1.expected_time_from_start_us'|"
+  "service_neg.cfg|'-5' for key 'service.chain-1.expected_time_from_start_us'|"
+  "service_wide.cfg|'1e300' for key 'service.chain-1.expected_time_from_start_us'|"
   "valid.cfg|'nan' for key 'factor'|--fault-plan slow:start_ms=0,len_ms=1,factor=nan"
   "valid.cfg|'1e16' for key 'extra_us'|--fault-plan delay:start_ms=0,len_ms=1,extra_us=1e16"
   "valid.cfg|key 'node' does not apply to drop|--fault-plan drop:node=1,start_ms=1000,len_ms=500,rate=0.1")
