@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <string>
 
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "controllers/controller.hpp"
 #include "core/experiment.hpp"
@@ -76,7 +75,8 @@ LoadGenResults run_with_custom_controller(const WorkloadInfo& w,
   MetricsPlane metrics(1);
 
   AppSpec spec = w.spec;
-  spec.autosize_pools(w.base_rate_rps, 15'000.0);
+  spec.autosize_pools(w.base_rate_rps,
+                      static_cast<double>(network.model().same_node.ns()));
   Deployment dep;
   dep.initial_cores = w.initial_cores;
   dep.node_of_service.assign(w.spec.services.size(), 0);

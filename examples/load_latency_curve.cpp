@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <string>
 
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 

@@ -6,7 +6,6 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 

@@ -68,6 +68,8 @@ struct RpcRetryPolicy {
 
   /// Timeout for attempt k (k=0 is the initial send).
   Duration timeout_for_attempt(int attempt) const;
+
+  bool operator==(const RpcRetryPolicy&) const = default;
 };
 
 class Application {

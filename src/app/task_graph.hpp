@@ -65,6 +65,8 @@ struct ServiceSpec {
   /// first implicit queue forms at the first *pooled* tier, as in the
   /// paper's Fig. 14 (user-timeline-service).
   bool unpooled_children = false;
+
+  bool operator==(const ServiceSpec&) const = default;
 };
 
 struct AppSpec {
@@ -117,6 +119,8 @@ struct AppSpec {
   /// Per-edge pool sizes chosen by autosize_pools (empty until called; the
   /// Application falls back to `threadpool_size` when empty).
   std::vector<std::vector<int>> pool_sizes;
+
+  bool operator==(const AppSpec&) const = default;
 };
 
 }  // namespace sg

@@ -42,6 +42,8 @@ struct WorkloadInfo {
   std::string action;
 
   int total_initial_cores() const;
+
+  bool operator==(const WorkloadInfo&) const = default;
 };
 
 /// CHAIN: five Thrift services, each doing a vector-accumulate-sized chunk

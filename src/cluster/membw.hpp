@@ -40,6 +40,8 @@ class MemBwDomain {
     /// Recompute threshold: factor changes smaller than this do not trigger
     /// a domain-wide resync (keeps event counts bounded).
     double hysteresis = 0.01;
+
+    bool operator==(const Params&) const = default;
   };
 
   explicit MemBwDomain(Params params) : params_(params) {}

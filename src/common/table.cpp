@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/csv.hpp"
-
 namespace sg {
 
 std::size_t display_width(const std::string& s) {
@@ -53,6 +51,40 @@ std::string TablePrinter::render() const {
 }
 
 void TablePrinter::print() const { std::fputs(render().c_str(), stdout); }
+
+std::string TablePrinter::csv() const {
+  auto csv_row = [](const std::vector<std::string>& row) {
+    std::string line;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i) line += ',';
+      line += csv_escape(row[i]);
+    }
+    line += '\n';
+    return line;
+  };
+  std::string out = csv_row(headers_);
+  for (const auto& row : rows_) out += csv_row(row);
+  return out;
+}
+
+std::string fmt_double(double v, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  return buf;
+}
+
+std::string csv_escape(std::string_view v) {
+  if (v.find_first_of(",\"\n\r") == std::string_view::npos) {
+    return std::string(v);
+  }
+  std::string out = "\"";
+  for (char c : v) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
 
 std::string fmt_ratio(double v, int precision) {
   return fmt_double(v, precision) + "x";

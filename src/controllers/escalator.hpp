@@ -50,6 +50,8 @@ class Escalator final : public Controller {
     bool use_new_metrics = true;
     /// Use sensitivity-aware allocation + revocation (Design Feature #3).
     bool use_sensitivity = true;
+
+    bool operator==(const Options&) const = default;
   };
 
   /// pkt.upscale stamp depth (how many successive downstream containers

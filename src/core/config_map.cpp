@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <iterator>
 #include <string_view>
 #include <type_traits>
@@ -108,7 +107,10 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
 
   ExperimentConfig out;
 
-  warn_unknown_config_keys(cfg);
+  // A key no consumer reads is an error, never a run with the default.
+  if (const auto unknown = unknown_config_keys(cfg); !unknown.empty()) {
+    return fail("unknown config key '" + unknown.front() + "'");
+  }
   // A present value that does not parse is an error, never the default.
   for (const std::string& key : cfg.keys()) {
     const auto type = key_type(key);
@@ -326,15 +328,6 @@ std::vector<std::string> unknown_config_keys(const Config& cfg) {
     if (!key_type(key)) unknown.push_back(key);
   }
   return unknown;
-}
-
-int warn_unknown_config_keys(const Config& cfg) {
-  const std::vector<std::string> unknown = unknown_config_keys(cfg);
-  for (const std::string& key : unknown) {
-    std::fprintf(stderr, "warning: unknown config key '%s' (ignored)\n",
-                 key.c_str());
-  }
-  return static_cast<int>(unknown.size());
 }
 
 int apply_target_overrides(const Config& cfg, const WorkloadInfo& workload,

@@ -34,11 +34,9 @@
 //
 // A recognized key whose value does not parse as its type (`nodes = 2x`,
 // `duration_s = two`, `enabled = ture`) is an error naming the key and the
-// value. Unknown keys are not errors (forward compatibility with configs
-// written for newer builds) but ARE reported: experiment_from_config prints
-// one stderr warning per unknown key, so a misspelled knob
-// ("retry.timout_s") fails loudly instead of silently running with the
-// default.
+// value. So is a key that no consumer reads: a misspelled knob
+// ("retry.timout_s") or a stale one ("[netdelay]") is rejected by name
+// instead of running with the default.
 #pragma once
 
 #include <optional>
@@ -55,8 +53,8 @@ namespace sg {
 std::optional<ControllerKind> controller_from_string(const std::string& name);
 
 /// Builds an ExperimentConfig from a parsed Config. Returns nullopt and
-/// fills `error` on unknown workload/controller, a value that does not parse
-/// as its key's type, or an out-of-range value.
+/// fills `error` on an unknown key, an unknown workload/controller, a value
+/// that does not parse as its key's type, or an out-of-range value.
 std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
                                                        std::string* error);
 
@@ -69,9 +67,5 @@ int apply_target_overrides(const Config& cfg, const WorkloadInfo& workload,
 /// Keys in `cfg` that no consumer recognizes (sorted). The known set is the
 /// list in this header plus the `service.<name>.*` target-override pattern.
 std::vector<std::string> unknown_config_keys(const Config& cfg);
-
-/// Prints one `warning: unknown config key ...` line to stderr per unknown
-/// key and returns how many there were. Called by experiment_from_config.
-int warn_unknown_config_keys(const Config& cfg);
 
 }  // namespace sg

@@ -133,6 +133,10 @@ struct ExperimentConfig {
 
   /// Derived spike pattern for this config.
   SpikePattern make_pattern() const;
+
+  /// Member-wise, so a field added later is compared too: the figure suite
+  /// runs two equal configurations once.
+  bool operator==(const ExperimentConfig&) const = default;
 };
 
 /// One service container's exact resource record: every change point of

@@ -10,14 +10,19 @@ namespace sg {
 
 std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
                                const SweepOptions& options) {
-  const std::size_t reps =
-      static_cast<std::size_t>(std::max(1, options.replications));
-  const std::size_t items = cells.size() * reps;
-
-  // Pre-sized slots: item i = (cell i / reps, replication i % reps) writes
-  // only its own elements, so workers never touch the same slot.
+  // Work item i is (cell, replication) items[i]; each writes only its own
+  // pre-sized slot elements, so workers never touch the same slot.
+  struct Item {
+    std::size_t cell;
+    std::size_t rep;
+  };
+  std::vector<Item> items;
   std::vector<RepStats> stats(cells.size());
-  for (RepStats& s : stats) {
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::size_t reps =
+        static_cast<std::size_t>(std::max(1, cells[c].replications));
+    for (std::size_t k = 0; k < reps; ++k) items.push_back({c, k});
+    RepStats& s = stats[c];
     s.violation_volume.resize(reps);
     s.avg_cores.resize(reps);
     s.energy_joules.resize(reps);
@@ -30,7 +35,7 @@ std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(1, items)));
+      std::min<std::size_t>(threads, std::max<std::size_t>(1, items.size())));
 
   // Work-stealing index over (cell, replication) items; each worker builds
   // and runs whole simulations locally (no shared mutable state between
@@ -40,9 +45,8 @@ std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
   auto worker = [&]() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= items) return;
-      const std::size_t c = i / reps;
-      const std::size_t k = i % reps;
+      if (i >= items.size()) return;
+      const auto [c, k] = items[i];
       ExperimentConfig cfg = cells[c].config;
       cfg.seed = options.seed0 + k;
       ExperimentResult r = run_experiment(cfg, *cells[c].profile);
@@ -64,19 +68,15 @@ std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
     for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
   }
 
-  for (RepStats& s : stats) {
-    s.vv = trimmed_mean(s.violation_volume, options.trim);
-    s.cores = trimmed_mean(s.avg_cores, options.trim);
-    s.energy = trimmed_mean(s.energy_joules, options.trim);
-    s.p98 = trimmed_mean(s.p98_ms, options.trim);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    RepStats& s = stats[c];
+    const std::size_t trim = cells[c].trim;
+    s.vv = trimmed_mean(s.violation_volume, trim);
+    s.cores = trimmed_mean(s.avg_cores, trim);
+    s.energy = trimmed_mean(s.energy_joules, trim);
+    s.p98 = trimmed_mean(s.p98_ms, trim);
   }
   return stats;
-}
-
-RepStats run_replicated(const ExperimentConfig& config,
-                        const ProfileResult& profile,
-                        const SweepOptions& options) {
-  return std::move(run_grid({{config, &profile}}, options).front());
 }
 
 }  // namespace sg

@@ -4,9 +4,9 @@
 // average the remaining 15."
 //
 // A figure is a grid of independent cells (spike pattern x controller x
-// workload), each replicated with seeds seed0..seed0+n-1. run_grid flattens
-// the grid into (cell, replication) work items and runs them on one
-// work-stealing pool: each item builds and runs its own Simulator and writes
+// workload), each replicated with seeds seed0..seed0+n-1 for its own n.
+// run_grid flattens the grid into (cell, replication) work items and runs
+// them on one work-stealing pool: each item builds and runs its own Simulator and writes
 // into its own pre-sized slot of the result, so no lock is needed and
 // nothing is shared between items but the read-only configs and profiles.
 // Each run is bit-deterministic per seed and the slots fix the order, so the
@@ -41,32 +41,30 @@ struct RepStats {
 };
 
 struct SweepOptions {
-  /// Replications per configuration (paper: 17; benches default lower for
-  /// wall-clock reasons — the protocol is identical).
-  int replications = 5;
-  /// Data points trimmed from each end before averaging (paper: 1).
-  std::size_t trim = 1;
   /// Worker threads (0 = hardware concurrency).
   unsigned threads = 0;
   std::uint64_t seed0 = 1;
 };
 
-/// One grid cell: a configuration and the profile it runs against. The
-/// profile must outlive the run_grid call.
+/// One grid cell: a configuration, the profile it runs against (which must
+/// outlive the run_grid call), how many replications it takes (paper: 17;
+/// benches default lower for wall-clock reasons — the protocol is
+/// identical) and how many data points are trimmed from each end before
+/// averaging (paper: 1). Two cells are the same runs exactly when they
+/// compare equal.
 struct GridCell {
   ExperimentConfig config;
   const ProfileResult* profile = nullptr;
+  int replications = 1;
+  std::size_t trim = 0;
+
+  bool operator==(const GridCell&) const = default;
 };
 
-/// Runs `options.replications` copies of every cell (seeds
-/// seed0..seed0+n-1) on one pool and aggregates each cell with the
-/// trimmed-mean protocol. Returns one RepStats per cell, in cell order.
+/// Runs `replications` copies of every cell (seeds seed0..seed0+n-1) on one
+/// pool and aggregates each cell with the trimmed-mean protocol. Returns
+/// one RepStats per cell, in cell order.
 std::vector<RepStats> run_grid(const std::vector<GridCell>& cells,
                                const SweepOptions& options);
-
-/// The one-cell grid: replicates `config` against a shared profile.
-RepStats run_replicated(const ExperimentConfig& config,
-                        const ProfileResult& profile,
-                        const SweepOptions& options);
 
 }  // namespace sg

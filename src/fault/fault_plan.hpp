@@ -56,6 +56,8 @@ struct FaultWindow {
   int node = -1;
 
   bool active_at(TimePoint t) const { return t >= start && t < end; }
+
+  bool operator==(const FaultWindow&) const = default;
 };
 
 class FaultPlan {
@@ -91,6 +93,8 @@ class FaultPlan {
   const std::vector<FaultWindow>& windows() const { return windows_; }
   bool empty() const { return windows_.empty(); }
   std::size_t size() const { return windows_.size(); }
+
+  bool operator==(const FaultPlan&) const = default;
 
   /// Validates every window (positive length, rates in [0,1], factor in
   /// (0,1], delay >= 0); fills `error` on the first violation.

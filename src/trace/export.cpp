@@ -11,7 +11,7 @@
 #include <system_error>
 
 #include "common/assert.hpp"
-#include "common/csv.hpp"
+#include "common/table.hpp"
 
 namespace sg {
 

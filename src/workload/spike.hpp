@@ -53,6 +53,8 @@ struct SpikePattern {
   /// Convenience: `mult`x surges of `len` every `period` on top of `rate`.
   static SpikePattern surges(double rate, double mult, Duration len,
                              Duration period, TimePoint first_at);
+
+  bool operator==(const SpikePattern&) const = default;
 };
 
 }  // namespace sg

@@ -97,5 +97,20 @@ TEST(ReportingTest, FmtRatioEdgeValues) {
   EXPECT_EQ(fmt_ratio(1e9, 0), "1000000000x");
 }
 
+TEST(FmtDoubleTest, Precision) {
+  EXPECT_EQ(fmt_double(1.23456, 2), "1.23");
+  EXPECT_EQ(fmt_double(1.0, 0), "1");
+  EXPECT_EQ(fmt_double(-0.5, 1), "-0.5");
+}
+
+TEST(CsvTest, WritesRows) {
+  // The header and every row, one line each, the cells as render() shows
+  // them; a short row is padded like the rendered one.
+  TablePrinter t({"a", "b", "c"});
+  t.add_row({"1", "2", "3"});
+  t.add_row({"x, y"});
+  EXPECT_EQ(t.csv(), "a,b,c\n1,2,3\n\"x, y\",,\n");
+}
+
 }  // namespace
 }  // namespace sg

@@ -357,11 +357,12 @@ shards = 2
   EXPECT_EQ(unknown[2], "netdelay.period_s");
   EXPECT_EQ(unknown[3], "retry.timout_s");
   EXPECT_EQ(unknown[4], "sim.shards");
-  EXPECT_EQ(warn_unknown_config_keys(cfg), 5);
-  // The experiment still parses — unknown keys warn, they do not fail.
-  const auto out = experiment_from_config(cfg, nullptr);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_TRUE(out->fault_plan.empty());
+  // An unknown key is an error naming it, never a run with the default.
+  std::string err;
+  EXPECT_FALSE(experiment_from_config(cfg, &err).has_value());
+  EXPECT_NE(err.find("unknown config key 'netdelay.extra_us'"),
+            std::string::npos)
+      << err;
 }
 
 TEST(ConfigMapTest, ValidKeysAreNotFlagged) {
@@ -385,7 +386,8 @@ expected_exec_metric_us = 10
 expected_time_from_start_us = 20
 )");
   EXPECT_TRUE(unknown_config_keys(cfg).empty());
-  EXPECT_EQ(warn_unknown_config_keys(cfg), 0);
+  std::string err;
+  EXPECT_TRUE(experiment_from_config(cfg, &err).has_value()) << err;
   // service.<name>. still requires a recognized suffix.
   const Config bad = parse("[service.chain-0]\nexec_metric = 1\n");
   EXPECT_EQ(unknown_config_keys(bad).size(), 1u);

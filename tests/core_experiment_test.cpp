@@ -215,10 +215,10 @@ TEST(SweepTest, TrimmedAggregation) {
   cfg.duration = 4_s;
   const ProfileResult profile = profile_workload(cfg.workload, 1);
   SweepOptions opts;
-  opts.replications = 5;
-  opts.trim = 1;
   opts.threads = 1;
-  const RepStats stats = run_replicated(cfg, profile, opts);
+  const RepStats stats =
+      run_grid({{cfg, &profile, /*replications=*/5, /*trim=*/1}}, opts)
+          .front();
   EXPECT_EQ(stats.replications(), 5u);
   EXPECT_DOUBLE_EQ(stats.vv, trimmed_mean(stats.violation_volume, 1));
   EXPECT_DOUBLE_EQ(stats.cores, trimmed_mean(stats.avg_cores, 1));
@@ -230,13 +230,13 @@ TEST(SweepTest, ParallelMatchesSerial) {
   ExperimentConfig cfg = short_config(ControllerKind::kParties);
   cfg.duration = 3_s;
   const ProfileResult profile = profile_workload(cfg.workload, 1);
+  const std::vector<GridCell> cell = {{cfg, &profile, 3, 0}};
   SweepOptions serial;
-  serial.replications = 3;
   serial.threads = 1;
   SweepOptions parallel = serial;
   parallel.threads = 3;
-  const RepStats a = run_replicated(cfg, profile, serial);
-  const RepStats b = run_replicated(cfg, profile, parallel);
+  const RepStats a = run_grid(cell, serial).front();
+  const RepStats b = run_grid(cell, parallel).front();
   ASSERT_EQ(a.violation_volume.size(), b.violation_volume.size());
   for (std::size_t i = 0; i < a.violation_volume.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.violation_volume[i], b.violation_volume[i]);
@@ -246,7 +246,8 @@ TEST(SweepTest, ParallelMatchesSerial) {
 
 TEST(SweepTest, GridMatchesPerCellSerial) {
   // One pool over (cell, replication) items must reproduce every cell's
-  // serial run exactly, whatever the interleaving.
+  // serial run exactly, whatever the interleaving and however many
+  // replications each cell takes.
   const ProfileResult chain_profile = profile_workload(make_chain(), 1);
   const WorkloadInfo read = make_social_read_user_timeline();
   const ProfileResult read_profile = profile_workload(read, 1);
@@ -255,16 +256,14 @@ TEST(SweepTest, GridMatchesPerCellSerial) {
        {ControllerKind::kSurgeGuard, ControllerKind::kCaladan}) {
     ExperimentConfig cfg = short_config(kind);
     cfg.duration = 2_s;
-    cells.push_back({cfg, &chain_profile});
+    cells.push_back({cfg, &chain_profile, 2, 0});
   }
   ExperimentConfig read_cfg = short_config(ControllerKind::kEscalatorMetricsOnly);
   read_cfg.workload = read;
   read_cfg.duration = 2_s;
-  cells.push_back({read_cfg, &read_profile});
+  cells.push_back({read_cfg, &read_profile, 1, 0});
 
   SweepOptions pooled;
-  pooled.replications = 2;
-  pooled.trim = 0;
   pooled.threads = 4;
   pooled.seed0 = 5;
   const std::vector<RepStats> grid = run_grid(cells, pooled);
@@ -274,9 +273,9 @@ TEST(SweepTest, GridMatchesPerCellSerial) {
   serial.threads = 1;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     SCOPED_TRACE(c);
-    const RepStats one =
-        run_replicated(cells[c].config, *cells[c].profile, serial);
-    ASSERT_EQ(grid[c].replications(), 2u);
+    const RepStats one = run_grid({cells[c]}, serial).front();
+    ASSERT_EQ(grid[c].replications(),
+              static_cast<std::size_t>(cells[c].replications));
     EXPECT_EQ(grid[c].violation_volume, one.violation_volume);
     EXPECT_EQ(grid[c].avg_cores, one.avg_cores);
     EXPECT_EQ(grid[c].energy_joules, one.energy_joules);

@@ -28,7 +28,6 @@
 #include <fstream>
 #include <string>
 
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "core/config_map.hpp"
 #include "trace/export.hpp"

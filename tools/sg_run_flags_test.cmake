@@ -25,6 +25,7 @@ file(WRITE ${WORK_DIR}/duration_zero.cfg "workload = chain\nduration_s = 0\n")
 file(WRITE ${WORK_DIR}/drain.cfg "workload = chain\ndrain_s = -1\n")
 file(WRITE ${WORK_DIR}/sample.cfg "workload = chain\n[trace]\nsample = 1.5\n")
 file(WRITE ${WORK_DIR}/capacity.cfg "workload = chain\n[trace]\ncapacity = 0\n")
+file(WRITE ${WORK_DIR}/unknown.cfg "workload = chain\n[retry]\ntimout_s = 5\n")
 file(WRITE ${WORK_DIR}/service_name.cfg
      "workload = chain\n[service.no-such-service]\nexpected_exec_metric_us = 5\n")
 file(WRITE ${WORK_DIR}/service_nan.cfg
@@ -58,6 +59,7 @@ set(cases
   "drain.cfg|'-1' for key 'drain_s'|"
   "sample.cfg|'1.5' for key 'trace.sample'|"
   "capacity.cfg|'0' for key 'trace.capacity'|"
+  "unknown.cfg|unknown config key 'retry.timout_s'|"
   "service_name.cfg|'5' for key 'service.no-such-service.expected_exec_metric_us'|"
   "service_nan.cfg|'nan' for key 'service.chain-1.expected_time_from_start_us'|"
   "service_neg.cfg|'-5' for key 'service.chain-1.expected_time_from_start_us'|"
