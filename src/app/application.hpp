@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -140,14 +139,13 @@ class Application {
   struct ServiceRuntime {
     const ServiceSpec* spec = nullptr;
     int index = 0;
-    /// mu of the log-normal own-work and post-work draws (Rng::lognormal),
-    /// solved once from the spec's means and work_sigma.
+    /// mu of the log-normal own-work draw (Rng::lognormal), solved once
+    /// from the spec's mean and work_sigma.
     double work_mu = 0.0;
-    double post_mu = 0.0;
     Container* container = nullptr;
     ContainerRuntimeMetrics metrics;
     int upscale_stamp = 0;
-    std::vector<std::unique_ptr<ConnectionPool>> child_pools;
+    std::vector<ConnectionPool> child_pools;  // one per child edge
   };
 
   struct ReplyAddress {
@@ -170,8 +168,7 @@ class Application {
 
     // --- trace context (sg::trace) ---
     bool traced = false;          // propagated from the incoming packet
-    bool post_span_open = false;  // post-work exec segment pending in reply()
-    TimePoint exec_begin;         // open exec segment start
+    TimePoint exec_begin;         // own-work exec segment start
     double exec_share0 = 0.0;     // container share integral at segment open
   };
 
@@ -193,10 +190,10 @@ class Application {
   void on_response(const RpcPacket& pkt);
   void on_own_work_done(VisitKey key);
   void begin_child(VisitKey key, std::size_t child_idx);
+  void on_conn_granted(std::size_t child_idx, ConnectionPool::Waiter w);
   void send_child_rpc(VisitKey key, std::size_t child_idx, int attempt = 0);
   void on_call_timeout(std::uint64_t call_id);
   void on_child_reply(VisitKey key, std::size_t child_idx);
-  void finish_children(VisitKey key);
   void reply(VisitKey key);
   int outgoing_upscale(const ServiceRuntime& sr, const Visit& v) const;
 

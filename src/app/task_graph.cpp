@@ -32,8 +32,7 @@ bool AppSpec::validate(std::string* error) const {
   for (int i = 0; i < n; ++i) {
     const ServiceSpec& s = services[static_cast<std::size_t>(i)];
     if (s.name.empty()) return fail("service without a name");
-    if (s.work_ns_mean < 0 || s.post_work_ns_mean < 0)
-      return fail(s.name + ": negative work");
+    if (s.work_ns_mean < 0) return fail(s.name + ": negative work");
     for (int c : s.children) {
       if (c < 0 || c >= n) return fail(s.name + ": child index out of range");
       if (c == i) return fail(s.name + ": self edge");
@@ -83,7 +82,7 @@ double AppSpec::estimate_subtree_latency_ns(int service,
   }
   const double child_time =
       s.fanout == FanoutMode::kParallel ? child_max : child_total;
-  return s.work_ns_mean + child_time + s.post_work_ns_mean;
+  return s.work_ns_mean + child_time;
 }
 
 std::vector<std::vector<int>> AppSpec::autosize_pools(double rate_rps,

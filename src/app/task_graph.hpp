@@ -40,23 +40,17 @@ enum class FanoutMode {
 struct ServiceSpec {
   std::string name;
 
-  /// Mean CPU work per request before calling children, in ns at one core
-  /// at the DVFS reference frequency.
+  /// Mean CPU work per request, done before calling children, in ns at one
+  /// core at the DVFS reference frequency. It is the visit's only CPU phase.
   double work_ns_mean = 200'000.0;
 
   /// Log-normal sigma of the work distribution (0 = deterministic).
   double work_sigma = 0.25;
 
-  /// Optional CPU work after all children replied (merge/serialize phase).
-  double post_work_ns_mean = 0.0;
-
   /// Indices (into AppSpec::services) of downstream services.
   std::vector<int> children;
 
   FanoutMode fanout = FanoutMode::kSequential;
-
-  /// Minimum cores a controller may leave this service (floor for revokes).
-  int min_cores = 1;
 
   /// True for services whose outgoing RPCs are NOT pooled even in a
   /// fixed-threadpool application — e.g. an HTTP frontend (nginx) whose

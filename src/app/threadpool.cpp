@@ -4,31 +4,32 @@
 
 namespace sg {
 
-void ConnectionPool::acquire(InlineCallback granted) {
+bool ConnectionPool::acquire(Waiter w) {
   ++total_acquisitions_;
   if (unbounded() || free_ > 0) {
     if (!unbounded()) --free_;
     ++in_use_;
-    granted();
-    return;
+    return true;
   }
   ++total_waits_;
-  waiters_.push_back(std::move(granted));
+  waiters_.push_back(w);
+  return false;
 }
 
-void ConnectionPool::release() {
+std::optional<ConnectionPool::Waiter> ConnectionPool::release() {
   SG_ASSERT_MSG(in_use_ > 0, "release without a held connection");
-  --in_use_;
-  if (unbounded()) return;
   if (!waiters_.empty()) {
-    InlineCallback granted = std::move(waiters_.front());
+    // Hand-off: the connection never returns to the free pool.
+    const Waiter next = waiters_.front();
     waiters_.pop_front();
-    ++in_use_;  // hand-off: the connection never returns to the free pool
-    granted();
-    return;
+    return next;
   }
-  ++free_;
-  SG_ASSERT(free_ <= capacity_);
+  --in_use_;
+  if (!unbounded()) {
+    ++free_;
+    SG_ASSERT(free_ <= capacity_);
+  }
+  return std::nullopt;
 }
 
 }  // namespace sg

@@ -10,13 +10,21 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 
-#include "common/inline_callback.hpp"
+#include "common/time.hpp"
 
 namespace sg {
 
 class ConnectionPool {
  public:
+  /// A request waiting for a connection: the visit that asked and the
+  /// instant it asked. The pool belongs to one edge, so the child is implied.
+  struct Waiter {
+    std::uint64_t visit = 0;
+    TimePoint since;
+  };
+
   /// capacity < 0 means unbounded (connection-per-request model).
   explicit ConnectionPool(int capacity) : capacity_(capacity), free_(capacity) {}
 
@@ -28,13 +36,13 @@ class ConnectionPool {
   /// Requests waiting for a connection (the implicit queue's length).
   std::size_t waiting() const { return waiters_.size(); }
 
-  /// Acquires a connection; `granted` runs immediately when one is free,
-  /// otherwise when a holder releases (FIFO). The callback receives nothing;
-  /// callers measure their own wait by capturing the acquire timestamp.
-  void acquire(InlineCallback granted);
+  /// Grants `w` a free connection and returns true, or queues it (FIFO) and
+  /// returns false.
+  bool acquire(Waiter w);
 
-  /// Returns a connection; hands it straight to the oldest waiter if any.
-  void release();
+  /// Returns a connection. When a request is waiting, the connection passes
+  /// straight to the oldest one, which is returned: it now holds it.
+  std::optional<Waiter> release();
 
   /// Lifetime counters.
   std::uint64_t total_acquisitions() const { return total_acquisitions_; }
@@ -44,7 +52,7 @@ class ConnectionPool {
   int capacity_;
   int free_;
   int in_use_ = 0;
-  std::deque<InlineCallback> waiters_;
+  std::deque<Waiter> waiters_;
   std::uint64_t total_acquisitions_ = 0;
   std::uint64_t total_waits_ = 0;
 };

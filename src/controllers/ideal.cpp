@@ -11,8 +11,7 @@ IdealOracleController::IdealOracleController(ControllerEnv env,
     : env_(std::move(env)), options_(options) {
   const AppSpec& spec = env_.app->spec();
   for (std::size_t i = 0; i < spec.services.size(); ++i) {
-    demand_ns_.push_back(spec.services[i].work_ns_mean +
-                         spec.services[i].post_work_ns_mean);
+    demand_ns_.push_back(spec.services[i].work_ns_mean);
     initial_cores_.push_back(env_.app->service_container(static_cast<int>(i)).cores());
   }
 }
@@ -41,7 +40,6 @@ void IdealOracleController::start() {
 void IdealOracleController::on_surge_detected(
     const SpikePattern::Window& /*window*/) {
   const double spike_rate = options_.pattern.spike_rate_rps;
-  const double base_rate = options_.pattern.base_rate_rps;
   const double delay_s = options_.detection_delay.seconds();
   const double drain_s = options_.drain_window.seconds();
 
@@ -62,7 +60,6 @@ void IdealOracleController::on_surge_detected(
       const double drain_rate = backlog / drain_s;
       needed = cores_for_rate(i, spike_rate + drain_rate);
     }
-    (void)base_rate;
 
     if (needed > c.cores()) act_.grant(c, needed - c.cores());
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "fault/fault_injector.hpp"
+#include "trace/trace.hpp"
 #include "workload/load_generator.hpp"
 
 namespace sg {
@@ -118,17 +119,78 @@ TEST(ApplicationTest, ParallelFanoutOverlapsChildren) {
   EXPECT_LT(lat_par, Duration{1'000'000});
 }
 
-TEST(ApplicationTest, PostWorkRunsAfterChildren) {
+TEST(ApplicationTest, PoolHandoffWaitIsTheHoldersRoundTrip) {
+  // Two requests reach s0 together and finish their own work at the same
+  // instant; the pool to s1 has one connection. The second visit waits for
+  // the first call's whole round trip and is handed the connection when its
+  // response arrives, so its conn-wait is that round trip to the nanosecond.
   AppSpec spec = chain_spec(2);
-  spec.services[0].post_work_ns_mean = 50'000;
+  spec.pool_sizes = {{1}, {}};
   NetworkLatencyModel model;
   model.jitter = 0.0;
   MiniTestbed tb(spec, 4, model);
-  auto [done, latency] = tb.run_one_request();
-  ASSERT_TRUE(done);
-  const Duration expected = Duration{2 * 10'000 + 50'000} +
-                            2 * model.cross_node + 2 * model.same_node;
-  EXPECT_EQ(latency, expected);
+  TraceSink& trace = tb.sim.enable_tracing(TraceOptions{});
+  int replies = 0;
+  tb.network.register_client_receiver([&](const RpcPacket& p) {
+    ++replies;
+    trace.end_request(p.request_id, tb.sim.now(), tb.sim.now() - p.start_time);
+  });
+  for (RequestId id : {RequestId{1}, RequestId{2}}) {
+    ASSERT_TRUE(trace.begin_request(id, tb.sim.now()));
+    RpcPacket pkt;
+    pkt.request_id = id;
+    pkt.dst_container = tb.app->entry_container();
+    pkt.dst_node = tb.app->entry_node();
+    pkt.start_time = tb.sim.now();
+    pkt.traced = true;
+    tb.network.send(kClientNode, pkt);
+  }
+  // One round trip of the s0 -> s1 call: two same-node hops and s1's work.
+  const Duration round_trip = 2 * model.same_node + Duration{10'000};
+  const TimePoint own_work_done = TimePoint::origin() + model.cross_node +
+                                  Duration{10'000};
+  ContainerRuntimeMetrics& m0 = const_cast<ContainerRuntimeMetrics&>(
+      tb.app->runtime_metrics(tb.app->service_container(0).id()));
+
+  // The first visit replies when its call returns; it never waited.
+  tb.sim.run_until(own_work_done + round_trip);
+  const MetricsSnapshot first = m0.flush(tb.sim.now());
+  EXPECT_EQ(first.visits, 1);
+  EXPECT_EQ(first.avg_conn_wait_ns, 0.0);
+  tb.sim.run_to_completion();
+  ASSERT_EQ(replies, 2);
+  const MetricsSnapshot second = m0.flush(tb.sim.now());
+  EXPECT_EQ(second.visits, 1);
+  EXPECT_EQ(second.avg_conn_wait_ns, static_cast<double>(round_trip.ns()));
+
+  const int c0 = tb.app->service_container(0).id();
+  auto spans_of = [&](const RequestTrace& t, SpanKind kind) {
+    std::vector<TraceSpan> out;
+    for (const TraceSpan& sp : t.spans) {
+      if (sp.kind == kind && sp.container == c0) out.push_back(sp);
+    }
+    return out;
+  };
+  const TraceReport report = trace.report();
+  ASSERT_EQ(report.traces.size(), 2u);
+  const RequestTrace& holder = report.traces[0];
+  const RequestTrace& waiter = report.traces[1];
+  EXPECT_EQ(holder.id, 1u);
+  EXPECT_EQ(waiter.id, 2u);
+  EXPECT_TRUE(spans_of(holder, SpanKind::kConnWait).empty());
+  const std::vector<TraceSpan> wait = spans_of(waiter, SpanKind::kConnWait);
+  ASSERT_EQ(wait.size(), 1u);
+  EXPECT_EQ(wait[0].begin, own_work_done);
+  EXPECT_EQ(wait[0].wall(), round_trip);
+  // The wait spans the holder's call: from the end of its own work to its
+  // reply at s0, which is when the connection came back.
+  const std::vector<TraceSpan> exec = spans_of(holder, SpanKind::kExec);
+  const std::vector<TraceSpan> visit = spans_of(holder, SpanKind::kVisit);
+  ASSERT_EQ(exec.size(), 1u);
+  ASSERT_EQ(visit.size(), 1u);
+  EXPECT_EQ(wait[0].begin, exec[0].end);
+  EXPECT_EQ(wait[0].end, visit[0].end);
+  EXPECT_EQ(holder.latency + round_trip, waiter.latency);
 }
 
 TEST(ApplicationTest, VisitRecordsCapturedPerContainer) {

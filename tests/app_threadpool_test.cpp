@@ -2,54 +2,57 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace sg {
 namespace {
 
+// A waiter for visit `visit` that began waiting at t = `visit` ns.
+ConnectionPool::Waiter waiter(std::uint64_t visit) {
+  return {visit, TimePoint{static_cast<std::int64_t>(visit)}};
+}
+
 TEST(ConnectionPoolTest, GrantsWhileFree) {
   ConnectionPool pool(2);
-  int granted = 0;
-  pool.acquire([&]() { ++granted; });
-  pool.acquire([&]() { ++granted; });
-  EXPECT_EQ(granted, 2);
+  EXPECT_TRUE(pool.acquire(waiter(1)));
+  EXPECT_TRUE(pool.acquire(waiter(2)));
   EXPECT_EQ(pool.in_use(), 2);
   EXPECT_EQ(pool.waiting(), 0u);
 }
 
 TEST(ConnectionPoolTest, QueuesWhenExhausted) {
   ConnectionPool pool(1);
-  int granted = 0;
-  pool.acquire([&]() { ++granted; });
-  pool.acquire([&]() { ++granted; });
-  EXPECT_EQ(granted, 1);
+  EXPECT_TRUE(pool.acquire(waiter(1)));
+  EXPECT_FALSE(pool.acquire(waiter(2)));
+  EXPECT_EQ(pool.in_use(), 1);
   EXPECT_EQ(pool.waiting(), 1u);
   EXPECT_EQ(pool.total_waits(), 1u);
 }
 
 TEST(ConnectionPoolTest, ReleaseHandsToOldestWaiter) {
   ConnectionPool pool(1);
-  std::vector<int> order;
-  pool.acquire([&]() { order.push_back(0); });
-  pool.acquire([&]() { order.push_back(1); });
-  pool.acquire([&]() { order.push_back(2); });
-  EXPECT_EQ(order, (std::vector<int>{0}));
-  pool.release();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));  // FIFO
-  pool.release();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(pool.acquire(waiter(0)));
+  EXPECT_FALSE(pool.acquire(waiter(1)));
+  EXPECT_FALSE(pool.acquire(waiter(2)));
+  // FIFO, and each waiter comes back with the instant it began waiting.
+  const auto first = pool.release();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->visit, 1u);
+  EXPECT_EQ(first->since, TimePoint{1});
+  const auto second = pool.release();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->visit, 2u);
+  EXPECT_EQ(second->since, TimePoint{2});
   EXPECT_EQ(pool.in_use(), 1);
-  pool.release();
+  EXPECT_FALSE(pool.release().has_value());
   EXPECT_EQ(pool.in_use(), 0);
 }
 
 TEST(ConnectionPoolTest, InUseNeverExceedsCapacity) {
   ConnectionPool pool(3);
-  for (int i = 0; i < 10; ++i) pool.acquire([]() {});
+  for (std::uint64_t i = 0; i < 10; ++i) pool.acquire(waiter(i));
   EXPECT_EQ(pool.in_use(), 3);
   EXPECT_EQ(pool.waiting(), 7u);
   for (int i = 0; i < 7; ++i) {
-    pool.release();
+    EXPECT_TRUE(pool.release().has_value());
     EXPECT_LE(pool.in_use(), 3);
   }
 }
@@ -58,18 +61,20 @@ TEST(ConnectionPoolTest, UnboundedNeverWaits) {
   ConnectionPool pool(-1);
   EXPECT_TRUE(pool.unbounded());
   int granted = 0;
-  for (int i = 0; i < 1000; ++i) pool.acquire([&]() { ++granted; });
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    if (pool.acquire(waiter(i))) ++granted;
+  }
   EXPECT_EQ(granted, 1000);
   EXPECT_EQ(pool.waiting(), 0u);
   EXPECT_EQ(pool.total_waits(), 0u);
-  for (int i = 0; i < 1000; ++i) pool.release();
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(pool.release().has_value());
   EXPECT_EQ(pool.in_use(), 0);
 }
 
 TEST(ConnectionPoolTest, CountsAcquisitions) {
   ConnectionPool pool(1);
-  pool.acquire([]() {});
-  pool.acquire([]() {});
+  pool.acquire(waiter(1));
+  pool.acquire(waiter(2));
   pool.release();
   EXPECT_EQ(pool.total_acquisitions(), 2u);
 }
@@ -77,30 +82,33 @@ TEST(ConnectionPoolTest, CountsAcquisitions) {
 TEST(ConnectionPoolTest, HandoffKeepsLedgerConsistent) {
   // A release that hands straight to a waiter must not inflate free count.
   ConnectionPool pool(1);
-  int granted = 0;
-  pool.acquire([&]() { ++granted; });
-  pool.acquire([&]() { ++granted; });
-  pool.release();  // hand-off
-  EXPECT_EQ(granted, 2);
+  EXPECT_TRUE(pool.acquire(waiter(1)));
+  EXPECT_FALSE(pool.acquire(waiter(2)));
+  EXPECT_TRUE(pool.release().has_value());  // hand-off
   EXPECT_EQ(pool.in_use(), 1);
-  pool.release();  // now actually free
+  EXPECT_FALSE(pool.acquire(waiter(3)));  // still held by the waiter
+  EXPECT_TRUE(pool.release().has_value());
+  EXPECT_FALSE(pool.release().has_value());  // now actually free
   // Pool usable again:
-  pool.acquire([&]() { ++granted; });
-  EXPECT_EQ(granted, 3);
+  EXPECT_TRUE(pool.acquire(waiter(4)));
+  EXPECT_EQ(pool.in_use(), 1);
 }
 
 TEST(ConnectionPoolTest, WaiterCanReacquireOnGrant) {
-  // Re-entrant acquire from within a grant callback (as the application's
-  // sequential fan-out does) must not corrupt state.
+  // The holder of a handed-off connection may act on the grant at once, as
+  // the application's sequential fan-out does: release it and acquire again
+  // before anyone else touches the pool.
   ConnectionPool pool(1);
-  int depth = 0;
-  pool.acquire([&]() { ++depth; });
-  pool.acquire([&]() {
-    ++depth;
-    pool.release();
-  });
-  pool.release();  // grants the waiter, which releases inside its callback
-  EXPECT_EQ(depth, 2);
+  EXPECT_TRUE(pool.acquire(waiter(1)));
+  EXPECT_FALSE(pool.acquire(waiter(2)));
+  const auto granted = pool.release();
+  ASSERT_TRUE(granted.has_value());
+  EXPECT_EQ(granted->visit, 2u);
+  EXPECT_FALSE(pool.release().has_value());
+  EXPECT_TRUE(pool.acquire(waiter(2)));
+  EXPECT_EQ(pool.in_use(), 1);
+  EXPECT_EQ(pool.waiting(), 0u);
+  EXPECT_FALSE(pool.release().has_value());
   EXPECT_EQ(pool.in_use(), 0);
 }
 

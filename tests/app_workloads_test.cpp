@@ -75,9 +75,7 @@ TEST(WorkloadsTest, CalibratedNearKnee) {
   for (const auto& w : workload_catalog()) {
     for (std::size_t i = 0; i < w.spec.services.size(); ++i) {
       const double demand =
-          w.base_rate_rps *
-          (w.spec.services[i].work_ns_mean + w.spec.services[i].post_work_ns_mean) /
-          1e9;
+          w.base_rate_rps * w.spec.services[i].work_ns_mean / 1e9;
       const double util = demand / w.initial_cores[i];
       EXPECT_LT(util, 0.85) << w.spec.name << "/" << w.spec.services[i].name;
       EXPECT_GT(util, 0.1) << w.spec.name << "/" << w.spec.services[i].name;

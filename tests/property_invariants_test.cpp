@@ -91,17 +91,22 @@ TEST_P(PoolPropertyTest, LedgerInvariants) {
   std::vector<int> grant_order;
   int next_id = 0;
 
+  auto grant = [&](std::uint64_t id) {
+    ++grants;
+    ++outstanding;
+    grant_order.push_back(static_cast<int>(id));
+  };
+  auto release = [&]() {
+    --outstanding;
+    if (const auto next = pool.release()) grant(next->visit);
+  };
+
   for (int step = 0; step < 2000; ++step) {
     if (rng.bernoulli(0.55) || outstanding == 0) {
-      const int id = next_id++;
-      pool.acquire([&grants, &outstanding, &grant_order, id]() {
-        ++grants;
-        ++outstanding;
-        grant_order.push_back(id);
-      });
+      const auto id = static_cast<std::uint64_t>(next_id++);
+      if (pool.acquire({id, TimePoint::origin()})) grant(id);
     } else {
-      pool.release();
-      --outstanding;
+      release();
     }
     ASSERT_LE(pool.in_use(), capacity);
     ASSERT_GE(pool.in_use(), 0);
@@ -112,10 +117,7 @@ TEST_P(PoolPropertyTest, LedgerInvariants) {
     ASSERT_GT(grant_order[i], grant_order[i - 1]);
   }
   // Drain the waiters.
-  while (pool.waiting() > 0) {
-    pool.release();
-    --outstanding;
-  }
+  while (pool.waiting() > 0) release();
   ASSERT_EQ(static_cast<std::uint64_t>(grants), pool.total_acquisitions());
 }
 
