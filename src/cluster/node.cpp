@@ -77,19 +77,6 @@ void Node::restart() {
   frozen_allocation_.clear();
 }
 
-double Node::average_allocated_cores(TimePoint t0, TimePoint t1) const {
-  double total = 0.0;
-  for (const Container* c : containers_)
-    total += c->core_timeline().average(t0, t1);
-  return total;
-}
-
-double Node::energy_joules() const {
-  double total = 0.0;
-  for (const Container* c : containers_) total += c->energy_joules();
-  return total;
-}
-
 void Node::enable_membw(MemBwDomain::Params params) {
   SG_ASSERT_MSG(membw_ == nullptr, "membw domain already enabled");
   membw_ = std::make_unique<MemBwDomain>(params);

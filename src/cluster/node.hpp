@@ -74,14 +74,6 @@ class Node {
   /// Sum of container allocations (the ledger complement of free_cores()).
   int allocated_cores() const;
 
-  /// Time-averaged allocated cores over [t0, t1] (the "cores used" metric in
-  /// Figs. 11-13).
-  double average_allocated_cores(TimePoint t0, TimePoint t1) const;
-
-  /// Total busy-core energy of this node's containers (call after
-  /// Container::sync on each).
-  double energy_joules() const;
-
   /// Enables the shared memory-bandwidth interference domain on this node
   /// (paper §VII extension). Attaches every current and future container.
   void enable_membw(MemBwDomain::Params params);

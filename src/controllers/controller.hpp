@@ -196,11 +196,7 @@ class BusyWindowTracker {
 /// tests and the detection-delay study.
 class StaticController final : public Controller {
  public:
-  explicit StaticController(ControllerEnv env) : env_(std::move(env)) {}
   void start() override {}
-
- private:
-  ControllerEnv env_;
 };
 
 }  // namespace sg

@@ -140,7 +140,7 @@ std::unique_ptr<Testbed> build_testbed(const ExperimentConfig& config,
 
     switch (config.controller) {
       case ControllerKind::kStatic:
-        tb->controllers.push_back(std::make_unique<StaticController>(std::move(env)));
+        tb->controllers.push_back(std::make_unique<StaticController>());
         break;
       case ControllerKind::kParties:
         tb->controllers.push_back(std::make_unique<PartiesController>(std::move(env)));

@@ -71,31 +71,6 @@ TEST(NodeTest, LedgerConservedAcrossOps) {
   }
 }
 
-TEST(NodeTest, AverageAllocatedCoresTimeWeighted) {
-  Simulator sim;
-  Cluster cluster(sim);
-  cluster.add_node(64, 19);
-  Container& a = cluster.add_container("a", 0, 2);
-  Node& n = cluster.node(0);
-  sim.schedule_at(TimePoint{500}, [&]() { n.grant(&a, 2); });
-  sim.run_until(TimePoint{1000});
-  // 2 cores for [0,500), 4 for [500,1000) -> average 3.
-  EXPECT_DOUBLE_EQ(
-      n.average_allocated_cores(TimePoint::origin(), TimePoint{1000}), 3.0);
-}
-
-TEST(NodeTest, EnergySumsContainers) {
-  Simulator sim;
-  Cluster cluster(sim);
-  cluster.add_node(64, 19);
-  cluster.add_container("a", 0, 2);
-  cluster.add_container("b", 0, 3);
-  sim.run_until(TimePoint::at(kSecond));
-  cluster.sync_all();
-  EXPECT_NEAR(cluster.node(0).energy_joules(),
-              5.0 * kEnergy.allocated_idle_watts, 0.01);
-}
-
 TEST(ClusterTest, LookupByNameAndId) {
   Simulator sim;
   Cluster cluster(sim);
