@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -109,6 +110,40 @@ inline std::string short_name(const WorkloadInfo& w) {
   if (w.action == "searchHotel") return "search";
   if (w.action == "recommendHotel") return "reco";
   return w.action;
+}
+
+/// v / base, or nullopt when the baseline is zero: such a ratio says
+/// nothing, so it prints as "-" and stays out of averages.
+inline std::optional<double> ratio_to(double v, double base) {
+  if (base > 0.0) return v / base;
+  return std::nullopt;
+}
+
+/// fmt_ratio of a ratio_to result; "-" when it is undefined.
+inline std::string fmt_ratio_or_dash(std::optional<double> r) {
+  return r ? fmt_ratio(*r) : "-";
+}
+
+/// "<what> 12.3% <less>": how far the mean of the defined ratios lies below
+/// 1. Undefined ratios are left out; when some are, the rows the mean covers
+/// follow ("(2 of 5 rows)"), and when all are, the percentage reads "-".
+inline std::string avg_below_one(std::string_view what, std::string_view less,
+                                 const std::vector<std::optional<double>>& rs) {
+  std::vector<double> defined;
+  for (const std::optional<double>& r : rs) {
+    if (r) defined.push_back(*r);
+  }
+  std::string out(what);
+  if (defined.empty()) return out + " - " + std::string(less);
+  char pct[32];
+  std::snprintf(pct, sizeof pct, " %.1f%% ", 100.0 * (1.0 - mean(defined)));
+  out += pct;
+  out += less;
+  if (defined.size() < rs.size()) {
+    out += " (" + std::to_string(defined.size()) + " of " +
+           std::to_string(rs.size()) + " rows)";
+  }
+  return out;
 }
 
 // The figures, one per file under figures/.

@@ -46,37 +46,35 @@ void print(const BenchArgs&, const Results& grid, Tables& out) {
     TablePrinter table({"workload", "VV parties", "VV caladan", "VV surgegd",
                         "cores p.", "cores c.", "cores s.", "energy p.",
                         "energy c.", "energy s."});
-    std::vector<double> sg_vv_norm, sg_core_norm, sg_energy_norm;
+    std::vector<std::optional<double>> sg_vv_norm, sg_core_norm,
+        sg_energy_norm;
 
     for (const WorkloadInfo& w : workloads) {
       const RepStats& parties = grid[next];
       const RepStats& caladan = grid[next + 1];
       const RepStats& surgeguard = grid[next + 2];
       next += 3;
-      auto norm = [&](double v, double base) {
-        return base > 0.0 ? v / base : 0.0;
+      auto norm = [](double v, double base) {
+        return fmt_ratio_or_dash(ratio_to(v, base));
       };
       table.add_row({short_name(w), fmt_ratio(1.0),
-                     fmt_ratio(norm(caladan.vv, parties.vv)),
-                     fmt_ratio(norm(surgeguard.vv, parties.vv)),
-                     fmt_ratio(1.0),
-                     fmt_ratio(norm(caladan.cores, parties.cores)),
-                     fmt_ratio(norm(surgeguard.cores, parties.cores)),
-                     fmt_ratio(1.0),
-                     fmt_ratio(norm(caladan.energy, parties.energy)),
-                     fmt_ratio(norm(surgeguard.energy, parties.energy))});
-      sg_vv_norm.push_back(norm(surgeguard.vv, parties.vv));
-      sg_core_norm.push_back(norm(surgeguard.cores, parties.cores));
-      sg_energy_norm.push_back(norm(surgeguard.energy, parties.energy));
+                     norm(caladan.vv, parties.vv),
+                     norm(surgeguard.vv, parties.vv), fmt_ratio(1.0),
+                     norm(caladan.cores, parties.cores),
+                     norm(surgeguard.cores, parties.cores), fmt_ratio(1.0),
+                     norm(caladan.energy, parties.energy),
+                     norm(surgeguard.energy, parties.energy)});
+      sg_vv_norm.push_back(ratio_to(surgeguard.vv, parties.vv));
+      sg_core_norm.push_back(ratio_to(surgeguard.cores, parties.cores));
+      sg_energy_norm.push_back(ratio_to(surgeguard.energy, parties.energy));
     }
     out.print(table);
     std::printf(
-        "SurgeGuard vs Parties @%.2fx: VV %.1f%% lower, cores %.1f%% fewer, "
-        "energy %.1f%% less (averages; paper: 19/43/61%% VV at "
-        "1.25/1.5/1.75x, 2-8%% cores, 2-4%% energy)\n",
-        mult, 100.0 * (1.0 - mean(sg_vv_norm)),
-        100.0 * (1.0 - mean(sg_core_norm)),
-        100.0 * (1.0 - mean(sg_energy_norm)));
+        "SurgeGuard vs Parties @%.2fx: %s, %s, %s (averages; paper: "
+        "19/43/61%% VV at 1.25/1.5/1.75x, 2-8%% cores, 2-4%% energy)\n",
+        mult, avg_below_one("VV", "lower", sg_vv_norm).c_str(),
+        avg_below_one("cores", "fewer", sg_core_norm).c_str(),
+        avg_below_one("energy", "less", sg_energy_norm).c_str());
   }
 }
 

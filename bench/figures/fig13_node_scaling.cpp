@@ -48,30 +48,27 @@ void print(const BenchArgs& args, const Results& grid, Tables& out) {
     TablePrinter table({"workload", "VV sg/parties", "VV sg/caladan",
                         "cores sg/parties", "energy sg/parties",
                         "energy sg/caladan"});
-    std::vector<double> vvp, cp, ep;
+    std::vector<std::optional<double>> vvp, cp, ep;
     for (const WorkloadInfo& w : workloads(args)) {
       const RepStats& parties = grid[next];
       const RepStats& caladan = grid[next + 1];
       const RepStats& surgeguard = grid[next + 2];
       next += 3;
-      auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
-      const double r_vvp = ratio(surgeguard.vv, parties.vv);
-      const double r_cp = ratio(surgeguard.cores, parties.cores);
-      const double r_ep = ratio(surgeguard.energy, parties.energy);
-      vvp.push_back(r_vvp);
-      cp.push_back(r_cp);
-      ep.push_back(r_ep);
-      table.add_row({short_name(w), fmt_ratio(r_vvp),
-                     fmt_ratio(ratio(surgeguard.vv, caladan.vv)),
-                     fmt_ratio(r_cp), fmt_ratio(r_ep),
-                     fmt_ratio(ratio(surgeguard.energy, caladan.energy))});
+      vvp.push_back(ratio_to(surgeguard.vv, parties.vv));
+      cp.push_back(ratio_to(surgeguard.cores, parties.cores));
+      ep.push_back(ratio_to(surgeguard.energy, parties.energy));
+      table.add_row(
+          {short_name(w), fmt_ratio_or_dash(vvp.back()),
+           fmt_ratio_or_dash(ratio_to(surgeguard.vv, caladan.vv)),
+           fmt_ratio_or_dash(cp.back()), fmt_ratio_or_dash(ep.back()),
+           fmt_ratio_or_dash(ratio_to(surgeguard.energy, caladan.energy))});
     }
     out.print(table);
     std::printf(
-        "averages @%d node(s): VV %.1f%% lower, cores %.1f%% fewer, energy "
-        "%.1f%% less than Parties\n",
-        nodes, 100.0 * (1.0 - mean(vvp)), 100.0 * (1.0 - mean(cp)),
-        100.0 * (1.0 - mean(ep)));
+        "averages @%d node(s): %s, %s, %s than Parties\n", nodes,
+        avg_below_one("VV", "lower", vvp).c_str(),
+        avg_below_one("cores", "fewer", cp).c_str(),
+        avg_below_one("energy", "less", ep).c_str());
   }
 }
 
