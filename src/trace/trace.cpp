@@ -161,21 +161,20 @@ bool span_content_less(const TraceSpan& a, const TraceSpan& b) {
 
 }  // namespace
 
-TraceReport TraceSink::report() const {
+TraceReport TraceSink::report() {
   TraceReport r;
   // Oldest first: the ring's slots from head_ on, then those before it.
-  r.traces.reserve(kept_.size());
-  r.traces.assign(kept_.begin() + static_cast<std::ptrdiff_t>(head_),
-                  kept_.end());
-  r.traces.insert(r.traces.end(), kept_.begin(),
-                  kept_.begin() + static_cast<std::ptrdiff_t>(head_));
+  std::rotate(kept_.begin(), kept_.begin() + static_cast<std::ptrdiff_t>(head_),
+              kept_.end());
+  r.traces = std::exchange(kept_, {});
+  head_ = 0;
   // Canonicalize: exports list spans in content order, not recording order.
   // The committed fingerprints and trace goldens pin this order, so the
   // sort stays even though recording order is itself deterministic.
   for (RequestTrace& t : r.traces) {
     std::stable_sort(t.spans.begin(), t.spans.end(), span_content_less);
   }
-  r.decisions = decisions_;
+  r.decisions = std::exchange(decisions_, {});
   // Same-timestamp decisions on one node keep their event order (stable
   // sort); across nodes the node id breaks the tie. Pinned like the span
   // order above.

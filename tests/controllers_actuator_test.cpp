@@ -22,7 +22,7 @@ struct Record {
 };
 using Records = std::vector<Record>;
 
-Records records(const TraceSink& sink) {
+Records records(TraceSink& sink) {
   Records out;
   for (const DecisionEvent& e : sink.report().decisions) {
     EXPECT_STREQ(e.controller, "test");
