@@ -1,6 +1,7 @@
 #include "common/config.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -91,25 +92,41 @@ std::string Config::get_string(const std::string& key,
 std::optional<double> Config::try_get_double(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') return std::nullopt;
-  return v;
+  return to_double(it->second);
 }
 
 std::optional<long long> Config::try_get_int(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') return std::nullopt;
-  return v;
+  return to_int(it->second);
 }
 
 std::optional<bool> Config::try_get_bool(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
-  const std::string& v = it->second;
+  return to_bool(it->second);
+}
+
+std::optional<double> Config::to_double(const std::string& value) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || end != begin + value.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<long long> Config::to_int(const std::string& value) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || end != begin + value.size() || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<bool> Config::to_bool(const std::string& v) {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   return std::nullopt;

@@ -34,12 +34,19 @@ class Config {
                          const std::string& def = "") const;
 
   /// Typed getters: nullopt for an absent key or a value that does not
-  /// parse as the whole of the type, never a silent default. Callers own
-  /// their defaults (experiment_from_config keeps them in ExperimentConfig).
+  /// parse as the whole of the type (see the to_* parsers), never a silent
+  /// default. Callers own their defaults (experiment_from_config keeps them
+  /// in ExperimentConfig).
   std::optional<double> try_get_double(const std::string& key) const;
   std::optional<long long> try_get_int(const std::string& key) const;
-  /// true/1/yes/on or false/0/no/off.
   std::optional<bool> try_get_bool(const std::string& key) const;
+
+  /// A raw value parsed as the whole of a type, or nullopt. An integer
+  /// beyond long long's range is nullopt, never clamped to the nearest end.
+  static std::optional<double> to_double(const std::string& value);
+  static std::optional<long long> to_int(const std::string& value);
+  /// true/1/yes/on or false/0/no/off.
+  static std::optional<bool> to_bool(const std::string& value);
 
   void set(const std::string& key, const std::string& value);
 

@@ -155,12 +155,6 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
   return plan;
 }
 
-std::optional<FaultPlan> FaultPlan::from_config(const Config& cfg,
-                                                std::string* error) {
-  if (!cfg.has("fault.plan")) return FaultPlan{};
-  return parse(cfg.get_string("fault.plan"), error);
-}
-
 bool FaultPlan::validate(std::string* error) const {
   auto fail = [&](const std::string& msg) {
     if (error) *error = "fault plan: " + msg;

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/time.hpp"
 
 namespace sg {
@@ -81,12 +80,6 @@ class FaultPlan {
   /// malformed specs.
   static std::optional<FaultPlan> parse(const std::string& spec,
                                         std::string* error = nullptr);
-
-  /// Reads the plan from a parsed config file: the `fault.plan` key holds
-  /// the same spec string parse() accepts. Absent key = empty plan; a
-  /// malformed value returns nullopt with `error` set.
-  static std::optional<FaultPlan> from_config(const Config& cfg,
-                                              std::string* error = nullptr);
 
   void add(FaultWindow w) { windows_.push_back(w); }
 

@@ -90,6 +90,26 @@ TEST(ConfigTest, TryGetParsesStrictly) {
   EXPECT_FALSE(cfg->try_get_int("z").has_value());  // trailing junk
 }
 
+TEST(ConfigTest, OverflowingIntegerYieldsNoValue) {
+  // strtoll clamps to the nearest end and sets ERANGE; the clamp is never
+  // returned as if it were the value.
+  auto cfg = Config::parse(
+      "max = 9223372036854775807\nmin = -9223372036854775808\n"
+      "wide = 99999999999999999999999\nnarrow = -9223372036854775809\n");
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->try_get_int("max"), 9223372036854775807LL);
+  EXPECT_EQ(cfg->try_get_int("min"), -9223372036854775807LL - 1);
+  EXPECT_FALSE(cfg->try_get_int("wide").has_value());
+  EXPECT_FALSE(cfg->try_get_int("narrow").has_value());
+}
+
+TEST(ConfigTest, EmbeddedNulIsTrailingJunk) {
+  const std::string five_x("5\0x", 3);
+  EXPECT_FALSE(Config::to_int(five_x).has_value());
+  EXPECT_FALSE(Config::to_double(five_x).has_value());
+  EXPECT_EQ(Config::to_int("5"), 5);
+}
+
 TEST(ConfigTest, TryGetBoolParsesStrictly) {
   auto cfg = Config::parse("a = yes\nb = off\nc = ture\n");
   ASSERT_TRUE(cfg.has_value());

@@ -12,8 +12,8 @@
 //   sg_run <config-file> [flags]   (sg_run --help lists every flag)
 // See sample_config at the repository root for all recognized keys.
 //
-// --fault-plan overrides the config file's fault.plan key with a chaos
-// schedule, e.g.
+// --fault-plan sets the config file's fault.plan key to a chaos schedule,
+// e.g.
 //   --fault-plan "drop:start_ms=6000,len_ms=2000,rate=0.1;slow:node=0,start_ms=9000,len_ms=500,factor=0.25"
 // Faults are seed-deterministic: the same config + seed + plan reproduces
 // the identical fault timeline (see EXPERIMENTS.md "Chaos experiments").
@@ -21,12 +21,16 @@
 // --trace records per-request spans and controller decisions, prints a
 // per-service latency breakdown plus the slowest requests' critical paths,
 // and writes a Chrome trace_event JSON (open in Perfetto / chrome://tracing)
-// to --trace-out. Traces are byte-identical for a fixed seed.
+// to --trace-out. --trace, --trace-sample and --trace-out set the
+// trace.enabled, trace.sample and trace.out keys, so a flag value is checked
+// like the key's. Traces are byte-identical for a fixed seed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/table.hpp"
 #include "core/config_map.hpp"
@@ -55,7 +59,7 @@ void print_usage(const char* argv0, std::FILE* out) {
                "  --trace-sample R   head-sampling rate in [0, 1] "
                "(overrides trace.sample)\n"
                "  --trace-out PATH   Chrome trace_event JSON output path "
-               "(default trace.json)\n"
+               "(overrides trace.out; default trace.json)\n"
                "  --help             show this help and exit\n",
                argv0);
 }
@@ -84,10 +88,9 @@ int main(int argc, char** argv) {
     print_usage(argv[0], stderr);
     return 2;
   }
-  bool histogram = false, quiet = false, trace_flag = false;
-  const char* fault_spec = nullptr;
-  const char* trace_sample = nullptr;
-  const char* trace_out = nullptr;
+  bool histogram = false, quiet = false;
+  // Flags that override config keys, applied over the file's values.
+  std::vector<std::pair<const char*, const char*>> overrides;
   for (int i = 2; i < argc; ++i) {
     const auto needs_value = [&](const char* flag) {
       if (i + 1 >= argc) {
@@ -101,13 +104,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
-      fault_spec = needs_value("--fault-plan");
+      overrides.emplace_back("fault.plan", needs_value("--fault-plan"));
     } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_flag = true;
+      overrides.emplace_back("trace.enabled", "true");
     } else if (std::strcmp(argv[i], "--trace-sample") == 0) {
-      trace_sample = needs_value("--trace-sample");
+      // A sample rate or an output path implies --trace.
+      overrides.emplace_back("trace.enabled", "true");
+      overrides.emplace_back("trace.sample", needs_value("--trace-sample"));
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_out = needs_value("--trace-out");
+      overrides.emplace_back("trace.enabled", "true");
+      overrides.emplace_back("trace.out", needs_value("--trace-out"));
     } else {
       std::fprintf(stderr, "error: unknown flag '%s' (see --help)\n",
                    argv[i]);
@@ -121,31 +127,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  if (fault_spec != nullptr) file_cfg->set("fault.plan", fault_spec);
+  for (const auto& [key, value] : overrides) file_cfg->set(key, value);
   auto cfg = experiment_from_config(*file_cfg, &error);
   if (!cfg) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  // Trace flags override the config file's trace.* keys; providing a sample
-  // rate or an output path implies --trace.
-  if (trace_flag || trace_sample != nullptr || trace_out != nullptr) {
-    cfg->trace_enabled = true;
-  }
-  if (trace_sample != nullptr) {
-    char* end = nullptr;
-    const double rate = std::strtod(trace_sample, &end);
-    if (end == trace_sample || *end != '\0' || !(rate >= 0.0 && rate <= 1.0)) {
-      std::fprintf(stderr,
-                   "error: --trace-sample expects a rate in [0, 1], got '%s'\n",
-                   trace_sample);
-      return 2;
-    }
-    cfg->trace_sample = rate;
-  }
   const std::string trace_path =
-      trace_out != nullptr ? trace_out
-                           : file_cfg->get_string("trace.out", "trace.json");
+      file_cfg->get_string("trace.out", "trace.json");
 
   if (!quiet) {
     std::printf("workload:   %s @ %.0f rps (%s, %s)\n",
