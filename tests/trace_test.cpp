@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <random>
+#include <tuple>
+#include <vector>
 
 #include "trace/export.hpp"
 
@@ -194,6 +201,167 @@ TEST(TraceSinkTest, PendingOverflowRefusesNewRequests) {
   EXPECT_EQ(sink.stats().pending_overflow, 1u);
   sink.end_request(1, TimePoint{10}, Duration::ns(10));
   EXPECT_TRUE(sink.begin_request(4, TimePoint{10}));
+}
+
+/// The inverse of the golden-ratio multiplier modulo 2^64 (Newton's
+/// iteration; each step doubles the correct low bits).
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t inverse_of_golden() {
+  std::uint64_t x = kGolden;
+  for (int i = 0; i < 5; ++i) x *= 2 - kGolden * x;
+  return x;
+}
+static_assert(kGolden * inverse_of_golden() == 1);
+
+auto stat_fields(const TraceStats& s) {
+  return std::make_tuple(s.requests_recorded, s.requests_kept,
+                         s.requests_discarded, s.requests_abandoned,
+                         s.pending_overflow, s.traces_evicted,
+                         s.spans_recorded, s.slo_violators_kept,
+                         s.decisions_recorded, s.decisions_dropped);
+}
+
+auto span_fields(const TraceSpan& s) {
+  return std::make_tuple(s.request_id, s.kind, s.container, s.src_container,
+                         s.begin, s.end, s.is_response, s.cpu_served_ns,
+                         s.boost_active_ns);
+}
+
+TEST(TraceSinkTest, MatchesAReferenceModel) {
+  // Fixed-seed random begin/add_span/end/abandon calls, checked against a
+  // model built from std::map (in flight) and a list trimmed to `capacity`
+  // (kept). capacity 3 and max_pending 8 make eviction and refusal common.
+  TraceOptions opts;
+  opts.capacity = 3;
+  opts.max_pending = 8;
+  opts.head_sample_rate = 0.5;
+  opts.keep_slo_violators = true;
+  TraceSink sink(opts);
+  const Duration slo = Duration::ns(100);
+  sink.set_slo_threshold(slo);
+
+  // A multiplicative (Fibonacci) hash sends j * inverse and -j * inverse,
+  // for small j, to the first and the last bucket of any power-of-two
+  // table, so those ids pile up, probe past each other and wrap around.
+  // The small neighbours and the top of the id range land elsewhere.
+  std::vector<RequestId> ids = {0, 1, 2, 3, 4, ~RequestId{0}, 1ull << 63};
+  for (std::uint64_t j = 1; j <= 5; ++j) {
+    ids.push_back(j * inverse_of_golden());
+    ids.push_back((0 - j) * inverse_of_golden());
+  }
+
+  std::map<RequestId, RequestTrace> pending;
+  std::deque<RequestTrace> kept;
+  TraceStats stats;
+  std::mt19937_64 rng(29);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // Mostly an in-flight id, sometimes any id (possibly unknown).
+  const auto pick_id = [&](int pending_percent) {
+    if (!pending.empty() && static_cast<int>(pick(100)) < pending_percent) {
+      auto it = pending.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(pick(pending.size())));
+      return it->first;
+    }
+    return ids[pick(ids.size())];
+  };
+
+  std::int64_t t = 0;
+  for (int step = 0; step < 20000; ++step) {
+    ++t;
+    const std::size_t op = pick(100);
+    if (op < 35) {
+      // begin; a quarter of them repeat an in-flight id.
+      const RequestId id = pick_id(25);
+      const bool admitted = pending.size() < opts.max_pending;
+      ASSERT_EQ(sink.begin_request(id, TimePoint{t}), admitted)
+          << "step " << step;
+      if (admitted) {
+        RequestTrace& m = pending[id];  // a repeat keeps its spans
+        m.id = id;
+        m.begin = TimePoint{t};
+        m.head_sampled = sink.head_sampled(id);
+        ++stats.requests_recorded;
+      } else {
+        ++stats.pending_overflow;
+      }
+    } else if (op < 70) {
+      TraceSpan s = span(pick_id(90), static_cast<SpanKind>(pick(4)),
+                         static_cast<int>(pick(12)), t,
+                         t + static_cast<std::int64_t>(pick(50)));
+      s.src_container = static_cast<int>(pick(12)) - 1;
+      s.is_response = pick(2) == 1;
+      s.cpu_served_ns = static_cast<double>(pick(1000)) / 4;
+      s.boost_active_ns = static_cast<double>(pick(1000)) / 8;
+      sink.add_span(s);
+      const auto it = pending.find(s.request_id);
+      if (it != pending.end()) {
+        it->second.spans.push_back(s);
+        ++stats.spans_recorded;
+      }
+    } else if (op < 92) {
+      const RequestId id = pick_id(70);
+      const Duration latency{static_cast<std::int64_t>(pick(200))};
+      sink.end_request(id, TimePoint{t}, latency);
+      const auto it = pending.find(id);
+      if (it != pending.end()) {
+        RequestTrace m = std::move(it->second);
+        pending.erase(it);
+        m.end = TimePoint{t};
+        m.latency = latency;
+        m.slo_violation = latency > slo;
+        if (m.head_sampled || m.slo_violation) {
+          ++stats.requests_kept;
+          if (m.slo_violation) ++stats.slo_violators_kept;
+          kept.push_back(std::move(m));
+          if (kept.size() > opts.capacity) {
+            kept.pop_front();
+            ++stats.traces_evicted;
+          }
+        } else {
+          ++stats.requests_discarded;
+        }
+      }
+    } else {
+      const RequestId id = pick_id(70);
+      sink.abandon_request(id);
+      if (pending.erase(id) == 1) ++stats.requests_abandoned;
+    }
+    ASSERT_EQ(sink.pending_count(), pending.size()) << "step " << step;
+    ASSERT_EQ(sink.kept_count(), kept.size()) << "step " << step;
+    ASSERT_EQ(stat_fields(sink.stats()), stat_fields(stats)) << "step " << step;
+  }
+  // Every path ran many times.
+  EXPECT_GT(stats.pending_overflow, 100u);
+  EXPECT_GT(stats.traces_evicted, 100u);
+  EXPECT_GT(stats.requests_discarded, 100u);
+  EXPECT_GT(stats.requests_abandoned, 100u);
+  EXPECT_GT(stats.slo_violators_kept, 100u);
+
+  const TraceReport report = sink.report();
+  ASSERT_EQ(report.traces.size(), kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const RequestTrace& got = report.traces[i];
+    RequestTrace& want = kept[i];
+    EXPECT_EQ(got.id, want.id) << i;
+    EXPECT_EQ(got.begin, want.begin) << i;
+    EXPECT_EQ(got.end, want.end) << i;
+    EXPECT_EQ(got.latency, want.latency) << i;
+    EXPECT_EQ(got.head_sampled, want.head_sampled) << i;
+    EXPECT_EQ(got.slo_violation, want.slo_violation) << i;
+    // Span begins are distinct, so begin order is the report's content
+    // order.
+    std::sort(want.spans.begin(), want.spans.end(),
+              [](const TraceSpan& a, const TraceSpan& b) {
+                return a.begin < b.begin;
+              });
+    ASSERT_EQ(got.spans.size(), want.spans.size()) << i;
+    for (std::size_t k = 0; k < want.spans.size(); ++k) {
+      EXPECT_EQ(span_fields(got.spans[k]), span_fields(want.spans[k]))
+          << i << "/" << k;
+    }
+  }
 }
 
 TEST(TraceSinkTest, DecisionCapCountsDrops) {
