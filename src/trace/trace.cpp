@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 #include <utility>
 
@@ -45,6 +46,18 @@ std::uint64_t mix64(std::uint64_t x) {
 /// Salt for the head-sampling hash (fixed, so runs stay comparable).
 constexpr std::uint64_t kSampleSalt = 0x53757267;
 
+/// Pending-table hash: 2^64 / golden ratio. Multiplying spreads sequential
+/// ids over the product's top bits, which index the table.
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
+
+/// Slots the pending table starts with.
+constexpr std::size_t kMinSlots = 16;
+
+/// An id's home slot in a table of 2^(64 - shift) slots.
+std::size_t home_slot(RequestId id, int shift) {
+  return static_cast<std::size_t>((id * kGolden) >> shift);
+}
+
 }  // namespace
 
 TraceSink::TraceSink(TraceOptions options) : options_(options) {
@@ -52,6 +65,7 @@ TraceSink::TraceSink(TraceOptions options) : options_(options) {
                     options_.head_sample_rate <= 1.0,
                 "head_sample_rate outside [0, 1]");
   SG_ASSERT_MSG(options_.capacity > 0, "trace capacity must be positive");
+  resize(kMinSlots);
 }
 
 bool TraceSink::head_sampled(RequestId id) const {
@@ -64,22 +78,25 @@ bool TraceSink::head_sampled(RequestId id) const {
 }
 
 bool TraceSink::begin_request(RequestId id, TimePoint now) {
-  if (pending_.size() >= options_.max_pending) {
+  if (pending_ >= options_.max_pending) {
     ++stats_.pending_overflow;
     return false;
   }
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    if (spare_.empty()) {
-      it = pending_.try_emplace(id).first;
-    } else {
-      PendingMap::node_type node = std::move(spare_.back());
-      spare_.pop_back();
-      node.key() = id;
-      it = pending_.insert(std::move(node)).position;
+  std::size_t slot = find(id);
+  if (slots_[slot].buffer == kEmpty) {
+    if (2 * (pending_ + 1) > slots_.size()) {
+      resize(2 * slots_.size());
+      slot = find(id);
     }
+    if (free_.empty()) {
+      free_.push_back(buffers_.size());
+      buffers_.emplace_back();
+    }
+    slots_[slot] = {id, free_.back()};
+    free_.pop_back();
+    ++pending_;
   }
-  RequestTrace& t = it->second;
+  RequestTrace& t = buffers_[slots_[slot].buffer];
   t.id = id;
   t.begin = now;
   t.head_sampled = head_sampled(id);
@@ -91,17 +108,16 @@ void TraceSink::add_span(const TraceSpan& span) {
   SG_ASSERT_MSG(span.begin >= TimePoint::origin(),
                 "trace span begins before the origin");
   SG_ASSERT_MSG(span.end >= span.begin, "trace span ends before it begins");
-  const auto it = pending_.find(span.request_id);
-  if (it == pending_.end()) return;  // not recorded (sampled out / overflow)
-  it->second.spans.push_back(span);
+  const std::size_t buffer = slots_[find(span.request_id)].buffer;
+  if (buffer == kEmpty) return;  // not recorded (sampled out / overflow)
+  buffers_[buffer].spans.push_back(span);
   ++stats_.spans_recorded;
 }
 
 void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  PendingMap::node_type node = pending_.extract(it);
-  RequestTrace& t = node.mapped();
+  const std::size_t slot = find(id);
+  if (slots_[slot].buffer == kEmpty) return;
+  RequestTrace& t = buffers_[slots_[slot].buffer];
   t.end = now;
   t.latency = latency;
   t.slo_violation = slo_ > Duration::zero() && latency > slo_;
@@ -109,32 +125,62 @@ void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
       t.head_sampled || (options_.keep_slo_violators && t.slo_violation);
   if (!keep) {
     ++stats_.requests_discarded;
-    recycle(std::move(node));
-    return;
-  }
-  ++stats_.requests_kept;
-  if (t.slo_violation) ++stats_.slo_violators_kept;
-  if (kept_.size() < options_.capacity) {
-    kept_.push_back(std::move(t));
   } else {
-    // The evicted trace swaps into the node, and its buffer is reused.
-    std::swap(kept_[head_], t);
-    head_ = (head_ + 1) % kept_.size();
-    ++stats_.traces_evicted;
+    ++stats_.requests_kept;
+    if (t.slo_violation) ++stats_.slo_violators_kept;
+    // A copy, not a move: the recording buffer stays with the pool, and a
+    // full ring's oldest slot keeps its capacity, so neither reallocates.
+    if (kept_.size() < options_.capacity) {
+      kept_.push_back(t);
+    } else {
+      kept_[head_] = t;
+      head_ = (head_ + 1) % kept_.size();
+      ++stats_.traces_evicted;
+    }
   }
-  recycle(std::move(node));
+  release(slot);
 }
 
 void TraceSink::abandon_request(RequestId id) {
-  PendingMap::node_type node = pending_.extract(id);
-  if (node.empty()) return;
+  const std::size_t slot = find(id);
+  if (slots_[slot].buffer == kEmpty) return;
   ++stats_.requests_abandoned;
-  recycle(std::move(node));
+  release(slot);
 }
 
-void TraceSink::recycle(PendingMap::node_type node) {
-  node.mapped().spans.clear();
-  spare_.push_back(std::move(node));
+std::size_t TraceSink::find(RequestId id) const {
+  std::size_t i = home_slot(id, shift_);
+  while (slots_[i].buffer != kEmpty && slots_[i].id != id) i = (i + 1) & mask_;
+  return i;
+}
+
+void TraceSink::resize(std::size_t size) {
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
+  mask_ = size - 1;
+  shift_ = 64 - std::countr_zero(size);
+  for (const Slot& s : old) {
+    if (s.buffer != kEmpty) slots_[find(s.id)] = s;
+  }
+}
+
+void TraceSink::release(std::size_t slot) {
+  const std::size_t buffer = slots_[slot].buffer;
+  buffers_[buffer].spans.clear();
+  free_.push_back(buffer);
+  --pending_;
+  // Backward shift: walk the probe run after the hole and move back each
+  // entry whose home does not lie cyclically in (hole, i], so every entry
+  // stays reachable from its home without tombstones.
+  std::size_t hole = slot;
+  for (std::size_t i = (hole + 1) & mask_; slots_[i].buffer != kEmpty;
+       i = (i + 1) & mask_) {
+    const std::size_t home = home_slot(slots_[i].id, shift_);
+    if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole].buffer = kEmpty;
 }
 
 void TraceSink::add_decision(const DecisionEvent& e) {

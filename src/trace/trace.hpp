@@ -35,14 +35,14 @@
 // Memory is O(capacity + in-flight): kept traces live in a fixed-capacity
 // ring (oldest evicted), in-flight buffers are bounded by max_pending, and
 // decision events by max_decisions. Recording allocates nothing in steady
-// state: an evicted, discarded or abandoned trace hands its pending-map
-// node and its cleared span buffer to a spare list, and begin_request
-// takes them back from there.
+// state: a finished request's span buffer is cleared and goes back on a
+// free list with its capacity, and the next begin_request takes the most
+// recently freed one, still in cache. A kept trace is copied into the
+// ring slot it overwrites, whose buffer also keeps its capacity.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -197,7 +197,7 @@ class TraceSink {
 
   const TraceStats& stats() const { return stats_; }
   std::size_t kept_count() const { return kept_.size(); }
-  std::size_t pending_count() const { return pending_.size(); }
+  std::size_t pending_count() const { return pending_; }
 
   /// The report for export. It moves the kept traces and the decisions
   /// out, so it empties the sink: call it once, when recording is done.
@@ -207,16 +207,36 @@ class TraceSink {
   TraceReport report();
 
  private:
-  using PendingMap = std::unordered_map<RequestId, RequestTrace>;
+  /// Marks a free slot of the pending table.
+  static constexpr std::size_t kEmpty = ~std::size_t{0};
 
-  /// Clears a finished node's spans (keeping their capacity) and parks the
-  /// node for the next begin_request.
-  void recycle(PendingMap::node_type node);
+  /// One slot of the pending table: an in-flight request and the index of
+  /// its buffer in buffers_.
+  struct Slot {
+    RequestId id = 0;
+    std::size_t buffer = kEmpty;
+  };
+
+  /// The slot holding `id`, or the free slot that ends its probe run.
+  std::size_t find(RequestId id) const;
+  /// Rebuilds the pending table with `size` slots (a power of two).
+  void resize(std::size_t size);
+  /// Frees an occupied slot and its buffer (cleared, capacity kept).
+  void release(std::size_t slot);
 
   TraceOptions options_;
   Duration slo_;
-  PendingMap pending_;
-  std::vector<PendingMap::node_type> spare_;
+  /// Pending table: open addressing with linear probing, a multiplicative
+  /// hash of the id and backward-shift deletion (no tombstones); at most
+  /// half full.
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;  // slots_.size() - 1
+  int shift_ = 0;         // 64 - log2(slots_.size())
+  std::size_t pending_ = 0;
+  /// Span buffers, in flight or free; free_ lists the free ones, most
+  /// recently freed last.
+  std::vector<RequestTrace> buffers_;
+  std::vector<std::size_t> free_;
   /// Kept-trace ring: grows to `capacity` slots in completion order, then
   /// each new trace overwrites the oldest, kept_[head_].
   std::vector<RequestTrace> kept_;
