@@ -331,23 +331,28 @@ BENCHMARK(BM_ApplicationRequest);
 /// Spans per traced request, about what a readUserTimeline request records.
 constexpr int kSpansPerRequest = 24;
 
-/// Records one request whose spans cycle through the four kinds on 12
-/// containers.
-void record_request(TraceSink& sink, RequestId id, TimePoint& t) {
-  sink.begin_request(id, t);
+/// A request's k-th span: the spans cycle through the four kinds on 12
+/// containers, each 10 us long from `t` on.
+TraceSpan request_span(RequestId id, int k, TimePoint& t) {
   TraceSpan span;
   span.request_id = id;
+  span.kind = static_cast<SpanKind>(k % 4);
+  span.container = k % 12;
+  span.src_container = (k + 11) % 12;
+  span.is_response = k % 8 == 3;
+  span.begin = t;
+  t += Duration::us(10);
+  span.end = t;
+  span.cpu_served_ns = 7'500.0 + k;
+  span.boost_active_ns = 1'250.5 * k;
+  return span;
+}
+
+/// Records one request's kSpansPerRequest spans back to back.
+void record_request(TraceSink& sink, RequestId id, TimePoint& t) {
+  sink.begin_request(id, t);
   for (int k = 0; k < kSpansPerRequest; ++k) {
-    span.kind = static_cast<SpanKind>(k % 4);
-    span.container = k % 12;
-    span.src_container = (k + 11) % 12;
-    span.is_response = k % 8 == 3;
-    span.begin = t;
-    t += Duration::us(10);
-    span.end = t;
-    span.cpu_served_ns = 7'500.0 + k;
-    span.boost_active_ns = 1'250.5 * k;
-    sink.add_span(span);
+    sink.add_span(request_span(id, k, t));
   }
   sink.end_request(id, t, Duration::us(10 * kSpansPerRequest));
 }
@@ -368,6 +373,45 @@ void BM_TraceSinkSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSpansPerRequest);
 }
 BENCHMARK(BM_TraceSinkSteadyState);
+
+void BM_TraceSinkInFlight(benchmark::State& state) {
+  // Host time per span with 64 requests in flight, their spans interleaved
+  // round-robin as concurrent requests' spans are in a run, and the ring
+  // full. Each request ends after kSpansPerRequest spans and a new one
+  // takes its place; their ends are staggered. Unlike the steady-state
+  // bench, a request's buffer waits 63 other spans between its writes.
+  constexpr int kInFlight = 64;
+  const TraceOptions opts;
+  TraceSink sink(opts);
+  RequestId id = 0;
+  TimePoint t;
+  for (std::size_t i = 0; i < 2 * opts.capacity; ++i) {
+    record_request(sink, ++id, t);
+  }
+  struct Flight {
+    RequestId id = 0;
+    int spans = 0;
+  };
+  std::array<Flight, kInFlight> flights;
+  for (int i = 0; i < kInFlight; ++i) {
+    flights[i] = {++id, i % kSpansPerRequest};
+    sink.begin_request(flights[i].id, t);
+  }
+  for (auto _ : state) {
+    for (Flight& f : flights) {
+      sink.add_span(request_span(f.id, f.spans, t));
+      if (++f.spans == kSpansPerRequest) {
+        sink.end_request(f.id, t, Duration::us(10 * kSpansPerRequest));
+        f = {++id, 0};
+        sink.begin_request(f.id, t);
+      }
+    }
+  }
+  SG_ASSERT(sink.kept_count() == opts.capacity);
+  SG_ASSERT(sink.pending_count() == kInFlight);
+  state.SetItemsProcessed(state.iterations() * kInFlight);
+}
+BENCHMARK(BM_TraceSinkInFlight);
 
 void BM_ChromeTraceJson(benchmark::State& state) {
   // The Chrome-JSON export of a full default ring: 4 096 traces of 24 spans.
