@@ -149,8 +149,15 @@ constexpr KeyRow kKeys[] = {
     {"seed", [](Value v, Out out) { return read(v, out.seed); }},
     {"surge.mult",
      [](Value v, Out out) { return read_positive(v, out.surge_mult); }},
+    // A zero length means no surges; a negative one would mean the same
+    // without saying so.
     {"surge.len_ms",
-     [](Value v, Out out) { return read_rounded(v, 1e3, out.surge_len); }},
+     [](Value v, Out out) -> Why {
+       if (Why why = read_rounded(v, 1e3, out.surge_len); !why.empty()) {
+         return why;
+       }
+       return out.surge_len >= Duration::zero() ? "" : "must be >= 0";
+     }},
     // A zero period divides by zero and a negative one never ends the
     // surge schedule.
     {"surge.period_s",

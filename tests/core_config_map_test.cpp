@@ -231,7 +231,13 @@ TEST(ConfigMapTest, InvalidValuesFail) {
   expect_rejected("warmup_s = -1\n", "warmup_s", "-1");
   expect_rejected("duration_s = 0\n", "duration_s", "0");
   expect_rejected("drain_s = -1\n", "drain_s", "-1");
+  expect_rejected("[surge]\nlen_ms = -5\n", "surge.len_ms", "-5");
   expect_rejected("[membw]\nnode_bw_gbs = -5\n", "membw.node_bw_gbs", "-5");
+  // A zero surge length stays valid: it turns surges off.
+  const auto cfg =
+      experiment_from_config(parse("[surge]\nlen_ms = 0\n"), nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->surge_len, Duration::zero());
 }
 
 TEST(ConfigMapTest, MalformedIntegerRejected) {
