@@ -72,7 +72,7 @@ std::string trim(const std::string& s) {
 std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
                                           std::string* error) {
   auto fail = [&](const std::string& msg) -> std::optional<FaultPlan> {
-    if (error) *error = "fault plan: " + msg;
+    if (error) *error = msg;
     return std::nullopt;
   };
 
@@ -157,7 +157,7 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
 
 bool FaultPlan::validate(std::string* error) const {
   auto fail = [&](const std::string& msg) {
-    if (error) *error = "fault plan: " + msg;
+    if (error) *error = msg;
     return false;
   };
   for (const FaultWindow& w : windows_) {
