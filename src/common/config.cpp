@@ -95,18 +95,6 @@ std::optional<double> Config::try_get_double(const std::string& key) const {
   return to_double(it->second);
 }
 
-std::optional<long long> Config::try_get_int(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return to_int(it->second);
-}
-
-std::optional<bool> Config::try_get_bool(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return to_bool(it->second);
-}
-
 std::optional<double> Config::to_double(const std::string& value) {
   const char* begin = value.c_str();
   char* end = nullptr;

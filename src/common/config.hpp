@@ -33,13 +33,9 @@ class Config {
   std::string get_string(const std::string& key,
                          const std::string& def = "") const;
 
-  /// Typed getters: nullopt for an absent key or a value that does not
-  /// parse as the whole of the type (see the to_* parsers), never a silent
-  /// default. Callers own their defaults (experiment_from_config keeps them
-  /// in ExperimentConfig).
+  /// The value as a double: nullopt for an absent key or a value that does
+  /// not parse as a whole double (see to_double), never a silent default.
   std::optional<double> try_get_double(const std::string& key) const;
-  std::optional<long long> try_get_int(const std::string& key) const;
-  std::optional<bool> try_get_bool(const std::string& key) const;
 
   /// A raw value parsed as the whole of a type, or nullopt. An integer
   /// beyond long long's range is nullopt, never clamped to the nearest end.

@@ -5,10 +5,20 @@
 namespace sg {
 namespace {
 
+// A key's value parsed by the to_* parsers; an absent key reads as "",
+// which neither parser accepts.
+std::optional<long long> int_of(const Config& cfg, const std::string& key) {
+  return Config::to_int(cfg.get_string(key));
+}
+
+std::optional<bool> bool_of(const Config& cfg, const std::string& key) {
+  return Config::to_bool(cfg.get_string(key));
+}
+
 TEST(ConfigTest, ParsesKeyValues) {
   auto cfg = Config::parse("a = 1\nb = hello\nc=2.5\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_int("a"), 1);
+  EXPECT_EQ(int_of(*cfg, "a"), 1);
   EXPECT_EQ(cfg->get_string("b"), "hello");
   EXPECT_DOUBLE_EQ(cfg->try_get_double("c").value(), 2.5);
 }
@@ -17,15 +27,15 @@ TEST(ConfigTest, SectionsPrefixKeys) {
   auto cfg = Config::parse(
       "[service.nginx]\ncores = 2\n[service.redis]\ncores = 1\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_int("service.nginx.cores"), 2);
-  EXPECT_EQ(cfg->try_get_int("service.redis.cores"), 1);
+  EXPECT_EQ(int_of(*cfg, "service.nginx.cores"), 2);
+  EXPECT_EQ(int_of(*cfg, "service.redis.cores"), 1);
 }
 
 TEST(ConfigTest, CommentsAndBlankLines) {
   auto cfg = Config::parse(
       "# full-line comment\n\na = 1  # trailing comment\n   \n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_int("a"), 1);
+  EXPECT_EQ(int_of(*cfg, "a"), 1);
   EXPECT_EQ(cfg->size(), 1u);
 }
 
@@ -53,10 +63,10 @@ TEST(ConfigTest, EmptyKeyFails) {
 TEST(ConfigTest, DefaultsWhenMissing) {
   auto cfg = Config::parse("");
   ASSERT_TRUE(cfg.has_value());
-  // Typed getters have no defaults: the caller supplies one.
-  EXPECT_FALSE(cfg->try_get_int("nope").has_value());
+  // Typed reads have no defaults: the caller supplies one.
+  EXPECT_FALSE(int_of(*cfg, "nope").has_value());
   EXPECT_FALSE(cfg->try_get_double("nope").has_value());
-  EXPECT_FALSE(cfg->try_get_bool("nope").has_value());
+  EXPECT_FALSE(bool_of(*cfg, "nope").has_value());
   EXPECT_EQ(cfg->get_string("nope", "d"), "d");
 }
 
@@ -66,28 +76,28 @@ TEST(ConfigTest, BoolParsing) {
       "junk = maybe\n");
   ASSERT_TRUE(cfg.has_value());
   for (const char* k : {"t1", "t2", "t3", "t4"}) {
-    EXPECT_EQ(cfg->try_get_bool(k), std::optional<bool>(true)) << k;
+    EXPECT_EQ(bool_of(*cfg, k), std::optional<bool>(true)) << k;
   }
   for (const char* k : {"f1", "f2", "f3"}) {
-    EXPECT_EQ(cfg->try_get_bool(k), std::optional<bool>(false)) << k;
+    EXPECT_EQ(bool_of(*cfg, k), std::optional<bool>(false)) << k;
   }
-  EXPECT_FALSE(cfg->try_get_bool("junk").has_value());  // unparsable
+  EXPECT_FALSE(bool_of(*cfg, "junk").has_value());  // unparsable
 }
 
 TEST(ConfigTest, TypeMismatchYieldsNoValue) {
   auto cfg = Config::parse("s = notanumber\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_FALSE(cfg->try_get_int("s").has_value());
+  EXPECT_FALSE(int_of(*cfg, "s").has_value());
   EXPECT_FALSE(cfg->try_get_double("s").has_value());
-  EXPECT_FALSE(cfg->try_get_bool("s").has_value());
+  EXPECT_FALSE(bool_of(*cfg, "s").has_value());
 }
 
-TEST(ConfigTest, TryGetParsesStrictly) {
+TEST(ConfigTest, NumbersParseStrictly) {
   auto cfg = Config::parse("x = 12\ny = 3.5\nz = 12abc\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_int("x").value(), 12);
+  EXPECT_EQ(int_of(*cfg, "x").value(), 12);
   EXPECT_DOUBLE_EQ(cfg->try_get_double("y").value(), 3.5);
-  EXPECT_FALSE(cfg->try_get_int("z").has_value());  // trailing junk
+  EXPECT_FALSE(int_of(*cfg, "z").has_value());  // trailing junk
 }
 
 TEST(ConfigTest, OverflowingIntegerYieldsNoValue) {
@@ -97,10 +107,10 @@ TEST(ConfigTest, OverflowingIntegerYieldsNoValue) {
       "max = 9223372036854775807\nmin = -9223372036854775808\n"
       "wide = 99999999999999999999999\nnarrow = -9223372036854775809\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_int("max"), 9223372036854775807LL);
-  EXPECT_EQ(cfg->try_get_int("min"), -9223372036854775807LL - 1);
-  EXPECT_FALSE(cfg->try_get_int("wide").has_value());
-  EXPECT_FALSE(cfg->try_get_int("narrow").has_value());
+  EXPECT_EQ(int_of(*cfg, "max"), 9223372036854775807LL);
+  EXPECT_EQ(int_of(*cfg, "min"), -9223372036854775807LL - 1);
+  EXPECT_FALSE(int_of(*cfg, "wide").has_value());
+  EXPECT_FALSE(int_of(*cfg, "narrow").has_value());
 }
 
 TEST(ConfigTest, EmbeddedNulIsTrailingJunk) {
@@ -110,27 +120,27 @@ TEST(ConfigTest, EmbeddedNulIsTrailingJunk) {
   EXPECT_EQ(Config::to_int("5"), 5);
 }
 
-TEST(ConfigTest, TryGetBoolParsesStrictly) {
+TEST(ConfigTest, ToBoolParsesStrictly) {
   auto cfg = Config::parse("a = yes\nb = off\nc = ture\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_bool("a"), std::optional<bool>(true));
-  EXPECT_EQ(cfg->try_get_bool("b"), std::optional<bool>(false));
-  EXPECT_FALSE(cfg->try_get_bool("c").has_value());  // misspelled
-  EXPECT_FALSE(cfg->try_get_bool("missing").has_value());
+  EXPECT_EQ(bool_of(*cfg, "a"), std::optional<bool>(true));
+  EXPECT_EQ(bool_of(*cfg, "b"), std::optional<bool>(false));
+  EXPECT_FALSE(bool_of(*cfg, "c").has_value());  // misspelled
+  EXPECT_FALSE(bool_of(*cfg, "missing").has_value());
 }
 
 TEST(ConfigTest, SetAndRoundTrip) {
   Config cfg;
   cfg.set("b", "2");
   cfg.set("a", "1");
-  EXPECT_EQ(cfg.try_get_int("a"), 1);
-  EXPECT_EQ(cfg.try_get_int("b"), 2);
+  EXPECT_EQ(int_of(cfg, "a"), 1);
+  EXPECT_EQ(int_of(cfg, "b"), 2);
 }
 
 TEST(ConfigTest, LastWriterWins) {
   auto cfg = Config::parse("a = 1\na = 2\n");
   ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->try_get_int("a"), 2);
+  EXPECT_EQ(int_of(*cfg, "a"), 2);
 }
 
 TEST(ConfigTest, LoadMissingFileFails) {
