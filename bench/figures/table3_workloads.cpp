@@ -33,9 +33,10 @@ void print(const BenchArgs&, const Results&, Tables& out) {
         pool_str += (p < 0 ? std::string("inf") : std::to_string(p));
       }
     }
-    const std::string paper_pool = w.paper_threadpool_size < 0
-                                       ? "infinity"
-                                       : std::to_string(w.paper_threadpool_size);
+    const std::string paper_pool =
+        w.spec.threading == ThreadingModel::kFixedThreadPool
+            ? std::to_string(w.spec.threadpool_size)
+            : "infinity";
     table.add_row({w.family, w.action == "chain" ? "-" : w.action,
                    std::to_string(w.spec.depth()), to_string(w.spec.rpc),
                    paper_pool, fmt_double(w.base_rate_rps, 0),

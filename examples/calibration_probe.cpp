@@ -35,7 +35,12 @@ std::uint64_t probe(const WorkloadInfo& w, double rate_frac,
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "chain";
-  const WorkloadInfo w = workload_by_name(name);
+  const auto found = workload_by_name(name);
+  if (!found) {
+    std::fprintf(stderr, "error: unknown workload '%s'\n", name.c_str());
+    return 2;
+  }
+  const WorkloadInfo& w = *found;
 
   print_banner("calibration probe: " + w.spec.name);
   const ProfileResult prof_low = profile_workload(w, 1);

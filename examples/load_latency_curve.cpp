@@ -17,7 +17,12 @@ using namespace sg;
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "chain";
-  const WorkloadInfo w = workload_by_name(name);
+  const auto found = workload_by_name(name);
+  if (!found) {
+    std::fprintf(stderr, "error: unknown workload '%s'\n", name.c_str());
+    return 2;
+  }
+  const WorkloadInfo& w = *found;
   const ProfileResult profile = profile_workload(w, 1);
 
   print_banner("load-latency curve: " + w.spec.name +

@@ -59,8 +59,8 @@ Application::Application(Cluster& cluster, Network& network,
       network_(network),
       metrics_plane_(metrics),
       spec_(std::move(spec)),
-      retry_(retry),
-      rng_(cluster.sim().rng().fork()) {
+      retry_(retry) {
+  Rng root = cluster.sim().rng().fork();
   std::string error;
   SG_ASSERT_MSG(spec_.validate(&error), error.c_str());
   SG_ASSERT(deployment.node_of_service.size() == spec_.services.size());
@@ -91,7 +91,7 @@ Application::Application(Cluster& cluster, Network& network,
       sr.child_pools.emplace_back(cap);
     }
     services_.push_back(std::move(sr));
-    service_rngs_.push_back(rng_.fork());
+    service_rngs_.push_back(root.fork());
     const auto slot = static_cast<std::size_t>(c.id());
     if (service_by_container_.size() <= slot) {
       service_by_container_.resize(slot + 1, -1);
@@ -174,7 +174,6 @@ void Application::on_request(const RpcPacket& pkt) {
     // response completes the request; only requests the frontend has
     // already forgotten (genuinely lost, or response lost) re-execute.
     if (!entry_requests_.insert(pkt.request_id).second) return;
-    ++in_flight_;
   }
 
   // Built in its slot: filling a stack Visit and copying it in costs a
@@ -185,7 +184,6 @@ void Application::on_request(const RpcPacket& pkt) {
   v.service = sr.index;
   v.start_time = pkt.start_time;
   v.arrive = now;
-  v.time_from_start = v.arrive - pkt.start_time;
   v.arrived_upscale = pkt.upscale;
   v.reply_to = ReplyAddress{pkt.src_container, pkt.src_node, pkt.call_id};
   v.traced = pkt.traced && cluster_.sim().trace_sink() != nullptr;
@@ -194,7 +192,6 @@ void Application::on_request(const RpcPacket& pkt) {
     // to `now` so the delta read at completion is exact (state after sync()
     // is bit-identical to what submit() below would produce anyway).
     sr.container->sync();
-    v.exec_begin = now;
     v.exec_share0 = sr.container->share_integral_ns();
   }
 
@@ -218,7 +215,7 @@ void Application::on_own_work_done(VisitKey key) {
       span.request_id = v.request_id;
       span.kind = SpanKind::kExec;
       span.container = sr.container->id();
-      span.begin = v.exec_begin;
+      span.begin = v.arrive;
       span.end = cluster_.sim().now();
       // We run inside the container's completion handler: the share
       // integral is already advanced to now, so the delta is exact.
@@ -237,7 +234,6 @@ void Application::on_own_work_done(VisitKey key) {
     const std::size_t n = spec.children.size();
     for (std::size_t i = 0; i < n; ++i) begin_child(key, i);
   } else {
-    v.next_child = 0;
     begin_child(key, 0);
   }
 }
@@ -345,15 +341,14 @@ void Application::on_child_reply(VisitKey key, std::size_t child_idx) {
   if (const auto next = sr.child_pools[child_idx].release()) {
     on_conn_granted(child_idx, *next);
   }
-  Visit& v = visits_.at(key);
 
   if (sr.spec->fanout == FanoutMode::kParallel) {
-    if (--v.pending_children == 0) reply(key);
+    if (--visits_.at(key).pending_children == 0) reply(key);
     return;
   }
-  v.next_child = child_idx + 1;
-  if (v.next_child < sr.spec->children.size()) {
-    begin_child(key, v.next_child);
+  // Sequential fan-out: the next child follows the one that replied.
+  if (child_idx + 1 < sr.spec->children.size()) {
+    begin_child(key, child_idx + 1);
   } else {
     reply(key);
   }
@@ -369,7 +364,7 @@ void Application::reply(VisitKey key) {
   rec.arrive = v.arrive;
   rec.depart = now;
   rec.conn_wait = v.conn_wait;
-  rec.time_from_start = v.time_from_start;
+  rec.time_from_start = v.arrive - v.start_time;  // eq. 5 at ingress
   rec.upscale_hint = v.arrived_upscale > 0;
   sr.metrics.record_visit(rec);
 
@@ -403,7 +398,6 @@ void Application::reply(VisitKey key) {
   pkt.traced = v.traced;
 
   if (sr.index == 0) {
-    --in_flight_;
     ++requests_completed_;
     entry_requests_.erase(v.request_id);
   }

@@ -117,7 +117,7 @@ class Application {
   /// deliveries of a still-in-flight entry request (client retransmissions,
   /// packet-dup faults) are absorbed by the frontend's idempotency dedup
   /// and do not count; a duplicate arriving after completion re-executes.
-  int in_flight() const { return in_flight_; }
+  int in_flight() const { return static_cast<int>(entry_requests_.size()); }
 
   std::uint64_t requests_completed() const { return requests_completed_; }
 
@@ -158,17 +158,14 @@ class Application {
     RequestId request_id = 0;
     int service = 0;
     TimePoint start_time;         // end-to-end job start (pkt.startTime)
-    TimePoint arrive;
-    Duration time_from_start;     // observed progress at ingress (eq. 5)
+    TimePoint arrive;             // also the own-work exec segment start
     Duration conn_wait;           // timeWaitingForFreeConn accumulator
     int arrived_upscale = 0;      // pkt.upscale on the incoming request
     ReplyAddress reply_to;
-    std::size_t next_child = 0;   // sequential fan-out cursor
     int pending_children = 0;     // parallel fan-out join counter
 
     // --- trace context (sg::trace) ---
     bool traced = false;          // propagated from the incoming packet
-    TimePoint exec_begin;         // own-work exec segment start
     double exec_share0 = 0.0;     // container share integral at segment open
   };
 
@@ -202,11 +199,11 @@ class Application {
   MetricsPlane& metrics_plane_;
   AppSpec spec_;
   RpcRetryPolicy retry_;
-  Rng rng_;
-  // Per-service work-draw streams, forked from rng_ in service order. Each
-  // service's draw sequence depends only on its own request order. The
-  // streams are pinned by the committed fingerprints: drawing from one
-  // shared stream instead would change results.
+  // Per-service work-draw streams, forked in service order from one fork of
+  // the simulator's stream that the constructor takes. Each service's draw
+  // sequence depends only on its own request order. The streams are pinned
+  // by the committed fingerprints: drawing from one shared stream instead
+  // would change results.
   std::vector<Rng> service_rngs_;
 
   std::vector<ServiceRuntime> services_;
@@ -218,7 +215,6 @@ class Application {
   // Client request ids with an entry visit in flight (frontend idempotency).
   std::unordered_set<RequestId> entry_requests_;
 
-  int in_flight_ = 0;
   std::uint64_t requests_completed_ = 0;
   std::uint64_t rpc_retries_ = 0;
   std::uint64_t rpc_failures_ = 0;

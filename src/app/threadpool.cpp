@@ -6,8 +6,7 @@ namespace sg {
 
 bool ConnectionPool::acquire(Waiter w) {
   ++total_acquisitions_;
-  if (unbounded() || free_ > 0) {
-    if (!unbounded()) --free_;
+  if (unbounded() || in_use_ < capacity_) {
     ++in_use_;
     return true;
   }
@@ -25,10 +24,6 @@ std::optional<ConnectionPool::Waiter> ConnectionPool::release() {
     return next;
   }
   --in_use_;
-  if (!unbounded()) {
-    ++free_;
-    SG_ASSERT(free_ <= capacity_);
-  }
   return std::nullopt;
 }
 

@@ -26,7 +26,7 @@ class ConnectionPool {
   };
 
   /// capacity < 0 means unbounded (connection-per-request model).
-  explicit ConnectionPool(int capacity) : capacity_(capacity), free_(capacity) {}
+  explicit ConnectionPool(int capacity) : capacity_(capacity) {}
 
   bool unbounded() const { return capacity_ < 0; }
 
@@ -50,7 +50,6 @@ class ConnectionPool {
 
  private:
   int capacity_;
-  int free_;
   int in_use_ = 0;
   std::deque<Waiter> waiters_;
   std::uint64_t total_acquisitions_ = 0;

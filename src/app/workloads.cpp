@@ -46,8 +46,6 @@ WorkloadInfo make_chain() {
   w.family = "CHAIN";
   w.action = "chain";
   w.base_rate_rps = 10000.0;
-  w.paper_depth = 5;
-  w.paper_threadpool_size = 512;
   w.spec.name = "CHAIN";
   w.spec.threading = ThreadingModel::kFixedThreadPool;
   w.spec.rpc = RpcStyle::kThrift;
@@ -70,8 +68,6 @@ WorkloadInfo make_social_read_user_timeline() {
   w.family = "socialNetwork";
   w.action = "readUserTimeline";
   w.base_rate_rps = 2000.0;
-  w.paper_depth = 5;
-  w.paper_threadpool_size = 512;
   w.spec.name = "socialNetwork.readUserTimeline";
   w.spec.threading = ThreadingModel::kFixedThreadPool;
   w.spec.rpc = RpcStyle::kThrift;
@@ -102,8 +98,6 @@ WorkloadInfo make_social_compose_post() {
   w.family = "socialNetwork";
   w.action = "composePost";
   w.base_rate_rps = 2000.0;
-  w.paper_depth = 8;
-  w.paper_threadpool_size = 512;
   w.spec.name = "socialNetwork.composePost";
   w.spec.threading = ThreadingModel::kFixedThreadPool;
   w.spec.rpc = RpcStyle::kThrift;
@@ -135,8 +129,6 @@ WorkloadInfo make_hotel_search() {
   w.family = "hotelReservation";
   w.action = "searchHotel";
   w.base_rate_rps = 2000.0;
-  w.paper_depth = 11;
-  w.paper_threadpool_size = -1;  // connection-per-request
   w.spec.name = "hotelReservation.searchHotel";
   w.spec.threading = ThreadingModel::kConnectionPerRequest;
   w.spec.rpc = RpcStyle::kGrpc;
@@ -168,8 +160,6 @@ WorkloadInfo make_hotel_recommend() {
   w.family = "hotelReservation";
   w.action = "recommendHotel";
   w.base_rate_rps = 2000.0;
-  w.paper_depth = 5;
-  w.paper_threadpool_size = -1;
   w.spec.name = "hotelReservation.recommendHotel";
   w.spec.threading = ThreadingModel::kConnectionPerRequest;
   w.spec.rpc = RpcStyle::kGrpc;
@@ -192,15 +182,14 @@ std::vector<WorkloadInfo> workload_catalog() {
           make_hotel_recommend()};
 }
 
-WorkloadInfo workload_by_name(const std::string& name) {
+std::optional<WorkloadInfo> workload_by_name(std::string_view name) {
   for (WorkloadInfo& w : workload_catalog()) {
     if (name == w.action || name == w.family + "." + w.action ||
         name == w.family) {
       return w;
     }
   }
-  SG_ASSERT_MSG(false, ("unknown workload: " + name).c_str());
-  __builtin_unreachable();
+  return std::nullopt;
 }
 
 }  // namespace sg

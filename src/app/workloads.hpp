@@ -16,7 +16,9 @@
 // point.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/task_graph.hpp"
@@ -32,10 +34,6 @@ struct WorkloadInfo {
   /// Initial logical cores per service ("highest steady-state throughput"
   /// allocation, paper §V).
   std::vector<int> initial_cores;
-
-  /// Table III metadata as the paper reports it.
-  int paper_depth = 0;
-  int paper_threadpool_size = 512;  // -1 rendered as infinity
 
   /// Workload family and action names.
   std::string family;
@@ -65,7 +63,8 @@ WorkloadInfo make_hotel_recommend();
 /// All five Table III rows, in the paper's order.
 std::vector<WorkloadInfo> workload_catalog();
 
-/// Lookup by "<family>.<action>" or bare action name; aborts on unknown.
-WorkloadInfo workload_by_name(const std::string& name);
+/// Lookup by "<family>.<action>", bare action or family name; nullopt when
+/// no catalog workload goes by `name`.
+std::optional<WorkloadInfo> workload_by_name(std::string_view name);
 
 }  // namespace sg

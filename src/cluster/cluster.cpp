@@ -13,7 +13,9 @@ NodeId Cluster::add_node(int total_logical_cores, int reserved_cores) {
 
 Container& Cluster::add_container(const std::string& name, NodeId node_id,
                                   int initial_cores) {
-  SG_ASSERT_MSG(by_name_.count(name) == 0, "duplicate container name");
+  for (const auto& c : containers_) {
+    SG_ASSERT_MSG(c->name() != name, "duplicate container name");
+  }
   SG_ASSERT(node_id >= 0 && static_cast<std::size_t>(node_id) < nodes_.size());
   const ContainerId id = static_cast<ContainerId>(containers_.size());
   Container::Params params;
@@ -24,7 +26,6 @@ Container& Cluster::add_container(const std::string& name, NodeId node_id,
   containers_.push_back(std::make_unique<Container>(sim_, std::move(params)));
   Container* c = containers_.back().get();
   nodes_[static_cast<std::size_t>(node_id)]->attach(c);
-  by_name_.emplace(name, id);
   return *c;
 }
 

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/container.hpp"
@@ -59,7 +58,6 @@ class Cluster {
   Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Container>> containers_;
-  std::unordered_map<std::string, ContainerId> by_name_;
 };
 
 }  // namespace sg

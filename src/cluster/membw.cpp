@@ -23,7 +23,7 @@ double MemBwDomain::compute_factor() const {
 void MemBwDomain::on_member_activity_changed() {
   if (resyncing_) return;  // re-entrant notification from a resync itself
   const double next = compute_factor();
-  if (std::abs(next - factor_) < params_.hysteresis &&
+  if (std::abs(next - factor_) < kHysteresis &&
       !(next == 1.0 && factor_ != 1.0)) {
     return;
   }

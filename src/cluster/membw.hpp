@@ -37,12 +37,13 @@ class MemBwDomain {
     /// could be added per container; a node-wide average captures the
     /// contention effect the controllers see).
     double demand_per_busy_core_gbs = 6.0;
-    /// Recompute threshold: factor changes smaller than this do not trigger
-    /// a domain-wide resync (keeps event counts bounded).
-    double hysteresis = 0.01;
 
     bool operator==(const Params&) const = default;
   };
+
+  /// Recompute threshold: factor changes smaller than this do not trigger
+  /// a domain-wide resync (keeps event counts bounded).
+  static constexpr double kHysteresis = 0.01;
 
   explicit MemBwDomain(Params params) : params_(params) {}
 

@@ -87,14 +87,10 @@ struct KeyRow {
 constexpr KeyRow kKeys[] = {
     {"workload",
      [](Value v, Out out) -> Why {
-       for (const WorkloadInfo& w : workload_catalog()) {
-         if (v == w.action || v == w.family ||
-             v == w.family + "." + w.action) {
-           out.workload = w;
-           return {};
-         }
-       }
-       return "unknown workload";
+       auto w = workload_by_name(v);
+       if (!w) return "unknown workload";
+       out.workload = std::move(*w);
+       return {};
      }},
     {"controller",
      [](Value v, Out out) -> Why {

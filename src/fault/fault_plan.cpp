@@ -67,6 +67,51 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// `num` units of `unit_ns` ns each, rounded to the nearest ns; nullopt
+/// when that does not fit in a Duration.
+std::optional<Duration> to_duration(double num, double unit_ns) {
+  const double ns = num * unit_ns;
+  if (!Duration::fits(ns)) return std::nullopt;
+  return Duration{static_cast<std::int64_t>(std::round(ns))};
+}
+
+/// `x` in %g form at the fewest significant digits, 6 (%g's default) or
+/// more, that `reads_back` accepts; at 17 digits when none is accepted.
+template <typename ReadsBack>
+std::string shortest_g(double x, ReadsBack reads_back) {
+  char buf[32];
+  for (int digits = 6; digits <= 17; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, x);
+    if (reads_back(buf)) break;
+  }
+  return buf;
+}
+
+/// A rate or factor, printed so that strtod reads back the same double.
+std::string format_number(double x) {
+  return shortest_g(x, [x](const char* s) {
+    return std::strtod(s, nullptr) == x;
+  });
+}
+
+/// A duration in units of `unit_ns`, printed so that parse() reads back the
+/// same ns count. From about 2^52 ns up, the quotient can miss every double
+/// that parse() maps to `d` by an ulp or two, so the doubles up to 4 ulps
+/// either side are tried too.
+std::string format_duration(Duration d, double unit_ns) {
+  const auto reads_back = [d, unit_ns](const char* s) {
+    return to_duration(std::strtod(s, nullptr), unit_ns) == d;
+  };
+  const double x = static_cast<double>(d.ns()) / unit_ns;
+  double y = x;
+  for (int i = 0; i < 4; ++i) y = std::nextafter(y, -HUGE_VAL);
+  for (int i = 0; i <= 8; ++i, y = std::nextafter(y, HUGE_VAL)) {
+    std::string s = shortest_g(y, reads_back);
+    if (reads_back(s.c_str())) return s;
+  }
+  return shortest_g(x, reads_back);  // a window built in code, > 2^53 ns
+}
+
 }  // namespace
 
 std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
@@ -114,10 +159,10 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
       if (endp == val.c_str() || *endp != '\0') return invalid("not a number");
       if (!std::isfinite(num)) return invalid("must be a finite number");
       if (key == "start_ms" || key == "len_ms" || key == "extra_us") {
-        // Truncated to whole ns; a zero len_ms is left to validate().
-        const double ns = num * (key == "extra_us" ? 1e3 : 1e6);
-        if (!Duration::fits(ns)) return invalid("does not fit in a duration");
-        const Duration d{static_cast<std::int64_t>(ns)};
+        // Rounded to the nearest ns; a zero len_ms is left to validate().
+        const auto rounded = to_duration(num, key == "extra_us" ? 1e3 : 1e6);
+        if (!rounded) return invalid("does not fit in a duration");
+        const Duration d = *rounded;
         if (d < Duration::zero()) return invalid("must be >= 0");
         if (key == "start_ms") {
           w.start = TimePoint::at(d);
@@ -195,32 +240,25 @@ bool FaultPlan::validate(std::string* error) const {
 
 std::string FaultPlan::to_string() const {
   std::string out;
-  char buf[160];
   for (const FaultWindow& w : windows_) {
     if (!out.empty()) out += ";";
     out += sg::to_string(w.kind);
-    std::snprintf(buf, sizeof(buf), ":start_ms=%g,len_ms=%g",
-                  w.start.since_origin().millis(), (w.end - w.start).millis());
-    out += buf;
+    out += ":start_ms=" + format_duration(w.start.since_origin(), 1e6);
+    out += ",len_ms=" + format_duration(w.end - w.start, 1e6);
     switch (w.kind) {
       case FaultKind::kPacketDrop:
       case FaultKind::kPacketDup:
-        std::snprintf(buf, sizeof(buf), ",rate=%g", w.rate);
-        out += buf;
+        out += ",rate=" + format_number(w.rate);
         break;
       case FaultKind::kPacketDelay:
-        std::snprintf(buf, sizeof(buf), ",extra_us=%g",
-                      w.extra_delay.micros());
-        out += buf;
+        out += ",extra_us=" + format_duration(w.extra_delay, 1e3);
         break;
       case FaultKind::kNodeSlowdown:
-        std::snprintf(buf, sizeof(buf), ",factor=%g,node=%d", w.factor,
-                      w.node);
-        out += buf;
+        out += ",factor=" + format_number(w.factor);
+        out += ",node=" + std::to_string(w.node);
         break;
       case FaultKind::kNodeFreeze:
-        std::snprintf(buf, sizeof(buf), ",node=%d", w.node);
-        out += buf;
+        out += ",node=" + std::to_string(w.node);
         break;
       case FaultKind::kControllerStall:
         break;

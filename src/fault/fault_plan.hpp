@@ -73,11 +73,11 @@ class FaultPlan {
   ///
   /// Each window takes only the keys its kind reads: start_ms and len_ms
   /// always, rate on drop/dup, extra_us on delay, factor on slow and node
-  /// on slow/freeze. Every value must be a finite number: times must fit a
-  /// Duration (and so must start_ms + len_ms), rate lie in [0, 1], factor
-  /// in (0, 1], and node be an integer >= -1. Returns nullopt and fills
-  /// `error`, naming the key and the value (or the key and the kind), on
-  /// malformed specs.
+  /// on slow/freeze. Every value must be a finite number: times, rounded to
+  /// the nearest ns, must fit a Duration (and so must start_ms + len_ms),
+  /// rate lie in [0, 1], factor in (0, 1], and node be an integer >= -1.
+  /// Returns nullopt and fills `error`, naming the key and the value (or
+  /// the key and the kind), on malformed specs.
   static std::optional<FaultPlan> parse(const std::string& spec,
                                         std::string* error = nullptr);
 
@@ -93,7 +93,9 @@ class FaultPlan {
   /// (0,1], delay >= 0); fills `error` on the first violation.
   bool validate(std::string* error = nullptr) const;
 
-  /// Serializes back to the spec grammar parse() accepts (round-trips).
+  /// Serializes back to the spec grammar parse() accepts: each value with
+  /// the fewest significant digits, at least 6, that parse back to it, so
+  /// parse(p.to_string()) == p for every plan parse() returns.
   std::string to_string() const;
 
   /// --- point queries (used by the injector's wire hook) ---

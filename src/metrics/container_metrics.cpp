@@ -14,7 +14,6 @@ void ContainerRuntimeMetrics::record_visit(const VisitRecord& rec) {
   conn_wait_.add(static_cast<double>(rec.conn_wait.ns()));
   time_from_start_.add(static_cast<double>(rec.time_from_start.ns()));
   hint_in_window_ = hint_in_window_ || rec.upscale_hint;
-  ++total_visits_;
   lifetime_exec_metric_.add(static_cast<double>(rec.exec_metric().ns()));
   lifetime_time_from_start_.add(static_cast<double>(rec.time_from_start.ns()));
 }

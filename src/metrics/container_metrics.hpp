@@ -67,7 +67,9 @@ class ContainerRuntimeMetrics {
   MetricsSnapshot flush(TimePoint now);
 
   /// Lifetime counters (profiling / sanity checks).
-  std::uint64_t total_visits() const { return total_visits_; }
+  std::uint64_t total_visits() const {
+    return static_cast<std::uint64_t>(lifetime_exec_metric_.count());
+  }
   double lifetime_avg_exec_metric_ns() const { return lifetime_exec_metric_.peek(); }
   double lifetime_avg_time_from_start_ns() const {
     return lifetime_time_from_start_.peek();
@@ -80,7 +82,6 @@ class ContainerRuntimeMetrics {
   WindowedMean conn_wait_;
   WindowedMean time_from_start_;
   bool hint_in_window_ = false;
-  std::uint64_t total_visits_ = 0;
   WindowedMean lifetime_exec_metric_;     // never flushed; used by profiling
   WindowedMean lifetime_time_from_start_;
 };

@@ -60,6 +60,7 @@ void Network::schedule_delivery(int src_node, Sender& from,
       (static_cast<std::uint64_t>(src_node + 2) << 40) | from.seq++;
   auto delivery = [this, pkt]() { deliver(pkt); };
   // One of these per packet: keep the closure inside its event slot.
+  static_assert(sizeof(RpcPacket) == 64);
   static_assert(EventQueue::Callback::stores_inline<decltype(delivery)>);
   sim_.schedule_at_ranked(sim_.now() + latency, rank, std::move(delivery));
 }
@@ -74,14 +75,12 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
   if (pkt.traced) pkt.sent_at = sim_.now();
   const PacketFate fate =
       fault_hook_ != nullptr ? fault_hook_->on_send(pkt) : PacketFate{};
-  if (fate.drop) {
-    // Lost on the wire: neither rx hooks nor the receiver ever see it.
-    ++packets_dropped_;
-    return;
-  }
+  // Lost on the wire: neither rx hooks nor the receiver ever see it. Drops
+  // and duplicates are counted where they are decided, in the fault hook
+  // (FaultInjector's FaultStats).
+  if (fate.drop) return;
   schedule_delivery(src_node, from, pkt, fate.extra_delay);
   if (fate.duplicate) {
-    ++packets_duplicated_;
     // The duplicate travels independently: its own latency draw (plus the
     // same fault delay), its own delivery, its own trip through the rx hook
     // chain.

@@ -103,8 +103,6 @@ class Network {
   int node_count() const { return static_cast<int>(senders_.size()) - 1; }
 
   std::uint64_t packets_delivered() const { return packets_delivered_; }
-  std::uint64_t packets_dropped() const { return packets_dropped_; }
-  std::uint64_t packets_duplicated() const { return packets_duplicated_; }
 
  private:
   struct Sender {
@@ -127,8 +125,6 @@ class Network {
   Receiver client_receiver_;
   PacketFaultHook* fault_hook_ = nullptr;
   std::uint64_t packets_delivered_ = 0;
-  std::uint64_t packets_dropped_ = 0;
-  std::uint64_t packets_duplicated_ = 0;
 };
 
 }  // namespace sg

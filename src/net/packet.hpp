@@ -54,10 +54,6 @@ struct RpcPacket {
   /// Downstream upscale hint; > 0 means "consider upscaling the receiver".
   int upscale = 0;
 
-  /// Modeled payload size (for potential bandwidth extensions; latency model
-  /// currently treats packets as small RPCs).
-  std::uint32_t payload_bytes = 256;
-
   // --- trace context (sg::trace) ---
 
   /// Propagated across hops: this request's spans are being recorded.

@@ -4,6 +4,31 @@
 
 namespace sg {
 
+namespace {
+
+/// Calls `add(value, length)` for each segment of `points` clipped to
+/// [t0, t1] that has a positive length, in time order.
+template <typename Add>
+void for_each_segment(const std::vector<StepTimeline::Point>& points,
+                      TimePoint t0, TimePoint t1, Add add) {
+  if (t1 <= t0) return;
+  // Start at the segment in effect at t0.
+  auto it = std::upper_bound(
+      points.begin(), points.end(), t0,
+      [](TimePoint lhs, const auto& p) { return lhs < p.time; });
+  if (it != points.begin()) --it;
+  for (; it != points.end(); ++it) {
+    const TimePoint seg_start = std::max(it->time, t0);
+    const TimePoint seg_end =
+        (std::next(it) == points.end()) ? t1
+                                        : std::min(std::next(it)->time, t1);
+    if (seg_start >= t1) break;
+    if (seg_end > seg_start) add(it->value, seg_end - seg_start);
+  }
+}
+
+}  // namespace
+
 StepTimeline::StepTimeline(double initial) {
   points_.push_back({TimePoint::origin(), initial});
 }
@@ -28,22 +53,10 @@ double StepTimeline::at(TimePoint t) const {
 }
 
 double StepTimeline::integrate(TimePoint t0, TimePoint t1) const {
-  if (t1 <= t0) return 0.0;
   double acc = 0.0;
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t0,
-      [](TimePoint lhs, const Point& p) { return lhs < p.time; });
-  if (it != points_.begin()) --it;
-  for (; it != points_.end(); ++it) {
-    const TimePoint seg_start = std::max(it->time, t0);
-    const TimePoint seg_end =
-        (std::next(it) == points_.end()) ? t1
-                                         : std::min(std::next(it)->time, t1);
-    if (seg_start >= t1) break;
-    if (seg_end > seg_start) {
-      acc += it->value * static_cast<double>((seg_end - seg_start).ns());
-    }
-  }
+  for_each_segment(points_, t0, t1, [&](double value, Duration len) {
+    acc += value * static_cast<double>(len.ns());
+  });
   return acc;
 }
 
@@ -54,47 +67,20 @@ double StepTimeline::average(TimePoint t0, TimePoint t1) const {
 
 double StepTimeline::integrate_above(TimePoint t0, TimePoint t1,
                                      double threshold) const {
-  if (t1 <= t0) return 0.0;
   double acc = 0.0;
-  // Locate the first segment that overlaps [t0, t1].
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t0,
-      [](TimePoint lhs, const Point& p) { return lhs < p.time; });
-  if (it != points_.begin()) --it;
-  for (; it != points_.end(); ++it) {
-    const TimePoint seg_start = std::max(it->time, t0);
-    const TimePoint seg_end =
-        (std::next(it) == points_.end()) ? t1
-                                         : std::min(std::next(it)->time, t1);
-    if (seg_start >= t1) break;
-    if (seg_end > seg_start) {
-      const double excess = it->value - threshold;
-      if (excess > 0.0) {
-        acc += excess * static_cast<double>((seg_end - seg_start).ns());
-      }
-    }
-  }
+  for_each_segment(points_, t0, t1, [&](double value, Duration len) {
+    const double excess = value - threshold;
+    if (excess > 0.0) acc += excess * static_cast<double>(len.ns());
+  });
   return acc;
 }
 
 Duration StepTimeline::time_above(TimePoint t0, TimePoint t1,
                                   double threshold) const {
-  if (t1 <= t0) return Duration::zero();
   Duration acc;
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t0,
-      [](TimePoint lhs, const Point& p) { return lhs < p.time; });
-  if (it != points_.begin()) --it;
-  for (; it != points_.end(); ++it) {
-    const TimePoint seg_start = std::max(it->time, t0);
-    const TimePoint seg_end =
-        (std::next(it) == points_.end()) ? t1
-                                         : std::min(std::next(it)->time, t1);
-    if (seg_start >= t1) break;
-    if (seg_end > seg_start && it->value > threshold) {
-      acc += seg_end - seg_start;
-    }
-  }
+  for_each_segment(points_, t0, t1, [&](double value, Duration len) {
+    if (value > threshold) acc += len;
+  });
   return acc;
 }
 

@@ -47,7 +47,6 @@ void LoadGenerator::schedule_next_arrival() {
 void LoadGenerator::issue_request() {
   const RequestId id = next_request_++;
   const TimePoint now = sim_.now();
-  ++issued_;
   SG_ASSERT(id == window_base_ + outstanding_.size());
   Outstanding& o = outstanding_.emplace_back();
   ++outstanding_count_;
@@ -154,7 +153,7 @@ void LoadGenerator::on_response(const RpcPacket& pkt) {
 LoadGenResults LoadGenerator::results() {
   vv_.finalize(sim_.now());
   LoadGenResults r;
-  r.issued = issued_;
+  r.issued = next_request_ - 1;  // request ids count from 1
   r.completed = completed_in_window_;
   r.completed_total = completed_total_;
   r.retries = retries_;

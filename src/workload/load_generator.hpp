@@ -118,7 +118,6 @@ class LoadGenerator {
   ViolationVolumeTracker vv_;
 
   RequestId next_request_ = 1;
-  std::uint64_t issued_ = 0;
   std::uint64_t completed_in_window_ = 0;
   std::uint64_t completed_total_ = 0;
   std::uint64_t retries_ = 0;

@@ -51,18 +51,9 @@ double ViolationVolumeTracker::violation_volume_ms_s(TimePoint t0,
 double ViolationVolumeTracker::violation_duration_fraction(TimePoint t0,
                                                            TimePoint t1) const {
   if (t1 <= t0) return 0.0;
-  double above = 0.0;
-  const auto& pts = series_.points();
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const TimePoint seg_start = std::max(pts[i].time, t0);
-    const TimePoint seg_end =
-        (i + 1 < pts.size()) ? std::min(pts[i + 1].time, t1) : t1;
-    if (seg_start >= t1) break;
-    if (seg_end > seg_start && pts[i].value > static_cast<double>(qos_.ns())) {
-      above += static_cast<double>((seg_end - seg_start).ns());
-    }
-  }
-  return above / static_cast<double>((t1 - t0).ns());
+  const Duration above =
+      series_.time_above(t0, t1, static_cast<double>(qos_.ns()));
+  return static_cast<double>(above.ns()) / static_cast<double>((t1 - t0).ns());
 }
 
 }  // namespace sg

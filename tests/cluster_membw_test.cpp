@@ -128,18 +128,20 @@ TEST(MemBwTest, CompletionInstantExactAcrossFactorChanges) {
 }
 
 TEST(MemBwTest, JoiningAContendedDomainSlowsAtOnce) {
-  // x's four busy cores halve the factor when the domain is enabled at 200;
+  // x's 50 busy cores halve the factor when the domain is enabled at 200;
   // y joins next, and its extra core moves the factor by less than the
-  // hysteresis, so no resync follows: y's rate must take the domain's 0.5
-  // on joining. vtime 200 at the join, the last 800 take 1600.
-  MemBwDomain::Params p = tight_bw();
-  p.hysteresis = 0.3;
+  // hysteresis (0.5 to 25/51), so no resync follows: y's rate must take the
+  // domain's 0.5 on joining. vtime 200 at the join, the last 800 take 1600.
+  MemBwDomain::Params p;
+  p.node_bw_gbs = 25.0;              // 25 busy cores saturate
+  p.demand_per_busy_core_gbs = 1.0;
+  ASSERT_LT(0.5 - 25.0 / 51.0, MemBwDomain::kHysteresis);
   Simulator sim;
   Cluster cluster(sim);
-  cluster.add_node(64, 19);
-  Container& x = cluster.add_container("x", 0, 4);
+  cluster.add_node(128, 19);
+  Container& x = cluster.add_container("x", 0, 50);
   Container& y = cluster.add_container("y", 0, 1);
-  for (int i = 0; i < 4; ++i) x.submit(1e9, []() {});
+  for (int i = 0; i < 50; ++i) x.submit(1e9, []() {});
   TimePoint done = TimePoint::infinity();
   y.submit(1000.0, [&]() { done = sim.now(); });
   sim.schedule_at(TimePoint{200}, [&]() {
@@ -154,7 +156,6 @@ TEST(MemBwTest, HysteresisSuppressesTinyChanges) {
   MemBwDomain::Params p;
   p.node_bw_gbs = 100.0;
   p.demand_per_busy_core_gbs = 1.0;  // essentially never contended
-  p.hysteresis = 0.01;
   Simulator sim;
   Cluster cluster(sim);
   cluster.add_node(64, 19);

@@ -221,14 +221,30 @@ TEST(FaultInjectorTest, DelayWindowIsHalfOpenAtSendTime) {
 }
 
 TEST(FaultPlanTest, ToStringRoundTrips) {
-  std::string error;
-  const auto plan = FaultPlan::parse(kAllKindsPlan, &error);
-  ASSERT_TRUE(plan.has_value()) << error;
-  const std::string rendered = plan->to_string();
-  const auto reparsed = FaultPlan::parse(rendered, &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_EQ(reparsed->to_string(), rendered);
-  EXPECT_EQ(reparsed->windows().size(), plan->windows().size());
+  // The last three need more than %g's 6 significant digits.
+  for (const char* spec :
+       {kAllKindsPlan, "drop:start_ms=1234567,len_ms=10,rate=0.1",
+        "slow:node=0,start_ms=0,len_ms=1,factor=0.123456789",
+        "delay:start_ms=1234.567891,len_ms=0.000001,extra_us=9007199254.7"}) {
+    std::string error;
+    const auto plan = FaultPlan::parse(spec, &error);
+    ASSERT_TRUE(plan.has_value()) << spec << ": " << error;
+    const std::string rendered = plan->to_string();
+    const auto reparsed = FaultPlan::parse(rendered, &error);
+    ASSERT_TRUE(reparsed.has_value()) << rendered << ": " << error;
+    EXPECT_EQ(*reparsed, *plan) << spec << " echoes as " << rendered;
+    EXPECT_EQ(reparsed->to_string(), rendered);
+  }
+}
+
+TEST(FaultPlanTest, TimesRoundToTheNearestNanosecond) {
+  const auto plan = FaultPlan::parse(
+      "delay:start_ms=1234.567891,len_ms=0.0000006,extra_us=0.0004");
+  ASSERT_TRUE(plan.has_value());
+  const FaultWindow& w = plan->windows().front();
+  EXPECT_EQ(w.start, TimePoint{1'234'567'891});
+  EXPECT_EQ(w.end - w.start, Duration::ns(1));
+  EXPECT_EQ(w.extra_delay, Duration::zero());
 }
 
 TEST(FaultPlanTest, RejectsMalformedSpecs) {

@@ -26,7 +26,7 @@ ExperimentResult run_steady(const WorkloadInfo& w, double rate_frac,
 class KneeTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(KneeTest, LatencyMonotoneInLoad) {
-  const WorkloadInfo w = workload_by_name(GetParam());
+  const WorkloadInfo w = *workload_by_name(GetParam());
   const ProfileResult profile = profile_workload(w, 1);
   double prev_mean = 0.0;
   for (double frac : {0.3, 0.6, 1.0, 1.3}) {
@@ -42,7 +42,7 @@ TEST_P(KneeTest, BaseRateIsBelowTheKnee) {
   // to the low-load tail; at 1.7x base, some service saturates (util > 1)
   // and the tail blows past it. (With wrk2-style deterministic pacing the
   // knee sits close to the saturation point.)
-  const WorkloadInfo w = workload_by_name(GetParam());
+  const WorkloadInfo w = *workload_by_name(GetParam());
   const ProfileResult profile = profile_workload(w, 1);
   const ExperimentResult at_base = run_steady(w, 1.0, profile);
   const ExperimentResult past = run_steady(w, 1.7, profile);

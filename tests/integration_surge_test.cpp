@@ -26,7 +26,7 @@ ExperimentConfig surge_config(const WorkloadInfo& w, ControllerKind kind) {
 class SurgeOrderingTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SurgeOrderingTest, SurgeGuardBeatsPartiesOnViolationVolume) {
-  const WorkloadInfo w = workload_by_name(GetParam());
+  const WorkloadInfo w = *workload_by_name(GetParam());
   const ProfileResult profile = profile_workload(w, 1);
   const ExperimentResult parties =
       run_experiment(surge_config(w, ControllerKind::kParties), profile);
@@ -38,7 +38,7 @@ TEST_P(SurgeOrderingTest, SurgeGuardBeatsPartiesOnViolationVolume) {
 }
 
 TEST_P(SurgeOrderingTest, ThroughputPreservedByAllControllers) {
-  const WorkloadInfo w = workload_by_name(GetParam());
+  const WorkloadInfo w = *workload_by_name(GetParam());
   const ProfileResult profile = profile_workload(w, 1);
   for (ControllerKind kind :
        {ControllerKind::kParties, ControllerKind::kSurgeGuard}) {

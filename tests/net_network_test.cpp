@@ -191,7 +191,6 @@ TEST(NetworkFaultTest, DroppedPacketInvisibleToHooksAndReceiver) {
   // Lost on the wire: neither the rx hook chain nor the receiver sees it.
   EXPECT_EQ(rx_hook.seen.size(), 0u);
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(net.packets_dropped(), 1u);
   EXPECT_EQ(net.packets_delivered(), 0u);
 }
 
@@ -216,7 +215,6 @@ TEST(NetworkFaultTest, DuplicatedPacketTraversesHookChainOncePerDelivery) {
   EXPECT_EQ(received, 2);
   EXPECT_EQ(a.seen.size(), 2u);
   EXPECT_EQ(b.seen.size(), 2u);
-  EXPECT_EQ(net.packets_duplicated(), 1u);
   EXPECT_EQ(net.packets_delivered(), 2u);
 }
 
@@ -238,7 +236,6 @@ TEST(NetworkFaultTest, ExtraDelayShiftsDeliveryAndHooksSeeDelayedCopy) {
   // The delayed packet is still delivered (and hooked) exactly once.
   EXPECT_EQ(rx_hook.seen.size(), 1u);
   EXPECT_EQ(net.packets_delivered(), 1u);
-  EXPECT_EQ(net.packets_dropped(), 0u);
 }
 
 TEST(NetworkFaultTest, ClearingFaultHookRestoresCleanDelivery) {
@@ -254,7 +251,6 @@ TEST(NetworkFaultTest, ClearingFaultHookRestoresCleanDelivery) {
   sim.run_to_completion();
   EXPECT_EQ(fault.consulted, 0);
   EXPECT_EQ(received, 1);
-  EXPECT_EQ(net.packets_dropped(), 0u);
 }
 
 TEST(NetworkTest, PacketMetadataPreserved) {
