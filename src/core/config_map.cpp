@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -51,15 +50,6 @@ Why read_rounded(Value v, double per_second, Duration& field) {
   if (Why why = read(v, x); !why.empty()) return why;
   if (!Duration::fits(x / per_second * 1e9)) return kNotADuration;
   field = Duration::seconds(x / per_second);
-  return {};
-}
-
-/// A duration given in units of `unit_ns` ns, truncated to whole ns.
-Why read_truncated(Value v, double unit_ns, Duration& field) {
-  double x = 0.0;
-  if (Why why = read(v, x); !why.empty()) return why;
-  if (!Duration::fits(x * unit_ns)) return kNotADuration;
-  field = Duration{static_cast<std::int64_t>(x * unit_ns)};
   return {};
 }
 
@@ -192,7 +182,7 @@ constexpr KeyRow kKeys[] = {
      [](Value v, Out out) { return read(v, out.rpc_retry.enabled); }},
     {"retry.timeout_ms",
      [](Value v, Out out) {
-       return read_truncated(v, 1e6, out.rpc_retry.timeout);
+       return read_rounded(v, 1e3, out.rpc_retry.timeout);
      }},
     {"retry.backoff",
      [](Value v, Out out) { return read(v, out.rpc_retry.backoff); }},
@@ -213,8 +203,13 @@ constexpr KeyRow kKeys[] = {
        return read_positive(v, membw(out).demand_per_busy_core_gbs);
      }},
     {"ideal.detection_delay_ms",
-     [](Value v, Out out) {
-       return read_truncated(v, 1e6, out.ideal_detection_delay);
+     [](Value v, Out out) -> Why {
+       if (Why why = read_rounded(v, 1e3, out.ideal_detection_delay);
+           !why.empty()) {
+         return why;
+       }
+       return out.ideal_detection_delay >= Duration::zero() ? ""
+                                                            : "must be >= 0";
      }},
     {"trace.enabled",
      [](Value v, Out out) { return read(v, out.trace_enabled); }},
@@ -258,7 +253,7 @@ bool is_target_key(std::string_view key) {
 
 /// A per-service target: <name> must be a service of the selected workload,
 /// and the value a time that fits a Duration and is at least 1 ns
-/// (apply_target_overrides truncates to whole ns; a 0 ns time-from-start
+/// (apply_target_overrides rounds to the nearest ns; a 0 ns time-from-start
 /// would make every packet a violation).
 Why check_target(const std::string& key, Value v,
                  const WorkloadInfo& workload) {
@@ -356,10 +351,7 @@ int apply_target_overrides(const Config& cfg, const WorkloadInfo& workload,
     if (!exec && !tfs) continue;
     ContainerTargets& t = targets->per_container[static_cast<int>(i)];
     if (exec) t.expected_exec_metric_ns = *exec * 1e3;
-    if (tfs) {
-      t.expected_time_from_start =
-          Duration{static_cast<std::int64_t>(*tfs * 1e3)};
-    }
+    if (tfs) t.expected_time_from_start = Duration::seconds(*tfs / 1e6);
     ++overridden;
   }
   return overridden;

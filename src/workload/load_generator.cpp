@@ -126,9 +126,7 @@ void LoadGenerator::on_response(const RpcPacket& pkt) {
   const Outstanding* o = find_outstanding(pkt.request_id);
   if (o == nullptr) {
     // Response for a request already completed (dup faults / a retransmit
-    // race) or already abandoned. Counted, not recorded: one completion per
-    // request.
-    ++duplicate_responses_;
+    // race) or already abandoned. Ignored: one completion per request.
     return;
   }
   if (o->timer != kInvalidEvent) sim_.cancel(o->timer);
@@ -158,7 +156,6 @@ LoadGenResults LoadGenerator::results() {
   r.completed_total = completed_total_;
   r.retries = retries_;
   r.dropped = dropped_;
-  r.duplicate_responses = duplicate_responses_;
   r.outstanding = outstanding_count_;
   r.violation_volume_ms_s =
       vv_.violation_volume_ms_s(measure_start(), measure_end());

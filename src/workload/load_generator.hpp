@@ -49,7 +49,6 @@ struct LoadGenResults {
   std::uint64_t completed_total = 0;  // completions over the whole run
   std::uint64_t retries = 0;    // client retransmissions
   std::uint64_t dropped = 0;    // requests abandoned (retries exhausted)
-  std::uint64_t duplicate_responses = 0;  // extra responses (dup faults)
   /// Requests issued but neither completed nor abandoned when results()
   /// was read. Zero at drain is the request-conservation invariant:
   /// issued == completed_total + dropped + outstanding.
@@ -122,7 +121,6 @@ class LoadGenerator {
   std::uint64_t completed_total_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t duplicate_responses_ = 0;
   // Request ids are issued sequentially, so the outstanding requests are a
   // window: entry i is request window_base_ + i, and the front is live. A
   // request that never completes (loss without retry) holds the window open

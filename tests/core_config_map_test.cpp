@@ -232,6 +232,8 @@ TEST(ConfigMapTest, InvalidValuesFail) {
   expect_rejected("duration_s = 0\n", "duration_s", "0");
   expect_rejected("drain_s = -1\n", "drain_s", "-1");
   expect_rejected("[surge]\nlen_ms = -5\n", "surge.len_ms", "-5");
+  expect_rejected("[ideal]\ndetection_delay_ms = -5\n",
+                  "ideal.detection_delay_ms", "-5");
   expect_rejected("[membw]\nnode_bw_gbs = -5\n", "membw.node_bw_gbs", "-5");
   // A zero surge length stays valid: it turns surges off.
   const auto cfg =
@@ -422,6 +424,24 @@ expected_time_from_start_us = 425
   EXPECT_DOUBLE_EQ(targets.of(1).expected_exec_metric_ns, 1000.0);
 }
 
+TEST(ConfigMapTest, DurationsRoundToTheNearestNanosecond) {
+  // Each value times its unit lands just below a whole ns in double:
+  // 17102.888956 ms is 17102888955.99... ns and 1.005 us 1004.99... ns.
+  const auto cfg = experiment_from_config(
+      parse("[retry]\ntimeout_ms = 17102.888956\n"
+            "[ideal]\ndetection_delay_ms = 17102.888956\n"),
+      nullptr);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->rpc_retry.timeout, Duration::ns(17'102'888'956));
+  EXPECT_EQ(cfg->ideal_detection_delay, Duration::ns(17'102'888'956));
+
+  TargetMap targets;
+  apply_target_overrides(
+      parse("[service.chain-1]\nexpected_time_from_start_us = 1.005\n"),
+      make_chain(), &targets);
+  EXPECT_EQ(targets.of(1).expected_time_from_start, Duration::ns(1005));
+}
+
 TEST(ConfigMapTest, PartialTargetOverride) {
   const WorkloadInfo w = make_chain();
   TargetMap targets;
@@ -446,7 +466,7 @@ TEST(ConfigMapTest, MalformedTargetOverrideRejected) {
        "'1e300' for key 'service.chain-1.expected_time_from_start_us'"},
       {"[service.chain-1]\nexpected_exec_metric_us = 0\n",
        "'0' for key 'service.chain-1.expected_exec_metric_us'"},
-      // 0.4 ns would truncate to a 0 ns time-from-start.
+      // 0.4 ns would round to a 0 ns time-from-start.
       {"[service.chain-1]\nexpected_time_from_start_us = 0.0004\n",
        "'0.0004' for key 'service.chain-1.expected_time_from_start_us'"},
   };

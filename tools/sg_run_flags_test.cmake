@@ -26,6 +26,8 @@ file(WRITE ${WORK_DIR}/duration_zero.cfg "workload = chain\nduration_s = 0\n")
 file(WRITE ${WORK_DIR}/drain.cfg "workload = chain\ndrain_s = -1\n")
 file(WRITE ${WORK_DIR}/period.cfg "workload = chain\n[surge]\nperiod_s = 0\n")
 file(WRITE ${WORK_DIR}/len.cfg "workload = chain\n[surge]\nlen_ms = -5\n")
+file(WRITE ${WORK_DIR}/detection_delay.cfg
+     "workload = chain\ncontroller = ideal\n[ideal]\ndetection_delay_ms = -5\n")
 file(WRITE ${WORK_DIR}/sample.cfg "workload = chain\n[trace]\nsample = 1.5\n")
 file(WRITE ${WORK_DIR}/capacity.cfg "workload = chain\n[trace]\ncapacity = 0\n")
 file(WRITE ${WORK_DIR}/unknown.cfg "workload = chain\n[retry]\ntimout_s = 5\n")
@@ -64,6 +66,7 @@ set(cases
   "drain.cfg|'-1' for key 'drain_s'|"
   "period.cfg|'0' for key 'surge.period_s'|"
   "len.cfg|'-5' for key 'surge.len_ms'|"
+  "detection_delay.cfg|'-5' for key 'ideal.detection_delay_ms'|"
   "sample.cfg|'1.5' for key 'trace.sample'|"
   "capacity.cfg|'0' for key 'trace.capacity'|"
   "unknown.cfg|unknown config key 'retry.timout_s'|"
