@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "app/task_graph.hpp"
@@ -28,7 +28,7 @@ namespace sg {
 /// without any knowledge of the application internals.
 struct AppTopology {
   /// Immediate downstream container ids per container id.
-  std::unordered_map<int, std::vector<int>> downstream;
+  std::map<int, std::vector<int>> downstream;
   /// Entry container id.
   int entry = 0;
 
@@ -213,7 +213,7 @@ class Application {
   SlotArena<Visit> visits_;
   SlotArena<PendingCall> calls_;  // handle = the RPC's call_id
   // Client request ids with an entry visit in flight (frontend idempotency).
-  std::unordered_set<RequestId> entry_requests_;
+  std::set<RequestId> entry_requests_;
 
   std::uint64_t requests_completed_ = 0;
   std::uint64_t rpc_retries_ = 0;

@@ -16,6 +16,7 @@ void FirstResponder::start() {
     }
     slack_limit_[slot] = kSlackMargin * targets.expected_time_from_start;
   }
+  frozen_until_.assign(slack_limit_.size(), TimePoint::origin());
   network_.add_rx_hook(env_.node->id(), this);
 }
 
@@ -39,9 +40,8 @@ void FirstResponder::on_packet(const RpcPacket& pkt) {
 
   // Path freeze: one boost per path per window bounds update churn.
   const TimePoint now = env_.sim->now();
-  const auto frozen = frozen_until_.find(pkt.dst_container);
-  if (frozen != frozen_until_.end() && now < frozen->second) return;
-  frozen_until_[pkt.dst_container] = now + freeze_window_;
+  if (now < frozen_until_[slot]) return;
+  frozen_until_[slot] = now + freeze_window_;
 
   // Coordinator enqueues; worker applies the boost off the critical path.
   const int target = pkt.dst_container;

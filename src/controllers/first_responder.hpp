@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "controllers/controller.hpp"
@@ -73,8 +72,9 @@ class FirstResponder final : public Controller, public RxHook {
   /// Duration::infinity() for a container without targets. Built by
   /// start(), so the per-packet check is one vector load.
   std::vector<Duration> slack_limit_;
-  /// Per-container "do not touch until" timestamps.
-  std::unordered_map<int, TimePoint> frozen_until_;
+  /// Per-container "do not touch until" timestamps, indexed like
+  /// slack_limit_; TimePoint::origin() for a container never frozen.
+  std::vector<TimePoint> frozen_until_;
 
   std::uint64_t packets_inspected_ = 0;
   std::uint64_t violations_detected_ = 0;

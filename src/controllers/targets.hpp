@@ -9,7 +9,7 @@
 // profiles at low load and sets targets to 2x the measured values.
 #pragma once
 
-#include <unordered_map>
+#include <map>
 
 #include "common/time.hpp"
 
@@ -25,7 +25,7 @@ struct ContainerTargets {
 /// Targets per container id, plus application-level context derived in the
 /// same profiling pass.
 struct TargetMap {
-  std::unordered_map<int, ContainerTargets> per_container;
+  std::map<int, ContainerTargets> per_container;
 
   /// Expected end-to-end latency at the profiled operating point (used for
   /// FirstResponder's path-freeze window, ~2x of this).

@@ -339,6 +339,12 @@ std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
   return out;
 }
 
+std::vector<std::string_view> config_keys() {
+  std::vector<std::string_view> keys;
+  for (const KeyRow& row : kKeys) keys.emplace_back(row.key);
+  return keys;
+}
+
 int apply_target_overrides(const Config& cfg, const WorkloadInfo& workload,
                            TargetMap* targets) {
   int overridden = 0;

@@ -10,7 +10,8 @@
 // profiling").
 //
 // The settable keys are the rows of one table, kKeys in config_map.cpp
-// (sample_config at the repository root documents each), plus the
+// (config_keys() lists them; sample_config at the repository root documents
+// each, and a test checks it), plus the
 // per-service target pattern
 //   service.<name>.expected_exec_metric_us
 //   service.<name>.expected_time_from_start_us
@@ -24,6 +25,8 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/config.hpp"
 #include "core/experiment.hpp"
@@ -38,6 +41,10 @@ namespace sg {
 /// policy: ...`).
 std::optional<ExperimentConfig> experiment_from_config(const Config& cfg,
                                                        std::string* error);
+
+/// The keys of kKeys, in row order (the service.<name>.* target keys are a
+/// pattern, not rows, so they are not listed).
+std::vector<std::string_view> config_keys();
 
 /// Applies user-pinned per-service targets from `service.<name>.*` keys on
 /// top of a profiled TargetMap (unpinned services keep profiled values).

@@ -189,8 +189,8 @@ expected_time_from_start_us = 425.5
   EXPECT_EQ(targets.of(1).expected_time_from_start, Duration::ns(425'500));
 }
 
-// sample_config documents every key; it parses as shipped and with every
-// commented example turned on.
+// sample_config parses as shipped and with every commented example turned
+// on.
 TEST(ConfigMapTest, SampleConfigParses) {
   const std::string shipped = test::sample_config_text();
   std::string err;
@@ -210,6 +210,18 @@ TEST(ConfigMapTest, SampleConfigParses) {
   EXPECT_EQ(full.get_string("trace.out"), "trace.json");
   TargetMap targets;
   EXPECT_EQ(apply_target_overrides(full, all->workload, &targets), 1);
+}
+
+// Every row of the key table has a line in sample_config, commented or not.
+TEST(ConfigMapTest, SampleConfigDocumentsEveryKey) {
+  const Config full =
+      parse(test::uncomment_examples(test::sample_config_text()));
+  const std::vector<std::string_view> keys = config_keys();
+  ASSERT_FALSE(keys.empty());
+  EXPECT_EQ(keys.front(), "workload");  // row order
+  for (const std::string_view key : keys) {
+    EXPECT_TRUE(full.has(std::string(key))) << key;
+  }
 }
 
 TEST(ConfigMapTest, UnknownWorkloadFails) {

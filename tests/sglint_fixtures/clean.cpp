@@ -3,31 +3,21 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace fixture {
-
-// Lookup-only unordered use is fine (no traversal, no hash-order exposure).
-int lookup(const std::unordered_map<int, int>& m, int k) {
-  const auto it = m.find(k);
-  return it == m.end() ? 0 : it->second;
-}
 
 // Banned words as identifier fragments are not findings.
 int randomize_nothing(int operand) { return operand + 0; }
 int timer_slack(int time_budget) { return time_budget; }
 
 // Banned words inside strings and comments are invisible to the rules:
-// new, delete, rand(), std::chrono::steady_clock::now().
+// new, delete, rand(), std::chrono::steady_clock::now(), unordered_map.
 std::string comment_and_string_trap() {
-  return "new delete rand() srand system_clock steady_clock";
+  return "new delete rand() srand system_clock steady_clock unordered_set";
 }
 
-// Ordered iteration — including FP accumulation — is deterministic. (The
-// container uses a name of its own: D1 tracks names file-wide, so reusing
-// the name of an unordered container elsewhere in the file would flag this
-// loop too — sg-lint errs toward over-reporting.)
+// Ordered iteration — including FP accumulation — is deterministic.
 double ordered_sum(const std::map<std::string, double>& ordered) {
   double total = 0.0;
   for (const auto& [k, v] : ordered) total += v;

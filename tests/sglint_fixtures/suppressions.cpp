@@ -1,44 +1,38 @@
 // sg-lint fixture: suppression semantics. A justified allow() silences the
 // finding on its target line; an allow() without a reason is itself a
 // finding (A0) and suppresses nothing.
+#include <thread>
 #include <unordered_map>
-#include <vector>
+#include <unordered_set>
 
 namespace fixture {
 
-int justified_whole_line(const std::unordered_map<int, int>& m) {
-  int total = 0;
-  // sglint: allow(D1) summation is order-independent (verified by test)
-  for (const auto& [k, v] : m) total += v;
-  return total;
-}
+// sglint: allow(D1) a fixture line: the whole-line form governs the next line
+using Lookup = std::unordered_map<int, int>;
 
-std::vector<int> justified_trailing(const std::unordered_map<int, int>& m) {
-  std::vector<int> keys;
-  for (const auto& [k, v] : m) keys.push_back(k);  // sglint: allow(D1) keys are sorted by the caller
-  return keys;
+void justified_trailing() {
+  std::thread worker([] {});  // sglint: allow(D5) independent replications
+  worker.join();
 }
 
 // The parser accepts a space before '(' and lowercase rule ids; either
 // spelling still needs a reason.
-int spaced_and_lowercase(const std::unordered_map<int, int>& m) {
-  int total = 0;
-  // sglint: allow (D1) summation is order-independent (verified by test)
-  for (const auto& [k, v] : m) total += v;
-  // sglint: allow(d1) summation is order-independent (verified by test)
-  for (const auto& [k, v] : m) total += k;
+void spaced_and_lowercase() {
+  // sglint: allow (D1) a fixture line: spaced form with a reason
+  std::unordered_set<int> spaced;
+  // sglint: allow(d5) independent replications, no shared simulator state
+  std::thread lowercase([] {});
   // sglint: expect(A0)
   // sglint: allow (d1)
-  for (const auto& [k, v] : m) total -= v;  // sglint: expect(D1)
-  return total;
+  std::unordered_map<int, int> unexplained;  // sglint: expect(D1)
+  lowercase.join();
 }
 
-int unjustified(const std::unordered_map<int, int>& m) {
-  int total = 0;
+void unjustified() {
   // sglint: expect(A0)
-  // sglint: allow(D1)
-  for (const auto& [k, v] : m) total += v;  // sglint: expect(D1)
-  return total;
+  // sglint: allow(D5)
+  std::thread t([] {});  // sglint: expect(D5)
+  t.join();
 }
 
 }  // namespace fixture

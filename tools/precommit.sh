@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Pre-commit gate: sg-lint (determinism and hygiene rules D1-D5, H1, A0) and
-# clang-format --dry-run over the staged C++ files only. Wire it up with
+# Pre-commit gate: sg-lint (determinism and hygiene rules D1, D2, D4, D5,
+# H1, A0) and clang-format --dry-run over the staged C++ files only. Wire it
+# up with
 #
 #   ln -s ../../tools/precommit.sh .git/hooks/pre-commit
 #

@@ -23,17 +23,18 @@
 // and writes a Chrome trace_event JSON (open in Perfetto / chrome://tracing)
 // to --trace-out. --trace, --trace-sample and --trace-out set the
 // trace.enabled, trace.sample and trace.out keys, so a flag value is checked
-// like the key's. Traces are byte-identical for a fixed seed.
+// like the key's. Traces are byte-identical for a fixed seed. With tracing
+// on, trace.out is opened before profiling, so an unwritable path exits 2 at
+// once. parse_run_flags (src/core/run_flags.hpp) reads the flags.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
 #include "core/config_map.hpp"
+#include "core/run_flags.hpp"
 #include "trace/export.hpp"
 
 using namespace sg;
@@ -88,46 +89,20 @@ int main(int argc, char** argv) {
     print_usage(argv[0], stderr);
     return 2;
   }
-  bool histogram = false, quiet = false;
-  // Flags that override config keys, applied over the file's values.
-  std::vector<std::pair<const char*, const char*>> overrides;
-  for (int i = 2; i < argc; ++i) {
-    const auto needs_value = [&](const char* flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--histogram") == 0) {
-      histogram = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
-      overrides.emplace_back("fault.plan", needs_value("--fault-plan"));
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      overrides.emplace_back("trace.enabled", "true");
-    } else if (std::strcmp(argv[i], "--trace-sample") == 0) {
-      // A sample rate or an output path implies --trace.
-      overrides.emplace_back("trace.enabled", "true");
-      overrides.emplace_back("trace.sample", needs_value("--trace-sample"));
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      overrides.emplace_back("trace.enabled", "true");
-      overrides.emplace_back("trace.out", needs_value("--trace-out"));
-    } else {
-      std::fprintf(stderr, "error: unknown flag '%s' (see --help)\n",
-                   argv[i]);
-      return 2;
-    }
+  std::string error;
+  const auto flags =
+      parse_run_flags(std::vector<std::string>(argv + 2, argv + argc), &error);
+  if (!flags) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
   }
 
-  std::string error;
   auto file_cfg = Config::load(argv[1], &error);
   if (!file_cfg) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  for (const auto& [key, value] : overrides) file_cfg->set(key, value);
+  for (const auto& [key, value] : flags->overrides) file_cfg->set(key, value);
   auto cfg = experiment_from_config(*file_cfg, &error);
   if (!cfg) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -135,7 +110,19 @@ int main(int argc, char** argv) {
   }
   const std::string trace_path =
       file_cfg->get_string("trace.out", "trace.json");
+  // Opened before the run, so an unwritable path fails in milliseconds
+  // instead of after the whole experiment.
+  std::ofstream trace_out;
+  if (cfg->trace_enabled) {
+    trace_out.open(trace_path, std::ios::binary);
+    if (!trace_out) {
+      std::fprintf(stderr, "error: cannot write trace.out '%s'\n",
+                   trace_path.c_str());
+      return 2;
+    }
+  }
 
+  const bool quiet = flags->quiet;
   if (!quiet) {
     std::printf("workload:   %s @ %.0f rps (%s, %s)\n",
                 cfg->workload.spec.name.c_str(), cfg->workload.base_rate_rps,
@@ -202,7 +189,7 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  if (histogram) print_histogram(r.load);
+  if (flags->histogram) print_histogram(r.load);
 
   if (r.trace) {
     const TraceReport& tr = *r.trace;
@@ -228,13 +215,8 @@ int main(int argc, char** argv) {
     std::printf("\nCritical paths of the slowest requests:\n");
     critical_path_table(tr, 3).print();
 
-    std::ofstream out(trace_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    out << chrome_trace_json(tr);
-    out.close();
+    trace_out << chrome_trace_json(tr);
+    trace_out.close();
     std::printf(
         "\nwrote %s (load in Perfetto / chrome://tracing to inspect)\n",
         trace_path.c_str());

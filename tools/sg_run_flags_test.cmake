@@ -43,10 +43,12 @@ file(WRITE ${WORK_DIR}/service_wide.cfg
 # Each case: config file, then the name the error must mention, then flags.
 # A range error must name the value and the key; a flag that sets a config
 # key names that key; a fault-plan key that its window's kind does not read
-# must name the key and the kind.
+# must name the key and the kind. An unwritable trace.out fails before the
+# experiment runs.
 set(cases
   "valid.cfg|'abc' for key 'trace.sample'|--trace-sample abc"
   "valid.cfg|'1.5' for key 'trace.sample'|--trace-sample 1.5"
+  "valid.cfg|trace.out '/nonexistent/dir/t.json'|--trace-out /nonexistent/dir/t.json"
   "nodes.cfg|nodes|"
   "duration.cfg|duration_s|"
   "trace.cfg|trace.enabled|"

@@ -1,19 +1,18 @@
 // sg-lint rule engine: project determinism invariants as named, suppressible
 // checks over the token stream produced by lexer.hpp.
 //
-//   D1  no iteration over std::unordered_map / std::unordered_set —
-//       hash-order iteration is the canonical source of run-to-run
-//       divergence in decision and export paths. Lookups (find/count/at/[])
-//       are fine; range-for and .begin()/.cbegin() are not.
+//   D1  no hash containers: every identifier token unordered_map,
+//       unordered_set, unordered_multimap or unordered_multiset is a
+//       finding, qualified or not. Their iteration order follows the hash,
+//       the bucket count and the library version, the canonical source of
+//       run-to-run divergence; banning the type means no iteration of one
+//       can slip past the rule. Use std::map/std::set or a dense vector. An
+//       alias is flagged where it is spelled.
 //   D2  no ambient randomness or wall-clock reads in simulation code: all
 //       randomness flows through sg::Rng, all time through the simulator
 //       clock. Bans std::random_device, rand, srand, std::time,
 //       system_clock/steady_clock/high_resolution_clock, clock_gettime,
 //       gettimeofday, timespec_get.
-//   D3  no float/double keys or values in unordered containers — FP
-//       accumulation in hash order is order-sensitive even without explicit
-//       iteration (rehash changes bucket walk of internal operations, and
-//       any future iteration silently inherits the hazard).
 //   D4  no raw new/delete outside src/common/ — ownership goes through
 //       containers and smart pointers; raw allocation in sim code has
 //       repeatedly been the source of leak-driven address reuse, which
@@ -31,6 +30,9 @@
 //       string. An unexplained suppression is itself a finding, so the
 //       requirement cannot be bypassed silently.
 //
+// D3 (float/double in a hash container) is retired and its id is not
+// reused: D1's ban covers every line it could flag.
+//
 // Unit safety (TimePoint/Duration mixing, bare integers as times, narrowing
 // a quantity to a number, dimension mismatches) is not a lint rule: the
 // quantity types in src/common/time.hpp make each of those a compile error,
@@ -39,10 +41,10 @@
 // Suppression syntax (trailing comment governs its own line, a whole-line
 // comment governs the next line):
 //
-//   code();  // sglint: allow(D1) hash map is snapshot-sorted two lines down
+//   std::thread t(run);  // sglint: allow(D5) independent replications
 //
 // The reason text is mandatory; rule lists may be comma-separated. Spaces
-// before '(' and lowercase rule ids (`allow (d1)`) are accepted.
+// before '(' and lowercase rule ids (`allow (d5)`) are accepted.
 #pragma once
 
 #include <algorithm>
@@ -130,13 +132,6 @@ inline std::vector<Directive> parse_directives(
 
 class RuleEngine {
  public:
-  /// Seeds the unordered-name set from another file's tokens — used to make
-  /// data members declared in a .cpp's paired header visible when linting
-  /// the .cpp (the header reports its own D3 findings when linted itself).
-  void seed_declarations(const LexResult& lex) {
-    collect_unordered_decls(lex.tokens, /*report_d3=*/false);
-  }
-
   /// `relative_path` decides path-scoped rules (D4 exempts src/common/).
   std::vector<Finding> run(const std::string& relative_path,
                            const LexResult& lex) {
@@ -144,8 +139,7 @@ class RuleEngine {
     findings_.clear();
     const std::vector<Directive> directives = parse_directives(lex.comments);
 
-    collect_unordered_decls(lex.tokens, /*report_d3=*/true);
-    rule_d1_iteration(lex.tokens);
+    rule_d1_hash_containers(lex.tokens);
     rule_d2_time_and_rng(lex.tokens);
     rule_d4_raw_new_delete(lex.tokens);
     rule_d5_threading_primitives(lex.tokens);
@@ -166,146 +160,22 @@ class RuleEngine {
     findings_.push_back({file_, line, rule, message});
   }
 
-  static bool is_ident(const std::string& t) {
-    return !t.empty() && (std::isalpha(static_cast<unsigned char>(t[0])) ||
-                          t[0] == '_');
-  }
-
   bool ends_with(const std::string& s, const std::string& suffix) const {
     return s.size() >= suffix.size() &&
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
   }
 
-  /// Skips a balanced <...> starting at tokens[i] == "<". Returns the index
-  /// one past the closing ">", collecting the argument tokens.
-  static std::size_t skip_template_args(const std::vector<Token>& toks,
-                                        std::size_t i,
-                                        std::vector<std::string>* args) {
-    int depth = 0;
-    for (; i < toks.size(); ++i) {
-      const std::string& t = toks[i].text;
-      if (t == "<") {
-        ++depth;
-      } else if (t == ">") {
-        if (--depth == 0) return i + 1;
-      } else if (depth > 0 && args != nullptr) {
-        args->push_back(t);
-      }
-    }
-    return i;
-  }
-
-  /// Pass 1: names declared with an unordered container type (variables and
-  /// data members, including `using` aliases and declarations through them);
-  /// also fires D3 when the template arguments contain float/double. Names
-  /// accumulate across calls so seed_declarations() can contribute.
-  void collect_unordered_decls(const std::vector<Token>& toks,
-                               bool report_d3) {
-    std::set<std::string> aliases;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const std::string& t = toks[i].text;
-      if (t != "unordered_map" && t != "unordered_set" &&
-          t != "unordered_multimap" && t != "unordered_multiset") {
-        continue;
-      }
-      const int decl_line = toks[i].line;
-      std::size_t j = i + 1;
-      std::vector<std::string> targs;
-      if (j < toks.size() && toks[j].text == "<") {
-        j = skip_template_args(toks, j, &targs);
-      }
-      if (report_d3 &&
-          (std::find(targs.begin(), targs.end(), "float") != targs.end() ||
-           std::find(targs.begin(), targs.end(), "double") != targs.end())) {
-        add(decl_line, "D3",
-            "float/double in an unordered container: accumulation order "
-            "follows hash order; use std::map or an ordered snapshot");
-      }
-      // `using Alias = std::unordered_map<...>` — remember the alias so
-      // declarations through it are tracked too.
-      if (i >= 2 && toks[i - 1].text == "::" && toks[i - 2].text == "std" &&
-          i >= 4 && toks[i - 3].text == "=" && is_ident(toks[i - 4].text)) {
-        if (i >= 5 && toks[i - 5].text == "using") {
-          aliases.insert(toks[i - 4].text);
-          continue;
-        }
-      }
-      // Declarator names: `std::unordered_map<K,V> a, *b, &c;`. A name
-      // followed by '(' is a function returning the container — returning
-      // one is fine, iterating it is what D1 polices at the call site.
-      while (j < toks.size()) {
-        const std::string& d = toks[j].text;
-        if (d == "*" || d == "&" || d == "const") {
-          ++j;
-          continue;
-        }
-        if (!is_ident(d)) break;
-        const bool is_function =
-            j + 1 < toks.size() && toks[j + 1].text == "(";
-        if (!is_function) unordered_names_.insert(d);
-        ++j;
-        if (j < toks.size() && toks[j].text == ",") {
-          ++j;
-          continue;
-        }
-        break;
-      }
-    }
-    // Second sweep: declarations through recorded aliases.
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (aliases.count(toks[i].text) == 0) continue;
-      std::size_t j = i + 1;
-      while (j < toks.size() && (toks[j].text == "*" || toks[j].text == "&" ||
-                                 toks[j].text == "const")) {
-        ++j;
-      }
-      if (j < toks.size() && is_ident(toks[j].text) &&
-          !(j + 1 < toks.size() && toks[j + 1].text == "(")) {
-        unordered_names_.insert(toks[j].text);
-      }
-    }
-  }
-
-  /// D1: range-for over an unordered-declared name, or .begin()/.cbegin()
-  /// on one (feeding iterator loops, std algorithms, or bulk-copy
-  /// constructors — every spelling of "walk it in hash order").
-  void rule_d1_iteration(const std::vector<Token>& toks) {
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (toks[i].text == "for" && toks[i + 1].text == "(") {
-        std::size_t colon = 0;
-        int depth = 0;
-        std::size_t close = toks.size();
-        for (std::size_t j = i + 1; j < toks.size(); ++j) {
-          const std::string& t = toks[j].text;
-          if (t == "(") ++depth;
-          if (t == ")" && --depth == 0) {
-            close = j;
-            break;
-          }
-          if (t == ":" && depth == 1 && colon == 0) colon = j;
-          if (t == ";" && depth == 1) break;  // classic for, not range-for
-        }
-        if (colon != 0) {
-          for (std::size_t j = colon + 1; j < close; ++j) {
-            if (unordered_names_.count(toks[j].text) != 0) {
-              add(toks[i].line, "D1",
-                  "iteration over unordered container '" + toks[j].text +
-                      "': order is hash-dependent; use std::map or a "
-                      "sorted snapshot");
-              break;
-            }
-          }
-        }
-      }
-      if ((toks[i + 1].text == "begin" || toks[i + 1].text == "cbegin") &&
-          i + 2 < toks.size() && toks[i + 2].text == "(" &&
-          toks[i].text == "." && i >= 1 &&
-          unordered_names_.count(toks[i - 1].text) != 0) {
-        add(toks[i].line, "D1",
-            "begin() on unordered container '" + toks[i - 1].text +
-                "': traversal order is hash-dependent; use std::map or a "
-                "sorted snapshot");
-      }
+  /// D1: hash containers, qualified or not.
+  void rule_d1_hash_containers(const std::vector<Token>& toks) {
+    static const std::set<std::string> kHashContainers = {
+        "unordered_map", "unordered_set", "unordered_multimap",
+        "unordered_multiset"};
+    for (const Token& t : toks) {
+      if (kHashContainers.count(t.text) == 0) continue;
+      add(t.line, "D1",
+          "'" + t.text +
+              "': hash containers iterate in hash order; use std::map, "
+              "std::set or a dense vector");
     }
   }
 
@@ -450,7 +320,6 @@ class RuleEngine {
   }
 
   std::string file_;
-  std::set<std::string> unordered_names_;
   std::vector<Finding> findings_;
 };
 

@@ -4,8 +4,9 @@
 // rests on — bit-reproducible runs for a fixed seed — as named, suppressible
 // rules (see rules.hpp for the rule table). The compile-time half is
 // src/common/poison.hpp, which makes the D2 symbols fail the build outright;
-// sg-lint covers what the preprocessor cannot see (iteration order, include
-// hygiene, allocation discipline) and reports precise lines.
+// sg-lint covers what the preprocessor cannot see (hash containers,
+// threading primitives, include hygiene, allocation discipline) and reports
+// precise lines. Every rule reads one file on its own.
 //
 // Usage:
 //   sglint [--selftest] <file-or-dir>...
@@ -112,21 +113,6 @@ FileReport lint_file(const fs::path& path) {
   sglint::Lexer lexer(src);
   const sglint::LexResult lex = lexer.run();
   sglint::RuleEngine engine;
-  // Data members are declared in the paired header and iterated in the
-  // .cpp: seed the declaration pass from the same-stem sibling header so
-  // D1 sees across that boundary.
-  if (path.extension() == ".cpp") {
-    for (const char* ext : {".hpp", ".h"}) {
-      const fs::path header = fs::path(path).replace_extension(ext);
-      if (fs::is_regular_file(header)) {
-        const std::string hdr_src = read_file(header);
-        sglint::Lexer hdr_lexer(hdr_src);
-        const sglint::LexResult hdr_lex = hdr_lexer.run();
-        engine.seed_declarations(hdr_lex);
-        break;
-      }
-    }
-  }
   report.findings = engine.run(report.display_path, lex);
   for (const sglint::Directive& d : sglint::parse_directives(lex.comments)) {
     if (d.kind == "expect") report.expects.push_back(d);
