@@ -9,12 +9,12 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "app/task_graph.hpp"
 #include "app/threadpool.hpp"
 #include "cluster/cluster.hpp"
+#include "common/request_window.hpp"
 #include "common/rng.hpp"
 #include "common/slot_arena.hpp"
 #include "metrics/container_metrics.hpp"
@@ -212,8 +212,10 @@ class Application {
 
   SlotArena<Visit> visits_;
   SlotArena<PendingCall> calls_;  // handle = the RPC's call_id
-  // Client request ids with an entry visit in flight (frontend idempotency).
-  std::set<RequestId> entry_requests_;
+  // Client request ids with an entry visit in flight (frontend idempotency):
+  // presence is all the dedup reads.
+  struct EntryInFlight {};
+  RequestWindow<EntryInFlight> entry_requests_;
 
   std::uint64_t requests_completed_ = 0;
   std::uint64_t rpc_retries_ = 0;

@@ -13,11 +13,10 @@
 
 #include <cstdint>
 
+#include "common/request_window.hpp"
 #include "common/time.hpp"
 
 namespace sg {
-
-using RequestId = std::uint64_t;
 
 /// Sentinel "container id" for the external client / load generator.
 inline constexpr int kClientEndpoint = -1;

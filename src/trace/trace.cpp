@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <tuple>
 #include <utility>
 
@@ -46,18 +45,6 @@ std::uint64_t mix64(std::uint64_t x) {
 /// Salt for the head-sampling hash (fixed, so runs stay comparable).
 constexpr std::uint64_t kSampleSalt = 0x53757267;
 
-/// Pending-table hash: 2^64 / golden ratio. Multiplying spreads sequential
-/// ids over the product's top bits, which index the table.
-constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
-
-/// Slots the pending table starts with.
-constexpr std::size_t kMinSlots = 16;
-
-/// An id's home slot in a table of 2^(64 - shift) slots.
-std::size_t home_slot(RequestId id, int shift) {
-  return static_cast<std::size_t>((id * kGolden) >> shift);
-}
-
 }  // namespace
 
 TraceSink::TraceSink(TraceOptions options) : options_(options) {
@@ -65,7 +52,6 @@ TraceSink::TraceSink(TraceOptions options) : options_(options) {
                     options_.head_sample_rate <= 1.0,
                 "head_sample_rate outside [0, 1]");
   SG_ASSERT_MSG(options_.capacity > 0, "trace capacity must be positive");
-  resize(kMinSlots);
 }
 
 bool TraceSink::head_sampled(RequestId id) const {
@@ -78,25 +64,20 @@ bool TraceSink::head_sampled(RequestId id) const {
 }
 
 bool TraceSink::begin_request(RequestId id, TimePoint now) {
-  if (pending_ >= options_.max_pending) {
+  if (pending_.size() >= options_.max_pending) {
     ++stats_.pending_overflow;
     return false;
   }
-  std::size_t slot = find(id);
-  if (slots_[slot].buffer == kEmpty) {
-    if (2 * (pending_ + 1) > slots_.size()) {
-      resize(2 * slots_.size());
-      slot = find(id);
-    }
+  const auto [buffer, inserted] = pending_.insert(id);
+  if (inserted) {
     if (free_.empty()) {
       free_.push_back(buffers_.size());
       buffers_.emplace_back();
     }
-    slots_[slot] = {id, free_.back()};
+    *buffer = free_.back();
     free_.pop_back();
-    ++pending_;
   }
-  RequestTrace& t = buffers_[slots_[slot].buffer];
+  RequestTrace& t = buffers_[*buffer];
   t.id = id;
   t.begin = now;
   t.head_sampled = head_sampled(id);
@@ -108,16 +89,16 @@ void TraceSink::add_span(const TraceSpan& span) {
   SG_ASSERT_MSG(span.begin >= TimePoint::origin(),
                 "trace span begins before the origin");
   SG_ASSERT_MSG(span.end >= span.begin, "trace span ends before it begins");
-  const std::size_t buffer = slots_[find(span.request_id)].buffer;
-  if (buffer == kEmpty) return;  // not recorded (sampled out / overflow)
-  buffers_[buffer].spans.push_back(span);
+  const std::size_t* buffer = pending_.find(span.request_id);
+  if (buffer == nullptr) return;  // not recorded (sampled out / overflow)
+  buffers_[*buffer].spans.push_back(span);
   ++stats_.spans_recorded;
 }
 
 void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
-  const std::size_t slot = find(id);
-  if (slots_[slot].buffer == kEmpty) return;
-  RequestTrace& t = buffers_[slots_[slot].buffer];
+  const std::size_t* buffer = pending_.find(id);
+  if (buffer == nullptr) return;
+  RequestTrace& t = buffers_[*buffer];
   t.end = now;
   t.latency = latency;
   t.slo_violation = slo_ > Duration::zero() && latency > slo_;
@@ -138,49 +119,20 @@ void TraceSink::end_request(RequestId id, TimePoint now, Duration latency) {
       ++stats_.traces_evicted;
     }
   }
-  release(slot);
+  release(id, *buffer);
 }
 
 void TraceSink::abandon_request(RequestId id) {
-  const std::size_t slot = find(id);
-  if (slots_[slot].buffer == kEmpty) return;
+  const std::size_t* buffer = pending_.find(id);
+  if (buffer == nullptr) return;
   ++stats_.requests_abandoned;
-  release(slot);
+  release(id, *buffer);
 }
 
-std::size_t TraceSink::find(RequestId id) const {
-  std::size_t i = home_slot(id, shift_);
-  while (slots_[i].buffer != kEmpty && slots_[i].id != id) i = (i + 1) & mask_;
-  return i;
-}
-
-void TraceSink::resize(std::size_t size) {
-  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
-  mask_ = size - 1;
-  shift_ = 64 - std::countr_zero(size);
-  for (const Slot& s : old) {
-    if (s.buffer != kEmpty) slots_[find(s.id)] = s;
-  }
-}
-
-void TraceSink::release(std::size_t slot) {
-  const std::size_t buffer = slots_[slot].buffer;
+void TraceSink::release(RequestId id, std::size_t buffer) {
   buffers_[buffer].spans.clear();
   free_.push_back(buffer);
-  --pending_;
-  // Backward shift: walk the probe run after the hole and move back each
-  // entry whose home does not lie cyclically in (hole, i], so every entry
-  // stays reachable from its home without tombstones.
-  std::size_t hole = slot;
-  for (std::size_t i = (hole + 1) & mask_; slots_[i].buffer != kEmpty;
-       i = (i + 1) & mask_) {
-    const std::size_t home = home_slot(slots_[i].id, shift_);
-    if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-      slots_[hole] = slots_[i];
-      hole = i;
-    }
-  }
-  slots_[hole].buffer = kEmpty;
+  pending_.erase(id);
 }
 
 void TraceSink::add_decision(const DecisionEvent& e) {

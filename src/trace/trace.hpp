@@ -32,9 +32,11 @@
 // byte-identical for a fixed seed. Tracing disabled costs one null-pointer
 // check at each instrumentation site.
 //
-// Memory is O(capacity + in-flight): kept traces live in a fixed-capacity
+// Memory is O(capacity + window span): kept traces live in a fixed-capacity
 // ring (oldest evicted), in-flight buffers are bounded by max_pending, and
-// decision events by max_decisions. Recording allocates nothing in steady
+// decision events by max_decisions. In-flight requests are found in a
+// RequestWindow by their dense id, one small entry per id between the
+// oldest and the newest in flight. Recording allocates nothing in steady
 // state: a finished request's span buffer is cleared and goes back on a
 // free list with its capacity, and the next begin_request takes the most
 // recently freed one, still in cache. A kept trace is copied into the
@@ -45,11 +47,10 @@
 #include <string>
 #include <vector>
 
+#include "common/request_window.hpp"
 #include "common/time.hpp"
 
 namespace sg {
-
-using RequestId = std::uint64_t;
 
 enum class SpanKind { kVisit, kExec, kConnWait, kNetHop };
 
@@ -173,6 +174,8 @@ class TraceSink {
 
   /// Opens a span buffer for a request. Returns false (and records nothing
   /// for this request) when max_pending in-flight buffers already exist.
+  /// Request ids must be dense (see RequestWindow); a repeated call for an
+  /// in-flight id keeps its spans.
   bool begin_request(RequestId id, TimePoint now);
 
   /// Appends a span to its request's buffer; ignored (O(1)) when the
@@ -197,7 +200,7 @@ class TraceSink {
 
   const TraceStats& stats() const { return stats_; }
   std::size_t kept_count() const { return kept_.size(); }
-  std::size_t pending_count() const { return pending_; }
+  std::size_t pending_count() const { return pending_.size(); }
 
   /// The report for export. It moves the kept traces and the decisions
   /// out, so it empties the sink: call it once, when recording is done.
@@ -207,32 +210,14 @@ class TraceSink {
   TraceReport report();
 
  private:
-  /// Marks a free slot of the pending table.
-  static constexpr std::size_t kEmpty = ~std::size_t{0};
-
-  /// One slot of the pending table: an in-flight request and the index of
-  /// its buffer in buffers_.
-  struct Slot {
-    RequestId id = 0;
-    std::size_t buffer = kEmpty;
-  };
-
-  /// The slot holding `id`, or the free slot that ends its probe run.
-  std::size_t find(RequestId id) const;
-  /// Rebuilds the pending table with `size` slots (a power of two).
-  void resize(std::size_t size);
-  /// Frees an occupied slot and its buffer (cleared, capacity kept).
-  void release(std::size_t slot);
+  /// Retires in-flight request `id` and frees its buffer (cleared,
+  /// capacity kept).
+  void release(RequestId id, std::size_t buffer);
 
   TraceOptions options_;
   Duration slo_;
-  /// Pending table: open addressing with linear probing, a multiplicative
-  /// hash of the id and backward-shift deletion (no tombstones); at most
-  /// half full.
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;  // slots_.size() - 1
-  int shift_ = 0;         // 64 - log2(slots_.size())
-  std::size_t pending_ = 0;
+  /// In-flight requests: the index of each one's buffer in buffers_.
+  RequestWindow<std::size_t> pending_;
   /// Span buffers, in flight or free; free_ lists the free ones, most
   /// recently freed last.
   std::vector<RequestTrace> buffers_;

@@ -47,9 +47,9 @@ void LoadGenerator::schedule_next_arrival() {
 void LoadGenerator::issue_request() {
   const RequestId id = next_request_++;
   const TimePoint now = sim_.now();
-  SG_ASSERT(id == window_base_ + outstanding_.size());
-  Outstanding& o = outstanding_.emplace_back();
-  ++outstanding_count_;
+  const auto [slot, fresh] = outstanding_.insert(id);
+  SG_ASSERT_MSG(fresh, "request id issued twice");
+  Outstanding& o = *slot;
   o.start = now;
   if (TraceSink* trace = sim_.trace_sink()) {
     // Head sampling happens here, at the root of the request: the decision
@@ -80,26 +80,9 @@ void LoadGenerator::send_request(RequestId id, TimePoint start_time,
   network_.send(kClientNode, pkt);
 }
 
-LoadGenerator::Outstanding* LoadGenerator::find_outstanding(RequestId id) {
-  if (id < window_base_ || id - window_base_ >= outstanding_.size()) {
-    return nullptr;
-  }
-  Outstanding& o = outstanding_[id - window_base_];
-  return o.live ? &o : nullptr;
-}
-
-void LoadGenerator::retire(RequestId id) {
-  outstanding_[id - window_base_].live = false;
-  --outstanding_count_;
-  while (!outstanding_.empty() && !outstanding_.front().live) {
-    outstanding_.pop_front();
-    ++window_base_;
-  }
-}
-
 void LoadGenerator::on_request_timeout(RequestId id) {
   // The response cancels this timer, so the request is still outstanding.
-  Outstanding* found = find_outstanding(id);
+  Outstanding* found = outstanding_.find(id);
   SG_ASSERT_MSG(found != nullptr, "timeout of a retired request");
   Outstanding& o = *found;
   if (o.attempt < options_.retry.max_retries) {
@@ -119,11 +102,11 @@ void LoadGenerator::on_request_timeout(RequestId id) {
   if (o.traced) {
     if (TraceSink* trace = sim_.trace_sink()) trace->abandon_request(id);
   }
-  retire(id);
+  outstanding_.erase(id);
 }
 
 void LoadGenerator::on_response(const RpcPacket& pkt) {
-  const Outstanding* o = find_outstanding(pkt.request_id);
+  const Outstanding* o = outstanding_.find(pkt.request_id);
   if (o == nullptr) {
     // Response for a request already completed (dup faults / a retransmit
     // race) or already abandoned. Ignored: one completion per request.
@@ -139,7 +122,7 @@ void LoadGenerator::on_response(const RpcPacket& pkt) {
       trace->end_request(pkt.request_id, now, latency);
     }
   }
-  retire(pkt.request_id);
+  outstanding_.erase(pkt.request_id);
   ++completed_total_;
   vv_.record_completion(now, latency);
   if (now >= measure_start() && now < measure_end()) {
@@ -156,7 +139,7 @@ LoadGenResults LoadGenerator::results() {
   r.completed_total = completed_total_;
   r.retries = retries_;
   r.dropped = dropped_;
-  r.outstanding = outstanding_count_;
+  r.outstanding = outstanding_.size();
   r.violation_volume_ms_s =
       vv_.violation_volume_ms_s(measure_start(), measure_end());
   r.violation_duration_frac =

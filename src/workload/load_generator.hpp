@@ -6,14 +6,16 @@
 // Arrivals are open-loop (requests are sent on schedule regardless of
 // completions), which is what makes queue buildup during surges visible,
 // and paced at a constant rate like wrk2's scheduler, so the arrival
-// sequence is a pure function of the pattern.
+// sequence is a pure function of the pattern. Request ids are issued in
+// order from 1, the dense ids RequestWindow needs: the generator, the
+// frontend's dedup and the trace sink all find in-flight requests by them.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "app/application.hpp"
 #include "common/histogram.hpp"
+#include "common/request_window.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -94,13 +96,7 @@ class LoadGenerator {
     EventId timer = kInvalidEvent; // armed only when retry is enabled
     int attempt = 0;               // 0 = initial send
     bool traced = false;           // spans being recorded for this request
-    bool live = true;              // false once completed or abandoned
   };
-
-  /// The live entry of request `id`, or nullptr.
-  Outstanding* find_outstanding(RequestId id);
-  /// Retires request `id`'s entry and pops retired entries off the front.
-  void retire(RequestId id);
 
   void schedule_next_arrival();
   void issue_request();
@@ -121,13 +117,9 @@ class LoadGenerator {
   std::uint64_t completed_total_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t dropped_ = 0;
-  // Request ids are issued sequentially, so the outstanding requests are a
-  // window: entry i is request window_base_ + i, and the front is live. A
-  // request that never completes (loss without retry) holds the window open
-  // behind it, at 24 bytes per later request, until the run ends.
-  std::deque<Outstanding> outstanding_;
-  RequestId window_base_ = 1;
-  std::size_t outstanding_count_ = 0;
+  // Requests issued and neither completed nor abandoned. One that never
+  // completes (loss without retry) holds the window open until the run ends.
+  RequestWindow<Outstanding> outstanding_;
   bool stopped_ = false;
 };
 

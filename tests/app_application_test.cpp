@@ -357,6 +357,52 @@ TEST(ApplicationTest, ResponseToAReusedCallSlotIsStray) {
   }
 }
 
+TEST(ApplicationTest, FrontendAbsorbsDuplicatesOnlyWhileInFlight) {
+  // Frontend idempotency: a client retransmission of a request the entry
+  // service is still processing is absorbed, so it gets one response. Once
+  // the request has completed and the frontend's window has moved past it,
+  // a retransmission re-executes, also below a later request in flight.
+  NetworkLatencyModel model;
+  model.jitter = 0.0;
+  MiniTestbed tb(chain_spec(2, 1'000'000.0), 4, model);  // 2 ms of work
+  std::vector<RequestId> responses;
+  tb.network.register_client_receiver(
+      [&](const RpcPacket& p) { responses.push_back(p.request_id); });
+  const auto send = [&](RequestId id) {
+    RpcPacket pkt;
+    pkt.request_id = id;
+    pkt.dst_container = tb.app->entry_container();
+    pkt.dst_node = tb.app->entry_node();
+    pkt.start_time = tb.sim.now();
+    tb.network.send(kClientNode, pkt);
+  };
+
+  send(1);
+  tb.sim.run_until(TimePoint::at(500 * kMicrosecond));
+  EXPECT_EQ(tb.app->in_flight(), 1);
+  send(1);  // delivered while request 1 is in flight
+  tb.sim.run_until(TimePoint::at(1000 * kMicrosecond));
+  EXPECT_EQ(tb.app->in_flight(), 1);
+  tb.sim.run_to_completion();
+  EXPECT_EQ(responses, std::vector<RequestId>{1});
+  EXPECT_EQ(tb.app->requests_completed(), 1u);
+
+  send(2);
+  send(3);
+  tb.sim.run_to_completion();
+  EXPECT_EQ(tb.app->requests_completed(), 3u);
+  EXPECT_EQ(tb.app->in_flight(), 0);
+
+  send(4);
+  send(1);  // the late retransmission: below request 4 in the window
+  tb.sim.run_until(tb.sim.now() + 500 * kMicrosecond);
+  EXPECT_EQ(tb.app->in_flight(), 2);
+  tb.sim.run_to_completion();
+  EXPECT_EQ(responses, (std::vector<RequestId>{1, 2, 3, 4, 1}));
+  EXPECT_EQ(tb.app->requests_completed(), 5u);
+  EXPECT_EQ(tb.app->in_flight(), 0);
+}
+
 TEST(ApplicationTest, DupAndDropFaultsConserveRequests) {
   // Duplicated child responses arrive after their call has completed, often
   // once a newer call holds the same slot. Each must count as stray and

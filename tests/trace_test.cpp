@@ -203,16 +203,6 @@ TEST(TraceSinkTest, PendingOverflowRefusesNewRequests) {
   EXPECT_TRUE(sink.begin_request(4, TimePoint{10}));
 }
 
-/// The inverse of the golden-ratio multiplier modulo 2^64 (Newton's
-/// iteration; each step doubles the correct low bits).
-constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
-constexpr std::uint64_t inverse_of_golden() {
-  std::uint64_t x = kGolden;
-  for (int i = 0; i < 5; ++i) x *= 2 - kGolden * x;
-  return x;
-}
-static_assert(kGolden * inverse_of_golden() == 1);
-
 auto stat_fields(const TraceStats& s) {
   return std::make_tuple(s.requests_recorded, s.requests_kept,
                          s.requests_discarded, s.requests_abandoned,
@@ -240,15 +230,11 @@ TEST(TraceSinkTest, MatchesAReferenceModel) {
   const Duration slo = Duration::ns(100);
   sink.set_slo_threshold(slo);
 
-  // A multiplicative (Fibonacci) hash sends j * inverse and -j * inverse,
-  // for small j, to the first and the last bucket of any power-of-two
-  // table, so those ids pile up, probe past each other and wrap around.
-  // The small neighbours and the top of the id range land elsewhere.
-  std::vector<RequestId> ids = {0, 1, 2, 3, 4, ~RequestId{0}, 1ull << 63};
-  for (std::uint64_t j = 1; j <= 5; ++j) {
-    ids.push_back(j * inverse_of_golden());
-    ids.push_back((0 - j) * inverse_of_golden());
-  }
+  // Request ids are dense (RequestWindow's contract): 17 ids from 0, begun
+  // and retired in random order, so the in-flight window grows at both
+  // ends.
+  std::vector<RequestId> ids;
+  for (RequestId id = 0; id < 17; ++id) ids.push_back(id);
 
   std::map<RequestId, RequestTrace> pending;
   std::deque<RequestTrace> kept;
