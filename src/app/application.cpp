@@ -186,8 +186,7 @@ void Application::on_request(const RpcPacket& pkt) {
   v.arrive = now;
   v.arrived_upscale = pkt.upscale;
   v.reply_to = ReplyAddress{pkt.src_container, pkt.src_node, pkt.call_id};
-  v.traced = pkt.traced && cluster_.sim().trace_sink() != nullptr;
-  if (v.traced) {
+  if (cluster_.sim().trace_sink() != nullptr) {
     // Open the own-work exec segment. sync() brings the share integral up
     // to `now` so the delta read at completion is exact (state after sync()
     // is bit-identical to what submit() below would produce anyway).
@@ -209,19 +208,17 @@ void Application::on_own_work_done(VisitKey key) {
   Visit& v = visits_.at(key);
   ServiceRuntime& sr = services_[static_cast<std::size_t>(v.service)];
   const ServiceSpec& spec = *sr.spec;
-  if (v.traced) {
-    if (TraceSink* trace = cluster_.sim().trace_sink()) {
-      TraceSpan span;
-      span.request_id = v.request_id;
-      span.kind = SpanKind::kExec;
-      span.container = sr.container->id();
-      span.begin = v.arrive;
-      span.end = cluster_.sim().now();
-      // We run inside the container's completion handler: the share
-      // integral is already advanced to now, so the delta is exact.
-      span.cpu_served_ns = sr.container->share_integral_ns() - v.exec_share0;
-      trace->add_span(span);
-    }
+  if (TraceSink* trace = cluster_.sim().trace_sink()) {
+    TraceSpan span;
+    span.request_id = v.request_id;
+    span.kind = SpanKind::kExec;
+    span.container = sr.container->id();
+    span.begin = v.arrive;
+    span.end = cluster_.sim().now();
+    // We run inside the container's completion handler: the share
+    // integral is already advanced to now, so the delta is exact.
+    span.cpu_served_ns = sr.container->share_integral_ns() - v.exec_share0;
+    trace->add_span(span);
   }
   if (spec.children.empty()) {
     reply(key);
@@ -253,17 +250,16 @@ void Application::on_conn_granted(std::size_t child_idx,
   const TimePoint now = cluster_.sim().now();
   const Duration wait = now - w.since;
   v.conn_wait += wait;
-  if (v.traced && wait > Duration::zero()) {
-    if (TraceSink* trace = cluster_.sim().trace_sink()) {
-      TraceSpan span;
-      span.request_id = v.request_id;
-      span.kind = SpanKind::kConnWait;
-      span.container =
-          services_[static_cast<std::size_t>(v.service)].container->id();
-      span.begin = w.since;
-      span.end = now;
-      trace->add_span(span);
-    }
+  TraceSink* trace = cluster_.sim().trace_sink();
+  if (trace != nullptr && wait > Duration::zero()) {
+    TraceSpan span;
+    span.request_id = v.request_id;
+    span.kind = SpanKind::kConnWait;
+    span.container =
+        services_[static_cast<std::size_t>(v.service)].container->id();
+    span.begin = w.since;
+    span.end = now;
+    trace->add_span(span);
   }
   send_child_rpc(w.visit, child_idx);
 }
@@ -297,7 +293,6 @@ void Application::send_child_rpc(VisitKey key, std::size_t child_idx,
   pkt.is_response = false;
   pkt.start_time = v.start_time;   // propagated unchanged (Fig. 8)
   pkt.upscale = outgoing_upscale(sr, v);
-  pkt.traced = v.traced;           // trace context propagates with the RPC
   network_.send(pkt.src_node, pkt);
 }
 
@@ -368,21 +363,18 @@ void Application::reply(VisitKey key) {
   rec.upscale_hint = v.arrived_upscale > 0;
   sr.metrics.record_visit(rec);
 
-  if (v.traced) {
-    if (TraceSink* trace = cluster_.sim().trace_sink()) {
-      TraceSpan visit;
-      visit.request_id = v.request_id;
-      visit.kind = SpanKind::kVisit;
-      visit.container = sr.container->id();
-      visit.begin = v.arrive;
-      visit.end = now;
-      visit.boost_active_ns = static_cast<double>(
-          sr.container->freq_timeline()
-              .time_above(v.arrive, now,
-                          static_cast<double>(kDvfs.min_mhz))
-              .ns());
-      trace->add_span(visit);
-    }
+  if (TraceSink* trace = cluster_.sim().trace_sink()) {
+    TraceSpan visit;
+    visit.request_id = v.request_id;
+    visit.kind = SpanKind::kVisit;
+    visit.container = sr.container->id();
+    visit.begin = v.arrive;
+    visit.end = now;
+    visit.boost_active_ns = static_cast<double>(
+        sr.container->freq_timeline()
+            .time_above(v.arrive, now, static_cast<double>(kDvfs.min_mhz))
+            .ns());
+    trace->add_span(visit);
   }
 
   RpcPacket pkt;
@@ -395,7 +387,6 @@ void Application::reply(VisitKey key) {
   pkt.is_response = true;
   pkt.start_time = v.start_time;
   pkt.upscale = 0;
-  pkt.traced = v.traced;
 
   if (sr.index == 0) {
     ++requests_completed_;

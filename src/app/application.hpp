@@ -164,8 +164,7 @@ class Application {
     ReplyAddress reply_to;
     int pending_children = 0;     // parallel fan-out join counter
 
-    // --- trace context (sg::trace) ---
-    bool traced = false;          // propagated from the incoming packet
+    // --- tracing (sg::trace) ---
     double exec_share0 = 0.0;     // container share integral at segment open
   };
 

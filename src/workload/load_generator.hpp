@@ -95,12 +95,11 @@ class LoadGenerator {
     TimePoint start;               // original issue time (latency anchor)
     EventId timer = kInvalidEvent; // armed only when retry is enabled
     int attempt = 0;               // 0 = initial send
-    bool traced = false;           // spans being recorded for this request
   };
 
   void schedule_next_arrival();
   void issue_request();
-  void send_request(RequestId id, TimePoint start_time, bool traced);
+  void send_request(RequestId id, TimePoint start_time);
   void on_request_timeout(RequestId id);
   void on_response(const RpcPacket& pkt);
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -142,7 +143,6 @@ TEST(ApplicationTest, PoolHandoffWaitIsTheHoldersRoundTrip) {
     pkt.dst_container = tb.app->entry_container();
     pkt.dst_node = tb.app->entry_node();
     pkt.start_time = tb.sim.now();
-    pkt.traced = true;
     tb.network.send(kClientNode, pkt);
   }
   // One round trip of the s0 -> s1 call: two same-node hops and s1's work.
@@ -191,6 +191,58 @@ TEST(ApplicationTest, PoolHandoffWaitIsTheHoldersRoundTrip) {
   EXPECT_EQ(wait[0].begin, exec[0].end);
   EXPECT_EQ(wait[0].end, visit[0].end);
   EXPECT_EQ(holder.latency + round_trip, waiter.latency);
+}
+
+TEST(ApplicationTest, SinkAloneDecidesWhichRequestsRecordSpans) {
+  // With a sink installed, every layer offers it spans; only a request it
+  // has begun records any. Requests 1 and 2 are never begun: they cross the
+  // whole task graph, one waiting for the other's connection, and back to
+  // the client without a span. Request 3 is begun and records its hops,
+  // exec segments and visits.
+  AppSpec spec = chain_spec(2);
+  spec.pool_sizes = {{1}, {}};
+  MiniTestbed tb(spec);
+  TraceSink& trace = tb.sim.enable_tracing(TraceOptions{});
+  int replies = 0;
+  tb.network.register_client_receiver([&](const RpcPacket& p) {
+    ++replies;
+    trace.end_request(p.request_id, tb.sim.now(), tb.sim.now() - p.start_time);
+  });
+  auto send = [&](RequestId id) {
+    RpcPacket pkt;
+    pkt.request_id = id;
+    pkt.dst_container = tb.app->entry_container();
+    pkt.dst_node = tb.app->entry_node();
+    pkt.start_time = tb.sim.now();
+    tb.network.send(kClientNode, pkt);
+  };
+  send(1);
+  send(2);
+  tb.sim.run_to_completion();
+  ASSERT_EQ(replies, 2);
+  ContainerRuntimeMetrics& m0 = const_cast<ContainerRuntimeMetrics&>(
+      tb.app->runtime_metrics(tb.app->service_container(0).id()));
+  EXPECT_GT(m0.flush(tb.sim.now()).avg_conn_wait_ns, 0.0);
+  EXPECT_EQ(trace.stats().spans_recorded, 0u);
+  EXPECT_EQ(trace.stats().requests_kept, 0u);
+
+  ASSERT_TRUE(trace.begin_request(3, tb.sim.now()));
+  send(3);
+  tb.sim.run_to_completion();
+  ASSERT_EQ(replies, 3);
+  const TraceReport report = trace.report();
+  ASSERT_EQ(report.traces.size(), 1u);
+  const RequestTrace& t = report.traces[0];
+  EXPECT_EQ(t.id, 3u);
+  auto count = [&](SpanKind kind) {
+    return std::count_if(t.spans.begin(), t.spans.end(),
+                         [&](const TraceSpan& sp) { return sp.kind == kind; });
+  };
+  EXPECT_EQ(count(SpanKind::kNetHop), 4);  // client -> s0 -> s1 -> s0 -> client
+  EXPECT_EQ(count(SpanKind::kExec), 2);
+  EXPECT_EQ(count(SpanKind::kVisit), 2);
+  EXPECT_EQ(count(SpanKind::kConnWait), 0);
+  EXPECT_EQ(report.stats.spans_recorded, t.spans.size());
 }
 
 TEST(ApplicationTest, VisitRecordsCapturedPerContainer) {

@@ -205,6 +205,35 @@ TEST(IntegrationTraceTest, HeadSamplingKeepsRoughlyTheRequestedFraction) {
   EXPECT_LT(kept_frac, 0.3);
 }
 
+TEST(IntegrationTraceTest, SampleZeroKeepsExactlyTheViolators) {
+  // Head sampling 0 with tail sampling on: the sink records every request
+  // and keeps exactly the SLO violators, and the decision audit is still
+  // recorded in full.
+  ExperimentConfig cfg = base_config();
+  cfg.pattern_override = SpikePattern::surges(
+      cfg.workload.base_rate_rps, 20.0, 2 * kMillisecond, 1 * kSecond,
+      TimePoint::at(1500 * kMillisecond));
+  cfg.trace_enabled = true;
+  cfg.trace_sample = 0.0;
+  cfg.trace_keep_violators = true;
+  cfg.trace_capacity = 1u << 16;  // keep everything: no ring eviction
+
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_TRUE(r.trace.has_value());
+  const TraceReport& tr = *r.trace;
+  EXPECT_GT(tr.stats.slo_violators_kept, 0u);
+  EXPECT_EQ(tr.stats.requests_kept, tr.stats.slo_violators_kept);
+  EXPECT_EQ(tr.stats.traces_evicted, 0u);
+  EXPECT_GT(tr.stats.requests_discarded, 0u);
+  EXPECT_GT(tr.stats.decisions_recorded, 0u);
+  ASSERT_EQ(tr.traces.size(), tr.stats.requests_kept);
+  for (const RequestTrace& t : tr.traces) {
+    EXPECT_TRUE(t.slo_violation) << "request " << t.id;
+    EXPECT_FALSE(t.head_sampled) << "request " << t.id;
+    EXPECT_GT(t.latency, tr.slo) << "request " << t.id;
+  }
+}
+
 struct AuditCase {
   ControllerKind controller;
   /// Source names the kind's decisions may carry; the first is its own.

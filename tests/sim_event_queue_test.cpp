@@ -523,18 +523,6 @@ struct DestroyCounter {
   }
 };
 
-TEST(EventQueueCallbackTest, CaptureLargerThanInlineBufferRuns) {
-  EventQueue q;
-  std::array<char, 2 * InlineCallback::kInlineBytes> big{};
-  big.back() = 'x';
-  char seen = 0;
-  auto cb = [big, &seen]() { seen = big.back(); };
-  static_assert(!InlineCallback::stores_inline<decltype(cb)>);
-  q.push(TimePoint{1}, std::move(cb));
-  q.pop().run();
-  EXPECT_EQ(seen, 'x');
-}
-
 TEST(EventQueueCallbackTest, MoveOnlyCaptureIsAccepted) {
   EventQueue q;
   auto value = std::make_unique<int>(42);
@@ -548,15 +536,12 @@ TEST(EventQueueCallbackTest, CaptureDestroyedExactlyOnce) {
   int fired_destroyed = 0;
   int cancelled_destroyed = 0;
   int pending_destroyed = 0;
-  int big_destroyed = 0;
   {
     EventQueue q;
     q.push(TimePoint{1}, [c = DestroyCounter(&fired_destroyed)]() {});
     const EventId id =
         q.push(TimePoint{2}, [c = DestroyCounter(&cancelled_destroyed)]() {});
     q.push(TimePoint{3}, [c = DestroyCounter(&pending_destroyed)]() {});
-    std::array<char, 2 * InlineCallback::kInlineBytes> pad{};
-    q.push(TimePoint{4}, [c = DestroyCounter(&big_destroyed), pad]() {});
     // Fill the first chunk and start another.
     for (int i = 0; i < 300; ++i) q.push(TimePoint{100 + i}, []() {});
     q.pop().run();
@@ -564,12 +549,10 @@ TEST(EventQueueCallbackTest, CaptureDestroyedExactlyOnce) {
     EXPECT_TRUE(q.cancel(id));
     EXPECT_EQ(cancelled_destroyed, 1);
     EXPECT_EQ(pending_destroyed, 0);
-    EXPECT_EQ(big_destroyed, 0);
   }
   EXPECT_EQ(fired_destroyed, 1);
   EXPECT_EQ(cancelled_destroyed, 1);
   EXPECT_EQ(pending_destroyed, 1);
-  EXPECT_EQ(big_destroyed, 1);
 }
 
 TEST(EventQueueCallbackTest, CallbackMayPushWhileRunning) {
@@ -577,7 +560,9 @@ TEST(EventQueueCallbackTest, CallbackMayPushWhileRunning) {
   // slots while it runs, so new chunks are allocated under it; its captures
   // must neither move nor die.
   EventQueue q;
-  const std::string tag(64, 'q');
+  // Not const: a const std::string capture is not nothrow-movable, so it
+  // would not fit in the slot.
+  std::string tag(64, 'q');
   std::string seen;
   bool stayed_in_place = false;
   int pushed_ran = 0;

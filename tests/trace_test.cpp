@@ -89,7 +89,6 @@ TEST(TraceSinkTest, TailSamplingKeepsOnlySloViolators) {
   TraceSink sink(opts);
   sink.set_slo_threshold(Duration::ns(100));
   for (RequestId id = 1; id <= 20; ++id) {
-    EXPECT_TRUE(sink.should_record(id));
     ASSERT_TRUE(sink.begin_request(id, TimePoint::origin()));
     // Odd ids violate (latency 150 > 100), even ids do not.
     sink.end_request(id, TimePoint{200},
@@ -102,6 +101,42 @@ TEST(TraceSinkTest, TailSamplingKeepsOnlySloViolators) {
     EXPECT_TRUE(t.slo_violation);
     EXPECT_FALSE(t.head_sampled);
     EXPECT_EQ(t.id % 2, 1u);
+  }
+}
+
+TEST(TraceSinkTest, HeadOnlySamplingRefusesUnsampledRequests) {
+  // Without tail sampling, the sink alone decides: a request that is not
+  // head sampled is refused at begin_request, counted nowhere, and its
+  // spans and completion are ignored.
+  TraceOptions none;
+  none.head_sample_rate = 0.0;
+  none.keep_slo_violators = false;
+  TraceSink sink(none);
+  sink.set_slo_threshold(Duration::ns(100));
+  EXPECT_FALSE(sink.begin_request(1, TimePoint::origin()));
+  sink.add_span(span(1, SpanKind::kExec, 0, 0, 10));
+  sink.end_request(1, TimePoint{200}, Duration::ns(200));
+  EXPECT_EQ(sink.pending_count(), 0u);
+  EXPECT_EQ(sink.kept_count(), 0u);
+  EXPECT_EQ(sink.stats().requests_recorded, 0u);
+  EXPECT_EQ(sink.stats().spans_recorded, 0u);
+  EXPECT_EQ(sink.stats().requests_discarded, 0u);
+  EXPECT_EQ(sink.stats().pending_overflow, 0u);
+
+  TraceOptions all = none;
+  all.head_sample_rate = 1.0;
+  TraceSink admitted(all);
+  EXPECT_TRUE(admitted.begin_request(1, TimePoint::origin()));
+  EXPECT_EQ(admitted.stats().requests_recorded, 1u);
+  EXPECT_EQ(admitted.pending_count(), 1u);
+
+  // At a fractional rate the verdict is exactly the head-sampling hash.
+  TraceOptions part = none;
+  part.head_sample_rate = 0.3;
+  TraceSink partial(part);
+  for (RequestId id = 1; id <= 200; ++id) {
+    EXPECT_EQ(partial.begin_request(id, TimePoint::origin()),
+              partial.head_sampled(id));
   }
 }
 
