@@ -220,7 +220,7 @@ std::string chrome_trace_json(const TraceReport& report) {
           .raw(",\"dur\":")
           .us(s.wall().ns())
           .raw(",\"args\":{\"req\":")
-          .integer(tr.id);
+          .integer(tr.id());
     };
     for (const TraceSpan& s : tr.spans) {
       switch (s.kind) {
@@ -363,7 +363,7 @@ std::vector<CriticalPath> critical_paths(const TraceReport& report,
     if (report.traces[a].latency != report.traces[b].latency) {
       return report.traces[a].latency > report.traces[b].latency;
     }
-    return report.traces[a].id < report.traces[b].id;
+    return report.traces[a].id() < report.traces[b].id();
   });
   if (order.size() > k) order.resize(k);
 
@@ -375,7 +375,7 @@ std::vector<CriticalPath> critical_paths(const TraceReport& report,
       if (s.kind != SpanKind::kVisit) spans.push_back(s);
     }
     CriticalPath cp;
-    cp.id = tr.id;
+    cp.id = tr.id();
     cp.latency = tr.latency;
 
     // Greedy interval cover: at each instant follow the covering span that

@@ -38,14 +38,21 @@
 // ring (oldest evicted), in-flight buffers are bounded by max_pending, and
 // decision events by max_decisions. In-flight requests are found in a
 // RequestWindow by their dense id, one small entry per id between the
-// oldest and the newest in flight. Recording allocates nothing in steady
-// state: a finished request's span buffer is cleared and goes back on a
-// free list with its capacity, and the next begin_request takes the most
-// recently freed one, still in cache. A kept trace is copied into the
-// ring slot it overwrites, whose buffer also keeps its capacity.
+// oldest and the newest in flight. Kept spans are stored encoded
+// (SpanList): the request id once per trace, then about 13 bytes per span
+// where a TraceSpan takes 64, so the 4096-trace ring of read-1n-reqtrace
+// holds 1.2 MB of spans, not 6.3 MB. An in-flight request buffers its spans
+// decoded; end_request encodes them only when it keeps the request, and
+// copies exactly the encoded bytes into the ring slot it overwrites, whose
+// allocation is reused. Recording allocates nothing in steady state: a
+// finished request's buffer goes back on a free list with its capacity,
+// and the next begin_request takes the most recently freed one, still in
+// cache.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -115,15 +122,118 @@ struct TraceOptions {
   std::size_t max_decisions = 1u << 20;
 };
 
+/// One request's spans, encoded. The request id is stored once; each span
+/// is one record:
+///   - a header byte: the kind (bits 0-1), is_response (bit 2), which
+///     optional fields follow (bit 3 src_container, bit 4 cpu_served_ns,
+///     bit 5 boost_active_ns), a wide begin (bit 6) and wide fields (bit 7);
+///   - container, then src_container only when it is not -1: a signed byte
+///     each, or 4 bytes each when either does not fit one (wide fields);
+///   - begin minus the previous span's begin (the first span's minus the
+///     origin): 4 bytes signed, or 8 when it does not fit (wide begin);
+///   - the wall: 4 bytes unsigned, or 8 with wide fields;
+///   - the raw 8 bytes of cpu_served_ns and of boost_active_ns, each only
+///     when its bit pattern is non-zero (so -0.0 and NaN payloads keep
+///     theirs).
+/// Differences wrap in 64 bits, so every field round-trips exactly. Fields
+/// are fixed-width rather than varints: a read-1n-reqtrace span takes
+/// about 12 bytes either way, and fixed widths encode and decode without a
+/// loop per field.
+/// Iterating decodes the spans in the order they were appended.
+class SpanList {
+ public:
+  class const_iterator;
+
+  explicit SpanList(RequestId id = 0) : id_(id) {}
+  /// A copy holds the encoded spans only, not the append headroom.
+  SpanList(const SpanList& other);
+  SpanList& operator=(const SpanList& other);
+  SpanList(SpanList&& other) noexcept;
+  SpanList& operator=(SpanList&& other) noexcept;
+
+  RequestId request_id() const { return id_; }
+  /// Empties the list and files later spans under `id`; keeps capacity.
+  void reset(RequestId id);
+  /// Appends a span of this list's request (asserted).
+  void push_back(const TraceSpan& span);
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  /// Bytes the encoded spans occupy.
+  std::size_t bytes() const { return used_; }
+
+  const_iterator begin() const;
+  const_iterator end() const;
+
+ private:
+  RequestId id_;
+  /// The encoded spans are bytes_[0, used_). push_back encodes in place
+  /// past them, so it first grows bytes_ to hold a record of any size.
+  std::vector<std::uint8_t> bytes_;
+  std::size_t used_ = 0;
+  /// The last appended span's begin, which the next one is a delta from.
+  std::int64_t last_begin_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// Decodes one span per step; a dereferenced span lives until the next
+/// increment.
+class SpanList::const_iterator {
+ public:
+  using iterator_category = std::input_iterator_tag;
+  using value_type = TraceSpan;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const TraceSpan*;
+  using reference = const TraceSpan&;
+
+  const_iterator() = default;
+
+  reference operator*() const { return span_; }
+  pointer operator->() const { return &span_; }
+  const_iterator& operator++();
+  const_iterator operator++(int) {
+    const_iterator old = *this;
+    ++*this;
+    return old;
+  }
+  friend bool operator==(const const_iterator& a, const const_iterator& b) {
+    return a.at_ == b.at_;
+  }
+
+ private:
+  friend class SpanList;
+  const_iterator(const std::uint8_t* at, const std::uint8_t* end,
+                 RequestId id);
+  /// Decodes the record at at_ (the begin delta is from span_.begin).
+  void decode();
+
+  /// The current record, the one after it, and the end of the list.
+  const std::uint8_t* at_ = nullptr;
+  const std::uint8_t* next_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
+  TraceSpan span_;
+};
+
+inline SpanList::const_iterator SpanList::begin() const {
+  return {bytes_.data(), bytes_.data() + used_, id_};
+}
+
+inline SpanList::const_iterator SpanList::end() const {
+  const std::uint8_t* end = bytes_.data() + used_;
+  return {end, end, id_};
+}
+
 /// One kept request: its spans in recording order plus keep provenance.
 struct RequestTrace {
-  RequestId id = 0;
   TimePoint begin;
   TimePoint end;
   Duration latency;
   bool head_sampled = false;
   bool slo_violation = false;
-  std::vector<TraceSpan> spans;
+  /// Encoded; carries the request id.
+  SpanList spans;
+
+  RequestId id() const { return spans.request_id(); }
 };
 
 struct TraceStats {
@@ -208,8 +318,19 @@ class TraceSink {
   TraceReport report();
 
  private:
-  /// Retires in-flight request `id` and frees its buffer (cleared,
-  /// capacity kept).
+  /// An in-flight request. Its spans are buffered decoded, and encoded
+  /// only if the request is kept.
+  struct Recording {
+    TimePoint begin;
+    bool head_sampled = false;
+    std::vector<TraceSpan> spans;
+  };
+
+  /// Encodes `spans` of request `id` into `out`, which gets exactly the
+  /// bytes they take (its allocation is reused when large enough).
+  void encode(RequestId id, const std::vector<TraceSpan>& spans,
+              SpanList& out);
+  /// Retires in-flight request `id` and frees its buffer.
   void release(RequestId id, std::size_t buffer);
 
   TraceOptions options_;
@@ -217,9 +338,13 @@ class TraceSink {
   /// In-flight requests: the index of each one's buffer in buffers_.
   RequestWindow<std::size_t> pending_;
   /// Span buffers, in flight or free; free_ lists the free ones, most
-  /// recently freed last.
-  std::vector<RequestTrace> buffers_;
+  /// recently freed last. A buffer is emptied when it is freed and keeps
+  /// its capacity.
+  std::vector<Recording> buffers_;
   std::vector<std::size_t> free_;
+  /// Where encode() writes before copying: its spare room never reaches a
+  /// kept trace.
+  SpanList encoded_;
   /// Kept-trace ring: grows to `capacity` slots in completion order, then
   /// each new trace overwrites the oldest, kept_[head_].
   std::vector<RequestTrace> kept_;

@@ -175,8 +175,8 @@ TEST(ApplicationTest, PoolHandoffWaitIsTheHoldersRoundTrip) {
   ASSERT_EQ(report.traces.size(), 2u);
   const RequestTrace& holder = report.traces[0];
   const RequestTrace& waiter = report.traces[1];
-  EXPECT_EQ(holder.id, 1u);
-  EXPECT_EQ(waiter.id, 2u);
+  EXPECT_EQ(holder.id(), 1u);
+  EXPECT_EQ(waiter.id(), 2u);
   EXPECT_TRUE(spans_of(holder, SpanKind::kConnWait).empty());
   const std::vector<TraceSpan> wait = spans_of(waiter, SpanKind::kConnWait);
   ASSERT_EQ(wait.size(), 1u);
@@ -233,7 +233,7 @@ TEST(ApplicationTest, SinkAloneDecidesWhichRequestsRecordSpans) {
   const TraceReport report = trace.report();
   ASSERT_EQ(report.traces.size(), 1u);
   const RequestTrace& t = report.traces[0];
-  EXPECT_EQ(t.id, 3u);
+  EXPECT_EQ(t.id(), 3u);
   auto count = [&](SpanKind kind) {
     return std::count_if(t.spans.begin(), t.spans.end(),
                          [&](const TraceSpan& sp) { return sp.kind == kind; });

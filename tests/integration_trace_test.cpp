@@ -6,6 +6,7 @@
 //   * zero observer effect — tracing disabled vs enabled leaves the event
 //     count and every latency percentile bit-identical;
 //   * surge runs produce breakdown rows, decisions, and kept violators;
+//   * kept spans are stored in at most 16 bytes each on average;
 //   * every controller records its decisions in the audit under its own
 //     source name, on a real node and container, and each controller
 //     kind's audit matches tests/golden/controller_audit.txt exactly.
@@ -65,8 +66,8 @@ TEST(IntegrationTraceTest, SpanSegmentsTileEndToEndLatencyExactly) {
     // so their walls sum to the client-observed latency within 1 ns.
     EXPECT_NEAR(static_cast<double>(covered.ns()),
                 static_cast<double>(t.latency.ns()), 1.0)
-        << "request " << t.id;
-    EXPECT_EQ(t.end - t.begin, t.latency) << "request " << t.id;
+        << "request " << t.id();
+    EXPECT_EQ(t.end - t.begin, t.latency) << "request " << t.id();
   }
 }
 
@@ -228,10 +229,32 @@ TEST(IntegrationTraceTest, SampleZeroKeepsExactlyTheViolators) {
   EXPECT_GT(tr.stats.decisions_recorded, 0u);
   ASSERT_EQ(tr.traces.size(), tr.stats.requests_kept);
   for (const RequestTrace& t : tr.traces) {
-    EXPECT_TRUE(t.slo_violation) << "request " << t.id;
-    EXPECT_FALSE(t.head_sampled) << "request " << t.id;
-    EXPECT_GT(t.latency, tr.slo) << "request " << t.id;
+    EXPECT_TRUE(t.slo_violation) << "request " << t.id();
+    EXPECT_FALSE(t.head_sampled) << "request " << t.id();
+    EXPECT_GT(t.latency, tr.slo) << "request " << t.id();
   }
+}
+
+TEST(IntegrationTraceTest, KeptTracesStoreAtMost16BytesPerSpan) {
+  // Kept spans are stored encoded (SpanList), not as 64-byte TraceSpans.
+  // Pinning the average on a traced 1-node readUserTimeline run keeps a
+  // later change from widening the stored form again.
+  ExperimentConfig cfg = base_config();
+  cfg.workload = make_social_read_user_timeline();
+  cfg.trace_enabled = true;
+  cfg.trace_sample = 1.0;
+  const ExperimentResult r = run_experiment(cfg);
+  ASSERT_TRUE(r.trace.has_value());
+  std::size_t spans = 0;
+  std::size_t bytes = 0;
+  for (const RequestTrace& t : r.trace->traces) {
+    spans += t.spans.size();
+    bytes += t.spans.bytes();
+  }
+  ASSERT_GT(spans, 10000u);
+  EXPECT_LE(bytes, 16 * spans)
+      << static_cast<double>(bytes) / static_cast<double>(spans)
+      << " bytes per span";
 }
 
 struct AuditCase {

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <random>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "trace/export.hpp"
@@ -78,8 +81,8 @@ TEST(TraceSinkTest, RingEvictsOldestBeyondCapacity) {
   EXPECT_EQ(sink.stats().traces_evicted, 6u);
   const TraceReport report = sink.report();
   ASSERT_EQ(report.traces.size(), 4u);
-  EXPECT_EQ(report.traces.front().id, 7u);  // 1..6 evicted
-  EXPECT_EQ(report.traces.back().id, 10u);
+  EXPECT_EQ(report.traces.front().id(), 7u);  // 1..6 evicted
+  EXPECT_EQ(report.traces.back().id(), 10u);
 }
 
 TEST(TraceSinkTest, TailSamplingKeepsOnlySloViolators) {
@@ -100,7 +103,7 @@ TEST(TraceSinkTest, TailSamplingKeepsOnlySloViolators) {
   for (const RequestTrace& t : sink.report().traces) {
     EXPECT_TRUE(t.slo_violation);
     EXPECT_FALSE(t.head_sampled);
-    EXPECT_EQ(t.id % 2, 1u);
+    EXPECT_EQ(t.id() % 2, 1u);
   }
 }
 
@@ -200,14 +203,14 @@ TEST(TraceSinkTest, RecycledBuffersCarryNoStaleSpans) {
 
   const TraceReport report = sink.report();
   ASSERT_EQ(report.traces.size(), 2u);
-  EXPECT_EQ(report.traces[0].id, 5u);
-  EXPECT_EQ(report.traces[1].id, 6u);
+  EXPECT_EQ(report.traces[0].id(), 5u);
+  EXPECT_EQ(report.traces[1].id(), 6u);
   EXPECT_EQ(report.traces[0].spans.size(), 5u);
   EXPECT_EQ(report.traces[1].spans.size(), 2u);
   for (const RequestTrace& tr : report.traces) {
     for (const TraceSpan& s : tr.spans) {
-      EXPECT_EQ(s.request_id, tr.id);
-      EXPECT_EQ(s.container, static_cast<int>(tr.id));
+      EXPECT_EQ(s.request_id, tr.id());
+      EXPECT_EQ(s.container, static_cast<int>(tr.id()));
       EXPECT_GE(s.begin, tr.begin);
       EXPECT_LE(s.end, tr.end);
     }
@@ -246,10 +249,23 @@ auto stat_fields(const TraceStats& s) {
                          s.decisions_recorded, s.decisions_dropped);
 }
 
-auto span_fields(const TraceSpan& s) {
+std::uint64_t bits_of(double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+double double_of(std::uint64_t bits) {
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// Every field, doubles by bit pattern (NaN != NaN, and -0.0 == 0.0).
+auto exact_fields(const TraceSpan& s) {
   return std::make_tuple(s.request_id, s.kind, s.container, s.src_container,
-                         s.begin, s.end, s.is_response, s.cpu_served_ns,
-                         s.boost_active_ns);
+                         s.begin, s.end, s.is_response,
+                         bits_of(s.cpu_served_ns), bits_of(s.boost_active_ns));
 }
 
 TEST(TraceSinkTest, MatchesAReferenceModel) {
@@ -271,8 +287,18 @@ TEST(TraceSinkTest, MatchesAReferenceModel) {
   std::vector<RequestId> ids;
   for (RequestId id = 0; id < 17; ++id) ids.push_back(id);
 
-  std::map<RequestId, RequestTrace> pending;
-  std::deque<RequestTrace> kept;
+  // The model keeps decoded spans: it does not share the sink's codec.
+  struct Model {
+    RequestId id = 0;
+    TimePoint begin;
+    TimePoint end;
+    Duration latency;
+    bool head_sampled = false;
+    bool slo_violation = false;
+    std::vector<TraceSpan> spans;
+  };
+  std::map<RequestId, Model> pending;
+  std::deque<Model> kept;
   TraceStats stats;
   std::mt19937_64 rng(29);
   const auto pick = [&](std::size_t n) {
@@ -299,7 +325,7 @@ TEST(TraceSinkTest, MatchesAReferenceModel) {
       ASSERT_EQ(sink.begin_request(id, TimePoint{t}), admitted)
           << "step " << step;
       if (admitted) {
-        RequestTrace& m = pending[id];  // a repeat keeps its spans
+        Model& m = pending[id];  // a repeat keeps its spans
         m.id = id;
         m.begin = TimePoint{t};
         m.head_sampled = sink.head_sampled(id);
@@ -327,7 +353,7 @@ TEST(TraceSinkTest, MatchesAReferenceModel) {
       sink.end_request(id, TimePoint{t}, latency);
       const auto it = pending.find(id);
       if (it != pending.end()) {
-        RequestTrace m = std::move(it->second);
+        Model m = std::move(it->second);
         pending.erase(it);
         m.end = TimePoint{t};
         m.latency = latency;
@@ -364,8 +390,8 @@ TEST(TraceSinkTest, MatchesAReferenceModel) {
   ASSERT_EQ(report.traces.size(), kept.size());
   for (std::size_t i = 0; i < kept.size(); ++i) {
     const RequestTrace& got = report.traces[i];
-    RequestTrace& want = kept[i];
-    EXPECT_EQ(got.id, want.id) << i;
+    Model& want = kept[i];
+    EXPECT_EQ(got.id(), want.id) << i;
     EXPECT_EQ(got.begin, want.begin) << i;
     EXPECT_EQ(got.end, want.end) << i;
     EXPECT_EQ(got.latency, want.latency) << i;
@@ -378,11 +404,142 @@ TEST(TraceSinkTest, MatchesAReferenceModel) {
                 return a.begin < b.begin;
               });
     ASSERT_EQ(got.spans.size(), want.spans.size()) << i;
-    for (std::size_t k = 0; k < want.spans.size(); ++k) {
-      EXPECT_EQ(span_fields(got.spans[k]), span_fields(want.spans[k]))
-          << i << "/" << k;
+    std::size_t k = 0;
+    for (const TraceSpan& s : got.spans) {
+      EXPECT_EQ(exact_fields(s), exact_fields(want.spans[k])) << i << "/" << k;
+      ++k;
     }
   }
+}
+
+TEST(SpanListTest, EmptyListDecodesNothing) {
+  const SpanList list(3);
+  EXPECT_EQ(list.request_id(), 3u);
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.size(), 0u);
+  EXPECT_EQ(list.bytes(), 0u);
+  EXPECT_TRUE(list.begin() == list.end());
+}
+
+TEST(SpanListTest, RoundTripsEveryFieldExactly) {
+  // Fixed-seed random spans in lists of 1-64, one list reset and reused
+  // for each request. Begins jump back and forth over [0, 2^62], and every
+  // field mixes edge values with random ones; the edges include both sides
+  // of each narrow field's range (int8 containers, int32 begin deltas,
+  // uint32 walls).
+  std::mt19937_64 rng(35);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const int edge_ints[] = {-1,  0,    1,    63,  64,  -65,     127,
+                           128, -128, -129, 255, 256, INT_MIN, INT_MAX};
+  const auto any_int = [&] {
+    return pick(2) == 0 ? edge_ints[pick(std::size(edge_ints))]
+                        : static_cast<int>(static_cast<std::uint32_t>(rng()));
+  };
+  const double edge_doubles[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      double_of(0x7ff8'0000'dead'beefull),  // quiet NaN with a payload
+      double_of(0xfff0'0000'0000'0001ull),  // negative signalling NaN
+      std::numeric_limits<double>::denorm_min(),
+      -1e-310,  // denormal
+      0.25,
+      1234.5678,
+      -3.75e7,
+      1e300};
+  const auto any_double = [&] {
+    return pick(2) == 0 ? edge_doubles[pick(std::size(edge_doubles))]
+                        : static_cast<double>(pick(1u << 20)) / 7.0;
+  };
+  constexpr std::int64_t kMaxBegin = std::int64_t{1} << 62;
+  constexpr std::int64_t k2to31 = std::int64_t{1} << 31;
+  const std::int64_t edge_begins[] = {0,      1,         k2to31 - 1,
+                                      k2to31, kMaxBegin - 1, kMaxBegin};
+  const auto any_begin = [&] {
+    switch (pick(3)) {
+      case 0: return edge_begins[pick(std::size(edge_begins))];
+      case 1: return static_cast<std::int64_t>(pick(1u << 30));
+      default: return static_cast<std::int64_t>(rng() >> 2);  // < 2^62
+    }
+  };
+  constexpr std::int64_t k2to40 = std::int64_t{1} << 40;
+  constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+  const std::int64_t edge_walls[] = {0,      1,          127,
+                                     128,    k2to32 - 1, k2to32,
+                                     k2to40, k2to40 + 12345,
+                                     std::int64_t{1} << 61};
+  const auto any_wall = [&] {
+    return pick(2) == 0 ? edge_walls[pick(std::size(edge_walls))]
+                        : static_cast<std::int64_t>(pick(1u << 24));
+  };
+  const RequestId edge_ids[] = {0, 1, 7, ~RequestId{0}};
+
+  SpanList list;
+  SpanList assigned;
+  std::vector<TraceSpan> want;
+  std::size_t total = 0;
+  std::size_t lists = 0;
+  bool saw_descending_begin = false;
+  while (total < 100000) {
+    const RequestId id = pick(4) == 0 ? edge_ids[pick(std::size(edge_ids))]
+                                      : static_cast<RequestId>(rng());
+    list.reset(id);
+    ASSERT_EQ(list.request_id(), id);
+    ASSERT_TRUE(list.empty());
+    ASSERT_EQ(list.bytes(), 0u);
+    want.clear();
+    const std::size_t n = 1 + pick(64);
+    for (std::size_t k = 0; k < n; ++k) {
+      TraceSpan s;
+      s.request_id = id;
+      s.kind = static_cast<SpanKind>(pick(4));
+      s.container = any_int();
+      s.src_container = any_int();
+      s.begin = TimePoint{any_begin()};
+      s.end = s.begin + Duration{any_wall()};
+      s.is_response = pick(2) == 1;
+      s.cpu_served_ns = any_double();
+      s.boost_active_ns = any_double();
+      if (!want.empty() && s.begin < want.back().begin) {
+        saw_descending_begin = true;
+      }
+      list.push_back(s);
+      want.push_back(s);
+      ASSERT_EQ(list.size(), want.size());
+    }
+    std::size_t k = 0;
+    for (const TraceSpan& got : list) {
+      ASSERT_LT(k, want.size());
+      ASSERT_EQ(exact_fields(got), exact_fields(want[k]))
+          << "list " << lists << ", span " << k;
+      ++k;
+    }
+    ASSERT_EQ(k, want.size());
+    // Copies (the ring assigns one into a slot that held another trace)
+    // and moves decode the same spans; a moved-from list is empty.
+    const auto same = [&](const SpanList& l) {
+      return l.request_id() == id && l.size() == want.size() &&
+             std::equal(l.begin(), l.end(), want.begin(), want.end(),
+                        [](const TraceSpan& a, const TraceSpan& b) {
+                          return exact_fields(a) == exact_fields(b);
+                        });
+    };
+    SpanList copy = list;
+    ASSERT_TRUE(same(copy));
+    ASSERT_EQ(copy.bytes(), list.bytes());
+    assigned = list;
+    ASSERT_TRUE(same(assigned));
+    const SpanList moved = std::move(copy);
+    ASSERT_TRUE(same(moved));
+    ASSERT_TRUE(copy.empty());
+    ASSERT_TRUE(copy.begin() == copy.end());
+    total += n;
+    ++lists;
+  }
+  EXPECT_TRUE(saw_descending_begin);
 }
 
 TEST(TraceSinkTest, DecisionCapCountsDrops) {
@@ -477,12 +634,12 @@ std::string printf_fixed3(double ns) {
 }
 
 // One request of hand-built spans; `containers` names the tracks.
-TraceReport report_of(std::vector<TraceSpan> spans,
+TraceReport report_of(const std::vector<TraceSpan>& spans,
                       std::vector<TraceContainerInfo> containers = {}) {
   TraceReport report;
   RequestTrace trace;
-  trace.id = 7;
-  trace.spans = std::move(spans);
+  trace.spans.reset(7);
+  for (const TraceSpan& s : spans) trace.spans.push_back(s);
   report.traces.push_back(std::move(trace));
   report.containers = std::move(containers);
   return report;
